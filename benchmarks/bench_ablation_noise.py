@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from _bench_utils import run_once
 
+import repro
 from repro.analysis.pearson import pearson_correlation
-from repro.experiments.campaign import SampleCampaign
 from repro.machine.configs import default_machine
 from repro.models.combined import optimize_combined_model
 from repro.util.tables import format_table
 
 
-def test_ablation_cycle_noise_level(benchmark, suite, scale):
+def test_ablation_cycle_noise_level(benchmark, scale):
     sample_count = max(scale.sample_count // 2, 50)
     n = scale.large_size
 
@@ -26,7 +26,7 @@ def test_ablation_cycle_noise_level(benchmark, suite, scale):
         rows = []
         for sigma in (0.0, 0.05, 0.10):
             machine = default_machine(noise_sigma=sigma)
-            table = SampleCampaign(machine, seed=scale.seed).run(n, sample_count)
+            table = repro.session(machine=machine, scale=scale).campaign(n, sample_count)
             rho_i = pearson_correlation(table.instructions, table.cycles)
             rho_m = pearson_correlation(table.l1_misses, table.cycles)
             _, _, rho_c = optimize_combined_model(

@@ -14,7 +14,7 @@ from repro.experiments.report import render_correlation_table
 
 
 def test_correlation_table(benchmark, suite):
-    table = run_once(benchmark, suite.correlation_summary)
+    table = run_once(benchmark, suite.figure, "correlations")
     print()
     print(
         render_correlation_table(

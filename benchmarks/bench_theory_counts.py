@@ -14,7 +14,7 @@ from repro.models.theory import rsu_instruction_moments, space_growth_ratios
 
 
 def test_theory_space_size_table(benchmark, suite):
-    table = run_once(benchmark, suite.theory_summary, 12)
+    table = run_once(benchmark, suite.figure, "theory", max_size=12)
     print()
     print(render_theory_table(table))
     ratios = space_growth_ratios(20)

@@ -10,11 +10,12 @@ requested without editing code::
 The figure benchmarks (``bench_fig01`` … ``bench_fig11``) are thin wrappers
 over the committed suite spec ``benchmarks/suites/paper.json``: each one runs
 its experiment through the session-scoped :func:`suite_run` (the declarative
-suite runner) and asserts on the resulting figure and artifact.  Campaigns
-are shared two ways: the suite runner materialises each baseline once per
-context, and everything flows through the shared in-process campaign store —
-which the legacy :class:`ExperimentSuite` fixture (still used by the summary
-and ablation benchmarks) also reads, so nothing is measured twice.
+suite runner) and asserts on the resulting figure and artifact.  The summary
+and ablation benchmarks build single figures through the :func:`suite`
+fixture, a figure-at-a-time view over the same experiment registry.
+Campaigns are shared two ways: the suite runner materialises each baseline
+once per context, and everything flows through the shared in-process
+campaign store, so nothing is measured twice.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import os
 
 import pytest
 
+import repro
 from repro.config import scale_from_env
-from repro.experiments.runner import ExperimentSuite
 from repro.machine.configs import default_machine
 
 #: Default sample count used by the benchmark campaigns when the environment
@@ -58,8 +59,8 @@ def machine():
 
 @pytest.fixture(scope="session")
 def suite(machine, scale):
-    """Session-wide experiment suite (campaigns are computed once and cached)."""
-    return ExperimentSuite(machine=machine, scale=scale)
+    """Session-wide figure view (campaigns are computed once and cached)."""
+    return repro.session(machine=machine, scale=scale).suite()
 
 
 @pytest.fixture(scope="session")

@@ -35,18 +35,18 @@ def main(samples: int = 150, backend: str = "serial") -> None:
     print(f"Machine : {suite.machine.config.describe()}")
     print(f"Scale   : {scale.describe()}\n")
 
-    correlations = suite.correlation_summary()
+    correlations = suite.figure("correlations")
     print("Headline correlations (paper: 0.96 / 0.77 / 0.66 / 0.92):")
     for description, value in correlations.as_rows():
         print(f"  {description:55s} {value:6.3f}")
     print(f"  qualitative ordering holds: {correlations.satisfies_paper_ordering()}")
 
     print("\nFigure 10/11 pruning thresholds:")
-    print(suite.figure10().describe())
+    print(suite.figure("figure10").describe())
     print()
-    print(suite.figure11().describe())
+    print(suite.figure("figure11").describe())
 
-    alpha, beta, rho = suite.figure9().best
+    alpha, beta, rho = suite.figure("figure9").best
     print(
         f"\nBest combined model: {alpha:.2f} * instructions + {beta:.2f} * misses "
         f"(rho = {rho:.3f}); the ratio beta/alpha ~ the machine's per-miss cycle cost."

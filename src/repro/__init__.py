@@ -153,7 +153,7 @@ from repro.suite import (
 # binds this function, not the module.)
 from repro.suite.api import suite
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "analysis",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.campaign import MeasurementTable
+from repro.runtime.table import MeasurementTable
 from repro.models.combined import CorrelationSurface, optimize_combined_model
 
 __all__ = ["alphabeta_surface"]

@@ -8,24 +8,22 @@ canonical algorithm's metric to the best algorithm's metric:
 * Figure 1 — cycle-count ratios (the iterative/recursive crossover),
 * Figure 2 — instruction-count ratios (iterative lowest everywhere),
 * Figure 3 — cache-miss ratios (the paper plots ``log10`` of the ratio).
+
+The measurements come from the suite's store-native canonical baseline
+(:meth:`repro.suite.context.SuiteContext.canonical_table`), which derives
+every noise draw from ``(seed, tag, n, index)`` and finds the best plans
+through the cost engine, so a sweep is identical across backends, services
+and cold/warm store states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import math
+from dataclasses import dataclass
 
-from repro.machine.machine import SimulatedMachine
-from repro.machine.measurement import Measurement
-from repro.search.costs import MeasuredCyclesCost
-from repro.util.validation import check_positive_int
-from repro.wht.canonical import canonical_plans
-from repro.wht.dp_search import DPSearch
-from repro.wht.plan import MAX_UNROLLED, Plan
+from repro.wht.plan import Plan
 
-__all__ = ["CanonicalSweep", "canonical_sweep", "ratio_series", "CANONICAL_NAMES"]
+__all__ = ["CanonicalSweep", "CANONICAL_NAMES", "SWEEP_METRICS"]
 
 #: Algorithm names in the order the paper's legends use.
 CANONICAL_NAMES = ("iterative", "left", "right")
@@ -36,31 +34,29 @@ SWEEP_METRICS = ("cycles", "instructions", "l1_misses", "l2_misses")
 
 @dataclass(frozen=True)
 class CanonicalSweep:
-    """Measurements of canonical and DP-best algorithms across sizes."""
+    """Canonical + DP-best metric values across sizes (Figures 1–3)."""
 
     sizes: tuple[int, ...]
-    #: ``measurements[name][i]`` is the Measurement of algorithm ``name`` at
-    #: ``sizes[i]``; names are the canonical names plus ``"best"``.
-    measurements: dict[str, tuple[Measurement, ...]]
+    #: ``values[name][metric][i]`` at ``sizes[i]``; names are the canonical
+    #: names plus ``"best"``.
+    values: dict[str, dict[str, tuple[float, ...]]]
     #: DP-best plan per size exponent.
     best_plans: dict[int, Plan]
-    #: Number of cost evaluations the DP search performed in total.
-    dp_evaluations: int = 0
 
     def metric(self, name: str, metric: str) -> list[float]:
         """One algorithm's metric across the sweep sizes."""
-        return [float(getattr(m, metric)) for m in self.measurements[name]]
+        return list(self.values[name][metric])
 
     def ratios(self, metric: str) -> dict[str, list[float]]:
         """Canonical / best ratios for a metric, keyed by canonical name."""
         best = self.metric("best", metric)
-        out: dict[str, list[float]] = {}
-        for name in CANONICAL_NAMES:
-            values = self.metric(name, metric)
-            out[name] = [
-                v / b if b > 0 else float("inf") for v, b in zip(values, best)
+        return {
+            name: [
+                v / b if b > 0 else float("inf")
+                for v, b in zip(self.metric(name, metric), best)
             ]
-        return out
+            for name in CANONICAL_NAMES
+        }
 
     def log10_ratios(self, metric: str) -> dict[str, list[float]]:
         """``log10`` of the canonical / best ratios (Figure 3's y axis)."""
@@ -89,52 +85,3 @@ class CanonicalSweep:
             else:
                 crossover = None
         return crossover
-
-
-def canonical_sweep(
-    machine: SimulatedMachine,
-    sizes: Sequence[int],
-    dp_max_children: int | None = 2,
-    dp_max_leaf: int = MAX_UNROLLED,
-) -> CanonicalSweep:
-    """Measure canonical and DP-best algorithms for every size in ``sizes``."""
-    size_list = sorted(int(s) for s in sizes)
-    if not size_list:
-        raise ValueError("canonical_sweep needs at least one size")
-    for s in size_list:
-        check_positive_int(s, "size exponent")
-
-    # One DP search up to the largest size provides the best plan for every
-    # smaller size as a by-product (the DP is bottom-up).
-    dp_cost = MeasuredCyclesCost(machine)
-    searcher = DPSearch(
-        dp_cost,
-        max_leaf=dp_max_leaf,
-        max_children=dp_max_children,
-        include_iterative=True,
-    )
-    dp_result = searcher.search(size_list[-1])
-    best_plans = {s: dp_result.best(s) for s in size_list}
-
-    measurements: dict[str, list[Measurement]] = {
-        name: [] for name in (*CANONICAL_NAMES, "best")
-    }
-    for s in size_list:
-        plans = canonical_plans(s)
-        plans["best"] = best_plans[s]
-        for name, plan in plans.items():
-            measurements[name].append(machine.measure(plan))
-
-    return CanonicalSweep(
-        sizes=tuple(size_list),
-        measurements={name: tuple(ms) for name, ms in measurements.items()},
-        best_plans=best_plans,
-        dp_evaluations=dp_cost.evaluations,
-    )
-
-
-def ratio_series(sweep: CanonicalSweep, metric: str, log10: bool = False) -> dict[str, list[float]]:
-    """The figure's data series: canonical / best ratios for one metric."""
-    if metric not in SWEEP_METRICS:
-        raise ValueError(f"metric must be one of {SWEEP_METRICS}, got {metric!r}")
-    return sweep.log10_ratios(metric) if log10 else sweep.ratios(metric)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.analysis.pearson import pearson_correlation
 from repro.experiments.alphabeta import alphabeta_surface
-from repro.experiments.campaign import MeasurementTable
+from repro.runtime.table import MeasurementTable
 from repro.models.combined import CombinedModel
 
 __all__ = ["CorrelationTable", "correlation_table"]

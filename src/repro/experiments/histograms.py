@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.analysis.distribution import DistributionSummary, summarize_distribution
 from repro.analysis.histogram import PAPER_BIN_COUNT, Histogram, histogram
 from repro.analysis.outliers import remove_outer_fence_outliers
-from repro.experiments.campaign import MeasurementTable
+from repro.runtime.table import MeasurementTable
 
 __all__ = ["HistogramFigure", "histogram_figure", "SMALL_SIZE_METRICS", "LARGE_SIZE_METRICS"]
 

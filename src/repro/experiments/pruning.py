@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.cdf import PAPER_PERCENTILES, PruningCurve, pruning_curves, safe_pruning_threshold
-from repro.experiments.campaign import MeasurementTable
+from repro.runtime.table import MeasurementTable
 from repro.models.combined import CombinedModel
 
 __all__ = ["PruningFigure", "pruning_figure"]

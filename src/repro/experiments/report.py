@@ -7,11 +7,12 @@ the generated EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.analysis.scatter import ScatterData
+from repro.experiments import paper_values
 from repro.experiments.canonical import CANONICAL_NAMES, CanonicalSweep
 from repro.experiments.correlation_table import CorrelationTable
 from repro.experiments.histograms import HistogramFigure
@@ -28,6 +29,7 @@ __all__ = [
     "render_pruning_figure",
     "render_correlation_table",
     "render_theory_table",
+    "render_report",
 ]
 
 
@@ -143,3 +145,69 @@ def render_correlation_table(table: CorrelationTable, paper: Mapping[str, float]
 def render_theory_table(table: TheoryTable) -> str:
     """Algorithm-space size and instruction-count extremes."""
     return format_table(table.headers, table.as_rows(), title="WHT algorithm space")
+
+
+def render_report(
+    results: Mapping[str, Any], machine_description: str, scale_description: str
+) -> str:
+    """Human-readable report covering every figure.
+
+    ``results`` maps each kind of ``repro.suite.figures.PAPER_EXPERIMENTS``
+    to its figure object, as ``Session.run_all`` returns them.
+    """
+    sections = [
+        f"Machine: {machine_description}",
+        f"Scale: {scale_description}",
+        "",
+        render_ratio_figure(
+            results["figure1"], "cycles", "Figure 1: cycle-count ratio canonical/best"
+        ),
+        "",
+        render_ratio_figure(
+            results["figure2"],
+            "instructions",
+            "Figure 2: instruction-count ratio canonical/best",
+        ),
+        "",
+        render_ratio_figure(
+            results["figure3"],
+            "l1_misses",
+            "Figure 3: log10 cache-miss ratio canonical/best",
+            log10=True,
+        ),
+        "",
+        "Figure 4: histograms at the small size",
+        render_histogram_figure(results["figure4"]),
+        "",
+        "Figure 5: histograms at the large size",
+        render_histogram_figure(results["figure5"]),
+        "",
+        render_scatter_figure(results["figure6"], "Figure 6: instructions vs cycles (small size)"),
+        "",
+        render_scatter_figure(results["figure7"], "Figure 7: instructions vs cycles (large size)"),
+        "",
+        render_scatter_figure(results["figure8"], "Figure 8: cache misses vs cycles (large size)"),
+        "",
+        render_surface(
+            results["figure9"], "Figure 9: correlation of cycles with alpha*I + beta*M"
+        ),
+        "",
+        "Figure 10: pruning by instruction count (small size)",
+        render_pruning_figure(results["figure10"]),
+        "",
+        "Figure 11: pruning by the combined model (large size)",
+        render_pruning_figure(results["figure11"]),
+        "",
+        render_correlation_table(
+            results["correlations"],
+            paper={
+                "rho_small_instructions": paper_values.PAPER_RHO_SMALL_INSTRUCTIONS,
+                "rho_large_instructions": paper_values.PAPER_RHO_LARGE_INSTRUCTIONS,
+                "rho_large_misses": paper_values.PAPER_RHO_LARGE_MISSES,
+                "rho_large_combined": paper_values.PAPER_RHO_LARGE_COMBINED,
+            },
+        ),
+        "",
+        render_theory_table(results["theory"]),
+    ]
+    return "\n".join(sections)

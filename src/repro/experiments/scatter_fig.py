@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.analysis.scatter import ScatterData, scatter_data
-from repro.experiments.campaign import MeasurementTable
+from repro.runtime.table import MeasurementTable
 from repro.machine.measurement import Measurement
 
 __all__ = ["scatter_figure"]

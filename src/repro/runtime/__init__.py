@@ -13,8 +13,7 @@ live*:
 * :mod:`repro.runtime.store` — the :class:`CampaignStore` protocol with
   in-memory and on-disk implementations, keyed by a content hash of the full
   machine configuration; per-plan costs persist in an append-log record
-  store (O(batch) appends, compaction, transparent migration of old-format
-  single-metric tables);
+  store (O(batch) appends, crash-tolerant reads, compaction);
 * :mod:`repro.runtime.metrics` — the :class:`MetricSpec` registry of named
   cost metrics (hardware counters, wall time, analytic batch models) and the
   multi-metric :class:`CostRecord`;
@@ -126,7 +125,6 @@ from repro.runtime.store import (
     CampaignKey,
     CampaignStore,
     CostLogKey,
-    CostTableKey,
     DiskStore,
     MemoryStore,
     NullStore,
@@ -165,7 +163,6 @@ __all__ = [
     "CampaignKey",
     "CampaignStore",
     "CostLogKey",
-    "CostTableKey",
     "CostEngine",
     "ObjectiveCost",
     "CostRecord",

@@ -150,8 +150,7 @@ def measure_plan_list(
 ) -> MeasurementTable:
     """Measure an explicit list of plans (all of one size) through a backend.
 
-    Noise seeds are derived per index from ``(seed, tag, plan.n, index)``,
-    matching the legacy ``SampleCampaign.measure_plans`` scheme exactly.
+    Noise seeds are derived per index from ``(seed, tag, plan.n, index)``.
     Defaults to the fused :class:`~repro.runtime.backends.BatchedBackend`
     (bit-identical to serial execution, one prepared workload per batch).
 

@@ -157,8 +157,7 @@ class CostEngine:
             machine_hash=machine_config_hash(machine.config), seed=self.seed
         )
         #: Per-plan record cache: plan key -> metric name -> value.  Seeded
-        #: from the store's record log (including transparently migrated
-        #: old-format single-metric tables).  Non-deterministic metrics
+        #: from the store's record log.  Non-deterministic metrics
         #: (wall time) are scrubbed on load — a timing recorded by another
         #: host or session must never be served as this engine's cache hit.
         self._records: dict[str, dict[str, float]] = self.store.get_cost_records(self.key)

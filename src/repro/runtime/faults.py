@@ -421,12 +421,6 @@ class FaultyStore:
     def compact_cost_records(self, key: CostLogKey) -> None:
         self.inner.compact_cost_records(key)
 
-    def get_cost_table(self, key) -> "dict[str, float] | None":
-        return self.inner.get_cost_table(key)
-
-    def put_cost_table(self, key, costs: "dict[str, float]") -> None:
-        self.inner.put_cost_table(key, costs)
-
     def clear(self) -> None:
         self.inner.clear()
 

@@ -1683,12 +1683,6 @@ class ServiceStoreView:
     def compact_cost_records(self, key: CostLogKey) -> None:
         return None  # shard maintenance belongs to the service
 
-    def get_cost_table(self, key) -> "dict[str, float] | None":
-        return self._store.get_cost_table(key)
-
-    def put_cost_table(self, key, costs: "dict[str, float]") -> None:
-        return None
-
     def clear(self) -> None:
         return None  # a tenant must not clear the shared store
 

@@ -2,8 +2,8 @@
 
 ``repro.session(...)`` is the package's single entry point for running the
 paper's evaluation: it resolves machine/scale/backend/store presets, and the
-returned :class:`Session` runs campaigns, canonical sweeps, searches and every
-figure of the paper through the configured runtime::
+returned :class:`Session` runs campaigns, searches and every figure of the
+paper through the configured runtime::
 
     import repro
 
@@ -47,11 +47,10 @@ from repro.util.rng import derive_seed
 from repro.wht.plan import MAX_UNROLLED, Plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.experiments.canonical import CanonicalSweep
-    from repro.experiments.runner import ExperimentSuite
     from repro.runtime.fleet import FleetClient
     from repro.runtime.service import CampaignService, ServiceClient
     from repro.runtime.transport import RemoteServiceClient
+    from repro.suite.context import SuiteContext
 
 __all__ = ["Session", "session", "SCALE_PRESETS"]
 
@@ -139,8 +138,7 @@ class Session:
         self.store = store
         self.dp_max_children = dp_max_children
         self._tables: dict[tuple[int, int, int, int | None], MeasurementTable] = {}
-        self._sweep: "CanonicalSweep | None" = None
-        self._suite: "ExperimentSuite | None" = None
+        self._suite: "SuiteContext | None" = None
         self._cost_engine: "CostEngine | ServiceClient | RemoteServiceClient | FleetClient | None" = None
 
     @classmethod
@@ -244,8 +242,7 @@ class Session:
         """Measure ``count`` RSU samples of size ``2^n`` via backend + store.
 
         ``count`` defaults to the scale's sample count; ``max_leaf`` and
-        ``max_children`` constrain the RSU sampler (the full ``SampleCampaign``
-        surface, so migrating callers lose nothing).
+        ``max_children`` constrain the RSU sampler.
         """
         effective = count if count is not None else self.scale.sample_count
         memo_key = (n, effective, max_leaf, max_children)
@@ -293,18 +290,7 @@ class Session:
             store=self.store if cache else None,
         )
 
-    # -- sweeps and searches -----------------------------------------------------
-
-    def canonical_sweep(self) -> "CanonicalSweep":
-        """Canonical + DP-best measurements across the Figure 1–3 sizes."""
-        if self._sweep is None:
-            from repro.experiments.canonical import canonical_sweep
-
-            sizes = range(1, self.scale.canonical_max_size + 1)
-            self._sweep = canonical_sweep(
-                self.machine, sizes, dp_max_children=self.dp_max_children
-            )
-        return self._sweep
+    # -- searches ----------------------------------------------------------------
 
     def cost_engine(self) -> "CostEngine | ServiceClient | RemoteServiceClient | FleetClient":
         """The session's batched multi-metric cost engine (memoised).
@@ -426,12 +412,19 @@ class Session:
 
     # -- figures -----------------------------------------------------------------
 
-    def suite(self) -> "ExperimentSuite":
-        """The figure-level experiment suite bound to this session."""
-        if self._suite is None:
-            from repro.experiments.runner import ExperimentSuite
+    def suite(self) -> "SuiteContext":
+        """The figure-at-a-time view of this session (memoised).
 
-            self._suite = ExperimentSuite.from_session(self)
+        A :class:`~repro.suite.context.SuiteContext` over this session: its
+        :meth:`~repro.suite.context.SuiteContext.figure` builds any
+        experiment kind of the declarative suite through the same registry
+        ``repro.suite(spec).run()`` uses, sharing this session's campaigns,
+        canonical baseline and cost engine.
+        """
+        if self._suite is None:
+            from repro.suite.context import SuiteContext
+
+            self._suite = SuiteContext(self)
         return self._suite
 
     def run_all(self) -> dict[str, Any]:
@@ -440,11 +433,18 @@ class Session:
 
     def render_report(self) -> str:
         """Human-readable report covering every figure."""
-        return self.suite().render_report()
+        from repro.experiments.report import render_report
+
+        return render_report(
+            self.run_all(), self.machine.config.describe(), self.scale.describe()
+        )
 
     def write_experiments_report(self, path: str) -> str:
         """Write the full report to ``path`` and return the text."""
-        return self.suite().write_experiments_report(path)
+        text = self.render_report()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        return text
 
     # -- lifecycle ---------------------------------------------------------------
 

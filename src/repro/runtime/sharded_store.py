@@ -19,12 +19,13 @@ shard directory under ``<root>/shards/``:
   ``auto_compact`` times as many record lines as distinct plans, a compaction
   is scheduled on a dedicated daemon thread instead of stalling the appending
   worker (``DiskStore``'s writer lock makes the concurrent compact-vs-append
-  interleaving safe);
-* **transparent migration** — a root directory previously written by a flat
-  single-log :class:`DiskStore` (``costlog-*.jsonl`` at the top level, or
-  pre-append-log ``costs-*.json`` tables) is folded into the matching shard
-  the first time that shard is touched, after which the flat files are
-  retired; an old store opens as a sharded one with zero re-measurements.
+  interleaving safe).
+
+Each shard *is* a :class:`DiskStore` rooted at the shard directory, so the
+record format, its crash tolerance and its compaction exist once; this class
+only routes keys to shards and schedules compactions off the appending
+thread.  Record logs at the root (a flat ``DiskStore``'s layout) are not
+read: a root directory is either a flat store or a sharded one.
 
 Campaign *tables* (whole-campaign JSON files) are not sharded — they are
 written atomically and read rarely — and live at the root exactly as a flat
@@ -41,13 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.runtime.store import (
-    CampaignKey,
-    CostLogKey,
-    CostRecords,
-    DiskStore,
-    _CostTableCompat,
-)
+from repro.runtime.store import CampaignKey, CostLogKey, CostRecords, DiskStore
 from repro.runtime.table import MeasurementTable
 
 __all__ = ["ShardStats", "ShardedRecordStore"]
@@ -70,7 +65,7 @@ class ShardStats:
     distinct_plans: int
 
 
-class ShardedRecordStore(_CostTableCompat):
+class ShardedRecordStore:
     """A :class:`CampaignStore` whose record logs are sharded per log key.
 
     Parameters
@@ -105,8 +100,7 @@ class ShardedRecordStore(_CostTableCompat):
         self.shards_path.mkdir(parents=True, exist_ok=True)
         self.auto_compact = auto_compact
         self.background_compaction = background_compaction
-        #: Flat store at the root: campaign tables, plus the migration
-        #: source for pre-sharding record logs.
+        #: Flat store at the root: campaign tables only.
         self._root = DiskStore(self.path)
         self._lock = threading.Lock()
         self._shards: dict[CostLogKey, DiskStore] = {}
@@ -134,39 +128,15 @@ class ShardedRecordStore(_CostTableCompat):
             shard = self._shards.get(key)
             if shard is None:
                 shard = DiskStore(self._shard_dir(key))
-                self._migrate_flat_log(key, shard)
                 self._shards[key] = shard
             return shard
-
-    def _migrate_flat_log(self, key: CostLogKey, shard: DiskStore) -> None:
-        """Fold a pre-sharding flat log (and legacy tables) into ``shard``.
-
-        Runs once, on the shard's first touch, under the *root* log's writer
-        lock so a straggling flat-store writer cannot append between the read
-        and the retirement.  Re-running after a crash mid-migration is safe:
-        record merges are idempotent.
-        """
-        with self._root._log_write_lock(key):
-            records: CostRecords = {}
-            legacy_files = self._root._migrate_legacy_tables(key, records)
-            flat_log = self._root._log_for(key)
-            self._root._merge_log_entries(records, flat_log)
-            if not records:
-                return
-            shard.append_cost_records(key, records)
-            for file in [flat_log, *legacy_files]:
-                try:
-                    file.unlink()
-                except OSError:
-                    pass
 
     def shard_log_path(self, key: CostLogKey) -> Path:
         """The on-disk append-log file inside ``key``'s shard.
 
-        Resolving the path touches the shard (directory creation plus the
-        one-time flat-log migration), so the returned location is exactly
-        where the next append will land.  Public for fault injectors and
-        crash-tolerance tests.
+        Resolving the path touches the shard (directory creation), so the
+        returned location is exactly where the next append will land.
+        Public for fault injectors and crash-tolerance tests.
         """
         shard = self._shard(key)
         return shard.log_path(key)

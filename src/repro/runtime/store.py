@@ -11,7 +11,7 @@ protocol:
 * :class:`DiskStore` — one JSON file per campaign under a directory, written
   atomically, so repeated figure runs and CI jobs skip re-measurement *across
   processes*.
-* :class:`NullStore` — never stores anything (``use_cache=False``).
+* :class:`NullStore` — never stores anything (``store="none"``).
 
 Keys are content-addressed: :func:`machine_config_hash` digests the *full*
 :class:`~repro.machine.machine.MachineConfig` (cache geometry, instruction
@@ -28,10 +28,9 @@ made long campaigns quadratic in store writes.  Records for the same plan
 merge metric-wise on read, so the set of known metrics per plan grows
 monotonically.  :meth:`DiskStore.compact_cost_records` rewrites a log to one
 merged line per plan; reading a compacted log is equivalent to reading the
-original.  Old-format (pre-append-log) per-metric cost tables are migrated
-transparently: their values appear in :meth:`get_cost_records` without any
-re-measurement, and the single-table ``get_cost_table``/``put_cost_table``
-methods remain as thin views over the log for older callers.
+original.  The append log is the only record format: a directory holding
+files of any other shape (such as pre-append-log per-metric ``costs-*.json``
+tables) is simply not read.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from repro.runtime.table import MeasurementTable
 __all__ = [
     "machine_config_hash",
     "CampaignKey",
-    "CostTableKey",
     "CostLogKey",
     "CampaignStore",
     "MemoryStore",
@@ -123,34 +121,6 @@ class CampaignKey:
 
 
 @dataclass(frozen=True)
-class CostTableKey:
-    """Content-addressed identity of one *single-metric* cost table.
-
-    This is the pre-append-log format's key: one table per
-    ``(machine, metric, seed)``.  It survives for two reasons — the legacy
-    ``get_cost_table``/``put_cost_table`` API projects one metric out of the
-    record log through it, and :class:`DiskStore` migrates old files written
-    under these keys into :meth:`~DiskStore.get_cost_records` results.
-    """
-
-    machine_hash: str
-    metric: str = "cycles"
-    seed: int = 0
-
-    def as_dict(self) -> dict:
-        """Plain dictionary view (written into DiskStore files)."""
-        return dataclasses.asdict(self)
-
-    def token(self) -> str:
-        """Compact filesystem-safe identifier for this key."""
-        return f"costs-{self.metric}-{_token_digest(self.as_dict())}"
-
-    def log_key(self) -> "CostLogKey":
-        """The record-log key this table's values fold into."""
-        return CostLogKey(machine_hash=self.machine_hash, seed=self.seed)
-
-
-@dataclass(frozen=True)
 class CostLogKey:
     """Content-addressed identity of one multi-metric cost record log.
 
@@ -194,9 +164,7 @@ class CampaignStore(Protocol):
     def get_cost_records(self, key: CostLogKey) -> CostRecords:
         """Every stored cost record for ``key``, merged per plan.
 
-        Returns a fresh mutable mapping (empty on a miss); old-format
-        single-metric tables for the same machine and seed are folded in
-        transparently.
+        Returns a fresh mutable mapping (empty on a miss).
         """
         ...
 
@@ -212,38 +180,12 @@ class CampaignStore(Protocol):
         """Rewrite ``key``'s log into one merged record per plan."""
         ...
 
-    def get_cost_table(self, key: CostTableKey) -> dict[str, float] | None:
-        """Legacy view: one metric's plan-key -> value mapping, or ``None``."""
-        ...
-
-    def put_cost_table(self, key: CostTableKey, costs: dict[str, float]) -> None:
-        """Legacy write: append ``costs`` as single-metric records."""
-        ...
-
     def clear(self) -> None:
         """Drop every stored table."""
         ...
 
 
-class _CostTableCompat:
-    """The legacy single-metric API, expressed over the record log."""
-
-    def get_cost_table(self, key: CostTableKey) -> dict[str, float] | None:
-        records = self.get_cost_records(key.log_key())  # type: ignore[attr-defined]
-        table = {
-            plan_key: values[key.metric]
-            for plan_key, values in records.items()
-            if key.metric in values
-        }
-        return table or None
-
-    def put_cost_table(self, key: CostTableKey, costs: dict[str, float]) -> None:
-        self.append_cost_records(  # type: ignore[attr-defined]
-            key.log_key(), {plan_key: {key.metric: value} for plan_key, value in costs.items()}
-        )
-
-
-class MemoryStore(_CostTableCompat):
+class MemoryStore:
     """In-process store: plain dictionaries keyed by the content keys."""
 
     def __init__(self) -> None:
@@ -281,7 +223,7 @@ class MemoryStore(_CostTableCompat):
 
 
 class NullStore:
-    """A store that never hits and never retains (``use_cache=False``)."""
+    """A store that never hits and never retains (``store="none"``)."""
 
     def get(self, key: CampaignKey) -> MeasurementTable | None:
         return None
@@ -298,12 +240,6 @@ class NullStore:
     def compact_cost_records(self, key: CostLogKey) -> None:
         return None
 
-    def get_cost_table(self, key: CostTableKey) -> dict[str, float] | None:
-        return None
-
-    def put_cost_table(self, key: CostTableKey, costs: dict[str, float]) -> None:
-        return None
-
     def clear(self) -> None:
         return None
 
@@ -311,7 +247,7 @@ class NullStore:
         return "NullStore()"
 
 
-class DiskStore(_CostTableCompat):
+class DiskStore:
     """One JSON file per campaign under ``path``; durable across processes.
 
     Campaign tables are written atomically (temp file + ``os.replace``) so a
@@ -424,7 +360,6 @@ class DiskStore(_CostTableCompat):
 
     def get_cost_records(self, key: CostLogKey) -> CostRecords:
         records: CostRecords = {}
-        self._migrate_legacy_tables(key, records)
         self._merge_log_entries(records, self._log_for(key))
         return records
 
@@ -502,9 +437,6 @@ class DiskStore(_CostTableCompat):
     def compact_cost_records(self, key: CostLogKey) -> None:
         """Atomically rewrite the log as one merged record line per plan.
 
-        Compaction folds migrated old-format tables into the log and then
-        *retires* those legacy files, so after a compaction the log alone
-        carries every known value and reads stop paying the migration scan.
         Reading a compacted log yields exactly what reading the original
         would.  The shard's writer lock is held across the read-merge-replace
         cycle, so a concurrent appender can never land records between the
@@ -512,7 +444,6 @@ class DiskStore(_CostTableCompat):
         """
         with self._log_write_lock(key):
             records: CostRecords = {}
-            legacy_files = self._migrate_legacy_tables(key, records)
             self._merge_log_entries(records, self._log_for(key))
             if not records:
                 return
@@ -533,12 +464,6 @@ class DiskStore(_CostTableCompat):
                 except OSError:
                     pass
                 raise
-        for legacy in legacy_files:
-            # The compacted log now carries these values durably.
-            try:
-                legacy.unlink()
-            except OSError:
-                pass
         if key in self._log_state:
             # The log now holds exactly one line per plan.
             self._log_state[key] = (len(records), set(records))
@@ -572,38 +497,6 @@ class DiskStore(_CostTableCompat):
                     return  # incompatible log: ignore its records entirely
                 continue
             yield entry
-
-    def _migrate_legacy_tables(self, key: CostLogKey, records: CostRecords) -> list[Path]:
-        """Fold pre-append-log single-metric cost tables into ``records``.
-
-        Old-format files are ``costs-<metric>-<digest>.json`` with the full
-        :class:`CostTableKey` embedded; every one matching this log's machine
-        hash and seed contributes its metric.  Log entries are merged *after*
-        migration, so anything re-recorded in the log wins.  Returns the
-        legacy files that contributed (compaction retires them).
-        """
-        folded: list[Path] = []
-        for file in self.path.glob("costs-*.json"):
-            try:
-                with open(file, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                if payload.get("version") != DISK_FORMAT_VERSION:
-                    continue
-                table_key = payload.get("key", {})
-                if (
-                    table_key.get("machine_hash") != key.machine_hash
-                    or int(table_key.get("seed", 0)) != key.seed
-                ):
-                    continue
-                metric = str(table_key.get("metric", "cycles"))
-                _merge_records(
-                    records,
-                    {str(p): {metric: float(v)} for p, v in payload["costs"].items()},
-                )
-                folded.append(file)
-            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue  # unreadable legacy file: a migration miss, not a crash
-        return folded
 
     def _write_atomic(self, file: Path, payload: dict) -> None:
         fd, tmp_name = tempfile.mkstemp(
@@ -641,9 +534,9 @@ class DiskStore(_CostTableCompat):
         return f"DiskStore({str(self.path)!r})"
 
 
-#: The process-wide default store, shared by every session and legacy
-#: campaign that asks for ``"memory"``.  Sharing preserves the old behaviour
-#: where several suites reused each other's completed campaigns in-process.
+#: The process-wide default store, shared by every session that asks for
+#: ``"memory"``, so several sessions reuse each other's completed campaigns
+#: in-process.
 _DEFAULT_MEMORY_STORE = MemoryStore()
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.suite.api import suite
 from repro.suite.context import CountingBackend, SuiteContext
-from repro.suite.figures import SuiteSweep, experiment_kinds
+from repro.suite.figures import experiment_kinds
 from repro.suite.manifest import Manifest
 from repro.suite.results import ExperimentResult, SuiteResult, SuiteTable
 from repro.suite.runner import SuiteRun
@@ -53,7 +53,6 @@ __all__ = [
     "SuiteResult",
     "ExperimentResult",
     "SuiteTable",
-    "SuiteSweep",
     "SuiteContext",
     "CountingBackend",
     "Manifest",

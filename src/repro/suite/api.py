@@ -92,8 +92,6 @@ def suite(
         spec = load_spec(spec)
     else:
         spec = spec_from_dict(spec)
-    if service is not None and connect is not None:
-        raise ValueError("pass either service= or connect=, not both")
     if service is None and connect is None and spec.connect:
         connect = spec.connect if len(spec.connect) > 1 else spec.connect[0]
     if transport_options and connect is None:

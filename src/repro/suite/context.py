@@ -1,7 +1,7 @@
-"""Per-(machine, seed) execution context for the suite runner.
+"""Per-(machine, seed) execution context: the suite runner's and the figures'.
 
-A :class:`SuiteContext` owns one :class:`~repro.runtime.session.Session` and
-the *baseline* data every dependent experiment shares:
+A :class:`SuiteContext` wraps one :class:`~repro.runtime.session.Session` and
+owns the *baseline* data every dependent experiment shares:
 
 * ``"small"`` — the in-cache RSU campaign table,
 * ``"large"`` — the out-of-cache RSU campaign table,
@@ -17,27 +17,23 @@ DP-best plans through the session's cost engine (append-log cost records).
 Re-running against the same store therefore re-derives everything from
 cached records with zero new measurements.
 
-Unlike the legacy :meth:`Session.canonical_sweep` — which measures through
-the machine's *shared* noise generator and is therefore order-dependent —
-the suite's canonical baseline derives every noise draw from
-``(seed, tag, n, index)`` and searches through the engine, so the results
-are identical across backends, across a connected/remote service, and
-across cold/warm store states.
+The canonical baseline derives every noise draw from ``(seed, tag, n,
+index)`` and searches through the engine, so the results are identical
+across backends, across a connected/remote service, and across cold/warm
+store states.
+
+The suite runner builds one context per ``machine x seed`` cell;
+``Session.suite()`` wraps a session the caller already has, and
+:meth:`SuiteContext.figure` then builds one figure at a time through the same
+experiment registry the runner uses.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.config import ExperimentScale
-from repro.machine.machine import SimulatedMachine
-from repro.runtime.backends import (
-    BatchedBackend,
-    ExecutionBackend,
-    SerialBackend,
-)
+from repro.runtime.backends import ExecutionBackend
 from repro.runtime.session import Session
-from repro.runtime.store import CampaignStore
 from repro.runtime.table import MeasurementTable
 from repro.search.dp import dp_search
 from repro.wht.canonical import canonical_plans
@@ -89,78 +85,30 @@ class CountingBackend:
 
 
 class SuiteContext:
-    """One machine + one seed + one session, plus the shared baselines."""
+    """One machine + one seed + one session, plus the shared baselines.
 
-    def __init__(
-        self,
-        machine_id: str,
-        machine: SimulatedMachine,
-        scale: ExperimentScale,
-        *,
-        backend: ExecutionBackend | None = None,
-        store: CampaignStore | None = None,
-        service=None,
-        connect: "str | Sequence[str] | None" = None,
-        service_fallback: bool = False,
-        transport_options: dict | None = None,
-        dp_max_children: int | None = 2,
-    ):
-        self.machine_id = machine_id
-        self.machine = machine
-        self.scale = scale
-        self._counting: CountingBackend | None = None
-        if connect is not None:
-            # Remote session: campaigns measure locally (counted), the cost
-            # engine crosses the wire (the client's own .measured counter).
-            # A list/tuple of URLs makes the engine a FleetClient striping
-            # over the member ring (Session handles the dispatch).
-            self.mode = "remote"
-            self._counting = CountingBackend(self._resolve_local(backend))
-            self.session = Session(
-                machine=machine,
-                scale=scale,
-                backend=self._counting,
-                store=store,
-                dp_max_children=dp_max_children,
-                service_fallback=service_fallback,
-                remote_url=connect,
-                remote_options=transport_options or {},
-            )
-        elif service is not None:
-            # Connected session: all measurement work routes through the
-            # shared service; the engine client's .measured counter is the
-            # closest per-tenant accounting the service exposes.
+    ``machine_id`` labels the context (the spec's machine id; the machine
+    config's name by default).  Local measurements are accounted for when
+    the session measures through a :class:`CountingBackend`.
+    """
+
+    def __init__(self, session: Session, machine_id: str | None = None):
+        self.session = session
+        self.machine = session.machine
+        self.scale = session.scale
+        self.machine_id = machine_id if machine_id is not None else self.machine.config.name
+        backend = session.backend
+        self._counting = backend if isinstance(backend, CountingBackend) else None
+        if session.service is not None:
             self.mode = "service"
-            self.session = Session.connect(
-                service,
-                machine=machine,
-                scale=scale,
-                dp_max_children=dp_max_children,
-                fallback=service_fallback,
-            )
+        elif session.remote_url is not None:
+            self.mode = "remote"
         else:
             self.mode = "plain"
-            # Resolve the serial default to the fused batched backend *before*
-            # wrapping: Session.cost_engine only upgrades an exact-type
-            # SerialBackend, and the wrapper must see the engine's traffic.
-            self._counting = CountingBackend(self._resolve_local(backend))
-            self.session = Session(
-                machine=machine,
-                scale=scale,
-                backend=self._counting,
-                store=store,
-                dp_max_children=dp_max_children,
-            )
         self._canonical_tables: dict[int, MeasurementTable] = {}
         self._dp_result: "DPSearchResult | None" = None
         self._dp_max_n = 0
         self._model_tables: dict[str, MeasurementTable] = {}
-
-    @staticmethod
-    def _resolve_local(backend: ExecutionBackend | None) -> ExecutionBackend:
-        if backend is None or type(backend) is SerialBackend:
-            return BatchedBackend()
-        return backend
 
     # -- measurement accounting --------------------------------------------------
 
@@ -171,7 +119,9 @@ class SuiteContext:
         acquisitions — flows through the counted session backend.  Remote
         sessions add the remote client's own counter (engine acquisitions
         happen server-side); connected sessions only see the client counter
-        (campaign work is the shared service's, deduped fleet-wide).
+        (campaign work is the shared service's, deduped fleet-wide).  Local
+        measurements count only when the session's backend is a
+        :class:`CountingBackend`.
         """
         total = self._counting.measured if self._counting is not None else 0
         if self.mode in ("service", "remote"):
@@ -280,8 +230,8 @@ class SuiteContext:
 
         Measured metrics come from :meth:`canonical_table`'s columns; model
         metrics are scored with the registry's scorers on the reference
-        plans themselves (zero measurements), mirroring the legacy
-        :meth:`ExperimentSuite._model_reference_value` path.
+        plans themselves (zero measurements), with the same scorers as
+        :meth:`model_table`'s columns.
         """
         from repro.runtime.metrics import metric_spec
 
@@ -297,6 +247,32 @@ class SuiteContext:
                     values.append(float(table.column(metric)[index]))
             points[name] = tuple(values)
         return points
+
+    # -- figures, one at a time -------------------------------------------------
+
+    def figure(self, kind: str, **options: Any) -> Any:
+        """Build one registered experiment kind and return its figure object.
+
+        ``kind`` is any :func:`~repro.suite.figures.experiment_kinds` name
+        (``"figure1"`` … ``"figure11"``, ``"correlations"``, ``"theory"``,
+        ``"search"``, ``"objective_sweep"``); ``options`` are validated
+        exactly as a spec's experiment options are.  Baselines materialise
+        on first use and are shared by every later figure of this context.
+        """
+        from repro.suite.figures import KIND_REGISTRY, build_experiment, validate_options
+        from repro.suite.spec import ExperimentSpec, SpecError
+
+        if kind not in KIND_REGISTRY:
+            raise SpecError(f"unknown experiment kind {kind!r}; available: {sorted(KIND_REGISTRY)}")
+        experiment = ExperimentSpec(id=kind, kind=kind, options=dict(options))
+        validate_options(experiment, kind, self.scale)
+        return build_experiment(self, experiment)[0]
+
+    def run_all(self) -> dict[str, Any]:
+        """Every figure and summary table of the paper, keyed by kind."""
+        from repro.suite.figures import PAPER_EXPERIMENTS
+
+        return {kind: self.figure(kind) for kind in PAPER_EXPERIMENTS}
 
     # -- lifecycle ---------------------------------------------------------------
 

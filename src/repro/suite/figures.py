@@ -9,24 +9,22 @@ experiment with a path-prefixed message), and the builder itself.
 A builder receives the unit's :class:`~repro.suite.context.SuiteContext`
 and options and returns ``(figure, tables, artifact)``:
 
-* ``figure`` — the rich in-process object (the legacy
-  :class:`~repro.experiments.runner.ExperimentSuite` return types, or the
-  suite's own :class:`SuiteSweep` for Figures 1–3),
+* ``figure`` — the rich in-process object (a
+  :class:`~repro.experiments.canonical.CanonicalSweep` for Figures 1–3, a
+  histogram, scatter, surface, pruning or summary-table object otherwise),
 * ``tables`` — named :class:`~repro.suite.results.SuiteTable`s for the
   CSV/JSONL sinks,
 * ``artifact`` — a JSON dict rich enough to re-check every figure's
   paper-level claims without the Python objects.
 
-Figures 1–3 deliberately do **not** reuse the legacy
-``Session.canonical_sweep`` (which measures through the machine's shared
-noise generator — order-dependent, not store-native); they are rebuilt from
-the context's canonical baseline, which is bit-identical across backends,
-services and store states.
+This registry is the package's only figure driver: the suite runner calls
+:func:`build_experiment` per unit, and figure-at-a-time use
+(:meth:`SuiteContext.figure <repro.suite.context.SuiteContext.figure>`,
+``Session.run_all``) calls the same builders.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -35,7 +33,7 @@ import numpy as np
 from repro.analysis.pearson import pearson_correlation
 from repro.config import ExperimentScale
 from repro.experiments.alphabeta import alphabeta_surface
-from repro.experiments.canonical import CANONICAL_NAMES, SWEEP_METRICS
+from repro.experiments.canonical import CANONICAL_NAMES, SWEEP_METRICS, CanonicalSweep
 from repro.experiments.correlation_table import correlation_table
 from repro.experiments.histograms import (
     LARGE_SIZE_METRICS,
@@ -50,10 +48,9 @@ from repro.runtime.metrics import metric_spec
 from repro.suite.context import REFERENCE_NAMES, SuiteContext
 from repro.suite.results import SuiteTable, jsonable
 from repro.suite.spec import ExperimentSpec, SpecError
-from repro.wht.plan import Plan
 
 __all__ = [
-    "SuiteSweep",
+    "PAPER_EXPERIMENTS",
     "experiment_kinds",
     "kind_baselines",
     "validate_options",
@@ -61,60 +58,10 @@ __all__ = [
 ]
 
 
-# -- Figures 1-3: the canonical sweep, rebuilt store-natively --------------------
+# -- Figures 1-3: the canonical sweep ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteSweep:
-    """Canonical + DP-best metric values across sizes (Figures 1–3).
-
-    Duck-types the slice of :class:`~repro.experiments.canonical.CanonicalSweep`
-    the ratio figures and renderers consume (``sizes``, :meth:`metric`,
-    :meth:`ratios`, :meth:`log10_ratios`, :meth:`crossover_size`,
-    ``best_plans``) but carries plain floats from the store-native canonical
-    baseline instead of ``Measurement`` objects.
-    """
-
-    sizes: tuple[int, ...]
-    #: ``values[name][metric][i]`` at ``sizes[i]``; names are the canonical
-    #: names plus ``"best"``.
-    values: dict[str, dict[str, tuple[float, ...]]]
-    best_plans: dict[int, Plan]
-
-    def metric(self, name: str, metric: str) -> list[float]:
-        return list(self.values[name][metric])
-
-    def ratios(self, metric: str) -> dict[str, list[float]]:
-        best = self.metric("best", metric)
-        return {
-            name: [
-                v / b if b > 0 else float("inf")
-                for v, b in zip(self.metric(name, metric), best)
-            ]
-            for name in CANONICAL_NAMES
-        }
-
-    def log10_ratios(self, metric: str) -> dict[str, list[float]]:
-        return {
-            name: [math.log10(r) if r > 0 else float("-inf") for r in series]
-            for name, series in self.ratios(metric).items()
-        }
-
-    def crossover_size(self, reference: str = "right") -> int | None:
-        """First size from which ``reference`` permanently beats iterative."""
-        iterative = self.metric("iterative", "cycles")
-        other = self.metric(reference, "cycles")
-        crossover: int | None = None
-        for size, it_value, other_value in zip(self.sizes, iterative, other):
-            if other_value < it_value:
-                if crossover is None:
-                    crossover = size
-            else:
-                crossover = None
-        return crossover
-
-
-def _suite_sweep(ctx: SuiteContext) -> SuiteSweep:
+def _canonical_sweep(ctx: SuiteContext) -> CanonicalSweep:
     sizes = ctx.sweep_sizes()
     values: dict[str, dict[str, list[float]]] = {
         name: {metric: [] for metric in SWEEP_METRICS} for name in REFERENCE_NAMES
@@ -124,7 +71,7 @@ def _suite_sweep(ctx: SuiteContext) -> SuiteSweep:
         for index, name in enumerate(REFERENCE_NAMES):
             for metric in SWEEP_METRICS:
                 values[name][metric].append(float(table.column(metric)[index]))
-    return SuiteSweep(
+    return CanonicalSweep(
         sizes=sizes,
         values={
             name: {metric: tuple(series) for metric, series in metrics.items()}
@@ -134,7 +81,9 @@ def _suite_sweep(ctx: SuiteContext) -> SuiteSweep:
     )
 
 
-def _ratio_tables(sweep: SuiteSweep, metric: str, log10: bool = False) -> dict[str, SuiteTable]:
+def _ratio_tables(
+    sweep: CanonicalSweep, metric: str, log10: bool = False
+) -> dict[str, SuiteTable]:
     series = sweep.log10_ratios(metric) if log10 else sweep.ratios(metric)
     headers = ["n"] + [f"{name}_over_best" for name in CANONICAL_NAMES]
     rows = [
@@ -145,7 +94,7 @@ def _ratio_tables(sweep: SuiteSweep, metric: str, log10: bool = False) -> dict[s
 
 
 def _build_ratio_figure(ctx: SuiteContext, metric: str, log10: bool) -> tuple:
-    sweep = _suite_sweep(ctx)
+    sweep = _canonical_sweep(ctx)
     config = ctx.machine.config
     artifact: dict[str, Any] = {
         "sizes": list(sweep.sizes),
@@ -560,6 +509,11 @@ KIND_REGISTRY: dict[str, KindDef] = {
         _validate_sweep,
     ),
 }
+
+
+#: The paper's evaluation: every figure plus the two summary tables, in
+#: report order (``Session.run_all``).
+PAPER_EXPERIMENTS = tuple(f"figure{i}" for i in range(1, 12)) + ("correlations", "theory")
 
 
 def experiment_kinds() -> tuple[str, ...]:

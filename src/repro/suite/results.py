@@ -5,10 +5,9 @@ product cell ``(machine, seed, experiment)`` — and wraps the whole run in a
 :class:`SuiteResult`.  Each result carries three views of the same data:
 
 * ``figure`` — the rich in-process object (a ``HistogramFigure``,
-  ``ScatterData``, ``CorrelationSurface``, ... or the suite's own sweep
-  type), for callers that continue analysing in Python: the benchmark
-  drivers assert against these exactly as they asserted against the legacy
-  :class:`~repro.experiments.runner.ExperimentSuite` return values.
+  ``ScatterData``, ``CorrelationSurface``, ``CanonicalSweep``, ...), for
+  callers that continue analysing in Python, such as the benchmark drivers'
+  assertions.
 * ``tables`` — named :class:`SuiteTable` row sets, the unit sinks stream to
   CSV/JSONL.
 * ``artifact`` — a plain JSON-serialisable dict (scalars and small series),

@@ -27,9 +27,15 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from repro.runtime.backends import ExecutionBackend, resolve_backend
+from repro.runtime.backends import (
+    BatchedBackend,
+    ExecutionBackend,
+    SerialBackend,
+    resolve_backend,
+)
+from repro.runtime.session import Session
 from repro.runtime.store import CampaignStore, resolve_store
-from repro.suite.context import BASELINE_ORDER, SuiteContext
+from repro.suite.context import BASELINE_ORDER, CountingBackend, SuiteContext
 from repro.suite.figures import build_experiment, kind_baselines
 from repro.suite.manifest import Manifest
 from repro.suite.results import ExperimentResult, SuiteResult
@@ -67,6 +73,8 @@ class SuiteRun:
         self.manifest = Manifest(manifest)
         self._store_spec = store
         self._backend_spec = backend
+        if service is not None and connect is not None:
+            raise ValueError("pass either service= or connect=, not both")
         self.service = service
         self.connect = connect
         self.service_fallback = service_fallback
@@ -78,22 +86,42 @@ class SuiteRun:
     def _build_context(self, machine_spec, seed: int) -> SuiteContext:
         import dataclasses
 
+        machine = machine_spec.build()
         scale = dataclasses.replace(self.spec.scale, seed=seed)
-        backend = None
-        if self._backend_spec is not None and self.service is None:
-            backend = resolve_backend(self._backend_spec)
-        return SuiteContext(
-            machine_spec.id,
-            machine_spec.build(),
-            scale,
-            backend=backend,
-            store=resolve_store(self._store_spec),
-            service=self.service,
-            connect=self.connect,
-            service_fallback=self.service_fallback,
-            transport_options=self.transport_options,
-            dp_max_children=self.dp_max_children,
+        if self.service is not None:
+            # Connected session: all measurement work routes through the
+            # shared service; the engine client's .measured counter is the
+            # closest per-tenant accounting the service exposes.
+            session = Session.connect(
+                self.service,
+                machine=machine,
+                scale=scale,
+                dp_max_children=self.dp_max_children,
+                fallback=self.service_fallback,
+            )
+            return SuiteContext(session, machine_spec.id)
+        # Plain or remote session: campaigns measure locally through a
+        # counted backend.  Resolve the serial default to the fused batched
+        # backend *before* wrapping: Session.cost_engine only upgrades an
+        # exact-type SerialBackend, and the wrapper must see the engine's
+        # traffic.  With ``connect`` the cost engine crosses the wire (a list
+        # of URLs makes it a FleetClient) and counts on the client instead.
+        backend = (
+            BatchedBackend() if self._backend_spec is None else resolve_backend(self._backend_spec)
         )
+        if type(backend) is SerialBackend:
+            backend = BatchedBackend()
+        session = Session(
+            machine=machine,
+            scale=scale,
+            backend=CountingBackend(backend),
+            store=resolve_store(self._store_spec),
+            dp_max_children=self.dp_max_children,
+            service_fallback=self.service_fallback,
+            remote_url=self.connect,
+            remote_options=self.transport_options,
+        )
+        return SuiteContext(session, machine_spec.id)
 
     # -- execution ---------------------------------------------------------------
 

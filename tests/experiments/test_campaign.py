@@ -3,19 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.experiments.campaign import (
-    MeasurementTable,
-    SampleCampaign,
-    clear_campaign_cache,
-)
+from repro.runtime.campaigns import measure_plan_list, run_campaign
+from repro.runtime.store import MemoryStore
+from repro.runtime.table import MeasurementTable
 from repro.wht.canonical import canonical_plans
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_campaign_cache()
-    yield
-    clear_campaign_cache()
 
 
 class TestMeasurementTable:
@@ -93,46 +84,43 @@ class TestMeasurementTable:
         assert table.equals(rebuilt)
 
 
-class TestSampleCampaign:
+class TestRunCampaign:
     def test_run_produces_requested_count(self, machine):
-        campaign = SampleCampaign(machine, seed=1)
-        table = campaign.run(6, 15)
+        table = run_campaign(machine, 6, 15, seed=1)
         assert len(table) == 15
         assert table.n == 6
 
     def test_deterministic_given_seed(self, noisy_machine):
-        a = SampleCampaign(noisy_machine, seed=5, use_cache=False).run(6, 10)
-        b = SampleCampaign(noisy_machine, seed=5, use_cache=False).run(6, 10)
+        a = run_campaign(noisy_machine, 6, 10, seed=5)
+        b = run_campaign(noisy_machine, 6, 10, seed=5)
         assert a.plans == b.plans
         assert np.allclose(a.cycles, b.cycles)
 
     def test_different_seeds_differ(self, machine):
-        a = SampleCampaign(machine, seed=1, use_cache=False).run(7, 10)
-        b = SampleCampaign(machine, seed=2, use_cache=False).run(7, 10)
+        a = run_campaign(machine, 7, 10, seed=1)
+        b = run_campaign(machine, 7, 10, seed=2)
         assert a.plans != b.plans
 
-    def test_cache_returns_same_object(self, machine):
-        campaign = SampleCampaign(machine, seed=3)
-        assert campaign.run(6, 10) is campaign.run(6, 10)
+    def test_store_returns_same_object(self, machine):
+        store = MemoryStore()
+        first = run_campaign(machine, 6, 10, seed=3, store=store)
+        assert run_campaign(machine, 6, 10, seed=3, store=store) is first
 
-    def test_cache_can_be_disabled(self, machine):
-        campaign = SampleCampaign(machine, seed=3, use_cache=False)
-        assert campaign.run(6, 10) is not campaign.run(6, 10)
+    def test_without_store_measures_afresh(self, machine):
+        assert run_campaign(machine, 6, 10, seed=3) is not run_campaign(machine, 6, 10, seed=3)
 
     def test_measure_plans_explicit(self, machine):
-        campaign = SampleCampaign(machine, seed=3)
         plans = list(canonical_plans(6).values())
-        table = campaign.measure_plans(plans)
+        table = measure_plan_list(machine, plans, seed=3)
         assert len(table) == 3
         assert table.plans == tuple(plans)
 
     def test_measure_plans_rejects_empty(self, machine):
         with pytest.raises(ValueError):
-            SampleCampaign(machine).measure_plans([])
+            measure_plan_list(machine, [], seed=3)
 
     def test_invalid_arguments(self, machine):
-        campaign = SampleCampaign(machine)
         with pytest.raises(ValueError):
-            campaign.run(0, 5)
+            run_campaign(machine, 0, 5, seed=3)
         with pytest.raises(ValueError):
-            campaign.run(5, 0)
+            run_campaign(machine, 5, 0, seed=3)

@@ -1,11 +1,14 @@
 """Tests for the per-figure experiment harnesses."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro
+from repro.config import ci_scale
 from repro.experiments.alphabeta import alphabeta_surface
-from repro.experiments.campaign import SampleCampaign
-from repro.experiments.canonical import CANONICAL_NAMES, canonical_sweep, ratio_series
+from repro.experiments.canonical import CANONICAL_NAMES
 from repro.experiments.correlation_table import correlation_table
 from repro.experiments.histograms import (
     LARGE_SIZE_METRICS,
@@ -16,6 +19,8 @@ from repro.experiments.pruning import pruning_figure
 from repro.experiments.scatter_fig import scatter_figure
 from repro.experiments.theory_table import theory_table
 from repro.models.combined import CombinedModel
+from repro.runtime.campaigns import run_campaign
+from repro.suite.context import REFERENCE_NAMES
 from repro.wht.canonical import canonical_plans
 
 
@@ -23,61 +28,66 @@ from repro.wht.canonical import canonical_plans
 def small_table(request):
     from repro.machine.configs import tiny_machine
 
-    machine = tiny_machine(noise_sigma=0.02)
-    return SampleCampaign(machine, seed=11, use_cache=False).run(4, 60)
+    return run_campaign(tiny_machine(noise_sigma=0.02), 4, 60, seed=11)
 
 
 @pytest.fixture(scope="module")
 def large_table(request):
     from repro.machine.configs import tiny_machine
 
-    machine = tiny_machine(noise_sigma=0.02)
-    return SampleCampaign(machine, seed=11, use_cache=False).run(7, 60)
+    return run_campaign(tiny_machine(noise_sigma=0.02), 7, 60, seed=11)
+
+
+def sweep_view(machine, top):
+    """The figure view of a session whose Figure 1-3 sweep covers ``1..top``."""
+    scale = dataclasses.replace(ci_scale(), canonical_max_size=top)
+    return repro.session(machine=machine, scale=scale, store="none").suite()
 
 
 class TestCanonicalSweep:
     def test_sweep_contents(self, machine):
-        sweep = canonical_sweep(machine, sizes=range(1, 9))
+        sweep = sweep_view(machine, 8).figure("figure1")
         assert sweep.sizes == tuple(range(1, 9))
-        assert set(sweep.measurements) == {"iterative", "left", "right", "best"}
+        assert set(sweep.values) == {"iterative", "left", "right", "best"}
         assert len(sweep.best_plans) == 8
-        assert sweep.dp_evaluations > 0
 
     def test_ratios_at_least_one_no_noise(self, machine):
         # With a deterministic machine the DP-best is measured identically in
-        # the sweep, so every canonical/best ratio is >= 1 (up to DP having
-        # found something at least as good as the canonicals).
-        sweep = canonical_sweep(machine, sizes=range(1, 9))
+        # the sweep, so every canonical/best ratio is >= 1.
+        sweep = sweep_view(machine, 8).figure("figure1")
         for metric in ("cycles", "instructions"):
             for name, series in sweep.ratios(metric).items():
                 assert all(r >= 0.999 for r in series), (metric, name)
 
     def test_crossover_detected_beyond_l2(self, machine):
         top = machine.config.l2_capacity_exponent() + 2
-        sweep = canonical_sweep(machine, sizes=range(1, top + 1))
-        crossover = sweep.crossover_size("right")
+        crossover = sweep_view(machine, top).figure("figure1").crossover_size("right")
         assert crossover is not None
         assert crossover > machine.config.l1_capacity_exponent()
 
     def test_instruction_ordering_matches_paper(self, machine):
-        sweep = canonical_sweep(machine, sizes=range(4, 9))
+        sweep = sweep_view(machine, 8).figure("figure2")
         ratios = sweep.ratios("instructions")
-        for i in range(len(sweep.sizes)):
-            assert ratios["iterative"][i] <= ratios["right"][i] <= ratios["left"][i]
+        for i, n in enumerate(sweep.sizes):
+            if n >= 4:
+                assert ratios["iterative"][i] <= ratios["right"][i] <= ratios["left"][i]
 
     def test_log10_ratios(self, machine):
-        sweep = canonical_sweep(machine, sizes=range(4, 8))
-        logs = sweep.log10_ratios("l1_misses")
+        logs = sweep_view(machine, 7).figure("figure3").log10_ratios("l1_misses")
         assert set(logs) == set(CANONICAL_NAMES)
 
-    def test_ratio_series_validates_metric(self, machine):
-        sweep = canonical_sweep(machine, sizes=range(1, 5))
-        with pytest.raises(ValueError):
-            ratio_series(sweep, "not_a_metric")
+    def test_values_come_from_the_canonical_baseline(self, machine):
+        view = sweep_view(machine, 6)
+        sweep = view.figure("figure1")
+        for i, n in enumerate(sweep.sizes):
+            table = view.canonical_table(n)
+            assert table.plans[REFERENCE_NAMES.index("best")] == sweep.best_plans[n]
+            for index, name in enumerate(REFERENCE_NAMES):
+                assert sweep.values[name]["l2_misses"][i] == float(table.l2_misses[index])
 
-    def test_empty_sizes_rejected(self, machine):
+    def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
-            canonical_sweep(machine, sizes=[])
+            dataclasses.replace(ci_scale(), canonical_max_size=0)
 
 
 class TestHistogramFigure:
@@ -209,7 +219,7 @@ class TestTheoryTable:
 
 
 class TestModelColumnFigures:
-    """The suite's figure methods accept analytic model metrics wired through
+    """The figure kinds accept analytic model metrics wired through
     experiments.model_scores.with_model_columns."""
 
     @pytest.fixture(scope="class")
@@ -256,44 +266,44 @@ class TestModelColumnFigures:
             )
 
     def test_histograms_accept_model_metrics(self, suite):
-        figure = suite.figure4(metrics=("instructions", "model_instructions"))
+        figure = suite.figure("figure4", metrics=("instructions", "model_instructions"))
         assert set(figure.metric_names()) == {"instructions", "model_instructions"}
-        figure5 = suite.figure5(metrics=("cycles", "model_combined"))
+        figure5 = suite.figure("figure5", metrics=("cycles", "model_combined"))
         assert "model_combined" in figure5.metric_names()
 
     def test_default_figures_unchanged_by_model_support(self, suite):
         # Default metric sets stay the measured ones (no model columns leak).
-        assert set(suite.figure4().metric_names()) == set(SMALL_SIZE_METRICS)
-        assert set(suite.figure5().metric_names()) == set(LARGE_SIZE_METRICS)
+        assert set(suite.figure("figure4").metric_names()) == set(SMALL_SIZE_METRICS)
+        assert set(suite.figure("figure5").metric_names()) == set(LARGE_SIZE_METRICS)
 
     def test_scatter_accepts_model_metric_with_reference_points(self, suite):
         from repro.models.instruction_count import InstructionCountModel
 
-        scatter = suite.figure6(x_metric="model_instructions")
+        scatter = suite.figure("figure6", x_metric="model_instructions")
         assert scatter.x_label == "model_instructions"
-        references = suite.references(suite.scale.small_size)
+        references = suite.canonical_table(suite.scale.small_size)
         instruction_model = InstructionCountModel(
             suite.machine.config.instruction_model
         )
-        for name, (x_value, y_value) in scatter.references.items():
-            measurement = references[name]
-            assert x_value == float(instruction_model.count(measurement.plan))
-            assert y_value == float(measurement.cycles)
+        for index, name in enumerate(REFERENCE_NAMES):
+            x_value, y_value = scatter.references[name]
+            assert x_value == float(instruction_model.count(references.plans[index]))
+            assert y_value == float(references.cycles[index])
 
     def test_scatter_measured_path_unchanged(self, suite):
-        measured = suite.figure6()
+        measured = suite.figure("figure6")
         assert measured.x_label == "instructions"
-        references = suite.references(suite.scale.small_size)
-        for name, (x_value, _) in measured.references.items():
-            assert x_value == float(references[name].instructions)
+        references = suite.canonical_table(suite.scale.small_size)
+        for index, name in enumerate(REFERENCE_NAMES):
+            assert measured.references[name][0] == float(references.instructions[index])
 
     def test_pruning_accepts_model_metrics(self, suite):
-        measured = suite.figure10()
-        model = suite.figure10(model_metric="model_instructions")
+        measured = suite.figure("figure10")
+        model = suite.figure("figure10", model_metric="model_instructions")
         assert measured.model_label == "instructions"
         assert model.model_label == "model_instructions"
         assert set(model.safe_thresholds) == set(measured.safe_thresholds)
-        combined = suite.figure11(model_metric="model_combined")
+        combined = suite.figure("figure11", model_metric="model_combined")
         assert combined.model_label == "model_combined"
 
     def test_scatter_explicit_reference_points_override(self, large_table, machine):

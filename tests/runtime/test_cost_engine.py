@@ -7,7 +7,7 @@ from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import MultiprocessBackend, SerialBackend
 from repro.runtime.cost_engine import CostEngine
 from repro.runtime.objectives import WeightedObjective
-from repro.runtime.store import CostTableKey, DiskStore, MemoryStore, NullStore
+from repro.runtime.store import CostLogKey, DiskStore, MemoryStore, NullStore
 from repro.search.costs import MeasuredCyclesCost
 from repro.search.dp import dp_search
 from repro.wht.canonical import iterative_plan, right_recursive_plan
@@ -126,50 +126,40 @@ class TestCostEngine:
         assert engine.measured == 1
 
 
-class TestCostTableStores:
-    def test_memory_store_roundtrip_and_isolation(self):
+class TestRecordStores:
+    def test_memory_store_roundtrip_isolation_and_clear(self):
         store = MemoryStore()
-        key = CostTableKey(machine_hash="abc", seed=3)
-        store.put_cost_table(key, {"small[1]": 2.5})
-        table = store.get_cost_table(key)
-        assert table == {"small[1]": 2.5}
-        table["small[1]"] = 99.0  # mutating the copy must not affect the store
-        assert store.get_cost_table(key) == {"small[1]": 2.5}
+        key = CostLogKey(machine_hash="abc", seed=3)
+        store.append_cost_records(key, {"small[1]": {"cycles": 2.5}})
+        records = store.get_cost_records(key)
+        assert records == {"small[1]": {"cycles": 2.5}}
+        records["small[1]"]["cycles"] = 99.0  # mutating the copy must not affect the store
+        assert store.get_cost_records(key) == {"small[1]": {"cycles": 2.5}}
         store.clear()
-        assert store.get_cost_table(key) is None
+        assert store.get_cost_records(key) == {}
 
     def test_disk_store_roundtrip_and_clear(self, tmp_path):
         store = DiskStore(tmp_path)
-        key = CostTableKey(machine_hash="abc")
-        assert store.get_cost_table(key) is None
-        store.put_cost_table(key, {"small[2]": 10.0, "small[3]": 20.0})
-        assert store.get_cost_table(key) == {"small[2]": 10.0, "small[3]": 20.0}
+        key = CostLogKey(machine_hash="abc")
+        assert store.get_cost_records(key) == {}
+        store.append_cost_records(
+            key, {"small[2]": {"cycles": 10.0}, "small[3]": {"cycles": 20.0}}
+        )
+        assert store.get_cost_records(key) == {
+            "small[2]": {"cycles": 10.0},
+            "small[3]": {"cycles": 20.0},
+        }
         store.clear()
-        assert store.get_cost_table(key) is None
+        assert store.get_cost_records(key) == {}
+        assert list(store.cost_logs()) == []
 
-    def test_disk_store_ignores_corrupt_cost_file(self, tmp_path):
-        store = DiskStore(tmp_path)
-        key = CostTableKey(machine_hash="abc")
-        (tmp_path / f"{key.token()}.json").write_text("{not json")
-        assert store.get_cost_table(key) is None
-
-    def test_null_store_never_retains(self):
-        store = NullStore()
-        key = CostTableKey(machine_hash="abc")
-        store.put_cost_table(key, {"small[1]": 1.0})
-        assert store.get_cost_table(key) is None
-
-    def test_keys_distinguish_metric_and_seed(self):
-        a = CostTableKey(machine_hash="abc", metric="cycles", seed=0)
-        b = CostTableKey(machine_hash="abc", metric="cycles", seed=1)
-        assert a.token() != b.token()
-        assert a != b
-
-    def test_campaign_files_are_not_cost_tables(self, tmp_path):
-        # A cost table must never be readable as a campaign table and vice
+    def test_campaign_files_are_not_record_logs(self, machine):
+        # A record log must never be readable as a campaign table and vice
         # versa: the token namespaces are disjoint.
-        key = CostTableKey(machine_hash="abc")
-        assert key.token().startswith("costs-")
+        from repro.runtime.campaigns import campaign_key
+
+        assert CostLogKey(machine_hash="abc").token().startswith("costlog-")
+        assert not campaign_key(machine, 5, 10, 0).token().startswith("costlog-")
 
 
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")

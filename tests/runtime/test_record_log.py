@@ -1,10 +1,8 @@
 """Durability tests for the append-log cost record store.
 
-Covers the three contracts the log format makes: a truncated trailing record
+Covers the contracts the log format makes: a truncated trailing record
 (crash mid-append) loses only itself on reopen, compaction is read-equivalent
-to the original log, and pre-append-log single-metric JSON cost tables are
-migrated transparently — an engine over a store holding only the old format
-resumes with zero re-measurements.
+to the original log, and the log is the only record format a store reads.
 """
 
 import json
@@ -16,15 +14,13 @@ from repro.machine.machine import SimulatedMachine
 from repro.runtime.cost_engine import CostEngine
 from repro.runtime.store import (
     LOG_FORMAT_VERSION,
+    CampaignStore,
     CostLogKey,
-    CostTableKey,
     DiskStore,
     MemoryStore,
     NullStore,
     machine_config_hash,
 )
-from repro.search.costs import MeasuredCyclesCost
-from repro.search.dp import dp_search
 from repro.wht.encoding import plan_key
 from repro.wht.random_plans import random_plan, random_plans
 
@@ -263,98 +259,26 @@ class TestAutoCompaction:
         assert _log_lines(store) == 30
 
 
-class TestLegacyMigration:
-    """Pre-append-log stores held one JSON table per (machine, metric, seed)."""
-
-    def _write_v1_table(self, path, table_key: CostTableKey, costs: dict) -> None:
-        payload = {"version": 1, "key": table_key.as_dict(), "costs": costs}
-        (path / f"{table_key.token()}.json").write_text(json.dumps(payload))
-
-    def test_old_format_tables_load_transparently(self, tmp_path):
-        machine_hash = "m" * 8
-        table_key = CostTableKey(machine_hash=machine_hash, metric="cycles", seed=5)
-        self._write_v1_table(tmp_path, table_key, {"small[1]": 10.0, "small[2]": 20.0})
-        store = DiskStore(tmp_path)
-        records = store.get_cost_records(CostLogKey(machine_hash=machine_hash, seed=5))
-        assert records == {
-            "small[1]": {"cycles": 10.0},
-            "small[2]": {"cycles": 20.0},
-        }
-        # The other seed's log is unaffected.
-        assert store.get_cost_records(CostLogKey(machine_hash=machine_hash, seed=6)) == {}
-
-    def test_log_records_override_migrated_values(self, tmp_path):
-        machine_hash = "m" * 8
-        key = CostLogKey(machine_hash=machine_hash, seed=0)
-        self._write_v1_table(
-            tmp_path, CostTableKey(machine_hash=machine_hash), {"small[1]": 10.0}
-        )
-        store = DiskStore(tmp_path)
-        store.append_cost_records(key, {"small[1]": {"cycles": 11.0}})
-        assert store.get_cost_records(key)["small[1]"]["cycles"] == 11.0
-
-    def test_corrupt_legacy_file_is_skipped(self, tmp_path):
-        table_key = CostTableKey(machine_hash="abc")
-        (tmp_path / f"{table_key.token()}.json").write_text("{not json")
-        assert DiskStore(tmp_path).get_cost_records(table_key.log_key()) == {}
-
-    def test_engine_resumes_from_v1_table_with_zero_measurements(self, tmp_path):
-        """Acceptance: automatic migration of a pre-PR-4 JSON cost table with
-        zero re-measurements."""
+class TestOneRecordFormat:
+    def test_pre_append_log_tables_are_not_read(self, tmp_path):
+        """A per-metric ``costs-*.json`` table from before the append log is
+        neither read nor touched: the log is the only record format."""
         config = tiny_machine_config(noise_sigma=0.0)
-        # Produce ground-truth costs the old engine would have persisted.
-        reference_engine = CostEngine(SimulatedMachine(config), store=MemoryStore())
-        plans = random_plans(6, 6, rng=9)
-        values = reference_engine.batch(plans)
-        machine_hash = machine_config_hash(config)
-        self._write_v1_table(
-            tmp_path,
-            CostTableKey(machine_hash=machine_hash, metric="cycles", seed=0),
-            {plan_key(plan): value for plan, value in zip(plans, values)},
-        )
-        migrated = CostEngine(SimulatedMachine(config), store=DiskStore(tmp_path))
-        assert migrated.batch(plans) == values
-        assert migrated.measured == 0
-        # Adding a *model* metric to the migrated campaign still measures
-        # nothing on the hardware side.
-        migrated.records(plans, ("model_instructions", "model_combined"))
-        assert migrated.measured == 0
-        # But the DP search over the same space resumes from the cache too.
-        scalar = dp_search(6, MeasuredCyclesCost(SimulatedMachine(config)))
-        resumed = dp_search(6, CostEngine(SimulatedMachine(config), store=DiskStore(tmp_path)))
-        assert resumed.best_costs[6] == scalar.best_costs[6]
-
-    def test_compaction_folds_migrated_values_and_retires_legacy_files(self, tmp_path):
-        machine_hash = "m" * 8
-        key = CostLogKey(machine_hash=machine_hash, seed=0)
-        legacy = CostTableKey(machine_hash=machine_hash)
-        self._write_v1_table(tmp_path, legacy, {"small[1]": 10.0})
-        # A legacy table for a *different* machine must survive compaction.
-        other = CostTableKey(machine_hash="other-machine")
-        self._write_v1_table(tmp_path, other, {"small[9]": 90.0})
+        key = CostLogKey(machine_hash=machine_config_hash(config), seed=0)
+        legacy = tmp_path / "costs-cycles-0123456789abcdef0123.json"
+        payload = {
+            "version": 1,
+            "key": {"machine_hash": key.machine_hash, "metric": "cycles", "seed": 0},
+            "costs": {"small[1]": 10.0},
+        }
+        legacy.write_text(json.dumps(payload))
         store = DiskStore(tmp_path)
+        assert store.get_cost_records(key) == {}
+        engine = CostEngine(SimulatedMachine(config), store=store)
+        engine.batch(random_plans(5, 3, rng=9))
         store.compact_cost_records(key)
-        # The matching legacy file was retired; the log alone carries its
-        # value now, and the foreign table is untouched.
-        assert not (tmp_path / f"{legacy.token()}.json").exists()
-        assert (tmp_path / f"{other.token()}.json").exists()
-        assert store.get_cost_records(key) == {"small[1]": {"cycles": 10.0}}
-        assert store.get_cost_records(other.log_key()) == {"small[9]": {"cycles": 90.0}}
-
-
-class TestLegacyTableView:
-    def test_put_get_roundtrip_through_the_log(self, tmp_path):
-        for store in (DiskStore(tmp_path), MemoryStore()):
-            table_key = CostTableKey(machine_hash="abc", metric="cycles", seed=1)
-            assert store.get_cost_table(table_key) is None
-            store.put_cost_table(table_key, {"small[2]": 10.0})
-            assert store.get_cost_table(table_key) == {"small[2]": 10.0}
-            # The view projects one metric out of the shared log.
-            other_metric = CostTableKey(machine_hash="abc", metric="instructions", seed=1)
-            assert store.get_cost_table(other_metric) is None
-            store.put_cost_table(other_metric, {"small[2]": 4.0})
-            merged = store.get_cost_records(table_key.log_key())
-            assert merged["small[2]"] == {"cycles": 10.0, "instructions": 4.0}
+        assert engine.measured == 3
+        assert json.loads(legacy.read_text()) == payload
 
 
 class TestNondeterministicMetrics:
@@ -421,9 +345,46 @@ class TestEngineDurability:
         assert log.stat().st_size <= size_before
 
 
-@pytest.mark.parametrize("store_factory", [MemoryStore, NullStore])
-def test_protocol_members_exist(store_factory):
-    store = store_factory()
+def _faulty_store(path):
+    from repro.runtime.faults import FaultPlan, FaultyStore
+
+    return FaultyStore(MemoryStore(), FaultPlan(seed=0))
+
+
+def _service_store_view(path):
+    from repro.runtime.service import ServiceStoreView
+
+    return ServiceStoreView(MemoryStore())
+
+
+def _sharded_store(path):
+    from repro.runtime.sharded_store import ShardedRecordStore
+
+    return ShardedRecordStore(path)
+
+
+@pytest.mark.parametrize(
+    "store_factory",
+    [
+        lambda path: MemoryStore(),
+        lambda path: NullStore(),
+        DiskStore,
+        _sharded_store,
+        _faulty_store,
+        _service_store_view,
+    ],
+    ids=[
+        "MemoryStore",
+        "NullStore",
+        "DiskStore",
+        "ShardedRecordStore",
+        "FaultyStore",
+        "ServiceStoreView",
+    ],
+)
+def test_protocol_members_exist(store_factory, tmp_path):
+    store = store_factory(tmp_path)
+    assert isinstance(store, CampaignStore)
     assert callable(store.get_cost_records)
     assert callable(store.append_cost_records)
     assert callable(store.compact_cost_records)

@@ -139,11 +139,7 @@ class TestAllFiguresAcrossBackends:
 
     def test_sweep_identical(self, results):
         serial, multi, serial_results, multi_results = results
-        assert serial_results["figure1"].sizes == multi_results["figure1"].sizes
-        for name in serial_results["figure1"].measurements:
-            a = serial_results["figure1"].metric(name, "cycles")
-            b = multi_results["figure1"].metric(name, "cycles")
-            assert a == b
+        assert serial_results["figure1"] == multi_results["figure1"]
 
 
 class TestDiskStorePersistence:
@@ -207,37 +203,54 @@ class TestDiskStorePersistence:
         assert len(list(DiskStore(path).entries())) == 1
 
 
+    def test_run_all_replays_from_a_warm_store(self, tmp_path, monkeypatch):
+        """Every figure, the Figure 1-3 sweep included, is store-native."""
+        path = tmp_path / "campaigns"
+        cold = repro.session(machine="tiny", scale="ci", store=path).run_all()
+
+        calls = 0
+        original = SimulatedMachine.measure_prepared
+
+        def counting(self, prepared, rng=None):
+            nonlocal calls
+            calls += 1
+            return original(self, prepared, rng=rng)
+
+        monkeypatch.setattr(SimulatedMachine, "measure_prepared", counting)
+        results = repro.session(machine="tiny", scale="ci", store=path).run_all()
+        assert calls == 0
+        assert results["figure1"] == cold["figure1"]
+        assert results["figure9"].best == cold["figure9"].best
+
+
 class TestSuiteSessionIntegration:
     def test_suite_binds_to_session(self):
         sess = _tiny_session()
         suite = sess.suite()
         assert suite.session is sess
         assert suite.machine is sess.machine
+        assert suite.scale is sess.scale
         assert sess.suite() is suite
-
-    def test_legacy_suite_builds_own_session(self):
-        from repro.experiments.runner import ExperimentSuite
-
-        suite = ExperimentSuite(machine=tiny_machine(), scale=ci_scale())
-        assert suite.session is not None
-        assert suite.session.machine is suite.machine
-        assert isinstance(suite.session.backend, SerialBackend)
-
-    def test_suite_rejects_conflicting_machine_and_session(self):
-        from repro.experiments.runner import ExperimentSuite
-
-        sess = _tiny_session()
-        with pytest.raises(ValueError, match="conflicting"):
-            ExperimentSuite(machine=tiny_machine(), session=sess)
-        other_scale = ci_scale().with_samples(ci_scale().sample_count + 1)
-        with pytest.raises(ValueError, match="conflicting"):
-            ExperimentSuite(scale=other_scale, session=sess)
-        # consistent values are fine
-        suite = ExperimentSuite(machine=sess.machine, scale=sess.scale, session=sess)
-        assert suite.session is sess
 
     def test_suite_tables_flow_through_session(self):
         sess = _tiny_session()
         suite = sess.suite()
         assert suite.small_table() is sess.small_table()
-        assert suite.sweep() is sess.canonical_sweep()
+        assert suite.large_table() is sess.large_table()
+
+    def test_suite_dp_searches_through_the_session_engine(self):
+        sess = _tiny_session()
+        suite = sess.suite()
+        best = suite.best_plan(5)
+        engine = sess.cost_engine()
+        measured = engine.measured
+        assert sess.search(5, objective="cycles").best_plan == best
+        assert engine.measured == measured  # the sweep's DP already measured it all
+
+    def test_connected_session_suite_is_service_mode(self):
+        with repro.CampaignService(workers=1) as service:
+            sess = repro.Session.connect(service, machine="tiny", scale="ci")
+            suite = sess.suite()
+            assert suite.mode == "service"
+            assert suite.figure("figure1").sizes == suite.sweep_sizes()
+            sess.close()

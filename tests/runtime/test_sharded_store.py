@@ -1,4 +1,4 @@
-"""Sharded record store: shard layout, migration, crash tolerance, compaction."""
+"""Sharded record store: shard layout, crash tolerance, compaction."""
 
 import json
 import threading
@@ -63,39 +63,17 @@ class TestShardLayout:
             assert list(tmp_path.glob("rsu-*.json"))  # tables stay at the root
 
 
-class TestMigration:
-    def test_flat_disk_store_logs_fold_into_shards(self, tmp_path):
+class TestRootLayout:
+    def test_flat_root_logs_are_not_read(self, tmp_path):
+        # A root directory is either a flat DiskStore or a sharded store: the
+        # sharded store neither reads nor retires record logs at its root.
         flat = DiskStore(tmp_path)
         flat.append_cost_records(KEY_A, records("a", 5))
-        flat.append_cost_records(KEY_B, records("b", 2))
         with ShardedRecordStore(tmp_path) as store:
-            assert store.get_cost_records(KEY_A) == records("a", 5)
-            assert store.get_cost_records(KEY_B) == records("b", 2)
-            # The flat logs are retired; the shard logs own the records now.
-            assert not list(tmp_path.glob("costlog-*.jsonl"))
-            assert len(list(store.shard_paths())) == 2
-
-    def test_migration_happens_once(self, tmp_path):
-        flat = DiskStore(tmp_path)
-        flat.append_cost_records(KEY_A, {"p": {"cycles": 5.0}})
-        with ShardedRecordStore(tmp_path) as store:
-            assert store.get_cost_records(KEY_A)["p"] == {"cycles": 5.0}
-            # New appends go to the shard; re-resolving must not double-merge.
-            store.append_cost_records(KEY_A, {"q": {"cycles": 6.0}})
-        with ShardedRecordStore(tmp_path) as store:
-            assert store.get_cost_records(KEY_A) == {
-                "p": {"cycles": 5.0},
-                "q": {"cycles": 6.0},
-            }
-
-    def test_legacy_single_metric_tables_migrate(self, tmp_path):
-        flat = DiskStore(tmp_path)
-        from repro.runtime.store import CostTableKey
-
-        legacy = CostTableKey(machine_hash=KEY_A.machine_hash, seed=0, metric="cycles")
-        flat.put_cost_table(legacy, {"p": 7.0})
-        with ShardedRecordStore(tmp_path) as store:
-            assert store.get_cost_records(KEY_A) == {"p": {"cycles": 7.0}}
+            assert store.get_cost_records(KEY_A) == {}
+            store.append_cost_records(KEY_A, records("s", 2))
+            assert store.get_cost_records(KEY_A) == records("s", 2)
+        assert flat.get_cost_records(KEY_A) == records("a", 5)
 
 
 class TestCrashTolerance:

@@ -198,7 +198,7 @@ def test_spec_from_dict_passes_instances_through(tiny_spec):
     assert spec_from_dict(tiny_spec) is tiny_spec
 
 
-# -- committed specs and the legacy bridge ---------------------------------------
+# -- committed specs and the figure view ------------------------------------------
 
 
 def test_committed_specs_validate():
@@ -207,13 +207,20 @@ def test_committed_specs_validate():
         assert spec.experiments
 
 
-def test_experiment_suite_to_spec_matches_run_all():
-    from repro.experiments.runner import ExperimentSuite
+def test_figure_view_matches_the_runner():
+    """Figure-at-a-time use and the suite runner drive one registry."""
+    import repro
+    from repro.suite import SuiteRun
 
-    legacy = ExperimentSuite()
-    spec = legacy.to_spec()
-    ids = [e.id for e in spec.experiments]
-    assert ids == [f"figure{i}" for i in range(1, 12)] + ["correlations", "theory"]
-    assert spec.scale == legacy.scale
-    assert spec.machines[0].build().config == legacy.machine.config
-    assert spec.seeds == (legacy.scale.seed,)
+    spec = {
+        "name": "parity",
+        "machines": ["tiny"],
+        "scale": "ci",
+        "seeds": [ci_scale().seed],
+        "experiments": ["figure1", "figure9", "correlations"],
+    }
+    result = SuiteRun(spec, store=None).run()
+    view = repro.session(machine="tiny", scale="ci", store="none").suite()
+    assert result.get("figure1").figure == view.figure("figure1")
+    assert result.get("figure9").figure.best == view.figure("figure9").best
+    assert result.get("correlations").figure.as_rows() == view.figure("correlations").as_rows()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from _suite_helpers import tiny_spec_dict
 from repro.config import ci_scale
 from repro.runtime.store import MemoryStore
@@ -136,3 +137,41 @@ def test_results_report_in_spec_order(tiny_spec, tmp_path):
     result = run.run()
     assert [r.experiment_id for r in result.results] == ["figure5", "theory", "search6"]
     assert result.statuses()[f"tiny@{SEED}/theory"] == "skipped"
+
+
+def test_contexts_pick_their_session_mode(tiny_spec):
+    from repro.runtime.backends import BatchedBackend, MultiprocessBackend
+    from repro.runtime.service import CampaignService
+
+    def context(**options):
+        run = SuiteRun(tiny_spec, store=None, **options)
+        return run._build_context(run.spec.machines[0], SEED)
+
+    plain = context()
+    assert plain.mode == "plain"
+    # The serial default is fused into the batched backend, behind the counter.
+    assert type(plain.session.backend.inner) is BatchedBackend
+    assert type(context(backend="serial").session.backend.inner) is BatchedBackend
+    pooled = context(backend=MultiprocessBackend(max_workers=1))
+    assert type(pooled.session.backend.inner) is MultiprocessBackend
+    remote = context(connect="tcp://127.0.0.1:9")
+    assert remote.mode == "remote"
+    assert remote.session.remote_url == "tcp://127.0.0.1:9"
+    with CampaignService(workers=1) as service:
+        connected = context(service=service)
+        assert connected.mode == "service"
+        assert connected.measured_total() == 0
+    with pytest.raises(ValueError, match="not both"):
+        SuiteRun(tiny_spec, service=object(), connect="tcp://127.0.0.1:9")
+
+
+def test_figure_view_counts_through_a_counting_backend():
+    from repro.runtime.backends import BatchedBackend
+    from repro.suite.context import CountingBackend
+
+    counted = repro.session(
+        machine="tiny", scale="ci", backend=CountingBackend(BatchedBackend()), store="none"
+    ).suite()
+    counted.figure("figure5")
+    assert counted.measured_total() == counted.session.backend.measured > 0
+    assert f"measured={counted.measured_total()}" in counted.describe()

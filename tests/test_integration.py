@@ -10,9 +10,9 @@ import pytest
 
 import repro
 from repro.analysis.pearson import pearson_correlation
-from repro.experiments.campaign import SampleCampaign, clear_campaign_cache
 from repro.models.cache_misses import CacheMissModel
 from repro.models.instruction_count import InstructionCountModel
+from repro.runtime.campaigns import run_campaign
 from repro.search.costs import InstructionModelCost, MeasuredCyclesCost
 from repro.search.pruned import ModelPrunedSearch
 from repro.wht.canonical import canonical_plans
@@ -50,12 +50,11 @@ class TestPaperStoryAtMiniatureScale:
 
     @pytest.fixture(scope="class")
     def small_table(self, machine):
-        clear_campaign_cache()
-        return SampleCampaign(machine, seed=21, use_cache=False).run(4, 80)
+        return run_campaign(machine, 4, 80, seed=21)
 
     @pytest.fixture(scope="class")
     def large_table(self, machine):
-        return SampleCampaign(machine, seed=21, use_cache=False).run(7, 80)
+        return run_campaign(machine, 7, 80, seed=21)
 
     def test_instruction_correlation_drops_out_of_cache(self, small_table, large_table):
         rho_small = pearson_correlation(small_table.instructions, small_table.cycles)
