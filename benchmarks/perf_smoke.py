@@ -551,9 +551,10 @@ def check_transport() -> None:
 
     from repro.machine.configs import opteron_like
     from repro.runtime.backends import BatchedBackend
+    from repro.runtime.fleet import FleetClient
     from repro.runtime.service import CampaignService
     from repro.runtime.store import machine_config_hash
-    from repro.runtime.transport import RemoteServiceClient, serve_tcp
+    from repro.runtime.transport import serve_tcp
     from repro.search.dp import dp_search
     from repro.wht.encoding import plan_key
 
@@ -581,7 +582,7 @@ def check_transport() -> None:
         reference = dp_search(12, service.client(config))
         baseline_units = len(counting.executed)
         with serve_tcp(service) as server:
-            client = RemoteServiceClient(server.url, config)
+            client = FleetClient(server.url, config)
             remote = dp_search(12, client)
             client.close()
 
@@ -614,7 +615,7 @@ def check_transport() -> None:
     def time_remote():
         with CampaignService(workers=2) as fresh:
             with serve_tcp(fresh) as server:
-                client = RemoteServiceClient(server.url, config)
+                client = FleetClient(server.url, config)
                 start = time.perf_counter()
                 dp_search(12, client)
                 elapsed = time.perf_counter() - start
@@ -655,7 +656,7 @@ def check_fleet() -> None:
     from repro.runtime.service import CampaignService
     from repro.runtime.sharded_store import ShardedRecordStore
     from repro.runtime.store import machine_config_hash
-    from repro.runtime.transport import RemoteServiceClient, serve_tcp
+    from repro.runtime.transport import serve_tcp
     from repro.search.dp import dp_search
     from repro.wht.encoding import plan_key
 
@@ -704,7 +705,7 @@ def check_fleet() -> None:
     try:
         with CampaignService(workers=2) as single:
             with serve_tcp(single) as server:
-                client = RemoteServiceClient(server.url, config)
+                client = FleetClient(server.url, config)
                 reference = dp_search(12, client)
                 client.close()
 
@@ -740,7 +741,7 @@ def check_fleet() -> None:
         def time_single():
             with CampaignService(workers=2) as fresh:
                 with serve_tcp(fresh) as server:
-                    client = RemoteServiceClient(server.url, config)
+                    client = FleetClient(server.url, config)
                     start = time.perf_counter()
                     dp_search(12, client)
                     elapsed = time.perf_counter() - start

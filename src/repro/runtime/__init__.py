@@ -26,7 +26,11 @@ live*:
 * :mod:`repro.runtime.cost_engine` — :class:`CostEngine`, batched
   multi-metric plan evaluation: one measurement populates every hardware
   counter metric at once, model metrics never touch the machine, and every
-  record lands in the persistent per-plan record log;
+  record lands in the persistent per-plan record log.  Its
+  :class:`EngineSurface` base (``cost`` / ``batch`` / ``__call__``, the
+  ``evaluations`` / ``measured`` / ``fallbacks`` counters and the one
+  ``fallback=True`` path) is the engine surface of every record path:
+  local engine, in-process service client and wire client;
 * :mod:`repro.runtime.session` — :class:`Session` / :func:`session`, the
   fluent top-level entry point owning machine, scale, backend and store;
 * :mod:`repro.runtime.sharded_store` — :class:`ShardedRecordStore`, the
@@ -35,20 +39,22 @@ live*:
 * :mod:`repro.runtime.service` — :class:`CampaignService` / :func:`serve`,
   the multi-tenant measurement service: a job queue deduping work by
   ``(machine_hash, plan_key, seed, channel)``, a worker fleet draining it
-  through an :class:`ExecutionBackend`, and cost-engine-compatible
-  :class:`ServiceClient`\\ s for any number of concurrent sessions
-  (``Session.connect``);
+  through an :class:`ExecutionBackend`, and :class:`ServiceClient`\\ s —
+  the engine surface over the service — for any number of concurrent
+  sessions (``Session.connect``);
 * :mod:`repro.runtime.transport` — the multi-host wire: length-prefixed
   JSON frames over TCP / Unix sockets (:func:`serve_tcp`,
-  :func:`serve_unix`), a supervised :class:`RemoteServiceClient` with
-  reconnect, heartbeats, idempotent request ids and graceful drain
-  handling, and :class:`FaultyTransport` extending the fault plan's chaos
-  discipline to the network (``Session.connect("tcp://host:port")``);
+  :func:`serve_unix`), the supervised per-server :class:`RemoteTransport`
+  with reconnect, heartbeats and idempotent request ids, and
+  :class:`FaultyTransport` extending the fault plan's chaos discipline to
+  the network;
 * :mod:`repro.runtime.faults` — deterministic fault injection
   (:class:`FaultPlan`) across backend, store, network and fleet sites, so
   the failure discipline above is testable bit-for-bit;
-* :mod:`repro.runtime.fleet` — :class:`FleetClient`
-  (``Session.connect(["tcp://a", "tcp://b"])``), the many-server client:
+* :mod:`repro.runtime.fleet` — :class:`FleetClient`, the one wire
+  client (``Session.connect("tcp://host:port")`` or
+  ``Session.connect(["tcp://a", "tcp://b"])``; a single URL is a
+  one-member fleet, and :func:`RemoteServiceClient` spells that case):
   rendezvous-hash striping over a member ring, membership health probing
   with gossip, client-side failover and server-side shard-ownership
   handoff, all sharing one record space so any single member can die
@@ -70,7 +76,7 @@ from repro.runtime.campaigns import (
     run_campaign,
     sample_units,
 )
-from repro.runtime.cost_engine import CostEngine, ObjectiveCost
+from repro.runtime.cost_engine import CostEngine, EngineSurface, ObjectiveCost
 from repro.runtime.faults import (
     FaultDecision,
     FaultPlan,
@@ -84,6 +90,7 @@ from repro.runtime.fleet import (
     FleetClient,
     FleetView,
     MembershipRegistry,
+    RemoteServiceClient,
     ring_assign,
     ring_owner,
     ring_weight,
@@ -136,7 +143,6 @@ from repro.runtime.table import TABLE_COLUMNS, MeasurementTable
 from repro.runtime.transport import (
     FaultyTransport,
     FrameTransport,
-    RemoteServiceClient,
     RemoteServiceError,
     RemoteTransport,
     ServiceServer,
@@ -164,6 +170,7 @@ __all__ = [
     "CampaignStore",
     "CostLogKey",
     "CostEngine",
+    "EngineSurface",
     "ObjectiveCost",
     "CostRecord",
     "MetricSpec",

@@ -41,13 +41,23 @@ other objective — a different metric, the paper's ``alpha*I + beta*M``
 composite, or a custom reducer — to the same shared record cache.  The
 ``evaluations`` / ``measured`` counter pair distinguishes cache hits from
 real simulation work for honest pruning reports.
+
+:class:`EngineSurface` is that consumer-facing surface, defined once:
+``cost`` / ``batch`` / ``__call__``, the ``evaluations`` / ``measured`` /
+``fallbacks`` counters, and the ``fallback=True`` path — a lazily built
+private engine that serves, bit-identically, any batch a record source
+could not.  Three classes stand on it, one per record path: the local
+:class:`CostEngine`, the in-process
+:class:`~repro.runtime.service.ServiceClient` and the wire's
+:class:`~repro.runtime.fleet.FleetClient` (a single server URL is a
+one-member fleet).  Each defines ``records`` in its own class body.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.machine.machine import PreparedPlanCache, SimulatedMachine
+from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import BatchedBackend, ExecutionBackend, WorkUnit
 from repro.runtime.metrics import (
     COUNTER_CHANNEL,
@@ -59,12 +69,18 @@ from repro.runtime.metrics import (
     nondeterministic_metric_names,
 )
 from repro.runtime.objectives import Objective, resolve_objective
-from repro.runtime.store import CampaignStore, CostLogKey, NullStore, machine_config_hash
+from repro.runtime.store import (
+    CampaignStore,
+    CostLogKey,
+    MemoryStore,
+    NullStore,
+    machine_config_hash,
+)
 from repro.util.rng import derive_seed
 from repro.wht.encoding import MAX_ENCODABLE_EXPONENT, EncodedPlans, encode_plans, plan_key
 from repro.wht.plan import Plan
 
-__all__ = ["CostEngine", "ObjectiveCost"]
+__all__ = ["CostEngine", "EngineSurface", "ObjectiveCost"]
 
 
 class ObjectiveCost:
@@ -77,7 +93,7 @@ class ObjectiveCost:
     objective over already-measured metrics costs nothing.
     """
 
-    def __init__(self, engine: "CostEngine", objective: Objective):
+    def __init__(self, engine: "EngineSurface", objective: Objective):
         self.engine = engine
         self.objective = objective
 
@@ -105,7 +121,98 @@ class ObjectiveCost:
         return f"ObjectiveCost({self.objective.describe()!r}, engine={self.engine!r})"
 
 
-class CostEngine:
+class EngineSurface:
+    """The engine surface every record path shares.
+
+    Search strategies and sessions consume ``records`` / ``batch`` /
+    ``__call__`` / ``cost(objective)`` and read the ``evaluations`` /
+    ``measured`` / ``fallbacks`` counters; this class defines all of it
+    except ``records``, which each subclass implements in its own body.
+
+    ``fallback=True`` arms graceful degradation: a subclass whose record
+    source fails hands the failure to :meth:`_degrade`, which re-raises
+    it unless fallback is armed and otherwise serves the batch from a
+    private :class:`CostEngine` built on first use.  That engine has the
+    same machine configuration and seed, hence the same
+    ``derive_seed(seed, "plan-cost", plan_key)`` noise draws and
+    bit-identical records; ``fallbacks`` counts the batches it served.
+    """
+
+    def __init__(
+        self,
+        machine: "MachineConfig | SimulatedMachine",
+        objective: "str | Objective" = "cycles",
+        seed: int = 0,
+        fallback: bool = False,
+    ):
+        self.config = machine.config if isinstance(machine, SimulatedMachine) else machine
+        if not isinstance(self.config, MachineConfig):
+            raise TypeError(f"cannot interpret {machine!r} as a machine")
+        self.objective = resolve_objective(objective)
+        self.seed = int(seed)
+        self.fallback = bool(fallback)
+        #: Plan-cost requests served (cache hits included).
+        self.evaluations = 0
+        #: Plans actually measured on this surface's behalf.
+        self.measured = 0
+        #: Batches the degraded (private-engine) path served.
+        self.fallbacks = 0
+        self._fallback_engine: "CostEngine | None" = None
+
+    def cost(self, objective: "str | Objective") -> ObjectiveCost:
+        """Bind ``objective`` to this engine as a drop-in cost function.
+
+        Every bound cost shares the engine's record cache and counters, so
+        switching objectives mid-campaign re-measures nothing that is
+        already known.
+        """
+        return ObjectiveCost(self, resolve_objective(objective))
+
+    def batch(self, plans: Sequence[Plan]) -> list[float]:
+        """Default-objective costs of ``plans`` in order."""
+        records = self.records(plans)
+        value = self.objective.value
+        return [value(record.values) for record in records]
+
+    def __call__(self, plan: Plan) -> float:
+        """Scalar cost-function interface (a batch of one)."""
+        return self.batch([plan])[0]
+
+    # -- the fallback path -------------------------------------------------------
+
+    def _fallback_store(self) -> CampaignStore:
+        """The private engine's store: in-memory unless a subclass can read more."""
+        return MemoryStore()
+
+    def _degrade(
+        self, error: Exception, plans: Sequence[Plan], names: "tuple[str, ...]"
+    ) -> list[CostRecord]:
+        """Re-raise ``error``, or with ``fallback`` armed serve the batch privately."""
+        if not self.fallback:
+            raise error
+        if self._fallback_engine is None:
+            self._fallback_engine = CostEngine(
+                SimulatedMachine(self.config),
+                objective=self.objective,
+                backend=BatchedBackend(),
+                store=self._fallback_store(),
+                seed=self.seed,
+            )
+        engine = self._fallback_engine
+        self.fallbacks += 1
+        before = engine.measured
+        records = engine.records(list(plans), names)
+        self.measured += engine.measured - before
+        return records
+
+    def close(self) -> None:
+        """Close the private fallback engine's backend, if one was built (idempotent)."""
+        engine, self._fallback_engine = self._fallback_engine, None
+        if engine is not None:
+            engine.backend.close()
+
+
+class CostEngine(EngineSurface):
     """Batched, cached multi-metric evaluation of candidate plans.
 
     Parameters
@@ -146,13 +253,12 @@ class CostEngine:
         seed: int = 0,
         prepared_cache_size: int = 256,
     ):
+        super().__init__(machine, objective, seed)
         self.machine = machine
         if machine.prepared_cache is None and prepared_cache_size > 0:
             machine.prepared_cache = PreparedPlanCache(prepared_cache_size)
-        self.objective = resolve_objective(objective)
         self.backend = backend if backend is not None else BatchedBackend()
         self.store = store if store is not None else NullStore()
-        self.seed = int(seed)
         self.key = CostLogKey(
             machine_hash=machine_config_hash(machine.config), seed=self.seed
         )
@@ -167,21 +273,6 @@ class CostEngine:
                 for name in volatile:
                     record.pop(name, None)
         self._scorers: dict[str, object] = {}
-        #: Plan-cost requests served (cache hits included).
-        self.evaluations = 0
-        #: Plans actually executed or simulated (hardware cache misses).
-        self.measured = 0
-
-    # -- objective binding -------------------------------------------------------
-
-    def cost(self, objective: "str | Objective") -> ObjectiveCost:
-        """Bind ``objective`` to this engine as a drop-in cost function.
-
-        Every bound cost shares the engine's record cache, store and
-        counters, so switching objectives mid-campaign re-measures nothing
-        that is already known.
-        """
-        return ObjectiveCost(self, resolve_objective(objective))
 
     # -- evaluation --------------------------------------------------------------
 
@@ -289,33 +380,7 @@ class CostEngine:
             self._scorers[metric] = scorer
         return scorer
 
-    def batch(self, plans: Sequence[Plan]) -> list[float]:
-        """Default-objective costs of ``plans`` in order.
-
-        Duplicates within the batch and metrics already in the record cache
-        are served without touching the machine; the remaining distinct
-        plans go through the execution backend as one unit list and their
-        records are appended to the store before returning.
-        """
-        records = self.records(plans)
-        value = self.objective.value
-        return [value(record.values) for record in records]
-
-    def __call__(self, plan: Plan) -> float:
-        """Scalar cost-function interface (a batch of one)."""
-        return self.batch([plan])[0]
-
     # -- persistence -------------------------------------------------------------
-
-    def flush(self) -> None:
-        """Compat no-op: records are appended durably as they are acquired.
-
-        The append-log store made the old merge-read/rewrite cycle obsolete —
-        every record ever returned is already persisted by the time the
-        returning call completes.  The method survives so callers written
-        against the whole-table engine keep working.
-        """
-        return None
 
     def compact(self) -> None:
         """Compact the store's record log for this engine's key."""

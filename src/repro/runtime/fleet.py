@@ -1,9 +1,11 @@
 """Fleet topology: many servers, one record space.
 
-PR 8 put one :class:`~repro.runtime.service.CampaignService` behind a
-socket; this module puts **several** behind a single engine surface.  A
-:class:`FleetClient` (``Session.connect(["tcp://a", "tcp://b", ...])``)
-stripes every submit across the member servers by
+The transport puts one :class:`~repro.runtime.service.CampaignService`
+behind a socket; this module puts **one or several** behind a single
+engine surface.  A :class:`FleetClient`
+(``Session.connect(["tcp://a", "tcp://b", ...])``, or
+``Session.connect("tcp://a")`` for a one-member fleet) stripes every
+submit across the member servers by
 ``hash(machine_hash, plan_key)`` over a **rendezvous ring** — the same
 pure derivation on the client and on every server, so each key has one
 well-defined owner at any membership — while all members persist into
@@ -58,13 +60,12 @@ import uuid
 from typing import Mapping, Sequence
 
 from repro.machine.machine import MachineConfig, SimulatedMachine
-from repro.runtime.backends import BatchedBackend
-from repro.runtime.cost_engine import CostEngine, ObjectiveCost
+from repro.runtime.cost_engine import EngineSurface
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import CostRecord
-from repro.runtime.objectives import Objective, resolve_objective
+from repro.runtime.objectives import Objective
 from repro.runtime.service import ServiceError
-from repro.runtime.store import MemoryStore, machine_config_hash
+from repro.runtime.store import machine_config_hash
 from repro.runtime.transport import (
     RemoteServiceError,
     RemoteTransport,
@@ -86,6 +87,7 @@ __all__ = [
     "MembershipRegistry",
     "FleetView",
     "FleetClient",
+    "RemoteServiceClient",
 ]
 
 #: Membership states.  ``healthy`` members receive striped work;
@@ -122,6 +124,8 @@ def ring_assign(
     members: Sequence[str], machine_hash: str, keys: Sequence[str]
 ) -> "dict[str, list[str]]":
     """Group ``keys`` by owning member, preserving key order within groups."""
+    if len(members) == 1 and keys:
+        return {members[0]: list(keys)}  # the sole member owns every key
     groups: "dict[str, list[str]]" = {}
     for key in keys:
         groups.setdefault(ring_owner(members, machine_hash, key), []).append(key)
@@ -324,27 +328,35 @@ class _GroupFailure(Exception):
     """One striped group failed; its keys rehash over the survivors."""
 
 
-class FleetClient:
-    """The full engine surface over a fleet of :class:`ServiceServer`\\ s.
+class FleetClient(EngineSurface):
+    """The engine surface over one or more :class:`ServiceServer`\\ s.
 
-    Drop-in for :class:`~repro.runtime.cost_engine.CostEngine` — ``records``
-    / ``cost`` / ``batch`` / ``__call__`` plus the ``evaluations`` /
-    ``measured`` / ``fallbacks`` counters — where every acquisition is
-    striped by ``(machine_hash, plan_key)`` over the live members of a
-    rendezvous ring.  Values are bit-identical to a private serial engine
-    no matter which member measures: plans travel as canonical keys, the
-    machine as its exact configuration payload, and noise seeds derive
-    per plan on whichever side executes.
+    ``urls`` is a list of member URLs, or one URL: a single server is a
+    one-member fleet.  Every acquisition is striped by
+    ``(machine_hash, plan_key)`` over the live members of a rendezvous
+    ring.  Values are bit-identical to a private serial engine no matter
+    which member measures: plans travel as canonical keys, the machine as
+    its exact configuration payload, and noise seeds derive per plan on
+    whichever side executes.
 
-    ``fallback=True`` arms graceful degradation: when *no* member can
-    answer (all dead or draining past the failover loop), the batch is
-    evaluated through a lazily-built private engine — same seeds, same
-    values — and ``fallbacks`` counts the reroutes.
+    A member whose group fails is marked partitioned (dead on a repeat)
+    or draining, and its keys rehash over the survivors.  When no other
+    live member is left to fail over to, the failure raises instead —
+    :class:`~repro.runtime.transport.TransportError` for a dead wire,
+    :class:`~repro.runtime.transport.RemoteServiceError` for a draining
+    server — and marks nothing, so the next call redials.  That makes a
+    one-member fleet the plain single-server client, which also skips
+    ring hashing and defaults to 8 reconnect attempts (3 for several
+    members, so failover stays fast).  ``fallback=True`` serves a batch
+    that raised through the private engine of
+    :class:`~repro.runtime.cost_engine.EngineSurface`.  A closed client
+    raises :class:`~repro.runtime.transport.TransportError` and never
+    redials.
     """
 
     def __init__(
         self,
-        urls: Sequence[str],
+        urls: "str | Sequence[str]",
         machine: "MachineConfig | SimulatedMachine",
         seed: int = 0,
         objective: "str | Objective" = "cycles",
@@ -353,7 +365,7 @@ class FleetClient:
         *,
         connect_timeout: float = 5.0,
         heartbeat_interval: "float | None" = 2.0,
-        max_attempts: int = 3,
+        max_attempts: "int | None" = None,
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
         retry_seed: int = 0,
@@ -361,18 +373,10 @@ class FleetClient:
         partition_duration: float = 0.25,
         client_id: "str | None" = None,
     ):
-        if isinstance(urls, str):
-            raise TypeError(
-                "FleetClient takes a list of member URLs; "
-                "use RemoteServiceClient for a single server"
-            )
-        self.config = machine.config if isinstance(machine, SimulatedMachine) else machine
-        if not isinstance(self.config, MachineConfig):
-            raise TypeError(f"cannot interpret {machine!r} as a machine")
-        self.registry = MembershipRegistry(urls)
-        self.seed = int(seed)
-        self.objective = resolve_objective(objective)
-        self.fallback = bool(fallback)
+        super().__init__(machine, objective, seed, fallback)
+        self.registry = MembershipRegistry([urls] if isinstance(urls, str) else urls)
+        if max_attempts is None:
+            max_attempts = 8 if len(self.registry.members()) == 1 else 3
         self.timeout = timeout
         self.fault_plan = fault_plan
         self.partition_duration = float(partition_duration)
@@ -388,19 +392,14 @@ class FleetClient:
             "fault_plan": fault_plan,
         }
         self._lock = threading.Lock()
-        self._transports: "dict[str, RemoteTransport]" = {}
+        #: The member connections, by URL (emptied by :meth:`close`).
+        self.transports: "dict[str, RemoteTransport]" = {}
         #: Consecutive transport failures per member: one failure is a
         #: partition (it may heal), two in a row without a success in
         #: between is death — a SIGKILLed member stops costing rounds.
         self._failures: "dict[str, int]" = {}
         self._seq = 0
         self.client_id = client_id or uuid.uuid4().hex[:12]
-        #: Plan-cost requests served (cache hits included).
-        self.evaluations = 0
-        #: Acquisitions a member enqueued on this client's behalf.
-        self.measured = 0
-        #: Batches the degraded (private-engine) path served.
-        self.fallbacks = 0
         #: Groups rehashed to survivors after a member died or drained.
         self.failovers = 0
         #: Owner-redirect forwards members reported back on results.
@@ -409,7 +408,6 @@ class FleetClient:
         self.injected_kills = 0
         self.injected_partitions = 0
         self.closed = False
-        self._fallback_engine: "CostEngine | None" = None
         for url in self.registry.members():
             self._transport_for(url)
 
@@ -417,11 +415,13 @@ class FleetClient:
 
     def _transport_for(self, url: str) -> RemoteTransport:
         with self._lock:
-            transport = self._transports.get(url)
+            if self.closed:
+                raise TransportError(f"transport to {url} is closed")
+            transport = self.transports.get(url)
             if transport is None:
                 transport = RemoteTransport(url, **self._transport_options)
                 transport.on_pong = self._gossip_handler(url)
-                self._transports[url] = transport
+                self.transports[url] = transport
         return transport
 
     def _gossip_handler(self, url: str):
@@ -436,6 +436,10 @@ class FleetClient:
                 self.registry.mark(url, DRAINING)
 
         return handle
+
+    def _can_fail_over(self, url: str) -> bool:
+        """Whether a live member other than ``url`` could adopt its keys."""
+        return any(member != url for member in self.registry.alive())
 
     def add_member(self, url: str) -> bool:
         """A member joins the ring at runtime; new keys stripe to it."""
@@ -475,29 +479,6 @@ class FleetClient:
             self._seq += 1
             return f"{self.client_id}:f{self._seq}"
 
-    # -- degraded path --------------------------------------------------------
-
-    def _degraded_engine(self) -> CostEngine:
-        if self._fallback_engine is None:
-            self._fallback_engine = CostEngine(
-                SimulatedMachine(self.config),
-                objective=self.objective,
-                backend=BatchedBackend(),
-                store=MemoryStore(),
-                seed=self.seed,
-            )
-        return self._fallback_engine
-
-    def _degraded_records(
-        self, plans: Sequence[Plan], names: "tuple[str, ...]"
-    ) -> "list[CostRecord]":
-        engine = self._degraded_engine()
-        self.fallbacks += 1
-        before = engine.measured
-        records = engine.records(list(plans), names)
-        self.measured += engine.measured - before
-        return records
-
     # -- striped submission ---------------------------------------------------
 
     def _inject(self, url: str) -> None:
@@ -508,18 +489,24 @@ class FleetClient:
         if decision.delay:
             time.sleep(decision.delay)
         if decision.kill:
-            self.injected_kills += 1
+            with self._lock:
+                self.injected_kills += 1
             self.registry.mark(url, DEAD)
             raise _GroupFailure(f"injected member kill: {url}")
         if decision.error:
-            self.injected_partitions += 1
+            with self._lock:
+                self.injected_partitions += 1
             self.registry.mark_partitioned(url, self.partition_duration)
             raise _GroupFailure(f"injected member partition: {url}")
 
     def _submit_group(
         self, url: str, rid: str, keys: Sequence[str], names: "tuple[str, ...]"
-    ) -> "dict[str, dict[str, float]]":
-        """One striped sub-batch to its owner; raises _GroupFailure to rehash."""
+    ) -> "tuple[dict[str, dict[str, float]], int, int]":
+        """One striped sub-batch to its owner: ``(values, owned, redirects)``.
+
+        Raises :class:`_GroupFailure` when the group should rehash over
+        the survivors.
+        """
         self._inject(url)
         transport = self._transport_for(url)
         frame = {
@@ -536,6 +523,8 @@ class FleetClient:
         except RemoteServiceError:
             raise
         except TransportError as exc:
+            if not self._can_fail_over(url):
+                raise
             # The member's reconnect budget is exhausted: the first time,
             # treat it as a partition (it may come back) and rehash its
             # keys now; a repeat without an intervening success is death.
@@ -551,15 +540,16 @@ class FleetClient:
             self._failures[url] = 0
         kind = reply.get("type")
         if kind == "result":
-            self.measured += int(reply.get("owned", 0))
-            self.redirects += int(reply.get("redirects", 0))
-            return {
+            values = {
                 record["p"]: {
                     name: float(value) for name, value in record["v"].items()
                 }
                 for record in reply["records"]
             }
+            return values, int(reply.get("owned", 0)), int(reply.get("redirects", 0))
         if kind == "draining":
+            if not self._can_fail_over(url):
+                raise RemoteServiceError(f"{url} is draining and refused the submit")
             self.registry.mark(url, DRAINING)
             raise _GroupFailure(f"member {url} is draining")
         raise RemoteServiceError(
@@ -578,7 +568,8 @@ class FleetClient:
         so a group resubmitted to the *same* member (a healed partition)
         reuses its original id and dedupes against the member's ticket
         table; groups adopted by a different member dedupe through the
-        shared record space instead.
+        shared record space instead.  Counters are added here, on the
+        calling thread, from each group's outcome.
         """
         pending = list(dict.fromkeys(keys))
         values: "dict[str, dict[str, float]]" = {}
@@ -594,7 +585,7 @@ class FleetClient:
                 time.sleep(min(heal + 0.01, self.partition_duration))
                 continue
             groups = ring_assign(members, self.machine_hash, pending)
-            outcomes: "dict[str, tuple]" = {}
+            outcomes: "dict[str, object]" = {}
 
             def run(url: str, keys_for_url: "list[str]") -> None:
                 rid_key = (url, tuple(keys_for_url))
@@ -602,11 +593,9 @@ class FleetClient:
                 if rid is None:
                     rid = rids[rid_key] = self.next_request_id()
                 try:
-                    outcomes[url] = ("ok", self._submit_group(url, rid, keys_for_url, names))
-                except _GroupFailure as exc:
-                    outcomes[url] = ("failed", exc)
-                except (RemoteServiceError, ServiceError) as exc:
-                    outcomes[url] = ("error", exc)
+                    outcomes[url] = self._submit_group(url, rid, keys_for_url, names)
+                except (_GroupFailure, ServiceError) as exc:
+                    outcomes[url] = exc
 
             if len(groups) == 1:
                 ((url, keys_for_url),) = groups.items()
@@ -625,14 +614,17 @@ class FleetClient:
 
             still_pending: "list[str]" = []
             for url, keys_for_url in groups.items():
-                status, payload = outcomes.get(url, ("failed", None))
-                if status == "ok":
-                    values.update(payload)
-                elif status == "error":
-                    raise payload
-                else:
+                outcome = outcomes.get(url)
+                if outcome is None or isinstance(outcome, _GroupFailure):
                     self.failovers += 1
                     still_pending.extend(keys_for_url)
+                elif isinstance(outcome, Exception):
+                    raise outcome
+                else:
+                    group_values, owned, redirects = outcome
+                    values.update(group_values)
+                    self.measured += owned
+                    self.redirects += redirects
             pending = still_pending
         return values
 
@@ -647,33 +639,9 @@ class FleetClient:
         keys = [plan_key(plan) for plan in plans]
         try:
             values = self._acquire(keys, names)
-        except (TransportError, RemoteServiceError, ServiceError):
-            if not self.fallback:
-                raise
-            return self._degraded_records(plans, names)
+        except ServiceError as error:
+            return self._degrade(error, plans, names)
         return [CostRecord(plan_key=key, values=values[key]) for key in keys]
-
-    def cost(self, objective: "str | Objective") -> ObjectiveCost:
-        """Bind ``objective`` to this client as a drop-in cost function."""
-        return ObjectiveCost(self, resolve_objective(objective))
-
-    def batch(self, plans: Sequence[Plan]) -> "list[float]":
-        """Default-objective costs of ``plans`` in order."""
-        records = self.records(plans)
-        value = self.objective.value
-        return [value(record.values) for record in records]
-
-    def __call__(self, plan: Plan) -> float:
-        """Scalar cost-function interface (a batch of one)."""
-        return self.batch([plan])[0]
-
-    def flush(self) -> None:
-        """Compat no-op: members persist records as they are acquired."""
-        return None
-
-    def compact(self) -> None:
-        """Compat no-op: shard maintenance belongs to the members."""
-        return None
 
     # -- observability --------------------------------------------------------
 
@@ -690,36 +658,42 @@ class FleetClient:
             "states": states,
         }
 
-    def server_stats(self, timeout: "float | None" = 5.0) -> "dict[str, dict]":
-        """Each reachable member's service counters, keyed by URL."""
-        stats: "dict[str, dict]" = {}
+    def _ask(self, kind: str, timeout: "float | None") -> "dict[str, dict]":
+        """Each reachable member's ``kind`` reply frame, keyed by URL."""
+        replies: "dict[str, dict]" = {}
         for url in self.registry.members():
             transport = self._transport_for(url)
             try:
                 reply = transport.call(
-                    {"type": "stats", "id": transport.next_request_id()},
-                    timeout=timeout,
+                    {"type": kind, "id": transport.next_request_id()}, timeout=timeout
                 )
             except (TransportError, RemoteServiceError):
                 continue
-            if reply.get("type") == "stats":
-                stats[url] = reply["stats"]
-        return stats
+            if reply.get("type") == kind:
+                replies[url] = reply
+        return replies
+
+    def server_stats(self, timeout: "float | None" = 5.0) -> "dict[str, dict]":
+        """Each reachable member's service counters, keyed by URL."""
+        return {url: reply["stats"] for url, reply in self._ask("stats", timeout).items()}
+
+    def server_health(self, timeout: "float | None" = 5.0) -> "dict[str, dict]":
+        """Each reachable member's health (``draining`` while drained), keyed by URL."""
+        return {
+            url: {"state": reply["state"], "detail": reply.get("detail", "")}
+            for url, reply in self._ask("health", timeout).items()
+        }
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
         """Close every member transport (joining their threads) — idempotent."""
-        self.closed = True
         with self._lock:
-            transports, self._transports = list(self._transports.values()), {}
+            self.closed = True
+            transports, self.transports = list(self.transports.values()), {}
         for transport in transports:
             transport.close()
-        engine, self._fallback_engine = self._fallback_engine, None
-        if engine is not None:
-            close = getattr(engine.backend, "close", None)
-            if callable(close):
-                close()
+        super().close()
 
     def __enter__(self) -> "FleetClient":
         return self
@@ -736,3 +710,10 @@ class FleetClient:
             f"{self.measured}/{self.evaluations} measured, "
             f"failovers={self.failovers})"
         )
+
+
+def RemoteServiceClient(
+    url: str, machine: "MachineConfig | SimulatedMachine", seed: int = 0, **options: object
+) -> FleetClient:
+    """The client of the single server at ``url``: a one-member :class:`FleetClient`."""
+    return FleetClient(url, machine, seed, **options)

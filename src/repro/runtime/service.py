@@ -52,11 +52,12 @@ Architecture
   readers, background compaction.  Records are appended *before* waiters are
   released, so no value a client observed can be lost by a crash.
 * **Clients.**  :meth:`CampaignService.client` returns a
-  :class:`ServiceClient` — a drop-in for
-  :class:`~repro.runtime.cost_engine.CostEngine` (``records`` / ``cost`` /
-  ``batch`` / the ``evaluations``/``measured`` counters) whose acquisitions
-  all route through the service.  ``Session.connect(service=...)`` builds a
-  whole session on top; :func:`repro.serve` is the one-line constructor.
+  :class:`ServiceClient` — the shared engine surface
+  (:class:`~repro.runtime.cost_engine.EngineSurface`: ``records`` /
+  ``cost`` / ``batch`` and the ``evaluations``/``measured``/``fallbacks``
+  counters) whose acquisitions all route through the service.
+  ``Session.connect(service=...)`` builds a whole session on top;
+  :func:`repro.serve` is the one-line constructor.
 * **Observability.**  :meth:`CampaignService.stats` reports queue depth,
   in-flight units, dedup savings, store hits vs real measurements, retries,
   failures and per-shard sizes.
@@ -77,7 +78,7 @@ from typing import Mapping, Sequence
 from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.machine.measurement import Measurement
 from repro.runtime.backends import BatchedBackend, ExecutionBackend, WorkUnit
-from repro.runtime.cost_engine import CostEngine, ObjectiveCost
+from repro.runtime.cost_engine import EngineSurface
 from repro.runtime.metrics import (
     COUNTER_CHANNEL,
     MODEL_CHANNEL,
@@ -88,7 +89,7 @@ from repro.runtime.metrics import (
     metric_spec,
     nondeterministic_metric_names,
 )
-from repro.runtime.objectives import Objective, resolve_objective
+from repro.runtime.objectives import Objective
 from repro.runtime.sharded_store import ShardedRecordStore, ShardStats
 from repro.runtime.store import (
     CampaignKey,
@@ -1438,8 +1439,8 @@ class CampaignService:
         needs attention — dead workers awaiting respawn, dead-lettered
         tasks, or a non-empty retry heap (work is failing and waiting out
         backoff; ``stats().retrying``/``next_retry_eta`` quantify it).
-        ``closed`` is terminal; clients with ``fallback=True`` route
-        around it without submitting.
+        ``closed`` is terminal; a closed service refuses every submit,
+        which clients with ``fallback=True`` serve privately instead.
         """
         with self._lock:
             threads = list(self._threads)
@@ -1475,28 +1476,24 @@ class CampaignService:
         )
 
 
-class ServiceClient:
-    """A drop-in :class:`~repro.runtime.cost_engine.CostEngine` over a service.
+class ServiceClient(EngineSurface):
+    """The engine surface over an in-process :class:`CampaignService`.
 
-    Implements the engine surface the search strategies and sessions consume
-    — ``records`` / ``batch`` / ``__call__`` / ``cost(objective)`` and the
-    ``evaluations``/``measured`` counter pair — but every acquisition routes
-    through the shared :class:`CampaignService`, so any number of clients
-    (across threads and sessions) trigger exactly one real measurement per
-    distinct ``(machine_hash, plan_key, seed)``.  ``measured`` counts the
-    acquisitions *this* client's submissions enqueued; work served from the
-    shared store or deduped against another client is free here, exactly as
-    cache hits are free on a private engine.
+    Every acquisition routes through the shared service, so any number of
+    clients (across threads and sessions) trigger exactly one real
+    measurement per distinct ``(machine_hash, plan_key, seed)``.
+    ``measured`` counts the acquisitions *this* client's submissions
+    enqueued; work served from the shared store or deduped against another
+    client is free here, exactly as cache hits are free on a private
+    engine.
 
-    ``fallback=True`` arms **graceful degradation**: when the service
-    cannot answer — the submission failed after retries (quarantined
-    work), the client's ``timeout`` expired, or the service is closed —
-    the client evaluates the batch through a lazily-built private
-    :class:`~repro.runtime.cost_engine.CostEngine` instead.  The private
-    engine derives the very same per-plan noise seeds from the same
-    ``seed``, reads (but never writes) the service's store, and therefore
-    returns **bit-identical** records; ``fallbacks`` counts how often the
-    degraded path served a batch.
+    With ``fallback=True``, a batch the service cannot answer — failed
+    after retries (quarantined work), past the client's ``timeout``, or
+    refused by a closed service — is served by the private fallback engine
+    of :class:`~repro.runtime.cost_engine.EngineSurface`.  That engine
+    reads (but never writes) the service's store, so whatever the service
+    did persist is a cache hit and the service stays the store's single
+    writer.
     """
 
     def __init__(
@@ -1508,113 +1505,32 @@ class ServiceClient:
         fallback: bool = False,
         timeout: float | None = None,
     ):
+        super().__init__(machine, objective, seed, fallback)
         self.service = service
-        self.config = machine.config if isinstance(machine, SimulatedMachine) else machine
-        if not isinstance(self.config, MachineConfig):
-            raise TypeError(f"cannot interpret {machine!r} as a machine")
-        self.seed = int(seed)
-        self.objective = resolve_objective(objective)
-        self.fallback = bool(fallback)
         self.timeout = timeout
+        #: This client's record shard in the service's store.
         self.key = CostLogKey(
             machine_hash=service._hash_for(self.config), seed=self.seed
         )
-        #: Plan-cost requests served (cache hits included).
-        self.evaluations = 0
-        #: Acquisitions this client's submissions put on the service queue.
-        self.measured = 0
-        #: Batches the degraded (private-engine) path served.
-        self.fallbacks = 0
-        self._fallback_engine: "CostEngine | None" = None
 
-    def _degraded_engine(self) -> CostEngine:
-        """The private engine behind ``fallback=True`` (built on first use).
-
-        Same machine configuration, same seed — hence the same
-        ``derive_seed(seed, "plan-cost", plan_key)`` noise draws and
-        bit-identical records.  Its store is a read-only view of the
-        service's, so whatever the service *did* manage to persist is
-        served from cache and only the rest is measured locally; nothing
-        is written (the service stays the store's single writer).
-        """
-        if self._fallback_engine is None:
-            self._fallback_engine = CostEngine(
-                SimulatedMachine(self.config),
-                objective=self.objective,
-                backend=BatchedBackend(),
-                store=ServiceStoreView(self.service.store),
-                seed=self.seed,
-            )
-        return self._fallback_engine
-
-    def _degraded_records(
-        self, plans: Sequence[Plan], names: "tuple[str, ...]"
-    ) -> "list[CostRecord]":
-        engine = self._degraded_engine()
-        self.fallbacks += 1
-        before = engine.measured
-        records = engine.records(list(plans), names)
-        self.measured += engine.measured - before
-        return records
+    def _fallback_store(self) -> CampaignStore:
+        return ServiceStoreView(self.service.store)
 
     def records(
         self, plans: Sequence[Plan], metrics: Sequence[str] | None = None
     ) -> "list[CostRecord]":
-        """Cost records of ``plans`` in order, via the service.
-
-        With ``fallback`` armed, a batch the service cannot complete is
-        served by the private engine instead of raising.
-        """
+        """Cost records of ``plans`` in order, via the service."""
         names = tuple(metrics) if metrics is not None else self.objective.metrics
         self.evaluations += len(plans)
-        if self.fallback and self.service.health().state == "closed":
-            return self._degraded_records(plans, names)
         try:
             ticket = self.service.submit(
                 CampaignJob(self.config, tuple(plans), names, self.seed)
             )
             result = ticket.result(timeout=self.timeout)
-        except ServiceError:
-            if not self.fallback:
-                raise
-            return self._degraded_records(plans, names)
+        except ServiceError as error:
+            return self._degrade(error, plans, names)
         self.measured += ticket.owned_units
         return result
-
-    def cost(self, objective: "str | Objective") -> ObjectiveCost:
-        """Bind ``objective`` to this client as a drop-in cost function."""
-        return ObjectiveCost(self, resolve_objective(objective))
-
-    def batch(self, plans: Sequence[Plan]) -> "list[float]":
-        """Default-objective costs of ``plans`` in order."""
-        records = self.records(plans)
-        value = self.objective.value
-        return [value(record.values) for record in records]
-
-    def __call__(self, plan: Plan) -> float:
-        """Scalar cost-function interface (a batch of one)."""
-        return self.batch([plan])[0]
-
-    def flush(self) -> None:
-        """Compat no-op: the service persists records as they are acquired."""
-        return None
-
-    def compact(self) -> None:
-        """Compact this client's shard in the service's store."""
-        self.service.store.compact_cost_records(self.key)
-
-    def close(self) -> None:
-        """Release client-held resources (idempotent).
-
-        Closes the lazily-built fallback engine's backend, if degradation
-        ever fired.  The shared service itself is untouched — its lifecycle
-        belongs to whoever started it.
-        """
-        engine, self._fallback_engine = self._fallback_engine, None
-        if engine is not None:
-            close = getattr(engine.backend, "close", None)
-            if callable(close):
-                close()
 
     def __repr__(self) -> str:
         return (

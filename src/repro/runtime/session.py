@@ -49,7 +49,6 @@ from repro.wht.plan import MAX_UNROLLED, Plan
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.fleet import FleetClient
     from repro.runtime.service import CampaignService, ServiceClient
-    from repro.runtime.transport import RemoteServiceClient
     from repro.suite.context import SuiteContext
 
 __all__ = ["Session", "session", "SCALE_PRESETS"]
@@ -118,10 +117,10 @@ class Session:
         #: Connected sessions only: arm the client's graceful degradation
         #: (evaluate through a private engine when the service can't answer).
         self.service_fallback = bool(service_fallback)
-        #: Remote sessions only: the ``tcp://`` / ``unix://`` server URL the
-        #: cost engine dials — or a *list* of URLs, making the engine a
-        #: :class:`~repro.runtime.fleet.FleetClient` striping over the
-        #: member ring — plus keyword options for its transport(s).
+        #: Remote sessions only: the ``tcp://`` / ``unix://`` server URL —
+        #: or list of member URLs — the session's
+        #: :class:`~repro.runtime.fleet.FleetClient` dials, plus keyword
+        #: options for its transports.
         self.remote_url = remote_url
         self.remote_options = dict(remote_options or {})
         if service is not None:
@@ -139,7 +138,7 @@ class Session:
         self.dp_max_children = dp_max_children
         self._tables: dict[tuple[int, int, int, int | None], MeasurementTable] = {}
         self._suite: "SuiteContext | None" = None
-        self._cost_engine: "CostEngine | ServiceClient | RemoteServiceClient | FleetClient | None" = None
+        self._cost_engine: "CostEngine | ServiceClient | FleetClient | None" = None
 
     @classmethod
     def connect(
@@ -165,26 +164,23 @@ class Session:
 
         ``service`` may also be a **URL** — ``"tcp://host:port"`` or
         ``"unix://path"`` naming a :func:`repro.serve_tcp` /
-        :func:`repro.serve_unix` server — and the session becomes a remote
-        tenant: its cost engine is a
-        :class:`~repro.runtime.transport.RemoteServiceClient` speaking the
-        frame protocol, with supervised reconnect, heartbeats and
-        idempotent resubmission, and ``dp_search`` stays bit-identical to
-        a local run.  Extra keyword arguments (``timeout``,
-        ``max_attempts``, ``backoff_base``, ``fault_plan``, ...) configure
-        the transport.  Campaign tables still measure locally in a remote
-        session — only the cost engine crosses the wire.
-
-        A **list** of URLs makes the session a fleet tenant::
+        :func:`repro.serve_unix` server — or a **list** of member URLs,
+        and the session becomes a remote tenant::
 
             sess = repro.Session.connect(["tcp://a:9001", "tcp://b:9001"])
 
         Its cost engine is a :class:`~repro.runtime.fleet.FleetClient`
-        striping every batch across the member servers by
-        ``(machine_hash, plan_key)`` over a rendezvous ring — still
-        bit-identical to a serial engine, and the search survives any
-        single member dying or draining mid-flight (keys rehash to the
-        survivors; the shared record space keeps measurements unique).
+        (a single URL is a one-member fleet) speaking the frame protocol
+        with supervised reconnect, heartbeats and idempotent
+        resubmission.  It stripes every batch across the members by
+        ``(machine_hash, plan_key)`` over a rendezvous ring, and the
+        search survives any single member dying or draining mid-flight
+        (keys rehash to the survivors; the shared record space keeps
+        measurements unique).  ``dp_search`` stays bit-identical to a
+        local run.  Extra keyword arguments (``timeout``,
+        ``max_attempts``, ``backoff_base``, ``fault_plan``, ...)
+        configure the client.  Campaign tables still measure locally in a
+        remote session — only the cost engine crosses the wire.
 
         ``fallback=True`` arms graceful degradation on the session's
         client: batches the service cannot answer (quarantined work, a
@@ -199,7 +195,7 @@ class Session:
                 raise TypeError(
                     "a fleet connect list must be a non-empty list of URL strings"
                 )
-            service = tuple(service) if len(service) > 1 else service[0]
+            service = tuple(service)
         if isinstance(service, (str, tuple)):
             from repro.runtime.store import MemoryStore
 
@@ -292,7 +288,7 @@ class Session:
 
     # -- searches ----------------------------------------------------------------
 
-    def cost_engine(self) -> "CostEngine | ServiceClient | RemoteServiceClient | FleetClient":
+    def cost_engine(self) -> "CostEngine | ServiceClient | FleetClient":
         """The session's batched multi-metric cost engine (memoised).
 
         The engine evaluates candidate batches through the session's backend
@@ -311,37 +307,27 @@ class Session:
 
         A *connected* session (:meth:`connect`) returns a
         :class:`~repro.runtime.service.ServiceClient` instead — the same
-        engine surface, but every acquisition routes through the shared
+        engine surface (:class:`~repro.runtime.cost_engine.EngineSurface`),
+        but every acquisition routes through the shared
         :class:`~repro.runtime.service.CampaignService`, deduped against
         every other tenant.  The noise-seed derivation is identical, so a
         connected search is bit-identical to a private engine's.  A
-        *remote* session (:meth:`connect` with a URL) returns a
-        :class:`~repro.runtime.transport.RemoteServiceClient` — the same
-        surface again, over a supervised socket.
+        *remote* session (:meth:`connect` with a URL or a list of them)
+        returns a :class:`~repro.runtime.fleet.FleetClient` — the same
+        surface again, over supervised sockets.
         """
         if self._cost_engine is None:
             seed = derive_seed(self.scale.seed, "cost-engine")
             if self.remote_url is not None:
-                if isinstance(self.remote_url, (list, tuple)):
-                    from repro.runtime.fleet import FleetClient
+                from repro.runtime.fleet import FleetClient
 
-                    self._cost_engine = FleetClient(
-                        self.remote_url,
-                        self.machine.config,
-                        seed=seed,
-                        fallback=self.service_fallback,
-                        **self.remote_options,
-                    )
-                else:
-                    from repro.runtime.transport import RemoteServiceClient
-
-                    self._cost_engine = RemoteServiceClient(
-                        self.remote_url,
-                        self.machine.config,
-                        seed=seed,
-                        fallback=self.service_fallback,
-                        **self.remote_options,
-                    )
+                self._cost_engine = FleetClient(
+                    self.remote_url,
+                    self.machine.config,
+                    seed=seed,
+                    fallback=self.service_fallback,
+                    **self.remote_options,
+                )
             elif self.service is not None:
                 self._cost_engine = self.service.client(
                     self.machine.config, seed=seed, fallback=self.service_fallback
@@ -454,20 +440,20 @@ class Session:
         A :class:`~repro.runtime.backends.MultiprocessBackend` keeps its
         worker pool alive across measurement batches; closing the session
         shuts the pool down.  A connected session's
-        :class:`~repro.runtime.service.ServiceClient` holds a lazily-built
-        fallback engine, and a remote session's
-        :class:`~repro.runtime.transport.RemoteServiceClient` holds a
-        socket, a heartbeat thread and a fallback engine — closing the
-        session closes all of them (the shared service itself is not the
+        :class:`~repro.runtime.service.ServiceClient` may hold a
+        lazily-built fallback engine, and a remote session's
+        :class:`~repro.runtime.fleet.FleetClient` holds a socket and a
+        heartbeat thread per member as well — closing the session closes
+        the client and forgets it (the shared service itself is not the
         session's to stop).  The session remains usable afterwards — the
-        next batch starts a fresh pool, the next engine use redials.
+        next batch starts a fresh pool, the next engine use redials.  A
+        plain :class:`~repro.runtime.cost_engine.CostEngine` stays
+        memoised, keeping its record cache.
         """
-        engine, self._cost_engine = self._cost_engine, None
-        close_engine = getattr(engine, "close", None)
-        if callable(close_engine):
-            close_engine()
-        elif engine is not None:
-            self._cost_engine = engine  # a plain CostEngine keeps its cache
+        engine = self._cost_engine
+        if engine is not None and not isinstance(engine, CostEngine):
+            self._cost_engine = None
+            engine.close()
         close = getattr(self.backend, "close", None)
         if callable(close):
             close()

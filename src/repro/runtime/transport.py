@@ -12,14 +12,14 @@ re-execution, chaos injection) extends across it unchanged:
   speaks **length-prefixed JSON frames** (4-byte big-endian length, then a
   UTF-8 JSON object); submits dispatch to per-request handler threads so a
   slow batch never blocks the connection's heartbeats.
-* :class:`RemoteServiceClient` implements the full engine surface
-  (``records`` / ``cost`` / ``batch`` / ``__call__`` and the
-  ``evaluations``/``measured``/``fallbacks`` counters) over a supervised
-  connection, so ``Session.connect("tcp://host:port")`` and ``dp_search``
-  run unchanged against a remote fleet — bit-identically to a private
-  serial engine, because plans travel as canonical plan keys and noise
-  seeds derive from ``(seed, "plan-cost", plan_key)`` on whichever side
-  measures.
+* :class:`RemoteTransport` is the supervised client end of one
+  connection.  The engine surface over it is
+  :class:`~repro.runtime.fleet.FleetClient` — a single server URL is a
+  one-member fleet — so ``Session.connect("tcp://host:port")`` and
+  ``dp_search`` run unchanged against a remote server, bit-identically to
+  a private serial engine, because plans travel as canonical plan keys
+  and noise seeds derive from ``(seed, "plan-cost", plan_key)`` on
+  whichever side measures.
 
 Robustness discipline
 ---------------------
@@ -71,17 +71,11 @@ from typing import Mapping, Sequence
 
 from repro.machine.cache import CacheConfig
 from repro.machine.cpu import CycleModel, InstructionCostModel
-from repro.machine.machine import MachineConfig, SimulatedMachine
-from repro.runtime.backends import BatchedBackend
-from repro.runtime.cost_engine import CostEngine, ObjectiveCost
+from repro.machine.machine import MachineConfig
 from repro.runtime.faults import FaultPlan
-from repro.runtime.metrics import CostRecord
-from repro.runtime.objectives import Objective, resolve_objective
 from repro.runtime.service import CampaignJob, CampaignService, ServiceError
-from repro.runtime.store import MemoryStore
 from repro.util.lru import LRUCache
 from repro.util.rng import derive_seed
-from repro.wht.encoding import plan_key
 from repro.wht.plan import Plan
 from repro.wht.grammar import parse_plan
 
@@ -96,7 +90,6 @@ __all__ = [
     "serve_tcp",
     "serve_unix",
     "RemoteTransport",
-    "RemoteServiceClient",
     "machine_config_to_wire",
     "machine_config_from_wire",
 ]
@@ -1204,218 +1197,3 @@ class RemoteTransport:
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
         return f"RemoteTransport({self.url!r}, {state}, reconnects={self.reconnects})"
-
-
-class RemoteServiceClient:
-    """The full engine surface over a socket: a remote ``ServiceClient``.
-
-    Drop-in for :class:`~repro.runtime.cost_engine.CostEngine` /
-    :class:`~repro.runtime.service.ServiceClient` — ``records`` / ``cost``
-    / ``batch`` / ``__call__`` plus the ``evaluations`` / ``measured`` /
-    ``fallbacks`` counters — where every acquisition becomes one ``submit``
-    frame to a :class:`ServiceServer`.  Plans travel as canonical plan
-    keys and the machine as its configuration payload, so the server's
-    machine hash, record shard and noise-seed derivation match a local
-    client's exactly: a remote ``dp_search`` is **bit-identical** to a
-    private serial engine.
-
-    ``fallback=True`` arms graceful degradation end-to-end: when the wire
-    is down past the reconnect budget, the server is draining, or the
-    service answered with a failure, the batch is evaluated through a
-    lazily-built private engine — same seeds, bit-identical values —
-    and ``fallbacks`` counts the reroutes.
-    """
-
-    def __init__(
-        self,
-        url: "str | RemoteTransport",
-        machine: "MachineConfig | SimulatedMachine",
-        seed: int = 0,
-        objective: "str | Objective" = "cycles",
-        fallback: bool = False,
-        timeout: "float | None" = None,
-        *,
-        connect_timeout: float = 5.0,
-        heartbeat_interval: "float | None" = 2.0,
-        max_attempts: int = 8,
-        backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
-        retry_seed: int = 0,
-        fault_plan: "FaultPlan | None" = None,
-    ):
-        self.config = machine.config if isinstance(machine, SimulatedMachine) else machine
-        if not isinstance(self.config, MachineConfig):
-            raise TypeError(f"cannot interpret {machine!r} as a machine")
-        if isinstance(url, RemoteTransport):
-            self.transport = url
-        else:
-            self.transport = RemoteTransport(
-                url,
-                connect_timeout=connect_timeout,
-                heartbeat_interval=heartbeat_interval,
-                max_attempts=max_attempts,
-                backoff_base=backoff_base,
-                backoff_cap=backoff_cap,
-                retry_seed=retry_seed,
-                fault_plan=fault_plan,
-            )
-        self.seed = int(seed)
-        self.objective = resolve_objective(objective)
-        self.fallback = bool(fallback)
-        self.timeout = timeout
-        self._machine_payload = machine_config_to_wire(self.config)
-        #: Plan-cost requests served (cache hits included).
-        self.evaluations = 0
-        #: Acquisitions the server enqueued on this client's behalf.
-        self.measured = 0
-        #: Batches the degraded (private-engine) path served.
-        self.fallbacks = 0
-        self._fallback_engine: "CostEngine | None" = None
-
-    # -- degraded path -----------------------------------------------------------
-
-    def _degraded_engine(self) -> CostEngine:
-        """The private engine behind ``fallback=True`` (built on first use).
-
-        Same configuration, same seed, hence the same
-        ``derive_seed(seed, "plan-cost", plan_key)`` noise draws and
-        bit-identical records.  Its store is a private in-memory one — the
-        server's store is across the wire — so degraded batches are cached
-        locally for this client's lifetime and nothing is double-written.
-        """
-        if self._fallback_engine is None:
-            self._fallback_engine = CostEngine(
-                SimulatedMachine(self.config),
-                objective=self.objective,
-                backend=BatchedBackend(),
-                store=MemoryStore(),
-                seed=self.seed,
-            )
-        return self._fallback_engine
-
-    def _degraded_records(
-        self, plans: Sequence[Plan], names: "tuple[str, ...]"
-    ) -> "list[CostRecord]":
-        engine = self._degraded_engine()
-        self.fallbacks += 1
-        before = engine.measured
-        records = engine.records(list(plans), names)
-        self.measured += engine.measured - before
-        return records
-
-    # -- engine surface ----------------------------------------------------------
-
-    def records(
-        self, plans: Sequence[Plan], metrics: Sequence[str] | None = None
-    ) -> "list[CostRecord]":
-        """Cost records of ``plans`` in order, via the remote service.
-
-        One submit frame per call, with an idempotent request id: however
-        many times the connection dies and the request is resubmitted, the
-        service enqueues the work at most once.  With ``fallback`` armed,
-        a batch the wire or the service cannot answer is evaluated by the
-        private engine instead of raising.
-        """
-        names = tuple(metrics) if metrics is not None else self.objective.metrics
-        self.evaluations += len(plans)
-        frame = {
-            "type": "submit",
-            "id": self.transport.next_request_id(),
-            "machine": self._machine_payload,
-            "plans": [plan_key(plan) for plan in plans],
-            "metrics": list(names),
-            "seed": self.seed,
-            "deadline": None,
-        }
-        try:
-            reply = self.transport.call(frame, timeout=self.timeout)
-        except ServiceError:
-            if not self.fallback:
-                raise
-            return self._degraded_records(plans, names)
-        kind = reply.get("type")
-        if kind == "result":
-            self.measured += int(reply.get("owned", 0))
-            return [
-                CostRecord(
-                    plan_key=record["p"],
-                    values={name: float(value) for name, value in record["v"].items()},
-                )
-                for record in reply["records"]
-            ]
-        if self.fallback:
-            return self._degraded_records(plans, names)
-        if kind == "draining":
-            raise RemoteServiceError(
-                f"{self.transport.url} is draining and refused the submit"
-            )
-        raise RemoteServiceError(
-            reply.get("message", f"unexpected reply type {kind!r}")
-        )
-
-    def cost(self, objective: "str | Objective") -> ObjectiveCost:
-        """Bind ``objective`` to this client as a drop-in cost function."""
-        return ObjectiveCost(self, resolve_objective(objective))
-
-    def batch(self, plans: Sequence[Plan]) -> "list[float]":
-        """Default-objective costs of ``plans`` in order."""
-        records = self.records(plans)
-        value = self.objective.value
-        return [value(record.values) for record in records]
-
-    def __call__(self, plan: Plan) -> float:
-        """Scalar cost-function interface (a batch of one)."""
-        return self.batch([plan])[0]
-
-    def flush(self) -> None:
-        """Compat no-op: the service persists records as they are acquired."""
-        return None
-
-    def compact(self) -> None:
-        """Compat no-op: shard maintenance belongs to the service's owner."""
-        return None
-
-    # -- remote observability ----------------------------------------------------
-
-    def server_stats(self, timeout: "float | None" = 5.0) -> dict:
-        """The remote service's headline counters, over the wire."""
-        reply = self.transport.call(
-            {"type": "stats", "id": self.transport.next_request_id()}, timeout=timeout
-        )
-        if reply.get("type") != "stats":
-            raise RemoteServiceError(reply.get("message", f"unexpected reply {reply!r}"))
-        return reply["stats"]
-
-    def server_health(self, timeout: "float | None" = 5.0) -> dict:
-        """The remote service's health state (``draining`` while drained)."""
-        reply = self.transport.call(
-            {"type": "health", "id": self.transport.next_request_id()}, timeout=timeout
-        )
-        if reply.get("type") != "health":
-            raise RemoteServiceError(reply.get("message", f"unexpected reply {reply!r}"))
-        return {"state": reply["state"], "detail": reply.get("detail", "")}
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        """Close the transport and the fallback engine's backend (idempotent)."""
-        self.transport.close()
-        engine, self._fallback_engine = self._fallback_engine, None
-        if engine is not None:
-            close = getattr(engine.backend, "close", None)
-            if callable(close):
-                close()
-
-    def __enter__(self) -> "RemoteServiceClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"RemoteServiceClient({self.transport.url!r}, "
-            f"machine={self.config.name!r}, seed={self.seed}, "
-            f"{self.measured}/{self.evaluations} measured, "
-            f"fallbacks={self.fallbacks})"
-        )

@@ -79,21 +79,22 @@ def suite(
     service / connect:
         Run every experiment through a shared
         :class:`~repro.runtime.service.CampaignService` (``service=``) or
-        a remote ``tcp://``/``unix://`` server (``connect=``, with
-        ``**transport_options`` forwarded to the transport).  A *list* of
-        URLs makes every context a fleet tenant: its cost engine is a
-        :class:`~repro.runtime.fleet.FleetClient` striping the search over
-        the member ring and failing over when a member dies.  When the
-        spec itself declares a top-level ``connect``, it is the default
-        and an explicit ``connect=`` here overrides it.  Results are
-        bit-identical to a plain private session either way.
+        through remote ``tcp://``/``unix://`` servers (``connect=``: one
+        URL or a list of them, with ``**transport_options`` forwarded to
+        the client).  Every context's cost engine is then a
+        :class:`~repro.runtime.fleet.FleetClient` — a single URL is a
+        one-member fleet — striping the search over the member ring and
+        failing over when a member dies.  When the spec itself declares a
+        top-level ``connect``, it is the default and an explicit
+        ``connect=`` here overrides it.  Results are bit-identical to a
+        plain private session either way.
     """
     if isinstance(spec, str):
         spec = load_spec(spec)
     else:
         spec = spec_from_dict(spec)
     if service is None and connect is None and spec.connect:
-        connect = spec.connect if len(spec.connect) > 1 else spec.connect[0]
+        connect = spec.connect
     if transport_options and connect is None:
         unexpected = ", ".join(sorted(transport_options))
         raise TypeError(

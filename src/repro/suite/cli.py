@@ -113,15 +113,12 @@ def _resolve_connect(flag_urls, spec) -> "list[str]":
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.suite.api import suite
 
-    connect = args.connect
-    if connect is not None and len(connect) == 1:
-        connect = connect[0]
     run = suite(
         args.spec,
         store=args.store,
         backend=args.backend,
         artifacts=args.artifacts,
-        connect=connect,
+        connect=args.connect,
     )
     result = run.run(
         experiments=args.experiment, machines=args.machine, seeds=args.seed

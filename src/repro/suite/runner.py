@@ -104,8 +104,8 @@ class SuiteRun:
         # counted backend.  Resolve the serial default to the fused batched
         # backend *before* wrapping: Session.cost_engine only upgrades an
         # exact-type SerialBackend, and the wrapper must see the engine's
-        # traffic.  With ``connect`` the cost engine crosses the wire (a list
-        # of URLs makes it a FleetClient) and counts on the client instead.
+        # traffic.  With ``connect`` the cost engine crosses the wire (a
+        # FleetClient over one URL or several) and counts on the client instead.
         backend = (
             BatchedBackend() if self._backend_spec is None else resolve_backend(self._backend_spec)
         )

@@ -34,6 +34,7 @@ from repro.runtime.fleet import (
     PARTITIONED,
     FleetClient,
     MembershipRegistry,
+    RemoteServiceClient,
     ring_assign,
     ring_owner,
     ring_weight,
@@ -43,8 +44,8 @@ from repro.runtime.session import Session, session
 from repro.runtime.sharded_store import ShardedRecordStore
 from repro.runtime.store import MemoryStore, machine_config_hash
 from repro.runtime.transport import (
-    RemoteServiceClient,
     RemoteServiceError,
+    TransportError,
     serve_tcp,
 )
 from repro.wht.canonical import iterative_plan
@@ -240,10 +241,6 @@ class TestMembershipRegistry:
 
 
 class TestFleetClientEngineSurface:
-    def test_a_url_string_is_rejected(self, config):
-        with pytest.raises(TypeError):
-            FleetClient("tcp://127.0.0.1:1", config)
-
     def test_records_are_bit_identical_and_striped(self, config, plans, tmp_path):
         expected = _private_engine(config, seed=9).records(
             plans, ("cycles", "instructions")
@@ -263,17 +260,23 @@ class TestFleetClientEngineSurface:
             # ...and nothing was measured twice, fleet-wide.
             assert _duplicates(*fleet.countings) == []
 
-    def test_full_engine_surface(self, config, plans, tmp_path):
-        reference = _private_engine(config, seed=4)
-        with Fleet(tmp_path, size=2) as fleet:
-            with FleetClient(fleet.urls, config, seed=4) as client:
-                assert client.batch(plans) == reference.batch(plans)
-                assert client(plans[0]) == reference(plans[0])
-                cost = client.cost("instructions")
-                assert cost(plans[0]) == reference.cost("instructions")(plans[0])
-                client.flush()
-                client.compact()
-                assert "2 members" in repr(client)
+    def test_measured_counts_every_members_distinct_executions(
+        self, config, plans, tmp_path
+    ):
+        """Members answer on concurrent threads; no count may be lost."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with Fleet(tmp_path) as fleet:
+                with FleetClient(
+                    fleet.urls, config, seed=9, heartbeat_interval=None
+                ) as client:
+                    client.records(plans, ("cycles",))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(1 for c in fleet.countings if c.executed) >= 2
+        executed = {key for c in fleet.countings for _hash, key, _seed in c.executed}
+        assert client.measured == len(executed)
 
     def test_session_connect_list_builds_a_fleet_engine(self, config, tmp_path):
         with Fleet(tmp_path, size=2) as fleet:
@@ -283,11 +286,11 @@ class TestFleetClientEngineSurface:
             finally:
                 sess.close()
 
-    def test_single_url_list_collapses_to_a_remote_client(self, config, tmp_path):
+    def test_single_url_list_is_a_one_member_fleet(self, config, tmp_path):
         with Fleet(tmp_path, size=1) as fleet:
             sess = Session.connect([fleet.urls[0]], machine=config)
             try:
-                assert isinstance(sess.cost_engine(), RemoteServiceClient)
+                assert isinstance(sess.cost_engine(), FleetClient)
             finally:
                 sess.close()
 
@@ -423,6 +426,22 @@ class TestFailover:
                     client.records(plans[:2], ("cycles",))
             finally:
                 client.close()
+
+    def test_a_lone_members_failure_raises_and_marks_nothing(self, config, plans):
+        """With nowhere to fail over, each call redials and raises the wire's error."""
+        url = "tcp://127.0.0.1:1"
+        client = FleetClient(
+            url, config, max_attempts=2, backoff_base=0.001,
+            connect_timeout=0.5, heartbeat_interval=None,
+        )
+        try:
+            for _ in range(2):
+                with pytest.raises(TransportError, match="after 2 attempts"):
+                    client.records(plans[:2], ("cycles",))
+            assert client.registry.snapshot() == {url: HEALTHY}
+            assert client.failovers == 0
+        finally:
+            client.close()
 
     def test_add_member_joins_the_ring_at_runtime(self, config, plans, tmp_path):
         with Fleet(tmp_path) as fleet:
@@ -610,6 +629,24 @@ class TestFleetFaultAxis:
 
 
 class TestTransportThreadHygiene:
+    def test_a_closed_client_raises_and_dials_nothing(self, config, plans, tmp_path):
+        prefixes = ("remote-client-reader", "remote-heartbeat")
+
+        def transport_threads():
+            return {t for t in threading.enumerate() if t.name.startswith(prefixes)}
+
+        with Fleet(tmp_path, size=2) as fleet:
+            before = transport_threads()
+            client = FleetClient(fleet.urls, config, heartbeat_interval=0.05)
+            client.records(plans[:2], ("cycles",))
+            client.close()
+            with pytest.raises(TransportError, match="closed"):
+                client.records(plans[:2], ("cycles",))
+            deadline = time.monotonic() + 5.0
+            while (transport_threads() - before) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert transport_threads() - before == set()
+
     def test_100_connect_close_cycles_leak_no_threads(self, config):
         with CampaignService(backend=BatchedBackend(), workers=1) as service:
             with serve_tcp(service) as server:

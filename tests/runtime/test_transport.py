@@ -36,7 +36,6 @@ from repro.runtime.transport import (
     PROTOCOL_VERSION,
     FaultyTransport,
     FrameTransport,
-    RemoteServiceClient,
     RemoteServiceError,
     RemoteTransport,
     TransportError,
@@ -47,6 +46,7 @@ from repro.runtime.transport import (
 )
 from repro.machine.machine import SimulatedMachine
 from repro.runtime.cost_engine import CostEngine
+from repro.runtime.fleet import RemoteServiceClient
 from repro.wht.canonical import iterative_plan, right_recursive_plan
 from repro.wht.encoding import plan_key
 from repro.wht.random_plans import RSUSampler
@@ -295,19 +295,6 @@ class TestRemoteRoundTrip:
         assert [r.values for r in remote] == [r.values for r in local]
         assert [r.values for r in again] == [r.values for r in remote]
 
-    def test_full_engine_surface(self, config, plans):
-        with CampaignService() as service, serve_tcp(service) as server:
-            client = RemoteServiceClient(server.url, config, seed=0)
-            costs = client.batch(plans)
-            assert costs == [client(plan) for plan in plans]
-            bound = client.cost("instructions")
-            assert bound.batch(plans) == [bound(plan) for plan in plans]
-            assert client.evaluations >= 2 * len(plans)
-            assert client.measured > 0
-            client.flush()  # compat no-ops must exist for engine drop-in
-            client.compact()
-            client.close()
-
     def test_unix_domain_socket_round_trip(self, config, plans, tmp_path):
         path = tmp_path / "service.sock"
         with CampaignService() as service:
@@ -323,11 +310,11 @@ class TestRemoteRoundTrip:
         with CampaignService() as service, serve_tcp(service) as server:
             with RemoteServiceClient(server.url, config) as client:
                 client.records(plans)
-                stats = client.server_stats()
+                stats = client.server_stats()[server.url]
                 assert stats["jobs"] == 1
                 assert stats["measured"] > 0
                 assert stats["resubmits"] == 0
-                health = client.server_health()
+                health = client.server_health()[server.url]
                 assert health["state"] == "ok"
 
     def test_dedup_with_an_in_process_tenant(self, config, plans):
@@ -425,7 +412,7 @@ class TestConnectionSupervision:
                 assert _wait_until(lambda: server.stats()["expired"] >= 1, timeout=5.0)
                 after = [r.values for r in client.records(plans)]
                 assert after == before
-                assert client.transport.reconnects == 1
+                assert client.transports[server.url].reconnects == 1
                 client.close()
 
     def test_heartbeat_keeps_an_idle_connection_alive(self, config, plans):
@@ -437,7 +424,7 @@ class TestConnectionSupervision:
                 client.records(plans)
                 time.sleep(1.5)  # several expiry windows, all crossed by pings
                 client.records(plans)
-                assert client.transport.reconnects == 0
+                assert client.transports[server.url].reconnects == 0
                 assert server.stats()["expired"] == 0
                 client.close()
 
@@ -535,7 +522,8 @@ class TestBackpressure:
                     thread.start()
                 # One submit occupies the connection's single slot; the other
                 # must be told to back off rather than queue invisibly.
-                assert _wait_until(lambda: client.transport.backpressure >= 1)
+                transport = client.transports[server.url]
+                assert _wait_until(lambda: transport.backpressure >= 1)
                 gated.gate.set()
                 for thread in threads:
                     thread.join(timeout=30.0)
@@ -564,7 +552,7 @@ class TestDrain:
             reference = _private_engine(config, seed=2)
             expected = [r.values["cycles"] for r in reference.records(plans)]
             assert values == expected
-            assert armed.server_health()["state"] == "draining"
+            assert armed.server_health()[server.url]["state"] == "draining"
             armed.close()
 
     def test_drain_waits_for_inflight_work(self, config, plans):
@@ -654,8 +642,9 @@ class TestRemoteSession:
             sess = Session.connect(server.url, machine=config)
             client = sess.cost_engine()
             client.records(plans)
+            transport = client.transports[server.url]
             sess.close()
-            assert client.transport.closed
+            assert transport.closed
             assert sess._cost_engine is None  # the next use redials
             sess.close()  # idempotent
             rebuilt = sess.cost_engine()
@@ -688,7 +677,8 @@ class TestRemoteSession:
             with Session.connect(server.url, machine=config) as sess:
                 client = sess.cost_engine()
                 client.records(plans)
-            assert client.transport.closed
+                transport = client.transports[server.url]
+            assert transport.closed
 
     def test_transport_options_require_a_url(self, config):
         with CampaignService() as service:
@@ -713,7 +703,7 @@ import json
 import sys
 
 from repro.machine.configs import tiny_machine_config
-from repro.runtime.transport import RemoteServiceClient
+from repro.runtime.fleet import RemoteServiceClient
 from repro.wht.random_plans import RSUSampler
 
 plans = RSUSampler().sample_many(8, count=10, rng=5)
