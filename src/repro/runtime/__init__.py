@@ -100,7 +100,6 @@ from repro.runtime.metrics import (
     MetricSpec,
     available_metrics,
     counter_metric_names,
-    has_counter_values,
     hardware_metric_names,
     metric_spec,
     model_metric_names,
@@ -226,7 +225,6 @@ __all__ = [
     "FaultyStore",
     "InjectedFault",
     "InjectedCrash",
-    "has_counter_values",
     "TABLE_COLUMNS",
     "MeasurementTable",
 ]

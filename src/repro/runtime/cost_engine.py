@@ -25,7 +25,10 @@ differently — does it per **metric**:
   session's :class:`~repro.runtime.store.CampaignStore`, keyed by
   ``(machine content hash, seed)`` — re-running a figure or resuming a
   search in a later process skips every already-measured candidate, and
-  appends stay O(batch) no matter how large the table has grown;
+  appends stay O(batch) no matter how large the table has grown.  New values
+  reach the cache only *after* their append returns (durability before
+  visibility), and :meth:`CostEngine.reload` folds in whatever another
+  writer — or a failed, torn append — left in the log since;
 * the noise draw of each measurement is seeded per plan
   (``derive_seed(seed, "plan-cost", plan_key)``), so the cost of a plan is
   one well-defined record independent of evaluation order, batch shape or
@@ -51,11 +54,17 @@ could not.  Three classes stand on it, one per record path: the local
 :class:`~repro.runtime.service.ServiceClient` and the wire's
 :class:`~repro.runtime.fleet.FleetClient` (a single server URL is a
 one-member fleet).  Each defines ``records`` in its own class body.
+
+This engine is also the only acquisition path: the
+:class:`~repro.runtime.service.CampaignService` keeps one
+:class:`CostEngine` per record shard and its workers acquire through it, so
+the ``(machine config, plan, seed)`` contract is written down once.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import BatchedBackend, ExecutionBackend, WorkUnit
@@ -81,6 +90,8 @@ from repro.wht.encoding import MAX_ENCODABLE_EXPONENT, EncodedPlans, encode_plan
 from repro.wht.plan import Plan
 
 __all__ = ["CostEngine", "EngineSurface", "ObjectiveCost"]
+
+_NOTHING: "Mapping[str, float]" = MappingProxyType({})
 
 
 class ObjectiveCost:
@@ -263,16 +274,32 @@ class CostEngine(EngineSurface):
             machine_hash=machine_config_hash(machine.config), seed=self.seed
         )
         #: Per-plan record cache: plan key -> metric name -> value.  Seeded
-        #: from the store's record log.  Non-deterministic metrics
-        #: (wall time) are scrubbed on load — a timing recorded by another
-        #: host or session must never be served as this engine's cache hit.
-        self._records: dict[str, dict[str, float]] = self.store.get_cost_records(self.key)
-        volatile = nondeterministic_metric_names()
-        if volatile:
-            for record in self._records.values():
-                for name in volatile:
-                    record.pop(name, None)
+        #: from the store's record log by :meth:`reload`.
+        self._records: dict[str, dict[str, float]] = {}
         self._scorers: dict[str, object] = {}
+        #: Model-metric values computed (analytic: no machine work).
+        self.scored = 0
+        self.reload()
+
+    def reload(self) -> None:
+        """Fold the store's current record log into the cache.
+
+        Values already cached stay (so do wall times, which are never
+        persisted); the store's values are added on top.  Non-deterministic
+        metrics (wall time) are scrubbed from what is read — a timing
+        recorded by another host or session must never be served as this
+        engine's cache hit.  Re-reading picks up records another writer
+        appended since, or that a failed append left behind (a torn tail
+        whose complete lines did land).
+        """
+        volatile = nondeterministic_metric_names()
+        for key, values in self.store.get_cost_records(self.key).items():
+            for name in volatile:
+                values.pop(name, None)
+            if key in self._records:
+                self._records[key].update(values)
+            elif values:
+                self._records[key] = values  # the store hands out fresh mappings
 
     # -- evaluation --------------------------------------------------------------
 
@@ -290,8 +317,10 @@ class CostEngine(EngineSurface):
         (populating *all* counter metrics of that plan at once), wall-time
         metrics execute the plan, and model metrics are computed with the
         vectorised batch models without touching the machine.  Everything
-        newly acquired is appended to the store's record log before the call
-        returns — the durability contract: no returned value can be lost.
+        newly acquired is appended to the store's record log *before* it is
+        published to the cache — durability before visibility: no value any
+        caller can observe can be lost, and an append that raises leaves the
+        cache exactly as it was.
         """
         names = tuple(metrics) if metrics is not None else self.objective.metrics
         specs = [metric_spec(name) for name in names]
@@ -313,10 +342,11 @@ class CostEngine(EngineSurface):
                 elif spec.channel == MODEL_CHANNEL:
                     need_model.setdefault(spec.name, {}).setdefault(key, plan)
 
+        acquired: dict[str, dict[str, float]] = {}
         pending: dict[str, dict[str, float]] = {}
 
         def stage(key: str, values: dict[str, float], persist: bool = True) -> None:
-            self._records.setdefault(key, {}).update(values)
+            acquired.setdefault(key, {}).update(values)
             if persist:
                 pending.setdefault(key, {}).update(values)
 
@@ -355,16 +385,23 @@ class CostEngine(EngineSurface):
                 index_of = {key: index for index, key in enumerate(union)}
                 for name, missing in need_model.items():
                     values = self._scorer(name)(shared)
+                    self.scored += len(missing)
                     for key in missing:
                         stage(key, {name: float(values[index_of[key]])})
             else:
                 for name, missing in need_model.items():
                     values = self._scorer(name)(list(missing.values()))
+                    self.scored += len(missing)
                     for key, value in zip(missing, values):
                         stage(key, {name: float(value)})
 
         if pending:
             self.store.append_cost_records(self.key, pending)
+        for key, values in acquired.items():
+            if key in self._records:
+                self._records[key].update(values)
+            else:
+                self._records[key] = values
         return [
             CostRecord(
                 plan_key=key,
@@ -393,9 +430,16 @@ class CostEngine(EngineSurface):
         """Number of plans with at least one cached metric value."""
         return len(self._records)
 
+    def cached(self, key: str) -> "Mapping[str, float]":
+        """The values cached under plan key ``key`` (empty if unknown).
+
+        A live view for readers — callers must not mutate it.
+        """
+        return self._records.get(key, _NOTHING)
+
     def known_metrics(self, plan: Plan) -> tuple[str, ...]:
         """The metrics already cached for ``plan`` (empty if unknown)."""
-        return tuple(self._records.get(plan_key(plan), ()))
+        return tuple(self.cached(plan_key(plan)))
 
     def __repr__(self) -> str:
         return (

@@ -61,7 +61,6 @@ __all__ = [
     "hardware_metric_names",
     "counter_metric_names",
     "counter_values",
-    "has_counter_values",
     "model_metric_names",
 ]
 
@@ -205,7 +204,7 @@ def counter_values(measurement: Measurement) -> dict[str, float]:
     """Every counter-channel metric of one measurement, by name.
 
     This is the "one PAPI run populates every counter at once" extraction
-    shared by the cost engine and the campaign service: acquiring *any*
+    the cost engine (and so the campaign service) stages: acquiring *any*
     counter metric stores *all* of them.
     """
     values = {}
@@ -213,18 +212,6 @@ def counter_values(measurement: Measurement) -> dict[str, float]:
         if spec.channel == COUNTER_CHANNEL:
             values[name] = float(spec.from_measurement(measurement))
     return values
-
-
-def has_counter_values(values: "Mapping[str, float]") -> bool:
-    """Whether a record already carries the whole counter channel.
-
-    The idempotence check behind the service's retry discipline: a retried
-    counter task re-measures a plan only if some counter metric is missing
-    from its record — a record fully populated by an earlier attempt (whose
-    store append raised *after* the bytes landed) is served as-is, so no
-    retry can persist conflicting values.
-    """
-    return all(name in values for name in counter_metric_names())
 
 
 def model_metric_names() -> tuple[str, ...]:

@@ -24,6 +24,14 @@ Architecture
   everyone else waits on the same in-flight entry.  (Raw measurement batches
   — campaign tables — dedupe the same way on ``(machine_hash, plan_key,
   noise_seed)`` through :meth:`CampaignService.measure_units`.)
+* **One acquisition path.**  Each record shard ``(machine_hash, seed)``
+  is a :class:`~repro.runtime.cost_engine.CostEngine` over the service's
+  store and backend: its record cache is what ``submit`` classifies
+  against, and its ``records`` is how a worker acquires what is missing —
+  the same per-plan noise seeds, scorers, wall-time scrub and
+  append-before-publish rule as a private engine, hence bit-identical
+  records.  The service adds only what is shared: dedup, the queue,
+  retries and quarantine.
 * **Worker fleet.**  Daemon threads drain the queue through the service's
   :class:`~repro.runtime.backends.ExecutionBackend` — the fused
   :class:`~repro.runtime.backends.BatchedBackend` by default, a
@@ -36,11 +44,12 @@ Architecture
   queue keeps moving while it waits), and after ``max_attempts`` it moves to
   a **dead-letter quarantine** — its waiters receive the error, the rest of
   the fleet is unaffected, and :meth:`CampaignService.requeue_quarantined`
-  can give it a fresh set of attempts later.  Retried executions re-check
-  the record cache under the machine lock first, so a retry never persists
-  a record twice.  Jobs can carry a ``deadline``; tickets whose ``result``
-  times out *detach*, so an abandoned waiter can never wedge a later
-  submit of the same key.  A supervisor thread fires due retries, detects
+  can give it a fresh set of attempts later.  Retried executions
+  ``reload()`` the shard's engine from the store under the machine lock
+  first, so a retry never persists a record twice.  Jobs can carry a
+  ``deadline``; tickets whose ``result`` times out *detach*, so an
+  abandoned waiter can never wedge a later submit of the same key.  A
+  supervisor thread fires due retries, detects
   dead worker threads, recovers their in-progress tasks and respawns them;
   :meth:`CampaignService.health` reports ``ok``/``degraded``/``closed``,
   and an opt-in :class:`ServiceClient` fallback degrades to a private
@@ -78,16 +87,14 @@ from typing import Mapping, Sequence
 from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.machine.measurement import Measurement
 from repro.runtime.backends import BatchedBackend, ExecutionBackend, WorkUnit
-from repro.runtime.cost_engine import EngineSurface
+from repro.runtime.cost_engine import CostEngine, EngineSurface
 from repro.runtime.metrics import (
     COUNTER_CHANNEL,
     MODEL_CHANNEL,
     WALL_CHANNEL,
     CostRecord,
-    counter_values,
-    has_counter_values,
+    counter_metric_names,
     metric_spec,
-    nondeterministic_metric_names,
 )
 from repro.runtime.objectives import Objective
 from repro.runtime.sharded_store import ShardedRecordStore, ShardStats
@@ -102,7 +109,7 @@ from repro.runtime.store import (
 )
 from repro.runtime.table import MeasurementTable
 from repro.util.lru import LRUCache
-from repro.util.rng import derive_seed
+from repro.util.rng import backoff_delay
 from repro.util.validation import check_positive_int
 from repro.wht.encoding import plan_key
 from repro.wht.plan import Plan
@@ -134,18 +141,16 @@ class CampaignJob:
     ``metrics`` name what must be known for every plan of ``plan_batch``;
     ``seed`` is the noise-derivation seed (the same meaning as
     :class:`~repro.runtime.cost_engine.CostEngine`'s ``seed`` — it selects
-    the record shard and pins each plan's noise draw).  ``scale`` is a free
-    informational tag (e.g. the submitting session's scale name) carried
-    into reports.  ``deadline`` (seconds, counted from submission) bounds
-    how long the job's :meth:`JobTicket.result` may block: past it, the
-    ticket raises and detaches, whether or not a ``timeout`` was passed.
+    the record shard and pins each plan's noise draw).  ``deadline``
+    (seconds, counted from submission) bounds how long the job's
+    :meth:`JobTicket.result` may block: past it, the ticket raises and
+    detaches, whether or not a ``timeout`` was passed.
     """
 
     machine_config: MachineConfig
     plan_batch: "tuple[Plan, ...]"
     metrics: "tuple[str, ...]" = ("cycles",)
     seed: int = 0
-    scale: str | None = None
     deadline: float | None = None
 
     def __post_init__(self) -> None:
@@ -174,6 +179,14 @@ class _Inflight:
         self.value: object | None = None
         self.key = key
         self.waiters = 0
+
+
+#: The ``stats`` counter each record channel's executions add to.
+_EXECUTION_COUNTERS = {
+    COUNTER_CHANNEL: "measured",
+    MODEL_CHANNEL: "model_evaluations",
+    WALL_CHANNEL: "wall_evaluations",
+}
 
 
 @dataclass
@@ -488,8 +501,9 @@ class CampaignService:
     shared_store:
         Fleet mode: this service is **not** the store's only record
         writer (several fleet members append into one record space).
-        Every counter/model execution then re-reads the store under the
-        machine lock before measuring, so work another member persisted
+        Every record execution then reloads its shard's engine from the
+        store under the machine lock before acquiring, so work another
+        member persisted
         — say, a member that died after appending but before answering —
         is served as store hits instead of being measured again.
     """
@@ -535,20 +549,19 @@ class CampaignService:
         self._fleet = None
         self._lock = threading.RLock()
         self._queue: "queue.Queue[_Task | None]" = queue.Queue()
-        #: Authoritative record cache per shard, read-through from the store.
-        #: Coherent because this service is the store's single record writer.
-        self._records: "dict[CostLogKey, CostRecords]" = {}
-        #: Wall-channel values: volatile, never persisted (host-specific).
-        self._wall: "dict[tuple[CostLogKey, str, str], float]" = {}
-        #: (machine_hash, plan_key, seed, channel[, metric]) -> pending work.
+        #: One engine per shard: its record cache is read-through from the
+        #: store (coherent because this service is the store's single record
+        #: writer) and also memoises the never-persisted wall times.
+        self._engines: "dict[CostLogKey, CostEngine]" = {}
+        #: Pending work: ``(machine_hash, plan_key, seed, channel, metric)``
+        #: for records (``metric`` is None on the counter channel, which
+        #: acquires every counter at once), ``(machine_hash, plan_key,
+        #: noise_seed)`` for raw measurements — the shapes never collide.
         self._inflight: "dict[tuple, _Inflight]" = {}
-        #: Raw-measurement dedup: (machine_hash, plan_key, noise_seed).
-        self._measure_inflight: "dict[tuple, _Inflight]" = {}
         self._measure_memo: "LRUCache[tuple, Measurement]" = LRUCache(measurement_memo)
         self._machines: "dict[str, SimulatedMachine]" = {}
         self._machine_locks: "dict[str, threading.Lock]" = {}
         self._hashes: "dict[MachineConfig, str]" = {}
-        self._scorers: "dict[tuple[str, str], object]" = {}
         self._counters = {
             "jobs": 0,
             "store_hits": 0,
@@ -617,32 +630,28 @@ class CampaignService:
                     config, prepared_cache=PreparedPlanCache(512)
                 )
                 self._machines[digest] = machine
-                self._machine_locks[digest] = threading.Lock()
             return machine
 
     def _machine_lock(self, digest: str) -> threading.Lock:
+        # One lock per machine hash for the service's lifetime: a machine the
+        # failure path evicts is rebuilt under the *same* lock, so executions
+        # on that hash never overlap, whichever machine object they bound.
         with self._lock:
             return self._machine_locks.setdefault(digest, threading.Lock())
 
-    def _cache_for(self, log_key: CostLogKey) -> CostRecords:
-        """The shard's record cache, seeded from the store on first touch."""
-        cache = self._records.get(log_key)
-        if cache is None:
-            cache = self.store.get_cost_records(log_key)
-            volatile = nondeterministic_metric_names()
-            if volatile:
-                for record in cache.values():
-                    for metric in volatile:
-                        record.pop(metric, None)
-            self._records[log_key] = cache
-        return cache
-
-    def _scorer(self, digest: str, metric: str, config: MachineConfig):
-        scorer = self._scorers.get((digest, metric))
-        if scorer is None:
-            scorer = metric_spec(metric).scorer_factory(config)
-            self._scorers[(digest, metric)] = scorer
-        return scorer
+    def _engine_for(self, log_key: CostLogKey, config: MachineConfig) -> CostEngine:
+        """The shard's engine, its cache seeded from the store on first touch."""
+        with self._lock:
+            engine = self._engines.get(log_key)
+            if engine is None:
+                engine = CostEngine(
+                    self._machine_for(config),
+                    backend=self.backend,
+                    store=self.store,
+                    seed=log_key.seed,
+                )
+                self._engines[log_key] = engine
+            return engine
 
     # -- submission --------------------------------------------------------------
 
@@ -679,78 +688,39 @@ class CampaignService:
 
         waits: "list[_Inflight]" = []
         seen_inflight: "set[tuple]" = set()
-        owned = 0
-        counter_missing: "dict[str, Plan]" = {}
-        wall_missing: "dict[str, dict[str, Plan]]" = {}
-        model_missing: "dict[str, dict[str, Plan]]" = {}
-
-        def classify(inflight_key: tuple, missing: "dict[str, Plan]", key: str, plan: Plan) -> None:
-            nonlocal owned
-            if inflight_key in seen_inflight:
-                return
-            seen_inflight.add(inflight_key)
-            entry = self._inflight.get(inflight_key)
-            if entry is not None:
-                self._counters["dedup_savings"] += 1
-                entry.waiters += 1
-                waits.append(entry)
-                return
-            entry = _Inflight(inflight_key)
-            entry.waiters = 1
-            self._inflight[inflight_key] = entry
-            waits.append(entry)
-            owned += 1
-            missing[key] = plan
+        # (channel, metric) -> plans this submission owns, one task each.
+        missing: "dict[tuple[str, str | None], dict[str, Plan]]" = {}
 
         with self._lock:
             if self._closed:
                 raise ServiceError(f"{self.name} is shut down")
             self._counters["jobs"] += 1
-            records = self._cache_for(log_key)
+            engine = self._engine_for(log_key, job.machine_config)
             for key, plan in zip(keys, plans):
-                record = records.get(key)
+                record = engine.cached(key)
                 for spec in specs:
-                    if spec.channel == WALL_CHANNEL:
-                        if (log_key, key, spec.name) in self._wall:
-                            self._counters["store_hits"] += 1
-                            continue
-                        classify(
-                            (digest, key, log_key.seed, WALL_CHANNEL, spec.name),
-                            wall_missing.setdefault(spec.name, {}),
-                            key,
-                            plan,
-                        )
-                        continue
-                    if record is not None and spec.name in record:
+                    if spec.name in record:
                         self._counters["store_hits"] += 1
                         continue
-                    if spec.channel == COUNTER_CHANNEL:
-                        classify(
-                            (digest, key, log_key.seed, COUNTER_CHANNEL),
-                            counter_missing,
-                            key,
-                            plan,
-                        )
+                    metric = None if spec.channel == COUNTER_CHANNEL else spec.name
+                    inflight_key = (digest, key, log_key.seed, spec.channel, metric)
+                    if inflight_key in seen_inflight:
+                        continue
+                    seen_inflight.add(inflight_key)
+                    entry = self._inflight.get(inflight_key)
+                    if entry is not None:
+                        self._counters["dedup_savings"] += 1
                     else:
-                        classify(
-                            (digest, key, log_key.seed, MODEL_CHANNEL, spec.name),
-                            model_missing.setdefault(spec.name, {}),
-                            key,
-                            plan,
-                        )
+                        entry = self._inflight[inflight_key] = _Inflight(inflight_key)
+                        missing.setdefault((spec.channel, metric), {})[key] = plan
+                    entry.waiters += 1
+                    waits.append(entry)
 
-        if counter_missing:
+        for (channel, metric), plan_by_key in missing.items():
             self._enqueue(
-                _Task(COUNTER_CHANNEL, job.machine_config, log_key, counter_missing)
+                _Task(channel, job.machine_config, log_key, plan_by_key, metric=metric)
             )
-        for metric, missing in model_missing.items():
-            self._enqueue(
-                _Task(MODEL_CHANNEL, job.machine_config, log_key, missing, metric=metric)
-            )
-        for metric, missing in wall_missing.items():
-            self._enqueue(
-                _Task(WALL_CHANNEL, job.machine_config, log_key, missing, metric=metric)
-            )
+        owned = sum(len(plan_by_key) for plan_by_key in missing.values())
         deadline = None if job.deadline is None else time.monotonic() + job.deadline
         ticket = JobTicket(self, job, log_key, keys, job.metrics, waits, owned, deadline)
         if request_id is not None:
@@ -778,19 +748,15 @@ class CampaignService:
         plan_keys: "list[str]",
         metric_names: "tuple[str, ...]",
     ) -> "list[CostRecord]":
-        specs = [metric_spec(name) for name in metric_names]
         with self._lock:
-            records = self._cache_for(log_key)
-            out = []
-            for key in plan_keys:
-                values = {}
-                for spec in specs:
-                    if spec.channel == WALL_CHANNEL:
-                        values[spec.name] = self._wall[(log_key, key, spec.name)]
-                    else:
-                        values[spec.name] = records[key][spec.name]
-                out.append(CostRecord(plan_key=key, values=values))
-            return out
+            engine = self._engines[log_key]
+        records = []
+        for key in plan_keys:
+            values = engine.cached(key)
+            records.append(
+                CostRecord(plan_key=key, values={name: values[name] for name in metric_names})
+            )
+        return records
 
     # -- raw measurement batches (campaign tables) -------------------------------
 
@@ -823,13 +789,13 @@ class CampaignService:
                     self._counters["store_hits"] += 1
                     slots.append(("value", hit))
                     continue
-                entry = self._measure_inflight.get(memo_key)
+                entry = self._inflight.get(memo_key)
                 if entry is not None:
                     self._counters["dedup_savings"] += 1
                     slots.append(("wait", entry))
                     continue
                 entry = _Inflight(memo_key)
-                self._measure_inflight[memo_key] = entry
+                self._inflight[memo_key] = entry
                 new_payloads.append((memo_key, unit))
                 slots.append(("wait", entry))
         if new_payloads:
@@ -911,139 +877,40 @@ class CampaignService:
                 self._finish_task()
 
     def _execute(self, task: _Task) -> None:
-        if task.channel == COUNTER_CHANNEL:
-            self._execute_counters(task)
-        elif task.channel == MODEL_CHANNEL:
-            self._execute_model(task)
-        elif task.channel == WALL_CHANNEL:
-            self._execute_wall(task)
-        elif task.channel == "measure":
+        if task.channel == "measure":
             self._execute_measure(task)
-        else:  # pragma: no cover - tasks are built by submit alone
-            raise ValueError(f"unknown task channel {task.channel!r}")
+        else:
+            self._execute_records(task)
 
-    def _refresh_from_store(self, log_key: CostLogKey) -> None:
-        """Fold the store's current log state into the record cache.
+    def _execute_records(self, task: _Task) -> None:
+        """Acquire a record task's missing values through its shard's engine.
 
-        Used by retries: an attempt whose append raised *mid-write* (a torn
-        tail) may still have persisted its records — re-reading the log lets
-        the retry serve them instead of re-measuring, and keeps the cache
-        the store's superset even across partial failures.
+        Everything runs under the machine lock, which serialises it against
+        every other execution on this machine (simulator state is never
+        shared across threads).  Retries re-read the store for their own
+        torn tails; shared-store (fleet) services re-read it for *other
+        members'* appends.  The engine's cache check then skips everything
+        already known — values persisted by an earlier attempt, or by a
+        concurrent fresh submit after this ticket detached — so no record
+        is ever persisted twice.  The engine appends before it publishes,
+        so no waiter is released on a value a crash could lose.
         """
-        try:
-            stored = self.store.get_cost_records(log_key)
-        except Exception:
-            return  # a failing store read must not block the retry itself
-        volatile = nondeterministic_metric_names()
+        engine = self._engine_for(task.log_key, task.config)
+        names = counter_metric_names() if task.channel == COUNTER_CHANNEL else (task.metric,)
+        with self._machine_lock(task.log_key.machine_hash):
+            if task.attempts or self.shared_store:
+                try:
+                    engine.reload()
+                except Exception:
+                    pass  # a failing store read must not block the retry itself
+            # The failure path evicts the machine, so a retry binds a fresh one.
+            engine.machine = self._machine_for(task.config)
+            before = engine.measured + engine.scored
+            engine.records(list(task.plan_by_key.values()), names)
+            acquired = engine.measured + engine.scored - before
         with self._lock:
-            records = self._cache_for(log_key)
-            for key, values in stored.items():
-                clean = {
-                    name: value for name, value in values.items() if name not in volatile
-                }
-                if clean:
-                    records.setdefault(key, {}).update(clean)
-
-    def _execute_counters(self, task: _Task) -> None:
-        machine = self._machine_for(task.config)
-        digest = task.log_key.machine_hash
-        if task.attempts or self.shared_store:
-            # Retries re-read for their own torn tails; shared-store (fleet)
-            # services re-read for *other members'* appends — either way the
-            # pending re-check below then skips everything already persisted.
-            self._refresh_from_store(task.log_key)
-        with self._machine_lock(digest):
-            # Retry idempotence: an earlier attempt (or a concurrent fresh
-            # submit after this ticket detached) may already have measured
-            # part of this batch.  The re-check runs under the machine lock,
-            # serialising it against every other execution on this machine,
-            # so no plan's counters are ever persisted twice.
-            with self._lock:
-                records = self._cache_for(task.log_key)
-                pending = {
-                    key: plan
-                    for key, plan in task.plan_by_key.items()
-                    if not has_counter_values(records.get(key, {}))
-                }
-            if pending:
-                units = [
-                    WorkUnit(
-                        plan=plan,
-                        noise_seed=derive_seed(task.log_key.seed, "plan-cost", key),
-                    )
-                    for key, plan in pending.items()
-                ]
-                measurements = self.backend.measure_units(machine, units)
-                staged = {
-                    key: counter_values(measurement)
-                    for key, measurement in zip(pending, measurements)
-                }
-                # Durability before visibility: records land in the store
-                # before any waiter can observe them, so no value a client
-                # saw can be lost by a crash.
-                self.store.append_cost_records(task.log_key, staged)
-                with self._lock:
-                    records = self._cache_for(task.log_key)
-                    for key, values in staged.items():
-                        records.setdefault(key, {}).update(values)
-                    self._counters["measured"] += len(units)
-        self._resolve(
-            (digest, key, task.log_key.seed, COUNTER_CHANNEL)
-            for key in task.plan_by_key
-        )
-
-    def _execute_model(self, task: _Task) -> None:
-        digest = task.log_key.machine_hash
-        if task.attempts or self.shared_store:
-            self._refresh_from_store(task.log_key)
-        with self._lock:
-            records = self._cache_for(task.log_key)
-            pending = {
-                key: plan
-                for key, plan in task.plan_by_key.items()
-                if task.metric not in records.get(key, {})
-            }
-        if pending:
-            scorer = self._scorer(digest, task.metric, task.config)
-            values = scorer(list(pending.values()))
-            staged = {
-                key: {task.metric: float(value)}
-                for key, value in zip(pending, values)
-            }
-            self.store.append_cost_records(task.log_key, staged)
-            with self._lock:
-                records = self._cache_for(task.log_key)
-                for key, value_map in staged.items():
-                    records.setdefault(key, {}).update(value_map)
-                self._counters["model_evaluations"] += len(staged)
-        self._resolve(
-            (digest, key, task.log_key.seed, MODEL_CHANNEL, task.metric)
-            for key in task.plan_by_key
-        )
-
-    def _execute_wall(self, task: _Task) -> None:
-        machine = self._machine_for(task.config)
-        digest = task.log_key.machine_hash
-        spec = metric_spec(task.metric)
-        acquired = {}
-        with self._machine_lock(digest):
-            with self._lock:
-                pending = [
-                    (key, plan)
-                    for key, plan in task.plan_by_key.items()
-                    if (task.log_key, key, task.metric) not in self._wall
-                ]
-            for key, plan in pending:
-                acquired[key] = float(spec.measure(machine, plan))
-        with self._lock:
-            for key, value in acquired.items():
-                # Volatile: memoised for the service's lifetime, never stored.
-                self._wall[(task.log_key, key, task.metric)] = value
-            self._counters["wall_evaluations"] += len(acquired)
-        self._resolve(
-            (digest, key, task.log_key.seed, WALL_CHANNEL, task.metric)
-            for key in task.plan_by_key
-        )
+            self._counters[_EXECUTION_COUNTERS[task.channel]] += acquired
+        self._resolve(self._task_inflight_keys(task))
 
     def _execute_measure(self, task: _Task) -> None:
         machine = self._machine_for(task.config)
@@ -1059,7 +926,7 @@ class CampaignService:
                     if hit is None:
                         pending.append((memo_key, unit))
                         continue
-                    entry = self._measure_inflight.pop(memo_key, None)
+                    entry = self._inflight.pop(memo_key, None)
                     if entry is not None:
                         entry.value = hit
                         served.append(entry)
@@ -1074,7 +941,7 @@ class CampaignService:
             # in-flight map before setting the events cannot orphan anyone.
             for (memo_key, _), measurement in zip(pending, measurements):
                 self._measure_memo.put(memo_key, measurement)
-                entry = self._measure_inflight.pop(memo_key, None)
+                entry = self._inflight.pop(memo_key, None)
                 if entry is not None:
                     entry.value = measurement
                     finished.append(entry)
@@ -1097,9 +964,8 @@ class CampaignService:
         """The in-flight map keys a task's waiters are registered under."""
         if task.channel == "measure":
             return [memo_key for memo_key, _ in task.payloads]
-        suffix = () if task.channel == COUNTER_CHANNEL else (task.metric,)
         return [
-            (task.log_key.machine_hash, key, task.log_key.seed, task.channel, *suffix)
+            (task.log_key.machine_hash, key, task.log_key.seed, task.channel, task.metric)
             for key in task.plan_by_key
         ]
 
@@ -1108,8 +974,9 @@ class CampaignService:
 
         Entries left with no waiters are unregistered: the next submit of
         the same key owns fresh work.  The already-queued task still
-        completes and persists normally — the idempotent re-check in the
-        executors keeps a subsequent owner from measuring the key twice.
+        completes and persists normally — the engine's cache check in
+        :meth:`_execute_records` keeps a subsequent owner from measuring the
+        key twice.
         """
         with self._lock:
             for entry in waits:
@@ -1120,20 +987,21 @@ class CampaignService:
                     del self._inflight[entry.key]
 
     def _backoff_delay(self, task: _Task) -> float:
-        """Exponential backoff with deterministic jitter for the next retry.
+        """The delay before ``task``'s next retry.
 
         ``attempts`` is already incremented when this runs, so the first
-        retry (attempts=1) waits ``~backoff_base``.  The jitter is a pure
-        function of ``(retry_seed, task identity, attempt)`` in
-        ``[0.5, 1.5)`` — reproducible, but de-synchronised across tasks.
+        retry (attempts=1) waits ``~backoff_base``; the jitter is keyed by
+        the task's identity, so retries are reproducible but
+        de-synchronised across tasks.
         """
-        if self.backoff_base <= 0.0:
-            return 0.0
-        exponent = min(task.attempts - 1, 32)
-        delay = min(self.backoff_base * (2.0 ** exponent), self.backoff_cap)
-        bits = derive_seed(self.retry_seed, "retry-jitter", task.token, str(task.attempts))
-        jitter = 0.5 + (bits % (1 << 20)) / float(1 << 20)
-        return delay * jitter
+        return backoff_delay(
+            task.attempts,
+            self.backoff_base,
+            self.backoff_cap,
+            self.retry_seed,
+            "retry-jitter",
+            task.token,
+        )
 
     def _handle_failure(self, task: _Task, exc: BaseException) -> None:
         task.attempts += 1
@@ -1161,9 +1029,8 @@ class CampaignService:
         entries: "list[_Inflight]" = []
         with self._lock:
             self._counters["failures"] += 1
-            source = self._measure_inflight if task.channel == "measure" else self._inflight
             for inflight_key in self._task_inflight_keys(task):
-                entry = source.pop(inflight_key, None)
+                entry = self._inflight.pop(inflight_key, None)
                 if entry is not None:
                     entries.append(entry)
             if task.channel == "measure":
@@ -1212,12 +1079,9 @@ class CampaignService:
                 if task is None:
                     continue
                 task.attempts = 0
-                source = (
-                    self._measure_inflight if task.channel == "measure" else self._inflight
-                )
                 for inflight_key in self._task_inflight_keys(task):
-                    if inflight_key not in source:
-                        source[inflight_key] = _Inflight(inflight_key)
+                    if inflight_key not in self._inflight:
+                        self._inflight[inflight_key] = _Inflight(inflight_key)
                 revived.append(task)
         for task in revived:
             self._enqueue(task)
@@ -1343,11 +1207,8 @@ class CampaignService:
             thread.join()
         # Fail anything still pending (non-graceful shutdown only).
         with self._lock:
-            leftovers = list(self._inflight.values()) + list(
-                self._measure_inflight.values()
-            )
+            leftovers = list(self._inflight.values())
             self._inflight.clear()
-            self._measure_inflight.clear()
             self._executing.clear()
             self._outstanding = 0
             self._work_cv.notify_all()
@@ -1396,7 +1257,7 @@ class CampaignService:
         """A consistent snapshot of queue, dedup, measurement and shard state."""
         with self._lock:
             counters = dict(self._counters)
-            in_flight = len(self._inflight) + len(self._measure_inflight)
+            in_flight = len(self._inflight)
             quarantined = len(self._quarantine)
             scheduled = len(self._retries)
             next_eta = (

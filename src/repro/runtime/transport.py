@@ -75,7 +75,7 @@ from repro.machine.machine import MachineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.service import CampaignJob, CampaignService, ServiceError
 from repro.util.lru import LRUCache
-from repro.util.rng import derive_seed
+from repro.util.rng import backoff_delay, derive_seed
 from repro.wht.plan import Plan
 from repro.wht.grammar import parse_plan
 
@@ -188,6 +188,12 @@ class FrameTransport:
         return frame
 
     def close(self) -> None:
+        try:
+            # shutdown() wakes a thread blocked in recv() on this socket;
+            # on Linux close() alone leaves it parked until the peer hangs up.
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
         try:
             self.sock.close()
         except OSError:  # pragma: no cover - close never fails on healthy FDs
@@ -536,7 +542,6 @@ class _ServerConnection:
                     plan_batch=plans,
                     metrics=metrics,
                     seed=seed,
-                    scale=frame.get("scale"),
                     deadline=deadline,
                 )
                 request_id = str(rid) if rid is not None else None
@@ -1046,16 +1051,15 @@ class RemoteTransport:
         return f"{self.client_id}:{next(self._seq)}"
 
     def _backoff_delay(self, attempt: int) -> float:
-        """The service's backoff discipline, re-derived for reconnects."""
-        if self.backoff_base <= 0.0:
-            return 0.0
-        exponent = min(attempt - 1, 32)
-        delay = min(self.backoff_base * (2.0 ** exponent), self.backoff_cap)
-        bits = derive_seed(
-            self.retry_seed, "reconnect-jitter", self.client_id, str(attempt)
+        """The service's backoff schedule, keyed by this client for reconnects."""
+        return backoff_delay(
+            attempt,
+            self.backoff_base,
+            self.backoff_cap,
+            self.retry_seed,
+            "reconnect-jitter",
+            self.client_id,
         )
-        jitter = 0.5 + (bits % (1 << 20)) / float(1 << 20)
-        return delay * jitter
 
     def _dial(self) -> _ClientConnection:
         sock = socket.socket(self.family, socket.SOCK_STREAM)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RandomState", "as_generator", "spawn_generators", "derive_seed"]
+__all__ = ["RandomState", "as_generator", "spawn_generators", "derive_seed", "backoff_delay"]
 
 RandomState = int | np.random.Generator | np.random.SeedSequence | None
 
@@ -72,3 +72,18 @@ def derive_seed(seed: RandomState, *tags: int | str) -> int:
             tag_val = int(tag) & mask64
         acc = ((acc ^ tag_val) * 0xBF58476D1CE4E5B9) & mask64
     return acc & ((1 << 63) - 1)
+
+
+def backoff_delay(attempt: int, base: float, cap: float, seed: int, *tags: str) -> float:
+    """Exponential backoff with deterministic jitter for retry ``attempt`` (1-based).
+
+    The delay is ``min(base * 2**(attempt - 1), cap)`` scaled by a jitter in
+    ``[0.5, 1.5)`` that is a pure function of ``(seed, *tags, attempt)`` —
+    reproducible, yet de-synchronised across callers with different
+    ``tags``.  ``base <= 0`` disables backoff (instant retry).
+    """
+    if base <= 0.0:
+        return 0.0
+    delay = min(base * (2.0 ** min(attempt - 1, 32)), cap)
+    bits = derive_seed(seed, *tags, str(attempt))
+    return delay * (0.5 + (bits % (1 << 20)) / float(1 << 20))

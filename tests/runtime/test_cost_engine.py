@@ -112,6 +112,33 @@ class TestCostEngine:
         merged = store.get_cost_records(first.key)
         assert set(merged) >= {plan_key(plan_a), plan_key(plan_b)}
 
+    def test_failed_append_caches_nothing(self):
+        # Durability before visibility: a value whose append raised must not
+        # be served as a cache hit, or a retry would never persist it.
+        class FailingStore(MemoryStore):
+            def append_cost_records(self, key, records):
+                raise OSError("disk full")
+
+        engine = CostEngine(tiny_machine(noise_sigma=0.0), store=FailingStore())
+        plan = iterative_plan(6)
+        with pytest.raises(OSError):
+            engine.records([plan], ("cycles", "model_instructions", "wall_time"))
+        assert engine.known_metrics(plan) == ()
+
+    def test_reload_folds_in_another_writers_records(self):
+        config = tiny_machine_config(noise_sigma=0.0)
+        store = MemoryStore()
+        reader = CostEngine(SimulatedMachine(config), store=store)
+        writer = CostEngine(SimulatedMachine(config), store=store)
+        plan = iterative_plan(6)
+        writer.records([plan], ("cycles", "wall_time"))
+        assert reader.known_metrics(plan) == ()
+        reader.reload()
+        assert "cycles" in reader.known_metrics(plan)
+        assert "wall_time" not in reader.known_metrics(plan)
+        assert reader.records([plan], ("cycles",)) == writer.records([plan], ("cycles",))
+        assert reader.measured == 0
+
     def test_attaches_prepared_cache(self):
         machine = tiny_machine(noise_sigma=0.0)
         assert machine.prepared_cache is None

@@ -8,12 +8,15 @@ bit-identical to a single serial session.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.machine.configs import tiny_machine_config
+from repro.machine.machine import SimulatedMachine
 from repro.runtime.backends import BatchedBackend, WorkUnit
 from repro.runtime.campaigns import sample_units
+from repro.runtime.cost_engine import CostEngine
 from repro.runtime.service import (
     CampaignJob,
     CampaignService,
@@ -23,7 +26,7 @@ from repro.runtime.service import (
     serve,
 )
 from repro.runtime.session import Session, session
-from repro.runtime.store import machine_config_hash
+from repro.runtime.store import MemoryStore, machine_config_hash
 from repro.wht.canonical import iterative_plan, right_recursive_plan
 from repro.wht.encoding import plan_key
 from repro.wht.random_plans import RSUSampler
@@ -82,6 +85,57 @@ class FlakyBackend:
                 self.remaining -= 1
                 raise RuntimeError("injected worker failure")
         return self.inner.measure_units(machine, units)
+
+
+class OverlapProbeBackend:
+    """Fails its first call, then records how many calls run at once.
+
+    The first call after the failure lingers until another call enters (or
+    a second passes), so an execution on the same machine hash that is not
+    serialised against it is caught overlapping.
+    """
+
+    name = "overlap-probe"
+
+    def __init__(self, inner=None):
+        self.inner = inner if inner is not None else BatchedBackend()
+        self.lock = threading.Lock()
+        self.calls = 0
+        self.active = 0
+        self.max_active = 0
+        self.entered = threading.Event()
+
+    def measure_units(self, machine, units):
+        with self.lock:
+            self.calls += 1
+            call = self.calls
+            if call == 1:
+                raise RuntimeError("injected worker failure")
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+        try:
+            if call == 2:
+                self.entered.wait(1.0)
+            else:
+                self.entered.set()
+            return self.inner.measure_units(machine, units)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+class FailingReadStore(MemoryStore):
+    """A memory store whose record reads raise after the first."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def get_cost_records(self, key):
+        self.reads += 1
+        if self.reads > 1:
+            raise OSError("injected store read failure")
+        return super().get_cost_records(key)
 
 
 @pytest.fixture
@@ -310,6 +364,35 @@ class TestRetryAndFailure:
             assert len(records) == len(plans)
 
 
+    def test_rebuilt_machine_keeps_executions_serialised(self, config):
+        # The failure evicts the machine; the retry and a fresh job on the
+        # same machine hash must still never measure at the same time.
+        probe = OverlapProbeBackend()
+        first = [iterative_plan(n) for n in range(4, 7)]
+        second = [right_recursive_plan(n) for n in range(4, 7)]
+        with CampaignService(backend=probe, workers=2, max_attempts=3) as service:
+            ticket_a = service.submit(CampaignJob(config, tuple(first)))
+            while service.stats().retries == 0:
+                time.sleep(0.001)
+            ticket_b = service.submit(CampaignJob(config, tuple(second)))
+            assert len(ticket_a.result(timeout=60)) == len(first)
+            assert len(ticket_b.result(timeout=60)) == len(second)
+        assert probe.calls == 3
+        assert probe.max_active == 1
+
+    def test_failing_store_read_does_not_fail_the_execution(self, config, plans):
+        # A shared-store service re-reads the log before every execution;
+        # a read that raises is skipped, not charged as a task failure.
+        store = FailingReadStore()
+        expected = CostEngine(SimulatedMachine(config)).records(plans, ("cycles",))
+        with CampaignService(store=store, shared_store=True, workers=1) as service:
+            records = service.lookup(config, plans, timeout=60)
+            stats = service.stats()
+        assert [r["cycles"] for r in records] == [r["cycles"] for r in expected]
+        assert store.reads > 1
+        assert (stats.retries, stats.failures) == (0, 0)
+
+
 class TestLifecycleAndStats:
     def test_graceful_shutdown_completes_accepted_work(self, config, plans):
         service = CampaignService(workers=2)
@@ -366,12 +449,22 @@ class TestServicePersistence:
             assert counting_b.executed == []  # all served from the shard log
             assert len(records) == len(plans)
 
-    def test_wall_metrics_never_persist(self, config, tmp_path):
+    @pytest.mark.parametrize(
+        "metrics",
+        [("wall_time",), ("cycles", "model_instructions", "wall_time")],
+        ids=["wall", "counter-model-wall"],
+    )
+    def test_wall_metrics_never_persist(self, config, tmp_path, metrics):
         store_path = str(tmp_path / "svc")
-        plan = right_recursive_plan(4)
+        plans = [right_recursive_plan(4), iterative_plan(4)]
+        stable = tuple(name for name in metrics if name != "wall_time")
+        expected = CostEngine(SimulatedMachine(config)).records(plans, stable)
         with serve(store=store_path) as service:
-            record = service.lookup(config, [plan], metrics=("wall_time",))[0]
-            assert record["wall_time"] > 0
+            records = service.lookup(config, plans, metrics=metrics)
+            assert all(record["wall_time"] > 0 for record in records)
+            assert [{name: r[name] for name in stable} for r in records] == [
+                r.values for r in expected
+            ]
         with serve(store=store_path) as service:
             stored = service.store.get_cost_records(
                 service.client(config).key

@@ -428,6 +428,19 @@ class TestConnectionSupervision:
                 assert server.stats()["expired"] == 0
                 client.close()
 
+    def test_failing_a_live_connection_stops_its_reader_thread(self, config, plans):
+        # The server keeps the connection open, so only the client's own
+        # close can wake the reader thread parked in recv().
+        with CampaignService() as service:
+            with serve_tcp(service) as server:
+                client = RemoteServiceClient(server.url, config, heartbeat_interval=None)
+                client.records(plans)
+                connection = client.transports[server.url]._conn
+                connection.fail(TransportError("connection replaced"))
+                connection.join(1.0)
+                assert not connection._reader.is_alive()
+                client.close()
+
     def test_reconnect_backoff_is_deterministic(self):
         a = RemoteTransport("tcp://127.0.0.1:9", heartbeat_interval=None,
                             retry_seed=3, client_id="peer")
