@@ -106,29 +106,37 @@ def run_smoke():
 
 
 def check_exactness() -> None:
-    """Streaming pipeline must be bit-identical to the eager reference."""
-    from repro.machine.configs import opteron_like, tiny_machine
+    """Streaming pipeline must be bit-identical to the eager reference.
+
+    The default machine's n=14 plan overflows its 16-way, 64-set L2, so a
+    real strided WHT L2 stream goes through the N-way classifier.
+    """
+    from repro.machine.configs import default_machine, opteron_like, tiny_machine
     from repro.machine.hierarchy import MemoryHierarchy
     from repro.machine.trace import trace_from_nests
     from repro.wht.interpreter import PlanInterpreter
     from repro.wht.random_plans import random_plan
 
     interpreter = PlanInterpreter()
-    for machine, size in ((tiny_machine(), 8), (opteron_like(noise_sigma=0.0), 9)):
-        for seed in range(3):
-            plan = random_plan(size, rng=seed)
-            streamed = machine.prepare(plan).hierarchy_stats
-            _, nests = interpreter.profile(plan, record_trace=True)
-            trace = trace_from_nests(nests, element_size=machine.config.element_size)
-            hierarchy = MemoryHierarchy(
-                machine.config.l1, machine.config.l2, vectorized=False
+    cases = [
+        *((tiny_machine(), 8, seed) for seed in range(3)),
+        *((opteron_like(noise_sigma=0.0), 9, seed) for seed in range(3)),
+        (default_machine(noise_sigma=0.0), 14, 0),
+    ]
+    for machine, size, seed in cases:
+        plan = random_plan(size, rng=seed)
+        streamed = machine.prepare(plan).hierarchy_stats
+        _, nests = interpreter.profile(plan, record_trace=True)
+        trace = trace_from_nests(nests, element_size=machine.config.element_size)
+        hierarchy = MemoryHierarchy(
+            machine.config.l1, machine.config.l2, vectorized=False
+        )
+        eager = hierarchy.process_trace(trace)
+        if streamed != eager:
+            raise SystemExit(
+                f"exactness regression: streamed {streamed} != eager {eager} "
+                f"({machine.config.name}, n={size}, seed={seed})"
             )
-            eager = hierarchy.process_trace(trace)
-            if streamed != eager:
-                raise SystemExit(
-                    f"exactness regression: streamed {streamed} != eager {eager} "
-                    f"({machine.config.name}, n={size}, seed={seed})"
-                )
 
 
 def check_search_budget() -> None:

@@ -15,12 +15,12 @@ Four simulators are provided, all operating on byte addresses:
   lines, so an access hits iff it equals the previous or the
   previous-previous distinct line of its set.
 * :class:`NWayLRUCache` — arbitrary associativity ``A`` (the 16-way L2 and
-  the associativity ablation), vectorised via set-grouped stack distances:
-  within one set, an access hits iff fewer than ``A`` distinct lines occurred
-  since its previous occurrence.  The hit depth is resolved with ``A - 1``
-  vectorised passes that track the contents of each LRU stack position over
-  time (see DESIGN.md), so cost is ``O(A · n)`` NumPy work with no per-access
-  Python loop.
+  the associativity ablation), vectorised as a reuse-gap classifier: within
+  one set, an access hits iff fewer than ``A`` distinct lines occurred since
+  its previous occurrence.  One stable sort by line gives every access's
+  previous occurrence; a gap of at most ``A`` is a certain hit, a sliding
+  window maximum proves most longer gaps to be misses, and the few left are
+  counted exactly (see DESIGN.md §5).  No per-access Python loop.
 
 All simulators implement the same small interface (``access``, ``simulate``,
 ``reset``, ``stats``) so the memory hierarchy can mix them freely, and all
@@ -178,19 +178,22 @@ def _as_address_array(addresses: np.ndarray, check: bool = True) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _set_sort_key(sets: np.ndarray, num_sets: int) -> np.ndarray:
-    """Narrowest integer view of a set-index array for the grouping argsort.
+def _narrow_key(values: np.ndarray, bound: int) -> np.ndarray:
+    """Narrowest integer view of ``values`` (all in ``[0, bound)``) for an argsort.
 
     NumPy's stable sort is a radix sort for 8/16-bit integers but a
-    comparison sort for wider types; set indices are bounded by the geometry,
-    so narrowing the *sort key* (the data arrays stay int64) turns the
-    dominant grouping pass into O(n) for every realistic configuration.
+    comparison sort for wider types.  Set indices are bounded by the
+    geometry and a chunk's lines by its span, so narrowing the *sort key*
+    (the data arrays stay int64) makes the grouping sorts O(n) for every
+    realistic configuration.
     """
-    if num_sets <= (1 << 15):
-        return sets.astype(np.int16)
-    if num_sets <= (1 << 31):
-        return sets.astype(np.int32)
-    return sets
+    if bound <= (1 << 8):
+        return values.astype(np.uint8)
+    if bound <= (1 << 16):
+        return values.astype(np.uint16)
+    if bound <= (1 << 31):
+        return values.astype(np.int32)
+    return values
 
 
 class SetAssociativeLRUCache:
@@ -260,7 +263,7 @@ class DirectMappedCache:
     simulators work on whole *line numbers* instead of split (set, tag)
     pairs: within one set group, line equality is tag equality, so the tag
     extraction pass and one large gather disappear; the narrow
-    :func:`_set_sort_key` is the only per-set quantity ever materialised.
+    :func:`_narrow_key` set key is the only per-set quantity ever materialised.
     """
 
     def __init__(self, config: CacheConfig):
@@ -292,7 +295,7 @@ class DirectMappedCache:
             return np.zeros(0, dtype=bool)
         config = self.config
         lines = arr >> config.offset_bits
-        key = _set_sort_key(lines & (config.num_sets - 1), config.num_sets)
+        key = _narrow_key(lines & (config.num_sets - 1), config.num_sets)
 
         order = np.argsort(key, kind="stable")
         sorted_keys = key[order]
@@ -393,7 +396,7 @@ class TwoWayLRUCache:
         else:
             n_virtual = 0
             all_lines = lines
-        key = _set_sort_key(all_lines & (num_sets - 1), num_sets)
+        key = _narrow_key(all_lines & (num_sets - 1), num_sets)
 
         order = np.argsort(key, kind="stable")
         g_keys = key[order]
@@ -458,23 +461,22 @@ class TwoWayLRUCache:
 class NWayLRUCache:
     """Arbitrary-associativity LRU cache with a vectorised trace simulation.
 
-    The simulation works on the set-grouped trace with runs of consecutive
-    identical lines removed (those are depth-1 hits).  In the remaining
-    *distinct* per-set sequence the LRU stack evolves mechanically: the
-    incoming line always lands at stack position 1 and the old position-1
-    line always drops to position 2, while position ``d`` receives the old
-    position ``d-1`` line exactly at steps whose hit depth is ``>= d``.
-    Tracking "content of stack position ``d`` before each step" therefore
-    reduces to a masked forward-fill of the position ``d-1`` contents, and
-    ``A - 1`` such passes classify every access: an access hits iff its tag
-    equals the content of some position ``<= A``.  This is the stack-distance
-    criterion — an access hits iff fewer than ``A`` distinct lines were
-    referenced in its set since its previous occurrence — computed without a
-    per-access Python loop.
+    ``simulate`` is an exact reuse-gap classifier on the set-grouped trace
+    with runs of consecutive identical lines removed (those are hits).  In
+    that sequence an access at ``t`` whose line last occurred at ``p`` hits
+    iff fewer than ``A`` distinct lines occurred strictly between them (the
+    stack-distance criterion), and a line ``q`` in ``(p, t)`` is new to the
+    window iff its own previous occurrence ``prev[q]`` precedes ``p``:
+
+    * a first occurrence misses; a gap ``t - p <= A`` hits;
+    * a longer gap misses when every slot of ``(p, p + A]`` is new to the
+      window, which one sliding maximum of ``prev`` decides for all accesses;
+    * the rest (a few percent on WHT traces) count new slots ``A`` at a time
+      until ``A`` are found or ``t`` is reached.
 
     Warm continuation across ``simulate`` calls is exact: the per-set LRU
-    stack state is replayed as virtual leading accesses (LRU way first) and
-    re-extracted from the tail of the simulated chunk.
+    stack state is replayed as virtual leading accesses (LRU way first), and
+    the new state is each set's ``A`` most recent last occurrences.
     """
 
     def __init__(self, config: CacheConfig):
@@ -515,106 +517,98 @@ class NWayLRUCache:
         # Replay warm state as virtual leading accesses for the sets touched
         # by this chunk: LRU way first, so the MRU way ends up most recent.
         # A cold simulator (nothing resident anywhere) skips the whole replay.
+        key = _narrow_key(lines & (num_sets - 1), num_sets)
         if np.any(self._stack[:, 0] >= 0):
-            present = np.unique(
-                _set_sort_key(lines & (num_sets - 1), num_sets)
-            ).astype(np.int64)
+            present = np.flatnonzero(np.bincount(key, minlength=num_sets))
             reversed_stacks = self._stack[present, ::-1]
-            valid = reversed_stacks >= 0
-            virtual_lines = reversed_stacks[valid]
+            virtual_lines = reversed_stacks[reversed_stacks >= 0]
             n_virtual = virtual_lines.shape[0]
             all_lines = np.concatenate([virtual_lines, lines])
+            key = np.concatenate(
+                [_narrow_key(virtual_lines & (num_sets - 1), num_sets), key]
+            )
         else:
             present = None
             n_virtual = 0
             all_lines = lines
-        total = all_lines.shape[0]
-        key = _set_sort_key(all_lines & (num_sets - 1), num_sets)
-
         order = np.argsort(key, kind="stable")
-        g_keys = key[order]
         g_lines = all_lines[order]
 
-        new_group = np.empty(total, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = g_keys[1:] != g_keys[:-1]
+        # Run repeats (consecutive duplicates, necessarily of one set) are
+        # hits that leave the LRU stack unchanged; classify the rest.
+        repeat = g_lines[1:] == g_lines[:-1]
+        if repeat.any():
+            distinct = np.flatnonzero(np.concatenate([[True], ~repeat]))
+            d_lines = g_lines[distinct]
+            order = order[distinct]
+        else:
+            d_lines = g_lines
+        m = d_lines.shape[0]
+        # Positions, gaps and walk cursors all stay below m + 2A.
+        index = np.int32 if m + 2 * associativity < (1 << 31) else np.int64
 
-        # Depth-1 hits: consecutive duplicates within a set group.  They do
-        # not change the LRU stack and are removed before depth resolution.
-        duplicate = np.zeros(total, dtype=bool)
-        duplicate[1:] = (~new_group[1:]) & (g_lines[1:] == g_lines[:-1])
-        distinct_idx = np.nonzero(~duplicate)[0]
-        d_keys = g_keys[distinct_idx]
-        d_lines = g_lines[distinct_idx]
-        m = distinct_idx.shape[0]
+        # prev[t]: the previous occurrence of t's line (-1 for none).  One
+        # stable sort by line lists every line's occurrences in order.
+        low = int(d_lines.min())
+        line_key = _narrow_key(d_lines - low, int(d_lines.max()) - low + 1)
+        by_line = np.argsort(line_key, kind="stable").astype(index, copy=False)
+        sorted_key = line_key[by_line]
+        same = sorted_key[1:] == sorted_key[:-1]
+        prev = np.empty(m, dtype=index)
+        prev[by_line[0]] = -1
+        prev[by_line[1:]] = np.where(same, by_line[:-1], -1)
 
-        d_new_group = np.empty(m, dtype=bool)
-        d_new_group[0] = True
-        d_new_group[1:] = d_keys[1:] != d_keys[:-1]
-        positions = np.arange(m, dtype=np.int64)
-        group_start = np.maximum.accumulate(np.where(d_new_group, positions, 0))
+        # Stack distance: t hits iff fewer than A distinct lines occurred
+        # since p = prev[t].  A first occurrence misses; a gap t - p <= A
+        # holds at most A - 1 other lines and hits.
+        miss = prev < 0
+        far = np.flatnonzero((np.arange(m, dtype=index) - prev > associativity) & ~miss)
+        far_prev = prev[far]
+        # A far access is a certain miss when none of the A slots after p
+        # repeats a line seen since p (prev[q] < p for all of them): those
+        # are A distinct lines.  window[i] = max(prev[i : i + A]).
+        window = prev
+        width = 1
+        while width < associativity:
+            window = np.maximum(window[:-width], window[width:])
+            width *= 2
+        repeated = window[far_prev + 1] > far_prev
+        miss[far[~repeated]] = True
+        # The residue: count the distinct lines exactly, A slots at a time,
+        # until A are found (a miss) or the access is reached (a hit).
+        # Slots past t read prev[t] = p, which never counts.
+        todo = far[repeated]
+        todo_prev = far_prev[repeated]
+        count = np.zeros(todo.shape[0], dtype=np.int64)
+        start = todo_prev + 1
+        slots = np.arange(associativity, dtype=index)
+        while todo.shape[0]:
+            q = np.minimum(start[:, None] + slots, todo[:, None])
+            count += np.count_nonzero(prev[q] < todo_prev[:, None], axis=1)
+            start += associativity
+            full = count >= associativity
+            miss[todo[full]] = True
+            live = ~full & (start < todo)
+            todo, todo_prev = todo[live], todo_prev[live]
+            count, start = count[live], start[live]
 
-        # Content of stack position 2 before each step: the distinct line two
-        # back in the same group (position 1 is always the previous line, and
-        # a depth-2-or-deeper access never equals it by construction).
-        current = np.full(m, -1, dtype=np.int64)
-        if m > 2:
-            current[2:] = np.where(
-                positions[2:] >= group_start[2:] + 2, d_lines[:-2], -1
-            )
-        hit = np.zeros(m, dtype=bool)
-        for depth in range(2, associativity + 1):
-            # Lines are nonnegative, so the -1 "invalid" sentinel can never
-            # equal a line and no separate validity mask is needed.
-            hit |= d_lines == current
-            if depth == associativity:
-                break
-            if not np.any(current >= 0):
-                # No set has a line at this stack depth (fewer distinct lines
-                # than the associativity everywhere): every deeper position
-                # is empty too, so the remaining unhit accesses are misses.
-                break
-            # Stack position depth+1 receives the old position-depth content
-            # exactly at steps that did not hit at depth <= depth; its content
-            # before step t is therefore the last such arrival before t.
-            mask = ~hit
-            last_arrival = np.maximum.accumulate(np.where(mask, positions, -1))
-            previous = np.empty(m, dtype=np.int64)
-            previous[0] = -1
-            previous[1:] = last_arrival[:-1]
-            current = np.where(
-                previous >= group_start, current[np.maximum(previous, 0)], -1
-            )
-
-        miss_grouped = np.zeros(total, dtype=bool)
-        miss_grouped[distinct_idx] = ~hit
-        misses_all = np.empty(total, dtype=bool)
-        misses_all[order] = miss_grouped
+        misses_all = np.zeros(all_lines.shape[0], dtype=bool)
+        misses_all[order] = miss
         misses = misses_all[n_virtual:]
 
-        # Re-extract per-set warm state: the last occurrence of every
-        # distinct line (a line names its set), ranked by recency, gives the
-        # final LRU stacks.
-        last_order = np.lexsort((positions, d_lines))
-        l_sorted = d_lines[last_order]
-        last_of_line = np.empty(m, dtype=bool)
-        last_of_line[-1] = True
-        last_of_line[:-1] = l_sorted[1:] != l_sorted[:-1]
-        pair_lines = l_sorted[last_of_line]
-        pair_keys = d_keys[last_order][last_of_line]
-        pair_pos = last_order[last_of_line]
-        recency = np.lexsort((-pair_pos, pair_keys))
-        r_keys = pair_keys[recency]
-        r_lines = pair_lines[recency]
-        r_positions = np.arange(r_keys.shape[0], dtype=np.int64)
-        r_new = np.empty(r_keys.shape[0], dtype=bool)
-        r_new[0] = True
-        r_new[1:] = r_keys[1:] != r_keys[:-1]
-        rank = r_positions - np.maximum.accumulate(np.where(r_new, r_positions, 0))
+        # Warm state: each set's A most recent last occurrences, MRU first.
+        # A line's last occurrence ends its run in the line sort; its rank
+        # is the number of later last occurrences in the same set.
+        is_last = np.zeros(m, dtype=bool)
+        is_last[by_line[np.append(~same, True)]] = True
+        last_lines = d_lines[is_last]
+        last_sets = last_lines & (num_sets - 1)
+        ends = np.flatnonzero(np.append(last_sets[1:] != last_sets[:-1], True))
+        rank = np.repeat(ends, np.diff(ends, prepend=-1)) - np.arange(last_lines.shape[0])
         keep = rank < associativity
         if present is not None:
             self._stack[present] = -1
-        self._stack[r_keys[keep], rank[keep]] = r_lines[keep]
+        self._stack[last_sets[keep], rank[keep]] = last_lines[keep]
 
         self.stats.record(arr.shape[0], int(misses.sum()))
         return misses

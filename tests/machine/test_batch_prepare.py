@@ -9,13 +9,15 @@ These tests pin that contract over the enumerated plan space, random RSU
 batches and Hypothesis-driven geometries.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.machine.cache import CacheConfig
-from repro.machine.configs import opteron_like, tiny_machine
+from repro.machine.configs import default_machine_config, opteron_like, tiny_machine
 from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.machine.trace import (
@@ -24,6 +26,7 @@ from repro.machine.trace import (
     stream_line_chunks,
     trace_from_nests,
 )
+from repro.wht.canonical import balanced_plan, left_recursive_plan
 from repro.wht.enumeration import enumerate_plans
 from repro.wht.interpreter import ExecutionStats, PlanInterpreter
 from repro.wht.random_plans import random_plan, random_plans
@@ -72,6 +75,19 @@ class TestPrepareBatchParity:
         machine = tiny_machine(noise_sigma=0.0)
         plans = [random_plan(n, rng=seed) for seed in range(3) for n in (3, 5, 7, 9)]
         assert_batch_matches_reference(machine, plans, reference=reference_prepare)
+
+    def test_default_machine_l2_stream_matches_oracle_caches(self):
+        # n=14 doubles overflow the default machine's 16-way, 64-set L2, so
+        # the real strided WHT L2 stream goes through the N-way classifier.
+        config = default_machine_config(noise_sigma=0.0)
+        plans = [balanced_plan(14), left_recursive_plan(14)]
+        machine = SimulatedMachine(config)
+        assert machine.hierarchy.analytic_l2_misses(2**14 * config.element_size) is None
+        oracle = SimulatedMachine(dataclasses.replace(config, vectorized_caches=False))
+        for fast, slow in zip(machine.prepare_batch(plans), oracle.prepare_batch(plans)):
+            stats = fast.hierarchy_stats
+            assert 0 < stats.l2_misses < stats.l2_accesses
+            assert stats == slow.hierarchy_stats
 
     def test_opteron_rsu_batch(self):
         machine = opteron_like(noise_sigma=0.0)

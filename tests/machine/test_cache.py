@@ -333,6 +333,65 @@ class TestNWayLRU:
             offset += size
         assert np.array_equal(single, np.concatenate(parts))
 
+    @given(
+        assoc=st.sampled_from([1, 2, 4, 8, 16, 32]),
+        num_sets=st.sampled_from([1, 2, 4, 8]),
+        seed=st.integers(0, 10**6),
+        kinds=st.lists(
+            st.sampled_from(["random", "cycle", "hot"]), min_size=1, max_size=8
+        ),
+        chunks=st.integers(1, 5),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_property_reuse_gap_classifier_equals_oracle(
+        self, assoc, num_sets, seed, kinds, chunks
+    ):
+        # Per-set cyclic sweeps of period A-1..A+2 put reuse gaps on both
+        # sides of the gap <= A shortcut; a hot set inside a long gap forces
+        # the exact residue walk, ending just below or at A distinct lines.
+        config = CacheConfig(32 * assoc * num_sets, 32, assoc)
+        rng = np.random.default_rng(seed)
+        lines = np.concatenate(
+            [_reuse_gap_segment(kind, rng, assoc, num_sets) for kind in kinds]
+        )
+        addresses = lines * 32 + rng.integers(0, 32, size=lines.shape[0])
+        cuts = np.sort(rng.integers(0, addresses.shape[0] + 1, size=chunks - 1))
+        oracle = SetAssociativeLRUCache(config)
+        classifier = NWayLRUCache(config)
+        for chunk in np.split(addresses, cuts):
+            assert np.array_equal(oracle.simulate(chunk), classifier.simulate(chunk))
+        for index in range(num_sets):
+            tags = [
+                int(line) >> config.index_bits
+                for line in classifier._stack[index]
+                if line >= 0
+            ]
+            assert tags == oracle._sets[index]
+
+
+def _reuse_gap_segment(kind, rng, assoc, num_sets):
+    """Line numbers of one trace segment aimed at the reuse-gap classifier."""
+    target = int(rng.integers(num_sets))
+    tags = rng.permutation(4 * assoc + 8)
+
+    def in_set(tag_indices):
+        return tags[tag_indices] * num_sets + target
+
+    if kind == "random":
+        size = int(rng.integers(1, 4 * assoc + 8))
+        return rng.integers(0, (4 * assoc + 8) * num_sets, size=size)
+    if kind == "cycle":
+        period = max(1, assoc + int(rng.integers(-1, 3)))
+        return in_set(np.arange(period * int(rng.integers(2, 5))) % period)
+    # "hot": x, a hot set of h < A lines cycled past A slots, k fresh lines
+    # (h + k distinct lines in total, around A), then x again.
+    hot = int(rng.integers(1, max(2, assoc)))
+    fresh = max(0, assoc - hot + int(rng.integers(-1, 2)))
+    cycled = np.arange(int(rng.integers(assoc + 1, 3 * assoc + 3))) % hot
+    return in_set(
+        np.concatenate([[0], 1 + cycled, 1 + hot + np.arange(fresh), [0]])
+    )
+
 
 class TestFactories:
     def test_make_cache_picks_vectorised(self):

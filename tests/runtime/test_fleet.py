@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.runtime.fleet as fleet_module
 from repro.machine.configs import tiny_machine_config
 from repro.machine.machine import SimulatedMachine
 from repro.runtime.backends import BatchedBackend
@@ -333,8 +334,14 @@ class TestFailover:
                 heartbeat_interval=None,
             )
             try:
-                # Kill one member outright before any work reaches it.
-                victim = CHAOS_SEED % len(fleet.servers)
+                # Kill one member outright before any work reaches it.  The
+                # ring hashes the members' random ports, so pick among the
+                # members that own at least one of the plans.
+                owners = ring_assign(
+                    fleet.urls, client.machine_hash, [plan_key(p) for p in plans]
+                )
+                owning = [i for i, url in enumerate(fleet.urls) if url in owners]
+                victim = owning[CHAOS_SEED % len(owning)]
                 fleet.servers[victim].close()
                 fleet.services[victim].shutdown()
                 records = client.records(plans, ("cycles",))
@@ -539,6 +546,21 @@ class TestGossipAndRedirects:
 # -- the fault plan's fleet axis -----------------------------------------------
 
 
+class _ManualClock:
+    """Stands in for the fleet module's ``time``: time passes only while the
+    client waits for a heal, so a partition outlives every round in which
+    another member is alive, however slowly the host runs those rounds."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
 class TestFleetFaultAxis:
     def test_fleet_sites_draw_from_the_fleet_spec(self):
         fplan = FaultPlan(seed=3, fleet=FaultSpec(error_rate=1.0))
@@ -570,8 +592,9 @@ class TestFleetFaultAxis:
                 client.close()
 
     def test_injected_partitions_heal_and_the_batch_completes(
-        self, config, plans, tmp_path
+        self, config, plans, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(fleet_module, "time", _ManualClock())
         expected = _private_engine(config, seed=7).records(plans, ("cycles",))
         fplan = FaultPlan(seed=CHAOS_SEED, fleet=FaultSpec(error_rate=0.4))
         with Fleet(tmp_path) as fleet:
@@ -593,7 +616,9 @@ class TestFleetFaultAxis:
             finally:
                 client.close()
 
-    def test_fault_schedule_is_seed_deterministic(self, config, plans, tmp_path):
+    def test_fault_schedule_is_seed_deterministic(
+        self, config, plans, tmp_path, monkeypatch
+    ):
         """Same seed + same member set → the same injection schedule.
 
         (The schedule keys on ``fleet-<url>`` sites, so it is deterministic
@@ -602,6 +627,7 @@ class TestFleetFaultAxis:
         with Fleet(tmp_path, size=2) as fleet:
 
             def run():
+                monkeypatch.setattr(fleet_module, "time", _ManualClock())
                 fplan = FaultPlan(seed=CHAOS_SEED, fleet=FaultSpec(error_rate=0.3))
                 client = FleetClient(
                     fleet.urls,
