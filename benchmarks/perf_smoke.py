@@ -109,33 +109,58 @@ def check_exactness() -> None:
     """Streaming pipeline must be bit-identical to the eager reference.
 
     The default machine's n=14 plan overflows its 16-way, 64-set L2, so a
-    real strided WHT L2 stream goes through the N-way classifier.
+    real strided WHT L2 stream goes through the N-way classifier.  Two more
+    plans exercise repeated-call folding: on the default machine
+    ``random_plan(14, rng=2)`` folds runs that thrash L1 (but fit L2), and
+    on the tiny machine ``random_plan(11, rng=1)`` folds runs that thrash
+    both levels.  Each must actually fold, so the check cannot pass
+    vacuously.
     """
     from repro.machine.configs import default_machine, opteron_like, tiny_machine
     from repro.machine.hierarchy import MemoryHierarchy
-    from repro.machine.trace import trace_from_nests
+    from repro.machine.trace import stream_line_chunks, trace_from_nests
     from repro.wht.interpreter import PlanInterpreter
     from repro.wht.random_plans import random_plan
 
     interpreter = PlanInterpreter()
+    # (machine, n, seed, level whose misses the stream must fold)
     cases = [
-        *((tiny_machine(), 8, seed) for seed in range(3)),
-        *((opteron_like(noise_sigma=0.0), 9, seed) for seed in range(3)),
-        (default_machine(noise_sigma=0.0), 14, 0),
+        *((tiny_machine(), 8, seed, None) for seed in range(3)),
+        *((opteron_like(noise_sigma=0.0), 9, seed, None) for seed in range(3)),
+        (default_machine(noise_sigma=0.0), 14, 0, None),
+        (default_machine(noise_sigma=0.0), 14, 2, "l1"),
+        (tiny_machine(), 11, 1, "l2"),
     ]
-    for machine, size, seed in cases:
+    for machine, size, seed, folds in cases:
+        config = machine.config
         plan = random_plan(size, rng=seed)
+        if folds is not None:
+            chunks = list(
+                stream_line_chunks(
+                    interpreter.iter_nest_blocks(plan),
+                    line_size=config.l1.line_size,
+                    element_size=config.element_size,
+                    caches=(config.l1, config.l2),
+                )
+            )
+            folded = sum(
+                chunk.folded_l2_misses if folds == "l2" else chunk.folded_l1_misses
+                for chunk in chunks
+            )
+            if folded == 0:
+                raise SystemExit(
+                    f"fold coverage lost: no {folds} misses folded "
+                    f"({config.name}, n={size}, seed={seed})"
+                )
         streamed = machine.prepare(plan).hierarchy_stats
         _, nests = interpreter.profile(plan, record_trace=True)
-        trace = trace_from_nests(nests, element_size=machine.config.element_size)
-        hierarchy = MemoryHierarchy(
-            machine.config.l1, machine.config.l2, vectorized=False
-        )
+        trace = trace_from_nests(nests, element_size=config.element_size)
+        hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=False)
         eager = hierarchy.process_trace(trace)
         if streamed != eager:
             raise SystemExit(
                 f"exactness regression: streamed {streamed} != eager {eager} "
-                f"({machine.config.name}, n={size}, seed={seed})"
+                f"({config.name}, n={size}, seed={seed})"
             )
 
 
@@ -209,7 +234,7 @@ def check_search_budget() -> None:
 def check_batch_identity() -> None:
     """The cross-plan fused batch pipeline must be exact.
 
-    ``prepare_batch`` — write-pass elision, analytic full-coverage
+    ``prepare_batch`` — repeated-pass elision, analytic full-coverage
     statistics, spliced super-stream simulation with per-plan segmentation —
     must reproduce the eager reference pipeline's HierarchyStatistics for
     every enumerated plan (n <= 6, one mixed batch) and for random larger

@@ -112,16 +112,22 @@ class MemoryHierarchy:
         duplicate lines may already be collapsed away (they are guaranteed
         hits at every level and do not change LRU state; see
         :func:`repro.machine.trace.collapse_consecutive`); each chunk's raw
-        ``accesses`` count is what L1 reports.
+        ``accesses`` count is what L1 reports, and its folded miss counts
+        (calls the stream generator counted instead of emitting) are added
+        to the simulated ones.
         """
         l1 = self.build_l1()
         l2 = self.build_l2()
         offset_bits = self.l1_config.offset_bits
         total_accesses = 0
+        folded_l1 = 0
+        folded_l2 = 0
         l2_accesses = 0
         l2_misses = 0
         for chunk in chunks:
             total_accesses += chunk.accesses
+            folded_l1 += chunk.folded_l1_misses
+            folded_l2 += chunk.folded_l2_misses
             if chunk.lines.shape[0] == 0:
                 continue
             # Rebuild byte addresses at line granularity for the simulators
@@ -132,10 +138,10 @@ class MemoryHierarchy:
                 miss_addresses = addresses[l1_miss_mask]
                 if miss_addresses.shape[0]:
                     l2.simulate(miss_addresses, check=False)
-        l1_misses = l1.stats.misses
+        l1_misses = l1.stats.misses + folded_l1
         if l2 is not None:
-            l2_accesses = l2.stats.accesses
-            l2_misses = l2.stats.misses
+            l2_accesses = l2.stats.accesses + folded_l1
+            l2_misses = l2.stats.misses + folded_l2
         return HierarchyStatistics(
             l1_accesses=total_accesses,
             l1_misses=l1_misses,
@@ -291,6 +297,9 @@ class MemoryHierarchy:
         boundary can never be referenced again, which *is* the per-plan cold
         reset, enforced by the address space instead of by the simulators.
 
+        Each segment's folded miss counts are added to its plan's simulated
+        counts, as in :meth:`process_line_chunks`.
+
         ``footprint_bytes`` optionally carries each plan's contiguous
         full-coverage footprint; plans whose footprint provably fits L2
         (:meth:`analytic_l2_misses`) skip L2 simulation entirely — their L1
@@ -328,6 +337,11 @@ class MemoryHierarchy:
                     f"but the batch has {num_plans} plans"
                 )
             np.add.at(l1_accesses, seg_plan, chunk.seg_accesses)
+            if chunk.seg_folded_l1.any():
+                np.add.at(l1_misses, seg_plan, chunk.seg_folded_l1)
+                if l2 is not None:
+                    np.add.at(l2_accesses, seg_plan, chunk.seg_folded_l1)
+                    np.add.at(l2_misses, seg_plan, chunk.seg_folded_l2)
             lines = chunk.lines
             if lines.shape[0] == 0:
                 continue

@@ -180,9 +180,11 @@ class SimulatedMachine:
         chunks feed warm-started hierarchy simulators.  Neither the nest list
         nor the address trace is ever materialised, and the statistics are
         bit-identical to the eager profile → trace → simulate pipeline —
-        including the two exact shortcuts of the fused pipeline (analytic
+        including the exact shortcuts of the fused pipeline: analytic
         full-coverage statistics for footprints that fit a cache level, and
-        write-pass elision; see DESIGN.md §10).
+        repeated-pass elision, which drops guaranteed-hit write passes and
+        folds runs of calls over one line sequence into one simulated call
+        plus an exact miss count (see DESIGN.md §10).
 
         With a :class:`PreparedPlanCache` attached, repeated preparations of
         structurally equal plans return the cached (identical) result.
@@ -283,8 +285,7 @@ class SimulatedMachine:
                     ),
                     line_size=line_size,
                     element_size=element_size,
-                    hit_elision_sets=config.l1.num_sets,
-                    hit_elision_ways=config.l1.associativity,
+                    caches=(config.l1, config.l2),
                 )
                 for index in streamed
             ]

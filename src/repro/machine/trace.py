@@ -17,7 +17,11 @@ Two expansion paths are provided (see DESIGN.md):
   at generation time (line-aligned unit-stride nests collapse analytically,
   without ever materialising their per-element accesses).  The full trace is
   never held in memory; bounded :class:`LineChunk` batches stream into the
-  hierarchy simulators.
+  hierarchy simulators.  Given the cache geometry, the stream also drops
+  provably repeated passes: write passes that are guaranteed hits, and runs
+  of back-to-back codelet calls over one line sequence, whose misses are
+  counted exactly instead of simulated (repeated-pass elision, DESIGN.md
+  §10).
 * :func:`trace_from_nests` / :class:`MemoryTrace` — the eager byte-address
   view, retained as a thin compatibility layer for tests, ablations and any
   consumer that wants the exact per-element access sequence.
@@ -31,6 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.machine.cache import CacheConfig
 from repro.util.validation import check_positive_int
 from repro.wht.interpreter import _SINGLE_OFFSET, LeafNest, NestBlock
 
@@ -152,13 +157,20 @@ class LineChunk:
     ``lines`` holds cache-line numbers in exact access order with runs of
     consecutive identical lines removed; ``accesses`` records how many raw
     element accesses the chunk represents (before collapsing), which is what
-    the hierarchy reports as L1 accesses.
+    the hierarchy reports as L1 accesses.  ``folded_l1_misses`` and
+    ``folded_l2_misses`` are the exact misses of codelet calls that were
+    folded out of ``lines`` (see :func:`_fold_repeated_calls`); every folded
+    L1 miss is also an L2 access.
     """
 
     lines: np.ndarray
     accesses: int
+    folded_l1_misses: int = 0
+    folded_l2_misses: int = 0
 
     def __post_init__(self) -> None:
+        if self.folded_l1_misses < 0 or self.folded_l2_misses < 0:
+            raise ValueError("folded miss counts must be nonnegative")
         lines = np.asarray(self.lines)
         if lines.ndim != 1:
             raise ValueError("chunk lines must form a 1-D array")
@@ -185,15 +197,18 @@ class SplicedLineChunk:
     ``seg_bounds`` delimits the segments within ``lines`` (length = number of
     segments + 1), ``seg_plan`` names the plan each segment belongs to, and
     ``seg_accesses`` records the raw (pre-collapse) accesses each segment
-    represents.  Several segments of one chunk may belong to the same plan
-    (a long stream spans chunks) and a chunk may carry many plans (short
-    streams fuse).
+    represents, and ``seg_folded_l1``/``seg_folded_l2`` its folded miss counts
+    (:attr:`LineChunk.folded_l1_misses`).  Several segments of one chunk may
+    belong to the same plan (a long stream spans chunks) and a chunk may
+    carry many plans (short streams fuse).
     """
 
     lines: np.ndarray
     seg_bounds: np.ndarray
     seg_plan: np.ndarray
     seg_accesses: np.ndarray
+    seg_folded_l1: np.ndarray
+    seg_folded_l2: np.ndarray
 
     @property
     def segments(self) -> int:
@@ -231,6 +246,8 @@ def splice_line_chunks(
     buf_lines: list[np.ndarray] = []
     buf_plan: list[int] = []
     buf_accesses: list[int] = []
+    buf_folded_l1: list[int] = []
+    buf_folded_l2: list[int] = []
     buffered = 0
 
     def flush() -> SplicedLineChunk:
@@ -247,10 +264,11 @@ def splice_line_chunks(
             seg_bounds=bounds,
             seg_plan=np.array(buf_plan, dtype=np.int64),
             seg_accesses=np.array(buf_accesses, dtype=np.int64),
+            seg_folded_l1=np.array(buf_folded_l1, dtype=np.int64),
+            seg_folded_l2=np.array(buf_folded_l2, dtype=np.int64),
         )
-        buf_lines.clear()
-        buf_plan.clear()
-        buf_accesses.clear()
+        for buf in (buf_lines, buf_plan, buf_accesses, buf_folded_l1, buf_folded_l2):
+            buf.clear()
         buffered = 0
         return chunk
 
@@ -262,6 +280,8 @@ def splice_line_chunks(
             buf_lines.append(chunk.lines + offset if offset else chunk.lines)
             buf_plan.append(plan_index)
             buf_accesses.append(chunk.accesses)
+            buf_folded_l1.append(chunk.folded_l1_misses)
+            buf_folded_l2.append(chunk.folded_l2_misses)
             buffered += int(chunk.lines.shape[0])
             if buffered >= chunk_lines:
                 yield flush()
@@ -316,46 +336,111 @@ def _analytic_lines_per_call(
     return epc // epl
 
 
-def _write_pass_elidable(
-    nest: LeafNest,
-    element_size: int,
-    line_size: int,
-    num_sets: int,
-    ways: int,
-) -> bool:
+def _set_cohort(elements: int, stride_bytes: int, cache: CacheConfig) -> int:
+    """Most lines any set of ``cache`` receives from ``elements`` distinct
+    lines spaced ``stride_bytes`` apart (a whole number of ``cache`` lines).
+
+    The line progression visits ``num_sets / gcd(stride_lines, num_sets)``
+    sets cyclically.  With power-of-two set counts and ``elements`` a power
+    of two, a cohort above one is *uniform*: every visited set receives
+    exactly that many lines.
+    """
+    stride_lines = stride_bytes // cache.line_size
+    sets_hit = max(cache.num_sets // math.gcd(stride_lines, cache.num_sets), 1)
+    return -(-elements // sets_hit)
+
+
+def _write_pass_elidable(nest: LeafNest, element_size: int, l1: CacheConfig) -> bool:
     """Whether the write pass of every call of ``nest`` may be elided.
 
     A codelet call touches its element block twice: a read pass immediately
-    followed by a write pass over the same addresses.  When no cache set
-    receives more than ``ways`` of the call's distinct lines (the per-set
-    *cohort* bound), every write-pass access finds its line within the
-    ``ways`` most recently used distinct lines of its set — a guaranteed hit
-    whose re-reference leaves the set's final recency order exactly as the
-    read pass left it (re-applying an access sequence to the state it
-    produced reproduces that state), and which, being a hit, never reaches
-    the next cache level.  Such write passes can be dropped from the emitted
-    stream without changing any hierarchy statistic at any level; the raw
-    ``accesses`` bookkeeping is unaffected.
+    followed by a write pass over the same addresses.  When no L1 set
+    receives more than ``associativity`` of the call's distinct lines (the
+    per-set *cohort* bound), every write-pass access finds its line within
+    the ``associativity`` most recently used distinct lines of its set — a
+    guaranteed hit whose re-reference leaves the set's final recency order
+    exactly as the read pass left it (re-applying an access sequence to the
+    state it produced reproduces that state), and which, being a hit, never
+    reaches the next cache level.  Such write passes can be dropped from the
+    emitted stream without changing any hierarchy statistic at any level;
+    the raw ``accesses`` bookkeeping is unaffected.
 
     The cohort test is conservative: it is evaluated exactly when the
-    element stride is a whole number of lines (an arithmetic line
-    progression distributes over ``num_sets / gcd`` sets) or a divisor of
-    the line size (the call spans a short consecutive line run), and
-    anything else keeps the doubled emission.
+    element stride is a whole number of lines (:func:`_set_cohort`) or a
+    divisor of the line size (the call spans a short consecutive line run),
+    and anything else keeps the doubled emission.
     """
     elements = nest.elements_per_call
     if elements == 1:
         return True  # read and write hit the same single line back to back
+    line_size = l1.line_size
     stride_bytes = nest.elem_stride * element_size
     if stride_bytes <= 0:
         return False
     if stride_bytes % line_size == 0:
-        sets_hit = max(num_sets // math.gcd(stride_bytes // line_size, num_sets), 1)
-        return -(-elements // sets_hit) <= ways
+        return _set_cohort(elements, stride_bytes, l1) <= l1.associativity
     if line_size % stride_bytes == 0:
         span = (elements * stride_bytes + line_size - 1) // line_size + 1
-        return span <= num_sets * ways
+        return span <= l1.num_lines
     return False
+
+
+def _fold_repeated_calls(
+    nest: LeafNest,
+    bases: np.ndarray,
+    element_size: int,
+    base_address: int,
+    l1: CacheConfig,
+    l2: CacheConfig | None,
+) -> tuple[LeafNest, int, int] | None:
+    """Fold runs of calls over one line sequence: ``(nest, l1, l2)`` or ``None``.
+
+    When a call's elements lie whole lines apart, an inner stride of
+    ``line / g`` bytes, and every row start (per instance and outer
+    iteration) within the first inner stride of its line, then each run of
+    ``g`` back-to-back inner calls touches one sequence S of ``2^k``
+    distinct lines.  The returned nest keeps one call per run (``inner_count
+    -> ceil(inner_count / g)``, ``inner_stride -> g * inner_stride``); the
+    ints are the exact L1 and L2 misses per instance of the dropped calls.
+
+    * S fits L1 (its write pass is elidable): the dropped calls are all-hit
+      re-applications of S that change no LRU state at any level.
+    * S thrashes L1: its per-set cohort is uniform and exceeds the ways, so
+      once the kept call has applied S (read and write pass), every further
+      application misses L1 in full and leaves L1 unchanged — ``2^k`` L1
+      misses and L2 accesses each.  L2 has then seen one full S, so further
+      applications are all L2 hits (cohort within the L2 ways) or all L2
+      misses (cyclic thrash); both leave L2 unchanged.  That needs S to be
+      ``2^k`` distinct L2 lines in progression, i.e. an element stride that
+      is a whole number of L2 lines; otherwise the nest is not folded.
+
+    DESIGN.md §10 spells out the argument.
+    """
+    inner_bytes = nest.inner_stride * element_size
+    line_size = l1.line_size
+    if nest.inner_count < 2 or inner_bytes <= 0 or line_size % inner_bytes:
+        return None
+    group = line_size // inner_bytes
+    elements = nest.elements_per_call
+    stride_bytes = nest.elem_stride * element_size
+    if group == 1 or (elements > 1 and (stride_bytes <= 0 or stride_bytes % line_size)):
+        return None
+    period = line_size // math.gcd(nest.outer_stride * element_size, line_size)
+    rows = np.arange(min(nest.outer_count, period), dtype=np.int64) * nest.outer_stride
+    row_starts = base_address + (bases[:, None] + rows[None, :]) * element_size
+    if np.any(row_starts % line_size >= inner_bytes):
+        return None
+    runs = -(-nest.inner_count // group)
+    folded = replace(nest, inner_count=runs, inner_stride=group * nest.inner_stride)
+    if _write_pass_elidable(nest, element_size, l1):
+        return folded, 0, 0
+    l1_misses = 2 * elements * nest.outer_count * (nest.inner_count - runs)
+    if l2 is None:
+        return folded, l1_misses, 0
+    if stride_bytes % l2.line_size:
+        return None
+    thrashes_l2 = _set_cohort(elements, stride_bytes, l2) > l2.associativity
+    return folded, l1_misses, l1_misses if thrashes_l2 else 0
 
 
 def _lines_of_elements(
@@ -470,20 +555,19 @@ class _BlockTable:
         element_size: int,
         base_address: int,
         chunk_accesses: int,
-        hit_elision_sets: int | None = None,
-        hit_elision_ways: int = 1,
+        caches: tuple[CacheConfig, CacheConfig | None] | None = None,
     ):
         self.line_size = line_size
         self.element_size = element_size
         self.base_address = base_address
         self.chunk_accesses = chunk_accesses
-        self.hit_elision_sets = hit_elision_sets
-        self.hit_elision_ways = hit_elision_ways
+        self.caches = caches
         self.nests: list[LeafNest] = []
         self.bases: list[np.ndarray] = []
         self.starts: list[np.ndarray] = []
         self.raw: list[int] = []
         self.emitted: list[int] = []
+        self.folded: list[tuple[int, int]] = []
         self.group_ids: list[int] = []
         self._groups: dict[tuple, int] = {}
         self.group_info: list[tuple] = []
@@ -530,26 +614,30 @@ class _BlockTable:
                 f"nest {nest} produces negative byte addresses "
                 f"(min element index {min_element})"
             )
+        raw = 2 * nest.total_elements
         lines_per_call = _analytic_lines_per_call(
             nest, bases, self.line_size, self.element_size, self.base_address
         )
         passes = 2
-        elision_sets = self.hit_elision_sets
-        if elision_sets is not None:
+        folded_l1 = folded_l2 = 0
+        if self.caches is not None:
+            l1, l2 = self.caches
             if lines_per_call:
                 # Line-aligned unit-stride calls touch ``lines_per_call``
                 # consecutive lines; their per-set cohort is bounded by
                 # ceil(lines_per_call / sets).
-                if lines_per_call <= elision_sets * self.hit_elision_ways:
+                if lines_per_call <= l1.num_lines:
                     passes = 1
-            elif _write_pass_elidable(
-                nest,
-                self.element_size,
-                self.line_size,
-                elision_sets,
-                self.hit_elision_ways,
-            ):
-                passes = 1
+            else:
+                if _write_pass_elidable(nest, self.element_size, l1):
+                    passes = 1
+                # Analytic nests never fold: a fold needs several elements
+                # per line, and a call's elements whole lines apart.
+                fold = _fold_repeated_calls(
+                    nest, bases, self.element_size, self.base_address, l1, l2
+                )
+                if fold is not None:
+                    nest, folded_l1, folded_l2 = fold
         if lines_per_call == 1:
             # The read and the write pass over a one-line call collapse to a
             # single emitted entry.
@@ -575,8 +663,9 @@ class _BlockTable:
         self.nests.append(nest)
         self.bases.append(bases)
         self.starts.append(block.starts)
-        self.raw.append(2 * nest.total_elements)
+        self.raw.append(raw)
         self.emitted.append(emitted)
+        self.folded.append((folded_l1, folded_l2))
         self.group_ids.append(group_id)
 
 
@@ -628,8 +717,7 @@ def stream_line_chunks(
     element_size: int = DEFAULT_ELEMENT_SIZE,
     base_address: int = 0,
     chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
-    hit_elision_sets: int | None = None,
-    hit_elision_ways: int = 1,
+    caches: tuple[CacheConfig, CacheConfig | None] | None = None,
 ) -> Iterator[LineChunk]:
     """Stream a nest sequence as bounded, duplicate-collapsed line chunks.
 
@@ -645,13 +733,17 @@ def stream_line_chunks(
     the full trace is never materialised — only per-nest descriptors and one
     bounded chunk of expanded lines exist at any time.
 
-    ``hit_elision_sets``/``hit_elision_ways`` (the first cache level's set
-    count and associativity) additionally drop each codelet call's *write
-    pass* whenever no set provably receives more than ``hit_elision_ways``
-    of the call's lines (see :func:`_write_pass_elidable`): those accesses
-    are guaranteed hits that leave every simulator's final state unchanged
-    at every level, so the shortened stream produces bit-identical hierarchy
-    statistics while the chunks' raw ``accesses`` counts still include them.
+    ``caches`` — the ``(L1, L2)`` geometry the stream will be simulated on
+    (``L2`` may be ``None``; the L1 line size must equal ``line_size``) —
+    turns on repeated-pass elision.  Each codelet call's *write pass* is
+    dropped whenever no L1 set provably receives more than its ways of the
+    call's lines (see :func:`_write_pass_elidable`), and each run of
+    back-to-back calls over one line sequence keeps a single call, the
+    misses of the others being counted exactly in the chunks'
+    ``folded_l1_misses``/``folded_l2_misses`` (see
+    :func:`_fold_repeated_calls`).  Both are exact: the shortened stream plus
+    the folded counts produce bit-identical hierarchy statistics, and the
+    chunks' raw ``accesses`` counts still include every dropped access.
     With the default ``None`` the exact collapsed line sequence is emitted.
 
     Addresses are validated non-negative here, once, at the pipeline
@@ -661,20 +753,15 @@ def stream_line_chunks(
     check_positive_int(line_size, "line_size")
     check_positive_int(element_size, "element_size")
     check_positive_int(chunk_accesses, "chunk_accesses")
-    if hit_elision_sets is not None:
-        check_positive_int(hit_elision_sets, "hit_elision_sets")
-        check_positive_int(hit_elision_ways, "hit_elision_ways")
+    if caches is not None and caches[0].line_size != line_size:
+        raise ValueError(
+            f"line_size {line_size} differs from the L1 line size "
+            f"{caches[0].line_size}"
+        )
     if base_address < 0:
         raise ValueError(f"base_address must be nonnegative, got {base_address}")
 
-    table = _BlockTable(
-        line_size,
-        element_size,
-        base_address,
-        chunk_accesses,
-        hit_elision_sets,
-        hit_elision_ways,
-    )
+    table = _BlockTable(line_size, element_size, base_address, chunk_accesses, caches)
     cursor = 0
     for item in nests:
         if isinstance(item, NestBlock):
@@ -714,11 +801,17 @@ def stream_line_chunks(
     sorted_gids = gid_arr[sorted_blocks]
     cumulative_raw = np.cumsum(sorted_raw)
     del sorted_raw
+    # Per-instance folded (L1, L2) misses, accumulated like the raw counts.
+    folded_arr = np.array(table.folded, dtype=np.int64)
+    cumulative_folded = (
+        np.cumsum(folded_arr[sorted_blocks], axis=0) if folded_arr.any() else None
+    )
 
     instances = sorted_blocks.shape[0]
     prev_last: int | None = None
     low = 0
     consumed_raw = 0
+    folded_l1 = folded_l2 = 0
     while low < instances:
         # Greedy chunking: take the shortest instance prefix reaching the
         # access budget (matching a "flush once the buffer fills" stream).
@@ -741,8 +834,16 @@ def stream_line_chunks(
             prev_last = int(collapsed[-1])
         chunk_raw = int(cumulative_raw[high - 1]) - consumed_raw
         consumed_raw += chunk_raw
+        if cumulative_folded is not None:
+            below = cumulative_folded[low - 1] if low else 0
+            folded_l1, folded_l2 = (int(v) for v in cumulative_folded[high - 1] - below)
         low = high
-        yield LineChunk(lines=collapsed, accesses=chunk_raw)
+        yield LineChunk(
+            lines=collapsed,
+            accesses=chunk_raw,
+            folded_l1_misses=folded_l1,
+            folded_l2_misses=folded_l2,
+        )
 
 
 def collapse_consecutive(line_addresses: np.ndarray) -> tuple[np.ndarray, int]:

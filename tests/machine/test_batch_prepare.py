@@ -2,7 +2,7 @@
 
 The batch path — per-plan streams spliced at disjoint line offsets, one
 warm-started simulator pass per level, analytic full-coverage shortcuts,
-write-pass elision — must be *bit-identical* to preparing every plan
+repeated-pass elision — must be *bit-identical* to preparing every plan
 individually through the eager reference pipeline, for any batch
 composition, any chunking of the super-stream, and any cache geometry.
 These tests pin that contract over the enumerated plan space, random RSU
@@ -28,7 +28,8 @@ from repro.machine.trace import (
 )
 from repro.wht.canonical import balanced_plan, left_recursive_plan
 from repro.wht.enumeration import enumerate_plans
-from repro.wht.interpreter import ExecutionStats, PlanInterpreter
+from repro.wht.grammar import parse_plan
+from repro.wht.interpreter import ExecutionStats, LeafNest, PlanInterpreter
 from repro.wht.random_plans import random_plan, random_plans
 
 INTERPRETER = PlanInterpreter()
@@ -385,8 +386,7 @@ class TestWritePassElision:
                         PlanInterpreter().iter_nest_blocks(plan),
                         line_size=l1.line_size,
                         element_size=8,
-                        hit_elision_sets=l1.num_sets,
-                        hit_elision_ways=l1.associativity,
+                        caches=(l1, l2),
                     )
                 )
                 assert elided == plain, (plan, l1, l2)
@@ -405,8 +405,7 @@ class TestWritePassElision:
                 PlanInterpreter().iter_nest_blocks(plan),
                 line_size=64,
                 element_size=8,
-                hit_elision_sets=512,
-                hit_elision_ways=2,
+                caches=(CacheConfig(64 * 1024, 64, 2), None),
             )
         )
         assert elided < plain
@@ -425,8 +424,168 @@ class TestWritePassElision:
                 PlanInterpreter().iter_nest_blocks(plan),
                 line_size=32,
                 element_size=8,
-                hit_elision_sets=8,
-                hit_elision_ways=2,
+                caches=(CacheConfig(512, 32, 2), None),
             )
         )
         assert elided == plain
+
+
+def _hierarchy_stats(nests, l1, l2, caches, chunk_accesses=1 << 18):
+    chunks = list(
+        stream_line_chunks(
+            nests,
+            line_size=l1.line_size,
+            element_size=8,
+            chunk_accesses=chunk_accesses,
+            caches=caches,
+        )
+    )
+    return MemoryHierarchy(l1, l2).process_line_chunks(chunks), chunks
+
+
+def _folded(chunks):
+    return (
+        sum(c.folded_l1_misses for c in chunks),
+        sum(c.folded_l2_misses for c in chunks),
+    )
+
+
+FOLD_GEOMETRIES = st.tuples(
+    st.sampled_from([256, 512, 1024, 2048]),  # l1 size
+    st.sampled_from([32, 64]),  # l1 line
+    st.sampled_from([1, 2, 4]),  # l1 assoc
+    st.sampled_from([1, 2, 4]),  # l2 size / l1 size
+    st.sampled_from([1, 2]),  # l2 line / l1 line
+    st.sampled_from([1, 2, 4, 8, 16]),  # l2 assoc
+    st.booleans(),  # has l2
+)
+
+
+@st.composite
+def leaf_nests(draw, epl):
+    """A hand-built nest stream exercising every fold precondition."""
+    nests = []
+    for _ in range(draw(st.integers(1, 4))):
+        inner_stride = draw(st.sampled_from([1, 2, 4]))
+        # Half the rows start inside their line's first inner stride (the
+        # fold precondition); the rest at any residue.
+        residue = draw(st.integers(0, (epl if draw(st.booleans()) else inner_stride) - 1))
+        line_multiple = draw(st.booleans())
+        nests.append(
+            LeafNest(
+                k=draw(st.integers(0, 4)),
+                base=epl * draw(st.integers(0, 64)) + residue,
+                outer_count=draw(st.integers(1, 4)),
+                outer_stride=(
+                    epl * draw(st.integers(1, 64))
+                    if line_multiple
+                    else draw(st.integers(1, 3 * epl))
+                ),
+                inner_count=draw(st.integers(1, 3 * epl)),
+                inner_stride=inner_stride,
+                elem_stride=(
+                    epl * draw(st.sampled_from([1, 2, 3, 4, 8, 16, 32]))
+                    if draw(st.integers(0, 3))
+                    else draw(st.integers(1, 2 * epl))
+                ),
+            )
+        )
+    return nests
+
+
+class TestRepeatedCallFolding:
+    """Folded streams (``caches=``) give the statistics of the exact stream
+    (``caches=None``), and the fold fires in each of its regimes."""
+
+    @staticmethod
+    def _caches(geometry):
+        l1_size, l1_line, l1_assoc, l2_scale, l2_line_scale, l2_assoc, has_l2 = geometry
+        l1 = CacheConfig(l1_size, l1_line, l1_assoc, name="L1")
+        l2_size, l2_line = l1_size * l2_scale, l1_line * l2_line_scale
+        if not has_l2 or l2_assoc > l2_size // l2_line:
+            return l1, None
+        return l1, CacheConfig(l2_size, l2_line, l2_assoc, name="L2")
+
+    @given(geometry=FOLD_GEOMETRIES, n=st.integers(1, 12), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_property_random_plans(self, geometry, n, seed):
+        l1, l2 = self._caches(geometry)
+        plan = random_plan(n, rng=seed)
+        exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, None)
+        folded, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, (l1, l2))
+        assert folded == exact, (plan, l1, l2)
+
+    @given(geometry=FOLD_GEOMETRIES, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_property_hand_built_nests(self, geometry, data):
+        l1, l2 = self._caches(geometry)
+        nests = data.draw(leaf_nests(l1.line_size // 8))
+        chunk_accesses = data.draw(st.sampled_from([64, 1 << 18]))
+        exact, _ = _hierarchy_stats(nests, l1, l2, None, chunk_accesses)
+        folded, _ = _hierarchy_stats(nests, l1, l2, (l1, l2), chunk_accesses)
+        assert folded == exact, (nests, l1, l2)
+
+    def test_fits_l1_keeps_one_call_per_run(self):
+        # Eight unit-inner-stride calls over four lines one line apart: one
+        # run per row, all-hit re-applications, nothing to count.
+        config = default_machine_config(noise_sigma=0.0)
+        nest = LeafNest(
+            k=2, base=0, outer_count=1, outer_stride=0,
+            inner_count=8, inner_stride=1, elem_stride=8,
+        )
+        exact, _ = _hierarchy_stats([nest], config.l1, config.l2, None)
+        folded, chunks = _hierarchy_stats(
+            [nest], config.l1, config.l2, (config.l1, config.l2)
+        )
+        assert folded == exact
+        assert sum(c.lines.shape[0] for c in chunks) == 4
+        assert _folded(chunks) == (0, 0)
+
+    def test_thrashes_l1_fits_l2(self):
+        config = default_machine_config(noise_sigma=0.0)
+        plan = parse_plan("split[small[4],small[8]]")
+        exact, _ = _hierarchy_stats(
+            INTERPRETER.iter_nest_blocks(plan), config.l1, config.l2, None
+        )
+        folded, chunks = _hierarchy_stats(
+            INTERPRETER.iter_nest_blocks(plan), config.l1, config.l2, (config.l1, config.l2)
+        )
+        assert folded == exact
+        assert _folded(chunks) == (7168, 0)
+
+    def test_thrashes_both_levels(self):
+        l1, l2 = CacheConfig(2048, 64, 2, name="L1"), CacheConfig(4096, 64, 2, name="L2")
+        plan = random_plan(10, rng=0)
+        exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, None)
+        folded, chunks = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, (l1, l2))
+        assert folded == exact
+        assert _folded(chunks) == (1792, 1792)
+        machine = SimulatedMachine(
+            dataclasses.replace(default_machine_config(noise_sigma=0.0), l1=l1, l2=l2)
+        )
+        assert machine.prepare(plan).hierarchy_stats == reference_prepare(
+            machine.config, plan
+        )[1]
+
+    def test_unaligned_l2_line_is_not_folded(self):
+        # Elements one L1 line apart share 128-byte L2 lines: the L2 argument
+        # needs distinct L2 lines, so the L1-thrashing run stays unfolded.
+        l1, l2 = CacheConfig(256, 32, 1, name="L1"), CacheConfig(1024, 64, 2, name="L2")
+        nest = LeafNest(
+            k=4, base=0, outer_count=2, outer_stride=64,
+            inner_count=4, inner_stride=1, elem_stride=4,
+        )
+        exact, _ = _hierarchy_stats([nest], l1, l2, None)
+        folded, chunks = _hierarchy_stats([nest], l1, l2, (l1, l2))
+        assert folded == exact
+        assert _folded(chunks) == (0, 0)
+        _, no_l2 = _hierarchy_stats([nest], l1, None, (l1, None))
+        assert _folded(no_l2)[0] > 0
+
+    def test_caches_must_match_the_line_size(self):
+        with pytest.raises(ValueError, match="L1 line size"):
+            list(
+                stream_line_chunks(
+                    [], line_size=32, caches=(CacheConfig(256, 64, 2), None)
+                )
+            )
