@@ -1,5 +1,11 @@
 """CI perf smoke test for the measurement substrate and the search engine.
 
+This is the repository's one perf gate script.  Each workload named in the
+``BASELINE_SECONDS`` table below is timed once (the n=14 prepare: best of
+three) and gated at ``TIME_SLACK`` times its entry; each gate prints its
+measured value next to its bound.  Layered speed numbers come from
+``perfbench/`` (see ``BENCHMARK.json``), not from this script.
+
 Runs a small but representative workload — `SimulatedMachine.prepare` of an
 n=14 RSU plan on the Opteron-like geometry (big enough not to fit L1, so the
 L1 simulation pipeline actually runs; n <= 13 footprints are resolved
@@ -7,7 +13,7 @@ analytically since the fused-pipeline rework) — and checks it against
 
 * a generous absolute wall-time budget (to catch order-of-magnitude
   regressions such as an accidental fall-back to a per-access Python loop),
-* the committed ``BENCH_substrate.json`` baseline, with wide multipliers
+* its recorded baseline time and tracemalloc peak, with wide multipliers
   (CI machines vary; only gross regressions should fail), and
 * a bit-exactness cross-check of the streaming pipeline against the eager
   reference pipeline, so a "fast but wrong" regression cannot pass.
@@ -17,19 +23,24 @@ engine-backed DP search must be bit-identical to the scalar per-candidate
 search, must measure each distinct candidate exactly once on a cold store,
 must resume from a warm store with zero measurements, and the vectorised
 analytic models must match the scalar models on every enumerated plan for
-n <= 6.  The metric-first cost API is gated by ``check_multi_metric``: one
-measurement populates every hardware counter metric, objective-based DP is
-bit-identical to the plain cycles path, and the composite model objective
-reproduces the combined model over the full enumerated n <= 8 space with
-zero hardware measurements.  The multi-tenant campaign service is gated by
-``check_service``: eight concurrent sessions execute zero duplicate
-measurements (counter-verified), fan-out results are bit-identical to one
-serial session, and the cold service-mediated search stays within 20% of the
-direct engine.  The robustness layer is gated by ``check_faults``: a clean
-run fires none of the retry machinery, a chaotic run (injected backend
-failures, torn store tails, a poisoned best plan) through a fallback-armed
-session stays bit-identical to the fault-free search with the poison
-dead-lettered, and zero-rate fault-injection hooks add < 5% to a cold DP.
+n <= 7.  ``check_search_timings`` times the search layer's workloads: the
+n=16 DP (scalar, engine-cold, engine-resume), the two-stage pruned search,
+a 1000-plan measurement batch, 10k-sample model scoring and RSU sampling,
+and a 10k-record store log.  The metric-first cost API is gated by
+``check_multi_metric``: one measurement populates every hardware counter
+metric, objective-based DP is bit-identical to the plain cycles path, and
+the composite model objective reproduces the combined model over the full
+enumerated n <= 8 space with zero hardware measurements.  The multi-tenant
+campaign service is gated by ``check_service``: eight concurrent sessions
+execute zero duplicate measurements (counter-verified), fan-out results are
+bit-identical to one serial session, the cold service-mediated search stays
+within 20% of the direct engine, and a warm service client measures nothing
+and is at least 5x faster than the direct cold search.  The robustness
+layer is gated by ``check_faults``: a clean run fires none of the retry
+machinery, a chaotic run (injected backend failures, torn store tails, a
+poisoned best plan) through a fallback-armed session stays bit-identical to
+the fault-free search with the poison dead-lettered, and zero-rate
+fault-injection hooks add < 5% to a cold DP.
 The multi-host socket transport is gated by ``check_transport``: a
 loopback-TCP DP (n=12) is bit-identical to the in-process service path,
 executes zero duplicate or re-executed units over the wire, and stays
@@ -38,30 +49,23 @@ is gated by ``check_suite``: a cold run of the committed CI spec over a
 fresh disk store completes and measures, and a warm re-run against the same
 store performs zero new measurements, skips every unit, and finishes at
 least 10x faster.
-(Timing gates for the search layer live in
-``bench_search.py`` against ``BENCH_search.json``; service timings in
-``bench_service.py`` against ``BENCH_service.json``.)
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/perf_smoke.py                 # check
-    PYTHONPATH=src python benchmarks/perf_smoke.py --write-baseline
-
-The baseline file records the machine it was captured on; treat its numbers
-as indicative, not as a cross-hardware contract.
+    PYTHONPATH=src python benchmarks/perf_smoke.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
-import sys
+import gc
+import operator
+import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
 
-BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_substrate.json"
+import numpy as np
 
 #: Absolute ceiling for the smoke workload.  The streaming pipeline runs it
 #: in well under a second; the seed's eager pipeline took ~2 s; a per-access
@@ -72,8 +76,175 @@ TIME_BUDGET_SECONDS = 60.0
 TIME_SLACK = 15.0
 MEMORY_SLACK = 10.0
 
+#: One run of each timed workload, recorded on Linux x86_64 under CPython
+#: 3.11.7.  Indicative numbers, not a cross-hardware contract: a workload
+#: fails only when it takes more than ``TIME_SLACK`` times its entry.
+BASELINE_SECONDS = {
+    "prepare_n14_opteron": 0.0084,
+    "dp_n14_scalar": 0.0443,
+    "dp_n16_scalar": 0.2921,
+    "dp_n16_engine_cold": 0.344,
+    "dp_n16_engine_resume": 0.0015,
+    "pruned_n14": 1.9377,
+    "measure_batch_1k": 0.2509,
+    "model_score_10k_scalar": 1.2654,
+    "model_score_10k_batch": 0.4524,
+    "sample_10k_scalar": 0.8441,
+    "sample_10k_buffered": 0.0885,
+    "append_log_10k_records": 0.2359,
+    "dp_n14_direct_cold": 0.0975,
+    "dp_n14_direct_warm": 0.0016,
+    "dp_n14_service_cold": 0.0781,
+    "dp_n14_service_warm": 0.0018,
+    "fanout_8_sessions_n12": 0.0277,
+    "sharded_append_10k": 0.1367,
+}
+#: tracemalloc peak of the n=14 prepare, recorded with ``BASELINE_SECONDS``.
+PREPARE_N14_PEAK_BYTES = 8_716_113
+
 SMOKE_SIZE = 14
 SMOKE_SEED = 7
+
+#: Engine resume vs scalar DP at n=16.
+RESUME_SPEEDUP_FLOOR = 10.0
+#: Engine-cold DP must stay in the scalar search's ballpark: both ride the
+#: fused pipeline (the engine adds record-keeping but fuses candidate
+#: rounds), so a cold run drifting far past the scalar time means the batch
+#: path itself regressed.  The margin absorbs run-to-run noise on loaded
+#: machines.
+COLD_VS_SCALAR_CEILING = 1.5
+#: Absolute budgets for the batched-measurement workloads (the fused
+#: pipeline runs both in roughly two seconds on one laptop core; the old
+#: per-plan pipeline took ~7 s for the pruned search, so these catch a
+#: fall-back to per-plan simulation while tolerating slow CI machines).
+PRUNED_N14_BUDGET = 5.0
+MEASURE_BATCH_1K_BUDGET = 2.0
+MODEL_SCORE_10K_BUDGET = 1.0
+SAMPLE_10K_BUDGET = 0.15
+MODEL_SAMPLES = 10_000
+MODEL_SIZE = 18
+
+#: A cold service-mediated DP n=14 must stay within this multiple of the
+#: direct cold engine (plus a small absolute grace for thread scheduling
+#: jitter on loaded CI machines).
+SERVICE_OVERHEAD_CEILING = 1.2
+SERVICE_OVERHEAD_GRACE_SECONDS = 0.5
+#: A warm service client resolves everything from the shared record cache.
+WARM_SPEEDUP_FLOOR = 5.0
+#: O(batch) sharded appends; a whole-log-rewrite regression lands far
+#: beyond this.
+SHARDED_APPEND_BUDGET = 2.0
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+
+
+def gate(name: str, value: float, op: str, bound: float, unit: str = "s") -> None:
+    """Print a measured value next to its bound; exit if the bound fails."""
+    print(f"{name}: {value:.3f} {unit} (gate {op} {bound:.3f} {unit})")
+    if not _COMPARE[op](value, bound):
+        raise SystemExit(
+            f"perf regression: {name} = {value:.3f} {unit}, required {op} "
+            f"{bound:.3f} {unit}"
+        )
+
+
+def timed(name: str, fn):
+    """Run ``fn`` once; gate its wall time at ``TIME_SLACK`` x its baseline.
+
+    A full garbage collection runs first, so that a cyclic-GC pass owed to
+    the objects earlier work allocated does not fall inside the window: with
+    several hundred thousand objects alive, one such pass tripled the 0.1 s
+    ``sample_10k_buffered``.  Returns ``(result, seconds)``.
+    """
+    gc.collect()
+    start = time.perf_counter()
+    out = fn()
+    seconds = time.perf_counter() - start
+    gate(name, seconds, "<=", BASELINE_SECONDS[name] * TIME_SLACK)
+    return out, seconds
+
+
+class CountingBackend:
+    """Counts executed units so dedup is verified, not inferred."""
+
+    name = "counting"
+
+    def __init__(self):
+        from repro.runtime.backends import BatchedBackend
+
+        self.inner = BatchedBackend()
+        self.lock = threading.Lock()
+        self.executed = []
+
+    def measure_units(self, machine, units):
+        from repro.runtime.store import machine_config_hash
+        from repro.wht.encoding import plan_key
+
+        with self.lock:
+            digest = machine_config_hash(machine.config)
+            self.executed.extend(
+                (digest, plan_key(unit.plan), unit.noise_seed) for unit in units
+            )
+        return self.inner.measure_units(machine, units)
+
+
+def eager_stats(config, plan):
+    """Hierarchy statistics of ``plan`` from the eager reference pipeline.
+
+    The plan's fully materialised access trace runs through the scalar
+    (non-vectorised) caches.
+    """
+    from repro.machine.hierarchy import MemoryHierarchy
+    from repro.machine.trace import trace_from_nests
+    from repro.wht.interpreter import PlanInterpreter
+
+    _, nests = PlanInterpreter().profile(plan, record_trace=True)
+    trace = trace_from_nests(nests, element_size=config.element_size)
+    hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=False)
+    return hierarchy.process_trace(trace)
+
+
+def streamed_stats(config, plan):
+    """Hierarchy statistics of ``plan`` from its own unfolded line stream.
+
+    The per-plan streamed pipeline: no repeated-pass elision, no call
+    folding, no analytic shortcuts and no cross-plan splicing.  Unlike
+    :func:`eager_stats` it never materialises the trace, so it stays cheap
+    at n=16.
+    """
+    from repro.machine.hierarchy import MemoryHierarchy
+    from repro.machine.trace import stream_line_chunks
+    from repro.wht.interpreter import PlanInterpreter
+
+    hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=config.vectorized_caches)
+    return hierarchy.process_line_chunks(
+        stream_line_chunks(
+            PlanInterpreter().iter_nest_blocks(plan),
+            line_size=config.l1.line_size,
+            element_size=config.element_size,
+        )
+    )
+
+
+def append_10k_records(store, keys):
+    """Append 10,000 cost records in 100 batches, round-robin over ``keys``.
+
+    Returns each key's records as read back.
+    """
+    for batch_index in range(100):
+        store.append_cost_records(
+            keys[batch_index % len(keys)],
+            {
+                f"plan-{batch_index}-{i}": {
+                    "cycles": float(i),
+                    "instructions": float(i * 3),
+                }
+                for i in range(100)
+            },
+        )
+    records = [store.get_cost_records(key) for key in keys]
+    assert sum(len(logged) for logged in records) == 10_000
+    return records
 
 
 def run_smoke():
@@ -117,8 +288,7 @@ def check_exactness() -> None:
     vacuously.
     """
     from repro.machine.configs import default_machine, opteron_like, tiny_machine
-    from repro.machine.hierarchy import MemoryHierarchy
-    from repro.machine.trace import stream_line_chunks, trace_from_nests
+    from repro.machine.trace import stream_line_chunks
     from repro.wht.interpreter import PlanInterpreter
     from repro.wht.random_plans import random_plan
 
@@ -153,10 +323,7 @@ def check_exactness() -> None:
                     f"({config.name}, n={size}, seed={seed})"
                 )
         streamed = machine.prepare(plan).hierarchy_stats
-        _, nests = interpreter.profile(plan, record_trace=True)
-        trace = trace_from_nests(nests, element_size=config.element_size)
-        hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=False)
-        eager = hierarchy.process_trace(trace)
+        eager = eager_stats(config, plan)
         if streamed != eager:
             raise SystemExit(
                 f"exactness regression: streamed {streamed} != eager {eager} "
@@ -167,7 +334,7 @@ def check_exactness() -> None:
 def check_search_budget() -> None:
     """Batched search must be exact and must respect its measurement budget.
 
-    Three gates on a small measured-cycles DP search (n=10, Opteron-like,
+    Three gates on a small measured-cycles DP search (n=12, Opteron-like,
     noise-free):
 
     * the engine-backed search is bit-identical to the scalar per-candidate
@@ -178,7 +345,7 @@ def check_search_budget() -> None:
       and identical results (the persistent cost cache works).
 
     Plus batch-vs-scalar parity of both analytic models over every
-    enumerated plan for n <= 6, so the vectorised stage-1 scoring of the
+    enumerated plan for n <= 7, so the vectorised stage-1 scoring of the
     pruned search cannot silently drift.
     """
     from repro.machine.configs import opteron_like
@@ -194,11 +361,11 @@ def check_search_budget() -> None:
 
     config = opteron_like(noise_sigma=0.0).config
     scalar_cost = MeasuredCyclesCost(SimulatedMachine(config))
-    scalar = dp_search(10, scalar_cost)
+    scalar = dp_search(12, scalar_cost)
 
     store = MemoryStore()
     cold_engine = CostEngine(SimulatedMachine(config), store=store)
-    cold = dp_search(10, cold_engine)
+    cold = dp_search(12, cold_engine)
     if cold.best_plans != scalar.best_plans or cold.best_costs != scalar.best_costs:
         raise SystemExit("search exactness regression: engine DP differs from scalar DP")
     if cold_engine.measured != scalar_cost.measured:
@@ -208,7 +375,7 @@ def check_search_budget() -> None:
         )
 
     warm_engine = CostEngine(SimulatedMachine(config), store=store)
-    warm = dp_search(10, warm_engine)
+    warm = dp_search(12, warm_engine)
     if warm.best_plans != scalar.best_plans or warm.best_costs != scalar.best_costs:
         raise SystemExit("search exactness regression: resumed DP differs from scalar DP")
     if warm_engine.measured != 0:
@@ -219,7 +386,7 @@ def check_search_budget() -> None:
 
     instruction_model = InstructionCountModel()
     miss_model = CacheMissModel.from_machine_config(config, level="l1")
-    for n in range(1, 7):
+    for n in range(1, 8):
         plans = list(enumerate_plans(n))
         encoded = encode_plans(plans)
         instr = instruction_model.count_batch(encoded)
@@ -239,16 +406,19 @@ def check_batch_identity() -> None:
     must reproduce the eager reference pipeline's HierarchyStatistics for
     every enumerated plan (n <= 6, one mixed batch) and for random larger
     plans, on both the tiny and the Opteron-like geometry.
+
+    On the two gated campaign shapes — a sample of the n=16 DP candidates
+    (compositions of a DP's best sub-plans) and pruned-style n=14 RSU
+    survivors — it must reproduce each plan's own unfolded line stream on
+    the Opteron-like geometry.
     """
     from repro.machine.configs import opteron_like, tiny_machine
-    from repro.machine.hierarchy import MemoryHierarchy
     from repro.machine.machine import SimulatedMachine
-    from repro.machine.trace import trace_from_nests
+    from repro.search.costs import InstructionModelCost
+    from repro.search.dp import dp_search
     from repro.wht.enumeration import enumerate_plans
-    from repro.wht.interpreter import PlanInterpreter
-    from repro.wht.random_plans import random_plan
+    from repro.wht.random_plans import random_plan, random_plans
 
-    interpreter = PlanInterpreter()
     for machine, sizes in (
         (tiny_machine(), (7, 8)),
         (opteron_like(noise_sigma=0.0), (9, 10)),
@@ -258,16 +428,178 @@ def check_batch_identity() -> None:
         plans += [random_plan(size, rng=seed) for size in sizes for seed in range(2)]
         batch = SimulatedMachine(config).prepare_batch(plans)
         for plan, prepared in zip(plans, batch):
-            _, nests = interpreter.profile(plan, record_trace=True)
-            trace = trace_from_nests(nests, element_size=config.element_size)
-            hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=False)
-            eager = hierarchy.process_trace(trace)
+            eager = eager_stats(config, plan)
             if prepared.hierarchy_stats != eager:
                 raise SystemExit(
                     f"batch identity regression: prepare_batch "
                     f"{prepared.hierarchy_stats} != eager {eager} "
                     f"({config.name}, {plan})"
                 )
+
+    config = opteron_like(noise_sigma=0.0).config
+    model_dp = dp_search(16, InstructionModelCost())
+    dp_candidates = list({str(record.plan): record.plan for record in model_dp.candidates}.values())
+    samples = dp_candidates[:: max(len(dp_candidates) // 24, 1)] + random_plans(
+        14, 12, rng=19
+    )
+    for plan, prepared in zip(samples, SimulatedMachine(config).prepare_batch(samples)):
+        if prepared.hierarchy_stats != streamed_stats(config, plan):
+            raise SystemExit(
+                f"batch parity regression: prepare_batch HierarchyStatistics "
+                f"differ from the per-plan pipeline on {plan}"
+            )
+
+
+def check_search_timings() -> None:
+    """The search layer's timed workloads (Opteron-like, noise-free).
+
+    Each workload runs once and is gated at ``TIME_SLACK`` x its baseline.
+    On top of that:
+
+    * DP n=16 through a second engine over the populated store (zero
+      measurements) is >= ``RESUME_SPEEDUP_FLOOR`` x faster than the scalar
+      per-candidate search, and the engine-cold DP takes at most
+      ``COLD_VS_SCALAR_CEILING`` x the scalar time; both are bit-identical
+      to it;
+    * the paper's two-stage search (1000 RSU candidates, n=14) and a cold
+      1000-plan ``CostEngine.records`` batch (n=12) stay within absolute
+      budgets that catch a fall-back to per-plan simulation;
+    * one shared encoding scoring 10,000 RSU samples of size 2^18 with both
+      vectorised models stays under 1 s and equals the per-plan recursion;
+    * the buffered bit-stream RSU sampler draws 10,000 size-2^18 plans in
+      under 0.15 s, identical to one ``Generator.random`` call per node;
+    * 10,000 cost records appended to a DiskStore log in 100 batches, read
+      back and compacted (the O(batch) append path).
+    """
+    from repro.machine.configs import opteron_like
+    from repro.machine.machine import SimulatedMachine
+    from repro.models.cache_misses import CacheMissModel
+    from repro.models.instruction_count import InstructionCountModel
+    from repro.runtime.cost_engine import CostEngine
+    from repro.runtime.store import CostLogKey, DiskStore, MemoryStore
+    from repro.search.costs import InstructionModelCost, MeasuredCyclesCost
+    from repro.search.dp import dp_search
+    from repro.search.pruned import ModelPrunedSearch
+    from repro.wht.encoding import encode_plans
+    from repro.wht.random_plans import RSUSampler
+
+    config = opteron_like(noise_sigma=0.0).config
+
+    scalar14, _ = timed(
+        "dp_n14_scalar",
+        lambda: dp_search(14, MeasuredCyclesCost(SimulatedMachine(config))),
+    )
+    scalar16, scalar_seconds = timed(
+        "dp_n16_scalar",
+        lambda: dp_search(16, MeasuredCyclesCost(SimulatedMachine(config))),
+    )
+    store = MemoryStore()
+    cold, cold_seconds = timed(
+        "dp_n16_engine_cold",
+        lambda: dp_search(16, CostEngine(SimulatedMachine(config), store=store)),
+    )
+    resume_engine = CostEngine(SimulatedMachine(config), store=store)
+    resumed, resume_seconds = timed(
+        "dp_n16_engine_resume", lambda: dp_search(16, resume_engine)
+    )
+    for result, label in ((cold, "engine-cold"), (resumed, "resumed")):
+        if result.best_plans != scalar16.best_plans or result.best_costs != scalar16.best_costs:
+            raise SystemExit(
+                f"search exactness regression: {label} DP n=16 differs from scalar DP"
+            )
+    if resume_engine.measured != 0:
+        raise SystemExit(
+            f"cost-cache regression: resumed DP n=16 re-measured "
+            f"{resume_engine.measured} candidates"
+        )
+    if scalar14.best_plans[14] != scalar16.best_plans[14]:
+        raise SystemExit("search exactness regression: DP n=14 and n=16 disagree at n=14")
+    gate(
+        "dp_n16_resume_speedup",
+        scalar_seconds / max(resume_seconds, 1e-9),
+        ">=",
+        RESUME_SPEEDUP_FLOOR,
+        unit="x",
+    )
+    gate(
+        "dp_n16_engine_cold",
+        cold_seconds,
+        "<=",
+        COLD_VS_SCALAR_CEILING * scalar_seconds,
+    )
+
+    engine = CostEngine(SimulatedMachine(config), store=MemoryStore())
+    _, seconds = timed(
+        "pruned_n14",
+        lambda: ModelPrunedSearch(
+            model_cost=InstructionModelCost(),
+            measure_cost=engine,
+            samples=1000,
+            keep_fraction=0.25,
+        ).search(14, rng=0),
+    )
+    gate("pruned_n14", seconds, "<", PRUNED_N14_BUDGET)
+
+    batch_plans = list(
+        {str(plan): plan for plan in RSUSampler().sample_many(12, 2000, rng=23)}.values()
+    )[:1000]
+    batch_engine = CostEngine(SimulatedMachine(config), store=MemoryStore())
+    _, seconds = timed(
+        "measure_batch_1k", lambda: batch_engine.records(batch_plans, ("cycles",))
+    )
+    gate("measure_batch_1k", seconds, "<", MEASURE_BATCH_1K_BUDGET)
+    if batch_engine.measured != len(batch_plans):
+        raise SystemExit(
+            f"batch measurement regression: {batch_engine.measured} measurements "
+            f"for {len(batch_plans)} distinct plans"
+        )
+
+    sampler = RSUSampler()
+    rng = np.random.default_rng(0)
+    plans = [sampler.sample(MODEL_SIZE, rng) for _ in range(MODEL_SAMPLES)]
+    instruction_model = InstructionCountModel()
+    miss_model = CacheMissModel.from_machine_config(config, level="l1")
+    scalar_scores, _ = timed(
+        "model_score_10k_scalar",
+        lambda: (
+            [instruction_model.count(plan) for plan in plans],
+            [miss_model.misses(plan) for plan in plans],
+        ),
+    )
+
+    def batch_scores():
+        encoded = encode_plans(plans)
+        return instruction_model.count_batch(encoded), miss_model.misses_batch(encoded)
+
+    batch_values, seconds = timed("model_score_10k_batch", batch_scores)
+    gate("model_score_10k_batch", seconds, "<", MODEL_SCORE_10K_BUDGET)
+    for batch, scalar in zip(batch_values, scalar_scores):
+        if not np.array_equal(batch, np.asarray(scalar)):
+            raise SystemExit("model scoring regression: batch scores differ from scalar")
+
+    def scalar_samples():
+        generator = np.random.default_rng(11)
+        one_at_a_time = RSUSampler()
+        return [one_at_a_time.sample(MODEL_SIZE, generator) for _ in range(MODEL_SAMPLES)]
+
+    scalar_drawn, _ = timed("sample_10k_scalar", scalar_samples)
+    buffered_drawn, seconds = timed(
+        "sample_10k_buffered",
+        lambda: RSUSampler().sample_many(MODEL_SIZE, MODEL_SAMPLES, rng=11),
+    )
+    gate("sample_10k_buffered", seconds, "<", SAMPLE_10K_BUDGET)
+    if buffered_drawn != scalar_drawn:
+        raise SystemExit("sampler regression: buffered RSU draws differ from scalar draws")
+
+    def append_log():
+        with tempfile.TemporaryDirectory() as tmp:
+            store = DiskStore(tmp)
+            key = CostLogKey(machine_hash="bench", seed=0)
+            [records] = append_10k_records(store, [key])
+            store.compact_cost_records(key)
+            assert store.get_cost_records(key) == records
+
+    timed("append_log_10k_records", append_log)
 
 
 def check_multi_metric() -> None:
@@ -357,65 +689,57 @@ def check_multi_metric() -> None:
 def check_service() -> None:
     """The campaign service must dedupe exactly and add near-zero overhead.
 
-    Three gates on the multi-tenant measurement service (DP n=10,
-    Opteron-like, noise-free):
+    Gates on the multi-tenant measurement service (Opteron-like,
+    noise-free):
 
-    * eight concurrent connected sessions running the same DP search execute
-      **zero** duplicate ``(machine_hash, plan_key, noise_seed)`` units —
-      counter-verified at the backend, not inferred from stats — and exactly
-      as many real measurements as ONE serial engine-backed session;
+    * eight concurrent connected sessions running the same DP n=12 search
+      execute **zero** duplicate ``(machine_hash, plan_key, noise_seed)``
+      units — counter-verified at the backend, not inferred from stats — and
+      exactly as many real measurements as ONE serial engine-backed session;
     * every fan-out result is bit-identical to the serial session's;
-    * a cold service-mediated DP stays within 20% of the direct
-      :class:`CostEngine` (plus a small absolute grace for thread-scheduling
-      jitter): the queue/dispatch layer must be thin.
+    * a cold service-mediated DP n=14 takes at most
+      ``SERVICE_OVERHEAD_CEILING`` x the direct :class:`CostEngine` plus
+      ``SERVICE_OVERHEAD_GRACE_SECONDS``, and a second (warm) client of the
+      same service measures nothing, is >= ``WARM_SPEEDUP_FLOOR`` x faster
+      than the direct cold run, and both service results are bit-identical
+      to the direct engine's (one run each);
+    * a cold service-mediated DP n=10 stays within 20% of the direct engine
+      (best of three, plus a small absolute grace for thread-scheduling
+      jitter): the queue/dispatch layer must be thin;
+    * 10,000 records appended across four shards of a
+      :class:`ShardedRecordStore`, read back and compacted, take under
+      ``SHARDED_APPEND_BUDGET`` seconds.
     """
-    import threading
-
     from repro.machine.configs import opteron_like
     from repro.machine.machine import SimulatedMachine
-    from repro.runtime.backends import BatchedBackend
     from repro.runtime.cost_engine import CostEngine
     from repro.runtime.service import CampaignService
     from repro.runtime.session import Session, session
-    from repro.runtime.store import MemoryStore, machine_config_hash
+    from repro.runtime.sharded_store import ShardedRecordStore
+    from repro.runtime.store import CostLogKey, MemoryStore
     from repro.search.dp import dp_search
-    from repro.wht.encoding import plan_key
 
     config = opteron_like(noise_sigma=0.0).config
-
-    class CountingBackend:
-        name = "counting"
-
-        def __init__(self):
-            self.inner = BatchedBackend()
-            self.lock = threading.Lock()
-            self.executed = []
-
-        def measure_units(self, machine, units):
-            with self.lock:
-                digest = machine_config_hash(machine.config)
-                self.executed.extend(
-                    (digest, plan_key(unit.plan), unit.noise_seed)
-                    for unit in units
-                )
-            return self.inner.measure_units(machine, units)
 
     counting = CountingBackend()
     with CampaignService(backend=counting, workers=4) as service:
         sessions = [Session.connect(service, machine=config) for _ in range(8)]
         results = [None] * len(sessions)
 
-        def run(index):
-            results[index] = sessions[index].search(10)
+        def fan_out():
+            def run(index):
+                results[index] = sessions[index].search(12)
 
-        threads = [
-            threading.Thread(target=run, args=(index,))
-            for index in range(len(sessions))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+            threads = [
+                threading.Thread(target=run, args=(index,))
+                for index in range(len(sessions))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        timed("fanout_8_sessions_n12", fan_out)
         if service.stats().failures:
             raise SystemExit("service regression: worker failures during fan-out")
 
@@ -425,7 +749,7 @@ def check_service() -> None:
             "concurrent sessions"
         )
     serial = session(machine=config)
-    reference = serial.search(10, use_engine=True)
+    reference = serial.search(12, use_engine=True)
     for result in results:
         if (
             str(result.best_plan) != str(reference.best_plan)
@@ -441,6 +765,52 @@ def check_service() -> None:
             f"{len(counting.executed)} units, one serial session needs "
             f"{serial.cost_engine().measured}"
         )
+
+    store = MemoryStore()
+    direct_cold, direct_seconds = timed(
+        "dp_n14_direct_cold",
+        lambda: dp_search(14, CostEngine(SimulatedMachine(config), store=store)),
+    )
+    direct_warm_engine = CostEngine(SimulatedMachine(config), store=store)
+    direct_warm, _ = timed("dp_n14_direct_warm", lambda: dp_search(14, direct_warm_engine))
+    if direct_warm_engine.measured != 0 or direct_warm.best_plans != direct_cold.best_plans:
+        raise SystemExit("cost-cache regression: warm direct DP n=14 re-measured or differs")
+    with CampaignService(workers=2) as service:
+        cold_client = service.client(config)
+        service_cold, cold_seconds = timed(
+            "dp_n14_service_cold", lambda: dp_search(14, cold_client)
+        )
+        warm_client = service.client(config)
+        service_warm, warm_seconds = timed(
+            "dp_n14_service_warm", lambda: dp_search(14, warm_client)
+        )
+        if warm_client.measured != 0:
+            raise SystemExit(
+                f"service cache regression: warm client measured "
+                f"{warm_client.measured} candidates"
+            )
+    for result, label in ((service_cold, "cold"), (service_warm, "warm")):
+        if (
+            result.best_plans != direct_cold.best_plans
+            or result.best_costs != direct_cold.best_costs
+        ):
+            raise SystemExit(
+                f"service exactness regression: {label} service DP "
+                "differs from the direct engine"
+            )
+    gate(
+        "dp_n14_service_cold",
+        cold_seconds,
+        "<=",
+        SERVICE_OVERHEAD_CEILING * direct_seconds + SERVICE_OVERHEAD_GRACE_SECONDS,
+    )
+    gate(
+        "service_warm_speedup",
+        direct_seconds / max(warm_seconds, 1e-9),
+        ">=",
+        WARM_SPEEDUP_FLOOR,
+        unit="x",
+    )
 
     # Overhead gate: best-of-three cold runs on each path.
     def time_direct():
@@ -465,6 +835,15 @@ def check_service() -> None:
             f"{mediated:.3f} s > 1.2x the direct engine's {direct:.3f} s "
             f"(+0.3 s grace)"
         )
+
+    def sharded_append():
+        with tempfile.TemporaryDirectory() as tmp, ShardedRecordStore(tmp) as sharded:
+            keys = [CostLogKey(machine_hash=f"bench-{shard}", seed=shard) for shard in range(4)]
+            append_10k_records(sharded, keys)
+            sharded.drain_compactions()
+
+    _, seconds = timed("sharded_append_10k", sharded_append)
+    gate("sharded_append_10k", seconds, "<", SHARDED_APPEND_BUDGET)
 
 
 def check_faults() -> None:
@@ -580,35 +959,13 @@ def check_transport() -> None:
     * a cold loopback-TCP DP stays within 30% of the in-process service
       client (plus a small absolute grace): frames, not friction.
     """
-    import threading
-
     from repro.machine.configs import opteron_like
-    from repro.runtime.backends import BatchedBackend
     from repro.runtime.fleet import FleetClient
     from repro.runtime.service import CampaignService
-    from repro.runtime.store import machine_config_hash
     from repro.runtime.transport import serve_tcp
     from repro.search.dp import dp_search
-    from repro.wht.encoding import plan_key
 
     config = opteron_like(noise_sigma=0.0).config
-
-    class CountingBackend:
-        name = "counting"
-
-        def __init__(self):
-            self.inner = BatchedBackend()
-            self.lock = threading.Lock()
-            self.executed = []
-
-        def measure_units(self, machine, units):
-            with self.lock:
-                digest = machine_config_hash(machine.config)
-                self.executed.extend(
-                    (digest, plan_key(unit.plan), unit.noise_seed)
-                    for unit in units
-                )
-            return self.inner.measure_units(machine, units)
 
     counting = CountingBackend()
     with CampaignService(backend=counting, workers=2) as service:
@@ -680,37 +1037,16 @@ def check_fleet() -> None:
       remote DP (plus a small absolute grace): striping, not friction.
     """
     import shutil
-    import tempfile
-    import threading
 
     from repro.machine.configs import opteron_like
     from repro.runtime.backends import BatchedBackend
     from repro.runtime.fleet import FleetClient
     from repro.runtime.service import CampaignService
     from repro.runtime.sharded_store import ShardedRecordStore
-    from repro.runtime.store import machine_config_hash
     from repro.runtime.transport import serve_tcp
     from repro.search.dp import dp_search
-    from repro.wht.encoding import plan_key
 
     config = opteron_like(noise_sigma=0.0).config
-
-    class CountingBackend:
-        name = "counting"
-
-        def __init__(self):
-            self.inner = BatchedBackend()
-            self.lock = threading.Lock()
-            self.executed = []
-
-        def measure_units(self, machine, units):
-            with self.lock:
-                digest = machine_config_hash(machine.config)
-                self.executed.extend(
-                    (digest, plan_key(unit.plan), unit.noise_seed)
-                    for unit in units
-                )
-            return self.inner.measure_units(machine, units)
 
     class Fleet:
         def __init__(self, store_dir, backends=None):
@@ -822,7 +1158,6 @@ def check_suite() -> None:
       short-circuit the work, not redo it quietly from caches.
     """
     import shutil
-    import tempfile
 
     from repro.suite import SuiteRun, load_spec
 
@@ -872,25 +1207,23 @@ def check_suite() -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current machine's numbers into BENCH_substrate.json",
-    )
-    args = parser.parse_args()
-
     check_exactness()
     print("exactness: streaming pipeline matches eager reference")
     check_batch_identity()
     print(
         "batch identity: cross-plan fused prepare_batch matches the eager "
-        "reference on the enumerated space and random plans"
+        "reference on the enumerated space and random plans, and the per-plan "
+        "stream on DP n=16 candidates and n=14 RSU plans"
     )
     check_search_budget()
     print(
         "search budget: engine DP bit-identical to scalar, cold run measures "
         "each candidate once, resume measures nothing, batch models exact"
+    )
+    check_search_timings()
+    print(
+        "search timings: n=16 engine DP bit-identical to scalar, batch model "
+        "scores and buffered RSU draws identical to the scalar paths"
     )
     check_multi_metric()
     print(
@@ -901,8 +1234,9 @@ def main() -> int:
     check_service()
     print(
         "service: 8 concurrent sessions execute zero duplicate measurements, "
-        "fan-out DP bit-identical to the serial session, cold service "
-        "overhead within 20% of the direct engine"
+        "fan-out DP bit-identical to the serial session, cold and warm service "
+        "DP bit-identical to the direct engine, cold service overhead within "
+        "20% of the direct engine"
     )
     check_faults()
     print(
@@ -931,55 +1265,12 @@ def main() -> int:
 
     seconds, peak, stats = run_smoke()
     name = f"prepare_n{SMOKE_SIZE}_opteron"
-    print(
-        f"{name}: {seconds:.3f} s, peak {peak / 1e6:.1f} MB, "
-        f"l1_misses={stats.l1_misses}, l2_misses={stats.l2_misses}"
-    )
-
-    if args.write_baseline:
-        baseline = {
-            "note": (
-                "Substrate perf baseline; indicative numbers from the machine "
-                "below, checked by benchmarks/perf_smoke.py with wide slack."
-            ),
-            "machine": {
-                "platform": platform.platform(),
-                "python": platform.python_version(),
-            },
-            "recorded": {
-                name: {"seconds": round(seconds, 4), "peak_bytes": peak},
-            },
-        }
-        BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-        return 0
-
-    failures = []
-    if seconds > TIME_BUDGET_SECONDS:
-        failures.append(
-            f"{name} took {seconds:.2f} s > absolute budget {TIME_BUDGET_SECONDS} s"
-        )
-    if BASELINE_PATH.exists():
-        recorded = json.loads(BASELINE_PATH.read_text())["recorded"].get(name)
-        if recorded:
-            if seconds > recorded["seconds"] * TIME_SLACK:
-                failures.append(
-                    f"{name} took {seconds:.2f} s > {TIME_SLACK}x baseline "
-                    f"{recorded['seconds']} s"
-                )
-            if peak > recorded["peak_bytes"] * MEMORY_SLACK:
-                failures.append(
-                    f"{name} peaked at {peak} B > {MEMORY_SLACK}x baseline "
-                    f"{recorded['peak_bytes']} B"
-                )
-    else:
-        print("no BENCH_substrate.json baseline; absolute budget only")
-
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    if not failures:
-        print("perf smoke OK")
-    return 1 if failures else 0
+    print(f"{name}: l1_misses={stats.l1_misses}, l2_misses={stats.l2_misses}")
+    gate(name, seconds, "<=", TIME_BUDGET_SECONDS)
+    gate(name, seconds, "<=", BASELINE_SECONDS[name] * TIME_SLACK)
+    gate(f"{name}_peak", peak / 1e6, "<=", PREPARE_N14_PEAK_BYTES * MEMORY_SLACK / 1e6, unit="MB")
+    print("perf smoke OK")
+    return 0
 
 
 if __name__ == "__main__":

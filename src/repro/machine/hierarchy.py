@@ -6,8 +6,12 @@ probes L1, and L1 misses probe L2.  Both levels use the fastest exact
 simulator available for their geometry (vectorised for direct-mapped, 2-way
 and arbitrary N-way LRU configurations).
 
-The default entry point is :meth:`MemoryHierarchy.process_line_chunks`, which
-consumes the streamed, duplicate-collapsed line chunks produced by
+:class:`repro.machine.machine.SimulatedMachine` simulates through
+:meth:`MemoryHierarchy.process_line_chunks_batch`, which consumes many
+plans' line streams spliced into one cross-plan super-stream and recovers
+per-plan statistics by segment sums.  :meth:`MemoryHierarchy.process_line_chunks`
+is the per-plan reference: it consumes one plan's streamed,
+duplicate-collapsed line chunks from
 :func:`repro.machine.trace.stream_line_chunks`.  Simulator state carries
 across chunks (the vectorised caches support warm continuation), so the
 resulting miss counts are bit-identical to a single-shot simulation of the
