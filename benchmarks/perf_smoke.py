@@ -284,22 +284,41 @@ def check_exactness() -> None:
     plans exercise repeated-call folding: on the default machine
     ``random_plan(14, rng=2)`` folds runs that thrash L1 (but fit L2), and
     on the tiny machine ``random_plan(11, rng=1)`` folds runs that thrash
-    both levels.  Each must actually fold, so the check cannot pass
-    vacuously.
+    both levels.  Two exercise repeated sub-plan folding (weighted line
+    ranges): ``random_plan(14, rng=1)`` on the default machine, and
+    ``random_plan(11, rng=0)`` on the tiny machine without its L2.  Each
+    must actually fold, so the check cannot pass vacuously.
     """
-    from repro.machine.configs import default_machine, opteron_like, tiny_machine
+    from dataclasses import replace
+
+    from repro.machine.configs import (
+        default_machine,
+        opteron_like,
+        tiny_machine,
+        tiny_machine_config,
+    )
+    from repro.machine.machine import SimulatedMachine
     from repro.machine.trace import stream_line_chunks
     from repro.wht.interpreter import PlanInterpreter
     from repro.wht.random_plans import random_plan
 
     interpreter = PlanInterpreter()
-    # (machine, n, seed, level whose misses the stream must fold)
+    l1_only = SimulatedMachine(replace(tiny_machine_config(), l2=None))
+    fold_counts = {
+        "l1": lambda chunk: chunk.folded_l1_misses,
+        "l2": lambda chunk: chunk.folded_l2_misses,
+        "sub-plan": lambda chunk: chunk.weighted_ranges.shape[0],
+    }
+    # (machine, n, seed, the fold the stream must fire: repeated calls
+    # folding l1 or l2 misses, or repeated sub-plan invocations)
     cases = [
         *((tiny_machine(), 8, seed, None) for seed in range(3)),
         *((opteron_like(noise_sigma=0.0), 9, seed, None) for seed in range(3)),
         (default_machine(noise_sigma=0.0), 14, 0, None),
         (default_machine(noise_sigma=0.0), 14, 2, "l1"),
         (tiny_machine(), 11, 1, "l2"),
+        (default_machine(noise_sigma=0.0), 14, 1, "sub-plan"),
+        (l1_only, 11, 0, "sub-plan"),
     ]
     for machine, size, seed, folds in cases:
         config = machine.config
@@ -307,19 +326,18 @@ def check_exactness() -> None:
         if folds is not None:
             chunks = list(
                 stream_line_chunks(
-                    interpreter.iter_nest_blocks(plan),
+                    interpreter.iter_nest_blocks(
+                        plan, line_elements=config.l1.line_size // config.element_size
+                    ),
                     line_size=config.l1.line_size,
                     element_size=config.element_size,
                     caches=(config.l1, config.l2),
                 )
             )
-            folded = sum(
-                chunk.folded_l2_misses if folds == "l2" else chunk.folded_l1_misses
-                for chunk in chunks
-            )
+            folded = sum(fold_counts[folds](chunk) for chunk in chunks)
             if folded == 0:
                 raise SystemExit(
-                    f"fold coverage lost: no {folds} misses folded "
+                    f"fold coverage lost: no {folds} fold fired "
                     f"({config.name}, n={size}, seed={seed})"
                 )
         streamed = machine.prepare(plan).hierarchy_stats

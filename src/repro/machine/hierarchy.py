@@ -47,6 +47,20 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
+def _prefix(mask: np.ndarray) -> np.ndarray:
+    """``prefix[i]`` = number of true entries of ``mask[:i]``."""
+    prefix = np.zeros(mask.shape[0] + 1, dtype=np.int64)
+    np.cumsum(mask, out=prefix[1:])
+    return prefix
+
+
+def _extra_misses(
+    prefix: np.ndarray, starts: np.ndarray, stops: np.ndarray, extra: np.ndarray
+) -> np.ndarray:
+    """Per range, ``extra`` times the misses ``prefix`` counts in it."""
+    return extra * (prefix[stops] - prefix[starts])
+
+
 @dataclass(frozen=True)
 class HierarchyStatistics:
     """Access/miss counts of one trace run through the hierarchy."""
@@ -118,7 +132,9 @@ class MemoryHierarchy:
         :func:`repro.machine.trace.collapse_consecutive`); each chunk's raw
         ``accesses`` count is what L1 reports, and its folded miss counts
         (calls the stream generator counted instead of emitting) are added
-        to the simulated ones.
+        to the simulated ones.  A weighted range (``LineChunk.weighted_ranges``)
+        adds ``weight - 1`` times its simulated misses at L1 and, through the
+        L1-miss prefix sums that locate it in the L2 stream, at L2.
         """
         l1 = self.build_l1()
         l2 = self.build_l2()
@@ -138,10 +154,23 @@ class MemoryHierarchy:
             # (the sub-line offset is irrelevant to hit/miss behaviour).
             addresses = chunk.lines << offset_bits
             l1_miss_mask = l1.simulate(addresses, check=False)
+            l2_mask = None
             if l2 is not None:
                 miss_addresses = addresses[l1_miss_mask]
                 if miss_addresses.shape[0]:
-                    l2.simulate(miss_addresses, check=False)
+                    l2_mask = l2.simulate(miss_addresses, check=False)
+            ranges = chunk.weighted_ranges
+            if ranges.shape[0]:
+                starts, stops, extra = ranges[:, 0], ranges[:, 1], ranges[:, 2] - 1
+                prefix = _prefix(l1_miss_mask)
+                # Every extra L1 miss is an extra L2 access.
+                folded_l1 += int(_extra_misses(prefix, starts, stops, extra).sum())
+                if l2_mask is not None:
+                    folded_l2 += int(
+                        _extra_misses(
+                            _prefix(l2_mask), prefix[starts], prefix[stops], extra
+                        ).sum()
+                    )
         l1_misses = l1.stats.misses + folded_l1
         if l2 is not None:
             l2_accesses = l2.stats.accesses + folded_l1
@@ -301,8 +330,8 @@ class MemoryHierarchy:
         boundary can never be referenced again, which *is* the per-plan cold
         reset, enforced by the address space instead of by the simulators.
 
-        Each segment's folded miss counts are added to its plan's simulated
-        counts, as in :meth:`process_line_chunks`.
+        Each segment's folded miss counts and weighted ranges are added to
+        its plan's simulated counts, as in :meth:`process_line_chunks`.
 
         ``footprint_bytes`` optionally carries each plan's contiguous
         full-coverage footprint; plans whose footprint provably fits L2
@@ -351,11 +380,16 @@ class MemoryHierarchy:
                 continue
             addresses = lines << offset_bits
             miss_mask = l1.simulate(addresses, check=False)
-            prefix = np.zeros(miss_mask.shape[0] + 1, dtype=np.int64)
-            np.cumsum(miss_mask, out=prefix[1:])
+            prefix = _prefix(miss_mask)
             bounds = chunk.seg_bounds
             seg_misses = prefix[bounds[1:]] - prefix[bounds[:-1]]
             np.add.at(l1_misses, seg_plan, seg_misses)
+            ranges = chunk.weighted_ranges
+            if ranges.shape[0]:
+                starts, stops, extra = ranges[:, 0], ranges[:, 1], ranges[:, 2] - 1
+                range_plan = seg_plan[np.searchsorted(bounds, starts, side="right") - 1]
+                extra_l1 = _extra_misses(prefix, starts, stops, extra)
+                np.add.at(l1_misses, range_plan, extra_l1)
             if l2 is None:
                 continue
             simulate_seg = analytic_l2[seg_plan] < 0
@@ -372,12 +406,21 @@ class MemoryHierarchy:
             if miss_addresses.shape[0] == 0:
                 continue
             l2_mask = l2.simulate(miss_addresses, check=False)
-            prefix2 = np.zeros(l2_mask.shape[0] + 1, dtype=np.int64)
-            np.cumsum(l2_mask, out=prefix2[1:])
-            bounds2 = np.zeros(seg_selected.shape[0] + 1, dtype=np.int64)
-            np.cumsum(seg_selected, out=bounds2[1:])
+            prefix2 = _prefix(l2_mask)
+            bounds2 = _prefix(seg_selected)
             np.add.at(l2_accesses, seg_plan, seg_selected)
             np.add.at(l2_misses, seg_plan, prefix2[bounds2[1:]] - prefix2[bounds2[:-1]])
+            if ranges.shape[0]:
+                # Weighted ranges of simulated plans: every extra L1 miss is
+                # an extra L2 access, and the selected-miss prefix locates
+                # the range in the L2 stream.
+                simulated = analytic_l2[range_plan] < 0
+                selected_prefix = prefix if selected is miss_mask else _prefix(selected)
+                extra_l2 = _extra_misses(
+                    prefix2, selected_prefix[starts], selected_prefix[stops], extra
+                )
+                np.add.at(l2_accesses, range_plan[simulated], extra_l1[simulated])
+                np.add.at(l2_misses, range_plan[simulated], extra_l2[simulated])
 
         analytic = analytic_l2 >= 0
         if analytic.any():

@@ -182,9 +182,11 @@ class SimulatedMachine:
         bit-identical to the eager profile → trace → simulate pipeline —
         including the exact shortcuts of the fused pipeline: analytic
         full-coverage statistics for footprints that fit a cache level, and
-        repeated-pass elision, which drops guaranteed-hit write passes and
+        repeated-pass elision, which drops guaranteed-hit write passes,
         folds runs of calls over one line sequence into one simulated call
-        plus an exact miss count (see DESIGN.md §10).
+        plus an exact miss count, and simulates three of each run of
+        sub-plan invocations over one line sequence, the third weighted for
+        the rest (see DESIGN.md §10).
 
         With a :class:`PreparedPlanCache` attached, repeated preparations of
         structurally equal plans return the cached (identical) result.
@@ -278,10 +280,13 @@ class SimulatedMachine:
             offsets = hierarchy.batch_line_offsets(
                 [-(-footprints[index] // line_size) for index in streamed]
             )
+            # Whole elements per line let the walk fold repeated sub-plan
+            # invocations over one line sequence.
+            line_elements = line_size // element_size if dense else None
             streams = [
                 stream_line_chunks(
                     self._interpreter.iter_nest_blocks(
-                        plans[index], stats=stats_list[index]
+                        plans[index], stats=stats_list[index], line_elements=line_elements
                     ),
                     line_size=line_size,
                     element_size=element_size,

@@ -20,8 +20,11 @@ Two expansion paths are provided (see DESIGN.md):
   hierarchy simulators.  Given the cache geometry, the stream also drops
   provably repeated passes: write passes that are guaranteed hits, and runs
   of back-to-back codelet calls over one line sequence, whose misses are
-  counted exactly instead of simulated (repeated-pass elision, DESIGN.md
-  §10).
+  counted exactly instead of simulated.  Nest blocks walked with
+  ``line_elements`` keep three of each run of back-to-back sub-plan
+  invocations over one line sequence; the chunks mark the third's lines as
+  a weighted range whose misses the hierarchy counts once per invocation
+  it stands for (repeated-pass elision, DESIGN.md §10).
 * :func:`trace_from_nests` / :class:`MemoryTrace` — the eager byte-address
   view, retained as a thin compatibility layer for tests, ablations and any
   consumer that wants the exact per-element access sequence.
@@ -30,7 +33,7 @@ Two expansion paths are provided (see DESIGN.md):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,6 +63,35 @@ DEFAULT_ELEMENT_SIZE = 8
 #: length, and 2^18 accesses keep them all in the single-digit megabytes
 #: while staying far above the vectorisation break-even point.
 DEFAULT_CHUNK_ACCESSES = 1 << 18
+
+
+def _no_ranges() -> np.ndarray:
+    return np.zeros((0, 3), dtype=np.int64)
+
+
+def _check_weighted_ranges(ranges: np.ndarray, length: int) -> np.ndarray:
+    """Validate ``(start, stop, weight)`` rows over a ``length``-line array.
+
+    Ranges must be nonempty, in order, disjoint, inside ``[0, length)`` and
+    weighted at least 1; returns them as an ``(m, 3)`` int64 array.
+    """
+    ranges = np.asarray(ranges, dtype=np.int64)
+    if ranges.ndim != 2 or ranges.shape[1] != 3:
+        raise ValueError("weighted ranges must form an (m, 3) array")
+    starts, stops, weights = ranges.T
+    if ranges.shape[0] and (
+        starts[0] < 0
+        or stops[-1] > length
+        or np.any(stops <= starts)
+        or np.any(starts[1:] < stops[:-1])
+    ):
+        raise ValueError(
+            f"weighted ranges must be nonempty, ordered, disjoint and lie "
+            f"within the chunk's {length} lines"
+        )
+    if np.any(weights < 1):
+        raise ValueError("range weights must be at least 1")
+    return ranges
 
 
 @dataclass(frozen=True)
@@ -161,12 +193,20 @@ class LineChunk:
     ``folded_l2_misses`` are the exact misses of codelet calls that were
     folded out of ``lines`` (see :func:`_fold_repeated_calls`); every folded
     L1 miss is also an L2 access.
+
+    ``weighted_ranges`` holds ``(start, stop, weight)`` rows: the lines
+    ``lines[start:stop]`` stand for ``weight`` back-to-back copies of
+    themselves (a folded run of sub-plan invocations, see
+    :meth:`repro.wht.interpreter.PlanInterpreter.iter_nest_blocks`), so
+    their misses at every level count ``weight`` times.  ``accesses`` and
+    the folded counts already include the weights.
     """
 
     lines: np.ndarray
     accesses: int
     folded_l1_misses: int = 0
     folded_l2_misses: int = 0
+    weighted_ranges: np.ndarray = field(default_factory=_no_ranges)
 
     def __post_init__(self) -> None:
         if self.folded_l1_misses < 0 or self.folded_l2_misses < 0:
@@ -185,6 +225,11 @@ class LineChunk:
                 f"accesses ({self.accesses}) cannot be fewer than the collapsed "
                 f"line count ({lines.shape[0]})"
             )
+        object.__setattr__(
+            self,
+            "weighted_ranges",
+            _check_weighted_ranges(self.weighted_ranges, lines.shape[0]),
+        )
 
 
 @dataclass(frozen=True)
@@ -200,7 +245,12 @@ class SplicedLineChunk:
     represents, and ``seg_folded_l1``/``seg_folded_l2`` its folded miss counts
     (:attr:`LineChunk.folded_l1_misses`).  Several segments of one chunk may
     belong to the same plan (a long stream spans chunks) and a chunk may
-    carry many plans (short streams fuse).
+    carry many plans (short streams fuse).  ``weighted_ranges`` carries the
+    segments' :attr:`LineChunk.weighted_ranges`, shifted to positions in
+    ``lines``; each lies inside one segment.
+
+    Like :class:`LineChunk`, construction validates the shape: this is the
+    batch simulation's input boundary.
     """
 
     lines: np.ndarray
@@ -209,6 +259,28 @@ class SplicedLineChunk:
     seg_accesses: np.ndarray
     seg_folded_l1: np.ndarray
     seg_folded_l2: np.ndarray
+    weighted_ranges: np.ndarray = field(default_factory=_no_ranges)
+
+    def __post_init__(self) -> None:
+        lines = np.asarray(self.lines)
+        bounds = np.asarray(self.seg_bounds)
+        if lines.ndim != 1 or bounds.ndim != 1 or bounds.shape[0] == 0:
+            raise ValueError("chunk lines and seg_bounds must be nonempty 1-D arrays")
+        if bounds[0] != 0 or bounds[-1] != lines.shape[0] or np.any(np.diff(bounds) < 0):
+            raise ValueError(
+                f"seg_bounds must start at 0, be nondecreasing and end at the "
+                f"line count {lines.shape[0]}"
+            )
+        segments = bounds.shape[0] - 1
+        for name in ("seg_plan", "seg_accesses", "seg_folded_l1", "seg_folded_l2"):
+            if np.shape(getattr(self, name)) != (segments,):
+                raise ValueError(f"{name} must have one entry per segment ({segments})")
+        ranges = _check_weighted_ranges(self.weighted_ranges, lines.shape[0])
+        if ranges.shape[0]:
+            segment = np.searchsorted(bounds, ranges[:, 0], side="right") - 1
+            if np.any(ranges[:, 1] > bounds[segment + 1]):
+                raise ValueError("each weighted range must lie inside one segment")
+        object.__setattr__(self, "weighted_ranges", ranges)
 
     @property
     def segments(self) -> int:
@@ -248,6 +320,7 @@ def splice_line_chunks(
     buf_accesses: list[int] = []
     buf_folded_l1: list[int] = []
     buf_folded_l2: list[int] = []
+    buf_ranges: list[np.ndarray] = []
     buffered = 0
 
     def flush() -> SplicedLineChunk:
@@ -266,8 +339,13 @@ def splice_line_chunks(
             seg_accesses=np.array(buf_accesses, dtype=np.int64),
             seg_folded_l1=np.array(buf_folded_l1, dtype=np.int64),
             seg_folded_l2=np.array(buf_folded_l2, dtype=np.int64),
+            weighted_ranges=(
+                np.concatenate(buf_ranges) if buf_ranges else _no_ranges()
+            ),
         )
-        for buf in (buf_lines, buf_plan, buf_accesses, buf_folded_l1, buf_folded_l2):
+        for buf in (
+            buf_lines, buf_plan, buf_accesses, buf_folded_l1, buf_folded_l2, buf_ranges
+        ):
             buf.clear()
         buffered = 0
         return chunk
@@ -282,6 +360,8 @@ def splice_line_chunks(
             buf_accesses.append(chunk.accesses)
             buf_folded_l1.append(chunk.folded_l1_misses)
             buf_folded_l2.append(chunk.folded_l2_misses)
+            if chunk.weighted_ranges.shape[0]:
+                buf_ranges.append(chunk.weighted_ranges + [buffered, buffered, 0])
             buffered += int(chunk.lines.shape[0])
             if buffered >= chunk_lines:
                 yield flush()
@@ -565,6 +645,7 @@ class _BlockTable:
         self.nests: list[LeafNest] = []
         self.bases: list[np.ndarray] = []
         self.starts: list[np.ndarray] = []
+        self.weights: list[np.ndarray | None] = []
         self.raw: list[int] = []
         self.emitted: list[int] = []
         self.folded: list[tuple[int, int]] = []
@@ -591,7 +672,11 @@ class _BlockTable:
                         base=nest.base + row * nest.outer_stride,
                         outer_count=top - row,
                     )
-                    self.add(NestBlock(sub, block.offsets, block.starts + row * per_row))
+                    self.add(
+                        NestBlock(
+                            sub, block.offsets, block.starts + row * per_row, block.weights
+                        )
+                    )
                 return
             per_row = 2 * elements
             rows = max(1, self.chunk_accesses // per_row)
@@ -602,7 +687,9 @@ class _BlockTable:
                     base=nest.base + row * nest.inner_stride,
                     inner_count=top - row,
                 )
-                self.add(NestBlock(sub, block.offsets, block.starts + row * per_row))
+                self.add(
+                    NestBlock(sub, block.offsets, block.starts + row * per_row, block.weights)
+                )
             return
         offsets = block.offsets
         bases = nest.base + offsets if offsets.shape[0] > 1 or offsets[0] else None
@@ -663,6 +750,7 @@ class _BlockTable:
         self.nests.append(nest)
         self.bases.append(bases)
         self.starts.append(block.starts)
+        self.weights.append(block.weights)
         self.raw.append(raw)
         self.emitted.append(emitted)
         self.folded.append((folded_l1, folded_l2))
@@ -674,10 +762,13 @@ def _expand_chunk(
     bases: np.ndarray,
     group_ids: np.ndarray,
     emitted: np.ndarray,
+    scatter_starts: np.ndarray,
 ) -> np.ndarray:
-    """Expand one chunk's instances (given in execution order) to line numbers."""
-    scatter_starts = np.zeros(emitted.shape[0], dtype=np.int64)
-    np.cumsum(emitted[:-1], out=scatter_starts[1:])
+    """Expand one chunk's instances (given in execution order) to line numbers.
+
+    Instance ``i`` fills ``out[scatter_starts[i] : scatter_starts[i] +
+    emitted[i]]``.
+    """
     total_emitted = int(scatter_starts[-1] + emitted[-1])
     out = np.empty(total_emitted, dtype=np.int64)
     for group_id in np.unique(group_ids):
@@ -711,6 +802,39 @@ def _expand_chunk(
     return out
 
 
+def _chunk_weighted_ranges(
+    weights: np.ndarray,
+    scatter_starts: np.ndarray,
+    emitted: np.ndarray,
+    kept: np.ndarray,
+) -> np.ndarray:
+    """``(start, stop, weight)`` rows of a chunk's weighted instances.
+
+    Consecutive instances of one weight merge into one range.  ``kept``
+    lists the expanded positions that survive the collapse, so the number
+    of its entries below a position is that position's collapsed index.
+    Ranges whose lines all collapsed away are dropped: they hold no line
+    that could miss.
+    """
+    index = np.flatnonzero(weights > 1)
+    if index.shape[0] == 0:
+        return _no_ranges()
+    first = np.ones(index.shape[0], dtype=bool)
+    first[1:] = (np.diff(index) != 1) | (weights[index[1:]] != weights[index[:-1]])
+    last = np.ones(index.shape[0], dtype=bool)
+    last[:-1] = first[1:]
+    run_first, run_last = index[first], index[last]
+    ranges = np.stack(
+        [
+            np.searchsorted(kept, scatter_starts[run_first]),
+            np.searchsorted(kept, scatter_starts[run_last] + emitted[run_last]),
+            weights[run_first],
+        ],
+        axis=1,
+    )
+    return ranges[ranges[:, 1] > ranges[:, 0]]
+
+
 def stream_line_chunks(
     nests: Iterable[LeafNest | NestBlock],
     line_size: int,
@@ -728,9 +852,9 @@ def stream_line_chunks(
     ``chunk_accesses`` raw accesses each (instances larger than the budget
     are split along their loop axes; only a single oversized codelet *call*,
     which never occurs for realistic leaf sizes, can exceed the bound).
-    Concatenating the chunks' ``lines``
-    yields exactly ``collapse_consecutive(full_trace.line_addresses(...))``;
-    the full trace is never materialised — only per-nest descriptors and one
+    For unweighted blocks, concatenating the chunks' ``lines`` yields
+    exactly ``collapse_consecutive(full_trace.line_addresses(...))``; the
+    full trace is never materialised — only per-nest descriptors and one
     bounded chunk of expanded lines exist at any time.
 
     ``caches`` — the ``(L1, L2)`` geometry the stream will be simulated on
@@ -745,6 +869,17 @@ def stream_line_chunks(
     the folded counts produce bit-identical hierarchy statistics, and the
     chunks' raw ``accesses`` counts still include every dropped access.
     With the default ``None`` the exact collapsed line sequence is emitted.
+
+    Weighted blocks (a walk given ``line_elements``, see
+    :meth:`repro.wht.interpreter.PlanInterpreter.iter_nest_blocks`) list
+    only the kept copies of each folded run of sub-plan invocations.  Their
+    instances' raw accesses and folded miss counts are multiplied by the
+    weight, and their collapsed lines are marked in the chunks'
+    ``weighted_ranges`` so the hierarchy can count their misses ``weight``
+    times.  ``line_elements`` must be ``line_size / element_size`` and the
+    base address line-aligned, so that a folded run's invocations share
+    their lines here as they did in the walk.  Chunks are budgeted by the
+    accesses actually expanded, not the weighted ones.
 
     Addresses are validated non-negative here, once, at the pipeline
     boundary — per block, from the nest geometry — so the downstream
@@ -777,6 +912,11 @@ def stream_line_chunks(
                 item, _SINGLE_OFFSET, np.array([cursor], dtype=np.int64)
             )
             cursor += block.accesses_per_instance
+        if block.weights is not None and base_address % line_size:
+            raise ValueError(
+                f"weighted nest blocks need a line-aligned base_address, "
+                f"got {base_address}"
+            )
         table.add(block)
     if not table.nests:
         return
@@ -785,27 +925,49 @@ def stream_line_chunks(
     block_ids = np.repeat(np.arange(len(table.nests)), counts)
     all_bases = np.concatenate(table.bases)
     all_starts = np.concatenate(table.starts)
+    weighted = any(w is not None for w in table.weights)
+    all_weights = (
+        np.concatenate(
+            [
+                np.ones(count, dtype=np.int64) if w is None else w
+                for w, count in zip(table.weights, counts.tolist())
+            ]
+        )
+        if weighted
+        else None
+    )
     table.bases.clear()
     table.starts.clear()
+    table.weights.clear()
     order = np.argsort(all_starts, kind="stable")
     del all_starts
 
     sorted_blocks = block_ids[order]
     sorted_bases = all_bases[order]
-    del block_ids, all_bases, order
+    sorted_weights = all_weights[order] if weighted else None
+    del block_ids, all_bases, all_weights, order
     raw_arr = np.array(table.raw, dtype=np.int64)
     emitted_arr = np.array(table.emitted, dtype=np.int64)
     gid_arr = np.array(table.group_ids)
     sorted_raw = raw_arr[sorted_blocks]
     sorted_emitted = emitted_arr[sorted_blocks]
     sorted_gids = gid_arr[sorted_blocks]
+    # Chunks are budgeted by expanded accesses; ``accesses`` reports the
+    # weighted ones.
     cumulative_raw = np.cumsum(sorted_raw)
+    cumulative_accesses = (
+        np.cumsum(sorted_raw * sorted_weights) if weighted else cumulative_raw
+    )
     del sorted_raw
     # Per-instance folded (L1, L2) misses, accumulated like the raw counts.
     folded_arr = np.array(table.folded, dtype=np.int64)
-    cumulative_folded = (
-        np.cumsum(folded_arr[sorted_blocks], axis=0) if folded_arr.any() else None
-    )
+    cumulative_folded = None
+    if folded_arr.any():
+        sorted_folded = folded_arr[sorted_blocks]
+        if weighted:
+            sorted_folded *= sorted_weights[:, None]
+        cumulative_folded = np.cumsum(sorted_folded, axis=0)
+        del sorted_folded
 
     instances = sorted_blocks.shape[0]
     prev_last: int | None = None
@@ -821,28 +983,40 @@ def stream_line_chunks(
             )
         ) + 1
         high = min(high, instances)
+        emitted = sorted_emitted[low:high]
+        scatter_starts = np.zeros(emitted.shape[0], dtype=np.int64)
+        np.cumsum(emitted[:-1], out=scatter_starts[1:])
         lines = _expand_chunk(
-            table,
-            sorted_bases[low:high],
-            sorted_gids[low:high],
-            sorted_emitted[low:high],
+            table, sorted_bases[low:high], sorted_gids[low:high], emitted, scatter_starts
         )
-        collapsed, _removed = collapse_consecutive(lines)
-        if prev_last is not None and collapsed.shape[0] and int(collapsed[0]) == prev_last:
-            collapsed = collapsed[1:]
+        # Keep the first line of each run of equal lines, across chunks too.
+        keep = np.empty(lines.shape[0], dtype=bool)
+        keep[0] = prev_last is None or int(lines[0]) != prev_last
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+        kept = np.flatnonzero(keep)  # a gather beats boolean indexing here
+        collapsed = lines[kept]
         if collapsed.shape[0]:
             prev_last = int(collapsed[-1])
-        chunk_raw = int(cumulative_raw[high - 1]) - consumed_raw
-        consumed_raw += chunk_raw
+        ranges = (
+            _chunk_weighted_ranges(sorted_weights[low:high], scatter_starts, emitted, kept)
+            if weighted
+            else _no_ranges()
+        )
+        below = int(cumulative_accesses[low - 1]) if low else 0
+        accesses = int(cumulative_accesses[high - 1]) - below
+        consumed_raw = int(cumulative_raw[high - 1])
         if cumulative_folded is not None:
-            below = cumulative_folded[low - 1] if low else 0
-            folded_l1, folded_l2 = (int(v) for v in cumulative_folded[high - 1] - below)
+            below_folded = cumulative_folded[low - 1] if low else 0
+            folded_l1, folded_l2 = (
+                int(v) for v in cumulative_folded[high - 1] - below_folded
+            )
         low = high
         yield LineChunk(
             lines=collapsed,
-            accesses=chunk_raw,
+            accesses=accesses,
             folded_l1_misses=folded_l1,
             folded_l2_misses=folded_l2,
+            weighted_ranges=ranges,
         )
 
 

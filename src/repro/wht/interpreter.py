@@ -109,9 +109,54 @@ class LeafNest:
 _SINGLE_OFFSET = np.zeros(1, dtype=np.int64)
 
 
+def _fold_group(base: int, stride: int, child_stride: int, line_elements: int) -> int:
+    """Invocations per foldable group of a sub-plan replay, or 0.
+
+    The stride loop invokes the child at bases ``row + k * stride``.  When
+    the child's stride is a multiple of the line length, its line sequence
+    depends on its base only through the base's line; a group of ``g =
+    line_elements / stride`` consecutive ``k`` shares that line when every
+    row starts within the first ``stride`` elements of its line (rows lie
+    ``child_size * child_stride`` apart, a multiple of the line, so they
+    share the base's residue).  Folding keeps three invocations per group,
+    so groups of three or fewer are left alone.
+
+    Inside a template ``base`` is template-relative, and the test is still
+    exact: by induction over the triple loop, a node at stride ``p`` and
+    size ``N`` of a walk started at base 0 has base ``r + m * p * N`` with
+    ``r < p``.  When the stride tests pass, ``p * N`` is a multiple of the
+    line (it is at least ``child_size * child_stride``), so the relative and
+    the absolute base both leave a line residue below ``stride``.
+    """
+    if not line_elements or child_stride % line_elements or stride >= line_elements:
+        return 0
+    if line_elements % stride or base % line_elements >= stride:
+        return 0
+    group = line_elements // stride  # divides ``inner``: inner * stride is a line multiple
+    return group if group > 3 else 0
+
+
+def _compose_weights(
+    outer: np.ndarray | None,
+    outer_count: int,
+    inner: np.ndarray | None,
+    inner_count: int,
+) -> np.ndarray | None:
+    """Weights of a template block replayed at ``outer_count`` bases.
+
+    Instances are laid out replay-major, as the replayed offsets are; a
+    weighted replay of a weighted template multiplies the two weights.
+    """
+    if outer is None:
+        return None if inner is None else np.tile(inner, outer_count)
+    if inner is None:
+        return np.repeat(outer, inner_count)
+    return (outer[:, None] * inner[None, :]).reshape(-1)
+
+
 @dataclass(frozen=True)
 class NestBlock:
-    """Many instances of one leaf-nest shape, described once plus two arrays.
+    """Many instances of one leaf-nest shape, described once plus per-instance arrays.
 
     A sub-plan invoked ``R * S`` times by the triple loop emits the same nest
     sequence every time, shifted by a different base and occurring at a
@@ -129,13 +174,20 @@ class NestBlock:
     exact recursive access order, which is how the streamed trace expander
     and :meth:`PlanInterpreter.iter_nests` consume them.
 
-    ``offsets`` and ``starts`` must be treated as immutable (blocks share
-    template arrays).
+    ``weights`` is ``None`` for a block listing every instance.  A walk
+    given ``line_elements`` folds runs of repeated sub-plan invocations
+    (:meth:`PlanInterpreter.iter_nest_blocks`): it then lists only the kept
+    instances, and ``weights[i]`` is how many back-to-back invocations of
+    one line sequence instance ``i`` stands for.
+
+    ``offsets``, ``starts`` and ``weights`` must be treated as immutable
+    (blocks share template arrays).
     """
 
     nest: LeafNest
     offsets: np.ndarray
     starts: np.ndarray
+    weights: np.ndarray | None = None
 
     @property
     def instances(self) -> int:
@@ -267,29 +319,34 @@ class PlanInterpreter:
     best sub-plans) is walked into its :class:`NestBlock` template once and
     replayed from the cache afterwards.  Cached templates are read-only —
     replaying composes fresh offset/start arrays — so cache hits are
-    bit-identical to re-walking.  ``0`` disables the cache.
+    bit-identical to re-walking.  The key also carries the walk's
+    ``line_elements`` (``0`` for none), so folded and unfolded templates
+    never share an entry.  ``0`` disables the cache.
     """
 
     def __init__(self, template_cache_size: int = 64):
         if template_cache_size < 0:
             raise ValueError("template_cache_size must be >= 0")
         self._template_cache: (
-            LRUCache[tuple[str, int], tuple[list[NestBlock], ExecutionStats, int]] | None
+            LRUCache[tuple[str, int, int], tuple[list[NestBlock], ExecutionStats, int]]
+            | None
         ) = LRUCache(template_cache_size) if template_cache_size else None
 
     def _sub_plan_template(
-        self, child: Plan, child_stride: int
+        self, child: Plan, child_stride: int, line_elements: int
     ) -> tuple[list["NestBlock"], "ExecutionStats", int]:
         """The child's block template at ``child_stride`` (cached, immutable)."""
         cache = self._template_cache
-        key = (plan_key(child), child_stride)
+        key = (plan_key(child), child_stride, line_elements)
         if cache is not None:
             cached = cache.get(key)
             if cached is not None:
                 return cached
         sub = ExecutionStats()
         sub_cursor = [0]
-        template = list(self._walk_blocks(child, 0, child_stride, sub, sub_cursor))
+        template = list(
+            self._walk_blocks(child, 0, child_stride, sub, sub_cursor, line_elements)
+        )
         entry = (template, sub, sub_cursor[0])
         if cache is not None:
             cache.put(key, entry)
@@ -360,7 +417,10 @@ class PlanInterpreter:
             yield replace(nest, base=nest.base + offset) if offset else nest
 
     def iter_nest_blocks(
-        self, plan: Plan, stats: ExecutionStats | None = None
+        self,
+        plan: Plan,
+        stats: ExecutionStats | None = None,
+        line_elements: int | None = None,
     ) -> Iterator[NestBlock]:
         """Yield the plan's nest stream as :class:`NestBlock` groups.
 
@@ -373,9 +433,32 @@ class PlanInterpreter:
         merged back via exact integer scaling.  Sorting all block instances
         by ``starts`` reproduces the recursive nest sequence exactly
         (asserted by the test suite).
+
+        ``line_elements`` — the number of vector elements per cache line of
+        the trace the blocks will be expanded into — turns on repeated
+        sub-plan folding.  When a split child runs at a stride that is a
+        multiple of ``line_elements`` under a parent stride below it, each
+        group of ``g = line_elements / stride`` back-to-back stride-loop
+        invocations starts inside one line and so replays one identical
+        line sequence.  Only the first three invocations of each group are
+        emitted, the third with weight ``g - 2`` (``NestBlock.weights``):
+        under LRU, applying a sequence to the state it just produced
+        reproduces that state, so from the third copy on every cache level
+        fed by the sequence or its miss stream repeats exactly (DESIGN.md
+        §10).  Event counts in ``stats`` still include every invocation.
+        With the default ``None`` every instance is emitted unweighted.
         """
+        if line_elements is not None and line_elements < 1:
+            raise ValueError(f"line_elements must be positive, got {line_elements}")
         cursor = [0]
-        yield from self._walk_blocks(plan, base=0, stride=1, stats=stats, cursor=cursor)
+        yield from self._walk_blocks(
+            plan,
+            base=0,
+            stride=1,
+            stats=stats,
+            cursor=cursor,
+            line_elements=line_elements or 0,
+        )
 
     # -- internals -----------------------------------------------------------
 
@@ -386,6 +469,7 @@ class PlanInterpreter:
         stride: int,
         stats: ExecutionStats | None,
         cursor: list[int],
+        line_elements: int = 0,
     ) -> Iterator[NestBlock]:
         if isinstance(node, Small):
             yield self._leaf_block(
@@ -430,24 +514,41 @@ class PlanInterpreter:
                 child_stride = inner * stride
                 invocations = remaining * inner
                 if invocations == 1:
-                    yield from self._walk_blocks(child, base, child_stride, stats, cursor)
+                    yield from self._walk_blocks(
+                        child, base, child_stride, stats, cursor, line_elements
+                    )
                 else:
                     template, sub, template_accesses = self._sub_plan_template(
-                        child, child_stride
+                        child, child_stride, line_elements
                     )
                     if stats is not None:
                         stats.merge(sub.scaled(invocations))
                     j = np.arange(remaining, dtype=np.int64) * (child_size * inner * stride)
-                    k = np.arange(inner, dtype=np.int64) * stride
-                    offsets = (base + (j[:, None] + k[None, :])).reshape(-1)
+                    k = np.arange(inner, dtype=np.int64)
+                    group = _fold_group(base, stride, child_stride, line_elements)
+                    weights = None
+                    if group:
+                        # Keep the first three invocations of each group of
+                        # ``group`` over one line sequence; the third stands
+                        # for the rest.
+                        k = k.reshape(-1, group)[:, :3].reshape(-1)
+                        weights = np.tile(
+                            np.array([1, 1, group - 2], dtype=np.int64),
+                            remaining * (inner // group),
+                        )
+                    offsets = (base + (j[:, None] + k[None, :] * stride)).reshape(-1)
                     starts = cursor[0] + (
-                        np.arange(invocations, dtype=np.int64) * template_accesses
-                    )
+                        (np.arange(remaining, dtype=np.int64)[:, None] * inner + k[None, :])
+                        * template_accesses
+                    ).reshape(-1)
                     for block in template:
                         yield NestBlock(
                             block.nest,
                             (offsets[:, None] + block.offsets[None, :]).reshape(-1),
                             (starts[:, None] + block.starts[None, :]).reshape(-1),
+                            _compose_weights(
+                                weights, offsets.shape[0], block.weights, block.instances
+                            ),
                         )
                     cursor[0] += invocations * template_accesses
             inner *= child_size

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.machine.cache import CacheConfig
+from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.configs import default_machine_config, opteron_like, tiny_machine
 from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.machine.trace import (
     LineChunk,
+    SplicedLineChunk,
     splice_line_chunks,
     stream_line_chunks,
     trace_from_nests,
@@ -291,6 +292,88 @@ class TestSpliceLineChunks:
     def test_rejects_mismatched_offsets(self):
         with pytest.raises(ValueError):
             list(splice_line_chunks([[]], [0, 1]))
+
+    def test_weighted_ranges_shift_with_their_segment(self):
+        ranges = np.array([[1, 2, 6]])
+        streams = [
+            [LineChunk(lines=np.array([1, 2, 3]), accesses=6)],
+            [LineChunk(lines=np.array([0, 1]), accesses=14, weighted_ranges=ranges)],
+        ]
+        (chunk,) = splice_line_chunks(streams, [0, 100], chunk_lines=1 << 20)
+        assert chunk.weighted_ranges.tolist() == [[4, 5, 6]]
+
+
+def _spliced(**overrides):
+    fields = dict(
+        lines=np.arange(6),
+        seg_bounds=np.array([0, 3, 6]),
+        seg_plan=np.array([0, 1]),
+        seg_accesses=np.array([6, 6]),
+        seg_folded_l1=np.zeros(2, dtype=np.int64),
+        seg_folded_l2=np.zeros(2, dtype=np.int64),
+        weighted_ranges=np.array([[0, 2, 3], [3, 6, 2]]),
+    )
+    fields.update(overrides)
+    return SplicedLineChunk(**fields)
+
+
+class TestSplicedLineChunkValidation:
+    """The batch path's input boundary rejects malformed chunks."""
+
+    def test_well_formed_chunk_is_accepted(self):
+        assert _spliced().segments == 2
+
+    def test_bounds_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="seg_bounds"):
+            _spliced(seg_bounds=np.array([1, 3, 6]))
+
+    def test_bounds_must_be_nondecreasing(self):
+        with pytest.raises(ValueError, match="seg_bounds"):
+            _spliced(seg_bounds=np.array([0, 4, 3, 6]), seg_plan=np.array([0, 1, 1]))
+
+    def test_bounds_must_end_at_the_line_count(self):
+        with pytest.raises(ValueError, match="seg_bounds"):
+            _spliced(seg_bounds=np.array([0, 3, 5]))
+
+    def test_bounds_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="seg_bounds"):
+            _spliced(seg_bounds=np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "name", ["seg_plan", "seg_accesses", "seg_folded_l1", "seg_folded_l2"]
+    )
+    def test_per_segment_arrays_need_one_entry_per_segment(self, name):
+        with pytest.raises(ValueError, match=name):
+            _spliced(**{name: np.zeros(3, dtype=np.int64)})
+
+    def test_range_must_lie_inside_one_segment(self):
+        with pytest.raises(ValueError, match="one segment"):
+            _spliced(weighted_ranges=np.array([[2, 4, 3]]))
+
+    def test_range_weight_must_be_at_least_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            _spliced(weighted_ranges=np.array([[0, 2, 0]]))
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            [[2, 2, 3]],  # empty
+            [[0, 3, 2], [2, 4, 2]],  # overlapping
+            [[3, 4, 2], [0, 2, 2]],  # out of order
+            [[4, 7, 2]],  # past the lines
+        ],
+    )
+    def test_ranges_must_be_ordered_disjoint_and_in_bounds(self, ranges):
+        with pytest.raises(ValueError, match="weighted ranges"):
+            _spliced(weighted_ranges=np.array(ranges))
+
+    def test_ranges_must_have_three_columns(self):
+        with pytest.raises(ValueError, match=r"\(m, 3\)"):
+            _spliced(weighted_ranges=np.array([[0, 2]]))
+
+    def test_line_chunk_validates_its_ranges(self):
+        with pytest.raises(ValueError, match="weighted ranges"):
+            LineChunk(lines=np.arange(3), accesses=3, weighted_ranges=np.array([[0, 4, 2]]))
 
 
 class TestBatchLineOffsets:
@@ -587,5 +670,130 @@ class TestRepeatedCallFolding:
             list(
                 stream_line_chunks(
                     [], line_size=32, caches=(CacheConfig(256, 64, 2), None)
+                )
+            )
+
+
+def _folded_stream(plan, l1, l2, chunk_accesses=1 << 18):
+    """The machine's stream: sub-plan folding plus repeated-pass elision."""
+    return list(
+        stream_line_chunks(
+            INTERPRETER.iter_nest_blocks(plan, line_elements=l1.line_size // 8),
+            line_size=l1.line_size,
+            element_size=8,
+            chunk_accesses=chunk_accesses,
+            caches=(l1, l2),
+        )
+    )
+
+
+def _lru_sets(cache):
+    return [list(ways) for ways in cache._sets]
+
+
+class TestRepeatedSubPlanFolding:
+    """Streams walked with ``line_elements`` simulate three invocations of
+    each folded run and weight the third, with the exact stream's statistics."""
+
+    @given(
+        geometry=FOLD_GEOMETRIES,
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10**6),
+        chunk_accesses=st.sampled_from([64, 1 << 18]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_random_plans(self, geometry, n, seed, chunk_accesses):
+        # 64-access chunks make weighted ranges straddle chunk boundaries.
+        l1, l2 = TestRepeatedCallFolding._caches(geometry)
+        plan = random_plan(n, rng=seed)
+        hierarchy = MemoryHierarchy(l1, l2)
+        exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, None)
+        folded = _folded_stream(plan, l1, l2, chunk_accesses)
+        assert hierarchy.process_line_chunks(folded) == exact, (plan, l1, l2)
+        # The batch path, spliced with a second plan in small chunks, with
+        # the analytic L2 shortcut wherever the footprint fits.
+        other = random_plan(max(n - 2, 1), rng=seed + 1)
+        other_exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(other), l1, l2, None)
+        streams = [folded, _folded_stream(other, l1, l2, chunk_accesses)]
+        offsets = hierarchy.batch_line_offsets(
+            [plan.size * 8 // l1.line_size + 1, other.size * 8 // l1.line_size + 1]
+        )
+        batch = hierarchy.process_line_chunks_batch(
+            splice_line_chunks(streams, offsets, chunk_lines=chunk_accesses),
+            2,
+            footprint_bytes=[plan.size * 8, other.size * 8],
+        )
+        assert batch == [exact, other_exact], (plan, other, l1, l2)
+
+    @given(
+        associativity=st.sampled_from([1, 2, 4, 8, 16]),
+        prefix=st.lists(st.integers(0, 255), max_size=200),
+        sequence=st.lists(st.integers(0, 255), min_size=1, max_size=120),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reapplying_a_sequence_reproduces_the_state(
+        self, associativity, prefix, sequence
+    ):
+        # S·N·N = S·N per set, for any warm state S.
+        cache = SetAssociativeLRUCache(CacheConfig(64 * associativity * 4, 64, associativity))
+        cache.simulate(np.array(prefix + sequence, dtype=np.int64) << 6)
+        once = _lru_sets(cache)
+        cache.simulate(np.array(sequence, dtype=np.int64) << 6)
+        assert _lru_sets(cache) == once
+
+    @given(
+        l1_assoc=st.sampled_from([1, 2, 4]),
+        l2_assoc=st.sampled_from([1, 2, 4, 8, 16]),
+        prefix=st.lists(st.integers(0, 511), max_size=200),
+        sequence=st.lists(st.integers(0, 511), min_size=1, max_size=120),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_two_levels_repeat_from_the_third_copy(
+        self, l1_assoc, l2_assoc, prefix, sequence
+    ):
+        l1 = SetAssociativeLRUCache(CacheConfig(512, 64, l1_assoc))
+        l2 = SetAssociativeLRUCache(CacheConfig(2048, 64, l2_assoc))
+
+        def feed(lines):
+            addresses = np.array(lines, dtype=np.int64) << 6
+            misses = addresses[l1.simulate(addresses)]
+            return int(misses.shape[0]), int(l2.simulate(misses).sum())
+
+        feed(prefix)
+        copies = [feed(sequence) for _ in range(6)]
+        assert copies[2:] == [copies[2]] * 4
+        assert {copy[0] for copy in copies[1:]} == {copies[1][0]}
+
+    def test_default_machine_fold_fires(self):
+        config = default_machine_config(noise_sigma=0.0)
+        l1, l2 = config.l1, config.l2
+        # The left child runs at stride 64 under the root's unit stride:
+        # eight invocations per line, three of them simulated.
+        plan = parse_plan("split[split[small[4],small[4]],split[small[3],small[3]]]")
+        unfolded = list(
+            stream_line_chunks(
+                INTERPRETER.iter_nest_blocks(plan), line_size=64, caches=(l1, l2)
+            )
+        )
+        folded = _folded_stream(plan, l1, l2)
+        assert sum(c.lines.shape[0] for c in folded) < sum(
+            c.lines.shape[0] for c in unfolded
+        )
+        assert sum(c.weighted_ranges.shape[0] for c in folded) > 0
+        assert sum(c.accesses for c in folded) == sum(c.accesses for c in unfolded)
+        hierarchy = MemoryHierarchy(l1, l2)
+        assert hierarchy.process_line_chunks(folded) == reference_prepare(config, plan)[1]
+        assert SimulatedMachine(config).prepare(plan).hierarchy_stats == (
+            reference_prepare(config, plan)[1]
+        )
+
+    def test_weighted_blocks_need_an_aligned_base_address(self):
+        plan = parse_plan("split[split[small[4],small[4]],split[small[3],small[3]]]")
+        with pytest.raises(ValueError, match="line-aligned"):
+            list(
+                stream_line_chunks(
+                    INTERPRETER.iter_nest_blocks(plan, line_elements=8),
+                    line_size=64,
+                    base_address=8,
                 )
             )
