@@ -48,7 +48,10 @@ within 30% of the in-process service client.  The declarative suite runner
 is gated by ``check_suite``: a cold run of the committed CI spec over a
 fresh disk store completes and measures, and a warm re-run against the same
 store performs zero new measurements, skips every unit, and finishes at
-least 10x faster.
+least 10x faster.  The theory optimiser is gated by ``check_theory``: the
+n=20 instruction-count extremes stay polynomial (the plan-per-composition
+enumeration it replaced took minutes there), and the n=13 extremes match
+their pinned values.
 
 Usage::
 
@@ -98,6 +101,7 @@ BASELINE_SECONDS = {
     "dp_n14_service_warm": 0.0018,
     "fanout_8_sessions_n12": 0.0277,
     "sharded_append_10k": 0.1367,
+    "theory_extremes_n20": 0.0027,
 }
 #: tracemalloc peak of the n=14 prepare, recorded with ``BASELINE_SECONDS``.
 PREPARE_N14_PEAK_BYTES = 8_716_113
@@ -1224,6 +1228,31 @@ def check_suite() -> None:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+#: Default-model instruction-count extremes at n=13 (the theory table's top).
+THEORY_N13_MIN = (145841, "split[small[6],small[7]]")
+THEORY_N13_MAX_COUNT = 2652753
+
+
+def check_theory() -> None:
+    """The theory optimiser must stay polynomial and keep its pinned results.
+
+    ``extreme_instruction_counts(20)`` is timed once, cold, at ``TIME_SLACK``
+    x its baseline; and the default-model n=13 minimum (count and plan) and
+    maximum count must equal the pinned values.
+    """
+    from repro.models.theory import extreme_instruction_counts
+
+    extreme_instruction_counts.cache_clear()
+    timed("theory_extremes_n20", lambda: extreme_instruction_counts(20))
+    n13 = extreme_instruction_counts(13)
+    got = ((n13.min_count, str(n13.min_plan)), n13.max_count)
+    if got != (THEORY_N13_MIN, THEORY_N13_MAX_COUNT):
+        raise SystemExit(
+            f"theory regression: n=13 extremes {got}, expected "
+            f"{(THEORY_N13_MIN, THEORY_N13_MAX_COUNT)}"
+        )
+
+
 def main() -> int:
     check_exactness()
     print("exactness: streaming pipeline matches eager reference")
@@ -1279,6 +1308,12 @@ def main() -> int:
         "suite: cold CI-spec run completes and measures, warm re-run against "
         "the same store performs zero measurements, skips every unit, and is "
         ">= 10x faster"
+    )
+
+    check_theory()
+    print(
+        "theory: n=20 instruction-count extremes within the polynomial-time "
+        "gate, n=13 extremes equal their pinned values"
     )
 
     seconds, peak, stats = run_smoke()

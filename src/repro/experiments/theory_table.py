@@ -52,11 +52,11 @@ def theory_table(
 ) -> TheoryTable:
     """Build the table for the requested size exponents."""
     rows: list[dict] = []
-    previous_count: int | None = None
     for n in sorted(int(s) for s in sizes):
         check_positive_int(n, "size exponent")
         count = algorithm_space_size(n, max_leaf=max_leaf)
-        growth = count / previous_count if previous_count else float("nan")
+        # W(n)/W(n-1) even when n - 1 is not among the requested sizes.
+        growth = count / algorithm_space_size(n - 1, max_leaf=max_leaf) if n > 1 else float("nan")
         row = {
             "n": n,
             "count": count,
@@ -71,5 +71,4 @@ def theory_table(
             row["max_instructions"] = extremes.max_count
             row["spread"] = extremes.spread
         rows.append(row)
-        previous_count = count
     return TheoryTable(rows=tuple(rows))

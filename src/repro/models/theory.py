@@ -7,7 +7,8 @@ statements, all reproduced here:
   (:func:`algorithm_space_size`, :func:`space_growth_ratios`);
 * the *extremes* of the instruction-count distribution — the minimum and
   maximum achievable counts, and which plans achieve them
-  (:func:`extreme_instruction_counts`);
+  (:func:`extreme_instruction_counts`), found by an ``O(n^3)`` prefix DP
+  over compositions rather than by enumerating them;
 * the *moments* of the instruction-count distribution under the recursive
   split uniform (RSU) sampling distribution — mean and variance, computed
   exactly by recursion over the distribution (:func:`rsu_instruction_moments`);
@@ -66,30 +67,72 @@ class ExtremePlans:
 
 def _optimize_instruction_count(
     n: int,
-    cost_model: InstructionCostModel,
+    model: InstructionCostModel,
     max_leaf: int,
     maximize: bool,
 ) -> tuple[Plan, int]:
-    """Exact DP over all compositions for the extreme instruction count.
+    """The plan of exponent ``n`` with the extreme instruction count, by DP.
 
-    The instruction count of ``split[c_1, ..., c_t]`` decomposes as a constant
-    (depending only on the composition) plus ``sum_i (N / N_i) * count(c_i)``,
-    so a bottom-up DP over exponents is exact: the best (or worst) subtree for
-    each exponent is independent of its context.
+    For a split ``split[c_1, ..., c_t]`` of exponent ``m``,
+    :meth:`InstructionCostModel.instructions` is linear in the event counters
+    (a split's ``child_calls`` never fall below its ``codelet_calls``), so its
+    count is ``split_invocation_cost + sum_i term(p_i, c_i)`` with ``p_i`` the
+    sum of the parts before ``c_i``::
+
+        term(p, c) = outer_loop_cost + stride_loop_cost * 2^(m-p-c)
+                   + block_loop_cost * 2^p + inner_loop_cost * 2^(m-c)
+                   + 2^(m-c) * (X[c] + recursive_call_cost * [best[c] is a split])
+
+    where ``X[c]`` is the optimum of exponent ``c`` and ``best[c]`` its plan.
+    A suffix DP ``f[p] = better_c(term(p, c) + f[p + c])`` (with ``c < m`` at
+    ``p = 0``, so every split has two parts or more) gives the best split of
+    each exponent in ``O(m^2)`` steps, ``O(n^3)`` in all; only the winning
+    plans are built.
+
+    Ties go to the leaf, then to the lexicographically smallest composition:
+    the composition is rebuilt greedily, taking at each ``p`` the smallest
+    ``c`` whose ``term + f`` reaches the optimum.
     """
     better = max if maximize else min
-    best: dict[int, tuple[Plan, int]] = {}
+    best: dict[int, Plan] = {}
+    # Per-call cost of best[c] as a child: X[c] plus the dispatch overhead a
+    # parent charges for non-leaf children.
+    child_cost: dict[int, int] = {}
+    count = 0
     for m in range(1, n + 1):
-        candidates: list[tuple[Plan, int]] = []
+
+        def term(p: int, c: int) -> int:
+            return (
+                model.outer_loop_cost
+                + model.stride_loop_cost * (1 << (m - p - c))
+                + model.block_loop_cost * (1 << p)
+                + (1 << (m - c)) * (model.inner_loop_cost + child_cost[c])
+            )
+
+        def parts_at(p: int) -> range:
+            return range(1, m - p + (p > 0))
+
+        plan: Plan | None = None
         if m <= max_leaf:
-            leaf = Small(m)
-            candidates.append((leaf, instruction_count(leaf, cost_model)))
-        for comp in compositions(m, min_parts=2):
-            children = tuple(best[part][0] for part in comp)
-            plan = Split(children)
-            candidates.append((plan, instruction_count(plan, cost_model)))
-        best[m] = better(candidates, key=lambda item: item[1])
-    return best[n]
+            plan = Small(m)
+            count = instruction_count(plan, model)
+        if m > 1:
+            # f[p]: the extreme sum of terms over the compositions of m - p.
+            f = [0] * (m + 1)
+            for p in range(m - 1, -1, -1):
+                f[p] = better(term(p, c) + f[p + c] for c in parts_at(p))
+            split_count = model.split_invocation_cost + f[0]
+            if plan is None or (split_count > count if maximize else split_count < count):
+                children: list[Plan] = []
+                p = 0
+                while p < m:
+                    part = next(c for c in parts_at(p) if term(p, c) + f[p + c] == f[p])
+                    children.append(best[part])
+                    p += part
+                plan, count = Split(children), split_count
+        best[m] = plan
+        child_cost[m] = count + (model.recursive_call_cost if isinstance(plan, Split) else 0)
+    return best[n], count
 
 
 @lru_cache(maxsize=256)
@@ -100,13 +143,16 @@ def extreme_instruction_counts(
 ) -> ExtremePlans:
     """The minimum and maximum instruction counts over all plans of size ``2^n``.
 
-    Exact for every ``n`` (dynamic programming over exponents); the enumeration
-    cost grows like ``2^n`` compositions per exponent, which stays comfortable
-    for the sizes studied here (``n <= 20``).  The minimum is achieved by
-    large-codelet iterative-style plans and the maximum by deep recursions with
-    small leaves, mirroring the analysis of [5].
+    Exact integer arithmetic throughout: a prefix DP over each exponent's
+    compositions (:func:`_optimize_instruction_count`) costs ``O(n^3)`` steps
+    in all and builds plan objects only for the winners, so ``n = 20`` takes
+    milliseconds.  Among tied plans the leaf wins, then the lexicographically
+    smallest composition.  The minimum is achieved by large-codelet
+    iterative-style plans and the maximum by deep recursions with small
+    leaves, mirroring the analysis of [5].
     """
     check_positive_int(n, "n")
+    check_positive_int(max_leaf, "max_leaf")
     model = cost_model if cost_model is not None else InstructionCostModel()
     min_plan, min_count = _optimize_instruction_count(n, model, max_leaf, maximize=False)
     max_plan, max_count = _optimize_instruction_count(n, model, max_leaf, maximize=True)

@@ -211,7 +211,13 @@ class TestTheoryTable:
     def test_growth_column(self):
         table = theory_table([2, 3, 4])
         rows = table.as_rows()
+        assert rows[0][2] == pytest.approx(2.0)  # 2 / 1
         assert rows[1][2] == pytest.approx(3.0)  # 6 / 2
+
+    def test_growth_column_for_non_contiguous_sizes(self):
+        rows = theory_table([3, 5]).as_rows()
+        assert rows[1][2] == pytest.approx(112 / 24)  # W(5)/W(4), not W(5)/W(3)
+        assert np.isnan(theory_table([1]).as_rows()[0][2])
 
     def test_without_extremes(self):
         table = theory_table([3, 4], include_extremes=False)

@@ -1,7 +1,11 @@
 """Tests for the theoretical properties of the algorithm space."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.cpu import InstructionCostModel
 from repro.models.instruction_count import instruction_count
@@ -11,8 +15,53 @@ from repro.models.theory import (
     rsu_instruction_moments,
     space_growth_ratios,
 )
+from repro.util.compositions import compositions
 from repro.wht.enumeration import enumerate_plans
+from repro.wht.plan import Small, Split
 from repro.wht.random_plans import RSUSampler
+
+
+def _brute_force_extremes(n, cost_model, max_leaf, maximize):
+    """The optimiser's oracle: score every composition of every exponent.
+
+    Per exponent the candidates are the leaf (first), then one split per
+    proper composition in lexicographic order, each scored with the full
+    recursive ``instruction_count``; ``min``/``max`` keep the first of tied
+    candidates.
+    """
+    better = max if maximize else min
+    best = {}
+    for m in range(1, n + 1):
+        candidates = []
+        if m <= max_leaf:
+            leaf = Small(m)
+            candidates.append((leaf, instruction_count(leaf, cost_model)))
+        for comp in compositions(m, min_parts=2):
+            plan = Split(tuple(best[part][0] for part in comp))
+            candidates.append((plan, instruction_count(plan, cost_model)))
+        best[m] = better(candidates, key=lambda item: item[1])
+    return best[n]
+
+
+def _assert_matches_brute_force(n, cost_model, max_leaf):
+    extremes = extreme_instruction_counts(n, cost_model=cost_model, max_leaf=max_leaf)
+    assert (extremes.min_plan, extremes.min_count) == _brute_force_extremes(
+        n, cost_model, max_leaf, maximize=False
+    )
+    assert (extremes.max_plan, extremes.max_count) == _brute_force_extremes(
+        n, cost_model, max_leaf, maximize=True
+    )
+
+
+_COST_FIELDS = [field.name for field in dataclasses.fields(InstructionCostModel)]
+
+#: Every weight from 0 to 30.  The all-zero model, which leaves only the
+#: codelets' own operations and so ties many compositions, is the minimal
+#: example Hypothesis shrinks towards.
+cost_models = st.builds(
+    lambda weights: InstructionCostModel(**dict(zip(_COST_FIELDS, weights))),
+    st.tuples(*[st.integers(0, 30) for _ in _COST_FIELDS]),
+)
 
 
 class TestSpaceSize:
@@ -29,8 +78,49 @@ class TestSpaceSize:
 
 
 class TestExtremeInstructionCounts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=cost_models,
+        max_leaf=st.integers(1, 8),
+        n=st.integers(1, 10),
+        maximize=st.booleans(),
+    )
+    def test_matches_brute_force_enumeration(self, model, max_leaf, n, maximize):
+        extremes = extreme_instruction_counts(n, cost_model=model, max_leaf=max_leaf)
+        plan, count = _brute_force_extremes(n, model, max_leaf, maximize)
+        if maximize:
+            assert (extremes.max_plan, extremes.max_count) == (plan, count)
+        else:
+            assert (extremes.min_plan, extremes.min_count) == (plan, count)
+
+    def test_all_zero_model_ties_resolve_like_enumeration(self):
+        zero = InstructionCostModel(**{name: 0 for name in _COST_FIELDS})
+        for max_leaf in (1, 3, 8):
+            for n in range(1, 10):
+                _assert_matches_brute_force(n, zero, max_leaf)
+
+    def test_leaf_wins_a_tie_with_the_best_split(self):
+        # With non-negative weights a split always costs more than the leaf
+        # (it loads and stores every element once per level), so the tie
+        # needs a negative weight: small[2] and split[small[1],small[1]]
+        # both count 16 here.
+        zero = {name: 0 for name in _COST_FIELDS}
+        model = InstructionCostModel(**{**zero, "split_invocation_cost": -8})
+        extremes = extreme_instruction_counts(2, cost_model=model)
+        assert extremes.min_plan == extremes.max_plan == Small(2)
+        assert extremes.min_count == extremes.max_count == 16
+        for n in range(1, 8):
+            _assert_matches_brute_force(n, model, max_leaf=8)
+
+    def test_default_model_n13_pinned(self):
+        extremes = extreme_instruction_counts(13)
+        assert extremes.min_count == 145841
+        assert str(extremes.min_plan) == "split[small[6],small[7]]"
+        assert extremes.max_count == 2652753
+        assert instruction_count(extremes.max_plan) == extremes.max_count
+
     def test_extremes_bound_every_plan_small_sizes(self):
-        for n in (3, 4, 5):
+        for n in range(1, 8):
             extremes = extreme_instruction_counts(n)
             counts = [instruction_count(p) for p in enumerate_plans(n)]
             assert extremes.min_count == min(counts)
@@ -63,6 +153,8 @@ class TestExtremeInstructionCounts:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             extreme_instruction_counts(0)
+        with pytest.raises(ValueError, match="max_leaf"):
+            extreme_instruction_counts(3, max_leaf=0)
 
 
 class TestRSUMoments:
