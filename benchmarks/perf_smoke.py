@@ -48,7 +48,8 @@ within 30% of the in-process service client.  The declarative suite runner
 is gated by ``check_suite``: a cold run of the committed CI spec over a
 fresh disk store completes and measures, and a warm re-run against the same
 store performs zero new measurements, skips every unit, and finishes at
-least 10x faster.  The theory optimiser is gated by ``check_theory``: the
+least 10x faster; a cold run whose objective sweep re-draws both campaign
+populations prepares no plan twice.  The theory optimiser is gated by ``check_theory``: the
 n=20 instruction-count extremes stay polynomial (the plan-per-composition
 enumeration it replaced took minutes there), and the n=13 extremes match
 their pinned values.
@@ -1166,6 +1167,16 @@ def check_fleet() -> None:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
+#: A tiny/ci suite whose default objective sweep (sizes 4 and 7) re-draws
+#: both RSU campaign populations; the committed ci.json sweeps 5 and 6.
+SHARED_PREPARATION_SPEC = {
+    "name": "shared-preparation",
+    "machines": ["tiny"],
+    "scale": "ci",
+    "experiments": ["figure4", "figure5", "objective_sweep"],
+}
+
+
 def check_suite() -> None:
     """The declarative suite runner's resume must be real and must be fast.
 
@@ -1178,10 +1189,43 @@ def check_suite() -> None:
       performs **zero** new measurements and skips every unit;
     * the warm run is at least 10x faster than the cold run — resume must
       short-circuit the work, not redo it quietly from caches.
+
+    A fourth gate counts, not times: a cold run of
+    :data:`SHARED_PREPARATION_SPEC` into a fresh memory store prepares each
+    distinct plan once (the session's prepared-plan cache serves the sweep's
+    re-drawn populations), so no plan key reaches the fused pipeline twice.
     """
     import shutil
 
+    from repro.machine.machine import SimulatedMachine
+    from repro.runtime.store import MemoryStore
     from repro.suite import SuiteRun, load_spec
+    from repro.wht.encoding import plan_key
+
+    prepared: list[str] = []
+    original = SimulatedMachine._prepare_fused
+
+    def recording(machine, plans):
+        prepared.extend(plan_key(plan) for plan in plans)
+        return original(machine, plans)
+
+    SimulatedMachine._prepare_fused = recording
+    try:
+        shared = SuiteRun(SHARED_PREPARATION_SPEC, store=MemoryStore()).run()
+    finally:
+        SimulatedMachine._prepare_fused = original
+    if not shared.ok or not prepared:
+        raise SystemExit(
+            f"suite regression: shared-preparation run failed units "
+            f"{[r.unit_id for r in shared.failed]} or prepared nothing"
+        )
+    gate(
+        "suite_repeat_preparations",
+        len(prepared) - len(set(prepared)),
+        "<=",
+        0,
+        unit="plans",
+    )
 
     spec = load_spec(str(Path(__file__).resolve().parent / "suites" / "ci.json"))
     workdir = tempfile.mkdtemp(prefix="repro-suite-perf-")
@@ -1307,7 +1351,8 @@ def main() -> int:
     print(
         "suite: cold CI-spec run completes and measures, warm re-run against "
         "the same store performs zero measurements, skips every unit, and is "
-        ">= 10x faster"
+        ">= 10x faster; a sweep over the campaign populations prepares no "
+        "plan twice"
     )
 
     check_theory()

@@ -112,11 +112,25 @@ class PreparedPlanCache:
     :func:`repro.wht.encoding.plan_key`, so structurally equal plans share an
     entry regardless of object identity.  Entries are treated as immutable.
 
+    The owner of a long-lived machine attaches one: a
+    :class:`~repro.runtime.session.Session` (sized from its scale, so both
+    RSU campaigns, the canonical sweep, the DP searches and the objective
+    sweep share every preparation), a bare
+    :class:`~repro.runtime.cost_engine.CostEngine`, a
+    :class:`~repro.runtime.service.CampaignService` per machine, and each
+    multiprocess pool worker — all but the session at
+    :attr:`DEFAULT_CAPACITY`.  A bare :class:`SimulatedMachine` never caches
+    by default: its ``prepare`` always does the work it is timed for.
+
     A cache instance must only ever be attached to machines with identical
     configurations (the cache does not key on the machine).
     """
 
-    def __init__(self, capacity: int = 1024):
+    #: Capacity of every owner's cache but the session's (which adds room
+    #: for its two RSU campaign populations).  Entries are ~2 KB each.
+    DEFAULT_CAPACITY = 1024
+
+    def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self._entries: LRUCache[str, PreparedPlan] = LRUCache(capacity)
         self.hits = 0
         self.misses = 0
@@ -154,7 +168,12 @@ class PreparedPlanCache:
 
 
 class SimulatedMachine:
-    """Execution-driven simulator producing PAPI-style measurements."""
+    """Execution-driven simulator producing PAPI-style measurements.
+
+    ``prepared_cache`` stays ``None`` unless given: the machine's owner
+    (session, engine, service, pool worker) attaches a
+    :class:`PreparedPlanCache`, so a bare machine prepares every plan afresh.
+    """
 
     def __init__(
         self,

@@ -37,7 +37,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
-from repro.machine.machine import MachineConfig, PreparedPlan, SimulatedMachine
+from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.machine.measurement import Measurement
 from repro.util.validation import check_positive_int
 from repro.wht.plan import Plan
@@ -102,14 +102,14 @@ class SerialBackend:
 class BatchedBackend:
     """Fuse the whole unit list's preparation into one batched workload.
 
-    The batch's *distinct* plans go through ``machine.prepare_batch`` — the
-    cross-plan fused pipeline that walks each plan once, splices the line
-    streams into one super-stream and simulates the caches in one vectorised
-    pass per level — and every unit then gets its own noise draw via
-    ``measure_prepared``.  A batch with a single distinct plan degrades to
-    one plain ``machine.prepare`` call.  Since preparation is deterministic
-    and the noise seed fully determines the stochastic part, results are
-    bit-identical to :class:`SerialBackend`.
+    Every unit's plan goes through ``machine.prepare_batch`` — which dedupes
+    the batch by plan key, serves what the machine's prepared-plan cache
+    holds, and runs the rest through the cross-plan fused pipeline that
+    walks each plan once, splices the line streams into one super-stream
+    and simulates the caches in one vectorised pass per level — and every
+    unit then gets its own noise draw via ``measure_prepared``.  Since
+    preparation is deterministic and the noise seed fully determines the
+    stochastic part, results are bit-identical to :class:`SerialBackend`.
     """
 
     name = "batched"
@@ -117,18 +117,10 @@ class BatchedBackend:
     def measure_units(
         self, machine: SimulatedMachine, units: Sequence[WorkUnit]
     ) -> list[Measurement]:
-        distinct: dict[Plan, PreparedPlan | None] = {}
-        for unit in units:
-            distinct.setdefault(unit.plan, None)
-        plans = list(distinct)
-        if len(plans) == 1:
-            distinct[plans[0]] = machine.prepare(plans[0])
-        elif plans:
-            for plan, prepared in zip(plans, machine.prepare_batch(plans)):
-                distinct[plan] = prepared
+        prepared = machine.prepare_batch([unit.plan for unit in units])
         return [
-            machine.measure_prepared(distinct[unit.plan], rng=unit.noise_seed)
-            for unit in units
+            machine.measure_prepared(prep, rng=unit.noise_seed)
+            for prep, unit in zip(prepared, units)
         ]
 
     def close(self) -> None:
@@ -147,19 +139,13 @@ class BatchedBackend:
 
 _WORKER_MACHINE: SimulatedMachine | None = None
 
-#: Capacity of each worker's prepared-plan cache: repeated plans across a
-#: search's many rounds (or a campaign's duplicate draws) skip re-preparation
-#: for the lifetime of the persistent pool.
-_WORKER_PREPARED_CAPACITY = 512
-
 
 def _worker_init(config: MachineConfig) -> None:
+    # The worker's prepared-plan cache lives as long as the persistent pool:
+    # repeated plans across a search's rounds (or a campaign's duplicate
+    # draws) skip re-preparation.
     global _WORKER_MACHINE
-    from repro.machine.machine import PreparedPlanCache
-
-    _WORKER_MACHINE = SimulatedMachine(
-        config, prepared_cache=PreparedPlanCache(_WORKER_PREPARED_CAPACITY)
-    )
+    _WORKER_MACHINE = SimulatedMachine(config, prepared_cache=PreparedPlanCache())
 
 
 def _worker_measure_shard(

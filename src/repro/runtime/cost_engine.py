@@ -229,7 +229,8 @@ class CostEngine(EngineSurface):
     Parameters
     ----------
     machine:
-        The simulated machine to measure on.  Unless it already has one, a
+        The simulated machine to measure on.  Unless it already has one (a
+        session's machine does), a default-capacity
         :class:`~repro.machine.machine.PreparedPlanCache` is attached so
         repeated preparations within the engine's lifetime are also reused.
     objective:
@@ -262,12 +263,11 @@ class CostEngine(EngineSurface):
         backend: ExecutionBackend | None = None,
         store: CampaignStore | None = None,
         seed: int = 0,
-        prepared_cache_size: int = 256,
     ):
         super().__init__(machine, objective, seed)
         self.machine = machine
-        if machine.prepared_cache is None and prepared_cache_size > 0:
-            machine.prepared_cache = PreparedPlanCache(prepared_cache_size)
+        if machine.prepared_cache is None:
+            machine.prepared_cache = PreparedPlanCache()
         self.backend = backend if backend is not None else BatchedBackend()
         self.store = store if store is not None else NullStore()
         self.key = CostLogKey(

@@ -626,9 +626,7 @@ class CampaignService:
         with self._lock:
             machine = self._machines.get(digest)
             if machine is None:
-                machine = SimulatedMachine(
-                    config, prepared_cache=PreparedPlanCache(512)
-                )
+                machine = SimulatedMachine(config, prepared_cache=PreparedPlanCache())
                 self._machines[digest] = machine
             return machine
 

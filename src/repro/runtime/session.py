@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.config import ExperimentScale, ci_scale, default_scale, paper_scale
 from repro.machine.configs import MACHINE_PRESETS
-from repro.machine.machine import MachineConfig, SimulatedMachine
+from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import (
     BatchedBackend,
     ExecutionBackend,
@@ -97,6 +97,15 @@ class Session:
     methods share them by identity) and cached in the session's store (so
     other sessions — including ones in other processes, for a disk store —
     reuse the completed measurement work).
+
+    Unless the machine already has one, the session attaches a
+    :class:`~repro.machine.machine.PreparedPlanCache` sized for two RSU
+    campaign populations (``2 * scale.sample_count``) on top of
+    :attr:`~repro.machine.machine.PreparedPlanCache.DEFAULT_CAPACITY`, so
+    everything measured on the session's machine — both campaigns, the
+    canonical sweep, the DP searches and an objective sweep re-drawing the
+    campaign populations — prepares each distinct plan once.  Results are
+    unchanged: every noise draw comes from the unit's or the plan's seed.
     """
 
     def __init__(
@@ -111,6 +120,10 @@ class Session:
         remote_url: "str | Sequence[str] | None" = None,
         remote_options: "dict | None" = None,
     ):
+        if machine.prepared_cache is None:
+            machine.prepared_cache = PreparedPlanCache(
+                2 * scale.sample_count + PreparedPlanCache.DEFAULT_CAPACITY
+            )
         self.machine = machine
         self.scale = scale
         self.service = service

@@ -63,19 +63,18 @@ class TestWorkUnits:
 
 class TestBatchedBackend:
     def test_prepares_each_distinct_plan_once(self, machine, monkeypatch):
-        prepares = 0
-        original = type(machine).prepare
+        prepared = []
+        original = type(machine)._prepare_fused
 
-        def counting(self, plan):
-            nonlocal prepares
-            prepares += 1
-            return original(self, plan)
+        def counting(self, plans):
+            prepared.extend(plans)
+            return original(self, plans)
 
-        monkeypatch.setattr(type(machine), "prepare", counting)
+        monkeypatch.setattr(type(machine), "_prepare_fused", counting)
         plan = iterative_plan(5)
         units = [WorkUnit(plan=plan, noise_seed=i) for i in range(6)]
         out = BatchedBackend().measure_units(machine, units)
-        assert prepares == 1
+        assert prepared == [plan]
         assert len(out) == 6
 
     def test_noise_still_varies_within_a_batch(self):

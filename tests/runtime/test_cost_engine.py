@@ -144,6 +144,11 @@ class TestCostEngine:
         assert machine.prepared_cache is None
         CostEngine(machine)
         assert isinstance(machine.prepared_cache, PreparedPlanCache)
+        assert machine.prepared_cache.capacity == PreparedPlanCache.DEFAULT_CAPACITY
+        # An attached cache (a session's, say) is kept.
+        cache = machine.prepared_cache
+        CostEngine(machine)
+        assert machine.prepared_cache is cache
 
     def test_null_store_keeps_engine_local_cache(self):
         engine = CostEngine(tiny_machine(noise_sigma=0.0), store=NullStore())

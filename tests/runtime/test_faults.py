@@ -775,6 +775,21 @@ def _readline_or_fail(proc):
     return line.strip()
 
 
+def _kill_and_last_line(proc, last):
+    """SIGKILL the writer, reap it, and return its last fully printed line.
+
+    The writer keeps appending and confirming between the parent's last
+    read and the kill, so later confirmations may still sit unread in the
+    pipe; draining it after the writer is dead yields the true last one
+    (``last`` when nothing more arrived).  A trailing partial line is not
+    a confirmation.
+    """
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=30)
+    complete = proc.stdout.read().split("\n")[:-1]
+    return complete[-1].strip() if complete else last
+
+
 class TestSigkillRecovery:
     """A real process killed mid-write: the durability half of §12."""
 
@@ -784,7 +799,7 @@ class TestSigkillRecovery:
             confirmed = -1
             while confirmed < 39:
                 confirmed = int(_readline_or_fail(proc))
-            os.kill(proc.pid, signal.SIGKILL)
+            confirmed = int(_kill_and_last_line(proc, str(confirmed)))
         finally:
             proc.kill()
             proc.wait(timeout=30)
@@ -826,7 +841,7 @@ class TestSigkillRecovery:
             # The child is now somewhere in compact-then-append; kill it
             # cold.  Compaction replaces the log atomically, so whatever
             # instant this lands at, confirmed records survive.
-            os.kill(proc.pid, signal.SIGKILL)
+            cycles = int(_kill_and_last_line(proc, f"C{cycles}")[1:])
         finally:
             proc.kill()
             proc.wait(timeout=30)

@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.config import ci_scale
 from repro.machine.configs import tiny_machine, tiny_machine_config
-from repro.machine.machine import SimulatedMachine
+from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import MultiprocessBackend, SerialBackend
 from repro.runtime.store import DiskStore, MemoryStore, NullStore
 
@@ -43,6 +43,23 @@ class TestSessionFactory:
     def test_machine_config_resolves(self):
         sess = repro.session(machine=tiny_machine_config(), scale="ci", store="none")
         assert isinstance(sess.machine, SimulatedMachine)
+
+    def test_attaches_a_scale_sized_prepared_cache(self):
+        machine = tiny_machine()
+        assert machine.prepared_cache is None
+        sess = repro.session(machine=machine, scale="ci", store="none")
+        cache = sess.machine.prepared_cache
+        assert isinstance(cache, PreparedPlanCache)
+        assert cache.capacity == (
+            2 * ci_scale().sample_count + PreparedPlanCache.DEFAULT_CAPACITY
+        )
+
+    def test_keeps_a_caller_supplied_prepared_cache(self):
+        cache = PreparedPlanCache(8)
+        machine = SimulatedMachine(tiny_machine_config(), prepared_cache=cache)
+        sess = repro.session(machine=machine, scale="ci", store="none")
+        assert sess.machine.prepared_cache is cache
+        assert sess.cost_engine().machine.prepared_cache is cache
 
     def test_unknown_presets_raise(self):
         with pytest.raises(ValueError):

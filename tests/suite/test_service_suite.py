@@ -45,3 +45,14 @@ def test_service_session_sinks_are_bit_identical_to_plain(tmp_path):
     assert plain_files  # CSV + JSONL + figure artifacts actually exist
     different = [name for name, blob in plain_files.items() if service_files[name] != blob]
     assert different == []
+
+
+def test_service_suite_prepares_each_distinct_plan_once(prepared_keys):
+    # The default sweep re-draws the n=7 population that figure5's campaign
+    # measured; the service's machine serves it from its prepared cache.
+    spec = SuiteSpec.from_dict(tiny_spec_dict(experiments=["figure5", "objective_sweep"]))
+    with CampaignService(workers=2) as service:
+        result = SuiteRun(spec, service=service).run()
+    assert result.ok, result.describe()
+    assert prepared_keys
+    assert len(prepared_keys) == len(set(prepared_keys))

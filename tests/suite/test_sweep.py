@@ -83,6 +83,31 @@ def test_sweep_replays_from_a_warm_store(sweep_spec):
     assert set(warm.artifact["population_measured"].values()) == {0}
 
 
+# The default sweep re-draws the campaign populations (sizes 4 and 7 at the
+# CI scale); figure5 materialises the n=7 campaign first.
+SHARED_SPEC = tiny_spec_dict(experiments=["figure5", "objective_sweep"])
+
+
+def test_sweep_over_a_campaign_population_prepares_each_plan_once(prepared_keys):
+    result = SuiteRun(SuiteSpec.from_dict(SHARED_SPEC), store=MemoryStore()).run()
+    assert result.ok, result.describe()
+    assert prepared_keys
+    assert len(prepared_keys) == len(set(prepared_keys))
+    assert result.get("objective_sweep").figure.sizes == (4, 7)
+
+
+def test_shared_preparations_leave_the_sweep_unchanged():
+    shared = SuiteRun(SuiteSpec.from_dict(SHARED_SPEC), store=MemoryStore()).run()
+    alone = SuiteRun(
+        SuiteSpec.from_dict(tiny_spec_dict(experiments=["objective_sweep"])),
+        store=MemoryStore(),
+    ).run()
+    assert shared.ok and alone.ok
+    shared_sweep, alone_sweep = shared.get("objective_sweep"), alone.get("objective_sweep")
+    assert shared_sweep.tables == alone_sweep.tables
+    assert shared_sweep.artifact == alone_sweep.artifact
+
+
 def test_best_plan_ranks_are_self_consistent(sweep_spec):
     sweep = run_sweep(sweep_spec, MemoryStore()).figure
     for n in sweep.sizes:
