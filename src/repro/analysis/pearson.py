@@ -61,8 +61,8 @@ def fisher_confidence_interval(
 ) -> tuple[float, float]:
     """Approximate confidence interval for a correlation via Fisher's z.
 
-    Used in EXPERIMENTS.md to indicate how tightly the reproduced coefficients
-    are estimated at the chosen sample sizes.
+    Indicates how tightly the reproduced coefficients are estimated at the
+    chosen sample sizes.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")

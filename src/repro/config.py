@@ -5,27 +5,24 @@ samples each, measured on real hardware.  A pure-Python execution-driven
 simulation cannot sweep that scale in interactive time, so every experiment in
 this reproduction is parameterised by an :class:`ExperimentScale`:
 
-* :func:`default_scale` — the scaled campaign used by the benchmark harness
+* :func:`default_scale` — the scaled campaign of the committed suite specs
   (sizes matched to the scaled machine of
   :func:`repro.machine.configs.default_machine_config`).
 * :func:`paper_scale` — the paper's true sizes and sample count, for use with
   the Opteron-like machine when long runtimes are acceptable.
 * :func:`ci_scale` — a miniature campaign for unit tests.
 
-All knobs can be overridden through environment variables
-(``REPRO_SMALL_SIZE``, ``REPRO_LARGE_SIZE``, ``REPRO_CANONICAL_MAX_SIZE``,
-``REPRO_SAMPLE_COUNT``, ``REPRO_SEED``) so the same benchmark code can be run
-at larger scale without edits.
+A suite spec picks one of these presets or overrides single fields
+(``"scale": {"sample_count": 2000}``; see :mod:`repro.suite.spec`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 from repro.util.validation import check_positive_int
 
-__all__ = ["ExperimentScale", "default_scale", "paper_scale", "ci_scale", "scale_from_env"]
+__all__ = ["ExperimentScale", "default_scale", "paper_scale", "ci_scale"]
 
 
 @dataclass(frozen=True)
@@ -67,18 +64,8 @@ class ExperimentScale:
         )
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {name} must be an integer, got {raw!r}") from exc
-
-
 def default_scale() -> ExperimentScale:
-    """The scaled campaign used by the benchmarks (see DESIGN.md)."""
+    """The scaled campaign of the committed suite specs (see DESIGN.md)."""
     return ExperimentScale()
 
 
@@ -99,16 +86,4 @@ def ci_scale() -> ExperimentScale:
         large_size=7,
         canonical_max_size=8,
         sample_count=40,
-    )
-
-
-def scale_from_env(base: ExperimentScale | None = None) -> ExperimentScale:
-    """The default scale with environment-variable overrides applied."""
-    scale = base if base is not None else default_scale()
-    return ExperimentScale(
-        small_size=_env_int("REPRO_SMALL_SIZE", scale.small_size),
-        large_size=_env_int("REPRO_LARGE_SIZE", scale.large_size),
-        canonical_max_size=_env_int("REPRO_CANONICAL_MAX_SIZE", scale.canonical_max_size),
-        sample_count=_env_int("REPRO_SAMPLE_COUNT", scale.sample_count),
-        seed=_env_int("REPRO_SEED", scale.seed),
     )

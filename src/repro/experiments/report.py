@@ -1,8 +1,7 @@
 """Plain-text rendering of experiment results.
 
-Every figure harness returns a structured object; the functions here turn
-those objects into the aligned text blocks used by the benchmark output and by
-the generated EXPERIMENTS.md.
+Every experiment kind returns a structured figure object; the functions here
+turn those objects into the aligned text blocks of ``Session.render_report``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Plain-text rendering of tables and series.
 
-The experiment harness reproduces the paper's figures as *data series*; these
-helpers render them in a compact, aligned, ASCII form so benchmark output and
-EXPERIMENTS.md stay human-readable without a plotting dependency.
+The experiment kinds reproduce the paper's figures as *data series*; these
+helpers render them in a compact, aligned, ASCII form so reports and test
+failure messages stay human-readable without a plotting dependency.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.trace import trace_from_nests
 from repro.wht.canonical import (
+    canonical_plans,
     iterative_plan,
     left_recursive_plan,
     right_recursive_plan,
 )
 from repro.wht.interpreter import PlanInterpreter
-from repro.wht.random_plans import random_plan
+from repro.wht.random_plans import RSUSampler, random_plan
 
 
 def trace_for(plan):
@@ -102,3 +103,18 @@ class TestMemoryHierarchy:
         right = MemoryHierarchy(L1, L2).process_trace(trace_for(right_recursive_plan(8)))
         left = MemoryHierarchy(L1, L2).process_trace(trace_for(left_recursive_plan(8)))
         assert right.l1_misses < left.l1_misses
+
+    def test_associativity_on_the_default_l1(self):
+        # A 16 KB / 64 B L1 alone at n = 13: more ways never add conflict
+        # misses (within 5 %), and the direct-mapped cache the published miss
+        # analysis assumes over-counts the strided left recursive algorithm.
+        def l1_misses(trace, ways):
+            config = CacheConfig(16 * 1024, 64, ways, name=f"{ways}-way")
+            return MemoryHierarchy(config, None).process_trace(trace).l1_misses
+
+        plans = dict(canonical_plans(13))
+        plans.update({f"random{i}": RSUSampler().sample(13, rng=100 + i) for i in range(3)})
+        traces = {name: trace_for(plan) for name, plan in plans.items()}
+        for name, trace in traces.items():
+            assert l1_misses(trace, 4) <= l1_misses(trace, 2) * 1.05, name
+        assert l1_misses(traces["left"], 1) >= l1_misses(traces["left"], 2)

@@ -11,7 +11,7 @@ from repro.machine.trace import (
 )
 from repro.wht.interpreter import LeafNest, PlanInterpreter
 from repro.wht.canonical import iterative_plan, right_recursive_plan
-from repro.wht.random_plans import random_plan
+from repro.wht.random_plans import RSUSampler, random_plan
 
 
 def nests_for(plan):
@@ -120,3 +120,10 @@ class TestCollapseConsecutive:
         full = SetAssociativeLRUCache(config).simulate(lines << 6)
         reduced = SetAssociativeLRUCache(config).simulate(collapsed << 6)
         assert full.sum() == reduced.sum()
+
+    def test_collapse_compresses_a_random_plan_trace(self):
+        # Even a strided-heavy plan keeps the read/write line pairing, so a
+        # realistic trace always shrinks (64-byte lines, RSU n = 13).
+        trace = trace_from_nests(nests_for(RSUSampler().sample(13, rng=17)))
+        collapsed, _ = collapse_consecutive(trace.addresses >> 6)
+        assert trace.accesses / collapsed.shape[0] > 1.05

@@ -122,6 +122,35 @@ class TestOptimizeCombinedModel:
         alpha, beta, _ = surface.best
         assert (model.alpha, model.beta) == (alpha, beta)
 
+    def test_noise_ablation_on_the_default_machine(self):
+        # The large campaign at the default scale (n = 13, 100 samples) with
+        # the cycle noise off, at its default and doubled.
+        import repro
+        from repro.analysis.pearson import pearson_correlation
+        from repro.config import default_scale
+        from repro.machine.configs import default_machine
+
+        scale = default_scale()
+        rows = []
+        for sigma in (0.0, 0.05, 0.10):
+            machine = default_machine(noise_sigma=sigma)
+            table = repro.session(machine=machine, scale=scale).campaign(scale.large_size, 100)
+            rho_i = pearson_correlation(table.instructions, table.cycles)
+            _, _, rho_c = optimize_combined_model(
+                table.instructions, table.l1_misses, table.cycles
+            ).best
+            rows.append((rho_i, rho_c))
+        noise_free, _, doubled = rows
+        # Even noise-free, instructions alone fall short out of cache: the
+        # gap is structural, it comes from the misses.
+        assert noise_free[0] < 0.999
+        # More noise can only weaken the correlations.
+        assert doubled[0] <= noise_free[0] + 0.02
+        assert doubled[1] <= noise_free[1] + 0.02
+        # The combined model stays ahead of instructions alone at every level.
+        for rho_i, rho_c in rows:
+            assert rho_c >= rho_i - 1e-9
+
 
 class TestCorrelationSurface:
     def test_shape_validation(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ExperimentScale, ci_scale, default_scale, paper_scale, scale_from_env
+from repro.config import ExperimentScale, ci_scale, default_scale, paper_scale
 
 
 class TestExperimentScale:
@@ -38,27 +38,3 @@ class TestExperimentScale:
         with pytest.raises(ValueError):
             ExperimentScale(sample_count=0)
 
-
-class TestScaleFromEnv:
-    def test_no_overrides(self, monkeypatch):
-        for name in (
-            "REPRO_SMALL_SIZE",
-            "REPRO_LARGE_SIZE",
-            "REPRO_CANONICAL_MAX_SIZE",
-            "REPRO_SAMPLE_COUNT",
-            "REPRO_SEED",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        assert scale_from_env() == default_scale()
-
-    def test_overrides_applied(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAMPLE_COUNT", "123")
-        monkeypatch.setenv("REPRO_LARGE_SIZE", "12")
-        scale = scale_from_env()
-        assert scale.sample_count == 123
-        assert scale.large_size == 12
-
-    def test_invalid_override_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAMPLE_COUNT", "lots")
-        with pytest.raises(ValueError):
-            scale_from_env()

@@ -103,3 +103,18 @@ class TestSearch:
             if record.plan.composition == (1,) * 6
         ]
         assert result.best_costs[6] <= min(iterative_cost)
+
+    def test_larger_codelets_beat_radix_two_on_the_default_machine(self):
+        # The paper's DP-best plans use larger unrolled leaves than the
+        # canonical algorithms: a radix-2-only search at n = 12 costs > 5 %.
+        from repro.config import default_scale
+        from repro.machine.configs import default_machine
+        from repro.search.costs import MeasuredCyclesCost
+
+        machine = default_machine(rng=default_scale().seed)
+        n = 12
+        radix2 = DPSearch(MeasuredCyclesCost(machine), max_leaf=1, max_children=2).search(n)
+        unrolled = DPSearch(MeasuredCyclesCost(machine), max_leaf=8, max_children=2).search(n)
+        assert unrolled.best_costs[n] <= radix2.best_costs[n]
+        assert unrolled.best_costs[n] < 0.95 * radix2.best_costs[n]
+        assert max(unrolled.best(n).leaf_exponents()) >= 4
