@@ -197,16 +197,25 @@ def eager_stats(config, plan):
     """Hierarchy statistics of ``plan`` from the eager reference pipeline.
 
     The plan's fully materialised access trace runs through the scalar
-    (non-vectorised) caches.
+    (non-vectorised) caches: L1 sees each access's line and L2 the first
+    byte of each missing L1 line, so the check shares no line conversion
+    with the hierarchy it checks.
     """
-    from repro.machine.hierarchy import MemoryHierarchy
-    from repro.machine.trace import trace_from_nests
+    from repro.machine.cache import SetAssociativeLRUCache
+    from repro.machine.hierarchy import HierarchyStatistics
+    from repro.machine.trace import collapse_consecutive, trace_from_nests
     from repro.wht.interpreter import PlanInterpreter
 
     _, nests = PlanInterpreter().profile(plan, record_trace=True)
     trace = trace_from_nests(nests, element_size=config.element_size)
-    hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=False)
-    return hierarchy.process_trace(trace)
+    # Consecutive repeats of a line are hits that change no LRU state.
+    lines, _ = collapse_consecutive(config.l1.line_of(trace.addresses))
+    l1_misses = lines[SetAssociativeLRUCache(config.l1).simulate(lines)]
+    if config.l2 is None:
+        return HierarchyStatistics(trace.accesses, l1_misses.shape[0], 0, 0)
+    probes = config.l2.line_of(l1_misses * config.l1.line_size)
+    l2_misses = int(SetAssociativeLRUCache(config.l2).simulate(probes).sum())
+    return HierarchyStatistics(trace.accesses, l1_misses.shape[0], probes.shape[0], l2_misses)
 
 
 def streamed_stats(config, plan):
@@ -292,10 +301,13 @@ def check_exactness() -> None:
     both levels.  Two exercise repeated sub-plan folding (weighted line
     ranges): ``random_plan(14, rng=1)`` on the default machine, and
     ``random_plan(11, rng=0)`` on the tiny machine without its L2.  Each
-    must actually fold, so the check cannot pass vacuously.
+    must actually fold, so the check cannot pass vacuously.  One more runs
+    the tiny machine with 64-byte L2 lines, twice its L1 lines: every preset
+    has equal line sizes, so only that case converts L1 lines to L2 lines.
     """
     from dataclasses import replace
 
+    from repro.machine.cache import CacheConfig
     from repro.machine.configs import (
         default_machine,
         opteron_like,
@@ -309,6 +321,9 @@ def check_exactness() -> None:
 
     interpreter = PlanInterpreter()
     l1_only = SimulatedMachine(replace(tiny_machine_config(), l2=None))
+    coarse_l2 = SimulatedMachine(
+        replace(tiny_machine_config(), l2=CacheConfig(2048, 64, 4, name="L2"))
+    )
     fold_counts = {
         "l1": lambda chunk: chunk.folded_l1_misses,
         "l2": lambda chunk: chunk.folded_l2_misses,
@@ -324,6 +339,7 @@ def check_exactness() -> None:
         (tiny_machine(), 11, 1, "l2"),
         (default_machine(noise_sigma=0.0), 14, 1, "sub-plan"),
         (l1_only, 11, 0, "sub-plan"),
+        (coarse_l2, 11, 3, None),
     ]
     for machine, size, seed, folds in cases:
         config = machine.config

@@ -1,6 +1,8 @@
 """Cache simulators.
 
-Four simulators are provided, all operating on byte addresses:
+Four simulators are provided.  ``access`` takes one byte address;
+``simulate`` takes a trace of int32 *line numbers* (``config.line_of`` of
+the byte addresses), the form the streaming pipeline produces them in:
 
 * :class:`SetAssociativeLRUCache` — the reference simulator: any associativity,
   true LRU replacement, one Python-level update per access.  Kept as the
@@ -17,10 +19,11 @@ Four simulators are provided, all operating on byte addresses:
 * :class:`NWayLRUCache` — arbitrary associativity ``A`` (the 16-way L2 and
   the associativity ablation), vectorised as a reuse-gap classifier: within
   one set, an access hits iff fewer than ``A`` distinct lines occurred since
-  its previous occurrence.  One stable sort by line gives every access's
-  previous occurrence; a gap of at most ``A`` is a certain hit, a sliding
-  window maximum proves most longer gaps to be misses, and the few left are
-  counted exactly (see DESIGN.md §5).  No per-access Python loop.
+  its previous occurrence.  One stable sort of the set-grouped trace by
+  tag gives every access's previous occurrence; a gap of at most ``A`` is
+  a certain hit, a sliding window maximum proves most longer gaps to be
+  misses, and the few left are counted exactly (see DESIGN.md §5).  No
+  per-access Python loop.
 
 All simulators implement the same small interface (``access``, ``simulate``,
 ``reset``, ``stats``) so the memory hierarchy can mix them freely, and all
@@ -158,42 +161,82 @@ class CacheSimulator(Protocol):
     def access(self, address: int) -> bool:
         """Process one byte address; return True on a miss."""
 
-    def simulate(self, addresses: np.ndarray, check: bool = True) -> np.ndarray:
-        """Process a trace of byte addresses; return a boolean miss mask.
+    def simulate(self, lines: np.ndarray, check: bool = True) -> np.ndarray:
+        """Process a trace of line numbers (``config.line_of(addresses)``,
+        never byte addresses); return a boolean miss mask.
 
-        ``check=False`` skips the non-negativity scan for callers that have
-        already validated the trace at the pipeline boundary.
+        ``check=False`` skips the range scan for callers that have already
+        validated the int32 lines at the pipeline boundary.
         """
 
     def reset(self) -> None:
         """Invalidate all contents and zero the statistics."""
 
 
-def _as_address_array(addresses: np.ndarray, check: bool = True) -> np.ndarray:
-    arr = np.asarray(addresses)
+#: Line numbers are int32 from trace expansion to the classifiers, so every
+#: line space (a plan's, a spliced batch's, in either level's lines) stays
+#: below this bound (DESIGN.md §5).
+LINE_LIMIT = 1 << 31
+
+
+def _as_lines(lines: np.ndarray, check: bool = True) -> np.ndarray:
+    """``lines`` as a 1-D int32 array; ``check`` rejects values outside
+    ``[0, LINE_LIMIT)`` (negative values would collide with the invalid-slot
+    sentinels, larger ones with int32)."""
+    arr = np.asarray(lines)
     if arr.ndim != 1:
-        raise ValueError(f"trace must be a 1-D array of addresses, got shape {arr.shape}")
-    if check and arr.size and arr.min() < 0:
-        raise ValueError("addresses must be nonnegative")
-    return arr.astype(np.int64, copy=False)
+        raise ValueError(f"lines must form a 1-D array, got shape {arr.shape}")
+    if check and arr.size and (
+        arr.min() < 0 or (arr.dtype != np.int32 and arr.max() >= LINE_LIMIT)
+    ):
+        raise ValueError(f"line numbers must lie in [0, {LINE_LIMIT})")
+    return arr.astype(np.int32, copy=False)
 
 
-def _narrow_key(values: np.ndarray, bound: int) -> np.ndarray:
-    """Narrowest integer view of ``values`` (all in ``[0, bound)``) for an argsort.
+def _group_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of ``key`` (all in ``[0, bound)``).
 
-    NumPy's stable sort is a radix sort for 8/16-bit integers but a
-    comparison sort for wider types.  Set indices are bounded by the
-    geometry and a chunk's lines by its span, so narrowing the *sort key*
-    (the data arrays stay int64) makes the grouping sorts O(n) for every
-    realistic configuration.
+    Sorts one packed word per element, ``key << pos_bits | position``,
+    uint32 when key and position fit 32 bits and int64 otherwise.  The
+    words are distinct, so any sort orders them as a stable argsort orders
+    the keys, and NumPy's unstable sort of 32-bit words is vectorised: about
+    twice as fast as a stable radix argsort of a uint8 key.
     """
-    if bound <= (1 << 8):
-        return values.astype(np.uint8)
-    if bound <= (1 << 16):
-        return values.astype(np.uint16)
-    if bound <= (1 << 31):
-        return values.astype(np.int32)
-    return values
+    pos_bits = max(key.shape[0] - 1, 0).bit_length()
+    wide = (bound - 1).bit_length() + pos_bits > 32
+    words = key.astype(np.int64 if wide else np.uint32)
+    words <<= pos_bits
+    words |= np.arange(key.shape[0], dtype=words.dtype)
+    words.sort()
+    words &= (1 << pos_bits) - 1
+    return words.astype(np.intp, copy=False)
+
+
+#: Fewest lines a vectorised simulator classifies per pass (DESIGN.md §5).
+PIECE_LINES = 1 << 15
+
+
+class _VectorisedSimulator:
+    """``simulate`` of the vectorised simulators: validate once, classify
+    the trace in pieces, record the statistics.
+
+    Warm continuation makes the pieces exact.  A piece of ``PIECE_LINES``
+    lines, or 16 times the cache's lines when that is more (so the
+    warm-state replay stays small beside it), keeps every working array
+    cache-sized: a 2^18-line pass runs about half as fast per line.
+    """
+
+    config: CacheConfig
+    stats: CacheStatistics
+
+    def simulate(self, lines: np.ndarray, check: bool = True) -> np.ndarray:
+        lines = _as_lines(lines, check=check)
+        piece = max(PIECE_LINES, 16 * self.config.num_lines)
+        misses = np.empty(lines.shape[0], dtype=bool)
+        for start in range(0, lines.shape[0], piece):
+            misses[start : start + piece] = self._classify(lines[start : start + piece])
+        self.stats.record(lines.shape[0], np.count_nonzero(misses))
+        return misses
 
 
 class SetAssociativeLRUCache:
@@ -226,17 +269,15 @@ class SetAssociativeLRUCache:
         self.stats.record(1, int(miss))
         return miss
 
-    def simulate(self, addresses: np.ndarray, check: bool = True) -> np.ndarray:
-        arr = _as_address_array(addresses, check=check)
+    def simulate(self, lines: np.ndarray, check: bool = True) -> np.ndarray:
+        arr = _as_lines(lines, check=check)
         config = self.config
-        offset_bits = config.offset_bits
         index_mask = config.num_sets - 1
         index_bits = config.index_bits
         associativity = config.associativity
         sets = self._sets
         out = np.empty(arr.shape[0], dtype=bool)
-        for i, address in enumerate(arr.tolist()):
-            line = address >> offset_bits
+        for i, line in enumerate(arr.tolist()):
             index = line & index_mask
             tag = line >> index_bits
             ways = sets[index]
@@ -249,11 +290,11 @@ class SetAssociativeLRUCache:
                 ways.remove(tag)
                 ways.insert(0, tag)
             out[i] = miss
-        self.stats.record(arr.shape[0], int(out.sum()))
+        self.stats.record(arr.shape[0], np.count_nonzero(out))
         return out
 
 
-class DirectMappedCache:
+class DirectMappedCache(_VectorisedSimulator):
     """Direct-mapped cache with a vectorised trace simulation.
 
     For a direct-mapped cache an access misses exactly when the most recent
@@ -262,8 +303,7 @@ class DirectMappedCache:
     simulation into a handful of NumPy comparisons.  All vectorised
     simulators work on whole *line numbers* instead of split (set, tag)
     pairs: within one set group, line equality is tag equality, so the tag
-    extraction pass and one large gather disappear; the narrow
-    :func:`_narrow_key` set key is the only per-set quantity ever materialised.
+    extraction pass and one large gather disappear.
     """
 
     def __init__(self, config: CacheConfig):
@@ -274,7 +314,7 @@ class DirectMappedCache:
         self.config = config
         self.stats = CacheStatistics()
         # Resident line per set, -1 meaning invalid.
-        self._lines = np.full(config.num_sets, -1, dtype=np.int64)
+        self._lines = np.full(config.num_sets, -1, dtype=np.int32)
 
     def reset(self) -> None:
         self.stats = CacheStatistics()
@@ -289,19 +329,13 @@ class DirectMappedCache:
         self.stats.record(1, int(miss))
         return bool(miss)
 
-    def simulate(self, addresses: np.ndarray, check: bool = True) -> np.ndarray:
-        arr = _as_address_array(addresses, check=check)
-        if arr.size == 0:
-            return np.zeros(0, dtype=bool)
-        config = self.config
-        lines = arr >> config.offset_bits
-        key = _narrow_key(lines & (config.num_sets - 1), config.num_sets)
-
-        order = np.argsort(key, kind="stable")
-        sorted_keys = key[order]
+    def _classify(self, lines: np.ndarray) -> np.ndarray:
+        num_sets = self.config.num_sets
+        order = _group_order(lines & (num_sets - 1), num_sets)
         sorted_lines = lines[order]
+        sorted_keys = sorted_lines & (num_sets - 1)
 
-        first_in_group = np.empty(arr.shape[0], dtype=bool)
+        first_in_group = np.empty(lines.shape[0], dtype=bool)
         first_in_group[0] = True
         first_in_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
 
@@ -312,20 +346,18 @@ class DirectMappedCache:
         prev_lines[first_in_group] = self._lines[sorted_keys[first_in_group]]
 
         miss_sorted = sorted_lines != prev_lines
-        misses = np.empty(arr.shape[0], dtype=bool)
+        misses = np.empty(lines.shape[0], dtype=bool)
         misses[order] = miss_sorted
 
         # Update resident lines: the last access of each group wins.
-        last_in_group = np.empty(arr.shape[0], dtype=bool)
+        last_in_group = np.empty(lines.shape[0], dtype=bool)
         last_in_group[-1] = True
         last_in_group[:-1] = sorted_keys[1:] != sorted_keys[:-1]
         self._lines[sorted_keys[last_in_group]] = sorted_lines[last_in_group]
-
-        self.stats.record(arr.shape[0], int(misses.sum()))
         return misses
 
 
-class TwoWayLRUCache:
+class TwoWayLRUCache(_VectorisedSimulator):
     """2-way set-associative LRU cache with a vectorised trace simulation.
 
     Within one set, an LRU pair always holds the two most recently used
@@ -345,8 +377,8 @@ class TwoWayLRUCache:
         self.stats = CacheStatistics()
         # Most recently used and second most recently used line per set
         # (-1/-2 invalid; whole lines, not tags — see DirectMappedCache).
-        self._mru = np.full(config.num_sets, -1, dtype=np.int64)
-        self._lru = np.full(config.num_sets, -2, dtype=np.int64)
+        self._mru = np.full(config.num_sets, -1, dtype=np.int32)
+        self._lru = np.full(config.num_sets, -2, dtype=np.int32)
 
     def reset(self) -> None:
         self.stats = CacheStatistics()
@@ -372,13 +404,8 @@ class TwoWayLRUCache:
         self.stats.record(1, int(miss))
         return bool(miss)
 
-    def simulate(self, addresses: np.ndarray, check: bool = True) -> np.ndarray:
-        arr = _as_address_array(addresses, check=check)
-        if arr.size == 0:
-            return np.zeros(0, dtype=bool)
-        config = self.config
-        num_sets = config.num_sets
-        lines = arr >> config.offset_bits
+    def _classify(self, lines: np.ndarray) -> np.ndarray:
+        num_sets = self.config.num_sets
 
         # Prepend two virtual accesses per set currently holding valid state so
         # that warm-start behaviour matches the per-access simulator: first the
@@ -386,7 +413,7 @@ class TwoWayLRUCache:
         # simulator skips the concatenation entirely and sorts views.
         valid = self._mru >= 0
         if np.any(valid):
-            valid_sets = np.nonzero(valid)[0].astype(np.int64)
+            valid_sets = np.flatnonzero(valid)
             lru_lines = self._lru[valid_sets]
             mru_lines = self._mru[valid_sets]
             has_lru = lru_lines >= 0
@@ -396,69 +423,43 @@ class TwoWayLRUCache:
         else:
             n_virtual = 0
             all_lines = lines
-        key = _narrow_key(all_lines & (num_sets - 1), num_sets)
-
-        order = np.argsort(key, kind="stable")
-        g_keys = key[order]
+        order = _group_order(all_lines & (num_sets - 1), num_sets)
         g_lines = all_lines[order]
         total = g_lines.shape[0]
 
-        new_group = np.empty(total, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = g_keys[1:] != g_keys[:-1]
-
-        # Collapse consecutive duplicates within a group: they are hits and do
-        # not change LRU state.
-        duplicate = np.zeros(total, dtype=bool)
-        duplicate[1:] = (~new_group[1:]) & (g_lines[1:] == g_lines[:-1])
-
-        # Positions of the collapsed (distinct) subsequence.
-        distinct_idx = np.nonzero(~duplicate)[0]
-        d_keys = g_keys[distinct_idx]
+        # Collapse consecutive duplicates (equal lines share a set, hence a
+        # group): they are hits and do not change LRU state.
+        distinct = np.empty(total, dtype=bool)
+        distinct[0] = True
+        np.not_equal(g_lines[1:], g_lines[:-1], out=distinct[1:])
+        distinct_idx = np.flatnonzero(distinct)
         d_lines = g_lines[distinct_idx]
         m = distinct_idx.shape[0]
 
-        d_new_group = np.empty(m, dtype=bool)
-        d_new_group[0] = True
-        d_new_group[1:] = d_keys[1:] != d_keys[:-1]
-        # Second element of each group.
-        d_second = np.zeros(m, dtype=bool)
-        d_second[1:] = d_new_group[:-1] & ~d_new_group[1:]
-
-        prev2 = np.empty_like(d_lines)
-        prev2[2:] = d_lines[:-2]
-        prev2[:2] = -10  # no valid "two back" for the first two entries overall
-        # An entry hits iff it matches the distinct line two back *within the
-        # same group*; entries that are first or second in their group have no
+        # A distinct entry hits iff it equals the distinct line two back.
+        # Equal lines share a set, so that entry and the one between lie in
+        # the entry's own group; the first two entries of a group have no
         # such predecessor (their state is covered by the virtual accesses).
-        has_prev2 = ~(d_new_group | d_second)
-        d_hits = has_prev2 & (d_lines == prev2)
-        d_miss = ~d_hits
+        d_hits = np.zeros(m, dtype=bool)
+        np.equal(d_lines[2:], d_lines[:-2], out=d_hits[2:])
 
-        # Scatter distinct-position misses back; duplicates are hits.
-        miss_grouped = np.zeros(total, dtype=bool)
-        miss_grouped[distinct_idx] = d_miss
-
-        misses_all = np.empty(total, dtype=bool)
-        misses_all[order] = miss_grouped
+        # Scatter distinct-position misses back in one pass; duplicates are
+        # hits.
+        misses_all = np.zeros(total, dtype=bool)
+        misses_all[order[distinct_idx]] = ~d_hits
         misses = misses_all[n_virtual:]
 
         # Update per-set state: the last two distinct lines of each group.
-        if m:
-            group_last = np.empty(m, dtype=bool)
-            group_last[-1] = True
-            group_last[:-1] = d_keys[1:] != d_keys[:-1]
-            last_idx = np.nonzero(group_last)[0]
-            last_sets = d_keys[last_idx]
-            self._mru[last_sets] = d_lines[last_idx]
-            usable = last_idx[~d_new_group[last_idx]]
-            self._lru[d_keys[usable]] = d_lines[usable - 1]
-
-        self.stats.record(arr.shape[0], int(misses.sum()))
+        d_keys = d_lines & (num_sets - 1)
+        last_idx = np.flatnonzero(np.append(d_keys[1:] != d_keys[:-1], True))
+        self._mru[d_keys[last_idx]] = d_lines[last_idx]
+        usable = last_idx[last_idx > 0]
+        usable = usable[d_keys[usable - 1] == d_keys[usable]]
+        self._lru[d_keys[usable]] = d_lines[usable - 1]
         return misses
 
 
-class NWayLRUCache:
+class NWayLRUCache(_VectorisedSimulator):
     """Arbitrary-associativity LRU cache with a vectorised trace simulation.
 
     ``simulate`` is an exact reuse-gap classifier on the set-grouped trace
@@ -485,7 +486,7 @@ class NWayLRUCache:
         # Per-set LRU stack of lines, most recently used first, -1 invalid
         # (whole lines, not tags — see DirectMappedCache).
         self._stack = np.full(
-            (config.num_sets, config.associativity), -1, dtype=np.int64
+            (config.num_sets, config.associativity), -1, dtype=np.int32
         )
 
     def reset(self) -> None:
@@ -505,33 +506,20 @@ class NWayLRUCache:
         self.stats.record(1, int(miss))
         return miss
 
-    def simulate(self, addresses: np.ndarray, check: bool = True) -> np.ndarray:
-        arr = _as_address_array(addresses, check=check)
-        if arr.size == 0:
-            return np.zeros(0, dtype=bool)
+    def _classify(self, lines: np.ndarray) -> np.ndarray:
         config = self.config
         num_sets = config.num_sets
         associativity = config.associativity
-        lines = arr >> config.offset_bits
 
-        # Replay warm state as virtual leading accesses for the sets touched
-        # by this chunk: LRU way first, so the MRU way ends up most recent.
-        # A cold simulator (nothing resident anywhere) skips the whole replay.
-        key = _narrow_key(lines & (num_sets - 1), num_sets)
-        if np.any(self._stack[:, 0] >= 0):
-            present = np.flatnonzero(np.bincount(key, minlength=num_sets))
-            reversed_stacks = self._stack[present, ::-1]
-            virtual_lines = reversed_stacks[reversed_stacks >= 0]
-            n_virtual = virtual_lines.shape[0]
-            all_lines = np.concatenate([virtual_lines, lines])
-            key = np.concatenate(
-                [_narrow_key(virtual_lines & (num_sets - 1), num_sets), key]
-            )
-        else:
-            present = None
-            n_virtual = 0
-            all_lines = lines
-        order = np.argsort(key, kind="stable")
+        # Replay warm state as virtual leading accesses: LRU way first, so
+        # the MRU way ends up most recent.  A set the piece does not touch
+        # gets its stack back unchanged, and a full piece holds 16 times the
+        # cache's lines or more, so replaying every set costs little.
+        reversed_stacks = self._stack[:, ::-1]
+        virtual_lines = reversed_stacks[reversed_stacks >= 0]
+        n_virtual = virtual_lines.shape[0]
+        all_lines = np.concatenate([virtual_lines, lines]) if n_virtual else lines
+        order = _group_order(all_lines & (num_sets - 1), num_sets)
         g_lines = all_lines[order]
 
         # Run repeats (consecutive duplicates, necessarily of one set) are
@@ -548,15 +536,17 @@ class NWayLRUCache:
         index = np.int32 if m + 2 * associativity < (1 << 31) else np.int64
 
         # prev[t]: the previous occurrence of t's line (-1 for none).  One
-        # stable sort by line lists every line's occurrences in order.
-        low = int(d_lines.min())
-        line_key = _narrow_key(d_lines - low, int(d_lines.max()) - low + 1)
-        by_line = np.argsort(line_key, kind="stable").astype(index, copy=False)
-        sorted_key = line_key[by_line]
-        same = sorted_key[1:] == sorted_key[:-1]
+        # stable sort lists every line's occurrences in order; it keys on
+        # the tag, because the sequence is set-grouped: a stable sort by tag
+        # orders it by (tag, set, time), which is (line, time).
+        tags = d_lines >> config.index_bits
+        low = int(tags.min())
+        by_line = _group_order(tags - low, int(tags.max()) - low + 1)
+        sorted_lines = d_lines[by_line]
+        same = sorted_lines[1:] == sorted_lines[:-1]
         prev = np.empty(m, dtype=index)
         prev[by_line[0]] = -1
-        prev[by_line[1:]] = np.where(same, by_line[:-1], -1)
+        prev[by_line[1:]] = np.where(same, by_line[:-1].astype(index), -1)
 
         # Stack distance: t hits iff fewer than A distinct lines occurred
         # since p = prev[t].  A first occurrence misses; a gap t - p <= A
@@ -566,25 +556,25 @@ class NWayLRUCache:
         far_prev = prev[far]
         # A far access is a certain miss when none of the A slots after p
         # repeats a line seen since p (prev[q] < p for all of them): those
-        # are A distinct lines.  window[i] = max(prev[i : i + A]).
-        window = prev
+        # are A distinct lines.  window[i] = max(prev[i + 1 : i + 1 + A]).
+        window = prev[1:]
         width = 1
         while width < associativity:
             window = np.maximum(window[:-width], window[width:])
             width *= 2
-        repeated = window[far_prev + 1] > far_prev
+        repeated = np.take(window, far_prev) > far_prev
         miss[far[~repeated]] = True
         # The residue: count the distinct lines exactly, A slots at a time,
         # until A are found (a miss) or the access is reached (a hit).
-        # Slots past t read prev[t] = p, which never counts.
+        # Slots past t read prev[t] = p, which never counts.  One 1-D gather
+        # per slot keeps the temporaries cache-sized.
         todo = far[repeated]
         todo_prev = far_prev[repeated]
-        count = np.zeros(todo.shape[0], dtype=np.int64)
-        start = todo_prev + 1
-        slots = np.arange(associativity, dtype=index)
+        count = np.zeros(todo.shape[0], dtype=np.int32)
+        start = todo_prev.astype(np.intp) + 1
         while todo.shape[0]:
-            q = np.minimum(start[:, None] + slots, todo[:, None])
-            count += np.count_nonzero(prev[q] < todo_prev[:, None], axis=1)
+            for slot in range(associativity):
+                count += prev[np.minimum(start + slot, todo)] < todo_prev
             start += associativity
             full = count >= associativity
             miss[todo[full]] = True
@@ -606,11 +596,8 @@ class NWayLRUCache:
         ends = np.flatnonzero(np.append(last_sets[1:] != last_sets[:-1], True))
         rank = np.repeat(ends, np.diff(ends, prepend=-1)) - np.arange(last_lines.shape[0])
         keep = rank < associativity
-        if present is not None:
-            self._stack[present] = -1
+        self._stack.fill(-1)
         self._stack[last_sets[keep], rank[keep]] = last_lines[keep]
-
-        self.stats.record(arr.shape[0], int(misses.sum()))
         return misses
 
 
@@ -630,7 +617,8 @@ def make_cache(config: CacheConfig, vectorized: bool = True) -> CacheSimulator:
 
 
 def simulate_trace(config: CacheConfig, addresses: np.ndarray, vectorized: bool = True) -> CacheStatistics:
-    """One-shot convenience: simulate a cold cache over a trace, return stats."""
+    """One-shot convenience: simulate a cold cache over a trace of byte
+    addresses, return stats."""
     cache = make_cache(config, vectorized=vectorized)
-    cache.simulate(_as_address_array(addresses))
+    cache.simulate(config.line_of(np.asarray(addresses)))
     return cache.stats

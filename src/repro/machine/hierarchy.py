@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.machine.cache import (
+    LINE_LIMIT,
     CacheConfig,
     CacheSimulator,
     make_cache,
@@ -47,18 +48,12 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
-def _prefix(mask: np.ndarray) -> np.ndarray:
-    """``prefix[i]`` = number of true entries of ``mask[:i]``."""
-    prefix = np.zeros(mask.shape[0] + 1, dtype=np.int64)
-    np.cumsum(mask, out=prefix[1:])
-    return prefix
-
-
 def _extra_misses(
-    prefix: np.ndarray, starts: np.ndarray, stops: np.ndarray, extra: np.ndarray
+    miss_at: np.ndarray, starts: np.ndarray, stops: np.ndarray, extra: np.ndarray
 ) -> np.ndarray:
-    """Per range, ``extra`` times the misses ``prefix`` counts in it."""
-    return extra * (prefix[stops] - prefix[starts])
+    """Per range ``[start, stop)``, ``extra`` times the misses in it, given
+    the sorted miss positions ``miss_at``."""
+    return extra * (np.searchsorted(miss_at, stops) - np.searchsorted(miss_at, starts))
 
 
 @dataclass(frozen=True)
@@ -120,6 +115,18 @@ class MemoryHierarchy:
             return None
         return make_cache(self.l2_config, vectorized=self.vectorized)
 
+    def _l2_lines(self, lines: np.ndarray) -> np.ndarray:
+        """L2 line numbers of L1 line numbers: a shift by the difference of
+        the levels' offset bits, in whichever direction it points."""
+        shift = self.l2_config.offset_bits - self.l1_config.offset_bits
+        if shift > 0:
+            return lines >> shift
+        if shift < 0:
+            if lines.shape[0] and int(lines.max()) >= LINE_LIMIT >> -shift:
+                raise ValueError("L2 line numbers would overflow int32")
+            return lines << -shift
+        return lines
+
     def process_line_chunks(self, chunks: Iterable[LineChunk]) -> HierarchyStatistics:
         """Stream collapsed line chunks through warm-started simulators.
 
@@ -134,11 +141,10 @@ class MemoryHierarchy:
         (calls the stream generator counted instead of emitting) are added
         to the simulated ones.  A weighted range (``LineChunk.weighted_ranges``)
         adds ``weight - 1`` times its simulated misses at L1 and, through the
-        L1-miss prefix sums that locate it in the L2 stream, at L2.
+        L1 misses that locate it in the L2 stream, at L2.
         """
         l1 = self.build_l1()
         l2 = self.build_l2()
-        offset_bits = self.l1_config.offset_bits
         total_accesses = 0
         folded_l1 = 0
         folded_l2 = 0
@@ -150,26 +156,22 @@ class MemoryHierarchy:
             folded_l2 += chunk.folded_l2_misses
             if chunk.lines.shape[0] == 0:
                 continue
-            # Rebuild byte addresses at line granularity for the simulators
-            # (the sub-line offset is irrelevant to hit/miss behaviour).
-            addresses = chunk.lines << offset_bits
-            l1_miss_mask = l1.simulate(addresses, check=False)
-            l2_mask = None
-            if l2 is not None:
-                miss_addresses = addresses[l1_miss_mask]
-                if miss_addresses.shape[0]:
-                    l2_mask = l2.simulate(miss_addresses, check=False)
+            l1_miss_at = np.flatnonzero(l1.simulate(chunk.lines, check=False))
+            l2_miss_at = None
+            if l2 is not None and l1_miss_at.shape[0]:
+                l2_mask = l2.simulate(self._l2_lines(chunk.lines[l1_miss_at]), check=False)
+                l2_miss_at = np.flatnonzero(l2_mask)
             ranges = chunk.weighted_ranges
             if ranges.shape[0]:
                 starts, stops, extra = ranges[:, 0], ranges[:, 1], ranges[:, 2] - 1
-                prefix = _prefix(l1_miss_mask)
-                # Every extra L1 miss is an extra L2 access.
-                folded_l1 += int(_extra_misses(prefix, starts, stops, extra).sum())
-                if l2_mask is not None:
+                # Every extra L1 miss is an extra L2 access; the L1 misses
+                # before a position locate it in the L2 stream.
+                folded_l1 += int(_extra_misses(l1_miss_at, starts, stops, extra).sum())
+                if l2_miss_at is not None:
+                    l2_starts = np.searchsorted(l1_miss_at, starts)
+                    l2_stops = np.searchsorted(l1_miss_at, stops)
                     folded_l2 += int(
-                        _extra_misses(
-                            _prefix(l2_mask), prefix[starts], prefix[stops], extra
-                        ).sum()
+                        _extra_misses(l2_miss_at, l2_starts, l2_stops, extra).sum()
                     )
         l1_misses = l1.stats.misses + folded_l1
         if l2 is not None:
@@ -288,13 +290,19 @@ class MemoryHierarchy:
         these offsets is therefore equivalent to one cold pass per plan —
         a cross-plan access can neither hit a foreign line nor alter a
         foreign stack distance, and plans occupy contiguous stream runs.
+
+        The simulators take int32 line numbers, so the batch's line space,
+        counted in the finer of the two levels' lines, must stay below
+        2^31.
         """
         l1 = self.l1_config
         align_bytes = l1.num_sets * l1.line_size
+        finest = l1.line_size
         if self.l2_config is not None:
             align_bytes = math.lcm(
                 align_bytes, self.l2_config.num_sets * self.l2_config.line_size
             )
+            finest = min(finest, self.l2_config.line_size)
         unit = _ceil_div(align_bytes, l1.line_size)
         offsets = np.zeros(len(span_lines), dtype=np.int64)
         cursor = 0
@@ -303,10 +311,11 @@ class MemoryHierarchy:
                 raise ValueError(f"span_lines must be nonnegative, got {span}")
             offsets[index] = cursor
             cursor += _ceil_div(max(int(span), 1), unit) * unit
-        if cursor * l1.line_size >= 1 << 62:
+        if cursor * (l1.line_size // finest) >= LINE_LIMIT:
             raise ValueError(
-                f"batch spans {cursor} lines; the spliced address space would "
-                "overflow the exact int64 range"
+                f"batch spans {cursor} L1 lines, past the int32 line space "
+                f"(2^31 lines of {finest} B); prepare fewer or smaller plans "
+                "per batch"
             )
         return offsets
 
@@ -343,7 +352,6 @@ class MemoryHierarchy:
             raise ValueError(f"num_plans must be nonnegative, got {num_plans}")
         l1 = self.build_l1()
         l2 = self.build_l2()
-        offset_bits = self.l1_config.offset_bits
         l1_accesses = np.zeros(num_plans, dtype=np.int64)
         l1_misses = np.zeros(num_plans, dtype=np.int64)
         l2_accesses = np.zeros(num_plans, dtype=np.int64)
@@ -378,46 +386,41 @@ class MemoryHierarchy:
             lines = chunk.lines
             if lines.shape[0] == 0:
                 continue
-            addresses = lines << offset_bits
-            miss_mask = l1.simulate(addresses, check=False)
-            prefix = _prefix(miss_mask)
+            miss_at = np.flatnonzero(l1.simulate(lines, check=False))
             bounds = chunk.seg_bounds
-            seg_misses = prefix[bounds[1:]] - prefix[bounds[:-1]]
+            seg_misses = np.diff(np.searchsorted(miss_at, bounds))
             np.add.at(l1_misses, seg_plan, seg_misses)
             ranges = chunk.weighted_ranges
             if ranges.shape[0]:
                 starts, stops, extra = ranges[:, 0], ranges[:, 1], ranges[:, 2] - 1
                 range_plan = seg_plan[np.searchsorted(bounds, starts, side="right") - 1]
-                extra_l1 = _extra_misses(prefix, starts, stops, extra)
+                extra_l1 = _extra_misses(miss_at, starts, stops, extra)
                 np.add.at(l1_misses, range_plan, extra_l1)
             if l2 is None:
                 continue
             simulate_seg = analytic_l2[seg_plan] < 0
-            if not simulate_seg.any():
+            if not simulate_seg.all():
+                # Segments run in position order, so each one's L1 misses
+                # are a run of ``miss_at``.
+                miss_at = miss_at[np.repeat(simulate_seg, seg_misses)]
+                seg_misses = np.where(simulate_seg, seg_misses, 0)
+            if miss_at.shape[0] == 0:
                 continue
-            if simulate_seg.all():
-                selected = miss_mask
-                seg_selected = seg_misses
-            else:
-                lengths = np.diff(bounds)
-                selected = miss_mask & np.repeat(simulate_seg, lengths)
-                seg_selected = np.where(simulate_seg, seg_misses, 0)
-            miss_addresses = addresses[selected]
-            if miss_addresses.shape[0] == 0:
-                continue
-            l2_mask = l2.simulate(miss_addresses, check=False)
-            prefix2 = _prefix(l2_mask)
-            bounds2 = _prefix(seg_selected)
-            np.add.at(l2_accesses, seg_plan, seg_selected)
-            np.add.at(l2_misses, seg_plan, prefix2[bounds2[1:]] - prefix2[bounds2[:-1]])
+            l2_mask = l2.simulate(self._l2_lines(lines[miss_at]), check=False)
+            l2_miss_at = np.flatnonzero(l2_mask)
+            bounds2 = np.concatenate(([0], np.cumsum(seg_misses)))
+            np.add.at(l2_accesses, seg_plan, seg_misses)
+            np.add.at(l2_misses, seg_plan, np.diff(np.searchsorted(l2_miss_at, bounds2)))
             if ranges.shape[0]:
                 # Weighted ranges of simulated plans: every extra L1 miss is
-                # an extra L2 access, and the selected-miss prefix locates
-                # the range in the L2 stream.
+                # an extra L2 access, and the selected L1 misses before a
+                # position locate it in the L2 stream.
                 simulated = analytic_l2[range_plan] < 0
-                selected_prefix = prefix if selected is miss_mask else _prefix(selected)
                 extra_l2 = _extra_misses(
-                    prefix2, selected_prefix[starts], selected_prefix[stops], extra
+                    l2_miss_at,
+                    np.searchsorted(miss_at, starts),
+                    np.searchsorted(miss_at, stops),
+                    extra,
                 )
                 np.add.at(l2_accesses, range_plan[simulated], extra_l1[simulated])
                 np.add.at(l2_misses, range_plan[simulated], extra_l2[simulated])
@@ -449,16 +452,10 @@ class MemoryHierarchy:
         single chunk, which produces exactly the statistics of the seed
         implementation (and of any other chunking of the same trace).
         """
-        addresses = trace.addresses
-        total_accesses = int(addresses.shape[0])
-        if total_accesses == 0:
-            return HierarchyStatistics(0, 0, 0, 0)
-        if int(addresses.min()) < 0:
-            raise ValueError("addresses must be nonnegative")
-
-        l1_lines = addresses >> self.l1_config.offset_bits
-        collapsed_lines, _removed = collapse_consecutive(l1_lines)
-        chunk = LineChunk(lines=collapsed_lines, accesses=total_accesses)
+        collapsed_lines, _removed = collapse_consecutive(
+            self.l1_config.line_of(trace.addresses)
+        )
+        chunk = LineChunk(lines=collapsed_lines, accesses=trace.accesses)
         return self.process_line_chunks([chunk])
 
     def describe(self) -> str:

@@ -230,7 +230,10 @@ class SimulatedMachine:
         hierarchy simulates in one vectorised pass per level
         (:meth:`~repro.machine.hierarchy.MemoryHierarchy.process_line_chunks_batch`).
         Every returned :class:`PreparedPlan` is bit-identical to what
-        :meth:`prepare` produces for the same plan.
+        :meth:`prepare` produces for the same plan.  The batch is never
+        split: the simulated plans' footprints together must stay below
+        2^31 cache lines (int32 line numbers), or this raises ``ValueError``
+        — about 8,000 distinct plans of size 2^21 with 64-byte lines.
         """
         cache = self.prepared_cache
         resolved: dict[str, PreparedPlan] = {}

@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.machine.cache import CacheConfig
+from repro.machine.cache import LINE_LIMIT, CacheConfig, _as_lines
 from repro.util.validation import check_positive_int
 from repro.wht.interpreter import _SINGLE_OFFSET, LeafNest, NestBlock
 
@@ -186,7 +186,7 @@ def trace_from_nests(
 class LineChunk:
     """One streamed batch of the line-granular, duplicate-collapsed trace.
 
-    ``lines`` holds cache-line numbers in exact access order with runs of
+    ``lines`` holds int32 cache-line numbers in exact access order with runs of
     consecutive identical lines removed; ``accesses`` records how many raw
     element accesses the chunk represents (before collapsing), which is what
     the hierarchy reports as L1 accesses.  ``folded_l1_misses`` and
@@ -211,15 +211,10 @@ class LineChunk:
     def __post_init__(self) -> None:
         if self.folded_l1_misses < 0 or self.folded_l2_misses < 0:
             raise ValueError("folded miss counts must be nonnegative")
-        lines = np.asarray(self.lines)
-        if lines.ndim != 1:
-            raise ValueError("chunk lines must form a 1-D array")
         # Chunk construction is the validation boundary: the simulators
-        # downstream run with their non-negativity scan disabled (negative
-        # values would collide with their invalid-slot sentinels).
-        if lines.size and lines.min() < 0:
-            raise ValueError("chunk lines must be nonnegative")
-        object.__setattr__(self, "lines", lines.astype(np.int64, copy=False))
+        # downstream take these int32 lines with their range scan disabled.
+        lines = _as_lines(self.lines)
+        object.__setattr__(self, "lines", lines)
         if self.accesses < lines.shape[0]:
             raise ValueError(
                 f"accesses ({self.accesses}) cannot be fewer than the collapsed "
@@ -249,8 +244,9 @@ class SplicedLineChunk:
     segments' :attr:`LineChunk.weighted_ranges`, shifted to positions in
     ``lines``; each lies inside one segment.
 
-    Like :class:`LineChunk`, construction validates the shape: this is the
-    batch simulation's input boundary.
+    Like :class:`LineChunk`, construction validates the shape and the int32
+    line range (an offset pushing a line past 2^31 wraps negative and is
+    caught here): this is the batch simulation's input boundary.
     """
 
     lines: np.ndarray
@@ -262,10 +258,11 @@ class SplicedLineChunk:
     weighted_ranges: np.ndarray = field(default_factory=_no_ranges)
 
     def __post_init__(self) -> None:
-        lines = np.asarray(self.lines)
+        lines = _as_lines(self.lines)
+        object.__setattr__(self, "lines", lines)
         bounds = np.asarray(self.seg_bounds)
-        if lines.ndim != 1 or bounds.ndim != 1 or bounds.shape[0] == 0:
-            raise ValueError("chunk lines and seg_bounds must be nonempty 1-D arrays")
+        if bounds.ndim != 1 or bounds.shape[0] == 0:
+            raise ValueError("seg_bounds must be a nonempty 1-D array")
         if bounds[0] != 0 or bounds[-1] != lines.shape[0] or np.any(np.diff(bounds) < 0):
             raise ValueError(
                 f"seg_bounds must start at 0, be nondecreasing and end at the "
@@ -332,7 +329,7 @@ def splice_line_chunks(
             lines=(
                 np.concatenate(buf_lines)
                 if buf_lines
-                else np.zeros(0, dtype=np.int64)
+                else np.zeros(0, dtype=np.int32)
             ),
             seg_bounds=bounds,
             seg_plan=np.array(buf_plan, dtype=np.int64),
@@ -369,16 +366,20 @@ def splice_line_chunks(
         yield flush()
 
 
-def _nest_min_element(nest: LeafNest, min_offset: int) -> int:
-    """Smallest element index any instance of the nest can touch."""
-    low = nest.base + min_offset
-    if nest.outer_count > 1:
-        low += min(0, (nest.outer_count - 1) * nest.outer_stride)
-    if nest.inner_count > 1:
-        low += min(0, (nest.inner_count - 1) * nest.inner_stride)
-    if nest.elements_per_call > 1:
-        low += min(0, (nest.elements_per_call - 1) * nest.elem_stride)
-    return low
+def _nest_element_range(nest: LeafNest, bases: np.ndarray) -> tuple[int, int]:
+    """Smallest and largest element index any instance of the nest touches.
+
+    Every partial sum of the expansion grid lies in this range too.
+    """
+    low, high = int(bases.min()), int(bases.max())
+    for count, stride in (
+        (nest.outer_count, nest.outer_stride),
+        (nest.inner_count, nest.inner_stride),
+        (nest.elements_per_call, nest.elem_stride),
+    ):
+        low += min(0, (count - 1) * stride)
+        high += max(0, (count - 1) * stride)
+    return low, high
 
 
 def _analytic_lines_per_call(
@@ -555,7 +556,7 @@ def _expand_group_analytic(
     element_size: int,
     base_address: int,
 ) -> np.ndarray:
-    """Collapsed line numbers of a group of line-aligned unit-stride nests.
+    """Collapsed int32 line numbers of a group of line-aligned unit-stride nests.
 
     Returns shape ``(instances, emitted_per_instance)``: per call, one line
     when the call fits a single line (the read and the write pass collapse
@@ -563,13 +564,13 @@ def _expand_group_analytic(
     the write pass elided) or twice (read pass then write pass, each already
     collapsed to one entry per line).
     """
-    base_lines = (base_address + bases * element_size) // line_size
+    base_lines = ((base_address + bases * element_size) // line_size).astype(np.int32)
     outer_lines = outer_stride * element_size // line_size
     inner_lines = inner_stride * element_size // line_size
-    j = np.arange(outer_count, dtype=np.int64) * outer_lines
-    kk = np.arange(inner_count, dtype=np.int64) * inner_lines
+    j = np.arange(outer_count, dtype=np.int32) * outer_lines
+    kk = np.arange(inner_count, dtype=np.int32) * inner_lines
     grid = base_lines[:, None, None] + j[None, :, None] + kk[None, None, :]
-    runs = grid[..., None] + np.arange(lines_per_call, dtype=np.int64)
+    runs = grid[..., None] + np.arange(lines_per_call, dtype=np.int32)
     if lines_per_call == 1 or passes == 1:
         return runs.reshape(bases.shape[0], -1)
     doubled = np.broadcast_to(
@@ -592,18 +593,18 @@ def _expand_group_raw(
     element_size: int,
     base_address: int,
 ) -> np.ndarray:
-    """Per-access line numbers of a group of same-shape nests.
+    """Per-access int32 line numbers of a group of same-shape nests.
 
     ``passes == 2`` emits the read and the write pass per call; ``passes ==
     1`` emits only the read pass (the write pass was proven an elidable
     guaranteed hit).
     """
     elements = 1 << k
-    j = np.arange(outer_count, dtype=np.int64) * outer_stride
-    kk = np.arange(inner_count, dtype=np.int64) * inner_stride
-    e = np.arange(elements, dtype=np.int64) * elem_stride
+    j = np.arange(outer_count, dtype=np.int32) * outer_stride
+    kk = np.arange(inner_count, dtype=np.int32) * inner_stride
+    e = np.arange(elements, dtype=np.int32) * elem_stride
     grid = (
-        bases[:, None, None, None]
+        bases.astype(np.int32)[:, None, None, None]
         + j[None, :, None, None]
         + kk[None, None, :, None]
         + e[None, None, None, :]
@@ -695,11 +696,18 @@ class _BlockTable:
         bases = nest.base + offsets if offsets.shape[0] > 1 or offsets[0] else None
         if bases is None:
             bases = np.full(1, nest.base, dtype=np.int64)
-        min_element = _nest_min_element(nest, int(bases.min()) - nest.base)
-        if self.base_address + min_element * self.element_size < 0:
+        low, high = _nest_element_range(nest, bases)
+        if self.base_address + low * self.element_size < 0:
             raise ValueError(
                 f"nest {nest} produces negative byte addresses "
-                f"(min element index {min_element})"
+                f"(min element index {low})"
+            )
+        # The expansion computes in int32 (byte addresses included, on the
+        # general line-mapping path).
+        if self.base_address + high * self.element_size >= LINE_LIMIT:
+            raise ValueError(
+                f"nest {nest} reaches byte address 2^31 or beyond "
+                f"(max element index {high})"
             )
         raw = 2 * nest.total_elements
         lines_per_call = _analytic_lines_per_call(
@@ -764,13 +772,13 @@ def _expand_chunk(
     emitted: np.ndarray,
     scatter_starts: np.ndarray,
 ) -> np.ndarray:
-    """Expand one chunk's instances (given in execution order) to line numbers.
+    """Expand one chunk's instances (given in execution order) to int32 line numbers.
 
     Instance ``i`` fills ``out[scatter_starts[i] : scatter_starts[i] +
     emitted[i]]``.
     """
     total_emitted = int(scatter_starts[-1] + emitted[-1])
-    out = np.empty(total_emitted, dtype=np.int64)
+    out = np.empty(total_emitted, dtype=np.int32)
     for group_id in np.unique(group_ids):
         (
             k,
@@ -1032,10 +1040,7 @@ def collapse_consecutive(line_addresses: np.ndarray) -> tuple[np.ndarray, int]:
     arr = np.asarray(line_addresses)
     if arr.ndim != 1:
         raise ValueError("line_addresses must be a 1-D array")
-    if arr.size == 0:
-        return arr.astype(np.int64, copy=False), 0
-    keep = np.empty(arr.shape[0], dtype=bool)
-    keep[0] = True
+    keep = np.ones(arr.shape[0], dtype=bool)
     keep[1:] = arr[1:] != arr[:-1]
-    collapsed = arr[keep].astype(np.int64, copy=False)
+    collapsed = arr[keep]
     return collapsed, int(arr.shape[0] - collapsed.shape[0])

@@ -375,6 +375,14 @@ class TestSplicedLineChunkValidation:
         with pytest.raises(ValueError, match="weighted ranges"):
             LineChunk(lines=np.arange(3), accesses=3, weighted_ranges=np.array([[0, 4, 2]]))
 
+    def test_lines_must_fit_int32(self):
+        with pytest.raises(ValueError, match="line numbers"):
+            LineChunk(lines=np.array([1 << 31]), accesses=1)
+        # An offset that pushes a line past 2^31 wraps negative in int32.
+        stream = [LineChunk(lines=np.array([1]), accesses=1)]
+        with pytest.raises(ValueError, match="line numbers"):
+            list(splice_line_chunks([stream], [(1 << 31) - 1]))
+
 
 class TestBatchLineOffsets:
     def test_offsets_are_disjoint_and_aligned(self):
@@ -736,9 +744,9 @@ class TestRepeatedSubPlanFolding:
     ):
         # S·N·N = S·N per set, for any warm state S.
         cache = SetAssociativeLRUCache(CacheConfig(64 * associativity * 4, 64, associativity))
-        cache.simulate(np.array(prefix + sequence, dtype=np.int64) << 6)
+        cache.simulate(np.array(prefix + sequence, dtype=np.int64))
         once = _lru_sets(cache)
-        cache.simulate(np.array(sequence, dtype=np.int64) << 6)
+        cache.simulate(np.array(sequence, dtype=np.int64))
         assert _lru_sets(cache) == once
 
     @given(
@@ -755,8 +763,8 @@ class TestRepeatedSubPlanFolding:
         l2 = SetAssociativeLRUCache(CacheConfig(2048, 64, l2_assoc))
 
         def feed(lines):
-            addresses = np.array(lines, dtype=np.int64) << 6
-            misses = addresses[l1.simulate(addresses)]
+            lines = np.array(lines, dtype=np.int64)
+            misses = lines[l1.simulate(lines)]
             return int(misses.shape[0]), int(l2.simulate(misses).sum())
 
         feed(prefix)

@@ -2,19 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.machine.cache import (
+    LINE_LIMIT,
+    PIECE_LINES,
     CacheConfig,
     CacheStatistics,
     DirectMappedCache,
     NWayLRUCache,
     SetAssociativeLRUCache,
     TwoWayLRUCache,
+    _group_order,
     make_cache,
     simulate_trace,
 )
+from repro.machine.hierarchy import MemoryHierarchy
 
 
 class TestCacheConfig:
@@ -103,7 +107,7 @@ class TestReferenceLRU:
         addresses = rng.integers(0, 8192, size=300) * 8
         a = SetAssociativeLRUCache(config)
         b = SetAssociativeLRUCache(config)
-        vector = a.simulate(addresses)
+        vector = a.simulate(config.line_of(addresses))
         scalar = np.array([b.access(int(addr)) for addr in addresses])
         assert np.array_equal(vector, scalar)
 
@@ -115,8 +119,8 @@ class TestVectorisedCaches:
         rng = np.random.default_rng(assoc)
         for _ in range(10):
             addresses = rng.integers(0, 4096, size=400) * 8
-            reference = SetAssociativeLRUCache(config).simulate(addresses)
-            vectorised = cls(config).simulate(addresses)
+            reference = SetAssociativeLRUCache(config).simulate(config.line_of(addresses))
+            vectorised = cls(config).simulate(config.line_of(addresses))
             assert np.array_equal(reference, vectorised)
 
     @pytest.mark.parametrize("assoc,cls", [(1, DirectMappedCache), (2, TwoWayLRUCache)])
@@ -127,9 +131,8 @@ class TestVectorisedCaches:
         vectorised = cls(config)
         for _ in range(5):
             addresses = rng.integers(0, 2048, size=200) * 8
-            assert np.array_equal(
-                reference.simulate(addresses), vectorised.simulate(addresses)
-            )
+            lines = config.line_of(addresses)
+            assert np.array_equal(reference.simulate(lines), vectorised.simulate(lines))
 
     @pytest.mark.parametrize("assoc,cls", [(1, DirectMappedCache), (2, TwoWayLRUCache)])
     def test_strided_power_of_two_traces(self, assoc, cls):
@@ -137,8 +140,8 @@ class TestVectorisedCaches:
         config = CacheConfig(2048, 64, assoc)
         for stride in (1, 4, 8, 64, 256, 1024):
             addresses = (np.arange(500, dtype=np.int64) * stride * 8) % (1 << 20)
-            reference = SetAssociativeLRUCache(config).simulate(addresses)
-            vectorised = cls(config).simulate(addresses)
+            reference = SetAssociativeLRUCache(config).simulate(config.line_of(addresses))
+            vectorised = cls(config).simulate(config.line_of(addresses))
             assert np.array_equal(reference, vectorised), stride
 
     def test_access_scalar_api_matches_simulate(self):
@@ -148,7 +151,8 @@ class TestVectorisedCaches:
         a = TwoWayLRUCache(config)
         b = TwoWayLRUCache(config)
         assert np.array_equal(
-            np.array([a.access(int(x)) for x in addresses]), b.simulate(addresses)
+            np.array([a.access(int(x)) for x in addresses]),
+            b.simulate(config.line_of(addresses)),
         )
 
     def test_direct_mapped_rejects_wrong_associativity(self):
@@ -165,20 +169,20 @@ class TestVectorisedCaches:
     def test_negative_addresses_rejected(self):
         cache = DirectMappedCache(CacheConfig(256, 32, 1))
         with pytest.raises(ValueError):
-            cache.simulate(np.array([-8]))
+            cache.simulate(cache.config.line_of(np.array([-8])))
 
     def test_sequential_scan_miss_rate(self):
         # A sequential scan of a large array misses once per line.
         config = CacheConfig(1024, 64, 2)
         addresses = np.arange(0, 64 * 1024, 8, dtype=np.int64)
-        misses = TwoWayLRUCache(config).simulate(addresses)
+        misses = TwoWayLRUCache(config).simulate(config.line_of(addresses))
         assert misses.sum() == 64 * 1024 // 64
 
     def test_working_set_within_cache_only_cold_misses(self):
         config = CacheConfig(4096, 64, 2)
         addresses = np.tile(np.arange(0, 2048, 8, dtype=np.int64), 5)
         cache = TwoWayLRUCache(config)
-        misses = cache.simulate(addresses)
+        misses = cache.simulate(config.line_of(addresses))
         assert misses.sum() == 2048 // 64  # only the first pass misses
 
     @given(
@@ -193,8 +197,8 @@ class TestVectorisedCaches:
         addresses = np.random.default_rng(seed).integers(0, spread, size=length) * 8
         cls = DirectMappedCache if assoc == 1 else TwoWayLRUCache
         assert np.array_equal(
-            SetAssociativeLRUCache(config).simulate(addresses),
-            cls(config).simulate(addresses),
+            SetAssociativeLRUCache(config).simulate(config.line_of(addresses)),
+            cls(config).simulate(config.line_of(addresses)),
         )
 
 
@@ -207,8 +211,8 @@ class TestNWayLRU:
         rng = np.random.default_rng(100 + assoc)
         for _ in range(8):
             addresses = rng.integers(0, 4096, size=400) * 8
-            reference = SetAssociativeLRUCache(config).simulate(addresses)
-            vectorised = NWayLRUCache(config).simulate(addresses)
+            reference = SetAssociativeLRUCache(config).simulate(config.line_of(addresses))
+            vectorised = NWayLRUCache(config).simulate(config.line_of(addresses))
             assert np.array_equal(reference, vectorised)
 
     @pytest.mark.parametrize("assoc", [1, 2, 4, 8, 16])
@@ -220,8 +224,8 @@ class TestNWayLRU:
         rng = np.random.default_rng(assoc)
         addresses = rng.integers(0, 2048, size=600) * 8
         assert np.array_equal(
-            SetAssociativeLRUCache(config).simulate(addresses),
-            NWayLRUCache(config).simulate(addresses),
+            SetAssociativeLRUCache(config).simulate(config.line_of(addresses)),
+            NWayLRUCache(config).simulate(config.line_of(addresses)),
         )
 
     @pytest.mark.parametrize("assoc", [4, 8, 16])
@@ -233,9 +237,8 @@ class TestNWayLRU:
         vectorised = NWayLRUCache(config)
         for _ in range(6):
             addresses = rng.integers(0, 4096, size=int(rng.integers(1, 300))) * 8
-            assert np.array_equal(
-                reference.simulate(addresses), vectorised.simulate(addresses)
-            )
+            lines = config.line_of(addresses)
+            assert np.array_equal(reference.simulate(lines), vectorised.simulate(lines))
 
     @pytest.mark.parametrize("assoc", [4, 16])
     def test_warm_state_matches_oracle_stacks(self, assoc):
@@ -244,8 +247,8 @@ class TestNWayLRU:
         reference = SetAssociativeLRUCache(config)
         vectorised = NWayLRUCache(config)
         addresses = rng.integers(0, 4096, size=500) * 8
-        reference.simulate(addresses)
-        vectorised.simulate(addresses)
+        reference.simulate(config.line_of(addresses))
+        vectorised.simulate(config.line_of(addresses))
         for index in range(config.num_sets):
             # The vectorised stack stores whole lines; the oracle stores tags.
             tags = [
@@ -260,8 +263,8 @@ class TestNWayLRU:
         for stride in (1, 4, 8, 64, 256, 1024):
             addresses = (np.arange(600, dtype=np.int64) * stride * 8) % (1 << 20)
             assert np.array_equal(
-                SetAssociativeLRUCache(config).simulate(addresses),
-                NWayLRUCache(config).simulate(addresses),
+                SetAssociativeLRUCache(config).simulate(config.line_of(addresses)),
+                NWayLRUCache(config).simulate(config.line_of(addresses)),
             ), stride
 
     def test_access_scalar_api_matches_simulate(self):
@@ -271,7 +274,8 @@ class TestNWayLRU:
         a = NWayLRUCache(config)
         b = NWayLRUCache(config)
         assert np.array_equal(
-            np.array([a.access(int(x)) for x in addresses]), b.simulate(addresses)
+            np.array([a.access(int(x)) for x in addresses]),
+            b.simulate(config.line_of(addresses)),
         )
 
     def test_lru_eviction_order_fully_associative(self):
@@ -298,7 +302,7 @@ class TestNWayLRU:
     def test_negative_addresses_rejected_unless_trusted(self):
         cache = NWayLRUCache(CacheConfig(256, 32, 4))
         with pytest.raises(ValueError):
-            cache.simulate(np.array([-8]))
+            cache.simulate(cache.config.line_of(np.array([-8])))
 
     @given(
         assoc=st.sampled_from([1, 2, 4, 8, 16]),
@@ -311,8 +315,8 @@ class TestNWayLRU:
         config = CacheConfig(1024, 32, assoc)
         addresses = np.random.default_rng(seed).integers(0, spread, size=length) * 8
         assert np.array_equal(
-            SetAssociativeLRUCache(config).simulate(addresses),
-            NWayLRUCache(config).simulate(addresses),
+            SetAssociativeLRUCache(config).simulate(config.line_of(addresses)),
+            NWayLRUCache(config).simulate(config.line_of(addresses)),
         )
 
     @given(
@@ -324,12 +328,12 @@ class TestNWayLRU:
         config = CacheConfig(1024, 32, 8)
         rng = np.random.default_rng(seed)
         addresses = rng.integers(0, 1024, size=sum(chunks)) * 8
-        single = NWayLRUCache(config).simulate(addresses)
+        single = NWayLRUCache(config).simulate(config.line_of(addresses))
         warm = NWayLRUCache(config)
         parts = []
         offset = 0
         for size in chunks:
-            parts.append(warm.simulate(addresses[offset : offset + size]))
+            parts.append(warm.simulate(config.line_of(addresses[offset : offset + size])))
             offset += size
         assert np.array_equal(single, np.concatenate(parts))
 
@@ -359,7 +363,8 @@ class TestNWayLRU:
         oracle = SetAssociativeLRUCache(config)
         classifier = NWayLRUCache(config)
         for chunk in np.split(addresses, cuts):
-            assert np.array_equal(oracle.simulate(chunk), classifier.simulate(chunk))
+            chunk_lines = config.line_of(chunk)
+            assert np.array_equal(oracle.simulate(chunk_lines), classifier.simulate(chunk_lines))
         for index in range(num_sets):
             tags = [
                 int(line) >> config.index_bits
@@ -391,6 +396,76 @@ def _reuse_gap_segment(kind, rng, assoc, num_sets):
     return in_set(
         np.concatenate([[0], 1 + cycled, 1 + hot + np.arange(fresh), [0]])
     )
+
+
+class TestLineNumbers:
+    """``simulate`` takes int32 line numbers, grouped by a packed-key sort."""
+
+    @pytest.mark.parametrize("wide", [False, True])
+    @given(
+        seed=st.integers(0, 10**6),
+        size=st.integers(1, 400),
+        distinct=st.sampled_from([1, 3, 64, None]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_packed_sort_is_a_stable_argsort(self, wide, seed, size, distinct):
+        # Key and position bits fit a uint32 word up to 32 in total; the
+        # largest key bound forces the int64 words from three keys on.
+        pos_bits = (size - 1).bit_length()
+        bound = LINE_LIMIT if wide else min(1 << (32 - pos_bits), LINE_LIMIT)
+        assume(((bound - 1).bit_length() + pos_bits > 32) == wide)
+        # Few distinct keys give long runs of ties, which stability orders.
+        span = bound if distinct is None else distinct
+        key = bound - 1 - np.random.default_rng(seed).integers(0, span, size=size)
+        order = _group_order(key.astype(np.int32), bound)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, np.argsort(key, kind="stable"))
+
+    @given(
+        assoc=st.sampled_from([1, 2, 4, 16]),
+        num_sets=st.sampled_from([1, 4, 64]),
+        seed=st.integers(0, 10**6),
+        chunks=st.lists(st.integers(0, 150), min_size=1, max_size=6),
+        spread=st.sampled_from([8, 512, LINE_LIMIT]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_int32_lines_match_reference_across_chunks(
+        self, assoc, num_sets, seed, chunks, spread
+    ):
+        config = CacheConfig(32 * assoc * num_sets, 32, assoc)
+        rng = np.random.default_rng(seed)
+        lines = rng.integers(0, spread, size=sum(chunks)).astype(np.int32)
+        oracle = SetAssociativeLRUCache(config)
+        vectorised = make_cache(config)
+        for part in np.split(lines, np.cumsum(chunks)[:-1]):
+            assert np.array_equal(oracle.simulate(part), vectorised.simulate(part))
+        assert vectorised.stats == oracle.stats
+
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    def test_a_call_spanning_several_pieces_matches_the_reference(self, assoc):
+        config = CacheConfig(32 * assoc * 8, 32, assoc)
+        lines = np.random.default_rng(assoc).integers(0, 64, size=2 * PIECE_LINES + 5)
+        vectorised = make_cache(config)
+        assert np.array_equal(
+            SetAssociativeLRUCache(config).simulate(lines), vectorised.simulate(lines)
+        )
+        assert vectorised.stats.accesses == lines.shape[0]
+
+    def test_lines_beyond_int32_are_rejected(self):
+        for cache in (make_cache(CacheConfig(256, 32, a)) for a in (1, 2, 4)):
+            with pytest.raises(ValueError, match="line numbers"):
+                cache.simulate(np.array([LINE_LIMIT], dtype=np.int64))
+
+    def test_batch_line_space_is_bounded_by_int32(self):
+        hierarchy = MemoryHierarchy(CacheConfig(256, 32, 2), CacheConfig(2048, 32, 4))
+        with pytest.raises(ValueError, match="int32"):
+            hierarchy.batch_line_offsets([1 << 30, 1 << 30])
+        # The space counts the finer level's lines: 2^30 lines of 64 B are
+        # 2^31 L2 lines of 32 B.
+        finer_l2 = MemoryHierarchy(CacheConfig(512, 64, 2), CacheConfig(2048, 32, 4))
+        with pytest.raises(ValueError, match="int32"):
+            finer_l2.batch_line_offsets([1 << 29, 1 << 29])
+        MemoryHierarchy(CacheConfig(512, 64, 2), None).batch_line_offsets([1 << 29, 1 << 29])
 
 
 class TestFactories:

@@ -1,9 +1,11 @@
 """Tests for the two-level memory hierarchy."""
 
+import numpy as np
 import pytest
 
 from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
+from repro.machine.machine import MachineConfig, SimulatedMachine
 from repro.machine.trace import trace_from_nests
 from repro.wht.canonical import (
     canonical_plans,
@@ -90,8 +92,28 @@ class TestMemoryHierarchy:
         trace = trace_for(plan)
         hierarchy_stats = MemoryHierarchy(L1, L2).process_trace(trace)
         l1 = SetAssociativeLRUCache(L1)
-        mask = l1.simulate(trace.addresses)
+        mask = l1.simulate(L1.line_of(trace.addresses))
         assert int(mask.sum()) == hierarchy_stats.l1_misses
+
+    @pytest.mark.parametrize("l2_line", [16, 64])
+    def test_l2_probes_the_first_byte_of_each_missing_l1_line(self, l2_line):
+        # L2 lines finer and coarser than L1's: both pipelines convert L1
+        # lines to L2 lines by a shift, in opposite directions.
+        l2 = CacheConfig(2048, l2_line, 4, name="L2")
+        plan = random_plan(9, rng=4)
+        trace = trace_for(plan)
+        l1_lines = L1.line_of(trace.addresses)
+        l1_misses = SetAssociativeLRUCache(L1).simulate(l1_lines)
+        probes = l2.line_of(l1_lines[l1_misses] * L1.line_size)
+        expected = HierarchyStatistics(
+            trace.accesses,
+            int(l1_misses.sum()),
+            probes.shape[0],
+            int(SetAssociativeLRUCache(l2).simulate(probes).sum()),
+        )
+        assert MemoryHierarchy(L1, l2).process_trace(trace) == expected
+        machine = SimulatedMachine(MachineConfig(name="test", l1=L1, l2=l2))
+        assert machine.prepare(plan).hierarchy_stats == expected
 
     def test_describe(self):
         assert "L1" in MemoryHierarchy(L1, L2).describe()
@@ -118,3 +140,37 @@ class TestMemoryHierarchy:
         for name, trace in traces.items():
             assert l1_misses(trace, 4) <= l1_misses(trace, 2) * 1.05, name
         assert l1_misses(traces["left"], 1) >= l1_misses(traces["left"], 2)
+
+
+class TestSimulatorHooks:
+    """Profilers wrap ``build_l1``/``build_l2`` and the ``simulate`` of the
+    simulators they return; every simulated line must pass through it."""
+
+    def test_batch_preparation_simulates_through_simulate(self, monkeypatch):
+        seen = {"l1": [], "l2": []}
+        built = []
+        for level in seen:
+            build = getattr(MemoryHierarchy, f"build_{level}")
+
+            def wrapped(self, _build=build, _level=level):
+                simulator = _build(self)
+                inner = simulator.simulate
+
+                def simulate(lines, check=True):
+                    seen[_level].append(lines)
+                    return inner(lines, check)
+
+                simulator.simulate = simulate
+                built.append((_level, simulator))
+                return simulator
+
+            monkeypatch.setattr(MemoryHierarchy, f"build_{level}", wrapped)
+        machine = SimulatedMachine(MachineConfig(name="test", l1=L1, l2=L2))
+        machine.prepare_batch([random_plan(9, rng=seed) for seed in range(3)])
+        for level, calls in seen.items():
+            assert calls
+            assert all(lines.ndim == 1 and lines.dtype == np.int32 for lines in calls)
+            # Nothing reached the simulators' state but through simulate.
+            assert sum(sim.stats.accesses for lvl, sim in built if lvl == level) == sum(
+                lines.shape[0] for lines in calls
+            )

@@ -117,8 +117,8 @@ class TestCollapseConsecutive:
         config = CacheConfig(512, 64, 2)
         lines = trace.addresses >> 6
         collapsed, _ = collapse_consecutive(lines)
-        full = SetAssociativeLRUCache(config).simulate(lines << 6)
-        reduced = SetAssociativeLRUCache(config).simulate(collapsed << 6)
+        full = SetAssociativeLRUCache(config).simulate(lines)
+        reduced = SetAssociativeLRUCache(config).simulate(collapsed)
         assert full.sum() == reduced.sum()
 
     def test_collapse_compresses_a_random_plan_trace(self):

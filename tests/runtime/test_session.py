@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.config import ci_scale
+from repro.config import ExperimentScale, ci_scale
 from repro.machine.configs import tiny_machine, tiny_machine_config
 from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import MultiprocessBackend, SerialBackend
@@ -119,6 +119,14 @@ class TestSessionCampaigns:
         assert rnd.best_plan is not None
         with pytest.raises(ValueError):
             sess.search(5, strategy="simulated-annealing")
+
+    def test_batch_past_the_int32_line_space_fails_clearly(self):
+        # 8,192 distinct 2^21-point plans span 2^31 64-byte lines, one past
+        # the int32 line space; the batch is refused before any simulation.
+        scale = ExperimentScale(small_size=9, large_size=21, sample_count=8192)
+        sess = repro.session(machine="opteron", scale=scale, backend="batched", store="none")
+        with pytest.raises(ValueError, match=r"past the int32 line space .* fewer or smaller plans"):
+            sess.large_table()
 
 
 class TestAllFiguresAcrossBackends:

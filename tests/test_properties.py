@@ -112,7 +112,7 @@ class TestCacheProperties:
         _, nests = PlanInterpreter().profile(plan, record_trace=True)
         trace = trace_from_nests(nests)
         config = CacheConfig(size_kb * 1024, 64, assoc)
-        misses = int(make_cache(config).simulate(trace.addresses).sum())
+        misses = int(make_cache(config).simulate(config.line_of(trace.addresses)).sum())
         cold = trace.footprint_bytes // config.line_size
         assert cold <= misses <= trace.accesses
 
@@ -126,7 +126,8 @@ class TestCacheProperties:
         trace = trace_from_nests(nests)
         small = SetAssociativeLRUCache(CacheConfig(1024, 64, 1))
         large = SetAssociativeLRUCache(CacheConfig(2048, 64, 2))
-        assert large.simulate(trace.addresses).sum() <= small.simulate(trace.addresses).sum()
+        large_misses = large.simulate(large.config.line_of(trace.addresses)).sum()
+        assert large_misses <= small.simulate(small.config.line_of(trace.addresses)).sum()
 
     @given(plan=plan_strategy)
     @settings(max_examples=40, deadline=None)
