@@ -222,7 +222,7 @@ def streamed_stats(config, plan):
     """Hierarchy statistics of ``plan`` from its own unfolded line stream.
 
     The per-plan streamed pipeline: no repeated-pass elision, no call
-    folding, no analytic shortcuts and no cross-plan splicing.  Unlike
+    folding, no analytic shortcuts, and a one-plan splice.  Unlike
     :func:`eager_stats` it never materialises the trace, so it stays cheap
     at n=16.
     """

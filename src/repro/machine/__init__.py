@@ -7,8 +7,8 @@ by interpreter overhead rather than by the cache effects the paper studies
 (see DESIGN.md, substitution table).  This subpackage therefore provides an
 execution-driven *simulated machine*:
 
-* :mod:`repro.machine.cache` — direct-mapped / set-associative LRU cache
-  simulators (reference per-access versions plus vectorised trace versions),
+* :mod:`repro.machine.cache` — set-associative LRU cache simulators (a
+  per-access reference plus vectorised 2-way and N-way trace versions),
 * :mod:`repro.machine.hierarchy` — a two-level data-cache hierarchy,
 * :mod:`repro.machine.trace` — memory-trace generation from plan execution,
 * :mod:`repro.machine.cpu` — instruction-cost and cycle models,
@@ -22,12 +22,10 @@ execution-driven *simulated machine*:
 from repro.machine.cache import (
     CacheConfig,
     CacheStatistics,
-    DirectMappedCache,
     NWayLRUCache,
     SetAssociativeLRUCache,
     TwoWayLRUCache,
     make_cache,
-    simulate_trace,
 )
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.trace import (
@@ -59,12 +57,10 @@ from repro.machine.configs import (
 __all__ = [
     "CacheConfig",
     "CacheStatistics",
-    "DirectMappedCache",
     "NWayLRUCache",
     "SetAssociativeLRUCache",
     "TwoWayLRUCache",
     "make_cache",
-    "simulate_trace",
     "HierarchyStatistics",
     "MemoryHierarchy",
     "LineChunk",

@@ -1,32 +1,30 @@
 """Cache simulators.
 
-Four simulators are provided.  ``access`` takes one byte address;
-``simulate`` takes a trace of int32 *line numbers* (``config.line_of`` of
-the byte addresses), the form the streaming pipeline produces them in:
+Three simulators are provided.  ``simulate`` takes a trace of int32 *line
+numbers* (``config.line_of`` of the byte addresses), the form the streaming
+pipeline produces them in:
 
 * :class:`SetAssociativeLRUCache` — the reference simulator: any associativity,
-  true LRU replacement, one Python-level update per access.  Kept as the
-  oracle the vectorised simulators are validated against (and selectable via
-  ``vectorized=False`` for cross-checks and ablations).
-* :class:`DirectMappedCache` — associativity 1, with a fully vectorised
-  ``simulate`` path: an access misses exactly when the previous access to the
-  same set carried a different tag, which reduces to a grouped comparison.
-* :class:`TwoWayLRUCache` — associativity 2 (the Opteron's L1 geometry), also
+  true LRU replacement, one Python-level update per access (and a per-access
+  ``access`` taking one byte address).  Kept as the oracle the vectorised
+  simulators are validated against (and selectable via ``vectorized=False``
+  for cross-checks and ablations).
+* :class:`TwoWayLRUCache` — associativity 2 (the Opteron's L1 geometry),
   fully vectorised: within one set, after collapsing consecutive duplicate
   lines, an LRU pair contains exactly the two most recently used distinct
   lines, so an access hits iff it equals the previous or the
   previous-previous distinct line of its set.
-* :class:`NWayLRUCache` — arbitrary associativity ``A`` (the 16-way L2 and
-  the associativity ablation), vectorised as a reuse-gap classifier: within
-  one set, an access hits iff fewer than ``A`` distinct lines occurred since
-  its previous occurrence.  One stable sort of the set-grouped trace by
-  tag gives every access's previous occurrence; a gap of at most ``A`` is
-  a certain hit, a sliding window maximum proves most longer gaps to be
-  misses, and the few left are counted exactly (see DESIGN.md §5).  No
-  per-access Python loop.
+* :class:`NWayLRUCache` — any other associativity ``A`` (the 16-way L2, the
+  associativity ablation and direct-mapped levels), vectorised as a
+  reuse-gap classifier: within one set, an access hits iff fewer than ``A``
+  distinct lines occurred since its previous occurrence.  One stable sort
+  of the set-grouped trace by tag gives every access's previous
+  occurrence; a gap of at most ``A`` is a certain hit, a sliding window
+  maximum proves most longer gaps to be misses, and the few left are
+  counted exactly (see DESIGN.md §5).  No per-access Python loop.
 
-All simulators implement the same small interface (``access``, ``simulate``,
-``reset``, ``stats``) so the memory hierarchy can mix them freely, and all
+All simulators implement the same small interface (``simulate``, ``reset``,
+``stats``) so the memory hierarchy can mix them freely, and all
 ``simulate`` paths support warm continuation: state carries exactly across
 successive calls, which is what lets the hierarchy stream a trace in bounded
 chunks while producing bit-identical miss counts.
@@ -46,11 +44,9 @@ __all__ = [
     "CacheStatistics",
     "CacheSimulator",
     "SetAssociativeLRUCache",
-    "DirectMappedCache",
     "TwoWayLRUCache",
     "NWayLRUCache",
     "make_cache",
-    "simulate_trace",
 ]
 
 
@@ -144,22 +140,12 @@ class CacheStatistics:
         self.accesses += int(accesses)
         self.misses += int(misses)
 
-    def merged(self, other: "CacheStatistics") -> "CacheStatistics":
-        """A new statistics object combining self and ``other``."""
-        return CacheStatistics(
-            accesses=self.accesses + other.accesses,
-            misses=self.misses + other.misses,
-        )
-
 
 class CacheSimulator(Protocol):
     """Common interface of all cache simulators."""
 
     config: CacheConfig
     stats: CacheStatistics
-
-    def access(self, address: int) -> bool:
-        """Process one byte address; return True on a miss."""
 
     def simulate(self, lines: np.ndarray, check: bool = True) -> np.ndarray:
         """Process a trace of line numbers (``config.line_of(addresses)``,
@@ -224,6 +210,11 @@ class _VectorisedSimulator:
     lines, or 16 times the cache's lines when that is more (so the
     warm-state replay stays small beside it), keeps every working array
     cache-sized: a 2^18-line pass runs about half as fast per line.
+
+    Both classifiers group the trace by set with a stable sort and keep
+    whole *line numbers*, not split (set, tag) pairs, in their state: within
+    one set group, line equality is tag equality, so the tag extraction
+    pass and one large gather disappear.
     """
 
     config: CacheConfig
@@ -294,69 +285,6 @@ class SetAssociativeLRUCache:
         return out
 
 
-class DirectMappedCache(_VectorisedSimulator):
-    """Direct-mapped cache with a vectorised trace simulation.
-
-    For a direct-mapped cache an access misses exactly when the most recent
-    access to the same set carried a different tag (or the set was never
-    accessed).  Grouping the trace by set with a stable sort turns the whole
-    simulation into a handful of NumPy comparisons.  All vectorised
-    simulators work on whole *line numbers* instead of split (set, tag)
-    pairs: within one set group, line equality is tag equality, so the tag
-    extraction pass and one large gather disappear.
-    """
-
-    def __init__(self, config: CacheConfig):
-        if config.associativity != 1:
-            raise ValueError(
-                f"DirectMappedCache requires associativity 1, got {config.associativity}"
-            )
-        self.config = config
-        self.stats = CacheStatistics()
-        # Resident line per set, -1 meaning invalid.
-        self._lines = np.full(config.num_sets, -1, dtype=np.int32)
-
-    def reset(self) -> None:
-        self.stats = CacheStatistics()
-        self._lines.fill(-1)
-
-    def access(self, address: int) -> bool:
-        config = self.config
-        line = int(address) >> config.offset_bits
-        index = line & (config.num_sets - 1)
-        miss = self._lines[index] != line
-        self._lines[index] = line
-        self.stats.record(1, int(miss))
-        return bool(miss)
-
-    def _classify(self, lines: np.ndarray) -> np.ndarray:
-        num_sets = self.config.num_sets
-        order = _group_order(lines & (num_sets - 1), num_sets)
-        sorted_lines = lines[order]
-        sorted_keys = sorted_lines & (num_sets - 1)
-
-        first_in_group = np.empty(lines.shape[0], dtype=bool)
-        first_in_group[0] = True
-        first_in_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
-
-        prev_lines = np.empty_like(sorted_lines)
-        prev_lines[1:] = sorted_lines[:-1]
-        # For the first access of each group the "previous" line is whatever
-        # is currently resident in that set (possibly -1 = invalid).
-        prev_lines[first_in_group] = self._lines[sorted_keys[first_in_group]]
-
-        miss_sorted = sorted_lines != prev_lines
-        misses = np.empty(lines.shape[0], dtype=bool)
-        misses[order] = miss_sorted
-
-        # Update resident lines: the last access of each group wins.
-        last_in_group = np.empty(lines.shape[0], dtype=bool)
-        last_in_group[-1] = True
-        last_in_group[:-1] = sorted_keys[1:] != sorted_keys[:-1]
-        self._lines[sorted_keys[last_in_group]] = sorted_lines[last_in_group]
-        return misses
-
-
 class TwoWayLRUCache(_VectorisedSimulator):
     """2-way set-associative LRU cache with a vectorised trace simulation.
 
@@ -376,7 +304,7 @@ class TwoWayLRUCache(_VectorisedSimulator):
         self.config = config
         self.stats = CacheStatistics()
         # Most recently used and second most recently used line per set
-        # (-1/-2 invalid; whole lines, not tags — see DirectMappedCache).
+        # (-1/-2 invalid).
         self._mru = np.full(config.num_sets, -1, dtype=np.int32)
         self._lru = np.full(config.num_sets, -2, dtype=np.int32)
 
@@ -384,25 +312,6 @@ class TwoWayLRUCache(_VectorisedSimulator):
         self.stats = CacheStatistics()
         self._mru.fill(-1)
         self._lru.fill(-2)
-
-    def access(self, address: int) -> bool:
-        config = self.config
-        line = int(address) >> config.offset_bits
-        index = line & (config.num_sets - 1)
-        mru = self._mru[index]
-        lru = self._lru[index]
-        if line == mru:
-            miss = False
-        elif line == lru:
-            miss = False
-            self._lru[index] = mru
-            self._mru[index] = line
-        else:
-            miss = True
-            self._lru[index] = mru
-            self._mru[index] = line
-        self.stats.record(1, int(miss))
-        return bool(miss)
 
     def _classify(self, lines: np.ndarray) -> np.ndarray:
         num_sets = self.config.num_sets
@@ -483,8 +392,7 @@ class NWayLRUCache(_VectorisedSimulator):
     def __init__(self, config: CacheConfig):
         self.config = config
         self.stats = CacheStatistics()
-        # Per-set LRU stack of lines, most recently used first, -1 invalid
-        # (whole lines, not tags — see DirectMappedCache).
+        # Per-set LRU stack of lines, most recently used first, -1 invalid.
         self._stack = np.full(
             (config.num_sets, config.associativity), -1, dtype=np.int32
         )
@@ -492,19 +400,6 @@ class NWayLRUCache(_VectorisedSimulator):
     def reset(self) -> None:
         self.stats = CacheStatistics()
         self._stack.fill(-1)
-
-    def access(self, address: int) -> bool:
-        config = self.config
-        line = int(address) >> config.offset_bits
-        index = line & (config.num_sets - 1)
-        row = self._stack[index]
-        hits = np.nonzero(row == line)[0]
-        miss = hits.size == 0
-        depth = row.shape[0] - 1 if miss else int(hits[0])
-        row[1 : depth + 1] = row[:depth].copy()
-        row[0] = line
-        self.stats.record(1, int(miss))
-        return miss
 
     def _classify(self, lines: np.ndarray) -> np.ndarray:
         config = self.config
@@ -602,23 +497,16 @@ class NWayLRUCache(_VectorisedSimulator):
 
 
 def make_cache(config: CacheConfig, vectorized: bool = True) -> CacheSimulator:
-    """Build the fastest exact simulator available for ``config``.
+    """Build the fastest exact simulator available for ``config``:
+    :class:`TwoWayLRUCache` at associativity 2, :class:`NWayLRUCache` at
+    any other (its reuse-gap rule is exact for direct-mapped levels too).
 
     With ``vectorized=False`` the reference LRU simulator is always returned
     (useful for cross-checking and the associativity ablation).
     """
     if not vectorized:
         return SetAssociativeLRUCache(config)
-    if config.associativity == 1:
-        return DirectMappedCache(config)
     if config.associativity == 2:
         return TwoWayLRUCache(config)
     return NWayLRUCache(config)
 
-
-def simulate_trace(config: CacheConfig, addresses: np.ndarray, vectorized: bool = True) -> CacheStatistics:
-    """One-shot convenience: simulate a cold cache over a trace of byte
-    addresses, return stats."""
-    cache = make_cache(config, vectorized=vectorized)
-    cache.simulate(config.line_of(np.asarray(addresses)))
-    return cache.stats

@@ -3,21 +3,21 @@
 The Opteron of the paper has a 64 KB 2-way L1 data cache and a 1 MB 16-way L2.
 :class:`MemoryHierarchy` models an inclusive two-level hierarchy: every access
 probes L1, and L1 misses probe L2.  Both levels use the fastest exact
-simulator available for their geometry (vectorised for direct-mapped, 2-way
-and arbitrary N-way LRU configurations).
+simulator available for their geometry (the vectorised 2-way LRU simulator
+or the N-way reuse-gap classifier, which also covers direct-mapped levels).
 
-:class:`repro.machine.machine.SimulatedMachine` simulates through
-:meth:`MemoryHierarchy.process_line_chunks_batch`, which consumes many
-plans' line streams spliced into one cross-plan super-stream and recovers
-per-plan statistics by segment sums.  :meth:`MemoryHierarchy.process_line_chunks`
-is the per-plan reference: it consumes one plan's streamed,
-duplicate-collapsed line chunks from
-:func:`repro.machine.trace.stream_line_chunks`.  Simulator state carries
-across chunks (the vectorised caches support warm continuation), so the
-resulting miss counts are bit-identical to a single-shot simulation of the
-full trace while only ever holding one bounded chunk in memory.
-:meth:`MemoryHierarchy.process_trace` is retained as the eager compatibility
-view over a fully materialised :class:`MemoryTrace`.
+:meth:`MemoryHierarchy.process_line_chunks_batch` is the one simulation
+loop: it consumes many plans' streamed, duplicate-collapsed line chunks
+(:func:`repro.machine.trace.stream_line_chunks`) spliced into one
+cross-plan super-stream and recovers per-plan statistics by segment sums.
+:class:`repro.machine.machine.SimulatedMachine` simulates through it, and
+:meth:`MemoryHierarchy.process_line_chunks` is a one-plan batch.  Simulator
+state carries across chunks (the vectorised caches support warm
+continuation), so the resulting miss counts are bit-identical to a
+single-shot simulation of the full trace while only ever holding one
+bounded chunk in memory.  :meth:`MemoryHierarchy.process_trace` is retained
+as the eager compatibility view over a fully materialised
+:class:`MemoryTrace`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.machine.trace import (
     MemoryTrace,
     SplicedLineChunk,
     collapse_consecutive,
+    splice_line_chunks,
 )
 
 __all__ = ["HierarchyStatistics", "MemoryHierarchy"]
@@ -128,61 +129,11 @@ class MemoryHierarchy:
         return lines
 
     def process_line_chunks(self, chunks: Iterable[LineChunk]) -> HierarchyStatistics:
-        """Stream collapsed line chunks through warm-started simulators.
-
-        Each chunk's lines are simulated at L1 and the surviving miss stream
-        at L2, with simulator state carried across chunk boundaries, so the
-        returned statistics are bit-identical to simulating the whole trace
-        in one shot — regardless of how the stream was chunked.  Consecutive
-        duplicate lines may already be collapsed away (they are guaranteed
-        hits at every level and do not change LRU state; see
-        :func:`repro.machine.trace.collapse_consecutive`); each chunk's raw
-        ``accesses`` count is what L1 reports, and its folded miss counts
-        (calls the stream generator counted instead of emitting) are added
-        to the simulated ones.  A weighted range (``LineChunk.weighted_ranges``)
-        adds ``weight - 1`` times its simulated misses at L1 and, through the
-        L1 misses that locate it in the L2 stream, at L2.
-        """
-        l1 = self.build_l1()
-        l2 = self.build_l2()
-        total_accesses = 0
-        folded_l1 = 0
-        folded_l2 = 0
-        l2_accesses = 0
-        l2_misses = 0
-        for chunk in chunks:
-            total_accesses += chunk.accesses
-            folded_l1 += chunk.folded_l1_misses
-            folded_l2 += chunk.folded_l2_misses
-            if chunk.lines.shape[0] == 0:
-                continue
-            l1_miss_at = np.flatnonzero(l1.simulate(chunk.lines, check=False))
-            l2_miss_at = None
-            if l2 is not None and l1_miss_at.shape[0]:
-                l2_mask = l2.simulate(self._l2_lines(chunk.lines[l1_miss_at]), check=False)
-                l2_miss_at = np.flatnonzero(l2_mask)
-            ranges = chunk.weighted_ranges
-            if ranges.shape[0]:
-                starts, stops, extra = ranges[:, 0], ranges[:, 1], ranges[:, 2] - 1
-                # Every extra L1 miss is an extra L2 access; the L1 misses
-                # before a position locate it in the L2 stream.
-                folded_l1 += int(_extra_misses(l1_miss_at, starts, stops, extra).sum())
-                if l2_miss_at is not None:
-                    l2_starts = np.searchsorted(l1_miss_at, starts)
-                    l2_stops = np.searchsorted(l1_miss_at, stops)
-                    folded_l2 += int(
-                        _extra_misses(l2_miss_at, l2_starts, l2_stops, extra).sum()
-                    )
-        l1_misses = l1.stats.misses + folded_l1
-        if l2 is not None:
-            l2_accesses = l2.stats.accesses + folded_l1
-            l2_misses = l2.stats.misses + folded_l2
-        return HierarchyStatistics(
-            l1_accesses=total_accesses,
-            l1_misses=l1_misses,
-            l2_accesses=l2_accesses,
-            l2_misses=l2_misses,
-        )
+        """Statistics of one plan's collapsed line chunks
+        (:func:`repro.machine.trace.stream_line_chunks`): a one-plan
+        :meth:`process_line_chunks_batch`, so bit-identical to simulating
+        the whole trace in one shot, regardless of how it was chunked."""
+        return self.process_line_chunks_batch(splice_line_chunks([chunks], [0]), 1)[0]
 
     # -- analytic fast paths for full-coverage workloads -------------------------
     #
@@ -333,14 +284,19 @@ class MemoryHierarchy:
         recovered by segment sums over each chunk's plan boundaries.  One
         warm-started L1 simulator consumes every plan's lines and one L2
         simulator consumes the surviving miss stream, yet the returned
-        statistics are bit-identical to looping
-        :meth:`process_line_chunks` over the plans individually: the
+        statistics are bit-identical to one cold pass per plan: the
         disjoint line slices mean simulator state carried across a plan
         boundary can never be referenced again, which *is* the per-plan cold
         reset, enforced by the address space instead of by the simulators.
 
-        Each segment's folded miss counts and weighted ranges are added to
-        its plan's simulated counts, as in :meth:`process_line_chunks`.
+        Each segment's raw ``accesses`` are what L1 reports (consecutive
+        duplicate lines, collapsed away upstream, are hits at every level
+        that change no LRU state).  Its folded miss counts (calls the stream
+        generator counted instead of emitting) are added to its plan's
+        simulated counts, every folded L1 miss being an L2 access.  A
+        weighted range (``LineChunk.weighted_ranges``) adds ``weight - 1``
+        times its simulated misses at L1 and, through the L1 misses that
+        locate it in the L2 stream, at L2.
 
         ``footprint_bytes`` optionally carries each plan's contiguous
         full-coverage footprint; plans whose footprint provably fits L2

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.configs import default_machine_config, opteron_like, tiny_machine
-from repro.machine.hierarchy import MemoryHierarchy
+from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.machine.trace import (
     LineChunk,
     SplicedLineChunk,
+    collapse_consecutive,
     splice_line_chunks,
     stream_line_chunks,
     trace_from_nests,
@@ -36,12 +37,27 @@ from repro.wht.random_plans import random_plan, random_plans
 INTERPRETER = PlanInterpreter()
 
 
+def oracle_stats(l1, l2, plan, element_size=8):
+    """Hierarchy statistics of ``plan``'s eager trace on the reference
+    caches: L1 sees each collapsed line and L2 the first byte of each
+    missing L1 line, so no code is shared with the hierarchy under test."""
+    stats, nests = PlanInterpreter().profile(plan, record_trace=True)
+    trace = trace_from_nests(nests, element_size=element_size)
+    # Consecutive repeats of a line are hits that change no LRU state.
+    lines, _ = collapse_consecutive(l1.line_of(trace.addresses))
+    l1_misses = lines[SetAssociativeLRUCache(l1).simulate(lines)]
+    if l2 is None:
+        return stats, HierarchyStatistics(trace.accesses, l1_misses.shape[0], 0, 0)
+    probes = l2.line_of(l1_misses * l1.line_size)
+    l2_misses = int(SetAssociativeLRUCache(l2).simulate(probes).sum())
+    return stats, HierarchyStatistics(
+        trace.accesses, l1_misses.shape[0], probes.shape[0], l2_misses
+    )
+
+
 def reference_prepare(config, plan):
     """The eager seed pipeline: full trace, oracle simulators, no shortcuts."""
-    stats, nests = PlanInterpreter().profile(plan, record_trace=True)
-    trace = trace_from_nests(nests, element_size=config.element_size)
-    hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=False)
-    return stats, hierarchy.process_trace(trace)
+    return oracle_stats(config.l1, config.l2, plan, config.element_size)
 
 
 def streamed_prepare(config, plan):
@@ -188,7 +204,8 @@ GEOMETRIES = st.tuples(
 
 
 class TestProcessLineChunksBatch:
-    """The batch processor equals looping process_line_chunks per plan."""
+    """The batch processor equals the eager oracle and, spliced, the same
+    plans' one-plan batches."""
 
     def _streams(self, hierarchy, plans, element_size=8):
         streams = []
@@ -237,6 +254,11 @@ class TestProcessLineChunksBatch:
         ]
         streams = self._streams(hierarchy, plans)
         expected = [hierarchy.process_line_chunks(iter(chunks)) for chunks in streams]
+        oracle = [
+            oracle_stats(hierarchy.l1_config, hierarchy.l2_config, plan)[1]
+            for plan in plans
+        ]
+        assert expected == oracle
         spans = [
             int(max((c.lines.max() for c in chunks if c.lines.size), default=0)) + 1
             for chunks in streams
@@ -247,7 +269,7 @@ class TestProcessLineChunksBatch:
         got = hierarchy.process_line_chunks_batch(
             spliced, len(plans), footprint_bytes=footprints
         )
-        assert got == expected
+        assert got == oracle
 
     def test_no_l2_hierarchy(self):
         hierarchy = MemoryHierarchy(CacheConfig(256, 32, 2), None)

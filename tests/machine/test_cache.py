@@ -10,13 +10,11 @@ from repro.machine.cache import (
     PIECE_LINES,
     CacheConfig,
     CacheStatistics,
-    DirectMappedCache,
     NWayLRUCache,
     SetAssociativeLRUCache,
     TwoWayLRUCache,
     _group_order,
     make_cache,
-    simulate_trace,
 )
 from repro.machine.hierarchy import MemoryHierarchy
 
@@ -71,9 +69,10 @@ class TestCacheStatistics:
         with pytest.raises(ValueError):
             CacheStatistics().record(1, 2)
 
-    def test_merged(self):
-        merged = CacheStatistics(10, 2).merged(CacheStatistics(5, 3))
-        assert merged.accesses == 15 and merged.misses == 5
+    def test_record_accumulates(self):
+        stats = CacheStatistics(10, 2)
+        stats.record(5, 3)
+        assert stats.accesses == 15 and stats.misses == 5
 
 
 class TestReferenceLRU:
@@ -113,61 +112,62 @@ class TestReferenceLRU:
 
 
 class TestVectorisedCaches:
-    @pytest.mark.parametrize("assoc,cls", [(1, DirectMappedCache), (2, TwoWayLRUCache)])
-    def test_matches_reference_on_random_traces(self, assoc, cls):
+    """``make_cache`` at associativity 1 (the reuse-gap classifier) and 2
+    (the 2-way simulator) vs the oracle."""
+
+    @pytest.mark.parametrize("assoc", [1, 2])
+    def test_matches_reference_on_random_traces(self, assoc):
         config = CacheConfig(1024, 32, assoc)
         rng = np.random.default_rng(assoc)
         for _ in range(10):
             addresses = rng.integers(0, 4096, size=400) * 8
             reference = SetAssociativeLRUCache(config).simulate(config.line_of(addresses))
-            vectorised = cls(config).simulate(config.line_of(addresses))
+            vectorised = make_cache(config).simulate(config.line_of(addresses))
             assert np.array_equal(reference, vectorised)
 
-    @pytest.mark.parametrize("assoc,cls", [(1, DirectMappedCache), (2, TwoWayLRUCache)])
-    def test_warm_continuation_matches_reference(self, assoc, cls):
+    @pytest.mark.parametrize("assoc", [1, 2])
+    def test_warm_continuation_matches_reference(self, assoc):
         config = CacheConfig(512, 32, assoc)
         rng = np.random.default_rng(10 + assoc)
         reference = SetAssociativeLRUCache(config)
-        vectorised = cls(config)
+        vectorised = make_cache(config)
         for _ in range(5):
             addresses = rng.integers(0, 2048, size=200) * 8
             lines = config.line_of(addresses)
             assert np.array_equal(reference.simulate(lines), vectorised.simulate(lines))
 
-    @pytest.mark.parametrize("assoc,cls", [(1, DirectMappedCache), (2, TwoWayLRUCache)])
-    def test_strided_power_of_two_traces(self, assoc, cls):
+    @pytest.mark.parametrize("assoc", [1, 2])
+    def test_strided_power_of_two_traces(self, assoc):
         # Power-of-two strides are the pathological pattern for WHT plans.
         config = CacheConfig(2048, 64, assoc)
         for stride in (1, 4, 8, 64, 256, 1024):
             addresses = (np.arange(500, dtype=np.int64) * stride * 8) % (1 << 20)
             reference = SetAssociativeLRUCache(config).simulate(config.line_of(addresses))
-            vectorised = cls(config).simulate(config.line_of(addresses))
+            vectorised = make_cache(config).simulate(config.line_of(addresses))
             assert np.array_equal(reference, vectorised), stride
 
-    def test_access_scalar_api_matches_simulate(self):
-        config = CacheConfig(256, 32, 2)
-        rng = np.random.default_rng(3)
-        addresses = rng.integers(0, 1024, size=100) * 8
-        a = TwoWayLRUCache(config)
-        b = TwoWayLRUCache(config)
-        assert np.array_equal(
-            np.array([a.access(int(x)) for x in addresses]),
-            b.simulate(config.line_of(addresses)),
-        )
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    def test_line_at_a_time_matches_one_call(self, assoc):
+        # One line per call is the finest warm continuation.
+        config = CacheConfig(256, 32, assoc)
+        lines = config.line_of(np.random.default_rng(3 + assoc).integers(0, 1024, size=150) * 8)
+        stepped = make_cache(config)
+        single = make_cache(config)
+        masks = np.concatenate([stepped.simulate(lines[i : i + 1]) for i in range(lines.size)])
+        assert np.array_equal(masks, single.simulate(lines))
+        assert stepped.stats == single.stats
 
-    def test_direct_mapped_rejects_wrong_associativity(self):
-        with pytest.raises(ValueError):
-            DirectMappedCache(CacheConfig(256, 32, 2))
+    def test_two_way_rejects_wrong_associativity(self):
         with pytest.raises(ValueError):
             TwoWayLRUCache(CacheConfig(256, 32, 1))
 
     def test_empty_trace(self):
-        cache = DirectMappedCache(CacheConfig(256, 32, 1))
+        cache = make_cache(CacheConfig(256, 32, 1))
         assert cache.simulate(np.zeros(0, dtype=np.int64)).shape == (0,)
         assert cache.stats.accesses == 0
 
     def test_negative_addresses_rejected(self):
-        cache = DirectMappedCache(CacheConfig(256, 32, 1))
+        cache = make_cache(CacheConfig(256, 32, 1))
         with pytest.raises(ValueError):
             cache.simulate(cache.config.line_of(np.array([-8])))
 
@@ -195,10 +195,9 @@ class TestVectorisedCaches:
     def test_property_vectorised_equals_reference(self, assoc, seed, length, spread):
         config = CacheConfig(512, 32, assoc)
         addresses = np.random.default_rng(seed).integers(0, spread, size=length) * 8
-        cls = DirectMappedCache if assoc == 1 else TwoWayLRUCache
         assert np.array_equal(
             SetAssociativeLRUCache(config).simulate(config.line_of(addresses)),
-            cls(config).simulate(config.line_of(addresses)),
+            make_cache(config).simulate(config.line_of(addresses)),
         )
 
 
@@ -267,32 +266,28 @@ class TestNWayLRU:
                 NWayLRUCache(config).simulate(config.line_of(addresses)),
             ), stride
 
-    def test_access_scalar_api_matches_simulate(self):
-        config = CacheConfig(512, 32, 4)
-        rng = np.random.default_rng(5)
-        addresses = rng.integers(0, 2048, size=200) * 8
-        a = NWayLRUCache(config)
-        b = NWayLRUCache(config)
-        assert np.array_equal(
-            np.array([a.access(int(x)) for x in addresses]),
-            b.simulate(config.line_of(addresses)),
-        )
-
     def test_lru_eviction_order_fully_associative(self):
-        cache = NWayLRUCache(CacheConfig(128, 32, 4))  # one set, 4 ways
+        config = CacheConfig(128, 32, 4)  # one set, 4 ways
+        cache = NWayLRUCache(config)
         a, b, c, d, e = (i * 1024 for i in range(5))
-        assert all(cache.access(x) for x in (a, b, c, d))
-        assert cache.access(a) is False  # a promoted to MRU
-        assert cache.access(e) is True  # evicts b (now LRU)
-        assert cache.access(b) is True
-        assert cache.access(a) is False
+
+        def misses(*addresses):
+            return cache.simulate(config.line_of(np.array(addresses))).tolist()
+
+        assert misses(a, b, c, d) == [True] * 4
+        assert misses(a) == [False]  # a promoted to MRU
+        assert misses(e) == [True]  # evicts b (now LRU)
+        assert misses(b) == [True]
+        assert misses(a) == [False]
 
     def test_reset(self):
-        cache = NWayLRUCache(CacheConfig(256, 32, 4))
-        cache.access(0)
+        config = CacheConfig(256, 32, 4)
+        cache = NWayLRUCache(config)
+        line = config.line_of(np.array([0]))
+        cache.simulate(line)
         cache.reset()
         assert cache.stats.accesses == 0
-        assert cache.access(0) is True
+        assert cache.simulate(line).tolist() == [True]
 
     def test_empty_trace(self):
         cache = NWayLRUCache(CacheConfig(256, 32, 4))
@@ -470,7 +465,7 @@ class TestLineNumbers:
 
 class TestFactories:
     def test_make_cache_picks_vectorised(self):
-        assert isinstance(make_cache(CacheConfig(256, 32, 1)), DirectMappedCache)
+        assert isinstance(make_cache(CacheConfig(256, 32, 1)), NWayLRUCache)
         assert isinstance(make_cache(CacheConfig(256, 32, 2)), TwoWayLRUCache)
         assert isinstance(make_cache(CacheConfig(256, 32, 4)), NWayLRUCache)
         assert isinstance(make_cache(CacheConfig(1024, 64, 16)), NWayLRUCache)
@@ -480,7 +475,9 @@ class TestFactories:
             make_cache(CacheConfig(256, 32, 1), vectorized=False), SetAssociativeLRUCache
         )
 
-    def test_simulate_trace_helper(self):
-        stats = simulate_trace(CacheConfig(256, 32, 2), np.arange(0, 1024, 8))
-        assert stats.accesses == 128
-        assert stats.misses == 32
+    def test_make_cache_sequential_scan_stats(self):
+        config = CacheConfig(256, 32, 2)
+        cache = make_cache(config)
+        cache.simulate(config.line_of(np.arange(0, 1024, 8)))
+        assert cache.stats.accesses == 128
+        assert cache.stats.misses == 32
