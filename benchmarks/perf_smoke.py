@@ -106,6 +106,11 @@ BASELINE_SECONDS = {
 }
 #: tracemalloc peak of the n=14 prepare, recorded with ``BASELINE_SECONDS``.
 PREPARE_N14_PEAK_BYTES = 8_716_113
+#: Ceiling on the tracemalloc peak of an n=18 RSU prepare on the
+#: Opteron-like machine (``check_memory_n18``): the peak measured before
+#: sub-plan line streams were memoised, so the trace builder's template
+#: memo may not raise it.
+PREPARE_N18_PEAK_BYTES = 28_401_987
 
 SMOKE_SIZE = 14
 SMOKE_SEED = 7
@@ -228,14 +233,11 @@ def streamed_stats(config, plan):
     """
     from repro.machine.hierarchy import MemoryHierarchy
     from repro.machine.trace import stream_line_chunks
-    from repro.wht.interpreter import PlanInterpreter
 
     hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=config.vectorized_caches)
     return hierarchy.process_line_chunks(
         stream_line_chunks(
-            PlanInterpreter().iter_nest_blocks(plan),
-            line_size=config.l1.line_size,
-            element_size=config.element_size,
+            plan, line_size=config.l1.line_size, element_size=config.element_size
         )
     )
 
@@ -266,17 +268,19 @@ def run_smoke():
 
     One untimed warmup absorbs first-touch effects (imports, allocator,
     NumPy lazy setup) and the reported time is the best of three runs, so a
-    momentarily loaded CI runner does not fail the gate spuriously.
+    momentarily loaded CI runner does not fail the gate spuriously.  Each
+    run prepares on a fresh machine: a machine keeps its trace builder's
+    sub-plan template memo, which would make a repeated run warm.
     """
     from repro.machine.configs import opteron_like
     from repro.wht.random_plans import RSUSampler
 
     plan = RSUSampler().sample(SMOKE_SIZE, rng=SMOKE_SEED)
 
-    machine = opteron_like(noise_sigma=0.0)
-    prepared = machine.prepare(plan)  # warmup
+    prepared = opteron_like(noise_sigma=0.0).prepare(plan)  # warmup
     seconds = float("inf")
     for _ in range(3):
+        machine = opteron_like(noise_sigma=0.0)
         start = time.perf_counter()
         prepared = machine.prepare(plan)
         seconds = min(seconds, time.perf_counter() - start)
@@ -290,6 +294,34 @@ def run_smoke():
     return seconds, int(peak), prepared.hierarchy_stats
 
 
+def check_memory_n18() -> None:
+    """The n=18 prepare stays within its recorded memory and chunk bounds.
+
+    An RSU plan of size 2^18 on the Opteron-like machine streams about 10^6
+    lines: its tracemalloc peak must not pass ``PREPARE_N18_PEAK_BYTES``,
+    and no line chunk may hold more than ``DEFAULT_CHUNK_ACCESSES`` raw
+    accesses (large leaf nests split along their loop axes, large sub-plans
+    stream child by child, weighted template copies stay within the budget).
+    """
+    from repro.machine.configs import opteron_like
+    from repro.machine.trace import DEFAULT_CHUNK_ACCESSES, TraceBuilder
+    from repro.wht.random_plans import RSUSampler
+
+    plan = RSUSampler().sample(18, rng=SMOKE_SEED)
+    machine = opteron_like(noise_sigma=0.0)
+    tracemalloc.start()
+    machine.prepare(plan)
+    _current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    gate("prepare_n18_opteron_peak", peak / 1e6, "<=", PREPARE_N18_PEAK_BYTES / 1e6, unit="MB")
+    config = machine.config
+    builder = TraceBuilder(
+        config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
+    )
+    largest = max(chunk.accesses for chunk in builder.stream(plan))
+    gate("prepare_n18_chunk_accesses", largest, "<=", DEFAULT_CHUNK_ACCESSES, unit="accesses")
+
+
 def check_exactness() -> None:
     """Streaming pipeline must be bit-identical to the eager reference.
 
@@ -301,10 +333,15 @@ def check_exactness() -> None:
     both levels.  Two exercise repeated sub-plan folding (weighted line
     ranges): ``random_plan(14, rng=1)`` on the default machine, and
     ``random_plan(11, rng=0)`` on the tiny machine without its L2.  Each
-    must actually fold, so the check cannot pass vacuously.  One more runs
-    the tiny machine with 64-byte L2 lines, twice its L1 lines: every preset
-    has equal line sizes, so only that case converts L1 lines to L2 lines.
+    must actually fold, so the check cannot pass vacuously.  One more must
+    replay a sub-plan template at two or more base residues (a child stride
+    that is not a whole number of lines under a parent stride below the
+    line's element count): ``random_plan(12, rng=1)`` on the default
+    machine.  The last runs the tiny machine with 64-byte L2 lines, twice
+    its L1 lines: every preset has equal line sizes, so only that case
+    converts L1 lines to L2 lines.
     """
+    from collections import defaultdict
     from dataclasses import replace
 
     from repro.machine.cache import CacheConfig
@@ -315,22 +352,31 @@ def check_exactness() -> None:
         tiny_machine_config,
     )
     from repro.machine.machine import SimulatedMachine
-    from repro.machine.trace import stream_line_chunks
-    from repro.wht.interpreter import PlanInterpreter
+    from repro.machine.trace import TraceBuilder
     from repro.wht.random_plans import random_plan
 
-    interpreter = PlanInterpreter()
+    def residues(builder, _chunks):
+        """Sub-plans replayed at two or more base residues."""
+        found = defaultdict(set)
+        for node, stride, residue in builder._memo:
+            found[node, stride].add(residue)
+        return sum(len(kept) > 1 for kept in found.values())
+
     l1_only = SimulatedMachine(replace(tiny_machine_config(), l2=None))
     coarse_l2 = SimulatedMachine(
         replace(tiny_machine_config(), l2=CacheConfig(2048, 64, 4, name="L2"))
     )
     fold_counts = {
-        "l1": lambda chunk: chunk.folded_l1_misses,
-        "l2": lambda chunk: chunk.folded_l2_misses,
-        "sub-plan": lambda chunk: chunk.weighted_ranges.shape[0],
+        "l1": lambda _builder, chunks: sum(chunk.folded_l1_misses for chunk in chunks),
+        "l2": lambda _builder, chunks: sum(chunk.folded_l2_misses for chunk in chunks),
+        "sub-plan": lambda _builder, chunks: sum(
+            chunk.weighted_ranges.shape[0] for chunk in chunks
+        ),
+        "residues": residues,
     }
-    # (machine, n, seed, the fold the stream must fire: repeated calls
-    # folding l1 or l2 misses, or repeated sub-plan invocations)
+    # (machine, n, seed, what the stream must do: fold repeated calls' l1
+    # or l2 misses, fold repeated sub-plan invocations, or replay a
+    # template at several residues)
     cases = [
         *((tiny_machine(), 8, seed, None) for seed in range(3)),
         *((opteron_like(noise_sigma=0.0), 9, seed, None) for seed in range(3)),
@@ -339,24 +385,17 @@ def check_exactness() -> None:
         (tiny_machine(), 11, 1, "l2"),
         (default_machine(noise_sigma=0.0), 14, 1, "sub-plan"),
         (l1_only, 11, 0, "sub-plan"),
+        (default_machine(noise_sigma=0.0), 12, 1, "residues"),
         (coarse_l2, 11, 3, None),
     ]
     for machine, size, seed, folds in cases:
         config = machine.config
         plan = random_plan(size, rng=seed)
         if folds is not None:
-            chunks = list(
-                stream_line_chunks(
-                    interpreter.iter_nest_blocks(
-                        plan, line_elements=config.l1.line_size // config.element_size
-                    ),
-                    line_size=config.l1.line_size,
-                    element_size=config.element_size,
-                    caches=(config.l1, config.l2),
-                )
+            builder = TraceBuilder(
+                config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
             )
-            folded = sum(fold_counts[folds](chunk) for chunk in chunks)
-            if folded == 0:
+            if fold_counts[folds](builder, list(builder.stream(plan))) == 0:
                 raise SystemExit(
                     f"fold coverage lost: no {folds} fold fired "
                     f"({config.name}, n={size}, seed={seed})"
@@ -1376,6 +1415,9 @@ def main() -> int:
         "theory: n=20 instruction-count extremes within the polynomial-time "
         "gate, n=13 extremes equal their pinned values"
     )
+
+    check_memory_n18()
+    print("memory: n=18 prepare within its recorded peak and chunk budget")
 
     seconds, peak, stats = run_smoke()
     name = f"prepare_n{SMOKE_SIZE}_opteron"

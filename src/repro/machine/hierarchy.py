@@ -8,7 +8,7 @@ or the N-way reuse-gap classifier, which also covers direct-mapped levels).
 
 :meth:`MemoryHierarchy.process_line_chunks_batch` is the one simulation
 loop: it consumes many plans' streamed, duplicate-collapsed line chunks
-(:func:`repro.machine.trace.stream_line_chunks`) spliced into one
+(:meth:`repro.machine.trace.TraceBuilder.stream`) spliced into one
 cross-plan super-stream and recovers per-plan statistics by segment sums.
 :class:`repro.machine.machine.SimulatedMachine` simulates through it, and
 :meth:`MemoryHierarchy.process_line_chunks` is a one-plan batch.  Simulator
@@ -130,7 +130,7 @@ class MemoryHierarchy:
 
     def process_line_chunks(self, chunks: Iterable[LineChunk]) -> HierarchyStatistics:
         """Statistics of one plan's collapsed line chunks
-        (:func:`repro.machine.trace.stream_line_chunks`): a one-plan
+        (:meth:`repro.machine.trace.TraceBuilder.stream`): a one-plan
         :meth:`process_line_chunks_batch`, so bit-identical to simulating
         the whole trace in one shot, regardless of how it was chunked."""
         return self.process_line_chunks_batch(splice_line_chunks([chunks], [0]), 1)[0]

@@ -1,11 +1,12 @@
 """The simulated machine: plans in, measurements out.
 
-:class:`SimulatedMachine` glues the substrate together: the plan interpreter
-profiles the plan (event counts + leaf nests), the trace generator expands the
-nests into a byte-address trace, the memory hierarchy counts misses, and the
-CPU models convert everything into instruction and cycle counts.  One call to
-:meth:`SimulatedMachine.measure` corresponds to one PAPI-instrumented run of
-the compiled WHT package in the paper.
+:class:`SimulatedMachine` glues the substrate together: the analytic event
+counts (:func:`repro.wht.interpreter.analytic_stats`) give the plan's
+structural events, the trace builder (:class:`repro.machine.trace.TraceBuilder`)
+streams its cache-line trace in bounded chunks, the memory hierarchy counts
+misses, and the CPU models convert everything into instruction and cycle
+counts.  One call to :meth:`SimulatedMachine.measure` corresponds to one
+PAPI-instrumented run of the compiled WHT package in the paper.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ from repro.machine.cache import CacheConfig
 from repro.machine.cpu import CycleModel, InstructionCostModel
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.measurement import Measurement
-from repro.machine.trace import (
-    DEFAULT_ELEMENT_SIZE,
-    splice_line_chunks,
-    stream_line_chunks,
-)
+from repro.machine.trace import DEFAULT_ELEMENT_SIZE, TraceBuilder, splice_line_chunks
 from repro.util.lru import LRUCache
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_positive_int
 from repro.wht.encoding import plan_key
-from repro.wht.interpreter import ExecutionStats, PlanInterpreter
+from repro.wht.interpreter import ExecutionStats, PlanInterpreter, analytic_stats
 from repro.wht.plan import Plan
 
 __all__ = ["MachineConfig", "PreparedPlan", "PreparedPlanCache", "SimulatedMachine"]
@@ -185,7 +182,9 @@ class SimulatedMachine:
         self.hierarchy = MemoryHierarchy(
             config.l1, config.l2, vectorized=config.vectorized_caches
         )
-        self._interpreter = PlanInterpreter()
+        self._trace = TraceBuilder(
+            config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
+        )
         self._rng = as_generator(rng)
         self.prepared_cache = prepared_cache
 
@@ -194,11 +193,12 @@ class SimulatedMachine:
     def prepare(self, plan: Plan) -> PreparedPlan:
         """Profile ``plan`` and simulate the caches (the deterministic part).
 
-        The whole measurement substrate streams: the interpreter's nest-block
-        walker feeds the batched line-granular trace expander, whose bounded
-        chunks feed warm-started hierarchy simulators.  Neither the nest list
-        nor the address trace is ever materialised, and the statistics are
-        bit-identical to the eager profile → trace → simulate pipeline —
+        The whole measurement substrate streams: the trace builder replays
+        memoised sub-plan templates into bounded line chunks, which feed
+        warm-started hierarchy simulators, and the event counts come from
+        the plan structure alone.  Neither the nest list nor the address
+        trace is ever materialised, and the statistics are bit-identical to
+        the eager profile → trace → simulate pipeline —
         including the exact shortcuts of the fused pipeline: analytic
         full-coverage statistics for footprints that fit a cache level, and
         repeated-pass elision, which drops guaranteed-hit write passes,
@@ -225,7 +225,7 @@ class SimulatedMachine:
 
         The batch is deduplicated by :func:`repro.wht.encoding.plan_key`
         (and served from the :class:`PreparedPlanCache` where possible); the
-        remaining distinct plans are walked once each and their line streams
+        remaining distinct plans are streamed once each and their line streams
         spliced into a single cross-plan super-stream that the memory
         hierarchy simulates in one vectorised pass per level
         (:meth:`~repro.machine.hierarchy.MemoryHierarchy.process_line_chunks_batch`).
@@ -263,7 +263,7 @@ class SimulatedMachine:
         """Prepare distinct plans through the fused measurement pipeline.
 
         Plans whose full vector provably fits L1 get exact analytic
-        hierarchy statistics (no trace is ever expanded); the rest are walked
+        hierarchy statistics (no trace is ever expanded); the rest are built
         into per-plan chunk streams, spliced into one super-stream at
         disjoint line offsets and simulated batch-wise, with the L2 level
         resolved analytically for every plan whose footprint fits it.
@@ -272,7 +272,7 @@ class SimulatedMachine:
         hierarchy = self.hierarchy
         element_size = config.element_size
         line_size = config.l1.line_size
-        stats_list = [ExecutionStats(n=plan.n) for plan in plans]
+        stats_list = [analytic_stats(plan) for plan in plans]
         footprints = [plan.size * element_size for plan in plans]
         hierarchy_stats: list[HierarchyStatistics | None] = [None] * len(plans)
         streamed: list[int] = []
@@ -287,12 +287,8 @@ class SimulatedMachine:
         )
         for index, plan in enumerate(plans):
             if dense and hierarchy.covers_analytically(footprints[index]):
-                # Consume the walk for the event counts only; the cache
-                # statistics are exact without expanding a single address.
-                for _ in self._interpreter.iter_nest_blocks(
-                    plan, stats=stats_list[index]
-                ):
-                    pass
+                # The cache statistics are exact without expanding a single
+                # address.
                 hierarchy_stats[index] = hierarchy.analytic_coverage_stats(
                     footprints[index], stats_list[index].memory_ops
                 )
@@ -302,20 +298,7 @@ class SimulatedMachine:
             offsets = hierarchy.batch_line_offsets(
                 [-(-footprints[index] // line_size) for index in streamed]
             )
-            # Whole elements per line let the walk fold repeated sub-plan
-            # invocations over one line sequence.
-            line_elements = line_size // element_size if dense else None
-            streams = [
-                stream_line_chunks(
-                    self._interpreter.iter_nest_blocks(
-                        plans[index], stats=stats_list[index], line_elements=line_elements
-                    ),
-                    line_size=line_size,
-                    element_size=element_size,
-                    caches=(config.l1, config.l2),
-                )
-                for index in streamed
-            ]
+            streams = [self._trace.stream(plans[index]) for index in streamed]
             batch_stats = hierarchy.process_line_chunks_batch(
                 splice_line_chunks(streams, offsets),
                 len(streamed),
@@ -349,8 +332,7 @@ class SimulatedMachine:
 
     def measure_instructions_only(self, plan: Plan) -> int:
         """Retired-instruction count without simulating the caches (fast)."""
-        stats, _ = self._interpreter.profile(plan, record_trace=False)
-        return self.config.instruction_model.instructions(stats)
+        return self.config.instruction_model.instructions(analytic_stats(plan))
 
     def measure_wall_time(
         self,
@@ -381,11 +363,12 @@ class SimulatedMachine:
                 f"trim_fraction must lie in [0, 0.5), got {trim_fraction}"
             )
         x = np.zeros(plan.size, dtype=np.float64)
+        interpreter = PlanInterpreter()
         times: list[float] = []
         for _ in range(repetitions):
             x[:] = np.arange(plan.size, dtype=np.float64)
             start = time.perf_counter()
-            self._interpreter.execute(plan, x)
+            interpreter.execute(plan, x)
             times.append(time.perf_counter() - start)
         times.sort()
         if trim_fraction is None:

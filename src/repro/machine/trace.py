@@ -1,46 +1,47 @@
 """Memory-trace generation from plan execution.
 
-The plan interpreter summarises execution as a sequence of :class:`LeafNest`
-events (one per leaf loop nest, in execution order).  This module expands
-those events into the data-access trace the cache hierarchy consumes.
-
 Per codelet call the WHT package's unrolled code loads its ``2^k`` input
 elements and then stores the ``2^k`` results back to the same locations; the
 trace therefore contains, for every call, one read pass followed by one write
 pass over the call's strided element block.
 
-Two expansion paths are provided (see DESIGN.md):
+Two views of that trace are provided (see DESIGN.md §3):
 
-* :func:`stream_line_chunks` — the default pipeline.  Nest blocks are grouped
-  by shape and expanded with one broadcast per group, directly at cache-line
-  granularity, with runs of consecutive identical lines collapsed per chunk
-  at generation time (line-aligned unit-stride nests collapse analytically,
-  without ever materialising their per-element accesses).  The full trace is
-  never held in memory; bounded :class:`LineChunk` batches stream into the
-  hierarchy simulators.  Given the cache geometry, the stream also drops
-  provably repeated passes: write passes that are guaranteed hits, and runs
-  of back-to-back codelet calls over one line sequence, whose misses are
-  counted exactly instead of simulated.  Nest blocks walked with
-  ``line_elements`` keep three of each run of back-to-back sub-plan
-  invocations over one line sequence; the chunks mark the third's lines as
-  a weighted range whose misses the hierarchy counts once per invocation
-  it stands for (repeated-pass elision, DESIGN.md §10).
+* :class:`TraceBuilder` (and the one-off :func:`stream_line_chunks`) — the
+  measurement pipeline.  It recurses over the plan tree and emits the
+  plan's cache-line stream as bounded, duplicate-collapsed int32
+  :class:`LineChunk` batches.  Each small sub-plan is built once per
+  ``(sub-plan, stride, base residue)`` into a memoised template and
+  replayed at every invocation by adding the invocation's line offset;
+  leaf nests expand with one broadcast each, line-aligned unit-stride ones
+  analytically.  The full trace is never held in memory.  Given the cache
+  geometry, the stream also drops provably repeated passes: write passes
+  that are guaranteed hits, runs of back-to-back codelet calls over one
+  line sequence, whose misses are counted exactly instead of simulated,
+  and all but three of each run of back-to-back sub-plan invocations over
+  one line sequence, the third marked as a weighted range whose misses the
+  hierarchy counts once per invocation it stands for (repeated-pass
+  elision, DESIGN.md §10).
 * :func:`trace_from_nests` / :class:`MemoryTrace` — the eager byte-address
-  view, retained as a thin compatibility layer for tests, ablations and any
-  consumer that wants the exact per-element access sequence.
+  view over :meth:`repro.wht.interpreter.PlanInterpreter.profile`'s leaf
+  nests, retained for tests, ablations and any consumer that wants the
+  exact per-element access sequence.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.machine.cache import LINE_LIMIT, CacheConfig, _as_lines
+from repro.util.lru import LRUCache
 from repro.util.validation import check_positive_int
-from repro.wht.interpreter import _SINGLE_OFFSET, LeafNest, NestBlock
+from repro.wht.interpreter import LeafNest
+from repro.wht.plan import Plan, Small
 
 __all__ = [
     "MemoryTrace",
@@ -49,6 +50,7 @@ __all__ = [
     "trace_from_nests",
     "nest_addresses",
     "collapse_consecutive",
+    "TraceBuilder",
     "stream_line_chunks",
     "splice_line_chunks",
 ]
@@ -63,6 +65,16 @@ DEFAULT_ELEMENT_SIZE = 8
 #: length, and 2^18 accesses keep them all in the single-digit megabytes
 #: while staying far above the vectorisation break-even point.
 DEFAULT_CHUNK_ACCESSES = 1 << 18
+
+#: Sub-plans of at most this many raw accesses are built once into a
+#: memoised template and replayed (see :class:`TraceBuilder`); larger ones
+#: are generated child by child, as is any copy whose weighted accesses
+#: would pass the chunk budget.
+TEMPLATE_ACCESSES = 1 << 16
+
+#: Bound on the total lines a :class:`TraceBuilder`'s template memo holds
+#: (1 MB of int32 lines).
+TEMPLATE_MEMO_LINES = 1 << 18
 
 
 def _no_ranges() -> np.ndarray:
@@ -197,8 +209,8 @@ class LineChunk:
     ``weighted_ranges`` holds ``(start, stop, weight)`` rows: the lines
     ``lines[start:stop]`` stand for ``weight`` back-to-back copies of
     themselves (a folded run of sub-plan invocations, see
-    :meth:`repro.wht.interpreter.PlanInterpreter.iter_nest_blocks`), so
-    their misses at every level count ``weight`` times.  ``accesses`` and
+    :class:`TraceBuilder`), so their misses at every level count ``weight``
+    times.  ``accesses`` and
     the folded counts already include the weights.
     """
 
@@ -366,12 +378,9 @@ def splice_line_chunks(
         yield flush()
 
 
-def _nest_element_range(nest: LeafNest, bases: np.ndarray) -> tuple[int, int]:
-    """Smallest and largest element index any instance of the nest touches.
-
-    Every partial sum of the expansion grid lies in this range too.
-    """
-    low, high = int(bases.min()), int(bases.max())
+def _nest_element_range(nest: LeafNest) -> tuple[int, int]:
+    """Smallest and largest element index the nest touches."""
+    low = high = nest.base
     for count, stride in (
         (nest.outer_count, nest.outer_stride),
         (nest.inner_count, nest.inner_stride),
@@ -384,7 +393,6 @@ def _nest_element_range(nest: LeafNest, bases: np.ndarray) -> tuple[int, int]:
 
 def _analytic_lines_per_call(
     nest: LeafNest,
-    bases: np.ndarray,
     line_size: int,
     element_size: int,
     base_address: int,
@@ -410,9 +418,7 @@ def _analytic_lines_per_call(
         return 0
     if nest.inner_count > 1 and (nest.inner_stride * element_size) % line_size != 0:
         return 0
-    if base_address % line_size != 0:
-        return 0
-    if np.any((bases * element_size) % line_size != 0):
+    if (base_address + nest.base * element_size) % line_size != 0:
         return 0
     return epc // epl
 
@@ -468,7 +474,6 @@ def _write_pass_elidable(nest: LeafNest, element_size: int, l1: CacheConfig) -> 
 
 def _fold_repeated_calls(
     nest: LeafNest,
-    bases: np.ndarray,
     element_size: int,
     base_address: int,
     l1: CacheConfig,
@@ -477,12 +482,12 @@ def _fold_repeated_calls(
     """Fold runs of calls over one line sequence: ``(nest, l1, l2)`` or ``None``.
 
     When a call's elements lie whole lines apart, an inner stride of
-    ``line / g`` bytes, and every row start (per instance and outer
-    iteration) within the first inner stride of its line, then each run of
+    ``line / g`` bytes, and every row start (per outer iteration) within
+    the first inner stride of its line, then each run of
     ``g`` back-to-back inner calls touches one sequence S of ``2^k``
     distinct lines.  The returned nest keeps one call per run (``inner_count
     -> ceil(inner_count / g)``, ``inner_stride -> g * inner_stride``); the
-    ints are the exact L1 and L2 misses per instance of the dropped calls.
+    ints are the exact L1 and L2 misses of the dropped calls.
 
     * S fits L1 (its write pass is elidable): the dropped calls are all-hit
       re-applications of S that change no LRU state at any level.
@@ -506,10 +511,10 @@ def _fold_repeated_calls(
     stride_bytes = nest.elem_stride * element_size
     if group == 1 or (elements > 1 and (stride_bytes <= 0 or stride_bytes % line_size)):
         return None
-    period = line_size // math.gcd(nest.outer_stride * element_size, line_size)
-    rows = np.arange(min(nest.outer_count, period), dtype=np.int64) * nest.outer_stride
-    row_starts = base_address + (bases[:, None] + rows[None, :]) * element_size
-    if np.any(row_starts % line_size >= inner_bytes):
+    row_bytes = nest.outer_stride * element_size
+    first = base_address + nest.base * element_size
+    rows = min(nest.outer_count, line_size // math.gcd(row_bytes, line_size))
+    if any((first + row * row_bytes) % line_size >= inner_bytes for row in range(rows)):
         return None
     runs = -(-nest.inner_count // group)
     folded = replace(nest, inner_count=runs, inner_stride=group * nest.inner_stride)
@@ -527,191 +532,525 @@ def _fold_repeated_calls(
 def _lines_of_elements(
     grid: np.ndarray, base_address: int, element_size: int, line_size: int
 ) -> np.ndarray:
-    """Cache-line numbers of nonnegative element indices.
+    """Cache-line numbers of nonnegative element indices, overwriting ``grid``.
 
     Equivalent to ``(base_address + grid * element_size) // line_size`` but
-    expressed as a right shift when the geometry allows it (power-of-two
-    elements per line, element-aligned base) — integer division is by far
-    the slowest ALU pass of the expansion pipeline.
+    expressed as an in-place right shift when the geometry allows it
+    (power-of-two elements per line, element-aligned base) — integer
+    division is by far the slowest ALU pass of the expansion.
     """
     if line_size % element_size == 0 and base_address % element_size == 0:
         ratio = line_size // element_size
         if ratio & (ratio - 1) == 0:
-            shift = ratio.bit_length() - 1
-            base = base_address // element_size
-            return (base + grid) >> shift if base else grid >> shift
+            if base_address:
+                grid += base_address // element_size
+            grid >>= ratio.bit_length() - 1
+            return grid
     return (base_address + grid * element_size) // line_size
 
 
-def _expand_group_analytic(
-    k: int,
-    outer_count: int,
-    inner_count: int,
+def _analytic_lines(
+    nest: LeafNest,
     lines_per_call: int,
     passes: int,
-    bases: np.ndarray,
-    outer_stride: int,
-    inner_stride: int,
     line_size: int,
     element_size: int,
     base_address: int,
 ) -> np.ndarray:
-    """Collapsed int32 line numbers of a group of line-aligned unit-stride nests.
+    """Int32 line numbers of a line-aligned unit-stride nest, collapsed per call.
 
-    Returns shape ``(instances, emitted_per_instance)``: per call, one line
-    when the call fits a single line (the read and the write pass collapse
-    together), otherwise the ``lines_per_call`` run once (``passes == 1``,
-    the write pass elided) or twice (read pass then write pass, each already
-    collapsed to one entry per line).
+    Per call, one line when the call fits a single line (the read and the
+    write pass collapse together), otherwise the ``lines_per_call`` run once
+    (``passes == 1``, the write pass elided) or twice (read pass then write
+    pass, each already collapsed to one entry per line).
     """
-    base_lines = ((base_address + bases * element_size) // line_size).astype(np.int32)
-    outer_lines = outer_stride * element_size // line_size
-    inner_lines = inner_stride * element_size // line_size
-    j = np.arange(outer_count, dtype=np.int32) * outer_lines
-    kk = np.arange(inner_count, dtype=np.int32) * inner_lines
-    grid = base_lines[:, None, None] + j[None, :, None] + kk[None, None, :]
-    runs = grid[..., None] + np.arange(lines_per_call, dtype=np.int32)
-    if lines_per_call == 1 or passes == 1:
-        return runs.reshape(bases.shape[0], -1)
-    doubled = np.broadcast_to(
-        runs[:, :, :, None, :],
-        (bases.shape[0], outer_count, inner_count, 2, lines_per_call),
+    base_line = (base_address + nest.base * element_size) // line_size
+    j = np.arange(nest.outer_count, dtype=np.int32) * (
+        nest.outer_stride * element_size // line_size
     )
-    return doubled.reshape(bases.shape[0], -1)
+    k = np.arange(nest.inner_count, dtype=np.int32) * (
+        nest.inner_stride * element_size // line_size
+    )
+    run = np.arange(lines_per_call, dtype=np.int32)
+    if lines_per_call > 1 and passes == 2:
+        run = np.concatenate([run, run])
+    return ((base_line + j[:, None, None] + k[None, :, None]) + run).reshape(-1)
 
 
-def _expand_group_raw(
-    k: int,
-    outer_count: int,
-    inner_count: int,
-    passes: int,
-    bases: np.ndarray,
-    outer_stride: int,
-    inner_stride: int,
-    elem_stride: int,
-    line_size: int,
-    element_size: int,
-    base_address: int,
+def _raw_lines(
+    nest: LeafNest, passes: int, line_size: int, element_size: int, base_address: int
 ) -> np.ndarray:
-    """Per-access int32 line numbers of a group of same-shape nests.
+    """Per-access int32 line numbers of a nest.
 
     ``passes == 2`` emits the read and the write pass per call; ``passes ==
     1`` emits only the read pass (the write pass was proven an elidable
     guaranteed hit).
     """
-    elements = 1 << k
-    j = np.arange(outer_count, dtype=np.int32) * outer_stride
-    kk = np.arange(inner_count, dtype=np.int32) * inner_stride
-    e = np.arange(elements, dtype=np.int32) * elem_stride
-    grid = (
-        bases.astype(np.int32)[:, None, None, None]
-        + j[None, :, None, None]
-        + kk[None, None, :, None]
-        + e[None, None, None, :]
+    j = np.arange(nest.outer_count, dtype=np.int32) * nest.outer_stride
+    k = np.arange(nest.inner_count, dtype=np.int32) * nest.inner_stride
+    e = np.arange(nest.elements_per_call, dtype=np.int32) * nest.elem_stride
+    if passes == 2:
+        e = np.concatenate([e, e])
+    grid = (nest.base + j[:, None, None] + k[None, :, None]) + e
+    return _lines_of_elements(grid, base_address, element_size, line_size).reshape(-1)
+
+
+def _fold_group(base: int, stride: int, child_stride: int, line_elements: int) -> int:
+    """Invocations per foldable group of a sub-plan's stride loop, or 0.
+
+    The stride loop invokes the child at bases ``row + k * stride``.  When
+    the child's stride is a multiple of the line length, its line sequence
+    depends on its base only through the base's line; a group of ``g =
+    line_elements / stride`` consecutive ``k`` shares that line when every
+    row starts within the first ``stride`` elements of its line (rows lie
+    ``child_size * child_stride`` apart, a multiple of the line, so they
+    share the base's residue).  Folding keeps three invocations per group,
+    so groups of three or fewer are left alone.  A template's base is its
+    residue, which leaves the same residue as every base it is replayed at.
+    """
+    if not line_elements or child_stride % line_elements or stride >= line_elements:
+        return 0
+    if line_elements % stride or base % line_elements >= stride:
+        return 0
+    group = line_elements // stride  # divides ``inner``: inner * stride is a line multiple
+    return group if group > 3 else 0
+
+
+class _Stream(NamedTuple):
+    """A line stream and its bookkeeping, as in a :class:`LineChunk` (whose
+    fields templates use); a leaf nest's lines are not yet collapsed."""
+
+    lines: np.ndarray
+    accesses: int
+    folded_l1_misses: int = 0
+    folded_l2_misses: int = 0
+    weighted_ranges: np.ndarray = _no_ranges()
+
+
+class _Copies(NamedTuple):
+    """Back-to-back copies of line streams.
+
+    Copy ``i`` is ``streams[which[i]]`` with ``shift[i]`` added to every
+    line, and stands for ``weights[i]`` back-to-back copies of itself.
+    """
+
+    streams: "list[_Stream | LineChunk]"
+    which: np.ndarray
+    shift: np.ndarray
+    weights: np.ndarray
+
+
+def _line_count(stream: "_Stream | LineChunk") -> int:
+    return stream.lines.shape[0]
+
+
+def _one_copy(stream: _Stream, weight: int) -> _Copies:
+    return _Copies(
+        [stream],
+        np.zeros(1, dtype=np.intp),
+        np.zeros(1, dtype=np.int64),
+        np.full(1, weight, dtype=np.int64),
     )
-    lines = _lines_of_elements(grid, base_address, element_size, line_size)
-    if passes == 1:
-        return lines.reshape(bases.shape[0], -1)
-    doubled = np.broadcast_to(
-        lines[:, :, :, None, :],
-        (bases.shape[0], outer_count, inner_count, 2, elements),
-    )
-    return doubled.reshape(bases.shape[0], -1)
 
 
-class _BlockTable:
-    """Per-block metadata and per-instance arrays collected from a nest stream.
+class _ChunkWriter:
+    """Collects copies into duplicate-collapsed :class:`LineChunk` batches.
 
-    Collecting first and chunking afterwards keeps the Python-level work
-    proportional to the number of *blocks* (the plan's structure) while every
-    per-instance quantity — stream position, base, chunk assignment, scatter
-    offset — is handled with vectorised array operations.  The per-instance
-    arrays are a few machine words per nest, orders of magnitude smaller than
-    the trace itself.
+    With a ``budget``, :meth:`write` yields a chunk once the buffered raw
+    accesses reach it and never lets a chunk pass it, except with a single
+    copy that alone exceeds it.  Without one, :meth:`append` collects
+    everything into the one chunk :meth:`flush` returns (a template).
+    Copies are concatenated as they are and collapsed at flush, across copy
+    junctions and, through the last flushed line, across chunks.
+    """
+
+    def __init__(self, budget: int | None = None):
+        self.budget = budget
+        self._lines: list[np.ndarray] = []
+        self._ranges: list[np.ndarray] = []
+        self._length = 0
+        self._accesses_buffered = 0
+        self._folded = np.zeros(2, dtype=np.int64)  # L1 and L2 misses
+        self._last: int | None = None
+
+    @property
+    def pending(self) -> bool:
+        """Whether anything was buffered since the last flush."""
+        return bool(self._lines)
+
+    @staticmethod
+    def _accesses(copies: _Copies) -> np.ndarray:
+        """Weighted raw accesses per copy."""
+        streams = copies.streams
+        if len(streams) == 1:
+            return copies.weights * streams[0].accesses
+        per_stream = np.array([s.accesses for s in streams], dtype=np.int64)
+        return per_stream[copies.which] * copies.weights
+
+    def append(self, copies: _Copies) -> None:
+        """Buffer every copy, whatever the budget."""
+        self._append(copies, 0, copies.which.shape[0], int(self._accesses(copies).sum()))
+
+    def write(self, copies: _Copies) -> Iterator[LineChunk]:
+        """Buffer the copies, yielding each chunk the budget fills."""
+        cumulative = np.cumsum(self._accesses(copies)).tolist()
+        low, total = 0, len(cumulative)
+        while low < total:
+            below = cumulative[low - 1] if low else 0
+            room = self.budget - self._accesses_buffered
+            high = bisect.bisect_right(cumulative, below + room, low)
+            if high == low:
+                if self.pending:
+                    yield self.flush()
+                    continue
+                high = low + 1
+            self._append(copies, low, high, cumulative[high - 1] - below)
+            low = high
+            if self._accesses_buffered >= self.budget:
+                yield self.flush()
+
+    def _append(self, copies: _Copies, low: int, high: int, accesses: int) -> None:
+        streams, weights = copies.streams, copies.weights[low:high]
+        shift = copies.shift[low:high].astype(np.int32)
+        if len(streams) == 1:
+            lines = streams[0].lines
+            if high - low > 1:
+                lines = (lines + shift[:, None]).reshape(-1)
+            elif shift[0]:
+                lines = lines + shift[0]
+        else:
+            # Gather each copy's stream out of one pool of the streams.
+            sizes = np.array([s.lines.shape[0] for s in streams], dtype=np.int64)
+            lengths = sizes[copies.which[low:high]]
+            pool_starts = (np.cumsum(sizes) - sizes)[copies.which[low:high]]
+            index = np.repeat(pool_starts - (np.cumsum(lengths) - lengths), lengths)
+            index += np.arange(index.shape[0])
+            lines = np.concatenate([s.lines for s in streams])[index]
+            lines += np.repeat(shift, lengths)
+        if (weights > 1).any() or any(s.weighted_ranges.shape[0] for s in streams):
+            self._ranges.append(self._copy_ranges(copies, low, high))
+        if any(s.folded_l1_misses or s.folded_l2_misses for s in streams):
+            folded = np.array(
+                [(s.folded_l1_misses, s.folded_l2_misses) for s in streams], dtype=np.int64
+            )
+            self._folded += weights @ folded[copies.which[low:high]]
+        self._lines.append(lines)
+        self._length += lines.shape[0]
+        self._accesses_buffered += accesses
+
+    def _copy_ranges(self, copies: _Copies, low: int, high: int) -> np.ndarray:
+        """Weighted ranges of copies ``low:high``, at buffer positions: each
+        stream's own, and one over each weighted copy.  A weighted copy's
+        stream holds none of its own (DESIGN.md §10), so none overlap."""
+        which, weights = copies.which[low:high], copies.weights[low:high]
+        sizes = np.array([s.lines.shape[0] for s in copies.streams], dtype=np.int64)
+        lengths = sizes[which]
+        starts = self._length + np.cumsum(lengths) - lengths
+        heavy = weights > 1
+        ranges = [np.stack([starts[heavy], starts[heavy] + lengths[heavy], weights[heavy]], axis=1)]
+        for index, stream in enumerate(copies.streams):
+            own = stream.weighted_ranges
+            if own.shape[0]:
+                at = starts[which == index]
+                shifted = np.repeat(own[None, :, :], at.shape[0], axis=0)
+                shifted[:, :, :2] += at[:, None, None]
+                ranges.append(shifted.reshape(-1, 3))
+        merged = np.concatenate(ranges)
+        return merged[np.argsort(merged[:, 0], kind="stable")]
+
+    def flush(self) -> LineChunk:
+        """The buffered copies as one collapsed chunk; empties the buffer."""
+        if not self._lines:
+            lines = np.zeros(0, dtype=np.int32)
+        elif len(self._lines) == 1:
+            lines = self._lines[0]
+        else:
+            lines = np.concatenate(self._lines)
+        ranges = np.concatenate(self._ranges) if self._ranges else _no_ranges()
+        if lines.shape[0]:
+            # Keep the first line of each run of equal lines, across chunks too.
+            keep = np.empty(lines.shape[0], dtype=bool)
+            keep[0] = self._last is None or int(lines[0]) != self._last
+            np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+            if not keep.all():
+                kept = np.flatnonzero(keep)  # a gather beats boolean indexing here
+                lines = lines[kept]
+                if ranges.shape[0]:
+                    # Entries of ``kept`` below a position count its collapsed
+                    # index; a range whose lines all collapsed away is dropped,
+                    # as it holds no line that could miss.
+                    ranges = np.stack(
+                        [
+                            np.searchsorted(kept, ranges[:, 0]),
+                            np.searchsorted(kept, ranges[:, 1]),
+                            ranges[:, 2],
+                        ],
+                        axis=1,
+                    )
+                    ranges = ranges[ranges[:, 1] > ranges[:, 0]]
+            if lines.shape[0]:
+                self._last = int(lines[-1])
+        accesses, (folded_l1, folded_l2) = self._accesses_buffered, self._folded.tolist()
+        self._lines, self._ranges, self._length = [], [], 0
+        self._accesses_buffered = 0
+        self._folded = np.zeros(2, dtype=np.int64)
+        return LineChunk(
+            lines=lines,
+            accesses=accesses,
+            folded_l1_misses=folded_l1,
+            folded_l2_misses=folded_l2,
+            weighted_ranges=ranges,
+        )
+
+
+class TraceBuilder:
+    """Builds a plan's L1 line stream by recursion over the plan tree.
+
+    The stream follows the triple-loop schedule of
+    :class:`repro.wht.interpreter.PlanInterpreter`: a leaf child is one
+    :class:`LeafNest` over its whole ``(j, k)`` double loop, and a split
+    child runs once per ``(j, k)`` invocation at a shifted base.  Those
+    ``R * S`` invocations replay one sub-plan: a sub-plan whose raw accesses
+    stay within :data:`TEMPLATE_ACCESSES` is built once into a *template*
+    (collapsed int32 lines, weighted ranges and folded miss counts, as a
+    :class:`LineChunk`) per ``(sub-plan, stride, base residue)`` and replayed
+    at each invocation by adding the invocation's line offset.  Moving a
+    base by ``line_size / gcd(element_size, line_size)`` elements (the
+    elements of one line, when they divide it) moves every line of the
+    stream by the same whole number of lines, so the base's residue modulo
+    that period fixes the template and its quotient the line offset; when
+    every access of the sub-plan lies a whole number of lines from its
+    base, one template serves every base.  The plan itself, a larger
+    sub-plan, and a copy whose weighted accesses would pass the chunk
+    budget are generated child by child instead, never materialised.
+    Templates live in an LRU memo bounded by :data:`TEMPLATE_MEMO_LINES`
+    lines in total, so a builder kept across plans (as
+    :class:`repro.machine.machine.SimulatedMachine` keeps one) replays the
+    sub-plans they share.
+
+    :meth:`stream` yields bounded :class:`LineChunk` batches.  Without
+    ``caches`` their concatenated lines are exactly
+    ``collapse_consecutive`` of the eager trace's line sequence.  ``caches``
+    (the ``(L1, L2)`` geometry the stream will be simulated on; ``L2`` may
+    be ``None`` and the L1 line size must equal ``line_size``) turns on
+    repeated-pass elision (DESIGN.md §10), all of it exact:
+
+    * the write pass of each codelet call is dropped whenever no L1 set
+      provably receives more than its ways of the call's lines
+      (:func:`_write_pass_elidable`);
+    * each run of back-to-back calls over one line sequence keeps a single
+      call, the misses of the others counted exactly in the chunks'
+      ``folded_l1_misses``/``folded_l2_misses`` (:func:`_fold_repeated_calls`);
+    * with whole elements per line and a line-aligned ``base_address``, each
+      run of ``g`` back-to-back sub-plan invocations over one line sequence
+      keeps three, the third marked in the chunks' ``weighted_ranges`` with
+      weight ``g - 2`` (:func:`_fold_group`).
+
+    The chunks' raw ``accesses`` always count every access, dropped ones
+    and weights included.  A chunk holds at most ``chunk_accesses`` of them
+    unless a single codelet call does (leaf nests over the budget are split
+    along their loop axes).  Addresses are validated once per plan or nest,
+    so the downstream simulators can skip their per-call validation scans.
     """
 
     def __init__(
         self,
         line_size: int,
-        element_size: int,
-        base_address: int,
-        chunk_accesses: int,
+        element_size: int = DEFAULT_ELEMENT_SIZE,
+        base_address: int = 0,
+        chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
         caches: tuple[CacheConfig, CacheConfig | None] | None = None,
     ):
+        check_positive_int(line_size, "line_size")
+        check_positive_int(element_size, "element_size")
+        check_positive_int(chunk_accesses, "chunk_accesses")
+        if caches is not None and caches[0].line_size != line_size:
+            raise ValueError(
+                f"line_size {line_size} differs from the L1 line size "
+                f"{caches[0].line_size}"
+            )
+        if base_address < 0:
+            raise ValueError(f"base_address must be nonnegative, got {base_address}")
         self.line_size = line_size
         self.element_size = element_size
         self.base_address = base_address
         self.chunk_accesses = chunk_accesses
         self.caches = caches
-        self.nests: list[LeafNest] = []
-        self.bases: list[np.ndarray] = []
-        self.starts: list[np.ndarray] = []
-        self.weights: list[np.ndarray | None] = []
-        self.raw: list[int] = []
-        self.emitted: list[int] = []
-        self.folded: list[tuple[int, int]] = []
-        self.group_ids: list[int] = []
-        self._groups: dict[tuple, int] = {}
-        self.group_info: list[tuple] = []
+        common = math.gcd(element_size, line_size)
+        self._period = line_size // common
+        self._period_lines = element_size // common
+        aligned = line_size % element_size == 0 and base_address % line_size == 0
+        self._line_elements = line_size // element_size if caches and aligned else 0
+        self._memo: LRUCache[tuple[Plan, int, int], LineChunk] = LRUCache(
+            TEMPLATE_MEMO_LINES, weigh=_line_count
+        )
 
-    def add(self, block: NestBlock) -> None:
-        nest = block.nest
-        if 2 * nest.total_elements > self.chunk_accesses and nest.calls > 1:
-            # A single instance overflows the chunk budget: split it along its
-            # outer (or, failing that, inner) loop axis into budget-sized
-            # sub-nests.  The pieces cover the original call sequence in
-            # order, so expansion and collapse are unchanged; only the chunk
-            # boundaries (which are semantically irrelevant) move.
-            elements = nest.elements_per_call
-            if nest.outer_count > 1:
-                per_row = nest.inner_count * 2 * elements
-                rows = max(1, self.chunk_accesses // per_row)
-                for row in range(0, nest.outer_count, rows):
-                    top = min(row + rows, nest.outer_count)
-                    sub = replace(
-                        nest,
-                        base=nest.base + row * nest.outer_stride,
-                        outer_count=top - row,
-                    )
-                    self.add(
-                        NestBlock(
-                            sub, block.offsets, block.starts + row * per_row, block.weights
-                        )
-                    )
-                return
-            per_row = 2 * elements
-            rows = max(1, self.chunk_accesses // per_row)
-            for row in range(0, nest.inner_count, rows):
-                top = min(row + rows, nest.inner_count)
-                sub = replace(
-                    nest,
-                    base=nest.base + row * nest.inner_stride,
-                    inner_count=top - row,
-                )
-                self.add(
-                    NestBlock(sub, block.offsets, block.starts + row * per_row, block.weights)
-                )
-            return
-        offsets = block.offsets
-        bases = nest.base + offsets if offsets.shape[0] > 1 or offsets[0] else None
-        if bases is None:
-            bases = np.full(1, nest.base, dtype=np.int64)
-        low, high = _nest_element_range(nest, bases)
+    def stream(self, source: Plan | Iterable[LeafNest]) -> Iterator[LineChunk]:
+        """Stream a plan, or a :class:`LeafNest` sequence taken in order, as
+        bounded, duplicate-collapsed line chunks."""
+        if isinstance(source, Plan):
+            self._check_span(0, source.size - 1, source)
+            pieces = self._expand(source, 0, 1, 1)
+        else:
+            pieces = self._nests(source)
+        writer = _ChunkWriter(self.chunk_accesses)
+        for copies in pieces:
+            yield from writer.write(copies)
+        if writer.pending:
+            yield writer.flush()
+
+    def _nests(self, nests: Iterable[LeafNest]) -> Iterator[_Copies]:
+        for nest in nests:
+            self._check_span(*_nest_element_range(nest), nest)
+            yield from self._leaf(nest, 1)
+
+    def _check_span(self, low: int, high: int, what: object) -> None:
         if self.base_address + low * self.element_size < 0:
             raise ValueError(
-                f"nest {nest} produces negative byte addresses "
-                f"(min element index {low})"
+                f"{what} produces negative byte addresses (min element index {low})"
             )
         # The expansion computes in int32 (byte addresses included, on the
         # general line-mapping path).
         if self.base_address + high * self.element_size >= LINE_LIMIT:
             raise ValueError(
-                f"nest {nest} reaches byte address 2^31 or beyond "
-                f"(max element index {high})"
+                f"{what} reaches byte address 2^31 or beyond (max element index {high})"
             )
+
+    def _invoke(
+        self, node: Plan, bases: np.ndarray, stride: int, weights: np.ndarray
+    ) -> Iterator[_Copies]:
+        """Copies of ``node`` run at stride ``stride`` from each of ``bases``:
+        template replays, except where the sub-plan or a weighted copy of
+        it would pass its bound, which are generated instead."""
+        accesses = 2 * node.size * node.num_leaves()
+        if accesses > TEMPLATE_ACCESSES:
+            generated = np.ones(bases.shape[0], dtype=bool)
+        else:
+            generated = weights * accesses > self.chunk_accesses
+        low = 0
+        for index in np.flatnonzero(generated).tolist() + [bases.shape[0]]:
+            if index > low:
+                yield self._replay(node, stride, bases[low:index], weights[low:index])
+            if index < bases.shape[0]:
+                yield from self._expand(node, int(bases[index]), stride, int(weights[index]))
+            low = index + 1
+
+    def _replay(
+        self, node: Plan, stride: int, bases: np.ndarray, weights: np.ndarray
+    ) -> _Copies:
+        if stride * self.element_size % self.line_size == 0:
+            # Every access lies a whole number of lines from the base.
+            base_line = self.base_address // self.line_size
+            shift = (self.base_address + bases * self.element_size) // self.line_size
+            return _Copies(
+                [self._template(node, stride, 0)],
+                np.zeros(bases.shape[0], dtype=np.intp),
+                shift - base_line,
+                weights,
+            )
+        residues, which = np.unique(bases % self._period, return_inverse=True)
+        return _Copies(
+            [self._template(node, stride, residue) for residue in residues.tolist()],
+            which,
+            bases // self._period * self._period_lines,
+            weights,
+        )
+
+    def _template(self, node: Plan, stride: int, residue: int) -> LineChunk:
+        """``node``'s collapsed stream from base ``residue`` (memoised)."""
+        key = (node, stride, residue)
+        template = self._memo.get(key)
+        if template is None:
+            writer = _ChunkWriter()
+            for copies in self._expand(node, residue, stride, 1):
+                writer.append(copies)
+            template = writer.flush()
+            self._memo.put(key, template)
+        return template
+
+    def _expand(self, node: Plan, base: int, stride: int, weight: int) -> Iterator[_Copies]:
+        """``node``'s stream from ``base``, child by child in execution order."""
+        if isinstance(node, Small):
+            nest = LeafNest(node.n, base, 1, 0, 1, 0, stride)
+            yield from self._leaf(nest, weight)
+            return
+        remaining = node.size  # R in the paper's pseudo-code
+        inner = 1  # S in the paper's pseudo-code
+        for child in reversed(node.children):
+            child_size = child.size
+            remaining //= child_size
+            child_stride = inner * stride
+            if isinstance(child, Small):
+                nest = LeafNest(
+                    k=child.n,
+                    base=base,
+                    outer_count=remaining,
+                    outer_stride=child_size * child_stride,
+                    inner_count=inner,
+                    inner_stride=stride,
+                    elem_stride=child_stride,
+                )
+                yield from self._leaf(nest, weight)
+            else:
+                j = np.arange(remaining, dtype=np.int64) * (child_size * child_stride)
+                k = np.arange(inner, dtype=np.int64)
+                weights = np.full(remaining * inner, weight, dtype=np.int64)
+                group = _fold_group(base, stride, child_stride, self._line_elements)
+                if group:
+                    # Keep the first three invocations of each group of
+                    # ``group`` over one line sequence; the third stands
+                    # for the rest.
+                    k = k.reshape(-1, group)[:, :3].reshape(-1)
+                    weights = weight * np.tile(
+                        np.array([1, 1, group - 2], dtype=np.int64),
+                        remaining * (inner // group),
+                    )
+                bases = (base + j[:, None] + k[None, :] * stride).reshape(-1)
+                yield from self._invoke(child, bases, child_stride, weights)
+            inner *= child_size
+
+    def _leaf(self, nest: LeafNest, weight: int) -> Iterator[_Copies]:
+        """The nest's stream, split along its loop axes into pieces whose
+        weighted raw accesses fit the chunk budget."""
+        limit = max(self.chunk_accesses // weight, 1)
+        elements = nest.elements_per_call
+        if 2 * nest.total_elements > limit and nest.calls > 1:
+            # The pieces cover the original call sequence in order, so
+            # expansion and collapse are unchanged; only the chunk
+            # boundaries (which are semantically irrelevant) move.
+            if nest.outer_count > 1:
+                rows = max(1, limit // (nest.inner_count * 2 * elements))
+                pieces = (
+                    replace(
+                        nest,
+                        base=nest.base + row * nest.outer_stride,
+                        outer_count=min(rows, nest.outer_count - row),
+                    )
+                    for row in range(0, nest.outer_count, rows)
+                )
+            else:
+                rows = max(1, limit // (2 * elements))
+                pieces = (
+                    replace(
+                        nest,
+                        base=nest.base + row * nest.inner_stride,
+                        inner_count=min(rows, nest.inner_count - row),
+                    )
+                    for row in range(0, nest.inner_count, rows)
+                )
+            for piece in pieces:
+                yield from self._leaf(piece, weight)
+            return
+        yield _one_copy(self._nest_stream(nest), weight)
+
+    def _nest_stream(self, nest: LeafNest) -> _Stream:
+        """One nest's lines, its write passes elided and its repeated calls
+        folded where ``caches`` allow (consecutive repeats are collapsed by
+        the writer)."""
+        line_size, element_size = self.line_size, self.element_size
         raw = 2 * nest.total_elements
         lines_per_call = _analytic_lines_per_call(
-            nest, bases, self.line_size, self.element_size, self.base_address
+            nest, line_size, element_size, self.base_address
         )
         passes = 2
         folded_l1 = folded_l2 = 0
@@ -724,308 +1063,38 @@ class _BlockTable:
                 if lines_per_call <= l1.num_lines:
                     passes = 1
             else:
-                if _write_pass_elidable(nest, self.element_size, l1):
+                if _write_pass_elidable(nest, element_size, l1):
                     passes = 1
                 # Analytic nests never fold: a fold needs several elements
                 # per line, and a call's elements whole lines apart.
-                fold = _fold_repeated_calls(
-                    nest, bases, self.element_size, self.base_address, l1, l2
-                )
+                fold = _fold_repeated_calls(nest, element_size, self.base_address, l1, l2)
                 if fold is not None:
                     nest, folded_l1, folded_l2 = fold
-        if lines_per_call == 1:
-            # The read and the write pass over a one-line call collapse to a
-            # single emitted entry.
-            emitted = nest.calls
-        elif lines_per_call:
-            emitted = nest.calls * passes * lines_per_call
-        else:
-            emitted = passes * nest.total_elements
-        key = (
-            nest.k,
-            nest.outer_count,
-            nest.inner_count,
-            nest.outer_stride,
-            nest.inner_stride,
-            nest.elem_stride,
-            lines_per_call,
-            passes,
-        )
-        group_id = self._groups.get(key)
-        if group_id is None:
-            group_id = self._groups[key] = len(self.group_info)
-            self.group_info.append(key + (emitted,))
-        self.nests.append(nest)
-        self.bases.append(bases)
-        self.starts.append(block.starts)
-        self.weights.append(block.weights)
-        self.raw.append(raw)
-        self.emitted.append(emitted)
-        self.folded.append((folded_l1, folded_l2))
-        self.group_ids.append(group_id)
-
-
-def _expand_chunk(
-    table: _BlockTable,
-    bases: np.ndarray,
-    group_ids: np.ndarray,
-    emitted: np.ndarray,
-    scatter_starts: np.ndarray,
-) -> np.ndarray:
-    """Expand one chunk's instances (given in execution order) to int32 line numbers.
-
-    Instance ``i`` fills ``out[scatter_starts[i] : scatter_starts[i] +
-    emitted[i]]``.
-    """
-    total_emitted = int(scatter_starts[-1] + emitted[-1])
-    out = np.empty(total_emitted, dtype=np.int32)
-    for group_id in np.unique(group_ids):
-        (
-            k,
-            outer_count,
-            inner_count,
-            ostride,
-            istride,
-            estride,
-            lines_per_call,
-            passes,
-            per,
-        ) = table.group_info[group_id]
-        mask = group_ids == group_id
-        group_bases = bases[mask]
         if lines_per_call:
-            block = _expand_group_analytic(
-                k, outer_count, inner_count, lines_per_call, passes, group_bases,
-                ostride, istride,
-                table.line_size, table.element_size, table.base_address,
+            lines = _analytic_lines(
+                nest, lines_per_call, passes, line_size, element_size, self.base_address
             )
         else:
-            block = _expand_group_raw(
-                k, outer_count, inner_count, passes, group_bases,
-                ostride, istride, estride,
-                table.line_size, table.element_size, table.base_address,
-            )
-        positions = scatter_starts[mask][:, None] + np.arange(per, dtype=np.int64)[None, :]
-        out[positions.reshape(-1)] = block.reshape(-1)
-    return out
-
-
-def _chunk_weighted_ranges(
-    weights: np.ndarray,
-    scatter_starts: np.ndarray,
-    emitted: np.ndarray,
-    kept: np.ndarray,
-) -> np.ndarray:
-    """``(start, stop, weight)`` rows of a chunk's weighted instances.
-
-    Consecutive instances of one weight merge into one range.  ``kept``
-    lists the expanded positions that survive the collapse, so the number
-    of its entries below a position is that position's collapsed index.
-    Ranges whose lines all collapsed away are dropped: they hold no line
-    that could miss.
-    """
-    index = np.flatnonzero(weights > 1)
-    if index.shape[0] == 0:
-        return _no_ranges()
-    first = np.ones(index.shape[0], dtype=bool)
-    first[1:] = (np.diff(index) != 1) | (weights[index[1:]] != weights[index[:-1]])
-    last = np.ones(index.shape[0], dtype=bool)
-    last[:-1] = first[1:]
-    run_first, run_last = index[first], index[last]
-    ranges = np.stack(
-        [
-            np.searchsorted(kept, scatter_starts[run_first]),
-            np.searchsorted(kept, scatter_starts[run_last] + emitted[run_last]),
-            weights[run_first],
-        ],
-        axis=1,
-    )
-    return ranges[ranges[:, 1] > ranges[:, 0]]
+            lines = _raw_lines(nest, passes, line_size, element_size, self.base_address)
+        return _Stream(lines, raw, folded_l1, folded_l2)
 
 
 def stream_line_chunks(
-    nests: Iterable[LeafNest | NestBlock],
+    source: Plan | Iterable[LeafNest],
     line_size: int,
     element_size: int = DEFAULT_ELEMENT_SIZE,
     base_address: int = 0,
     chunk_accesses: int = DEFAULT_CHUNK_ACCESSES,
     caches: tuple[CacheConfig, CacheConfig | None] | None = None,
 ) -> Iterator[LineChunk]:
-    """Stream a nest sequence as bounded, duplicate-collapsed line chunks.
+    """Stream a plan (or a leaf-nest sequence) as bounded line chunks.
 
-    Accepts :class:`NestBlock` groups (as produced by
-    :meth:`repro.wht.interpreter.PlanInterpreter.iter_nest_blocks`, instances
-    ordered by their ``starts``) or plain :class:`LeafNest` events (taken in
-    iteration order), and yields :class:`LineChunk` batches of roughly
-    ``chunk_accesses`` raw accesses each (instances larger than the budget
-    are split along their loop axes; only a single oversized codelet *call*,
-    which never occurs for realistic leaf sizes, can exceed the bound).
-    For unweighted blocks, concatenating the chunks' ``lines`` yields
-    exactly ``collapse_consecutive(full_trace.line_addresses(...))``; the
-    full trace is never materialised — only per-nest descriptors and one
-    bounded chunk of expanded lines exist at any time.
-
-    ``caches`` — the ``(L1, L2)`` geometry the stream will be simulated on
-    (``L2`` may be ``None``; the L1 line size must equal ``line_size``) —
-    turns on repeated-pass elision.  Each codelet call's *write pass* is
-    dropped whenever no L1 set provably receives more than its ways of the
-    call's lines (see :func:`_write_pass_elidable`), and each run of
-    back-to-back calls over one line sequence keeps a single call, the
-    misses of the others being counted exactly in the chunks'
-    ``folded_l1_misses``/``folded_l2_misses`` (see
-    :func:`_fold_repeated_calls`).  Both are exact: the shortened stream plus
-    the folded counts produce bit-identical hierarchy statistics, and the
-    chunks' raw ``accesses`` counts still include every dropped access.
-    With the default ``None`` the exact collapsed line sequence is emitted.
-
-    Weighted blocks (a walk given ``line_elements``, see
-    :meth:`repro.wht.interpreter.PlanInterpreter.iter_nest_blocks`) list
-    only the kept copies of each folded run of sub-plan invocations.  Their
-    instances' raw accesses and folded miss counts are multiplied by the
-    weight, and their collapsed lines are marked in the chunks'
-    ``weighted_ranges`` so the hierarchy can count their misses ``weight``
-    times.  ``line_elements`` must be ``line_size / element_size`` and the
-    base address line-aligned, so that a folded run's invocations share
-    their lines here as they did in the walk.  Chunks are budgeted by the
-    accesses actually expanded, not the weighted ones.
-
-    Addresses are validated non-negative here, once, at the pipeline
-    boundary — per block, from the nest geometry — so the downstream
-    simulators can skip their per-call validation scans.
+    A one-off :meth:`TraceBuilder.stream`, with a fresh template memo; see
+    :class:`TraceBuilder` for the arguments and the chunks' contract.
     """
-    check_positive_int(line_size, "line_size")
-    check_positive_int(element_size, "element_size")
-    check_positive_int(chunk_accesses, "chunk_accesses")
-    if caches is not None and caches[0].line_size != line_size:
-        raise ValueError(
-            f"line_size {line_size} differs from the L1 line size "
-            f"{caches[0].line_size}"
-        )
-    if base_address < 0:
-        raise ValueError(f"base_address must be nonnegative, got {base_address}")
-
-    table = _BlockTable(line_size, element_size, base_address, chunk_accesses, caches)
-    cursor = 0
-    for item in nests:
-        if isinstance(item, NestBlock):
-            block = item
-            if block.instances == 0:
-                continue
-            cursor = max(
-                cursor,
-                int(block.starts.max()) + block.accesses_per_instance,
-            )
-        else:
-            block = NestBlock(
-                item, _SINGLE_OFFSET, np.array([cursor], dtype=np.int64)
-            )
-            cursor += block.accesses_per_instance
-        if block.weights is not None and base_address % line_size:
-            raise ValueError(
-                f"weighted nest blocks need a line-aligned base_address, "
-                f"got {base_address}"
-            )
-        table.add(block)
-    if not table.nests:
-        return
-
-    counts = np.array([b.shape[0] for b in table.bases])
-    block_ids = np.repeat(np.arange(len(table.nests)), counts)
-    all_bases = np.concatenate(table.bases)
-    all_starts = np.concatenate(table.starts)
-    weighted = any(w is not None for w in table.weights)
-    all_weights = (
-        np.concatenate(
-            [
-                np.ones(count, dtype=np.int64) if w is None else w
-                for w, count in zip(table.weights, counts.tolist())
-            ]
-        )
-        if weighted
-        else None
-    )
-    table.bases.clear()
-    table.starts.clear()
-    table.weights.clear()
-    order = np.argsort(all_starts, kind="stable")
-    del all_starts
-
-    sorted_blocks = block_ids[order]
-    sorted_bases = all_bases[order]
-    sorted_weights = all_weights[order] if weighted else None
-    del block_ids, all_bases, all_weights, order
-    raw_arr = np.array(table.raw, dtype=np.int64)
-    emitted_arr = np.array(table.emitted, dtype=np.int64)
-    gid_arr = np.array(table.group_ids)
-    sorted_raw = raw_arr[sorted_blocks]
-    sorted_emitted = emitted_arr[sorted_blocks]
-    sorted_gids = gid_arr[sorted_blocks]
-    # Chunks are budgeted by expanded accesses; ``accesses`` reports the
-    # weighted ones.
-    cumulative_raw = np.cumsum(sorted_raw)
-    cumulative_accesses = (
-        np.cumsum(sorted_raw * sorted_weights) if weighted else cumulative_raw
-    )
-    del sorted_raw
-    # Per-instance folded (L1, L2) misses, accumulated like the raw counts.
-    folded_arr = np.array(table.folded, dtype=np.int64)
-    cumulative_folded = None
-    if folded_arr.any():
-        sorted_folded = folded_arr[sorted_blocks]
-        if weighted:
-            sorted_folded *= sorted_weights[:, None]
-        cumulative_folded = np.cumsum(sorted_folded, axis=0)
-        del sorted_folded
-
-    instances = sorted_blocks.shape[0]
-    prev_last: int | None = None
-    low = 0
-    consumed_raw = 0
-    folded_l1 = folded_l2 = 0
-    while low < instances:
-        # Greedy chunking: take the shortest instance prefix reaching the
-        # access budget (matching a "flush once the buffer fills" stream).
-        high = int(
-            np.searchsorted(
-                cumulative_raw, consumed_raw + chunk_accesses, side="left"
-            )
-        ) + 1
-        high = min(high, instances)
-        emitted = sorted_emitted[low:high]
-        scatter_starts = np.zeros(emitted.shape[0], dtype=np.int64)
-        np.cumsum(emitted[:-1], out=scatter_starts[1:])
-        lines = _expand_chunk(
-            table, sorted_bases[low:high], sorted_gids[low:high], emitted, scatter_starts
-        )
-        # Keep the first line of each run of equal lines, across chunks too.
-        keep = np.empty(lines.shape[0], dtype=bool)
-        keep[0] = prev_last is None or int(lines[0]) != prev_last
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        kept = np.flatnonzero(keep)  # a gather beats boolean indexing here
-        collapsed = lines[kept]
-        if collapsed.shape[0]:
-            prev_last = int(collapsed[-1])
-        ranges = (
-            _chunk_weighted_ranges(sorted_weights[low:high], scatter_starts, emitted, kept)
-            if weighted
-            else _no_ranges()
-        )
-        below = int(cumulative_accesses[low - 1]) if low else 0
-        accesses = int(cumulative_accesses[high - 1]) - below
-        consumed_raw = int(cumulative_raw[high - 1])
-        if cumulative_folded is not None:
-            below_folded = cumulative_folded[low - 1] if low else 0
-            folded_l1, folded_l2 = (
-                int(v) for v in cumulative_folded[high - 1] - below_folded
-            )
-        low = high
-        yield LineChunk(
-            lines=collapsed,
-            accesses=accesses,
-            folded_l1_misses=folded_l1,
-            folded_l2_misses=folded_l2,
-            weighted_ranges=ranges,
-        )
+    return TraceBuilder(
+        line_size, element_size, base_address, chunk_accesses, caches
+    ).stream(source)
 
 
 def collapse_consecutive(line_addresses: np.ndarray) -> tuple[np.ndarray, int]:

@@ -6,6 +6,8 @@ loop iterations — and weights them with an :class:`InstructionCostModel`.  The
 recurrence mirrors the triple loop: a child of size ``N_i`` inside a node of
 size ``N`` is invoked ``N / N_i`` times, so its standalone counts contribute
 with that multiplicity, and the node itself adds its loop overhead events.
+That recurrence, :func:`analytic_stats`, lives beside ``ExecutionStats`` in
+:mod:`repro.wht.interpreter`, since the simulated machine reports it too.
 
 Because the analytic counts and the interpreter's measured counts are the same
 quantity computed two ways, the test suite asserts exact agreement for every
@@ -15,7 +17,6 @@ models "can be computed from a high-level description of the algorithm".
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,8 +25,8 @@ import numpy as np
 from repro.machine.cpu import InstructionBreakdown, InstructionCostModel
 from repro.wht.codelets import codelet_costs
 from repro.wht.encoding import EncodedPlans, encode_plans
-from repro.wht.interpreter import ExecutionStats
-from repro.wht.plan import MAX_UNROLLED, Plan, Small, Split
+from repro.wht.interpreter import ExecutionStats, analytic_stats
+from repro.wht.plan import MAX_UNROLLED, Plan
 
 __all__ = ["analytic_stats", "instruction_count", "InstructionCountModel"]
 
@@ -42,47 +43,6 @@ def _codelet_cost_tables() -> dict[str, np.ndarray]:
         "loads": np.array(pad + [c.loads for c in costs], dtype=np.int64),
         "stores": np.array(pad + [c.stores for c in costs], dtype=np.int64),
     }
-
-
-def analytic_stats(plan: Plan) -> ExecutionStats:
-    """Event counts of executing ``plan`` once, derived without execution.
-
-    The result is identical to ``PlanInterpreter().profile(plan)[0]`` for every
-    valid plan (property-tested), but costs ``O(nodes)`` instead of
-    ``O(actual loop iterations)``.  A fresh object is returned on every call so
-    callers may freely mutate or merge it.
-    """
-    return _analytic_stats_cached(plan).scaled(1)
-
-
-@lru_cache(maxsize=65536)
-def _analytic_stats_cached(plan: Plan) -> ExecutionStats:
-    if isinstance(plan, Small):
-        costs = codelet_costs(plan.n)
-        stats = ExecutionStats(n=plan.n, codelet_calls=Counter({plan.n: 1}))
-        stats.additions = costs.additions
-        stats.subtractions = costs.subtractions
-        stats.loads = costs.loads
-        stats.stores = costs.stores
-        return stats
-    if not isinstance(plan, Split):
-        raise TypeError(f"not a plan node: {plan!r}")
-
-    stats = ExecutionStats(n=plan.n)
-    stats.split_invocations = 1
-    remaining = plan.size
-    inner = 1
-    for child in reversed(plan.children):
-        child_size = child.size
-        remaining //= child_size
-        calls = remaining * inner
-        stats.outer_iterations += 1
-        stats.stride_iterations += inner
-        stats.block_iterations += remaining
-        stats.child_calls += calls
-        stats.merge(_analytic_stats_cached(child).scaled(calls))
-        inner *= child_size
-    return stats
 
 
 def instruction_count(

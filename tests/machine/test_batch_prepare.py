@@ -31,10 +31,8 @@ from repro.machine.trace import (
 from repro.wht.canonical import balanced_plan, left_recursive_plan
 from repro.wht.enumeration import enumerate_plans
 from repro.wht.grammar import parse_plan
-from repro.wht.interpreter import ExecutionStats, LeafNest, PlanInterpreter
+from repro.wht.interpreter import LeafNest, PlanInterpreter
 from repro.wht.random_plans import random_plan, random_plans
-
-INTERPRETER = PlanInterpreter()
 
 
 def oracle_stats(l1, l2, plan, element_size=8):
@@ -61,12 +59,11 @@ def reference_prepare(config, plan):
 
 
 def streamed_prepare(config, plan):
-    """The streamed per-plan pipeline without elision or analytic paths."""
-    stats = ExecutionStats(n=plan.n)
+    """The streamed per-plan pipeline without elision or analytic paths,
+    with the recursive interpreter's event counts."""
+    stats, _ = PlanInterpreter().profile(plan)
     chunks = stream_line_chunks(
-        PlanInterpreter().iter_nest_blocks(plan, stats=stats),
-        line_size=config.l1.line_size,
-        element_size=config.element_size,
+        plan, line_size=config.l1.line_size, element_size=config.element_size
     )
     hierarchy = MemoryHierarchy(config.l1, config.l2, vectorized=config.vectorized_caches)
     return stats, hierarchy.process_line_chunks(chunks)
@@ -208,19 +205,14 @@ class TestProcessLineChunksBatch:
     plans' one-plan batches."""
 
     def _streams(self, hierarchy, plans, element_size=8):
-        streams = []
-        for plan in plans:
-            stats = ExecutionStats(n=plan.n)
-            streams.append(
-                list(
-                    stream_line_chunks(
-                        PlanInterpreter().iter_nest_blocks(plan, stats=stats),
-                        line_size=hierarchy.l1_config.line_size,
-                        element_size=element_size,
-                    )
+        return [
+            list(
+                stream_line_chunks(
+                    plan, line_size=hierarchy.l1_config.line_size, element_size=element_size
                 )
             )
-        return streams
+            for plan in plans
+        ]
 
     @pytest.mark.parametrize("chunk_lines", [64, 1 << 20])
     def test_matches_per_plan_loop(self, chunk_lines):
@@ -447,15 +439,10 @@ class TestAnalyticCoverage:
             for n in range(2, 9):
                 plan = random_plan(n, rng=seed)
                 footprint = plan.size * 8
-                stats = ExecutionStats(n=plan.n)
-                chunks = stream_line_chunks(
-                    PlanInterpreter().iter_nest_blocks(plan, stats=stats),
-                    line_size=l1.line_size,
-                    element_size=8,
-                )
+                chunks = stream_line_chunks(plan, line_size=l1.line_size, element_size=8)
                 simulated = hierarchy.process_line_chunks(chunks)
                 analytic = hierarchy.analytic_coverage_stats(
-                    footprint, stats.memory_ops
+                    footprint, 2 * plan.size * plan.num_leaves()
                 )
                 if analytic is not None:
                     assert analytic == simulated, (plan, l1, l2)
@@ -489,14 +476,14 @@ class TestWritePassElision:
                 plan = random_plan(n, rng=seed)
                 plain = hierarchy.process_line_chunks(
                     stream_line_chunks(
-                        PlanInterpreter().iter_nest_blocks(plan),
+                        plan,
                         line_size=l1.line_size,
                         element_size=8,
                     )
                 )
                 elided = hierarchy.process_line_chunks(
                     stream_line_chunks(
-                        PlanInterpreter().iter_nest_blocks(plan),
+                        plan,
                         line_size=l1.line_size,
                         element_size=8,
                         caches=(l1, l2),
@@ -509,13 +496,13 @@ class TestWritePassElision:
         plain = sum(
             c.lines.shape[0]
             for c in stream_line_chunks(
-                PlanInterpreter().iter_nest_blocks(plan), line_size=64, element_size=8
+                plan, line_size=64, element_size=8
             )
         )
         elided = sum(
             c.lines.shape[0]
             for c in stream_line_chunks(
-                PlanInterpreter().iter_nest_blocks(plan),
+                plan,
                 line_size=64,
                 element_size=8,
                 caches=(CacheConfig(64 * 1024, 64, 2), None),
@@ -528,13 +515,13 @@ class TestWritePassElision:
         plain = sum(
             c.accesses
             for c in stream_line_chunks(
-                PlanInterpreter().iter_nest_blocks(plan), line_size=32, element_size=8
+                plan, line_size=32, element_size=8
             )
         )
         elided = sum(
             c.accesses
             for c in stream_line_chunks(
-                PlanInterpreter().iter_nest_blocks(plan),
+                plan,
                 line_size=32,
                 element_size=8,
                 caches=(CacheConfig(512, 32, 2), None),
@@ -624,8 +611,8 @@ class TestRepeatedCallFolding:
     def test_property_random_plans(self, geometry, n, seed):
         l1, l2 = self._caches(geometry)
         plan = random_plan(n, rng=seed)
-        exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, None)
-        folded, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, (l1, l2))
+        exact, _ = _hierarchy_stats(plan, l1, l2, None)
+        folded, _ = _hierarchy_stats(plan, l1, l2, (l1, l2))
         assert folded == exact, (plan, l1, l2)
 
     @given(geometry=FOLD_GEOMETRIES, data=st.data())
@@ -658,10 +645,10 @@ class TestRepeatedCallFolding:
         config = default_machine_config(noise_sigma=0.0)
         plan = parse_plan("split[small[4],small[8]]")
         exact, _ = _hierarchy_stats(
-            INTERPRETER.iter_nest_blocks(plan), config.l1, config.l2, None
+            plan, config.l1, config.l2, None
         )
         folded, chunks = _hierarchy_stats(
-            INTERPRETER.iter_nest_blocks(plan), config.l1, config.l2, (config.l1, config.l2)
+            plan, config.l1, config.l2, (config.l1, config.l2)
         )
         assert folded == exact
         assert _folded(chunks) == (7168, 0)
@@ -669,8 +656,8 @@ class TestRepeatedCallFolding:
     def test_thrashes_both_levels(self):
         l1, l2 = CacheConfig(2048, 64, 2, name="L1"), CacheConfig(4096, 64, 2, name="L2")
         plan = random_plan(10, rng=0)
-        exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, None)
-        folded, chunks = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, (l1, l2))
+        exact, _ = _hierarchy_stats(plan, l1, l2, None)
+        folded, chunks = _hierarchy_stats(plan, l1, l2, (l1, l2))
         assert folded == exact
         assert _folded(chunks) == (1792, 1792)
         machine = SimulatedMachine(
@@ -708,7 +695,7 @@ def _folded_stream(plan, l1, l2, chunk_accesses=1 << 18):
     """The machine's stream: sub-plan folding plus repeated-pass elision."""
     return list(
         stream_line_chunks(
-            INTERPRETER.iter_nest_blocks(plan, line_elements=l1.line_size // 8),
+            plan,
             line_size=l1.line_size,
             element_size=8,
             chunk_accesses=chunk_accesses,
@@ -737,13 +724,13 @@ class TestRepeatedSubPlanFolding:
         l1, l2 = TestRepeatedCallFolding._caches(geometry)
         plan = random_plan(n, rng=seed)
         hierarchy = MemoryHierarchy(l1, l2)
-        exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(plan), l1, l2, None)
+        exact, _ = _hierarchy_stats(plan, l1, l2, None)
         folded = _folded_stream(plan, l1, l2, chunk_accesses)
         assert hierarchy.process_line_chunks(folded) == exact, (plan, l1, l2)
         # The batch path, spliced with a second plan in small chunks, with
         # the analytic L2 shortcut wherever the footprint fits.
         other = random_plan(max(n - 2, 1), rng=seed + 1)
-        other_exact, _ = _hierarchy_stats(INTERPRETER.iter_nest_blocks(other), l1, l2, None)
+        other_exact, _ = _hierarchy_stats(other, l1, l2, None)
         streams = [folded, _folded_stream(other, l1, l2, chunk_accesses)]
         offsets = hierarchy.batch_line_offsets(
             [plan.size * 8 // l1.line_size + 1, other.size * 8 // l1.line_size + 1]
@@ -800,30 +787,24 @@ class TestRepeatedSubPlanFolding:
         # The left child runs at stride 64 under the root's unit stride:
         # eight invocations per line, three of them simulated.
         plan = parse_plan("split[split[small[4],small[4]],split[small[3],small[3]]]")
-        unfolded = list(
-            stream_line_chunks(
-                INTERPRETER.iter_nest_blocks(plan), line_size=64, caches=(l1, l2)
-            )
-        )
+        exact = list(stream_line_chunks(plan, line_size=64))
         folded = _folded_stream(plan, l1, l2)
-        assert sum(c.lines.shape[0] for c in folded) < sum(
-            c.lines.shape[0] for c in unfolded
-        )
+        assert sum(c.lines.shape[0] for c in folded) < sum(c.lines.shape[0] for c in exact)
         assert sum(c.weighted_ranges.shape[0] for c in folded) > 0
-        assert sum(c.accesses for c in folded) == sum(c.accesses for c in unfolded)
+        assert sum(c.accesses for c in folded) == sum(c.accesses for c in exact)
         hierarchy = MemoryHierarchy(l1, l2)
         assert hierarchy.process_line_chunks(folded) == reference_prepare(config, plan)[1]
         assert SimulatedMachine(config).prepare(plan).hierarchy_stats == (
             reference_prepare(config, plan)[1]
         )
 
-    def test_weighted_blocks_need_an_aligned_base_address(self):
+    def test_misaligned_base_address_keeps_every_invocation(self):
+        # Folding needs the invocations of a run to share their lines, which
+        # a base address inside a line would break: nothing is weighted.
         plan = parse_plan("split[split[small[4],small[4]],split[small[3],small[3]]]")
-        with pytest.raises(ValueError, match="line-aligned"):
-            list(
-                stream_line_chunks(
-                    INTERPRETER.iter_nest_blocks(plan, line_elements=8),
-                    line_size=64,
-                    base_address=8,
-                )
-            )
+        l1, l2 = CacheConfig(2048, 64, 2), CacheConfig(8192, 64, 4)
+        folded = list(stream_line_chunks(plan, 64, base_address=8, caches=(l1, l2)))
+        assert all(c.weighted_ranges.shape[0] == 0 for c in folded)
+        exact = list(stream_line_chunks(plan, 64, base_address=8))
+        hierarchy = MemoryHierarchy(l1, l2)
+        assert hierarchy.process_line_chunks(folded) == hierarchy.process_line_chunks(exact)

@@ -1,11 +1,9 @@
-"""Tests for the prepared-plan cache and the interpreter template cache."""
-
-import numpy as np
+"""Tests for the prepared-plan cache and the machine's template memo."""
 
 from repro.machine.configs import tiny_machine, tiny_machine_config
 from repro.machine.machine import PreparedPlanCache, SimulatedMachine
+from repro.machine.trace import TEMPLATE_MEMO_LINES
 from repro.wht.canonical import iterative_plan, right_recursive_plan
-from repro.wht.interpreter import PlanInterpreter
 from repro.wht.random_plans import random_plan
 
 
@@ -60,32 +58,32 @@ class TestPreparedPlanCache:
         )
 
 
-class TestTemplateCache:
-    def test_blocks_identical_with_and_without_cache(self):
-        cached = PlanInterpreter()  # default template cache
-        uncached = PlanInterpreter(template_cache_size=0)
+class TestTemplateMemo:
+    """The machine keeps one trace builder, whose template memo stays warm
+    across preparations."""
+
+    def test_warm_machine_prepares_like_fresh_machines(self):
+        config = tiny_machine_config(noise_sigma=0.0)
+        warm = SimulatedMachine(config)
         for seed in range(5):
             plan = random_plan(9, rng=seed)
-            # Walk twice with the caching interpreter so the second pass
-            # replays cached templates.
-            list(cached.iter_nest_blocks(plan))
-            a = list(cached.iter_nest_blocks(plan))
-            b = list(uncached.iter_nest_blocks(plan))
-            assert len(a) == len(b)
-            for block_a, block_b in zip(a, b):
-                assert block_a.nest == block_b.nest
-                assert np.array_equal(block_a.offsets, block_b.offsets)
-                assert np.array_equal(block_a.starts, block_b.starts)
+            a = warm.prepare(plan)
+            b = SimulatedMachine(config).prepare(plan)
+            assert a.hierarchy_stats == b.hierarchy_stats
+            assert a.stats == b.stats
 
-    def test_stats_identical_on_cache_replay(self):
-        interpreter = PlanInterpreter()
+    def test_stats_identical_on_memo_replay(self):
+        machine = SimulatedMachine(tiny_machine_config(noise_sigma=0.0))
         plan = right_recursive_plan(9)
-        first, _ = interpreter.profile(plan)
-        second, _ = interpreter.profile(plan)
-        assert first == second
+        first = machine.prepare(plan)
+        second = machine.prepare(plan)
+        assert first.hierarchy_stats == second.hierarchy_stats
+        assert first.stats == second.stats
 
-    def test_cache_is_bounded(self):
-        interpreter = PlanInterpreter(template_cache_size=4)
+    def test_memo_is_bounded(self):
+        machine = SimulatedMachine(tiny_machine_config(noise_sigma=0.0))
         for seed in range(20):
-            list(interpreter.iter_nest_blocks(random_plan(8, rng=seed)))
-        assert len(interpreter._template_cache) <= 4
+            machine.prepare(random_plan(12, rng=seed))
+        memo = machine._trace._memo
+        assert 0 < memo.weight <= TEMPLATE_MEMO_LINES
+        assert memo.weight == sum(memo.get(key).lines.shape[0] for key in list(memo))

@@ -1,7 +1,7 @@
 """Cross-chunk exactness tests for the streaming trace pipeline.
 
-The streamed pipeline (nest blocks → batched line chunks → warm-started
-hierarchy simulators) must be *bit-identical* to the eager seed pipeline
+The streamed pipeline (plan-tree trace builder → bounded line chunks →
+warm-started hierarchy simulators) must be *bit-identical* to the eager seed pipeline
 (profile → full trace → global collapse → one-shot simulation), for any
 chunking.  These tests pin that contract for random traces and random plans.
 """
@@ -24,7 +24,7 @@ from repro.wht.canonical import (
     left_recursive_plan,
     right_recursive_plan,
 )
-from repro.wht.interpreter import ExecutionStats, LeafNest, PlanInterpreter
+from repro.wht.interpreter import ExecutionStats, LeafNest, PlanInterpreter, analytic_stats
 from repro.wht.random_plans import random_plan
 
 L1 = CacheConfig(256, 32, 2, name="L1")
@@ -48,40 +48,37 @@ def sample_plans():
     )
 
 
-class TestWalkerParity:
-    """The block walker reproduces the recursive interpreter exactly."""
+class TestRecursiveParity:
+    """The analytic counts and the builder reproduce the recursive
+    interpreter exactly."""
 
-    def test_iter_nests_matches_recursive_order(self):
+    def test_profile_matches_recursive_order(self):
         for plan in sample_plans():
             _, expected = reference_nests(plan)
-            assert list(INTERPRETER.iter_nests(plan)) == expected
+            assert INTERPRETER.profile(plan, record_trace=True)[1] == expected
 
     def test_profile_stats_match_recursive_counts(self):
         for plan in sample_plans():
-            expected_stats, _ = reference_nests(plan)
+            expected_stats, expected_nests = reference_nests(plan)
             stats, nests = INTERPRETER.profile(plan, record_trace=True)
             assert stats.as_dict() == expected_stats.as_dict()
-            assert nests == [nest for nest in INTERPRETER.iter_nests(plan)]
+            assert analytic_stats(plan).as_dict() == expected_stats.as_dict()
+            assert nests == expected_nests
 
-    def test_blocks_cover_each_instance_once(self):
+    def test_stream_counts_each_access_once(self):
         for plan in sample_plans():
-            blocks = list(INTERPRETER.iter_nest_blocks(plan))
-            starts = np.concatenate([block.starts for block in blocks])
-            raw = np.concatenate(
-                [np.full(block.instances, block.accesses_per_instance) for block in blocks]
-            )
-            order = np.argsort(starts)
-            ends = starts[order] + raw[order]
-            # Instances tile the access stream contiguously and disjointly.
-            assert starts[order][0] == 0
-            assert np.array_equal(starts[order][1:], ends[:-1])
+            _, nests = reference_nests(plan)
+            chunks = list(stream_line_chunks(plan, line_size=32))
+            assert sum(chunk.accesses for chunk in chunks) == trace_from_nests(nests).accesses
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
-    def test_property_walker_matches_recursive(self, seed):
+    def test_property_builder_matches_recursive(self, seed):
         plan = random_plan(7, rng=seed)
-        _, expected = reference_nests(plan)
-        assert list(INTERPRETER.iter_nests(plan)) == expected
+        _, nests = reference_nests(plan)
+        expected, _ = collapse_consecutive(trace_from_nests(nests).addresses // 32)
+        streamed = np.concatenate([c.lines for c in stream_line_chunks(plan, line_size=32)])
+        assert np.array_equal(streamed, expected)
 
 
 class TestStreamedChunks:
@@ -96,7 +93,7 @@ class TestStreamedChunks:
             expected, _ = collapse_consecutive(trace.addresses // line_size)
             chunks = list(
                 stream_line_chunks(
-                    INTERPRETER.iter_nest_blocks(plan),
+                    plan,
                     line_size=line_size,
                     chunk_accesses=chunk_accesses,
                 )
@@ -117,7 +114,7 @@ class TestStreamedChunks:
         plan = iterative_plan(10)
         chunks = list(
             stream_line_chunks(
-                INTERPRETER.iter_nest_blocks(plan), line_size=32, chunk_accesses=1024
+                plan, line_size=32, chunk_accesses=1024
             )
         )
         assert len(chunks) > 1
@@ -128,10 +125,10 @@ class TestStreamedChunks:
 
     def test_base_address_offsets_lines(self):
         plan = iterative_plan(5)
-        plain = list(stream_line_chunks(INTERPRETER.iter_nest_blocks(plan), line_size=32))
+        plain = list(stream_line_chunks(plan, line_size=32))
         shifted = list(
             stream_line_chunks(
-                INTERPRETER.iter_nest_blocks(plan), line_size=32, base_address=4096
+                plan, line_size=32, base_address=4096
             )
         )
         assert np.array_equal(plain[0].lines + 4096 // 32, shifted[0].lines)
@@ -156,7 +153,7 @@ class TestStreamedChunks:
         expected, _ = collapse_consecutive(trace.addresses // 32)
         chunks = list(
             stream_line_chunks(
-                INTERPRETER.iter_nest_blocks(plan),
+                plan,
                 line_size=32,
                 chunk_accesses=chunk_accesses,
             )
@@ -178,7 +175,7 @@ class TestChunkedHierarchy:
             eager = self.hierarchy().process_trace(trace)
             streamed = self.hierarchy().process_line_chunks(
                 stream_line_chunks(
-                    INTERPRETER.iter_nest_blocks(plan),
+                    plan,
                     line_size=L1.line_size,
                     chunk_accesses=chunk_accesses,
                 )
@@ -189,7 +186,7 @@ class TestChunkedHierarchy:
         for plan in sample_plans()[:4]:
             streamed = self.hierarchy(vectorized=True).process_line_chunks(
                 stream_line_chunks(
-                    INTERPRETER.iter_nest_blocks(plan),
+                    plan,
                     line_size=L1.line_size,
                     chunk_accesses=256,
                 )

@@ -1,7 +1,5 @@
 """Tests for the instrumented plan interpreter."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ from repro.wht.canonical import (
     right_recursive_plan,
 )
 from repro.wht.codelets import codelet_costs
-from repro.wht.interpreter import ExecutionStats, LeafNest, NestBlock, PlanInterpreter
+from repro.wht.interpreter import ExecutionStats, LeafNest, PlanInterpreter, analytic_stats
 from repro.wht.plan import Small, Split
 from repro.wht.random_plans import random_plan
 from repro.wht.transform import random_input, wht_reference
@@ -166,132 +164,34 @@ class TestLeafNests:
         assert stats.additions == adds
 
 
-class TestNestBlocks:
-    """The template-replaying block walker behind profile and the machine."""
+class TestRecursiveReference:
+    """``profile`` is the recursive schedule, and the analytic counts the
+    machine reports equal it."""
 
-    def test_bare_leaf_is_one_block(self, interpreter):
-        blocks = list(interpreter.iter_nest_blocks(Small(3)))
-        assert len(blocks) == 1
-        assert blocks[0].instances == 1
-        assert blocks[0].starts.tolist() == [0]
-        assert blocks[0].accesses_per_instance == 2 * 8
-
-    def test_block_count_scales_with_structure_not_invocations(self, interpreter):
-        # A deep right-recursive plan has ~2 emission sites per level, while
-        # its nest count grows exponentially with depth.
-        plan = right_recursive_plan(10, leaf=1)
-        blocks = list(interpreter.iter_nest_blocks(plan))
-        nests = list(interpreter.iter_nests(plan))
-        assert len(blocks) < 25
-        assert sum(block.instances for block in blocks) == len(nests)
-
-    def test_iter_nests_matches_profile_record_trace(self, interpreter):
+    def test_profile_nests_match_the_recursive_run(self, interpreter):
         for seed in range(5):
             plan = random_plan(8, rng=seed)
-            _, expected = interpreter.profile(plan, record_trace=True)
-            assert list(interpreter.iter_nests(plan)) == expected
+            stats = ExecutionStats(n=plan.n)
+            nests = []
+            interpreter._run(plan, base=0, stride=1, x=None, stats=stats, nests=nests)
+            profiled, expected = interpreter.profile(plan, record_trace=True)
+            assert expected == nests
+            assert profiled.as_dict() == stats.as_dict()
 
-    def test_stats_accumulated_while_walking(self, interpreter):
+    def test_analytic_stats_match_execute(self, interpreter):
         plan = random_plan(8, rng=2)
-        expected, _ = interpreter.profile(plan)
-        stats = ExecutionStats(n=plan.n)
-        for _ in interpreter.iter_nest_blocks(plan, stats=stats):
-            pass
-        assert stats.as_dict() == expected.as_dict()
+        executed = interpreter.execute(plan, np.zeros(plan.size), collect_stats=True)
+        assert analytic_stats(plan).as_dict() == executed.as_dict()
 
-    def test_starts_tile_the_access_stream(self, interpreter):
+    def test_nests_account_for_every_access(self, interpreter):
         plan = random_plan(8, rng=4)
-        blocks = list(interpreter.iter_nest_blocks(plan))
-        spans = sorted(
-            (int(start), block.accesses_per_instance)
-            for block in blocks
-            for start in block.starts.tolist()
-        )
-        cursor = 0
-        for start, length in spans:
-            assert start == cursor
-            cursor += length
-        stats, _ = interpreter.profile(plan)
-        assert cursor == stats.memory_ops
+        stats, nests = interpreter.profile(plan, record_trace=True)
+        assert sum(2 * nest.total_elements for nest in nests) == stats.memory_ops
+        assert analytic_stats(plan).memory_ops == stats.memory_ops
 
-    def test_blocks_share_template_arrays_immutably(self, interpreter):
-        plan = Split((Small(1), Small(2)))
-        blocks = list(interpreter.iter_nest_blocks(plan))
-        assert all(isinstance(block, NestBlock) for block in blocks)
-        assert all(block.offsets.dtype == np.int64 for block in blocks)
-
-
-def _instances(blocks):
-    """``(start, nest, weight)`` per instance, in stream order."""
-    rows = []
-    for block in blocks:
-        weights = [1] * block.instances if block.weights is None else block.weights.tolist()
-        for offset, start, weight in zip(block.offsets.tolist(), block.starts.tolist(), weights):
-            rows.append((start, replace(block.nest, base=block.nest.base + offset), weight))
-    return sorted(rows, key=lambda row: row[0])
-
-
-class TestSubPlanFolding:
-    """``line_elements`` folds runs of sub-plan invocations over one line
-    sequence; without it the walk is unchanged."""
-
-    def test_without_line_elements_nothing_is_weighted(self, interpreter):
-        for seed in range(5):
-            plan = random_plan(10, rng=seed)
-            blocks = list(interpreter.iter_nest_blocks(plan))
-            assert all(block.weights is None for block in blocks)
-            _, expected = interpreter.profile(plan, record_trace=True)
-            assert [nest for _, nest, _ in _instances(blocks)] == expected
-
-    def test_one_element_lines_never_fold(self, interpreter):
-        plan = random_plan(10, rng=3)
-        plain = _instances(PlanInterpreter().iter_nest_blocks(plan))
-        assert _instances(interpreter.iter_nest_blocks(plan, line_elements=1)) == plain
-
-    @given(
-        n=st.integers(1, 12),
-        seed=st.integers(0, 10**6),
-        line_elements=st.sampled_from([2, 4, 8, 16]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_folded_walk_keeps_stats_and_weights_cover_every_instance(
-        self, n, seed, line_elements
-    ):
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 10))
+    @settings(max_examples=25, deadline=None)
+    def test_property_analytic_stats_match_execute(self, seed, n):
         plan = random_plan(n, rng=seed)
-        plain_stats, folded_stats = ExecutionStats(n=n), ExecutionStats(n=n)
-        plain = _instances(PlanInterpreter().iter_nest_blocks(plan, stats=plain_stats))
-        folded = _instances(
-            PlanInterpreter().iter_nest_blocks(
-                plan, stats=folded_stats, line_elements=line_elements
-            )
-        )
-        assert folded_stats.as_dict() == plain_stats.as_dict()
-        # Kept instances are real instances at their real stream positions,
-        # and the weights account for every instance of the full walk.
-        assert set((start, nest) for start, nest, _ in folded) <= set(
-            (start, nest) for start, nest, _ in plain
-        )
-        assert sum(weight for *_, weight in folded) == len(plain)
-
-    def test_fold_keeps_three_invocations_per_group(self, interpreter):
-        # split[small[2],small[2]] runs at stride 8 under the root's unit
-        # stride: eight invocations per 8-element line, three kept.
-        plan = Split((Split((Small(2), Small(2))), Small(3)))
-        folded = _instances(interpreter.iter_nest_blocks(plan, line_elements=8))
-        weights = [weight for _, nest, weight in folded if nest.k == 2]
-        assert weights == [1, 1, 1, 1, 6, 6]
-        # The kept invocations are k = 0, 1, 2 of the stride loop.
-        assert sorted({nest.base for _, nest, _ in folded if nest.k == 2}) == [0, 1, 2]
-
-    def test_folded_and_unfolded_templates_never_share_a_cache_entry(self):
-        plan = random_plan(11, rng=5)
-        shared = PlanInterpreter()
-        folded = _instances(shared.iter_nest_blocks(plan, line_elements=8))
-        assert any(weight > 1 for *_, weight in folded)
-        plain = _instances(shared.iter_nest_blocks(plan))
-        assert plain == _instances(PlanInterpreter().iter_nest_blocks(plan))
-        assert _instances(shared.iter_nest_blocks(plan, line_elements=8)) == folded
-
-    def test_rejects_nonpositive_line_elements(self, interpreter):
-        with pytest.raises(ValueError, match="line_elements"):
-            list(interpreter.iter_nest_blocks(Small(2), line_elements=0))
+        executed = PlanInterpreter().execute(plan, np.zeros(plan.size), collect_stats=True)
+        assert analytic_stats(plan).as_dict() == executed.as_dict()
