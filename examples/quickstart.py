@@ -244,10 +244,11 @@ def main() -> None:
 
     # 14. The fleet: many servers, one record space.  A *list* of URLs turns
     #     Session.connect into a fleet tenant — every batch is striped over a
-    #     rendezvous-hash ring of servers sharing one sharded record store,
-    #     membership rides the existing heartbeats, and when a member dies
-    #     mid-run the client rehashes its keys to the survivors under the
-    #     original request ids.  The search completes, bit-identical to the
+    #     rendezvous-hash ring of servers sharing one sharded record store.
+    #     The client's ring is the only router: a server measures every key
+    #     it is sent.  When a member dies mid-run the client rehashes its
+    #     keys to the survivors, whose shared store serves whatever the dead
+    #     member persisted.  The search completes, bit-identical to the
     #     single-session result, with zero duplicate measurements
     #     (DESIGN.md §15).
     import tempfile

@@ -55,10 +55,10 @@ live*:
   client (``Session.connect("tcp://host:port")`` or
   ``Session.connect(["tcp://a", "tcp://b"])``; a single URL is a
   one-member fleet, and :func:`RemoteServiceClient` spells that case):
-  rendezvous-hash striping over a member ring, membership health probing
-  with gossip, client-side failover and server-side shard-ownership
-  handoff, all sharing one record space so any single member can die
-  mid-search without duplicating a measurement.
+  rendezvous-hash striping over a member ring (the one router: a server
+  measures every key it is sent), membership health probing and
+  client-side failover, all sharing one record space so any single
+  member can die mid-search without duplicating a measurement.
 """
 
 from repro.runtime.backends import (
@@ -88,7 +88,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.fleet import (
     FleetClient,
-    FleetView,
     MembershipRegistry,
     RemoteServiceClient,
     ring_assign,
@@ -213,7 +212,6 @@ __all__ = [
     "FaultyTransport",
     "TransportError",
     "FleetClient",
-    "FleetView",
     "MembershipRegistry",
     "ring_weight",
     "ring_owner",

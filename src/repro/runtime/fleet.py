@@ -6,12 +6,11 @@ engine surface.  A :class:`FleetClient`
 (``Session.connect(["tcp://a", "tcp://b", ...])``, or
 ``Session.connect("tcp://a")`` for a one-member fleet) stripes every
 submit across the member servers by
-``hash(machine_hash, plan_key)`` over a **rendezvous ring** — the same
-pure derivation on the client and on every server, so each key has one
-well-defined owner at any membership — while all members persist into
-one shared record space (a :class:`~repro.runtime.sharded_store.ShardedRecordStore`
-directory, whose flock-guarded whole-batch appends make concurrent
-writers safe).
+``hash(machine_hash, plan_key)`` over a **rendezvous ring** — a pure
+derivation, so each key has one well-defined owner at any membership —
+while all members persist into one shared record space (a
+:class:`~repro.runtime.sharded_store.ShardedRecordStore` directory, whose
+flock-guarded whole-batch appends make concurrent writers safe).
 
 Robustness discipline
 ---------------------
@@ -19,10 +18,10 @@ Robustness discipline
 * **Membership.**  A :class:`MembershipRegistry` tracks each member as
   ``healthy`` / ``draining`` / ``partitioned`` / ``dead``.  Members can
   :meth:`join <FleetClient.add_member>` at runtime; ``draining`` and
-  death are learned passively from submit outcomes and from membership
-  gossip piggybacked on the heartbeat machinery (``pong`` / ``hello``
-  replies carry the server's fleet state), or actively via
-  :meth:`FleetClient.probe`.
+  death are learned passively from submit outcomes and from the
+  ``draining`` flag of heartbeat ``pong`` replies, or actively via
+  :meth:`FleetClient.probe`.  The client is the only router: a server
+  measures every key of a submit it accepts.
 * **Failover.**  On member death or a ``draining`` answer, the failed
   group's keys **rehash over the survivors** and are resubmitted.  A
   group that lands back on the same member (a healed partition) reuses
@@ -34,14 +33,6 @@ Robustness discipline
   ``shared_store=True`` service re-reads the store under the machine
   lock before measuring, so everything the dead member persisted is
   served as store hits and only genuinely lost work is re-executed.
-* **Ownership handoff.**  A server configured with a :class:`FleetView`
-  checks each submit against the ring and **forwards** misdirected keys
-  to their current owner (one ``no_forward``-guarded hop), so a client
-  with a stale ring view degrades to an extra hop, never a conflict.
-  When the owner is unreachable the server adopts the keys locally
-  (counted as a ``failover`` in :class:`~repro.runtime.service.ServiceStats`);
-  determinism of the measurement values makes even a genuinely
-  concurrent double-measure append idempotently, never conflictingly.
 * **Chaos.**  The fault plan's ``fleet`` axis injects member-level
   faults at sites ``"fleet-<url>"``, deterministically per seed: a
   ``kill`` decision is permanent member death, an ``error`` decision is
@@ -57,7 +48,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.machine.machine import MachineConfig, SimulatedMachine
 from repro.runtime.cost_engine import EngineSurface
@@ -85,7 +76,6 @@ __all__ = [
     "ring_owner",
     "ring_assign",
     "MembershipRegistry",
-    "FleetView",
     "FleetClient",
     "RemoteServiceClient",
 ]
@@ -106,9 +96,9 @@ def ring_weight(member: str, machine_hash: str, key: str) -> int:
     """Rendezvous (highest-random-weight) score of ``member`` for one key.
 
     A pure function of ``(member, machine_hash, plan_key)`` through
-    :func:`~repro.util.rng.derive_seed` — no shared state, so the client
-    and every server compute identical ownership from the same member
-    list, and removing a member moves *only that member's keys*.
+    :func:`~repro.util.rng.derive_seed` — no shared state, so the same
+    member list always gives the same ownership, and removing a member
+    moves *only that member's keys*.
     """
     return derive_seed(0, "fleet-ring", member, machine_hash, key)
 
@@ -233,94 +223,6 @@ class MembershipRegistry:
         return f"MembershipRegistry({states}, version={self.version})"
 
 
-class FleetView:
-    """A *server's* view of the fleet it belongs to (ownership + gossip).
-
-    Attached via :meth:`~repro.runtime.transport.ServiceServer.join_fleet`;
-    the server consults :meth:`split` on every submit to forward
-    misdirected keys to their current owner, and advertises
-    :attr:`state` in its ``hello``/``pong`` replies (the membership
-    gossip the client's heartbeat machinery consumes).
-    """
-
-    def __init__(self, members: Sequence[str], self_url: str):
-        members = list(dict.fromkeys(members))
-        if self_url not in members:
-            members.append(self_url)
-        self.self_url = self_url
-        self._lock = threading.Lock()
-        self._states: "dict[str, str]" = {url: HEALTHY for url in members}
-        #: Lazily-dialed peer transports for owner-forwarding.
-        self._peers: "dict[str, RemoteTransport]" = {}
-        self.state = "ok"  # advertised in gossip; "draining" once draining
-
-    @property
-    def members(self) -> "tuple[str, ...]":
-        with self._lock:
-            return tuple(self._states)
-
-    def healthy_count(self) -> int:
-        with self._lock:
-            healthy = sum(1 for state in self._states.values() if state == HEALTHY)
-        return healthy
-
-    def mark_peer(self, url: str, state: str) -> None:
-        with self._lock:
-            if url in self._states and url != self.self_url:
-                self._states[url] = state
-
-    def split(
-        self, machine_hash: str, keys: Sequence[str]
-    ) -> "tuple[list[str], dict[str, list[str]]]":
-        """Partition ``keys`` into (locally owned, {peer owner: keys}).
-
-        Keys owned by a peer this view believes dead are adopted locally
-        — the caller counts that as a failover — so a server never
-        refuses work over membership disagreement.
-        """
-        with self._lock:
-            ring = [url for url, state in self._states.items() if state == HEALTHY]
-        if self.self_url not in ring:
-            ring.append(self.self_url)
-        local: "list[str]" = []
-        forwarded: "dict[str, list[str]]" = {}
-        for key in keys:
-            owner = ring_owner(ring, machine_hash, key)
-            if owner == self.self_url:
-                local.append(key)
-            else:
-                forwarded.setdefault(owner, []).append(key)
-        return local, forwarded
-
-    def peer_transport(self, url: str) -> RemoteTransport:
-        with self._lock:
-            transport = self._peers.get(url)
-            if transport is None:
-                # Forwarding is one best-effort hop: a couple of quick
-                # attempts, then the caller adopts the keys locally.
-                transport = RemoteTransport(
-                    url, max_attempts=2, backoff_base=0.02, backoff_cap=0.2,
-                    heartbeat_interval=None, connect_timeout=2.0,
-                )
-                self._peers[url] = transport
-        return transport
-
-    def gossip(self) -> dict:
-        """The membership payload piggybacked on hello/pong replies."""
-        with self._lock:
-            states = dict(self._states)
-        return {"self": self.self_url, "state": self.state, "members": states}
-
-    def close(self) -> None:
-        with self._lock:
-            peers, self._peers = list(self._peers.values()), {}
-        for transport in peers:
-            transport.close()
-
-    def __repr__(self) -> str:
-        return f"FleetView({self.self_url!r}, members={len(self.members)}, state={self.state!r})"
-
-
 # -- the client ----------------------------------------------------------------
 
 
@@ -402,7 +304,8 @@ class FleetClient(EngineSurface):
         self.client_id = client_id or uuid.uuid4().hex[:12]
         #: Groups rehashed to survivors after a member died or drained.
         self.failovers = 0
-        #: Owner-redirect forwards members reported back on results.
+        #: Always 0: a member measures every key it is sent and never
+        #: forwards one.  Kept because the benchmark's tracer reads it.
         self.redirects = 0
         #: Injected fleet faults (the fault plan's ``fleet`` axis).
         self.injected_kills = 0
@@ -420,19 +323,15 @@ class FleetClient(EngineSurface):
             transport = self.transports.get(url)
             if transport is None:
                 transport = RemoteTransport(url, **self._transport_options)
-                transport.on_pong = self._gossip_handler(url)
+                transport.on_pong = self._pong_handler(url)
                 self.transports[url] = transport
         return transport
 
-    def _gossip_handler(self, url: str):
+    def _pong_handler(self, url: str):
         def handle(frame: "dict | None") -> None:
             if frame is None:
                 return  # a failed probe; death is decided at submit time
-            info = frame.get("fleet")
-            draining = bool(frame.get("draining"))
-            if isinstance(info, Mapping) and info.get("state") == "draining":
-                draining = True
-            if draining:
+            if frame.get("draining"):
                 self.registry.mark(url, DRAINING)
 
         return handle
@@ -450,7 +349,7 @@ class FleetClient(EngineSurface):
     def probe(self, timeout: float = 2.0) -> "dict[str, str]":
         """Actively health-probe every member (the heartbeat ping, on demand).
 
-        Updates the registry from each reply's gossip: an unreachable
+        Updates the registry from each reply: an unreachable
         healthy member is marked partitioned (it may heal), a draining
         reply marks it draining.  Returns the post-probe state map.
         """
@@ -501,8 +400,8 @@ class FleetClient(EngineSurface):
 
     def _submit_group(
         self, url: str, rid: str, keys: Sequence[str], names: "tuple[str, ...]"
-    ) -> "tuple[dict[str, dict[str, float]], int, int]":
-        """One striped sub-batch to its owner: ``(values, owned, redirects)``.
+    ) -> "tuple[dict[str, dict[str, float]], int]":
+        """One striped sub-batch to its owner: ``(values, owned)``.
 
         Raises :class:`_GroupFailure` when the group should rehash over
         the survivors.
@@ -546,7 +445,7 @@ class FleetClient(EngineSurface):
                 }
                 for record in reply["records"]
             }
-            return values, int(reply.get("owned", 0)), int(reply.get("redirects", 0))
+            return values, int(reply.get("owned", 0))
         if kind == "draining":
             if not self._can_fail_over(url):
                 raise RemoteServiceError(f"{url} is draining and refused the submit")
@@ -621,10 +520,9 @@ class FleetClient(EngineSurface):
                 elif isinstance(outcome, Exception):
                     raise outcome
                 else:
-                    group_values, owned, redirects = outcome
+                    group_values, owned = outcome
                     values.update(group_values)
                     self.measured += owned
-                    self.redirects += redirects
             pending = still_pending
         return values
 
@@ -652,7 +550,6 @@ class FleetClient(EngineSurface):
             "members": len(states),
             "members_healthy": sum(1 for s in states.values() if s == HEALTHY),
             "failovers": self.failovers,
-            "redirects": self.redirects,
             "injected_kills": self.injected_kills,
             "injected_partitions": self.injected_partitions,
             "states": states,

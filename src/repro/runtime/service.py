@@ -359,14 +359,9 @@ class ServiceStats:
     #: resubmitted work the service already had in flight or finished).
     resubmits: int = 0
     #: Fleet membership size, when this service fronts a fleet member
-    #: (see :meth:`CampaignService.attach_fleet`); 0 standalone.
+    #: (see :meth:`~repro.runtime.transport.ServiceServer.join_fleet`);
+    #: 0 standalone.
     members: int = 0
-    #: Members this service currently believes healthy.
-    members_healthy: int = 0
-    #: Misdirected submits forwarded to their ring owner (one extra hop).
-    redirects: int = 0
-    #: Batches adopted locally because their owner was unreachable.
-    failovers: int = 0
     #: Per-shard occupancy, when the store exposes it (sharded stores do).
     shards: "tuple[ShardStats, ...]" = ()
 
@@ -400,9 +395,8 @@ class ServiceHealth:
     scheduled_retries: int
     quarantined: int
     respawns: int
-    #: Fleet membership (0/0 for a standalone service).
+    #: Fleet membership size (0 for a standalone service).
     members: int = 0
-    members_healthy: int = 0
 
     @property
     def ok(self) -> bool:
@@ -545,8 +539,9 @@ class CampaignService:
         self.supervision_interval = float(supervision_interval)
         self.retry_seed = int(retry_seed)
         self.shared_store = bool(shared_store)
-        #: Fleet membership view (:meth:`attach_fleet`); None standalone.
-        self._fleet = None
+        #: Member URLs of the fleet this service fronts a member of (set by
+        #: :meth:`~repro.runtime.transport.ServiceServer.join_fleet`).
+        self.fleet_members: "tuple[str, ...]" = ()
         self._lock = threading.RLock()
         self._queue: "queue.Queue[_Task | None]" = queue.Queue()
         #: One engine per shard: its record cache is read-through from the
@@ -573,8 +568,6 @@ class CampaignService:
             "failures": 0,
             "respawns": 0,
             "resubmits": 0,
-            "redirects": 0,
-            "failovers": 0,
         }
         #: Request-id idempotency table: a remote client that reconnects and
         #: resubmits a request id it never saw an answer for is handed the
@@ -1230,27 +1223,6 @@ class CampaignService:
 
     # -- observability -----------------------------------------------------------
 
-    def attach_fleet(self, view) -> None:
-        """Attach a fleet membership view; stats/health gain fleet fields.
-
-        ``view`` is a :class:`~repro.runtime.fleet.FleetView` (anything
-        with ``members`` and ``healthy_count()`` works) — attached by
-        :meth:`~repro.runtime.transport.ServiceServer.join_fleet`.
-        """
-        self._fleet = view
-
-    def note_fleet(self, redirects: int = 0, failovers: int = 0) -> None:
-        """Count fleet routing events (owner-redirect hops, local adoptions)."""
-        with self._lock:
-            self._counters["redirects"] += int(redirects)
-            self._counters["failovers"] += int(failovers)
-
-    def _fleet_membership(self) -> "tuple[int, int]":
-        view = self._fleet
-        if view is None:
-            return 0, 0
-        return len(view.members), view.healthy_count()
-
     def stats(self) -> ServiceStats:
         """A consistent snapshot of queue, dedup, measurement and shard state."""
         with self._lock:
@@ -1265,7 +1237,6 @@ class CampaignService:
             )
         shard_stats = getattr(self.store, "shard_stats", None)
         shards = tuple(shard_stats()) if callable(shard_stats) else ()
-        members, members_healthy = self._fleet_membership()
         return ServiceStats(
             jobs=counters["jobs"],
             queue_depth=self._queue.qsize(),
@@ -1284,10 +1255,7 @@ class CampaignService:
             retrying=scheduled,
             next_retry_eta=next_eta,
             resubmits=counters["resubmits"],
-            members=members,
-            members_healthy=members_healthy,
-            redirects=counters["redirects"],
-            failovers=counters["failovers"],
+            members=len(self.fleet_members),
             shards=shards,
         )
 
@@ -1314,7 +1282,6 @@ class CampaignService:
             state = "degraded"
         else:
             state = "ok"
-        members, members_healthy = self._fleet_membership()
         return ServiceHealth(
             state=state,
             alive_workers=alive,
@@ -1323,8 +1290,7 @@ class CampaignService:
             scheduled_retries=scheduled,
             quarantined=quarantined,
             respawns=respawns,
-            members=members,
-            members_healthy=members_healthy,
+            members=len(self.fleet_members),
         )
 
     def __repr__(self) -> str:

@@ -75,7 +75,7 @@ from repro.machine.machine import MachineConfig
 from repro.runtime.faults import FaultPlan
 from repro.runtime.service import CampaignJob, CampaignService, ServiceError
 from repro.util.lru import LRUCache
-from repro.util.rng import backoff_delay, derive_seed
+from repro.util.rng import backoff_delay
 from repro.wht.plan import Plan
 from repro.wht.grammar import parse_plan
 
@@ -369,10 +369,7 @@ class _ServerConnection:
         kind = frame.get("type")
         rid = frame.get("id")
         if kind == "ping":
-            pong = {"type": "pong", "id": rid, "draining": self.server.draining}
-            if self.server.fleet is not None:
-                pong["fleet"] = self.server.fleet.gossip()
-            self._reply(pong)
+            self._reply({"type": "pong", "id": rid, "draining": self.server.draining})
         elif kind == "hello":
             if frame.get("version") != PROTOCOL_VERSION:
                 self._reply(
@@ -385,16 +382,15 @@ class _ServerConnection:
                 )
                 self.close()
                 return
-            hello = {
-                "type": "hello",
-                "id": rid,
-                "version": PROTOCOL_VERSION,
-                "server": self.server.service.name,
-                "draining": self.server.draining,
-            }
-            if self.server.fleet is not None:
-                hello["fleet"] = self.server.fleet.gossip()
-            self._reply(hello)
+            self._reply(
+                {
+                    "type": "hello",
+                    "id": rid,
+                    "version": PROTOCOL_VERSION,
+                    "server": self.server.service.name,
+                    "draining": self.server.draining,
+                }
+            )
         elif kind == "submit":
             self._accept_submit(frame, rid)
         elif kind == "stats":
@@ -415,9 +411,6 @@ class _ServerConnection:
                         "failures": stats.failures,
                         "quarantined": stats.quarantined,
                         "members": stats.members,
-                        "members_healthy": stats.members_healthy,
-                        "redirects": stats.redirects,
-                        "failovers": stats.failovers,
                     },
                 }
             )
@@ -464,118 +457,42 @@ class _ServerConnection:
             daemon=True,
         ).start()
 
-    def _forward_submit(
-        self, frame: Mapping, rid: object, owner: str, owner_keys: "list[str]"
-    ) -> "tuple[int, dict[str, dict]] | None":
-        """One owner-redirect hop: relay the misdirected keys to ``owner``.
-
-        The forwarded frame carries ``no_forward`` (a second hop is never
-        taken — two servers with conflicting ring views must not bounce a
-        batch between them) and an id derived from the original request
-        id plus the key subset, so the owner's ticket table dedupes a
-        resubmitted forward exactly like a direct resubmit.  Returns
-        ``None`` when the owner is unreachable or draining — the caller
-        adopts the keys locally (a server-side failover).
-        """
-        fleet = self.server.fleet
-        subset = derive_seed(0, "fleet-forward", owner, *owner_keys) % (1 << 32)
-        payload = dict(frame)
-        payload["plans"] = list(owner_keys)
-        payload["id"] = f"{rid}>{subset:08x}"
-        payload["no_forward"] = True
-        try:
-            reply = fleet.peer_transport(owner).call(payload, timeout=None)
-        except (TransportError, RemoteServiceError):
-            fleet.mark_peer(owner, "dead")
-            return None
-        if reply.get("type") != "result":
-            if reply.get("type") == "draining":
-                fleet.mark_peer(owner, "draining")
-            return None
-        values = {record["p"]: record["v"] for record in reply["records"]}
-        return int(reply.get("owned", 0)), values
-
     def _run_submit(self, frame: Mapping, rid: object) -> None:
         try:
             try:
                 config = self.server._config_from(frame["machine"])
-                keys = [str(key) for key in frame["plans"]]
-                metrics = tuple(frame["metrics"])
-                seed = int(frame.get("seed", 0))
                 deadline = frame.get("deadline")
-                deadline = float(deadline) if deadline is not None else None
+                job = CampaignJob(
+                    machine_config=config,
+                    plan_batch=tuple(
+                        self.server._plan_from(str(key)) for key in frame["plans"]
+                    ),
+                    metrics=tuple(frame["metrics"]),
+                    seed=int(frame.get("seed", 0)),
+                    deadline=float(deadline) if deadline is not None else None,
+                )
             except (KeyError, TypeError, ValueError) as exc:
                 self._reply(
                     {"type": "error", "id": rid, "message": f"malformed submit: {exc}"}
                 )
                 return
-            values: "dict[str, dict]" = {}
-            owned = 0
-            redirects = 0
-            local_keys = keys
-            fleet = self.server.fleet
-            if fleet is not None and not frame.get("no_forward"):
-                digest = self.server.service._hash_for(config)
-                local_keys, forwarded = fleet.split(digest, keys)
-                for owner, owner_keys in forwarded.items():
-                    outcome = self._forward_submit(frame, rid, owner, owner_keys)
-                    if outcome is None:
-                        # The owner is gone: adopt its keys locally.  The
-                        # shared record space dedupes whatever it persisted.
-                        local_keys = local_keys + owner_keys
-                        self.server.service.note_fleet(failovers=1)
-                    else:
-                        redirects += 1
-                        self.server.service.note_fleet(redirects=1)
-                        owned += outcome[0]
-                        values.update(outcome[1])
-            if local_keys:
-                try:
-                    plans = tuple(self.server._plan_from(key) for key in local_keys)
-                except (KeyError, TypeError, ValueError) as exc:
-                    self._reply(
-                        {"type": "error", "id": rid, "message": f"malformed submit: {exc}"}
-                    )
-                    return
-                job = CampaignJob(
-                    machine_config=config,
-                    plan_batch=plans,
-                    metrics=metrics,
-                    seed=seed,
-                    deadline=deadline,
-                )
-                request_id = str(rid) if rid is not None else None
-                if request_id is not None and local_keys != keys:
-                    # The work set shrank/grew under this id (fleet split):
-                    # key the ticket by the subset too, so a resubmit after
-                    # a membership change never replays a stale ticket.
-                    subset = derive_seed(0, "fleet-subset", *local_keys) % (1 << 32)
-                    request_id = f"{request_id}#{subset:08x}"
-                try:
-                    ticket = self.server.service.submit(job, request_id=request_id)
-                    records = ticket.result()
-                except ServiceError as exc:
-                    self._reply({"type": "error", "id": rid, "message": str(exc)})
-                    return
-                owned += ticket.owned_units
-                for record in records:
-                    values[record.plan_key] = record.values
+            request_id = str(rid) if rid is not None else None
             try:
-                reply_records = [{"p": key, "v": values[key]} for key in keys]
-            except KeyError as exc:  # pragma: no cover - a peer answered short
-                self._reply(
-                    {"type": "error", "id": rid, "message": f"fleet merge missed {exc}"}
-                )
+                ticket = self.server.service.submit(job, request_id=request_id)
+                records = ticket.result()
+            except ServiceError as exc:
+                self._reply({"type": "error", "id": rid, "message": str(exc)})
                 return
-            reply = {
-                "type": "result",
-                "id": rid,
-                "owned": owned,
-                "records": reply_records,
-            }
-            if redirects:
-                reply["redirects"] = redirects
-            self._reply(reply)
+            self._reply(
+                {
+                    "type": "result",
+                    "id": rid,
+                    "owned": ticket.owned_units,
+                    "records": [
+                        {"p": record.plan_key, "v": record.values} for record in records
+                    ],
+                }
+            )
         finally:
             with self._lock:
                 self.inflight -= 1
@@ -641,8 +558,6 @@ class ServiceServer:
         }
         self.draining = False
         self.closed = False
-        #: Fleet membership view (see :meth:`join_fleet`); None standalone.
-        self.fleet = None
         self._configs: "LRUCache[str, MachineConfig]" = LRUCache(64)
         self._plans: "LRUCache[str, Plan]" = LRUCache(4096)
         self._accept_thread = threading.Thread(
@@ -740,22 +655,16 @@ class ServiceServer:
 
     # -- fleet membership --------------------------------------------------------
 
-    def join_fleet(self, members: "Sequence[str]", self_url: "str | None" = None):
-        """Join a fleet: enable shard-ownership checks and owner-redirects.
+    def join_fleet(self, members: "Sequence[str]", self_url: "str | None" = None) -> None:
+        """Record the fleet this server belongs to, for its stats and health.
 
-        ``members`` lists every member URL (this server's own URL is added
-        if missing).  From here on, submit frames are checked against the
-        rendezvous ring: misdirected keys are forwarded one hop to their
-        current owner, membership gossip rides on hello/pong replies, and
-        the fronted service reports fleet fields in its stats.  Returns
-        the attached :class:`~repro.runtime.fleet.FleetView`.
+        ``members`` lists every member URL; this server's own URL
+        (``self_url``, default :attr:`url`) is added if missing.  Routing
+        stays with the client (:class:`~repro.runtime.fleet.FleetClient`
+        stripes keys over the ring); the server measures every key it is
+        sent.
         """
-        from repro.runtime.fleet import FleetView
-
-        view = FleetView(members, self_url or self.url)
-        self.fleet = view
-        self.service.attach_fleet(view)
-        return view
+        self.service.fleet_members = tuple(dict.fromkeys([*members, self_url or self.url]))
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -768,10 +677,6 @@ class ServiceServer:
         Returns whether the wire went quiet within ``timeout``.
         """
         self.draining = True
-        if self.fleet is not None:
-            # Handoff: gossip the drain so clients re-stripe and peers stop
-            # forwarding here before the wire even answers ``draining``.
-            self.fleet.state = "draining"
         with self._quiet:
             quiet = self._quiet.wait_for(
                 lambda: self._active_requests == 0, timeout=timeout
@@ -802,8 +707,6 @@ class ServiceServer:
         for connection in connections:
             connection.close()
         self._accept_thread.join(timeout=5.0)
-        if self.fleet is not None:
-            self.fleet.close()
         if self._unix_path is not None:
             try:
                 os.unlink(self._unix_path)
@@ -1002,8 +905,8 @@ class RemoteTransport:
         self.fault_plan = fault_plan
         self.client_id = client_id or uuid.uuid4().hex[:12]
         #: Optional observer of heartbeat replies (``None`` on a failed
-        #: ping) — the hook fleet clients use to consume membership
-        #: gossip without a second probing thread.
+        #: ping) — the hook fleet clients use to learn a member is
+        #: draining without a second probing thread.
         self.on_pong = None
         self._seq = itertools.count(1)
         self._lock = threading.Lock()

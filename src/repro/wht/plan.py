@@ -225,6 +225,16 @@ class Split(Plan):
     def children(self) -> tuple[Plan, ...]:
         return self._children
 
+    def __hash__(self) -> int:
+        # The generated hash of the same fields, computed once per node:
+        # plan-keyed caches hash the same trees many times, and the
+        # generated one walks the whole subtree on every call.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.n, self._children))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def _collect_leaves(self, out: list[Small]) -> None:
         for child in self._children:
             child._collect_leaves(out)

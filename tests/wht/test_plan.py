@@ -1,5 +1,7 @@
 """Tests for the split-tree plan representation."""
 
+import pickle
+
 import pytest
 
 from repro.wht.plan import (
@@ -7,6 +9,7 @@ from repro.wht.plan import (
     Plan,
     Small,
     Split,
+    _split_unchecked,
     plan_from_compositions,
     validate_plan,
 )
@@ -95,6 +98,21 @@ class TestSplit:
     def test_usable_as_dict_key(self):
         table = {Split((Small(1), Small(1))): "a"}
         assert table[Split((Small(1), Small(1)))] == "a"
+
+    def test_every_construction_hashes_and_compares_equal(self):
+        checked = Split((Small(1), Split((Small(2), Small(3)))))
+        unchecked = _split_unchecked(
+            (Small(1), _split_unchecked((Small(2), Small(3)), 5)), 6
+        )
+        from_dict = Plan.from_dict(checked.to_dict())
+        cold_pickle = pickle.loads(pickle.dumps(Split(checked.children)))
+        hash(checked)  # cache the hash before pickling it along
+        warm_pickle = pickle.loads(pickle.dumps(checked))
+        plans = [checked, unchecked, from_dict, cold_pickle, warm_pickle]
+        assert all(plan == checked and checked == plan for plan in plans)
+        assert {hash(plan) for plan in plans} == {hash((6, checked.children))}
+        assert len(set(plans)) == 1
+        assert Split((Small(3), Split((Small(2), Small(1))))) != checked
 
 
 class TestTransformations:
