@@ -1,12 +1,14 @@
 """CI smoke test: suite sink outputs are transport-independent.
 
-Runs the committed CI-sized spec (``benchmarks/suites/ci.json``) twice —
-once through a plain private session and once through a campaign service
-behind a loopback-TCP socket transport — into two fresh artifact
-directories, then requires every sink file (CSV tables, JSONL tables,
-figure-artifact JSON) to be **byte-identical** between the two runs.  The
-manifest is excluded from the comparison (it legitimately records different
-measurement attribution: the service's engine measures on the server side).
+Runs the committed CI-sized spec (``benchmarks/suites/ci.json``) three
+times — through a plain private session, through an in-process tenant of a
+campaign service (whose campaign batches measure on the service's machine),
+and through a campaign service behind a loopback-TCP socket transport — into
+three fresh artifact directories, then requires every sink file (CSV tables,
+JSONL tables, figure-artifact JSON) to be **byte-identical** to the plain
+run's.  The manifest is excluded from the comparison (it legitimately
+records different measurement attribution: the service's engine measures on
+the server side).
 
 This pins the suite subsystem's core reproducibility claim: the execution
 substrate (backend, service, wire) never leaks into the results.
@@ -38,11 +40,13 @@ def sink_files(directory: Path) -> dict[str, bytes]:
     }
 
 
-def run_suite(spec, artifacts: str, connect: str | None = None):
+def run_suite(spec, artifacts: str, connect: str | None = None, service=None):
     from repro.runtime.store import MemoryStore
     from repro.suite import SuiteRun
 
-    run = SuiteRun(spec, store=MemoryStore(), artifacts=artifacts, connect=connect)
+    run = SuiteRun(
+        spec, store=MemoryStore(), artifacts=artifacts, connect=connect, service=service
+    )
     result = run.run()
     if not result.ok:
         raise SystemExit(
@@ -62,34 +66,38 @@ def main() -> int:
     workdir = Path(tempfile.mkdtemp(prefix="repro-suite-smoke-"))
     try:
         plain_dir = workdir / "plain"
+        tenant_dir = workdir / "tenant"
         tcp_dir = workdir / "tcp"
 
         plain = run_suite(spec, str(plain_dir))
+        with CampaignService(workers=2) as service:
+            tenant = run_suite(spec, str(tenant_dir), service=service)
         with CampaignService(workers=2) as service:
             with serve_tcp(service) as server:
                 remote = run_suite(spec, str(tcp_dir), connect=server.url)
 
         plain_files = sink_files(plain_dir)
-        tcp_files = sink_files(tcp_dir)
-        if set(plain_files) != set(tcp_files):
-            only_plain = sorted(set(plain_files) - set(tcp_files))
-            only_tcp = sorted(set(tcp_files) - set(plain_files))
-            raise SystemExit(
-                f"suite smoke: sink file sets differ "
-                f"(plain-only: {only_plain}, tcp-only: {only_tcp})"
-            )
-        different = [
-            name for name, blob in plain_files.items() if tcp_files[name] != blob
-        ]
-        if different:
-            raise SystemExit(
-                f"suite smoke: sink outputs differ across transports: {different}"
-            )
+        for label, directory in (("tenant", tenant_dir), ("tcp", tcp_dir)):
+            files = sink_files(directory)
+            if set(plain_files) != set(files):
+                only_plain = sorted(set(plain_files) - set(files))
+                only_other = sorted(set(files) - set(plain_files))
+                raise SystemExit(
+                    f"suite smoke: sink file sets differ "
+                    f"(plain-only: {only_plain}, {label}-only: {only_other})"
+                )
+            different = [name for name, blob in plain_files.items() if files[name] != blob]
+            if different:
+                raise SystemExit(
+                    f"suite smoke: sink outputs differ between the plain and "
+                    f"{label} sessions: {different}"
+                )
 
         print(
             f"suite smoke OK: {len(plain_files)} sink files byte-identical "
-            f"between the plain session ({plain.total_measured} measurements) "
-            f"and the loopback-TCP service session "
+            f"between the plain session ({plain.total_measured} measurements), "
+            f"the in-process service tenant ({tenant.total_measured} client-side "
+            f"measurements) and the loopback-TCP service session "
             f"({remote.total_measured} client-side measurements)"
         )
         return 0

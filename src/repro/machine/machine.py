@@ -114,8 +114,9 @@ class PreparedPlanCache:
     RSU campaigns, the canonical sweep, the DP searches and the objective
     sweep share every preparation), a bare
     :class:`~repro.runtime.cost_engine.CostEngine`, a
-    :class:`~repro.runtime.service.CampaignService` per machine, and each
-    multiprocess pool worker — all but the session at
+    :class:`~repro.runtime.service.CampaignService` per machine (grown to two
+    of the largest campaign batches it was handed), and each multiprocess
+    pool worker — all but the session and the service at
     :attr:`DEFAULT_CAPACITY`.  A bare :class:`SimulatedMachine` never caches
     by default: its ``prepare`` always does the work it is timed for.
 
@@ -123,8 +124,9 @@ class PreparedPlanCache:
     configurations (the cache does not key on the machine).
     """
 
-    #: Capacity of every owner's cache but the session's (which adds room
-    #: for its two RSU campaign populations).  Entries are ~2 KB each.
+    #: Capacity of every owner's cache but the session's and the service's
+    #: (which add room for two RSU campaign populations).  Entries are ~2 KB
+    #: each.
     DEFAULT_CAPACITY = 1024
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
@@ -136,6 +138,10 @@ class PreparedPlanCache:
     def capacity(self) -> int:
         """Maximum number of retained preparations."""
         return self._entries.capacity
+
+    def reserve(self, capacity: int) -> None:
+        """Grow to retain at least ``capacity`` preparations (never shrinks)."""
+        self._entries.capacity = max(self._entries.capacity, int(capacity))
 
     def get(self, plan: Plan) -> PreparedPlan | None:
         """The cached preparation of ``plan``, or ``None``."""

@@ -121,7 +121,6 @@ from repro.runtime.service import (
     ServiceError,
     ServiceHealth,
     ServiceStats,
-    ServiceStoreView,
     serve,
 )
 from repro.runtime.session import SCALE_PRESETS, Session, session
@@ -196,7 +195,6 @@ __all__ = [
     "JobTicket",
     "ServiceClient",
     "ServiceBackend",
-    "ServiceStoreView",
     "ServiceStats",
     "ServiceHealth",
     "QuarantineEntry",

@@ -22,8 +22,9 @@ Architecture
   channel)``.  However many sessions ask for a plan's cost concurrently,
   exactly one real measurement happens: the first submitter enqueues it,
   everyone else waits on the same in-flight entry.  (Raw measurement batches
-  — campaign tables — dedupe the same way on ``(machine_hash, plan_key,
-  noise_seed)`` through :meth:`CampaignService.measure_units`.)
+  — campaign tables — skip the queue: :meth:`CampaignService.measure_units`
+  runs them on the caller's thread on the service's machine, whose
+  prepared-plan cache simulates each distinct plan once across tenants.)
 * **One acquisition path.**  Each record shard ``(machine_hash, seed)``
   is a :class:`~repro.runtime.cost_engine.CostEngine` over the service's
   store and backend: its record cache is what ``submit`` classifies
@@ -81,8 +82,8 @@ import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.machine.measurement import Measurement
@@ -99,15 +100,12 @@ from repro.runtime.metrics import (
 from repro.runtime.objectives import Objective
 from repro.runtime.sharded_store import ShardedRecordStore, ShardStats
 from repro.runtime.store import (
-    CampaignKey,
     CampaignStore,
     CostLogKey,
-    CostRecords,
     MemoryStore,
     machine_config_hash,
     resolve_store,
 )
-from repro.runtime.table import MeasurementTable
 from repro.util.lru import LRUCache
 from repro.util.rng import backoff_delay
 from repro.util.validation import check_positive_int
@@ -124,9 +122,13 @@ __all__ = [
     "CampaignService",
     "ServiceClient",
     "ServiceBackend",
-    "ServiceStoreView",
     "serve",
 ]
+
+
+#: Capacity of the request-id idempotency table: how many in-flight *and
+#: completed* submissions a resubmitted ``request_id`` is deduped against.
+REQUEST_MEMO = 4096
 
 
 class ServiceError(RuntimeError):
@@ -171,12 +173,11 @@ class _Inflight:
     owns fresh work instead of wedging on an abandoned waiter.
     """
 
-    __slots__ = ("event", "error", "value", "key", "waiters")
+    __slots__ = ("event", "error", "key", "waiters")
 
     def __init__(self, key: tuple = ()) -> None:
         self.event = threading.Event()
         self.error: BaseException | None = None
-        self.value: object | None = None
         self.key = key
         self.waiters = 0
 
@@ -193,25 +194,19 @@ _EXECUTION_COUNTERS = {
 class _Task:
     """One queued batch of real work for the worker fleet."""
 
-    channel: str  # COUNTER_CHANNEL | WALL_CHANNEL | MODEL_CHANNEL | "measure"
+    channel: str  # COUNTER_CHANNEL | WALL_CHANNEL | MODEL_CHANNEL
     config: MachineConfig
     log_key: CostLogKey
-    #: plan key -> plan for record channels; unused for "measure".
-    plan_by_key: "dict[str, Plan]" = field(default_factory=dict)
+    #: plan key -> plan.
+    plan_by_key: "dict[str, Plan]"
     #: wall/model channels: the one metric this task acquires.
     metric: str | None = None
-    #: "measure" channel: (dedup key, unit) payloads.
-    payloads: "list[tuple[tuple, WorkUnit]]" = field(default_factory=list)
     attempts: int = 0
 
     @property
     def token(self) -> str:
         """A stable, human-scannable identity for retry jitter and quarantine."""
-        if self.channel == "measure":
-            parts = sorted(f"{key[1]}#{key[2]}" for key, _ in self.payloads)
-        else:
-            parts = sorted(self.plan_by_key)
-        digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:12]
+        digest = hashlib.sha256("\n".join(sorted(self.plan_by_key)).encode()).hexdigest()[:12]
         return (
             f"{self.channel}:{self.log_key.machine_hash[:12]}:s{self.log_key.seed}"
             f":{self.metric or '-'}:{digest}"
@@ -319,7 +314,7 @@ class JobTicket:
 class ServiceStats:
     """One consistent snapshot of a service's counters and store occupancy."""
 
-    #: Jobs accepted by ``submit`` (not counting raw ``measure_units`` batches).
+    #: Jobs accepted by ``submit`` (not counting ``measure_units`` batches).
     jobs: int
     #: Tasks waiting in the queue right now.
     queue_depth: int
@@ -331,7 +326,8 @@ class ServiceStats:
     #: Requests that attached to work another submitter already had in
     #: flight — each one a duplicate measurement that never happened.
     dedup_savings: int
-    #: Real measurements executed (one per distinct plan per shard).
+    #: Real measurements executed: one per distinct plan per shard for
+    #: records, plus every unit of every ``measure_units`` batch.
     measured: int
     #: Plans evaluated through the analytic model scorers (no machine).
     model_evaluations: int
@@ -347,10 +343,8 @@ class ServiceStats:
     quarantined: int = 0
     #: Worker threads the supervisor replaced after they died mid-task.
     respawns: int = 0
-    #: Tasks waiting out a retry backoff (not in the queue, not executing).
-    scheduled_retries: int = 0
-    #: Alias of ``scheduled_retries`` under the operator-facing name: how
-    #: many tasks are currently *retrying* (parked in the backoff heap).
+    #: Tasks currently *retrying*: waiting out a retry backoff in the heap
+    #: (not in the queue, not executing).
     retrying: int = 0
     #: Seconds until the earliest scheduled retry fires (``None`` when the
     #: retry heap is empty; ``0.0`` when one is already due).
@@ -475,10 +469,6 @@ class CampaignService:
     max_attempts:
         Total tries per task before it is quarantined and its waiters
         receive the failure.
-    request_memo:
-        Capacity of the request-id idempotency table: ``submit`` calls
-        carrying a ``request_id`` (the transport layer's resubmits) are
-        deduped against this many in-flight *and completed* submissions.
     backoff_base:
         First-retry backoff in seconds; attempt ``k``'s delay is
         ``min(backoff_base * 2**(k-1), backoff_cap)`` scaled by a
@@ -508,8 +498,6 @@ class CampaignService:
         backend: ExecutionBackend | None = None,
         workers: int = 2,
         max_attempts: int = 3,
-        measurement_memo: int = 8192,
-        request_memo: int = 4096,
         name: str = "campaign-service",
         backoff_base: float = 0.05,
         backoff_cap: float = 2.0,
@@ -549,11 +537,9 @@ class CampaignService:
         #: writer) and also memoises the never-persisted wall times.
         self._engines: "dict[CostLogKey, CostEngine]" = {}
         #: Pending work: ``(machine_hash, plan_key, seed, channel, metric)``
-        #: for records (``metric`` is None on the counter channel, which
-        #: acquires every counter at once), ``(machine_hash, plan_key,
-        #: noise_seed)`` for raw measurements — the shapes never collide.
+        #: (``metric`` is None on the counter channel, which acquires every
+        #: counter at once).
         self._inflight: "dict[tuple, _Inflight]" = {}
-        self._measure_memo: "LRUCache[tuple, Measurement]" = LRUCache(measurement_memo)
         self._machines: "dict[str, SimulatedMachine]" = {}
         self._machine_locks: "dict[str, threading.Lock]" = {}
         self._hashes: "dict[MachineConfig, str]" = {}
@@ -574,12 +560,14 @@ class CampaignService:
         #: *same* ticket — the work is never enqueued twice, whether it is
         #: still in flight or already finished (the LRU keeps completed
         #: tickets around for late resubmits).
-        self._request_tickets: "LRUCache[str, JobTicket]" = LRUCache(request_memo)
+        self._request_tickets: "LRUCache[str, JobTicket]" = LRUCache(REQUEST_MEMO)
         self._closed = False
         #: Tasks accepted but not yet terminal (queued, executing, or
         #: waiting out a retry backoff).  ``drain`` waits on this — the
         #: queue's own counters cannot see a task parked in the retry heap.
         self._outstanding = 0
+        #: ``measure_units`` batches running on their callers' threads.
+        self._batches = 0
         self._work_cv = threading.Condition(self._lock)
         #: Worker-thread name -> the task it is executing right now.  A
         #: thread that dies leaves its entry behind; the supervisor recovers
@@ -754,78 +742,45 @@ class CampaignService:
     def measure_units(
         self, machine_config: MachineConfig, units: Sequence[WorkUnit]
     ) -> "list[Measurement]":
-        """Measure ``units`` with cross-client dedup, preserving unit order.
+        """Measure ``units`` on the service's machine, in unit order.
 
-        Seeded units dedupe on ``(machine_hash, plan_key, noise_seed)`` — two
-        sessions running the same campaign concurrently share one execution
-        per unit — and recent measurements are memoised so a third session
-        arriving later is served without touching the machine.  Units with
-        ``noise_seed=None`` are not reproducible and execute directly.
+        Runs on the caller's thread, under the machine's lock, so batches on
+        one machine never overlap.  Every tenant shares the machine's
+        prepared-plan cache, which grows to hold two batches of the largest
+        size handed in: a second tenant's copy of a campaign finds every
+        plan already prepared and repeats only the per-unit noise draw.  (A
+        multiprocess backend prepares in its pool workers, whose caches are
+        their own.)  A failing batch evicts the machine (the next batch
+        starts from fresh simulator state) and raises to the caller.
+        ``drain`` and ``shutdown`` wait for batches in progress.
         """
         digest = self._hash_for(machine_config)
-        slots: "list[tuple[str, object]]" = []
-        new_payloads: "list[tuple[tuple, WorkUnit]]" = []
-        direct: "list[tuple[int, WorkUnit]]" = []
         with self._lock:
             if self._closed:
                 raise ServiceError(f"{self.name} is shut down")
-            for index, unit in enumerate(units):
-                if unit.noise_seed is None:
-                    direct.append((index, unit))
-                    slots.append(("direct", index))
-                    continue
-                memo_key = (digest, plan_key(unit.plan), int(unit.noise_seed))
-                hit = self._measure_memo.get(memo_key)
-                if hit is not None:
-                    self._counters["store_hits"] += 1
-                    slots.append(("value", hit))
-                    continue
-                entry = self._inflight.get(memo_key)
-                if entry is not None:
-                    self._counters["dedup_savings"] += 1
-                    slots.append(("wait", entry))
-                    continue
-                entry = _Inflight(memo_key)
-                self._inflight[memo_key] = entry
-                new_payloads.append((memo_key, unit))
-                slots.append(("wait", entry))
-        if new_payloads:
-            self._enqueue(
-                _Task(
-                    "measure",
-                    machine_config,
-                    CostLogKey(machine_hash=digest, seed=0),
-                    payloads=new_payloads,
-                )
-            )
-        direct_results: "dict[int, Measurement]" = {}
-        if direct:
-            machine = self._machine_for(machine_config)
+            self._batches += 1
+        try:
             with self._machine_lock(digest):
-                measured = self.backend.measure_units(
-                    machine, [unit for _, unit in direct]
+                machine = self._machine_for(machine_config)
+                # Room for two batches this size, as a session sizes its cache
+                # for its two campaigns: a second tenant's copy of a campaign
+                # finds every plan the first one prepared.
+                machine.prepared_cache.reserve(
+                    2 * len(units) + PreparedPlanCache.DEFAULT_CAPACITY
                 )
+                try:
+                    measurements = self.backend.measure_units(machine, units)
+                except Exception:
+                    with self._lock:
+                        self._machines.pop(digest, None)
+                    raise
             with self._lock:
-                self._counters["measured"] += len(direct)
-            direct_results = {
-                index: measurement
-                for (index, _), measurement in zip(direct, measured)
-            }
-        results: "list[Measurement]" = []
-        for kind, payload in slots:
-            if kind == "value":
-                results.append(payload)  # type: ignore[arg-type]
-            elif kind == "direct":
-                results.append(direct_results[payload])  # type: ignore[index]
-            else:
-                entry: _Inflight = payload  # type: ignore[assignment]
-                entry.event.wait()
-                if entry.error is not None:
-                    raise ServiceError(
-                        "campaign measurement failed after retries"
-                    ) from entry.error
-                results.append(entry.value)  # type: ignore[arg-type]
-        return results
+                self._counters["measured"] += len(units)
+            return measurements
+        finally:
+            with self._work_cv:
+                self._batches -= 1
+                self._work_cv.notify_all()
 
     # -- worker fleet ------------------------------------------------------------
 
@@ -868,12 +823,6 @@ class CampaignService:
                 self._finish_task()
 
     def _execute(self, task: _Task) -> None:
-        if task.channel == "measure":
-            self._execute_measure(task)
-        else:
-            self._execute_records(task)
-
-    def _execute_records(self, task: _Task) -> None:
         """Acquire a record task's missing values through its shard's engine.
 
         Everything runs under the machine lock, which serialises it against
@@ -903,43 +852,6 @@ class CampaignService:
             self._counters[_EXECUTION_COUNTERS[task.channel]] += acquired
         self._resolve(self._task_inflight_keys(task))
 
-    def _execute_measure(self, task: _Task) -> None:
-        machine = self._machine_for(task.config)
-        digest = task.log_key.machine_hash
-        served: "list[_Inflight]" = []
-        with self._machine_lock(digest):
-            # Retry idempotence: an earlier attempt may have finished part
-            # of the batch before dying — serve those from the memo.
-            with self._lock:
-                pending: "list[tuple[tuple, WorkUnit]]" = []
-                for memo_key, unit in task.payloads:
-                    hit = self._measure_memo.get(memo_key)
-                    if hit is None:
-                        pending.append((memo_key, unit))
-                        continue
-                    entry = self._inflight.pop(memo_key, None)
-                    if entry is not None:
-                        entry.value = hit
-                        served.append(entry)
-            measurements = (
-                self.backend.measure_units(machine, [unit for _, unit in pending])
-                if pending
-                else []
-            )
-        finished: "list[_Inflight]" = []
-        with self._lock:
-            # Every waiter captured the entry object itself, so popping the
-            # in-flight map before setting the events cannot orphan anyone.
-            for (memo_key, _), measurement in zip(pending, measurements):
-                self._measure_memo.put(memo_key, measurement)
-                entry = self._inflight.pop(memo_key, None)
-                if entry is not None:
-                    entry.value = measurement
-                    finished.append(entry)
-            self._counters["measured"] += len(pending)
-        for entry in served + finished:
-            entry.event.set()
-
     def _resolve(self, inflight_keys) -> None:
         """Pop finished in-flight entries and release their waiters."""
         finished = []
@@ -953,8 +865,6 @@ class CampaignService:
 
     def _task_inflight_keys(self, task: _Task) -> "list[tuple]":
         """The in-flight map keys a task's waiters are registered under."""
-        if task.channel == "measure":
-            return [memo_key for memo_key, _ in task.payloads]
         return [
             (task.log_key.machine_hash, key, task.log_key.seed, task.channel, task.metric)
             for key in task.plan_by_key
@@ -966,7 +876,7 @@ class CampaignService:
         Entries left with no waiters are unregistered: the next submit of
         the same key owns fresh work.  The already-queued task still
         completes and persists normally — the engine's cache check in
-        :meth:`_execute_records` keeps a subsequent owner from measuring the
+        :meth:`_execute` keeps a subsequent owner from measuring the
         key twice.
         """
         with self._lock:
@@ -1024,17 +934,13 @@ class CampaignService:
                 entry = self._inflight.pop(inflight_key, None)
                 if entry is not None:
                     entries.append(entry)
-            if task.channel == "measure":
-                plan_keys = tuple(sorted(key[1] for key, _ in task.payloads))
-            else:
-                plan_keys = tuple(sorted(task.plan_by_key))
             token = task.token
             self._quarantine[token] = QuarantineEntry(
                 token=token,
                 channel=task.channel,
                 machine_hash=task.log_key.machine_hash,
                 seed=task.log_key.seed,
-                plan_keys=plan_keys,
+                plan_keys=tuple(sorted(task.plan_by_key)),
                 metric=task.metric,
                 attempts=task.attempts,
                 error=repr(exc),
@@ -1152,14 +1058,14 @@ class CampaignService:
     # -- lifecycle ---------------------------------------------------------------
 
     def drain(self) -> None:
-        """Block until every accepted task is terminal.
+        """Block until every accepted task and ``measure_units`` batch is terminal.
 
         Unlike a bare queue join, this also covers tasks parked in the
         retry heap and tasks being recovered from a dead worker — a task
         counts until it either completed or reached quarantine.
         """
         with self._work_cv:
-            self._work_cv.wait_for(lambda: self._outstanding == 0)
+            self._work_cv.wait_for(lambda: self._outstanding == self._batches == 0)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker fleet and the supervisor (idempotent).
@@ -1169,7 +1075,8 @@ class CampaignService:
         stop being *scheduled* once shutdown begins (tasks already waiting
         out a backoff fire immediately, tasks failing during the drain go
         straight to quarantine).  ``wait=False`` refuses new work, drops
-        scheduled retries and stops workers after their current task;
+        scheduled retries and stops workers after their current task, and
+        ``measure_units`` batches already accepted after theirs;
         waiters of anything unfinished receive a :class:`ServiceError`.
         """
         with self._lock:
@@ -1207,6 +1114,10 @@ class CampaignService:
             if not entry.event.is_set():
                 entry.error = ServiceError(f"{self.name} shut down")
                 entry.event.set()
+        # Batches run on their callers' threads: close the backend only once
+        # none can still be using it.
+        with self._work_cv:
+            self._work_cv.wait_for(lambda: self._batches == 0)
         close_backend = getattr(self.backend, "close", None)
         if callable(close_backend):
             close_backend()
@@ -1251,7 +1162,6 @@ class CampaignService:
             workers=len(self._threads),
             quarantined=quarantined,
             respawns=counters["respawns"],
-            scheduled_retries=scheduled,
             retrying=scheduled,
             next_retry_eta=next_eta,
             resubmits=counters["resubmits"],
@@ -1315,10 +1225,11 @@ class ServiceClient(EngineSurface):
     With ``fallback=True``, a batch the service cannot answer — failed
     after retries (quarantined work), past the client's ``timeout``, or
     refused by a closed service — is served by the private fallback engine
-    of :class:`~repro.runtime.cost_engine.EngineSurface`.  That engine
-    reads (but never writes) the service's store, so whatever the service
-    did persist is a cache hit and the service stays the store's single
-    writer.
+    of :class:`~repro.runtime.cost_engine.EngineSurface`.  That engine's
+    store is an in-memory snapshot of this client's shard, read once from
+    the service's store when the engine is built: whatever the service
+    persisted by then is a cache hit, and the service stays the store's
+    single writer.
     """
 
     def __init__(
@@ -1339,7 +1250,9 @@ class ServiceClient(EngineSurface):
         )
 
     def _fallback_store(self) -> CampaignStore:
-        return ServiceStoreView(self.service.store)
+        store = MemoryStore()
+        store.append_cost_records(self.key, self.service.store.get_cost_records(self.key))
+        return store
 
     def records(
         self, plans: Sequence[Plan], metrics: Sequence[str] | None = None
@@ -1370,9 +1283,10 @@ class ServiceBackend:
     """An :class:`~repro.runtime.backends.ExecutionBackend` over a service.
 
     Lets the existing campaign driver (``run_campaign``, ``measure_plans``)
-    execute through a shared :class:`CampaignService`: every unit batch gains
-    the service's cross-client dedup, so two sessions measuring the same
-    campaign concurrently perform each unit's work once.
+    execute through a shared :class:`CampaignService`: every unit batch runs
+    on the service's machine (see :meth:`CampaignService.measure_units`), so
+    two sessions measuring the same campaign concurrently prepare each
+    distinct plan once.
     """
 
     name = "service"
@@ -1391,44 +1305,6 @@ class ServiceBackend:
 
     def __repr__(self) -> str:
         return f"ServiceBackend({self.service.name!r})"
-
-
-class ServiceStoreView:
-    """A client session's view of the service's store: read-through, no record writes.
-
-    The service is its store's single record-log writer; a client session
-    holding this view reads campaign tables and cost records as usual, while
-    record appends become no-ops (whatever a client acquired *through the
-    service* is already persisted by the service itself).  Campaign-table
-    ``put`` passes through — tables are atomic whole-file writes with no
-    writer discipline to protect.
-    """
-
-    def __init__(self, store: CampaignStore):
-        self._store = store
-
-    def get(self, key: CampaignKey) -> MeasurementTable | None:
-        return self._store.get(key)
-
-    def put(self, key: CampaignKey, table: MeasurementTable) -> None:
-        self._store.put(key, table)
-
-    def get_cost_records(self, key: CostLogKey) -> CostRecords:
-        return self._store.get_cost_records(key)
-
-    def append_cost_records(
-        self, key: CostLogKey, records: Mapping[str, Mapping[str, float]]
-    ) -> None:
-        return None  # the service already persisted everything it acquired
-
-    def compact_cost_records(self, key: CostLogKey) -> None:
-        return None  # shard maintenance belongs to the service
-
-    def clear(self) -> None:
-        return None  # a tenant must not clear the shared store
-
-    def __repr__(self) -> str:
-        return f"ServiceStoreView({self._store!r})"
 
 
 def serve(

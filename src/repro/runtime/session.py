@@ -137,15 +137,17 @@ class Session:
         self.remote_url = remote_url
         self.remote_options = dict(remote_options or {})
         if service is not None:
-            # A tenant session: every measurement routes through the shared
-            # service (cross-session dedup), reads come through the service's
-            # store, and record writes stay with the service — the store's
-            # single writer.  Explicit backend/store arguments are ignored in
-            # favour of the service's; use a plain session to opt out.
-            from repro.runtime.service import ServiceBackend, ServiceStoreView
+            # A tenant session: campaign batches measure on the service's
+            # machine and campaign tables live in the service's store, which
+            # is every tenant's — never clear it.  The session's cost engine
+            # is a ServiceClient, which never appends, so the service stays
+            # the store's single record writer.
+            # Explicit backend/store arguments are ignored in favour of the
+            # service's; use a plain session to opt out.
+            from repro.runtime.service import ServiceBackend
 
             backend = ServiceBackend(service)
-            store = ServiceStoreView(service.store)
+            store = service.store
         self.backend = backend
         self.store = store
         self.dp_max_children = dp_max_children
@@ -168,8 +170,13 @@ class Session:
 
         Any number of connected sessions — across threads, with a shared
         disk-backed service even across processes — share the service's job
-        queue, in-flight dedup and record shards, so overlapping work is
-        measured exactly once fleet-wide::
+        queue, in-flight dedup and record shards, so overlapping search work
+        is measured exactly once fleet-wide.  Their campaign batches run on
+        the service's machine, whose prepared-plan cache simulates each
+        distinct plan once (see
+        :meth:`~repro.runtime.service.CampaignService.measure_units`).  Their
+        campaign tables live in the service's store, and ``session.store`` *is*
+        that store, shared by every tenant: do not ``clear()`` it::
 
             service = repro.serve(store="./campaigns", workers=4)
             a = repro.Session.connect(service)

@@ -119,7 +119,7 @@ class SuiteContext:
         acquisitions — flows through the counted session backend.  Remote
         sessions add the remote client's own counter (engine acquisitions
         happen server-side); connected sessions only see the client counter
-        (campaign work is the shared service's, deduped fleet-wide).  Local
+        (campaign batches measure on the shared service's machine).  Local
         measurements count only when the session's backend is a
         :class:`CountingBackend`.
         """

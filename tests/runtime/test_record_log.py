@@ -351,12 +351,6 @@ def _faulty_store(path):
     return FaultyStore(MemoryStore(), FaultPlan(seed=0))
 
 
-def _service_store_view(path):
-    from repro.runtime.service import ServiceStoreView
-
-    return ServiceStoreView(MemoryStore())
-
-
 def _sharded_store(path):
     from repro.runtime.sharded_store import ShardedRecordStore
 
@@ -371,7 +365,6 @@ def _sharded_store(path):
         DiskStore,
         _sharded_store,
         _faulty_store,
-        _service_store_view,
     ],
     ids=[
         "MemoryStore",
@@ -379,7 +372,6 @@ def _sharded_store(path):
         "DiskStore",
         "ShardedRecordStore",
         "FaultyStore",
-        "ServiceStoreView",
     ],
 )
 def test_protocol_members_exist(store_factory, tmp_path):

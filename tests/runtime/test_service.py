@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.machine.configs import tiny_machine_config
-from repro.machine.machine import SimulatedMachine
+from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import BatchedBackend, WorkUnit
 from repro.runtime.campaigns import sample_units
 from repro.runtime.cost_engine import CostEngine
@@ -22,7 +22,6 @@ from repro.runtime.service import (
     CampaignService,
     ServiceBackend,
     ServiceError,
-    ServiceStoreView,
     serve,
 )
 from repro.runtime.session import Session, session
@@ -283,10 +282,23 @@ class TestConcurrencyStress:
 
 
 class TestMeasureUnits:
-    def test_campaign_units_dedupe_across_clients(self, config):
-        counting = CountingBackend()
-        with CampaignService(backend=counting, workers=3) as service:
+    def test_concurrent_tenants_prepare_each_distinct_plan_once(
+        self, config, monkeypatch
+    ):
+        prepared = []
+        original = SimulatedMachine._prepare_fused
+
+        def recording(machine, plans):
+            prepared.extend(plan_key(plan) for plan in plans)
+            return original(machine, plans)
+
+        monkeypatch.setattr(SimulatedMachine, "_prepare_fused", recording)
+        probe = OverlapProbeBackend()
+        with CampaignService(backend=probe) as service:
             units = sample_units(5, 12, seed=9)
+            # The probe's injected first failure raises to its caller.
+            with pytest.raises(RuntimeError, match="injected"):
+                service.measure_units(config, units[:1])
             backend = ServiceBackend(service)
             machine_a = session(machine=config).machine
             machine_b = session(machine=config).machine
@@ -302,12 +314,66 @@ class TestMeasureUnits:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            assert counting.duplicate_executions() == []
-            assert len(counting.executed) == len(units)
-            for left, right in zip(results[0], results[1]):
-                assert left.cycles == right.cycles
-                assert left.plan == right.plan
+                thread.join(60)
+                assert not thread.is_alive()
+            assert probe.max_active == 1  # one machine, one batch at a time
+            assert sorted(prepared) == sorted({plan_key(u.plan) for u in units})
+            assert len(results[0]) == len(units)
+            assert results[0] == results[1]
+            assert service.stats().measured == 2 * len(units)
+            # Room for two batches of the largest size, however many plans.
+            cache = service._machine_for(config).prepared_cache
+            assert cache.capacity >= 2 * len(units) + PreparedPlanCache.DEFAULT_CAPACITY
+
+    def test_failed_batch_raises_and_the_next_runs_on_a_fresh_machine(self, config):
+        units = sample_units(5, 6, seed=3)
+        with CampaignService(backend=FlakyBackend(failures=1)) as service:
+            before = service._machine_for(config)
+            with pytest.raises(RuntimeError, match="injected worker failure"):
+                service.measure_units(config, units)
+            measured = service.measure_units(config, units)
+            assert service._machine_for(config) is not before
+            assert service.stats().measured == len(units)
+        direct = BatchedBackend().measure_units(session(machine=config).machine, units)
+        assert measured == direct
+
+    def test_hard_shutdown_closes_the_backend_after_running_batches(self, config):
+        entered, release = threading.Event(), threading.Event()
+        closed = []
+
+        class GatedBackend(BatchedBackend):
+            def measure_units(self, machine, units):
+                entered.set()
+                release.wait(30)
+                return super().measure_units(machine, units)
+
+            def close(self):
+                closed.append(True)
+
+        service = CampaignService(backend=GatedBackend())
+        units = sample_units(5, 2, seed=1)
+        results = []
+        batch = threading.Thread(
+            target=lambda: results.append(service.measure_units(config, units))
+        )
+        batch.start()
+        assert entered.wait(30)
+        drain = threading.Thread(target=service.drain)
+        drain.start()
+        drain.join(0.2)
+        assert drain.is_alive()  # a running batch is outstanding work
+        stopper = threading.Thread(target=service.shutdown, kwargs={"wait": False})
+        stopper.start()
+        stopper.join(0.2)
+        assert stopper.is_alive() and not closed  # the batch still runs
+        with pytest.raises(ServiceError, match="shut down"):
+            service.measure_units(config, units)
+        release.set()
+        for thread in (batch, stopper, drain):
+            thread.join(30)
+            assert not thread.is_alive()
+        assert closed == [True]
+        assert len(results) == 1 and len(results[0]) == len(units)
 
     def test_unseeded_units_run_direct(self, config, plans):
         with CampaignService() as service:
@@ -474,11 +540,11 @@ class TestServicePersistence:
 
 
 class TestSessionIntegration:
-    def test_connected_session_uses_service_backend_and_store_view(self, config):
+    def test_connected_session_uses_service_backend_and_store(self, config):
         with CampaignService() as service:
             sess = Session.connect(service, machine=config)
             assert isinstance(sess.backend, ServiceBackend)
-            assert isinstance(sess.store, ServiceStoreView)
+            assert sess.store is service.store
             assert sess.service is service
 
     def test_connected_campaign_matches_plain_session(self, config):
@@ -498,16 +564,21 @@ class TestSessionIntegration:
             assert len(counting.executed) == executed  # b measured nothing
             assert table_a.equals(table_b)
 
-    def test_store_view_refuses_writes_and_clear(self, config, plans):
-        with CampaignService() as service:
-            view = ServiceStoreView(service.store)
-            client = service.client(config)
-            client.records(plans)
-            before = view.get_cost_records(client.key)
-            assert before
-            view.append_cost_records(client.key, {"x": {"cycles": 1.0}})
-            view.clear()
-            assert view.get_cost_records(client.key) == before
+    def test_fallback_serves_persisted_plans_without_writing(
+        self, config, plans, tmp_path
+    ):
+        service = CampaignService(store=str(tmp_path / "campaigns"))
+        expected = service.client(config).records(plans)
+        service.shutdown()
+        (log,) = service.store.shard_paths()
+        before = log.read_bytes()
+        degraded = service.client(config, fallback=True)
+        assert degraded.records(plans) == expected
+        assert degraded.fallbacks == 1
+        assert degraded.measured == 0  # every plan was a snapshot hit
+        degraded.records([right_recursive_plan(6)])  # a new plan, measured privately
+        assert degraded.measured == 1
+        assert log.read_bytes() == before
 
     def test_client_counters_attribute_owned_work(self, config, plans):
         with CampaignService() as service:

@@ -618,7 +618,6 @@ class TestRetryObservability:
             service.submit(CampaignJob(config, (plans[0],), ("cycles",), seed=0))
             assert _wait_until(lambda: service.stats().retrying >= 1)
             stats = service.stats()
-            assert stats.retrying == stats.scheduled_retries
             assert stats.next_retry_eta is not None
             assert 0.0 < stats.next_retry_eta <= 90.0
             health = service.health()
