@@ -113,12 +113,26 @@ def ring_owner(members: Sequence[str], machine_hash: str, key: str) -> str:
 def ring_assign(
     members: Sequence[str], machine_hash: str, keys: Sequence[str]
 ) -> "dict[str, list[str]]":
-    """Group ``keys`` by owning member, preserving key order within groups."""
+    """Group ``keys`` by :func:`ring_owner`, preserving key order within groups.
+
+    Unrolls :func:`ring_weight`: the ``("fleet-ring", member, machine_hash)``
+    prefix is folded once per member (its dropped top bit only reaches the
+    masked-off top bit), and each key's characters are hashed once."""
     if len(members) == 1 and keys:
         return {members[0]: list(keys)}  # the sole member owns every key
+    if keys and not members:
+        raise ServiceError("fleet has no live members")
+    prefixes = [(derive_seed(0, "fleet-ring", member, machine_hash), member) for member in members]
     groups: "dict[str, list[str]]" = {}
     for key in keys:
-        groups.setdefault(ring_owner(members, machine_hash, key), []).append(key)
+        tag = 0
+        for char in key:  # derive_seed's string tag hash
+            tag = (tag * 131 + ord(char)) & 0xFFFFFFFFFFFFFFFF
+        _, owner = max(
+            (((prefix ^ tag) * 0xBF58476D1CE4E5B9) & 0x7FFFFFFFFFFFFFFF, member)
+            for prefix, member in prefixes
+        )
+        groups.setdefault(owner, []).append(key)
     return groups
 
 
@@ -365,8 +379,7 @@ class FleetClient(EngineSurface):
             except (TransportError, RemoteServiceError):
                 self.registry.mark_partitioned(url, self.partition_duration)
                 continue
-            with self._lock:
-                self._failures[url] = 0
+            self._failures[url] = 0
             handler = transport.on_pong
             if handler is not None:
                 handler(reply)
@@ -388,24 +401,18 @@ class FleetClient(EngineSurface):
         if decision.delay:
             time.sleep(decision.delay)
         if decision.kill:
-            with self._lock:
-                self.injected_kills += 1
+            self.injected_kills += 1
             self.registry.mark(url, DEAD)
             raise _GroupFailure(f"injected member kill: {url}")
         if decision.error:
-            with self._lock:
-                self.injected_partitions += 1
+            self.injected_partitions += 1
             self.registry.mark_partitioned(url, self.partition_duration)
             raise _GroupFailure(f"injected member partition: {url}")
 
-    def _submit_group(
+    def _send_group(
         self, url: str, rid: str, keys: Sequence[str], names: "tuple[str, ...]"
-    ) -> "tuple[dict[str, dict[str, float]], int]":
-        """One striped sub-batch to its owner: ``(values, owned)``.
-
-        Raises :class:`_GroupFailure` when the group should rehash over
-        the survivors.
-        """
+    ) -> "tuple[RemoteTransport, dict, object]":
+        """Send one striped sub-batch to its owner, for :meth:`_await_group`."""
         self._inject(url)
         transport = self._transport_for(url)
         frame = {
@@ -415,34 +422,33 @@ class FleetClient(EngineSurface):
             "plans": list(keys),
             "metrics": list(names),
             "seed": self.seed,
-            "deadline": None,
         }
+        return transport, frame, transport.send(frame)
+
+    def _await_group(
+        self, url: str, transport: RemoteTransport, frame: dict, sent: object
+    ) -> "tuple[dict[str, dict[str, float]], int]":
+        """A sent group's ``(values, owned)``, its timeout counted from its send;
+        raises :class:`_GroupFailure` when its keys should rehash over the survivors."""
         try:
-            reply = transport.call(frame, timeout=self.timeout)
-        except RemoteServiceError:
-            raise
+            reply = transport.call(frame, timeout=self.timeout, sent=sent)
         except TransportError as exc:
             if not self._can_fail_over(url):
                 raise
             # The member's reconnect budget is exhausted: the first time,
             # treat it as a partition (it may come back) and rehash its
             # keys now; a repeat without an intervening success is death.
-            with self._lock:
-                failures = self._failures.get(url, 0) + 1
-                self._failures[url] = failures
+            failures = self._failures[url] = self._failures.get(url, 0) + 1
             if failures >= 2:
                 self.registry.mark(url, DEAD)
             else:
                 self.registry.mark_partitioned(url, self.partition_duration)
             raise _GroupFailure(f"member {url} unreachable: {exc}") from exc
-        with self._lock:
-            self._failures[url] = 0
+        self._failures[url] = 0
         kind = reply.get("type")
         if kind == "result":
             values = {
-                record["p"]: {
-                    name: float(value) for name, value in record["v"].items()
-                }
+                record["p"]: {name: float(value) for name, value in record["v"].items()}
                 for record in reply["records"]
             }
             return values, int(reply.get("owned", 0))
@@ -461,14 +467,13 @@ class FleetClient(EngineSurface):
         """Stripe ``keys`` across the live ring until every key has values.
 
         Each round assigns the pending keys over the currently-alive
-        members and submits the groups concurrently; groups whose member
-        died or drained mid-round are rehashed over the survivors in the
-        next round.  Request ids are remembered per ``(member, group)``,
-        so a group resubmitted to the *same* member (a healed partition)
-        reuses its original id and dedupes against the member's ticket
-        table; groups adopted by a different member dedupe through the
-        shared record space instead.  Counters are added here, on the
-        calling thread, from each group's outcome.
+        members, sends every group's frame, then waits for each reply on
+        the calling thread; groups whose member died or drained mid-round
+        are rehashed over the survivors in the next round.  Request ids are
+        remembered per ``(member, group)``, so a group resubmitted to the
+        *same* member (a healed partition) reuses its original id and
+        dedupes against the member's ticket table; groups adopted by a
+        different member dedupe through the shared record space instead.
         """
         pending = list(dict.fromkeys(keys))
         values: "dict[str, dict[str, float]]" = {}
@@ -485,45 +490,29 @@ class FleetClient(EngineSurface):
                 continue
             groups = ring_assign(members, self.machine_hash, pending)
             outcomes: "dict[str, object]" = {}
-
-            def run(url: str, keys_for_url: "list[str]") -> None:
+            for url, keys_for_url in groups.items():
                 rid_key = (url, tuple(keys_for_url))
-                rid = rids.get(rid_key)
-                if rid is None:
-                    rid = rids[rid_key] = self.next_request_id()
+                rid = rids[rid_key] = rids.get(rid_key) or self.next_request_id()
                 try:
-                    outcomes[url] = self._submit_group(url, rid, keys_for_url, names)
+                    outcomes[url] = self._send_group(url, rid, keys_for_url, names)
                 except (_GroupFailure, ServiceError) as exc:
                     outcomes[url] = exc
-
-            if len(groups) == 1:
-                ((url, keys_for_url),) = groups.items()
-                run(url, keys_for_url)
-            else:
-                threads = [
-                    threading.Thread(
-                        target=run, args=(url, keys_for_url), name=f"fleet-submit-{url}"
-                    )
-                    for url, keys_for_url in groups.items()
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-
-            still_pending: "list[str]" = []
+            pending, error = [], None
             for url, keys_for_url in groups.items():
-                outcome = outcomes.get(url)
-                if outcome is None or isinstance(outcome, _GroupFailure):
+                try:
+                    if isinstance(outcomes[url], Exception):
+                        raise outcomes[url]
+                    group_values, owned = self._await_group(url, *outcomes[url])
+                except _GroupFailure:
                     self.failovers += 1
-                    still_pending.extend(keys_for_url)
-                elif isinstance(outcome, Exception):
-                    raise outcome
+                    pending.extend(keys_for_url)
+                except ServiceError as exc:
+                    error = error or exc  # raised once every sent group is answered
                 else:
-                    group_values, owned = outcome
                     values.update(group_values)
                     self.measured += owned
-            pending = still_pending
+            if error is not None:
+                raise error
         return values
 
     # -- engine surface -------------------------------------------------------

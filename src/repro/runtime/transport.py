@@ -10,8 +10,9 @@ re-execution, chaos injection) extends across it unchanged:
 * :func:`serve_tcp` / :func:`serve_unix` start a :class:`ServiceServer` —
   a threaded accept loop fronting an existing service.  Each connection
   speaks **length-prefixed JSON frames** (4-byte big-endian length, then a
-  UTF-8 JSON object); submits dispatch to per-request handler threads so a
-  slow batch never blocks the connection's heartbeats.
+  UTF-8 JSON object).  A submit is answered on the connection thread when
+  the record cache holds every key; otherwise a handler thread waits for
+  its ticket, so a slow batch never blocks the connection's heartbeats.
 * :class:`RemoteTransport` is the supervised client end of one
   connection.  The engine surface over it is
   :class:`~repro.runtime.fleet.FleetClient` — a single server URL is a
@@ -73,7 +74,8 @@ from repro.machine.cache import CacheConfig
 from repro.machine.cpu import CycleModel, InstructionCostModel
 from repro.machine.machine import MachineConfig
 from repro.runtime.faults import FaultPlan
-from repro.runtime.service import CampaignJob, CampaignService, ServiceError
+from repro.runtime.metrics import metric_spec
+from repro.runtime.service import CampaignJob, CampaignService, JobTicket, ServiceError
 from repro.util.lru import LRUCache
 from repro.util.rng import backoff_delay
 from repro.wht.plan import Plan
@@ -432,72 +434,68 @@ class _ServerConnection:
             )
 
     def _accept_submit(self, frame: Mapping, rid: object) -> None:
+        """Submit on this thread (a shard's first submit seeds its record cache
+        here) and answer a done ticket inline; an unfinished one goes to a
+        handler thread, so a slow batch never blocks this connection's pings."""
         if self.server.draining or self.server.closed:
             self.server._count("drained")
             self._reply({"type": "draining", "id": rid})
             return
+        try:
+            deadline = frame.get("deadline")
+            job = CampaignJob(
+                machine_config=self.server._config_from(frame["machine"]),
+                plan_batch=tuple(self.server._plan_from(str(key)) for key in frame["plans"]),
+                metrics=tuple(metric_spec(name).name for name in frame["metrics"]),
+                seed=int(frame.get("seed", 0)),
+                deadline=float(deadline) if deadline is not None else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            self._reply({"type": "error", "id": rid, "message": f"malformed submit: {exc}"})
+            return
         with self._lock:
             if self.inflight >= self.server.max_inflight:
                 self.server._count("backpressure")
-                self._reply(
-                    {
-                        "type": "busy",
-                        "id": rid,
-                        "inflight": self.inflight,
-                        "limit": self.server.max_inflight,
-                    }
-                )
+                limit = self.server.max_inflight
+                self._reply({"type": "busy", "id": rid, "inflight": self.inflight, "limit": limit})
                 return
             self.inflight += 1
         self.server._begin_request()
-        threading.Thread(
-            target=self._run_submit,
-            args=(frame, rid),
-            name=f"{self.server.name}-submit-{rid}",
-            daemon=True,
-        ).start()
+        try:
+            ticket = self.server.service.submit(job, request_id=None if rid is None else str(rid))
+        except BaseException as exc:
+            self._end_submit()
+            if not isinstance(exc, ServiceError):
+                raise
+            self._reply({"type": "error", "id": rid, "message": str(exc)})
+            return
+        if ticket.done():
+            self._answer(ticket, rid)
+        else:
+            threading.Thread(
+                target=self._answer,
+                args=(ticket, rid),
+                name=f"{self.server.name}-submit-{rid}",
+                daemon=True,
+            ).start()
 
-    def _run_submit(self, frame: Mapping, rid: object) -> None:
+    def _answer(self, ticket: JobTicket, rid: object) -> None:
+        """Wait for ``ticket``'s records and send the result (or error) frame."""
+        reply = {"type": "result", "id": rid, "owned": ticket.owned_units}
         try:
             try:
-                config = self.server._config_from(frame["machine"])
-                deadline = frame.get("deadline")
-                job = CampaignJob(
-                    machine_config=config,
-                    plan_batch=tuple(
-                        self.server._plan_from(str(key)) for key in frame["plans"]
-                    ),
-                    metrics=tuple(frame["metrics"]),
-                    seed=int(frame.get("seed", 0)),
-                    deadline=float(deadline) if deadline is not None else None,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                self._reply(
-                    {"type": "error", "id": rid, "message": f"malformed submit: {exc}"}
-                )
-                return
-            request_id = str(rid) if rid is not None else None
-            try:
-                ticket = self.server.service.submit(job, request_id=request_id)
-                records = ticket.result()
+                reply["records"] = [{"p": r.plan_key, "v": r.values} for r in ticket.result()]
             except ServiceError as exc:
-                self._reply({"type": "error", "id": rid, "message": str(exc)})
-                return
-            self._reply(
-                {
-                    "type": "result",
-                    "id": rid,
-                    "owned": ticket.owned_units,
-                    "records": [
-                        {"p": record.plan_key, "v": record.values} for record in records
-                    ],
-                }
-            )
+                reply = {"type": "error", "id": rid, "message": str(exc)}
+            self._reply(reply)
         finally:
-            with self._lock:
-                self.inflight -= 1
-            self.last_activity = time.monotonic()
-            self.server._end_request()
+            self._end_submit()
+
+    def _end_submit(self) -> None:
+        with self._lock:
+            self.inflight -= 1
+        self.last_activity = time.monotonic()
+        self.server._end_request()
 
 
 class ServiceServer:
@@ -781,12 +779,26 @@ def serve_unix(service: CampaignService, path: "str | os.PathLike[str]", **kwarg
 
 
 class _ReplySlot:
-    __slots__ = ("event", "reply", "error")
+    """One sent request's pending reply: what the send half hands the wait half."""
 
-    def __init__(self) -> None:
+    __slots__ = ("rid", "conn", "sent_at", "event", "reply", "error")
+
+    def __init__(self, rid: str, conn: "_ClientConnection | None", error=None) -> None:
+        self.rid, self.conn, self.sent_at = rid, conn, time.monotonic()
         self.event = threading.Event()
         self.reply: "dict | None" = None
-        self.error: "TransportError | None" = None
+        self.error: "ServiceError | None" = error
+        if error is not None:
+            self.event.set()
+
+    def wait(self, timeout: "float | None") -> dict:
+        if not self.event.wait(timeout):
+            with self.conn._lock:
+                self.conn._pending.pop(self.rid, None)
+            raise TransportError(f"request {self.rid} timed out after {timeout} s")
+        if self.error is not None:
+            raise self.error
+        return self.reply
 
 
 class _ClientConnection:
@@ -833,29 +845,17 @@ class _ClientConnection:
             slot.event.set()
         self.transport.close()
 
-    def request(self, payload: Mapping, timeout: "float | None") -> dict:
-        rid = payload["id"]
-        slot = _ReplySlot()
+    def send(self, payload: Mapping) -> _ReplySlot:
         with self._lock:
             if not self.alive:
-                raise TransportError("connection is dead")
-            self._pending[rid] = slot
+                return _ReplySlot(payload["id"], None, TransportError("connection is dead"))
+            slot = self._pending[payload["id"]] = _ReplySlot(payload["id"], self)
         try:
             with self._send_lock:
                 self.transport.send(payload)
         except TransportError as exc:
-            self.fail(exc)
-            raise
-        if not slot.event.wait(timeout):
-            with self._lock:
-                self._pending.pop(rid, None)
-            raise TransportError(
-                f"request {rid} timed out after {timeout} s"
-            )
-        if slot.error is not None:
-            raise slot.error
-        assert slot.reply is not None
-        return slot.reply
+            self.fail(exc)  # resolves the registered slot
+        return slot
 
     def close(self) -> None:
         self.fail(TransportError("connection closed by client"))
@@ -979,10 +979,9 @@ class RemoteTransport:
         if self.fault_plan is not None:
             transport = FaultyTransport(transport, self.fault_plan)
         connection = _ClientConnection(transport)
-        hello = connection.request(
-            {"type": "hello", "id": self.next_request_id(), "version": PROTOCOL_VERSION},
-            timeout=self.connect_timeout,
-        )
+        hello = connection.send(
+            {"type": "hello", "id": self.next_request_id(), "version": PROTOCOL_VERSION}
+        ).wait(self.connect_timeout)
         if hello.get("type") == "error":
             connection.close()
             raise RemoteServiceError(hello.get("message", "handshake rejected"))
@@ -1013,15 +1012,29 @@ class RemoteTransport:
                 self._conn = conn
             return conn
 
-    def call(self, payload: dict, timeout: "float | None" = None) -> dict:
-        """Send ``payload`` and return the server's answer, supervising the wire.
+    def send(self, payload: Mapping) -> _ReplySlot:
+        """The send half of :meth:`call`: dial if need be, write the frame.
+        Never raises: a failed dial or write lands in the returned slot."""
+        try:
+            conn = self._ensure_connected()
+        except ServiceError as exc:
+            return _ReplySlot(payload["id"], None, exc)
+        return conn.send(payload)
+
+    def call(
+        self, payload: dict, timeout: "float | None" = None, sent: "_ReplySlot | None" = None
+    ) -> dict:
+        """Send ``payload`` (unless ``sent``, the slot of an earlier :meth:`send`
+        of it, is given) and return the server's answer, supervising the wire.
 
         Connection failures and ``busy`` frames are retried up to
         ``max_attempts`` times with backoff, always with the same request
         id — the resubmit-after-reconnect path the service's idempotency
-        table exists for.  ``timeout`` bounds the *total* wait.
+        table exists for.  ``timeout`` bounds the *total* wait, counted from
+        the first send.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
+        slot = self.send(payload) if sent is None else sent
+        deadline = None if timeout is None else slot.sent_at + timeout
         last_error: "TransportError | None" = None
         for attempt in range(1, self.max_attempts + 1):
             if attempt > 1:
@@ -1032,16 +1045,11 @@ class RemoteTransport:
                     if remaining <= 0:
                         break
                     delay = min(delay, remaining)
-                if delay > 0:
-                    time.sleep(delay)
+                time.sleep(delay)
+                slot = self.send(payload)
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
             try:
-                conn = self._ensure_connected()
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    break
-                reply = conn.request(payload, remaining)
-            except RemoteServiceError:
-                raise
+                reply = slot.wait(remaining)
             except TransportError as exc:
                 last_error = exc
                 continue
@@ -1064,9 +1072,7 @@ class RemoteTransport:
                 continue  # reconnects are lazy: the next real request dials
             observer = self.on_pong
             try:
-                reply = conn.request(
-                    {"type": "ping", "id": self.next_request_id()}, timeout=interval
-                )
+                reply = conn.send({"type": "ping", "id": self.next_request_id()}).wait(interval)
             except TransportError:
                 conn.fail(TransportError("heartbeat failed"))
                 reply = None

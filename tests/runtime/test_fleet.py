@@ -20,6 +20,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.runtime.fleet as fleet_module
@@ -190,6 +192,25 @@ class TestRendezvousRing:
     def test_empty_ring_raises(self):
         with pytest.raises(ServiceError):
             ring_owner((), "mh", "k")
+        with pytest.raises(ServiceError):
+            ring_assign((), "mh", ["k"])
+        assert ring_assign((), "mh", []) == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        members=st.lists(st.text(min_size=1, max_size=24), min_size=1, max_size=4, unique=True),
+        machine_hash=st.one_of(
+            st.text(alphabet="0123456789abcdef", min_size=64, max_size=64), st.text()
+        ),
+        keys=st.lists(st.text(max_size=40), max_size=24),
+    )
+    def test_assign_groups_exactly_as_ring_owner(self, members, machine_hash, keys):
+        # ring_assign unrolls derive_seed; ring_owner/ring_weight stay the
+        # reference it must match bit for bit, key order kept per group.
+        expected = {}
+        for key in keys:
+            expected.setdefault(ring_owner(members, machine_hash, key), []).append(key)
+        assert ring_assign(members, machine_hash, keys) == expected
 
 
 # -- membership ----------------------------------------------------------------
@@ -671,6 +692,30 @@ class TestTransportThreadHygiene:
             while (transport_threads() - before) and time.monotonic() < deadline:
                 time.sleep(0.05)
             assert transport_threads() - before == set()
+
+    def test_warm_rounds_start_no_threads(self, config, plans, tmp_path, monkeypatch):
+        # A warm round sends every group's frame from the calling thread,
+        # and each server answers its all-cached submit on the connection
+        # thread: no fleet-submit-* or *-submit-* thread, no thread at all.
+        with Fleet(tmp_path, size=2) as fleet:
+            client = FleetClient(fleet.urls, config, heartbeat_interval=None)
+            cold = client.records(plans)
+            keys = [record.plan_key for record in cold]
+            assert len(ring_assign(fleet.urls, client.machine_hash, keys)) == 2
+            started = []
+            original = threading.Thread.start
+
+            def start(thread):
+                started.append(thread.name)
+                return original(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", start)
+            for _ in range(100):
+                assert client.records(plans) == cold
+            monkeypatch.setattr(threading.Thread, "start", original)
+            client.close()
+        assert started == []
+        assert client.measured == len(plans)
 
     def test_100_connect_close_cycles_leak_no_threads(self, config):
         with CampaignService(backend=BatchedBackend(), workers=1) as service:

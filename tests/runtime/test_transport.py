@@ -505,6 +505,44 @@ class TestConnectionSupervision:
             with RemoteServiceClient(server.url, config) as client:
                 assert client.records(plans)  # ...and keeps serving others
 
+    def test_unknown_metric_names_get_an_error_not_a_hang(self, config, plans):
+        # An unknown name and an unhashable one are refused when the frame
+        # is parsed; the client gets an error frame, and its connection
+        # keeps serving (a timeout turns a regression into a failure).
+        with CampaignService() as service, serve_tcp(service) as server:
+            with RemoteServiceClient(server.url, config, timeout=10.0) as client:
+                with pytest.raises(RemoteServiceError, match="malformed submit.*nope"):
+                    client.records(plans, metrics=["nope"])
+                with pytest.raises(RemoteServiceError, match="malformed submit.*unhashable"):
+                    client.records(plans, metrics=[["x"]])
+                reference = _private_engine(config).records(plans, ["cycles"])
+                assert client.records(plans, metrics=["cycles"]) == reference
+                assert client.transports[server.url].reconnects == 0
+
+    def test_a_ping_is_answered_while_a_cold_submit_measures(self, config, plans):
+        # The connection thread only submits; a ticket with work in flight
+        # is waited on by a handler thread, so the pong overtakes the result.
+        gated = GatedBackend()
+        with CampaignService(backend=gated, workers=1) as service:
+            with serve_tcp(service) as server:
+                frames = _handshake(server.url)
+                frames.send(
+                    {
+                        "type": "submit",
+                        "id": "raw:submit",
+                        "machine": machine_config_to_wire(config),
+                        "plans": [plan_key(plan) for plan in plans],
+                        "metrics": ["cycles"],
+                    }
+                )
+                frames.send({"type": "ping", "id": "raw:ping"})
+                assert frames.recv()["id"] == "raw:ping"
+                gated.gate.set()
+                reply = frames.recv()
+                assert (reply["type"], reply["id"]) == ("result", "raw:submit")
+                assert reply["owned"] == len(plans)
+                frames.close()
+
     def test_bad_urls_are_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unsupported service URL"):
             RemoteTransport("http://example.com")
