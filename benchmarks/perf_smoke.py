@@ -1,9 +1,9 @@
 """CI perf smoke test for the measurement substrate and the search engine.
 
 This is the repository's one perf gate script.  Each workload named in the
-``BASELINE_SECONDS`` table below is timed once (the n=14 prepare: best of
-three) and gated at ``TIME_SLACK`` times its entry; each gate prints its
-measured value next to its bound.  Layered speed numbers come from
+``BASELINE_SECONDS`` table below is timed once (the n=14 prepare and the
+buffered 10k RSU sample: best of three) and gated at ``TIME_SLACK`` times
+its entry; each gate prints its measured value next to its bound.  Layered speed numbers come from
 ``perfbench/`` (see ``BENCHMARK.json``), not from this script.
 
 Runs a small but representative workload — `SimulatedMachine.prepare` of an
@@ -48,9 +48,10 @@ within 30% of the in-process service client.  The declarative suite runner
 is gated by ``check_suite``: a cold run of the committed CI spec over a
 fresh disk store completes and measures, and a warm re-run against the same
 store performs zero new measurements, skips every unit, and finishes at
-least 10x faster; a cold run whose objective sweep re-draws both campaign
-populations prepares no plan twice.  The theory optimiser is gated by ``check_theory``: the
-n=20 instruction-count extremes stay polynomial (the plan-per-composition
+least 10x faster (best of three cold/warm pairs); a cold run whose
+objective sweep re-draws both campaign populations prepares no plan twice.
+The theory optimiser is gated by ``check_theory``: the n=20
+instruction-count extremes stay polynomial (the plan-per-composition
 enumeration it replaced took minutes there), and the n=13 extremes match
 their pinned values.
 
@@ -158,18 +159,22 @@ def gate(name: str, value: float, op: str, bound: float, unit: str = "s") -> Non
         )
 
 
-def timed(name: str, fn):
-    """Run ``fn`` once; gate its wall time at ``TIME_SLACK`` x its baseline.
+def timed(name: str, fn, runs: int = 1):
+    """Run ``fn`` ``runs`` times; gate the best wall time at ``TIME_SLACK`` x
+    its baseline.
 
-    A full garbage collection runs first, so that a cyclic-GC pass owed to
-    the objects earlier work allocated does not fall inside the window: with
-    several hundred thousand objects alive, one such pass tripled the 0.1 s
-    ``sample_10k_buffered``.  Returns ``(result, seconds)``.
+    A full garbage collection runs before each run, so that a cyclic-GC
+    pass owed to the objects earlier work allocated does not fall inside the
+    window: with several hundred thousand objects alive, one such pass
+    tripled the 0.1 s ``sample_10k_buffered``.  Returns ``(result of the
+    last run, best seconds)``.
     """
-    gc.collect()
-    start = time.perf_counter()
-    out = fn()
-    seconds = time.perf_counter() - start
+    seconds = float("inf")
+    for _ in range(runs):
+        gc.collect()
+        start = time.perf_counter()
+        out = fn()
+        seconds = min(seconds, time.perf_counter() - start)
     gate(name, seconds, "<=", BASELINE_SECONDS[name] * TIME_SLACK)
     return out, seconds
 
@@ -661,9 +666,12 @@ def check_search_timings() -> None:
         return [one_at_a_time.sample(MODEL_SIZE, generator) for _ in range(MODEL_SAMPLES)]
 
     scalar_drawn, _ = timed("sample_10k_scalar", scalar_samples)
+    # Best of three: an absolute 0.15 s budget leaves little room for
+    # scheduling noise on a shared host.
     buffered_drawn, seconds = timed(
         "sample_10k_buffered",
         lambda: RSUSampler().sample_many(MODEL_SIZE, MODEL_SAMPLES, rng=11),
+        runs=3,
     )
     gate("sample_10k_buffered", seconds, "<", SAMPLE_10K_BUDGET)
     if buffered_drawn != scalar_drawn:
@@ -1299,7 +1307,8 @@ def check_suite() -> None:
       check);
     * a warm re-run of the same spec against the same store + manifest
       performs **zero** new measurements and skips every unit;
-    * the warm run is at least 10x faster than the cold run — resume must
+    * the warm run is at least 10x faster than the cold run (the best of
+      three cold/warm pairs, each over a fresh store) — resume must
       short-circuit the work, not redo it quietly from caches.
 
     A fourth gate counts, not times: a cold run of
@@ -1342,38 +1351,45 @@ def check_suite() -> None:
     spec = load_spec(str(Path(__file__).resolve().parent / "suites" / "ci.json"))
     workdir = tempfile.mkdtemp(prefix="repro-suite-perf-")
     try:
-        store = str(Path(workdir) / "campaigns")
-        artifacts = str(Path(workdir) / "artifacts")
+        pairs = []
+        # Best of three cold/warm pairs, each over its own fresh store: a
+        # 10x ratio over a ~0.1 s cold run leaves little room for
+        # scheduling noise on a shared host.
+        for index in range(3):
+            store = str(Path(workdir) / f"campaigns-{index}")
+            artifacts = str(Path(workdir) / f"artifacts-{index}")
 
-        start = time.perf_counter()
-        cold = SuiteRun(spec, store=store, artifacts=artifacts).run()
-        cold_seconds = time.perf_counter() - start
-        if not cold.ok:
-            raise SystemExit(
-                f"suite regression: cold run failed units: "
-                f"{[r.unit_id for r in cold.failed]}"
-            )
-        if cold.total_measured == 0:
-            raise SystemExit("suite vacuity regression: cold run measured nothing")
+            start = time.perf_counter()
+            cold = SuiteRun(spec, store=store, artifacts=artifacts).run()
+            cold_seconds = time.perf_counter() - start
+            if not cold.ok:
+                raise SystemExit(
+                    f"suite regression: cold run failed units: "
+                    f"{[r.unit_id for r in cold.failed]}"
+                )
+            if cold.total_measured == 0:
+                raise SystemExit("suite vacuity regression: cold run measured nothing")
 
-        start = time.perf_counter()
-        warm = SuiteRun(spec, store=store, artifacts=artifacts).run()
-        warm_seconds = time.perf_counter() - start
-        if not warm.ok:
-            raise SystemExit(
-                f"suite regression: warm run failed units: "
-                f"{[r.unit_id for r in warm.failed]}"
-            )
-        if warm.total_measured != 0:
-            raise SystemExit(
-                f"suite resume regression: warm re-run performed "
-                f"{warm.total_measured} new measurements (expected 0)"
-            )
-        if len(warm.skipped) != len(warm.results):
-            raise SystemExit(
-                f"suite resume regression: warm re-run skipped only "
-                f"{len(warm.skipped)} of {len(warm.results)} units"
-            )
+            start = time.perf_counter()
+            warm = SuiteRun(spec, store=store, artifacts=artifacts).run()
+            warm_seconds = time.perf_counter() - start
+            if not warm.ok:
+                raise SystemExit(
+                    f"suite regression: warm run failed units: "
+                    f"{[r.unit_id for r in warm.failed]}"
+                )
+            if warm.total_measured != 0:
+                raise SystemExit(
+                    f"suite resume regression: warm re-run performed "
+                    f"{warm.total_measured} new measurements (expected 0)"
+                )
+            if len(warm.skipped) != len(warm.results):
+                raise SystemExit(
+                    f"suite resume regression: warm re-run skipped only "
+                    f"{len(warm.skipped)} of {len(warm.results)} units"
+                )
+            pairs.append((cold_seconds, warm_seconds))
+        cold_seconds, warm_seconds = min(pairs, key=lambda pair: pair[1] / pair[0])
         if warm_seconds > cold_seconds / 10.0:
             raise SystemExit(
                 f"suite resume perf regression: warm run took "

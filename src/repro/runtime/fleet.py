@@ -7,7 +7,8 @@ engine surface.  A :class:`FleetClient`
 ``Session.connect("tcp://a")`` for a one-member fleet) stripes every
 submit across the member servers by
 ``hash(machine_hash, plan_key)`` over a **rendezvous ring** — a pure
-derivation, so each key has one well-defined owner at any membership —
+derivation, so each key has one well-defined owner at any membership,
+which the client caches per live ring: a warm round hashes nothing —
 while all members persist into one shared record space (a
 :class:`~repro.runtime.sharded_store.ShardedRecordStore` directory, whose
 flock-guarded whole-batch appends make concurrent writers safe).
@@ -63,6 +64,7 @@ from repro.runtime.transport import (
     TransportError,
     machine_config_to_wire,
 )
+from repro.util.lru import LRUCache
 from repro.util.rng import derive_seed
 from repro.wht.encoding import plan_key
 from repro.wht.plan import Plan
@@ -107,32 +109,18 @@ def ring_owner(members: Sequence[str], machine_hash: str, key: str) -> str:
     """The member owning ``(machine_hash, key)`` under rendezvous hashing."""
     if not members:
         raise ServiceError("fleet has no live members")
+    if len(members) == 1:
+        return members[0]  # the sole member owns every key
     return max(members, key=lambda member: (ring_weight(member, machine_hash, key), member))
 
 
 def ring_assign(
     members: Sequence[str], machine_hash: str, keys: Sequence[str]
 ) -> "dict[str, list[str]]":
-    """Group ``keys`` by :func:`ring_owner`, preserving key order within groups.
-
-    Unrolls :func:`ring_weight`: the ``("fleet-ring", member, machine_hash)``
-    prefix is folded once per member (its dropped top bit only reaches the
-    masked-off top bit), and each key's characters are hashed once."""
-    if len(members) == 1 and keys:
-        return {members[0]: list(keys)}  # the sole member owns every key
-    if keys and not members:
-        raise ServiceError("fleet has no live members")
-    prefixes = [(derive_seed(0, "fleet-ring", member, machine_hash), member) for member in members]
+    """Group ``keys`` by :func:`ring_owner`, preserving key order within groups."""
     groups: "dict[str, list[str]]" = {}
     for key in keys:
-        tag = 0
-        for char in key:  # derive_seed's string tag hash
-            tag = (tag * 131 + ord(char)) & 0xFFFFFFFFFFFFFFFF
-        _, owner = max(
-            (((prefix ^ tag) * 0xBF58476D1CE4E5B9) & 0x7FFFFFFFFFFFFFFF, member)
-            for prefix, member in prefixes
-        )
-        groups.setdefault(owner, []).append(key)
+        groups.setdefault(ring_owner(members, machine_hash, key), []).append(key)
     return groups
 
 
@@ -314,6 +302,8 @@ class FleetClient(EngineSurface):
         #: partition (it may heal), two in a row without a success in
         #: between is death — a SIGKILLed member stops costing rounds.
         self._failures: "dict[str, int]" = {}
+        #: Each key's ring owner, memoised for the live-member tuple ``_ring``.
+        self._ring, self._owners = (), LRUCache(1 << 16)
         self._seq = 0
         self.client_id = client_id or uuid.uuid4().hex[:12]
         #: Groups rehashed to survivors after a member died or drained.
@@ -392,6 +382,20 @@ class FleetClient(EngineSurface):
             return f"{self.client_id}:f{self._seq}"
 
     # -- striped submission ---------------------------------------------------
+
+    def _assign(self, members: "tuple[str, ...]", keys: Sequence[str]) -> "dict[str, list[str]]":
+        """:func:`ring_assign` over the live ``members``, through the owner memo."""
+        groups: "dict[str, list[str]]" = {}
+        with self._lock:
+            if members != self._ring:
+                self._ring, self._owners = members, LRUCache(1 << 16)
+            for key in keys:
+                owner = self._owners.get(key)
+                if owner is None:
+                    owner = ring_owner(members, self.machine_hash, key)
+                    self._owners.put(key, owner)
+                groups.setdefault(owner, []).append(key)
+        return groups
 
     def _inject(self, url: str) -> None:
         """Consume one fleet fault decision for a submit to ``url``."""
@@ -488,7 +492,7 @@ class FleetClient(EngineSurface):
                     )
                 time.sleep(min(heal + 0.01, self.partition_duration))
                 continue
-            groups = ring_assign(members, self.machine_hash, pending)
+            groups = self._assign(members, pending)
             outcomes: "dict[str, object]" = {}
             for url, keys_for_url in groups.items():
                 rid_key = (url, tuple(keys_for_url))

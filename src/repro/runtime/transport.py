@@ -13,6 +13,8 @@ re-execution, chaos injection) extends across it unchanged:
   UTF-8 JSON object).  A submit is answered on the connection thread when
   the record cache holds every key; otherwise a handler thread waits for
   its ticket, so a slow batch never blocks the connection's heartbeats.
+  A connection re-parses its machine payload only when it changes and the
+  server parses each plan key once, so a warm submit recomputes nothing.
 * :class:`RemoteTransport` is the supervised client end of one
   connection.  The engine surface over it is
   :class:`~repro.runtime.fleet.FleetClient` — a single server URL is a
@@ -306,6 +308,8 @@ def machine_config_from_wire(payload: Mapping) -> MachineConfig:
     exact — and therefore so is the machine hash, which is what keeps a
     remote submit landing in the same record shard as a local one.
     """
+    if not isinstance(payload, Mapping):
+        raise TypeError(f"a machine payload is an object, not {type(payload).__name__}")
     l2 = payload.get("l2")
     return MachineConfig(
         name=str(payload["name"]),
@@ -327,13 +331,13 @@ class _ServerConnection:
     def __init__(self, server: "ServiceServer", sock: socket.socket, peer: str):
         self.server = server
         self.frames = FrameTransport(sock)
-        self.peer = peer
-        self.sock = sock
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
         self.inflight = 0
         self.last_activity = time.monotonic()
         self.closed = False
+        #: The last submit's ``(machine payload, config)``, parsed once per payload.
+        self._machine: "tuple[object, MachineConfig] | None" = None
         self.thread = threading.Thread(
             target=self._run, name=f"{server.name}-conn-{peer}", daemon=True
         )
@@ -442,9 +446,11 @@ class _ServerConnection:
             self._reply({"type": "draining", "id": rid})
             return
         try:
-            deadline = frame.get("deadline")
+            payload, deadline = frame["machine"], frame.get("deadline")
+            if self._machine is None or self._machine[0] != payload:
+                self._machine = (payload, machine_config_from_wire(payload))
             job = CampaignJob(
-                machine_config=self.server._config_from(frame["machine"]),
+                machine_config=self._machine[1],
                 plan_batch=tuple(self.server._plan_from(str(key)) for key in frame["plans"]),
                 metrics=tuple(metric_spec(name).name for name in frame["metrics"]),
                 seed=int(frame.get("seed", 0)),
@@ -556,7 +562,6 @@ class ServiceServer:
         }
         self.draining = False
         self.closed = False
-        self._configs: "LRUCache[str, MachineConfig]" = LRUCache(64)
         self._plans: "LRUCache[str, Plan]" = LRUCache(4096)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"{self.name}-accept", daemon=True
@@ -571,25 +576,13 @@ class ServiceServer:
 
     # -- request-side caches -----------------------------------------------------
 
-    def _config_from(self, payload: Mapping) -> MachineConfig:
-        token = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            cached = self._configs.get(token)
-        if cached is not None:
-            return cached
-        config = machine_config_from_wire(payload)
-        with self._lock:
-            self._configs.put(token, config)
-        return config
-
     def _plan_from(self, key: str) -> Plan:
         with self._lock:
-            cached = self._plans.get(key)
-        if cached is not None:
-            return cached
-        plan = parse_plan(key)
-        with self._lock:
-            self._plans.put(key, plan)
+            plan = self._plans.get(key)
+        if plan is None:
+            plan = parse_plan(key)
+            with self._lock:
+                self._plans.put(key, plan)
         return plan
 
     # -- bookkeeping -------------------------------------------------------------

@@ -25,7 +25,6 @@ encoding pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,15 +42,19 @@ __all__ = ["plan_key", "EncodedPlans", "encode_plans", "MAX_ENCODABLE_EXPONENT"]
 MAX_ENCODABLE_EXPONENT = 30
 
 
-@lru_cache(maxsize=1 << 16)
 def plan_key(plan: Plan) -> str:
     """Canonical content key of ``plan`` (the compact grammar string).
 
     Keys are content-addressed: structural equality of plans is equality of
     keys, independent of object identity, process or Python version.  The key
-    doubles as a serialisation — ``parse_plan(plan_key(p)) == p``.
+    doubles as a serialisation — ``parse_plan(plan_key(p)) == p``.  Rendered
+    once per plan object and cached on it, as ``Split`` caches its hash.
     """
-    return plan_to_string(plan)
+    key = plan.__dict__.get("_key")
+    if key is None:
+        key = plan_to_string(plan)
+        object.__setattr__(plan, "_key", key)
+    return key
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from hypothesis import strategies as st
 
 import repro
 import repro.runtime.fleet as fleet_module
+import repro.runtime.transport as transport_module
+import repro.wht.encoding as encoding_module
 from repro.machine.configs import tiny_machine_config
 from repro.machine.machine import SimulatedMachine
 from repro.runtime.backends import BatchedBackend
@@ -53,6 +55,7 @@ from repro.runtime.transport import (
 )
 from repro.wht.canonical import iterative_plan
 from repro.wht.encoding import plan_key
+from repro.wht.grammar import parse_plan
 from repro.wht.random_plans import RSUSampler
 
 #: The CI chaos matrix sets this; locally it defaults to schedule 0.
@@ -211,6 +214,49 @@ class TestRendezvousRing:
         for key in keys:
             expected.setdefault(ring_owner(members, machine_hash, key), []).append(key)
         assert ring_assign(members, machine_hash, keys) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ports=st.lists(st.integers(1, 65535), min_size=1, max_size=4, unique=True),
+        pool=st.lists(st.text(max_size=30), min_size=1, max_size=10),
+        rounds=st.lists(
+            st.tuples(
+                st.sampled_from(["kill", "partition", "heal", "rejoin", "none"]),
+                st.integers(0, 3),
+                st.lists(st.integers(0, 9), max_size=12),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_cached_owners_follow_the_live_ring(self, ports, pool, rounds):
+        # The client memoises owners per live-member tuple; between rounds a
+        # member dies, is partitioned, heals or rejoins, and every round's
+        # grouping must equal ring_owner over the members alive right then.
+        urls = [f"tcp://127.0.0.1:{port}" for port in ports]
+        client = FleetClient(urls, tiny_machine_config(), heartbeat_interval=None)
+        try:
+            for action, which, picks in rounds:
+                url = urls[which % len(urls)]
+                if action == "kill":
+                    client.registry.mark(url, DEAD)
+                elif action == "partition":
+                    client.registry.mark_partitioned(url, 3600.0)
+                elif action == "heal" and client.registry.state(url) == PARTITIONED:
+                    client.registry.mark_partitioned(url, 0.0)  # heals on alive()
+                elif action == "rejoin":
+                    client.registry.add(url)
+                members = client.registry.alive()
+                if not members:
+                    continue
+                keys = [pool[pick % len(pool)] for pick in picks]
+                expected = {}
+                for key in keys:
+                    owner = ring_owner(members, client.machine_hash, key)
+                    expected.setdefault(owner, []).append(key)
+                assert client._assign(members, keys) == expected
+        finally:
+            client.close()
 
 
 # -- membership ----------------------------------------------------------------
@@ -716,6 +762,42 @@ class TestTransportThreadHygiene:
             client.close()
         assert started == []
         assert client.measured == len(plans)
+
+    def test_warm_rounds_recompute_nothing(self, config, plans, tmp_path, monkeypatch):
+        # A warm round reuses what an earlier round computed: the client's
+        # ring owners, each server's parsed plans with their keys, and each
+        # connection's parsed machine config.  Every round sends freshly
+        # parsed plans, as a new DP search builds new candidate objects.
+        calls = {"derive_seed": [], "plan_to_string": [], "machine": []}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name].append(threading.current_thread().name)
+                return original(*args)
+
+            return wrapper
+
+        for module, name in (
+            (fleet_module, "derive_seed"),
+            (encoding_module, "plan_to_string"),
+            (transport_module, "machine_config_from_wire"),
+        ):
+            key = "machine" if name.startswith("machine") else name
+            monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+        keys = [plan_key(plan) for plan in plans]
+        with Fleet(tmp_path, size=2) as fleet:
+            client = FleetClient(fleet.urls, config, heartbeat_interval=None)
+            cold = client.records(plans)
+            assert len(ring_assign(fleet.urls, client.machine_hash, keys)) == 2
+            calls["derive_seed"].clear()
+            calls["plan_to_string"].clear()
+            for _ in range(100):
+                assert client.records([parse_plan(key) for key in keys]) == cold
+            client.close()
+        assert calls["derive_seed"] == []
+        assert [name for name in calls["plan_to_string"] if "-conn-" in name] == []
+        assert len(calls["machine"]) == len(set(calls["machine"])) <= 2
+        assert all("-conn-" in name for name in calls["machine"])
 
     def test_100_connect_close_cycles_leak_no_threads(self, config):
         with CampaignService(backend=BatchedBackend(), workers=1) as service:

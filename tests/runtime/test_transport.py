@@ -15,6 +15,7 @@ matrix; every test must hold for any seed.
 import dataclasses
 import json
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -25,7 +26,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.machine.configs import tiny_machine_config
+import repro.runtime.transport as transport_module
+import repro.wht.encoding as encoding_module
+from repro.machine.configs import default_machine_config, tiny_machine_config
 from repro.runtime.backends import BatchedBackend
 from repro.runtime.faults import FaultPlan, FaultSpec, FaultyBackend
 from repro.runtime.service import CampaignJob, CampaignService, ServiceError
@@ -49,6 +52,7 @@ from repro.runtime.cost_engine import CostEngine
 from repro.runtime.fleet import RemoteServiceClient
 from repro.wht.canonical import iterative_plan, right_recursive_plan
 from repro.wht.encoding import plan_key
+from repro.wht.grammar import parse_plan
 from repro.wht.random_plans import RSUSampler
 
 #: The CI chaos matrix sets this; locally it defaults to schedule 0.
@@ -548,6 +552,92 @@ class TestConnectionSupervision:
             RemoteTransport("http://example.com")
         with pytest.raises(ValueError, match="malformed tcp URL"):
             RemoteTransport("tcp://no-port")
+
+
+def _raw_submit(frames, rid, machine, plans):
+    frames.send(
+        {
+            "type": "submit",
+            "id": rid,
+            "machine": machine,
+            "plans": [plan_key(plan) for plan in plans],
+            "metrics": ["cycles"],
+        }
+    )
+    reply = frames.recv()
+    assert reply["id"] == rid
+    return reply
+
+
+class TestWarmSubmitCaches:
+    def test_switching_machine_payload_serves_the_new_machine(self, config, plans):
+        # A connection caches its last machine payload's config; a submit
+        # naming another machine must get that machine's records, exactly
+        # as a fresh connection (and a private engine) would.
+        other = default_machine_config(noise_sigma=0.0)
+        with CampaignService() as service, serve_tcp(service) as server:
+            frames = _handshake(server.url)
+            first = _raw_submit(frames, "raw:1", machine_config_to_wire(config), plans)
+            switched = _raw_submit(frames, "raw:2", machine_config_to_wire(other), plans)
+            back = _raw_submit(frames, "raw:3", machine_config_to_wire(config), plans)
+            frames.close()
+            fresh = _handshake(server.url)
+            expected = _raw_submit(fresh, "raw:4", machine_config_to_wire(other), plans)
+            fresh.close()
+        assert switched["records"] == expected["records"]
+        assert switched["records"] != first["records"]
+        assert back["records"] == first["records"]
+        reference = _private_engine(other).records(plans, ["cycles"])
+        assert [record["v"] for record in switched["records"]] == [
+            record.values for record in reference
+        ]
+
+    @pytest.mark.parametrize(
+        "machine", [{"name": "broken"}, "garbage", [1, 2], None], ids=repr
+    )
+    def test_malformed_machine_keeps_the_cached_config(
+        self, config, plans, machine, monkeypatch
+    ):
+        parsed = []
+        original = transport_module.machine_config_from_wire
+
+        def counting(payload):
+            parsed.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(transport_module, "machine_config_from_wire", counting)
+        payload = machine_config_to_wire(config)
+        with CampaignService() as service, serve_tcp(service) as server:
+            frames = _handshake(server.url)
+            first = _raw_submit(frames, "raw:1", payload, plans)
+            reply = _raw_submit(frames, "raw:2", machine, plans)
+            assert reply["type"] == "error"
+            assert reply["message"].startswith("malformed submit")
+            again = _raw_submit(frames, "raw:3", payload, plans)
+            frames.close()
+            assert server.stats()["connections"] == 1  # no reconnect
+        assert again["type"] == "result"
+        assert again["records"] == first["records"]
+        assert parsed.count(payload) == 1  # the cached config was kept
+
+    def test_plan_key_is_the_wire_key_and_cached_per_object(self, plans, monkeypatch):
+        rendered = []
+        original = encoding_module.plan_to_string
+
+        def counting(plan):
+            rendered.append(plan)
+            return original(plan)
+
+        monkeypatch.setattr(encoding_module, "plan_to_string", counting)
+        for key in [plan_key(plan) for plan in plans] + ["small[3]"]:
+            plan = parse_plan(key)
+            assert plan_key(plan) == key and plan_key(plan) == key
+            clone = pickle.loads(pickle.dumps(plan))
+            assert clone == plan and plan_key(clone) == key
+            assert rendered[-1] is plan  # rendered once; the clone kept it
+        leaf = parse_plan("small[3]")
+        assert plan_key(leaf) == "small[3]"
+        assert plan_key(dataclasses.replace(leaf, n=2)) == "small[2]"
 
 
 class TestBackpressure:
