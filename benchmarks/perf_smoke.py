@@ -337,7 +337,11 @@ def check_exactness() -> None:
     on the tiny machine ``random_plan(11, rng=1)`` folds runs that thrash
     both levels.  Two exercise repeated sub-plan folding (weighted line
     ranges): ``random_plan(14, rng=1)`` on the default machine, and
-    ``random_plan(11, rng=0)`` on the tiny machine without its L2.  Each
+    ``random_plan(11, rng=0)`` on the tiny machine without its L2.  One
+    must fold a stride loop into translated units (again weighted line
+    ranges): ``random_plan(15, rng=0)`` on the default machine, whose nodes
+    reach four times its L2.  Coverage counts each fold where it fires, not
+    its weighted ranges, so neither fold passes on the other's rows.  Each
     must actually fold, so the check cannot pass vacuously.  One more must
     replay a sub-plan template at two or more base residues (a child stride
     that is not a whole number of lines under a parent stride below the
@@ -346,9 +350,11 @@ def check_exactness() -> None:
     its L1 lines: every preset has equal line sizes, so only that case
     converts L1 lines to L2 lines.
     """
-    from collections import defaultdict
+    from collections import Counter, defaultdict
     from dataclasses import replace
+    from unittest import mock
 
+    from repro.machine import trace
     from repro.machine.cache import CacheConfig
     from repro.machine.configs import (
         default_machine,
@@ -360,28 +366,35 @@ def check_exactness() -> None:
     from repro.machine.trace import TraceBuilder
     from repro.wht.random_plans import random_plan
 
-    def residues(builder, _chunks):
+    def residues(builder, _chunks, _fired):
         """Sub-plans replayed at two or more base residues."""
         found = defaultdict(set)
         for node, stride, residue in builder._memo:
             found[node, stride].add(residue)
         return sum(len(kept) > 1 for kept in found.values())
 
+    def counted(fired, kind, function):
+        def spy(*arguments):
+            answer = function(*arguments)
+            fired[kind] += bool(answer)
+            return answer
+
+        return spy
+
     l1_only = SimulatedMachine(replace(tiny_machine_config(), l2=None))
     coarse_l2 = SimulatedMachine(
         replace(tiny_machine_config(), l2=CacheConfig(2048, 64, 4, name="L2"))
     )
     fold_counts = {
-        "l1": lambda _builder, chunks: sum(chunk.folded_l1_misses for chunk in chunks),
-        "l2": lambda _builder, chunks: sum(chunk.folded_l2_misses for chunk in chunks),
-        "sub-plan": lambda _builder, chunks: sum(
-            chunk.weighted_ranges.shape[0] for chunk in chunks
-        ),
+        "l1": lambda _builder, chunks, _fired: sum(chunk.folded_l1_misses for chunk in chunks),
+        "l2": lambda _builder, chunks, _fired: sum(chunk.folded_l2_misses for chunk in chunks),
+        "sub-plan": lambda _builder, _chunks, fired: fired["sub-plan"],
+        "unit": lambda _builder, _chunks, fired: fired["unit"],
         "residues": residues,
     }
     # (machine, n, seed, what the stream must do: fold repeated calls' l1
-    # or l2 misses, fold repeated sub-plan invocations, or replay a
-    # template at several residues)
+    # or l2 misses, fold repeated sub-plan invocations, fold translated
+    # units, or replay a template at several residues)
     cases = [
         *((tiny_machine(), 8, seed, None) for seed in range(3)),
         *((opteron_like(noise_sigma=0.0), 9, seed, None) for seed in range(3)),
@@ -390,6 +403,7 @@ def check_exactness() -> None:
         (tiny_machine(), 11, 1, "l2"),
         (default_machine(noise_sigma=0.0), 14, 1, "sub-plan"),
         (l1_only, 11, 0, "sub-plan"),
+        (default_machine(noise_sigma=0.0), 15, 0, "unit"),
         (default_machine(noise_sigma=0.0), 12, 1, "residues"),
         (coarse_l2, 11, 3, None),
     ]
@@ -400,7 +414,12 @@ def check_exactness() -> None:
             builder = TraceBuilder(
                 config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
             )
-            if fold_counts[folds](builder, list(builder.stream(plan))) == 0:
+            fired = Counter()
+            builder._unit_rows = counted(fired, "unit", builder._unit_rows)
+            group = counted(fired, "sub-plan", trace._fold_group)
+            with mock.patch.object(trace, "_fold_group", group):
+                chunks = list(builder.stream(plan))
+            if fold_counts[folds](builder, chunks, fired) == 0:
                 raise SystemExit(
                     f"fold coverage lost: no {folds} fold fired "
                     f"({config.name}, n={size}, seed={seed})"

@@ -19,9 +19,10 @@ Two views of that trace are provided (see DESIGN.md §3):
   that are guaranteed hits, runs of back-to-back codelet calls over one
   line sequence, whose misses are counted exactly instead of simulated,
   and all but three of each run of back-to-back sub-plan invocations over
-  one line sequence, the third marked as a weighted range whose misses the
-  hierarchy counts once per invocation it stands for (repeated-pass
-  elision, DESIGN.md §10).
+  one line sequence or of each stride loop's disjoint, cache-filling
+  units, the last marked as a weighted range whose misses the hierarchy
+  counts once per copy it stands for (repeated-pass elision, DESIGN.md
+  §10).
 * :func:`trace_from_nests` / :class:`MemoryTrace` — the eager byte-address
   view over :meth:`repro.wht.interpreter.PlanInterpreter.profile`'s leaf
   nests, retained for tests, ablations and any consumer that wants the
@@ -207,8 +208,8 @@ class LineChunk:
     L1 miss is also an L2 access.
 
     ``weighted_ranges`` holds ``(start, stop, weight)`` rows: the lines
-    ``lines[start:stop]`` stand for ``weight`` back-to-back copies of
-    themselves (a folded run of sub-plan invocations, see
+    ``lines[start:stop]`` stand for ``weight`` copies of themselves (a
+    folded run of sub-plan invocations or of translated units, see
     :class:`TraceBuilder`), so their misses at every level count ``weight``
     times.  ``accesses`` and
     the folded counts already include the weights.
@@ -604,9 +605,10 @@ def _fold_group(base: int, stride: int, child_stride: int, line_elements: int) -
     line_elements / stride`` consecutive ``k`` shares that line when every
     row starts within the first ``stride`` elements of its line (rows lie
     ``child_size * child_stride`` apart, a multiple of the line, so they
-    share the base's residue).  Folding keeps three invocations per group,
-    so groups of three or fewer are left alone.  A template's base is its
-    residue, which leaves the same residue as every base it is replayed at.
+    share the base's residue).  Folding keeps three invocations per group
+    (:func:`_keep_ends`), so groups of three or fewer are left alone.  A
+    template's base is its residue, which leaves the same residue as every
+    base it is replayed at.
     """
     if not line_elements or child_stride % line_elements or stride >= line_elements:
         return 0
@@ -614,6 +616,16 @@ def _fold_group(base: int, stride: int, child_stride: int, line_elements: int) -
         return 0
     group = line_elements // stride  # divides ``inner``: inner * stride is a line multiple
     return group if group > 3 else 0
+
+
+def _keep_ends(runs: int, size: int, unit: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Indices kept, and their weights, when each of ``runs`` back-to-back
+    runs of ``size`` units (of ``unit`` consecutive indices each) keeps its
+    units 0, 1 and last, the last standing for the ``size - 2`` from 2 on."""
+    first = (np.arange(runs)[:, None] * size + [0, 1, size - 1]) * unit
+    kept = (first.reshape(-1, 1) + np.arange(unit)).reshape(-1)
+    weights = np.tile(np.repeat(np.array([1, 1, size - 2], dtype=np.int64), unit), runs)
+    return kept, weights
 
 
 class _Stream(NamedTuple):
@@ -739,22 +751,40 @@ class _ChunkWriter:
         self._accesses_buffered += accesses
 
     def _copy_ranges(self, copies: _Copies, low: int, high: int) -> np.ndarray:
-        """Weighted ranges of copies ``low:high``, at buffer positions: each
-        stream's own, and one over each weighted copy.  A weighted copy's
-        stream holds none of its own (DESIGN.md §10), so none overlap."""
+        """Weighted ranges of copies ``low:high``, at buffer positions.
+
+        A copy of weight ``w`` over a stream without ranges of its own is
+        one range.  Over a stream with its own ranges, weights nest
+        (DESIGN.md §10) and flatten into disjoint rows: the stream's gaps
+        weighted ``w`` and its ranges ``w`` times their own weight.
+        """
         which, weights = copies.which[low:high], copies.weights[low:high]
         sizes = np.array([s.lines.shape[0] for s in copies.streams], dtype=np.int64)
         lengths = sizes[which]
         starts = self._length + np.cumsum(lengths) - lengths
-        heavy = weights > 1
-        ranges = [np.stack([starts[heavy], starts[heavy] + lengths[heavy], weights[heavy]], axis=1)]
+        plain = weights > 1
+        ranges = []
         for index, stream in enumerate(copies.streams):
             own = stream.weighted_ranges
-            if own.shape[0]:
-                at = starts[which == index]
-                shifted = np.repeat(own[None, :, :], at.shape[0], axis=0)
-                shifted[:, :, :2] += at[:, None, None]
-                ranges.append(shifted.reshape(-1, 3))
+            if not own.shape[0]:
+                continue
+            mine = which == index
+            plain &= ~mine
+            if (weights[mine] > 1).any():
+                # The stream as rows over its gaps (weight 1) and its ranges.
+                cover = np.empty((2 * own.shape[0] + 1, 3), dtype=np.int64)
+                cover[1::2] = own
+                cover[0::2, 0] = np.append(0, own[:, 1])
+                cover[0::2, 1] = np.append(own[:, 0], sizes[index])
+                cover[0::2, 2] = 1
+                own = cover[cover[:, 1] > cover[:, 0]]
+            rows = np.repeat(own[None, :, :], int(mine.sum()), axis=0)
+            rows[:, :, :2] += starts[mine][:, None, None]
+            rows[:, :, 2] *= weights[mine][:, None]
+            rows = rows.reshape(-1, 3)
+            ranges.append(rows[rows[:, 2] > 1])
+        at = starts[plain]
+        ranges.append(np.stack([at, at + lengths[plain], weights[plain]], axis=1))
         merged = np.concatenate(ranges)
         return merged[np.argsort(merged[:, 0], kind="stable")]
 
@@ -843,8 +873,12 @@ class TraceBuilder:
       ``folded_l1_misses``/``folded_l2_misses`` (:func:`_fold_repeated_calls`);
     * with whole elements per line and a line-aligned ``base_address``, each
       run of ``g`` back-to-back sub-plan invocations over one line sequence
-      keeps three, the third marked in the chunks' ``weighted_ranges`` with
-      weight ``g - 2`` (:func:`_fold_group`).
+      keeps its first two and its last, the last marked in the chunks'
+      ``weighted_ranges`` with weight ``g - 2`` (:func:`_fold_group`);
+    * under the same conditions at every level, a stride loop of ``u >= 4``
+      disjoint units that each fill the sets they touch keeps units 0, 1
+      and the last, the last weighted ``u - 2`` (:meth:`_unit_rows`);
+      weights of folds inside a weighted copy multiply.
 
     The chunks' raw ``accesses`` always count every access, dropped ones
     and weights included.  A chunk holds at most ``chunk_accesses`` of them
@@ -881,6 +915,14 @@ class TraceBuilder:
         self._period_lines = element_size // common
         aligned = line_size % element_size == 0 and base_address % line_size == 0
         self._line_elements = line_size // element_size if caches and aligned else 0
+        # Translated units (:meth:`_unit_rows`) need the same at every level.
+        levels = [level for level in caches or () if level is not None]
+        lines = [level.line_size for level in levels] or [line_size]
+        if not self._line_elements or base_address % max(lines) or min(lines) % element_size:
+            levels = []
+        self._fill_bytes = max((level.size_bytes for level in levels), default=0)
+        self._fill_ways = max((level.associativity for level in levels), default=0)
+        self._fill_line_elements = max(lines) // element_size
         self._memo: LRUCache[tuple[Plan, int, int], LineChunk] = LRUCache(
             TEMPLATE_MEMO_LINES, weigh=_line_count
         )
@@ -980,34 +1022,66 @@ class TraceBuilder:
             child_size = child.size
             remaining //= child_size
             child_stride = inner * stride
+            block = child_size * child_stride  # one row of the stride loop
+            unit_rows = self._unit_rows(base, stride, remaining, block)
             if isinstance(child, Small):
                 nest = LeafNest(
                     k=child.n,
                     base=base,
                     outer_count=remaining,
-                    outer_stride=child_size * child_stride,
+                    outer_stride=block,
                     inner_count=inner,
                     inner_stride=stride,
                     elem_stride=child_stride,
                 )
-                yield from self._leaf(nest, weight)
+                if unit_rows:
+                    # Translated units 0 and 1, then the last for the rest.
+                    yield from self._leaf(replace(nest, outer_count=2 * unit_rows), weight)
+                    last_base = base + (remaining - unit_rows) * block
+                    last = replace(nest, base=last_base, outer_count=unit_rows)
+                    yield from self._leaf(last, weight * (remaining // unit_rows - 2))
+                else:
+                    yield from self._leaf(nest, weight)
             else:
-                j = np.arange(remaining, dtype=np.int64) * (child_size * child_stride)
-                k = np.arange(inner, dtype=np.int64)
-                weights = np.full(remaining * inner, weight, dtype=np.int64)
+                j, k = np.arange(remaining), np.arange(inner)
+                if unit_rows:
+                    j, row_weights = _keep_ends(1, remaining // unit_rows, unit_rows)
                 group = _fold_group(base, stride, child_stride, self._line_elements)
                 if group:
-                    # Keep the first three invocations of each group of
-                    # ``group`` over one line sequence; the third stands
-                    # for the rest.
-                    k = k.reshape(-1, group)[:, :3].reshape(-1)
-                    weights = weight * np.tile(
-                        np.array([1, 1, group - 2], dtype=np.int64),
-                        remaining * (inner // group),
-                    )
-                bases = (base + j[:, None] + k[None, :] * stride).reshape(-1)
-                yield from self._invoke(child, bases, child_stride, weights)
+                    # Invocations 0, 1 and the last of each group of
+                    # ``group`` over one line sequence; the last stands for
+                    # the rest.
+                    k, k_weights = _keep_ends(inner // group, group)
+                weights = np.full((j.shape[0], k.shape[0]), weight, dtype=np.int64)
+                if unit_rows:
+                    weights *= row_weights[:, None]
+                if group:
+                    weights *= k_weights
+                bases = (base + j[:, None] * block + k * stride).reshape(-1)
+                yield from self._invoke(child, bases, child_stride, weights.reshape(-1))
             inner *= child_size
+
+    def _unit_rows(self, base: int, stride: int, rows: int, block: int) -> int:
+        """Rows per translated unit of a stride loop over ``rows`` rows of
+        ``block`` elements, at node stride ``stride`` from ``base``, or 0
+        when the loop does not hold four units (DESIGN.md §10).
+
+        A unit is the fewest rows, a power of two, that put at least the
+        ways of distinct lines into every set they touch at each level.  It
+        touches every line of its span when ``stride`` is below a line, one
+        line per ``stride`` otherwise: it needs the whole cache, and
+        ``ways * stride`` elements.  Units share no line when each starts
+        within the first ``stride`` elements of its line, which a walk from
+        base 0 guarantees.
+        """
+        block_bytes = block * self.element_size
+        if not self._fill_bytes or rows * block_bytes < 4 * self._fill_bytes:
+            return 0
+        if base % self._fill_line_elements >= stride:
+            return 0
+        unit_bytes = max(self._fill_bytes, self._fill_ways * stride * self.element_size)
+        unit_rows = max(unit_bytes // block_bytes, 1)
+        return unit_rows if rows >= 4 * unit_rows else 0
 
     def _leaf(self, nest: LeafNest, weight: int) -> Iterator[_Copies]:
         """The nest's stream, split along its loop axes into pieces whose

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.util.lru import LRUCache
 from repro.wht.grammar import plan_to_string
-from repro.wht.plan import Plan
+from repro.wht.plan import Plan, Split
 
 __all__ = ["plan_key", "EncodedPlans", "encode_plans", "MAX_ENCODABLE_EXPONENT"]
 
@@ -48,11 +48,16 @@ def plan_key(plan: Plan) -> str:
     Keys are content-addressed: structural equality of plans is equality of
     keys, independent of object identity, process or Python version.  The key
     doubles as a serialisation — ``parse_plan(plan_key(p)) == p``.  Rendered
-    once per plan object and cached on it, as ``Split`` caches its hash.
+    once per plan object and cached on it, as ``Split`` caches its hash; a
+    split whose children all cache their keys joins them instead.
     """
     key = plan.__dict__.get("_key")
     if key is None:
-        key = plan_to_string(plan)
+        keys = [c.__dict__.get("_key") for c in plan.children] if isinstance(plan, Split) else None
+        if keys and None not in keys:
+            key = f"split[{','.join(keys)}]"
+        else:
+            key = plan_to_string(plan)
         object.__setattr__(plan, "_key", key)
     return key
 

@@ -16,18 +16,19 @@ from hypothesis import strategies as st
 from test_batch_prepare import oracle_stats
 
 from repro.machine import trace
-from repro.machine.cache import CacheConfig
+from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.trace import (
     DEFAULT_CHUNK_ACCESSES,
     TEMPLATE_MEMO_LINES,
     TraceBuilder,
     collapse_consecutive,
+    nest_addresses,
     stream_line_chunks,
     trace_from_nests,
 )
 from repro.wht.canonical import right_recursive_plan
-from repro.wht.interpreter import PlanInterpreter
+from repro.wht.interpreter import LeafNest, PlanInterpreter
 from repro.wht.plan import Small, Split
 from repro.wht.random_plans import random_plan
 
@@ -182,11 +183,21 @@ class TestSubPlanFolding:
             assert all(chunk.weighted_ranges.shape[0] == 0 for chunk in chunks)
             assert np.array_equal(concatenated(chunks), eager_lines(plan, 64))
 
-    def test_one_element_lines_never_fold(self):
+    def test_one_element_lines_never_fold(self, monkeypatch):
+        # One element per line leaves no sub-line parent stride to group
+        # invocations by; translated units may still fold.
+        groups = []
+
+        def spy(*arguments):
+            groups.append(fold_group(*arguments))
+            return groups[-1]
+
+        fold_group = trace._fold_group
+        monkeypatch.setattr(trace, "_fold_group", spy)
         plan = random_plan(10, rng=3)
         l1 = CacheConfig(256, 8, 2)
         chunks = list(stream_line_chunks(plan, line_size=8, caches=(l1, None)))
-        assert all(chunk.weighted_ranges.shape[0] == 0 for chunk in chunks)
+        assert groups and not any(groups)
         assert MemoryHierarchy(l1, None).process_line_chunks(chunks) == oracle_stats(
             l1, None, plan
         )[1]
@@ -234,3 +245,120 @@ class TestSubPlanFolding:
         assert MemoryHierarchy(l1, l2).process_line_chunks(chunks) == oracle_stats(
             l1, l2, plan
         )[1]
+
+
+def unit_spy(builder):
+    """Record every :meth:`TraceBuilder._unit_rows` answer of ``builder``."""
+    answers = []
+    unit_rows = builder._unit_rows
+
+    def spy(*arguments):
+        answers.append(unit_rows(*arguments))
+        return answers[-1]
+
+    builder._unit_rows = spy
+    return answers
+
+
+UNIT_GEOMETRIES = st.tuples(
+    st.sampled_from([1, 2, 4]),  # L1 associativity
+    st.sampled_from([1, 2, 4]),  # L1 sets
+    st.sampled_from([16, 32]),  # L1 line size
+    st.sampled_from([None, 1, 2, 8]),  # L2 associativity, or no L2
+    st.sampled_from([1, 2]),  # L2 line size over the L1 line size
+    st.sampled_from([2, 4]),  # L2 size over the L1 size
+)
+
+
+def unit_caches(geometry):
+    l1_assoc, l1_sets, line, l2_assoc, l2_line, l2_scale = geometry
+    l1 = CacheConfig(l1_assoc * l1_sets * line, line, l1_assoc, name="L1")
+    if l2_assoc is None:
+        return l1, None
+    l2_bytes = max(l2_scale * l1.size_bytes, l2_assoc * l2_line * line)
+    return l1, CacheConfig(l2_bytes, l2_line * line, l2_assoc, name="L2")
+
+
+class TestTranslatedUnits:
+    """With caches, whole elements per line and a line-aligned base, a
+    stride loop over disjoint, cache-filling blocks keeps units 0, 1 and
+    the last, the last weighted for the rest."""
+
+    @given(geometry=UNIT_GEOMETRIES, extra=st.integers(0, 1), seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_property_unit_folded_streams_match_the_oracle(self, geometry, extra, seed):
+        l1, l2 = unit_caches(geometry)
+        largest = max(level.size_bytes for level in (l1, l2) if level is not None)
+        # The root spans at least four times the larger cache.
+        n = (4 * largest // 8).bit_length() - 1 + extra
+        plan = Split((random_plan(n - 1, rng=seed), Small(1)))
+        builder = TraceBuilder(l1.line_size, caches=(l1, l2))
+        answers = unit_spy(builder)
+        chunks = list(builder.stream(plan))
+        assert any(answers)
+        assert sum(chunk.accesses for chunk in chunks) == 2 * plan.size * plan.num_leaves()
+        assert MemoryHierarchy(l1, l2).process_line_chunks(chunks) == oracle_stats(l1, l2, plan)[1]
+
+    @pytest.mark.parametrize(
+        "l1, l2",
+        [
+            (CacheConfig(256, 32, 2), CacheConfig(1024, 64, 4)),
+            (CacheConfig(128, 32, 1), CacheConfig(512, 32, 2)),
+            (CacheConfig(256, 32, 4), None),
+        ],
+    )
+    def test_units_from_two_on_miss_alike_at_every_level(self, l1, l2):
+        # A leaf child's stride loop under the root: rows of four calls at
+        # unit stride, each over four elements four apart, rows 16 apart.
+        nest = LeafNest(
+            k=2, base=0, outer_count=64, outer_stride=16, inner_count=4, inner_stride=1,
+            elem_stride=4,
+        )
+        rows = TraceBuilder(l1.line_size, caches=(l1, l2))._unit_rows(0, 1, 64, 16)
+        assert 0 < 4 * rows <= nest.outer_count
+        # The incoming state holds some of unit 0's lines.
+        prefix = np.random.default_rng(7).integers(0, 64, size=300) * 8
+        lines = l1.line_of(np.concatenate([prefix, nest_addresses(nest)]))
+        l1_miss = SetAssociativeLRUCache(l1).simulate(lines)
+        units = nest.outer_count // rows
+        unit = np.repeat(np.arange(units + 1), [300] + [2 * rows * 4 * 4] * units)
+        l1_counts = np.bincount(unit[l1_miss], minlength=units + 1)[1:].tolist()
+        assert l1_counts[0] < l1_counts[1] and len(set(l1_counts[1:])) == 1
+        if l2 is not None:
+            probes = l2.line_of(lines[l1_miss] * l1.line_size)
+            l2_miss = SetAssociativeLRUCache(l2).simulate(probes)
+            l2_counts = np.bincount(unit[l1_miss][l2_miss], minlength=units + 1)[1:].tolist()
+            assert l2_counts[0] < l2_counts[2] and len(set(l2_counts[2:])) == 1
+
+    def test_misaligned_base_address_never_unit_folds(self):
+        plan = random_plan(12, rng=5)
+        l1, l2 = CacheConfig(512, 64, 2), CacheConfig(2048, 64, 4)
+        aligned = TraceBuilder(64, caches=(l1, l2))
+        fired = unit_spy(aligned)
+        list(aligned.stream(plan))
+        assert any(fired)
+        shifted = TraceBuilder(64, base_address=8, caches=(l1, l2))
+        answers = unit_spy(shifted)
+        chunks = list(shifted.stream(plan))
+        assert answers and not any(answers)
+        assert all(chunk.weighted_ranges.shape[0] == 0 for chunk in chunks)
+        exact = list(stream_line_chunks(plan, 64, base_address=8))
+        hierarchy = MemoryHierarchy(l1, l2)
+        assert hierarchy.process_line_chunks(chunks) == hierarchy.process_line_chunks(exact)
+
+    def test_weighted_copies_flatten_nested_weights(self):
+        # A stream of six lines whose lines 2:4 stand for three copies,
+        # copied once plain and once with weight 5.
+        stream = trace._Stream(
+            np.arange(6, dtype=np.int32), 6, weighted_ranges=np.array([[2, 4, 3]])
+        )
+        copies = trace._Copies(
+            [stream], np.zeros(2, dtype=np.intp), np.array([0, 10]), np.array([1, 5])
+        )
+        writer = trace._ChunkWriter()
+        writer.append(copies)
+        chunk = writer.flush()
+        assert chunk.weighted_ranges.tolist() == [
+            [2, 4, 3], [6, 8, 5], [8, 10, 15], [10, 12, 5]
+        ]
+        assert chunk.accesses == 36

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.wht import encoding
 from repro.wht.encoding import MAX_ENCODABLE_EXPONENT, encode_plans, plan_key
 from repro.wht.enumeration import enumerate_plans
-from repro.wht.grammar import parse_plan
+from repro.wht.grammar import parse_plan, plan_to_string
 from repro.wht.plan import Small, Split
 from repro.wht.random_plans import random_plan
 
@@ -26,6 +29,34 @@ class TestPlanKey:
         plans = list(enumerate_plans(6))
         keys = {plan_key(p) for p in plans}
         assert len(keys) == len(plans)
+
+    @given(n=st.integers(1, 14), seed=st.integers(0, 10**6), keyed=st.lists(st.booleans()))
+    @settings(max_examples=60, deadline=None)
+    def test_property_keys_joined_from_cached_children_render_the_plan(self, n, seed, keyed):
+        # Key an arbitrary subset of the sub-plans first, as a search keys
+        # its best plans before building candidates from them.
+        plan = random_plan(n, rng=seed)
+        nodes, stack = [], [plan]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(getattr(node, "children", ()))
+        for node, first in zip(reversed(nodes), keyed):
+            if first:
+                plan_key(node)
+        for node in nodes:
+            assert plan_key(node) == plan_to_string(node)
+
+    def test_split_over_keyed_children_renders_nothing(self, monkeypatch):
+        children = (Split((Small(2), Small(3))), Small(4))
+        for child in children:
+            plan_key(child)
+        calls = []
+        monkeypatch.setattr(
+            encoding, "plan_to_string", lambda plan: calls.append(plan) or plan_to_string(plan)
+        )
+        assert plan_key(Split(children)) == "split[split[small[2],small[3]],small[4]]"
+        assert calls == []
 
 
 class TestEncodePlans:
