@@ -307,9 +307,12 @@ def check_memory_n18() -> None:
     and no line chunk may hold more than ``DEFAULT_CHUNK_ACCESSES`` raw
     accesses (large leaf nests split along their loop axes, large sub-plans
     stream child by child, weighted template copies stay within the budget).
+    Spliced across three such plans, as a batch is, no spliced chunk may
+    hold more than ``DEFAULT_CHUNK_ACCESSES`` lines (a chunk flushes before
+    a segment would pass the budget).
     """
     from repro.machine.configs import opteron_like
-    from repro.machine.trace import DEFAULT_CHUNK_ACCESSES, TraceBuilder
+    from repro.machine.trace import DEFAULT_CHUNK_ACCESSES, TraceBuilder, splice_line_chunks
     from repro.wht.random_plans import RSUSampler
 
     plan = RSUSampler().sample(18, rng=SMOKE_SEED)
@@ -325,6 +328,13 @@ def check_memory_n18() -> None:
     )
     largest = max(chunk.accesses for chunk in builder.stream(plan))
     gate("prepare_n18_chunk_accesses", largest, "<=", DEFAULT_CHUNK_ACCESSES, unit="accesses")
+    plans = [plan, *(RSUSampler().sample(18, rng=SMOKE_SEED + seed) for seed in (1, 2))]
+    offsets = machine.hierarchy.batch_line_offsets(
+        [plan.size * config.element_size // config.l1.line_size for plan in plans]
+    )
+    streams = [builder.stream(plan) for plan in plans]
+    spliced = max(chunk.lines.shape[0] for chunk in splice_line_chunks(streams, offsets))
+    gate("prepare_n18_spliced_lines", spliced, "<=", DEFAULT_CHUNK_ACCESSES, unit="lines")
 
 
 def check_exactness() -> None:
@@ -340,8 +350,12 @@ def check_exactness() -> None:
     ``random_plan(11, rng=0)`` on the tiny machine without its L2.  One
     must fold a stride loop into translated units (again weighted line
     ranges): ``random_plan(15, rng=0)`` on the default machine, whose nodes
-    reach four times its L2.  Coverage counts each fold where it fires, not
-    its weighted ranges, so neither fold passes on the other's rows.  Each
+    reach four times its L2; the same plan must fold a row's call or
+    invocation loop into translated units too.  One must drop and count
+    thrashing write passes (a call's lines in one set per level, more than
+    both levels' ways): ``random_plan(11, rng=1)`` on the tiny machine.
+    Coverage counts each fold where it fires, not its weighted ranges or
+    folded misses, so no fold passes on another's rows or counts.  Each
     must actually fold, so the check cannot pass vacuously.  One more must
     replay a sub-plan template at two or more base residues (a child stride
     that is not a whole number of lines under a parent stride below the
@@ -351,6 +365,7 @@ def check_exactness() -> None:
     converts L1 lines to L2 lines.
     """
     from collections import Counter, defaultdict
+    from contextlib import ExitStack
     from dataclasses import replace
     from unittest import mock
 
@@ -366,35 +381,45 @@ def check_exactness() -> None:
     from repro.machine.trace import TraceBuilder
     from repro.wht.random_plans import random_plan
 
-    def residues(builder, _chunks, _fired):
+    def residues(builder):
         """Sub-plans replayed at two or more base residues."""
         found = defaultdict(set)
         for node, stride, residue in builder._memo:
             found[node, stride].add(residue)
         return sum(len(kept) > 1 for kept in found.values())
 
-    def counted(fired, kind, function):
+    def spied(function, fired, kinds):
+        """``function``, adding ``kinds(arguments, answer)`` to ``fired``."""
+
         def spy(*arguments):
             answer = function(*arguments)
-            fired[kind] += bool(answer)
+            fired.update(kinds(arguments, answer))
             return answer
 
         return spy
+
+    # Where each fold fires: ``_units(base, stride, count, step, copy)``
+    # steps by the node stride over a row's calls and by a whole row over
+    # the row loop; the call fold returns its folded L1 and L2 misses.
+    fold_kinds = {
+        "_units": lambda arguments, answer: {
+            "calls" if arguments[3] == arguments[1] else "unit": bool(answer)
+        },
+        "_fold_group": lambda _arguments, answer: {"sub-plan": bool(answer)},
+        "_fold_repeated_calls": lambda _arguments, answer: (
+            {"l1": answer[1], "l2": answer[2]} if answer else {}
+        ),
+        "_write_pass": lambda _arguments, answer: {"thrash": answer == "thrash"},
+    }
 
     l1_only = SimulatedMachine(replace(tiny_machine_config(), l2=None))
     coarse_l2 = SimulatedMachine(
         replace(tiny_machine_config(), l2=CacheConfig(2048, 64, 4, name="L2"))
     )
-    fold_counts = {
-        "l1": lambda _builder, chunks, _fired: sum(chunk.folded_l1_misses for chunk in chunks),
-        "l2": lambda _builder, chunks, _fired: sum(chunk.folded_l2_misses for chunk in chunks),
-        "sub-plan": lambda _builder, _chunks, fired: fired["sub-plan"],
-        "unit": lambda _builder, _chunks, fired: fired["unit"],
-        "residues": residues,
-    }
     # (machine, n, seed, what the stream must do: fold repeated calls' l1
     # or l2 misses, fold repeated sub-plan invocations, fold translated
-    # units, or replay a template at several residues)
+    # units of a row loop or of a row's calls, drop and count thrashing
+    # write passes, or replay a template at several residues)
     cases = [
         *((tiny_machine(), 8, seed, None) for seed in range(3)),
         *((opteron_like(noise_sigma=0.0), 9, seed, None) for seed in range(3)),
@@ -404,6 +429,8 @@ def check_exactness() -> None:
         (default_machine(noise_sigma=0.0), 14, 1, "sub-plan"),
         (l1_only, 11, 0, "sub-plan"),
         (default_machine(noise_sigma=0.0), 15, 0, "unit"),
+        (default_machine(noise_sigma=0.0), 15, 0, "calls"),
+        (tiny_machine(), 11, 1, "thrash"),
         (default_machine(noise_sigma=0.0), 12, 1, "residues"),
         (coarse_l2, 11, 3, None),
     ]
@@ -415,11 +442,14 @@ def check_exactness() -> None:
                 config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
             )
             fired = Counter()
-            builder._unit_rows = counted(fired, "unit", builder._unit_rows)
-            group = counted(fired, "sub-plan", trace._fold_group)
-            with mock.patch.object(trace, "_fold_group", group):
-                chunks = list(builder.stream(plan))
-            if fold_counts[folds](builder, chunks, fired) == 0:
+            builder._units = spied(builder._units, fired, fold_kinds["_units"])
+            with ExitStack() as patches:
+                for name, kinds in fold_kinds.items():
+                    if name != "_units":
+                        spy = spied(getattr(trace, name), fired, kinds)
+                        patches.enter_context(mock.patch.object(trace, name, spy))
+                list(builder.stream(plan))
+            if (residues(builder) if folds == "residues" else fired[folds]) == 0:
                 raise SystemExit(
                     f"fold coverage lost: no {folds} fold fired "
                     f"({config.name}, n={size}, seed={seed})"

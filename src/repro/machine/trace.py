@@ -16,13 +16,13 @@ Two views of that trace are provided (see DESIGN.md §3):
   leaf nests expand with one broadcast each, line-aligned unit-stride ones
   analytically.  The full trace is never held in memory.  Given the cache
   geometry, the stream also drops provably repeated passes: write passes
-  that are guaranteed hits, runs of back-to-back codelet calls over one
-  line sequence, whose misses are counted exactly instead of simulated,
-  and all but three of each run of back-to-back sub-plan invocations over
-  one line sequence or of each stride loop's disjoint, cache-filling
-  units, the last marked as a weighted range whose misses the hierarchy
-  counts once per copy it stands for (repeated-pass elision, DESIGN.md
-  §10).
+  that are guaranteed hits, and those that miss every level (counted
+  exactly instead of simulated, as are runs of back-to-back codelet calls
+  over one line sequence), and all but three of each run of back-to-back
+  sub-plan invocations over one line sequence or of each row or call
+  loop's disjoint, cache-filling units, the last marked as a weighted range
+  whose misses the hierarchy counts once per copy it stands for
+  (repeated-pass elision, DESIGN.md §10).
 * :func:`trace_from_nests` / :class:`MemoryTrace` — the eager byte-address
   view over :meth:`repro.wht.interpreter.PlanInterpreter.profile`'s leaf
   nests, retained for tests, ablations and any consumer that wants the
@@ -203,9 +203,9 @@ class LineChunk:
     consecutive identical lines removed; ``accesses`` records how many raw
     element accesses the chunk represents (before collapsing), which is what
     the hierarchy reports as L1 accesses.  ``folded_l1_misses`` and
-    ``folded_l2_misses`` are the exact misses of codelet calls that were
-    folded out of ``lines`` (see :func:`_fold_repeated_calls`); every folded
-    L1 miss is also an L2 access.
+    ``folded_l2_misses`` are the exact misses of codelet calls and write
+    passes dropped from ``lines`` (:func:`_fold_repeated_calls`,
+    :func:`_write_pass`); every folded L1 miss is also an L2 access.
 
     ``weighted_ranges`` holds ``(start, stop, weight)`` rows: the lines
     ``lines[start:stop]`` stand for ``weight`` copies of themselves (a
@@ -308,10 +308,10 @@ def splice_line_chunks(
     Streams are consumed in order (plan 0 exhausted before plan 1 starts), so
     within the super-stream each plan occupies one contiguous run of
     segments.  Every incoming chunk becomes one segment with its plan's line
-    offset added; segments accumulate until roughly ``chunk_lines`` lines are
-    buffered, then flush as one :class:`SplicedLineChunk`.  Incoming chunks
-    are never split, so a chunk bounded by ``chunk_accesses`` upstream keeps
-    the spliced chunks bounded as well.
+    offset added; segments accumulate into one :class:`SplicedLineChunk`,
+    which flushes before a segment would take it past ``chunk_lines`` lines.
+    Incoming chunks are never split, so a spliced chunk passes
+    ``chunk_lines`` only when it is one incoming chunk that alone does.
 
     The caller provides ``line_offsets`` that give each plan a disjoint,
     set-mapping-preserving slice of the line space; with such offsets a
@@ -365,6 +365,8 @@ def splice_line_chunks(
         if offset < 0:
             raise ValueError(f"line offsets must be nonnegative, got {offset}")
         for chunk in stream:
+            if buffered and buffered + chunk.lines.shape[0] > chunk_lines:
+                yield flush()
             buf_lines.append(chunk.lines + offset if offset else chunk.lines)
             buf_plan.append(plan_index)
             buf_accesses.append(chunk.accesses)
@@ -438,39 +440,39 @@ def _set_cohort(elements: int, stride_bytes: int, cache: CacheConfig) -> int:
     return -(-elements // sets_hit)
 
 
-def _write_pass_elidable(nest: LeafNest, element_size: int, l1: CacheConfig) -> bool:
-    """Whether the write pass of every call of ``nest`` may be elided.
+def _write_pass(
+    nest: LeafNest, element_size: int, l1: CacheConfig, way_bytes: int, thrash: int
+) -> str:
+    """``"elide"``, ``"thrash"`` or ``"keep"``: how the write pass of every
+    call of ``nest`` is emitted.
 
-    A codelet call touches its element block twice: a read pass immediately
-    followed by a write pass over the same addresses.  When no L1 set
-    receives more than ``associativity`` of the call's distinct lines (the
-    per-set *cohort* bound), every write-pass access finds its line within
-    the ``associativity`` most recently used distinct lines of its set — a
-    guaranteed hit whose re-reference leaves the set's final recency order
-    exactly as the read pass left it (re-applying an access sequence to the
-    state it produced reproduces that state), and which, being a hit, never
-    reaches the next cache level.  Such write passes can be dropped from the
-    emitted stream without changing any hierarchy statistic at any level;
-    the raw ``accesses`` bookkeeping is unaffected.
-
-    The cohort test is conservative: it is evaluated exactly when the
-    element stride is a whole number of lines (:func:`_set_cohort`) or a
-    divisor of the line size (the call spans a short consecutive line run),
-    and anything else keeps the doubled emission.
+    A codelet call reads its element block, then writes it back.  The write
+    pass is elided when no L1 set receives more than its ways of the call's
+    lines (the *cohort* bound, exact for element strides that are a whole
+    number of lines, via :func:`_set_cohort`, or a divisor of the line): it
+    is then all hits that leave every level's state as the read pass left
+    it.  It *thrashes* when the call's E elements lie a whole number of
+    ``way_bytes`` (every level's ``num_sets * line_size``) apart, one set per
+    level, and E is at least ``thrash`` (the L1 plus the L2 ways, or the L1
+    ways plus one without an L2): it then misses both levels on every
+    access and leaves both as the read pass left them, so it is dropped and
+    counted (DESIGN.md §10).  The raw ``accesses`` count it either way.
     """
     elements = nest.elements_per_call
     if elements == 1:
-        return True  # read and write hit the same single line back to back
+        return "elide"  # read and write hit the same single line back to back
     line_size = l1.line_size
     stride_bytes = nest.elem_stride * element_size
     if stride_bytes <= 0:
-        return False
+        return "keep"
     if stride_bytes % line_size == 0:
-        return _set_cohort(elements, stride_bytes, l1) <= l1.associativity
+        if _set_cohort(elements, stride_bytes, l1) <= l1.associativity:
+            return "elide"
+        return "thrash" if stride_bytes % way_bytes == 0 and elements >= thrash else "keep"
     if line_size % stride_bytes == 0:
         span = (elements * stride_bytes + line_size - 1) // line_size + 1
-        return span <= l1.num_lines
-    return False
+        return "elide" if span <= l1.num_lines else "keep"
+    return "keep"
 
 
 def _fold_repeated_calls(
@@ -479,6 +481,7 @@ def _fold_repeated_calls(
     base_address: int,
     l1: CacheConfig,
     l2: CacheConfig | None,
+    elidable: bool,
 ) -> tuple[LeafNest, int, int] | None:
     """Fold runs of calls over one line sequence: ``(nest, l1, l2)`` or ``None``.
 
@@ -519,7 +522,7 @@ def _fold_repeated_calls(
         return None
     runs = -(-nest.inner_count // group)
     folded = replace(nest, inner_count=runs, inner_stride=group * nest.inner_stride)
-    if _write_pass_elidable(nest, element_size, l1):
+    if elidable:
         return folded, 0, 0
     l1_misses = 2 * elements * nest.outer_count * (nest.inner_count - runs)
     if l2 is None:
@@ -626,6 +629,28 @@ def _keep_ends(runs: int, size: int, unit: int = 1) -> tuple[np.ndarray, np.ndar
     kept = (first.reshape(-1, 1) + np.arange(unit)).reshape(-1)
     weights = np.tile(np.repeat(np.array([1, 1, size - 2], dtype=np.int64), unit), runs)
     return kept, weights
+
+
+def _kept(count: int, unit: int, group: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Indices kept of a loop of ``count``, and their weights: translated
+    units 0, 1 and the last when ``unit``, then, within those, invocations
+    0, 1 and the last of each run of ``group`` when ``group`` (a unit is a
+    whole number of groups)."""
+    if unit:
+        kept, weights = _keep_ends(1, count // unit, unit)
+    else:
+        kept, weights = np.arange(count), np.ones(count, dtype=np.int64)
+    if group:
+        index, group_weights = _keep_ends(kept.shape[0] // group, group)
+        kept, weights = kept[index], weights[index] * group_weights
+    return kept, weights
+
+
+def _slice(nest: LeafNest, outer: bool, start: int, count: int) -> LeafNest:
+    """Iterations ``start:start + count`` of the nest's outer or inner loop."""
+    if outer:
+        return replace(nest, base=nest.base + start * nest.outer_stride, outer_count=count)
+    return replace(nest, base=nest.base + start * nest.inner_stride, inner_count=count)
 
 
 class _Stream(NamedTuple):
@@ -866,8 +891,9 @@ class TraceBuilder:
     repeated-pass elision (DESIGN.md §10), all of it exact:
 
     * the write pass of each codelet call is dropped whenever no L1 set
-      provably receives more than its ways of the call's lines
-      (:func:`_write_pass_elidable`);
+      provably receives more than its ways of the call's lines, and dropped
+      and counted whenever its lines sit in one set per level and outnumber
+      both levels' ways (:func:`_write_pass`);
     * each run of back-to-back calls over one line sequence keeps a single
       call, the misses of the others counted exactly in the chunks'
       ``folded_l1_misses``/``folded_l2_misses`` (:func:`_fold_repeated_calls`);
@@ -875,10 +901,12 @@ class TraceBuilder:
       run of ``g`` back-to-back sub-plan invocations over one line sequence
       keeps its first two and its last, the last marked in the chunks'
       ``weighted_ranges`` with weight ``g - 2`` (:func:`_fold_group`);
-    * under the same conditions at every level, a stride loop of ``u >= 4``
-      disjoint units that each fill the sets they touch keeps units 0, 1
-      and the last, the last weighted ``u - 2`` (:meth:`_unit_rows`);
-      weights of folds inside a weighted copy multiply.
+    * under the same conditions at every level, a child's row loop, and the
+      call or invocation loop of its rows, of ``u >= 4`` disjoint units that
+      each fill the sets they touch keeps units 0, 1 and the last, the last
+      weighted ``u - 2`` (:meth:`_units`; a leaf child's call loop only
+      when it has one row); weights of folds inside a weighted copy
+      multiply.
 
     The chunks' raw ``accesses`` always count every access, dropped ones
     and weights included.  A chunk holds at most ``chunk_accesses`` of them
@@ -915,8 +943,12 @@ class TraceBuilder:
         self._period_lines = element_size // common
         aligned = line_size % element_size == 0 and base_address % line_size == 0
         self._line_elements = line_size // element_size if caches and aligned else 0
-        # Translated units (:meth:`_unit_rows`) need the same at every level.
         levels = [level for level in caches or () if level is not None]
+        # A thrashing write pass (:func:`_write_pass`) lies whole ways apart
+        # at every level and overflows its sets at both.
+        self._way_bytes = max((level.num_sets * level.line_size for level in levels), default=0)
+        self._thrash_lines = sum(level.associativity for level in levels) + (len(levels) == 1)
+        # Translated units (:meth:`_units`) need the same alignment at every level.
         lines = [level.line_size for level in levels] or [line_size]
         if not self._line_elements or base_address % max(lines) or min(lines) % element_size:
             levels = []
@@ -1023,7 +1055,9 @@ class TraceBuilder:
             remaining //= child_size
             child_stride = inner * stride
             block = child_size * child_stride  # one row of the stride loop
-            unit_rows = self._unit_rows(base, stride, remaining, block)
+            rows = self._units(base, stride, remaining, block, block)
+            lone = remaining == 1 or not isinstance(child, Small)  # a leaf's calls fold in one row
+            calls = self._units(base, stride, inner, stride, child_size * stride) if lone else 0
             if isinstance(child, Small):
                 nest = LeafNest(
                     k=child.n,
@@ -1034,54 +1068,46 @@ class TraceBuilder:
                     inner_stride=stride,
                     elem_stride=child_stride,
                 )
-                if unit_rows:
-                    # Translated units 0 and 1, then the last for the rest.
-                    yield from self._leaf(replace(nest, outer_count=2 * unit_rows), weight)
-                    last_base = base + (remaining - unit_rows) * block
-                    last = replace(nest, base=last_base, outer_count=unit_rows)
-                    yield from self._leaf(last, weight * (remaining // unit_rows - 2))
+                # Translated units 0 and 1 of the row loop, or of a lone
+                # row's call loop, then the last for the rest.
+                outer, count, unit = rows > 0, remaining if rows else inner, rows or calls
+                if unit:
+                    yield from self._leaf(_slice(nest, outer, 0, 2 * unit), weight)
+                    last = _slice(nest, outer, count - unit, unit)
+                    yield from self._leaf(last, weight * (count // unit - 2))
                 else:
                     yield from self._leaf(nest, weight)
             else:
-                j, k = np.arange(remaining), np.arange(inner)
-                if unit_rows:
-                    j, row_weights = _keep_ends(1, remaining // unit_rows, unit_rows)
+                j, j_weights = _kept(remaining, rows)
                 group = _fold_group(base, stride, child_stride, self._line_elements)
-                if group:
-                    # Invocations 0, 1 and the last of each group of
-                    # ``group`` over one line sequence; the last stands for
-                    # the rest.
-                    k, k_weights = _keep_ends(inner // group, group)
-                weights = np.full((j.shape[0], k.shape[0]), weight, dtype=np.int64)
-                if unit_rows:
-                    weights *= row_weights[:, None]
-                if group:
-                    weights *= k_weights
+                k, k_weights = _kept(inner, calls, group)
+                weights = (weight * j_weights[:, None] * k_weights).reshape(-1)
                 bases = (base + j[:, None] * block + k * stride).reshape(-1)
-                yield from self._invoke(child, bases, child_stride, weights.reshape(-1))
+                yield from self._invoke(child, bases, child_stride, weights)
             inner *= child_size
 
-    def _unit_rows(self, base: int, stride: int, rows: int, block: int) -> int:
-        """Rows per translated unit of a stride loop over ``rows`` rows of
-        ``block`` elements, at node stride ``stride`` from ``base``, or 0
-        when the loop does not hold four units (DESIGN.md §10).
+    def _units(self, base: int, stride: int, count: int, step: int, copy: int) -> int:
+        """Copies per translated unit of a loop of ``count`` copies ``step``
+        elements apart, each over ``copy / stride`` node elements ``stride``
+        apart (a row: ``step = copy = block``; a row's calls: ``step =
+        stride``, ``copy = child_size * stride``), or 0 when the loop does
+        not hold four units (DESIGN.md §10).
 
-        A unit is the fewest rows, a power of two, that put at least the
-        ways of distinct lines into every set they touch at each level.  It
-        touches every line of its span when ``stride`` is below a line, one
-        line per ``stride`` otherwise: it needs the whole cache, and
-        ``ways * stride`` elements.  Units share no line when each starts
-        within the first ``stride`` elements of its line, which a walk from
-        base 0 guarantees.
+        A unit is the fewest copies, a power of two, that shift by whole
+        ``num_sets * line_size`` bytes and put at least the ways of distinct
+        lines into every set they touch at each level: a span of the whole
+        cache, and of ``ways * stride`` elements.  Units share no line when
+        each starts within the first ``stride`` elements of its line, which
+        a walk from base 0 guarantees.
         """
-        block_bytes = block * self.element_size
-        if not self._fill_bytes or rows * block_bytes < 4 * self._fill_bytes:
+        element_size = self.element_size
+        if not self._fill_bytes or count * copy * element_size < 4 * self._fill_bytes:
             return 0
         if base % self._fill_line_elements >= stride:
             return 0
-        unit_bytes = max(self._fill_bytes, self._fill_ways * stride * self.element_size)
-        unit_rows = max(unit_bytes // block_bytes, 1)
-        return unit_rows if rows >= 4 * unit_rows else 0
+        fill = max(self._fill_bytes, self._fill_ways * stride * element_size)
+        unit = max(fill // (copy * element_size), self._way_bytes // (step * element_size), 1)
+        return unit if count >= 4 * unit else 0
 
     def _leaf(self, nest: LeafNest, weight: int) -> Iterator[_Copies]:
         """The nest's stream, split along its loop axes into pieces whose
@@ -1092,35 +1118,18 @@ class TraceBuilder:
             # The pieces cover the original call sequence in order, so
             # expansion and collapse are unchanged; only the chunk
             # boundaries (which are semantically irrelevant) move.
-            if nest.outer_count > 1:
-                rows = max(1, limit // (nest.inner_count * 2 * elements))
-                pieces = (
-                    replace(
-                        nest,
-                        base=nest.base + row * nest.outer_stride,
-                        outer_count=min(rows, nest.outer_count - row),
-                    )
-                    for row in range(0, nest.outer_count, rows)
-                )
-            else:
-                rows = max(1, limit // (2 * elements))
-                pieces = (
-                    replace(
-                        nest,
-                        base=nest.base + row * nest.inner_stride,
-                        inner_count=min(rows, nest.inner_count - row),
-                    )
-                    for row in range(0, nest.inner_count, rows)
-                )
-            for piece in pieces:
-                yield from self._leaf(piece, weight)
+            outer = nest.outer_count > 1
+            count = nest.outer_count if outer else nest.inner_count
+            rows = max(1, limit // (2 * elements * (nest.inner_count if outer else 1)))
+            for row in range(0, count, rows):
+                yield from self._leaf(_slice(nest, outer, row, min(rows, count - row)), weight)
             return
         yield _one_copy(self._nest_stream(nest), weight)
 
     def _nest_stream(self, nest: LeafNest) -> _Stream:
-        """One nest's lines, its write passes elided and its repeated calls
-        folded where ``caches`` allow (consecutive repeats are collapsed by
-        the writer)."""
+        """One nest's lines, its write passes elided or counted and its
+        repeated calls folded where ``caches`` allow (consecutive repeats are
+        collapsed by the writer)."""
         line_size, element_size = self.line_size, self.element_size
         raw = 2 * nest.total_elements
         lines_per_call = _analytic_lines_per_call(
@@ -1137,13 +1146,20 @@ class TraceBuilder:
                 if lines_per_call <= l1.num_lines:
                     passes = 1
             else:
-                if _write_pass_elidable(nest, element_size, l1):
-                    passes = 1
+                write = _write_pass(nest, element_size, l1, self._way_bytes, self._thrash_lines)
                 # Analytic nests never fold: a fold needs several elements
                 # per line, and a call's elements whole lines apart.
-                fold = _fold_repeated_calls(nest, element_size, self.base_address, l1, l2)
+                fold = _fold_repeated_calls(
+                    nest, element_size, self.base_address, l1, l2, write == "elide"
+                )
                 if fold is not None:
                     nest, folded_l1, folded_l2 = fold
+                if write != "keep":
+                    passes = 1
+                if write == "thrash":
+                    # Every kept call's write pass misses both levels in full.
+                    folded_l1 += nest.total_elements
+                    folded_l2 += nest.total_elements if l2 is not None else 0
         if lines_per_call:
             lines = _analytic_lines(
                 nest, lines_per_call, passes, line_size, element_size, self.base_address

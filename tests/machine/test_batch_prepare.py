@@ -307,6 +307,27 @@ class TestSpliceLineChunks:
         with pytest.raises(ValueError):
             list(splice_line_chunks([[]], [0, 1]))
 
+    @pytest.mark.parametrize("chunk_lines", [150, 300, 1000])
+    def test_spliced_chunks_stay_within_the_line_budget(self, chunk_lines):
+        # Per-plan chunks of varied lengths: a spliced chunk flushes before
+        # a segment would take it past the budget, so it passes the budget
+        # only as a single incoming chunk that alone does.
+        l1, l2 = CacheConfig(256, 32, 2), CacheConfig(2048, 32, 4)
+        hierarchy = MemoryHierarchy(l1, l2)
+        plans = [random_plan(n, rng=seed) for seed in range(3) for n in (6, 8, 9)]
+        streams = [
+            list(stream_line_chunks(plan, 32, chunk_accesses=256, caches=(l1, l2)))
+            for plan in plans
+        ]
+        expected = [hierarchy.process_line_chunks(iter(chunks)) for chunks in streams]
+        offsets = hierarchy.batch_line_offsets([plan.size for plan in plans])
+        spliced = list(splice_line_chunks(streams, offsets, chunk_lines=chunk_lines))
+        assert sum(chunk.segments for chunk in spliced) == sum(map(len, streams))
+        for chunk in spliced:
+            assert chunk.lines.shape[0] <= chunk_lines or chunk.segments == 1
+        assert any(chunk.segments > 1 for chunk in spliced)
+        assert hierarchy.process_line_chunks_batch(iter(spliced), len(plans)) == expected
+
     def test_weighted_ranges_shift_with_their_segment(self):
         ranges = np.array([[1, 2, 6]])
         streams = [
@@ -659,7 +680,10 @@ class TestRepeatedCallFolding:
         exact, _ = _hierarchy_stats(plan, l1, l2, None)
         folded, chunks = _hierarchy_stats(plan, l1, l2, (l1, l2))
         assert folded == exact
-        assert _folded(chunks) == (1792, 1792)
+        # The call fold's dropped calls, plus the thrashing write passes of
+        # the root's kept small[2] calls: 32 calls of 4 elements 2 KB apart,
+        # one set per level, as many as the two levels' ways.
+        assert _folded(chunks) == (1792 + 128, 1792 + 128)
         machine = SimulatedMachine(
             dataclasses.replace(default_machine_config(noise_sigma=0.0), l1=l1, l2=l2)
         )
