@@ -112,6 +112,11 @@ PREPARE_N14_PEAK_BYTES = 8_716_113
 #: sub-plan line streams were memoised, so the trace builder's template
 #: memo may not raise it.
 PREPARE_N18_PEAK_BYTES = 28_401_987
+#: Ceiling on the milliseconds per plan of a 40-plan RSU n=18 batch on the
+#: Opteron-like machine (``check_rsu_n18_opteron``), the paper's geometry:
+#: about 100 ms per plan when every set was simulated, 1.6 ms per plan with
+#: one set class simulated for all 512.
+RSU_N18_OPTERON_MS_PER_PLAN = 10.0
 
 SMOKE_SIZE = 14
 SMOKE_SEED = 7
@@ -337,6 +342,20 @@ def check_memory_n18() -> None:
     gate("prepare_n18_spliced_lines", spliced, "<=", DEFAULT_CHUNK_ACCESSES, unit="lines")
 
 
+def check_rsu_n18_opteron() -> None:
+    """A 40-plan RSU n=18 batch on the Opteron-like machine prepares within
+    ``RSU_N18_OPTERON_MS_PER_PLAN`` per plan (a fresh machine, cold)."""
+    from repro.machine.configs import opteron_like
+    from repro.wht.random_plans import random_plans
+
+    plans = random_plans(18, 40, rng=SMOKE_SEED)
+    machine = opteron_like(noise_sigma=0.0)
+    start = time.perf_counter()
+    machine.prepare_batch(plans)
+    per_plan = (time.perf_counter() - start) / len(plans) * 1e3
+    gate("prepare_rsu_n18_opteron", per_plan, "<=", RSU_N18_OPTERON_MS_PER_PLAN, unit="ms/plan")
+
+
 def check_exactness() -> None:
     """Streaming pipeline must be bit-identical to the eager reference.
 
@@ -347,13 +366,7 @@ def check_exactness() -> None:
     on the tiny machine ``random_plan(11, rng=1)`` folds runs that thrash
     both levels.  Two exercise repeated sub-plan folding (weighted line
     ranges): ``random_plan(14, rng=1)`` on the default machine, and
-    ``random_plan(11, rng=0)`` on the tiny machine without its L2.  One
-    must fold a stride loop into translated units (again weighted line
-    ranges): ``random_plan(15, rng=0)`` on the default machine, whose nodes
-    reach four times its L2; the same plan must fold a row's call or
-    invocation loop into translated units too.  One must drop and count
-    thrashing write passes (a call's lines in one set per level, more than
-    both levels' ways): ``random_plan(11, rng=1)`` on the tiny machine.
+    ``random_plan(11, rng=0)`` on the tiny machine without its L2.
     Coverage counts each fold where it fires, not its weighted ranges or
     folded misses, so no fold passes on another's rows or counts.  Each
     must actually fold, so the check cannot pass vacuously.  One more must
@@ -363,6 +376,11 @@ def check_exactness() -> None:
     machine.  The last runs the tiny machine with 64-byte L2 lines, twice
     its L1 lines: every preset has equal line sizes, so only that case
     converts L1 lines to L2 lines.
+
+    Every preset must simulate one set class for all: 64 on the default
+    machine, 512 on ``opteron`` and 4 on the tiny machine, with the
+    statistics of the full geometry's own stream (a :class:`TraceBuilder`
+    and :class:`MemoryHierarchy` on the preset's caches).
     """
     from collections import Counter, defaultdict
     from contextlib import ExitStack
@@ -377,6 +395,7 @@ def check_exactness() -> None:
         tiny_machine,
         tiny_machine_config,
     )
+    from repro.machine.hierarchy import MemoryHierarchy
     from repro.machine.machine import SimulatedMachine
     from repro.machine.trace import TraceBuilder
     from repro.wht.random_plans import random_plan
@@ -398,18 +417,13 @@ def check_exactness() -> None:
 
         return spy
 
-    # Where each fold fires: ``_units(base, stride, count, step, copy)``
-    # steps by the node stride over a row's calls and by a whole row over
-    # the row loop; the call fold returns its folded L1 and L2 misses.
+    # Where each fold fires; the call fold returns its folded L1 and L2
+    # misses.
     fold_kinds = {
-        "_units": lambda arguments, answer: {
-            "calls" if arguments[3] == arguments[1] else "unit": bool(answer)
-        },
         "_fold_group": lambda _arguments, answer: {"sub-plan": bool(answer)},
         "_fold_repeated_calls": lambda _arguments, answer: (
             {"l1": answer[1], "l2": answer[2]} if answer else {}
         ),
-        "_write_pass": lambda _arguments, answer: {"thrash": answer == "thrash"},
     }
 
     l1_only = SimulatedMachine(replace(tiny_machine_config(), l2=None))
@@ -417,9 +431,8 @@ def check_exactness() -> None:
         replace(tiny_machine_config(), l2=CacheConfig(2048, 64, 4, name="L2"))
     )
     # (machine, n, seed, what the stream must do: fold repeated calls' l1
-    # or l2 misses, fold repeated sub-plan invocations, fold translated
-    # units of a row loop or of a row's calls, drop and count thrashing
-    # write passes, or replay a template at several residues)
+    # or l2 misses, fold repeated sub-plan invocations, or replay a template
+    # at several residues)
     cases = [
         *((tiny_machine(), 8, seed, None) for seed in range(3)),
         *((opteron_like(noise_sigma=0.0), 9, seed, None) for seed in range(3)),
@@ -428,9 +441,6 @@ def check_exactness() -> None:
         (tiny_machine(), 11, 1, "l2"),
         (default_machine(noise_sigma=0.0), 14, 1, "sub-plan"),
         (l1_only, 11, 0, "sub-plan"),
-        (default_machine(noise_sigma=0.0), 15, 0, "unit"),
-        (default_machine(noise_sigma=0.0), 15, 0, "calls"),
-        (tiny_machine(), 11, 1, "thrash"),
         (default_machine(noise_sigma=0.0), 12, 1, "residues"),
         (coarse_l2, 11, 3, None),
     ]
@@ -442,12 +452,10 @@ def check_exactness() -> None:
                 config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
             )
             fired = Counter()
-            builder._units = spied(builder._units, fired, fold_kinds["_units"])
             with ExitStack() as patches:
                 for name, kinds in fold_kinds.items():
-                    if name != "_units":
-                        spy = spied(getattr(trace, name), fired, kinds)
-                        patches.enter_context(mock.patch.object(trace, name, spy))
+                    spy = spied(getattr(trace, name), fired, kinds)
+                    patches.enter_context(mock.patch.object(trace, name, spy))
                 list(builder.stream(plan))
             if (residues(builder) if folds == "residues" else fired[folds]) == 0:
                 raise SystemExit(
@@ -460,6 +468,23 @@ def check_exactness() -> None:
             raise SystemExit(
                 f"exactness regression: streamed {streamed} != eager {eager} "
                 f"({config.name}, n={size}, seed={seed})"
+            )
+    for machine, size, classes in (
+        (default_machine(noise_sigma=0.0), 14, 64),
+        (opteron_like(noise_sigma=0.0), 15, 512),
+        (tiny_machine(), 9, 4),
+    ):
+        config = machine.config
+        plan = random_plan(size, rng=0)
+        reduced = machine.prepare(plan).hierarchy_stats
+        builder = TraceBuilder(
+            config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
+        )
+        full = MemoryHierarchy(config.l1, config.l2).process_line_chunks(builder.stream(plan))
+        if list(machine._classes) != [classes] or reduced != full:
+            raise SystemExit(
+                f"set-class regression: {list(machine._classes)} classes, {reduced} "
+                f"!= full geometry {full} ({config.name}, n={size}; want {classes} classes)"
             )
 
 
@@ -1541,6 +1566,8 @@ def main() -> int:
 
     check_memory_n18()
     print("memory: n=18 prepare within its recorded peak and chunk budget")
+    check_rsu_n18_opteron()
+    print("paper geometry: RSU n=18 batch on the Opteron-like machine within its per-plan budget")
 
     seconds, peak, stats = run_smoke()
     name = f"prepare_n{SMOKE_SIZE}_opteron"

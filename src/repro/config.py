@@ -36,9 +36,11 @@ class ExperimentScale:
     #: Largest exponent in the canonical-algorithm sweeps (Figures 1–3).
     canonical_max_size: int = 15
     #: Number of RSU random samples per campaign (the paper uses 10,000).
-    #: A batched campaign prepares its samples as one batch, whose line space
-    #: is int32 (see :meth:`repro.machine.machine.SimulatedMachine.prepare_batch`):
-    #: 8,192 distinct samples of size 2^21 with 64-byte lines raise.
+    #: A batched campaign prepares its samples as one batch, whose int32 line
+    #: space counts lines of one set class (see
+    #: :meth:`repro.machine.machine.SimulatedMachine.prepare_batch`): 8,192
+    #: distinct samples of size 2^21 with 64-byte lines raise on a machine
+    #: with one class, 512 times as many on ``opteron``.
     sample_count: int = 400
     #: Base random seed for samplers and the cycle-noise draws.
     seed: int = 20070122

@@ -23,7 +23,7 @@ as the eager compatibility view over a fully materialised
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,6 +115,36 @@ class MemoryHierarchy:
         if self.l2_config is None:
             return None
         return make_cache(self.l2_config, vectorized=self.vectorized)
+
+    # -- set classes --------------------------------------------------------------
+    #
+    # The address bits that index a set at every level split a trace into
+    # set classes.  A WHT plan run from address 0 misses alike in each class,
+    # so simulating one class on a geometry with that many times fewer sets
+    # and scaling gives the whole trace's statistics (DESIGN.md §10).
+
+    def shared_set_bits(self, element_size: int = 1) -> tuple[int, int]:
+        """Element-index bits ``low:high`` that index a set at every level:
+        from the widest line's offset bits up to the smallest ``line_size *
+        num_sets``.  Empty unless ``element_size`` is a power of two that
+        divides every line."""
+        levels = [level for level in (self.l1_config, self.l2_config) if level is not None]
+        shift = element_size.bit_length() - 1
+        if element_size != 1 << shift or any(level.line_size % element_size for level in levels):
+            return 0, 0
+        low = max(level.offset_bits for level in levels) - shift
+        high = min(level.offset_bits + level.index_bits for level in levels) - shift
+        return low, max(low, high)
+
+    def class_geometry(self, classes: int) -> "MemoryHierarchy":
+        """The hierarchy with every level's set count divided by ``classes``
+        (at most ``2^(high - low)`` of :meth:`shared_set_bits`); lines and
+        ways stay the same."""
+        l1, l2 = (
+            None if level is None else replace(level, size_bytes=level.size_bytes // classes)
+            for level in (self.l1_config, self.l2_config)
+        )
+        return MemoryHierarchy(l1, l2, vectorized=self.vectorized)
 
     def _l2_lines(self, lines: np.ndarray) -> np.ndarray:
         """L2 line numbers of L1 line numbers: a shift by the difference of

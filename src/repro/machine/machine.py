@@ -12,7 +12,7 @@ PAPI-instrumented run of the compiled WHT package in the paper.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from repro.machine.cache import CacheConfig
 from repro.machine.cpu import CycleModel, InstructionCostModel
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.measurement import Measurement
-from repro.machine.trace import DEFAULT_ELEMENT_SIZE, TraceBuilder, splice_line_chunks
+from repro.machine.trace import DEFAULT_ELEMENT_SIZE, TraceBuilder, splice_line_chunks, squeeze_plan
 from repro.util.lru import LRUCache
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_positive_int
@@ -188,9 +188,10 @@ class SimulatedMachine:
         self.hierarchy = MemoryHierarchy(
             config.l1, config.l2, vectorized=config.vectorized_caches
         )
-        self._trace = TraceBuilder(
-            config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
-        )
+        self._class_bits = self.hierarchy.shared_set_bits(config.element_size)
+        # Per class count, its geometry and a trace builder kept across
+        # plans, whose template memo replays the sub-plans they share.
+        self._classes: dict[int, tuple[MemoryHierarchy, TraceBuilder]] = {}
         self._rng = as_generator(rng)
         self.prepared_cache = prepared_cache
 
@@ -206,12 +207,13 @@ class SimulatedMachine:
         trace is ever materialised, and the statistics are bit-identical to
         the eager profile → trace → simulate pipeline —
         including the exact shortcuts of the fused pipeline: analytic
-        full-coverage statistics for footprints that fit a cache level, and
-        repeated-pass elision, which drops guaranteed-hit write passes,
-        folds runs of calls over one line sequence into one simulated call
-        plus an exact miss count, and simulates three of each run of
-        sub-plan invocations over one line sequence, the third weighted for
-        the rest (see DESIGN.md §10).
+        full-coverage statistics for footprints that fit a cache level; one
+        set class simulated for all (DESIGN.md §10); and repeated-pass
+        elision, which drops
+        guaranteed-hit write passes, folds runs of calls over one line
+        sequence into one simulated call plus an exact miss count, and
+        simulates three of each run of sub-plan invocations over one line
+        sequence, the last weighted for the rest (see DESIGN.md §10).
 
         With a :class:`PreparedPlanCache` attached, repeated preparations of
         structurally equal plans return the cached (identical) result.
@@ -237,9 +239,10 @@ class SimulatedMachine:
         (:meth:`~repro.machine.hierarchy.MemoryHierarchy.process_line_chunks_batch`).
         Every returned :class:`PreparedPlan` is bit-identical to what
         :meth:`prepare` produces for the same plan.  The batch is never
-        split: the simulated plans' footprints together must stay below
-        2^31 cache lines (int32 line numbers), or this raises ``ValueError``
-        — about 8,000 distinct plans of size 2^21 with 64-byte lines.
+        split: the simulated plans' footprints in one set class together
+        must stay below 2^31 cache lines (int32 line numbers), or this
+        raises ``ValueError`` — about 8,000 distinct plans of size 2^21 with
+        64-byte lines and one class, 512 times as many on ``opteron``.
         """
         cache = self.prepared_cache
         resolved: dict[str, PreparedPlan] = {}
@@ -269,10 +272,12 @@ class SimulatedMachine:
         """Prepare distinct plans through the fused measurement pipeline.
 
         Plans whose full vector provably fits L1 get exact analytic
-        hierarchy statistics (no trace is ever expanded); the rest are built
-        into per-plan chunk streams, spliced into one super-stream at
-        disjoint line offsets and simulated batch-wise, with the L2 level
-        resolved analytically for every plan whose footprint fits it.
+        hierarchy statistics (no trace is ever expanded); the rest are
+        squeezed to set class 0, built into per-plan chunk streams on the
+        class geometry, spliced into one super-stream at disjoint line
+        offsets and simulated batch-wise, with the L2 level resolved
+        analytically for every plan whose footprint fits it, and scaled by
+        the class count: the fewest any of them spans.
         """
         config = self.config
         hierarchy = self.hierarchy
@@ -301,23 +306,38 @@ class SimulatedMachine:
             else:
                 streamed.append(index)
         if streamed:
-            offsets = hierarchy.batch_line_offsets(
-                [-(-footprints[index] // line_size) for index in streamed]
+            low, high = self._class_bits
+            bits = min(max(min(plans[index].n, high) - low, 0) for index in streamed)
+            classes = 1 << bits
+            squeezed = [squeeze_plan(plans[index], low, low + bits) for index in streamed]
+            class_hierarchy, builder = self._class_pipeline(classes)
+            sizes = [plan.size * element_size for plan in squeezed]
+            offsets = class_hierarchy.batch_line_offsets(
+                [-(-size // line_size) for size in sizes]
             )
-            streams = [self._trace.stream(plans[index]) for index in streamed]
-            batch_stats = hierarchy.process_line_chunks_batch(
-                splice_line_chunks(streams, offsets),
+            batch_stats = class_hierarchy.process_line_chunks_batch(
+                splice_line_chunks([builder.stream(plan) for plan in squeezed], offsets),
                 len(streamed),
-                footprint_bytes=(
-                    [footprints[index] for index in streamed] if dense else None
-                ),
+                footprint_bytes=sizes if dense else None,
             )
             for index, stats in zip(streamed, batch_stats):
-                hierarchy_stats[index] = stats
+                hierarchy_stats[index] = HierarchyStatistics(
+                    *(classes * count for count in astuple(stats))
+                )
         return [
             PreparedPlan(plan=plan, stats=stats, hierarchy_stats=hier_stats)
             for plan, stats, hier_stats in zip(plans, stats_list, hierarchy_stats)
         ]
+
+    def _class_pipeline(self, classes: int) -> tuple[MemoryHierarchy, TraceBuilder]:
+        """The class geometry of ``classes`` set classes and its trace builder."""
+        pipeline = self._classes.get(classes)
+        if pipeline is None:
+            hierarchy = self.hierarchy.class_geometry(classes)
+            l1, l2 = hierarchy.l1_config, hierarchy.l2_config
+            builder = TraceBuilder(l1.line_size, self.config.element_size, caches=(l1, l2))
+            pipeline = self._classes[classes] = (hierarchy, builder)
+        return pipeline
 
     def measure_prepared(self, prepared: PreparedPlan, rng: RandomState = None) -> Measurement:
         """Turn a :class:`PreparedPlan` into a measurement (noise draw included).

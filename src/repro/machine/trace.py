@@ -16,13 +16,15 @@ Two views of that trace are provided (see DESIGN.md §3):
   leaf nests expand with one broadcast each, line-aligned unit-stride ones
   analytically.  The full trace is never held in memory.  Given the cache
   geometry, the stream also drops provably repeated passes: write passes
-  that are guaranteed hits, and those that miss every level (counted
-  exactly instead of simulated, as are runs of back-to-back codelet calls
-  over one line sequence), and all but three of each run of back-to-back
-  sub-plan invocations over one line sequence or of each row or call
-  loop's disjoint, cache-filling units, the last marked as a weighted range
-  whose misses the hierarchy counts once per copy it stands for
-  (repeated-pass elision, DESIGN.md §10).
+  that are guaranteed hits, runs of back-to-back codelet calls over one
+  line sequence, whose misses are counted exactly instead of simulated,
+  and all but three of each run of back-to-back sub-plan invocations over
+  one line sequence, the last marked as a weighted range whose misses the
+  hierarchy counts once per invocation it stands for (repeated-pass
+  elision, DESIGN.md §10).  :func:`squeeze_plan` turns a plan into the
+  smaller plan whose trace is one *set class* of the original's, which
+  the simulated machine streams on a geometry with as many times fewer
+  sets (DESIGN.md §10, "Set classes").
 * :func:`trace_from_nests` / :class:`MemoryTrace` — the eager byte-address
   view over :meth:`repro.wht.interpreter.PlanInterpreter.profile`'s leaf
   nests, retained for tests, ablations and any consumer that wants the
@@ -42,7 +44,7 @@ from repro.machine.cache import LINE_LIMIT, CacheConfig, _as_lines
 from repro.util.lru import LRUCache
 from repro.util.validation import check_positive_int
 from repro.wht.interpreter import LeafNest
-from repro.wht.plan import Plan, Small
+from repro.wht.plan import Plan, Small, _small_unchecked, _split_unchecked
 
 __all__ = [
     "MemoryTrace",
@@ -54,6 +56,7 @@ __all__ = [
     "TraceBuilder",
     "stream_line_chunks",
     "splice_line_chunks",
+    "squeeze_plan",
 ]
 
 #: Size of a double-precision vector element in bytes (the WHT package
@@ -203,13 +206,13 @@ class LineChunk:
     consecutive identical lines removed; ``accesses`` records how many raw
     element accesses the chunk represents (before collapsing), which is what
     the hierarchy reports as L1 accesses.  ``folded_l1_misses`` and
-    ``folded_l2_misses`` are the exact misses of codelet calls and write
-    passes dropped from ``lines`` (:func:`_fold_repeated_calls`,
-    :func:`_write_pass`); every folded L1 miss is also an L2 access.
+    ``folded_l2_misses`` are the exact misses of codelet calls that were
+    folded out of ``lines`` (see :func:`_fold_repeated_calls`); every folded
+    L1 miss is also an L2 access.
 
     ``weighted_ranges`` holds ``(start, stop, weight)`` rows: the lines
-    ``lines[start:stop]`` stand for ``weight`` copies of themselves (a
-    folded run of sub-plan invocations or of translated units, see
+    ``lines[start:stop]`` stand for ``weight`` back-to-back copies of
+    themselves (a folded run of sub-plan invocations, see
     :class:`TraceBuilder`), so their misses at every level count ``weight``
     times.  ``accesses`` and
     the folded counts already include the weights.
@@ -440,39 +443,29 @@ def _set_cohort(elements: int, stride_bytes: int, cache: CacheConfig) -> int:
     return -(-elements // sets_hit)
 
 
-def _write_pass(
-    nest: LeafNest, element_size: int, l1: CacheConfig, way_bytes: int, thrash: int
-) -> str:
-    """``"elide"``, ``"thrash"`` or ``"keep"``: how the write pass of every
-    call of ``nest`` is emitted.
+def _write_pass_elidable(nest: LeafNest, element_size: int, l1: CacheConfig) -> bool:
+    """Whether the write pass of every call of ``nest`` may be elided.
 
-    A codelet call reads its element block, then writes it back.  The write
-    pass is elided when no L1 set receives more than its ways of the call's
-    lines (the *cohort* bound, exact for element strides that are a whole
-    number of lines, via :func:`_set_cohort`, or a divisor of the line): it
-    is then all hits that leave every level's state as the read pass left
-    it.  It *thrashes* when the call's E elements lie a whole number of
-    ``way_bytes`` (every level's ``num_sets * line_size``) apart, one set per
-    level, and E is at least ``thrash`` (the L1 plus the L2 ways, or the L1
-    ways plus one without an L2): it then misses both levels on every
-    access and leaves both as the read pass left them, so it is dropped and
-    counted (DESIGN.md §10).  The raw ``accesses`` count it either way.
+    A codelet call reads its element block, then writes it back.  When no
+    L1 set receives more than its ways of the call's lines (the *cohort*
+    bound, exact for element strides that are a whole number of lines, via
+    :func:`_set_cohort`, or a divisor of the line), the write pass is all
+    hits that leave every level's state as the read pass left it, so it is
+    dropped (DESIGN.md §10).  The raw ``accesses`` still count it.
     """
     elements = nest.elements_per_call
     if elements == 1:
-        return "elide"  # read and write hit the same single line back to back
+        return True  # read and write hit the same single line back to back
     line_size = l1.line_size
     stride_bytes = nest.elem_stride * element_size
     if stride_bytes <= 0:
-        return "keep"
+        return False
     if stride_bytes % line_size == 0:
-        if _set_cohort(elements, stride_bytes, l1) <= l1.associativity:
-            return "elide"
-        return "thrash" if stride_bytes % way_bytes == 0 and elements >= thrash else "keep"
+        return _set_cohort(elements, stride_bytes, l1) <= l1.associativity
     if line_size % stride_bytes == 0:
         span = (elements * stride_bytes + line_size - 1) // line_size + 1
-        return "elide" if span <= l1.num_lines else "keep"
-    return "keep"
+        return span <= l1.num_lines
+    return False
 
 
 def _fold_repeated_calls(
@@ -621,29 +614,12 @@ def _fold_group(base: int, stride: int, child_stride: int, line_elements: int) -
     return group if group > 3 else 0
 
 
-def _keep_ends(runs: int, size: int, unit: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _keep_ends(runs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices kept, and their weights, when each of ``runs`` back-to-back
-    runs of ``size`` units (of ``unit`` consecutive indices each) keeps its
-    units 0, 1 and last, the last standing for the ``size - 2`` from 2 on."""
-    first = (np.arange(runs)[:, None] * size + [0, 1, size - 1]) * unit
-    kept = (first.reshape(-1, 1) + np.arange(unit)).reshape(-1)
-    weights = np.tile(np.repeat(np.array([1, 1, size - 2], dtype=np.int64), unit), runs)
-    return kept, weights
-
-
-def _kept(count: int, unit: int, group: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Indices kept of a loop of ``count``, and their weights: translated
-    units 0, 1 and the last when ``unit``, then, within those, invocations
-    0, 1 and the last of each run of ``group`` when ``group`` (a unit is a
-    whole number of groups)."""
-    if unit:
-        kept, weights = _keep_ends(1, count // unit, unit)
-    else:
-        kept, weights = np.arange(count), np.ones(count, dtype=np.int64)
-    if group:
-        index, group_weights = _keep_ends(kept.shape[0] // group, group)
-        kept, weights = kept[index], weights[index] * group_weights
-    return kept, weights
+    runs of ``size`` keeps its indices 0, 1 and last, the last standing for
+    the ``size - 2`` from 2 on."""
+    kept = (np.arange(runs)[:, None] * size + [0, 1, size - 1]).reshape(-1)
+    return kept, np.tile(np.array([1, 1, size - 2], dtype=np.int64), runs)
 
 
 def _slice(nest: LeafNest, outer: bool, start: int, count: int) -> LeafNest:
@@ -776,40 +752,22 @@ class _ChunkWriter:
         self._accesses_buffered += accesses
 
     def _copy_ranges(self, copies: _Copies, low: int, high: int) -> np.ndarray:
-        """Weighted ranges of copies ``low:high``, at buffer positions.
-
-        A copy of weight ``w`` over a stream without ranges of its own is
-        one range.  Over a stream with its own ranges, weights nest
-        (DESIGN.md §10) and flatten into disjoint rows: the stream's gaps
-        weighted ``w`` and its ranges ``w`` times their own weight.
-        """
+        """Weighted ranges of copies ``low:high``, at buffer positions: each
+        stream's own, and one over each weighted copy.  A weighted copy's
+        stream holds none of its own (DESIGN.md §10), so none overlap."""
         which, weights = copies.which[low:high], copies.weights[low:high]
         sizes = np.array([s.lines.shape[0] for s in copies.streams], dtype=np.int64)
         lengths = sizes[which]
         starts = self._length + np.cumsum(lengths) - lengths
-        plain = weights > 1
-        ranges = []
+        heavy = weights > 1
+        ranges = [np.stack([starts[heavy], starts[heavy] + lengths[heavy], weights[heavy]], axis=1)]
         for index, stream in enumerate(copies.streams):
             own = stream.weighted_ranges
-            if not own.shape[0]:
-                continue
-            mine = which == index
-            plain &= ~mine
-            if (weights[mine] > 1).any():
-                # The stream as rows over its gaps (weight 1) and its ranges.
-                cover = np.empty((2 * own.shape[0] + 1, 3), dtype=np.int64)
-                cover[1::2] = own
-                cover[0::2, 0] = np.append(0, own[:, 1])
-                cover[0::2, 1] = np.append(own[:, 0], sizes[index])
-                cover[0::2, 2] = 1
-                own = cover[cover[:, 1] > cover[:, 0]]
-            rows = np.repeat(own[None, :, :], int(mine.sum()), axis=0)
-            rows[:, :, :2] += starts[mine][:, None, None]
-            rows[:, :, 2] *= weights[mine][:, None]
-            rows = rows.reshape(-1, 3)
-            ranges.append(rows[rows[:, 2] > 1])
-        at = starts[plain]
-        ranges.append(np.stack([at, at + lengths[plain], weights[plain]], axis=1))
+            if own.shape[0]:
+                at = starts[which == index]
+                shifted = np.repeat(own[None, :, :], at.shape[0], axis=0)
+                shifted[:, :, :2] += at[:, None, None]
+                ranges.append(shifted.reshape(-1, 3))
         merged = np.concatenate(ranges)
         return merged[np.argsort(merged[:, 0], kind="stable")]
 
@@ -891,22 +849,18 @@ class TraceBuilder:
     repeated-pass elision (DESIGN.md §10), all of it exact:
 
     * the write pass of each codelet call is dropped whenever no L1 set
-      provably receives more than its ways of the call's lines, and dropped
-      and counted whenever its lines sit in one set per level and outnumber
-      both levels' ways (:func:`_write_pass`);
+      provably receives more than its ways of the call's lines
+      (:func:`_write_pass_elidable`);
     * each run of back-to-back calls over one line sequence keeps a single
       call, the misses of the others counted exactly in the chunks'
       ``folded_l1_misses``/``folded_l2_misses`` (:func:`_fold_repeated_calls`);
     * with whole elements per line and a line-aligned ``base_address``, each
       run of ``g`` back-to-back sub-plan invocations over one line sequence
       keeps its first two and its last, the last marked in the chunks'
-      ``weighted_ranges`` with weight ``g - 2`` (:func:`_fold_group`);
-    * under the same conditions at every level, a child's row loop, and the
-      call or invocation loop of its rows, of ``u >= 4`` disjoint units that
-      each fill the sets they touch keeps units 0, 1 and the last, the last
-      weighted ``u - 2`` (:meth:`_units`; a leaf child's call loop only
-      when it has one row); weights of folds inside a weighted copy
-      multiply.
+      ``weighted_ranges`` with weight ``g - 2`` (:func:`_fold_group`).
+
+    The simulated machine streams a squeezed plan (:func:`squeeze_plan`) on
+    its set-class geometry, so these folds act on one set class.
 
     The chunks' raw ``accesses`` always count every access, dropped ones
     and weights included.  A chunk holds at most ``chunk_accesses`` of them
@@ -943,18 +897,6 @@ class TraceBuilder:
         self._period_lines = element_size // common
         aligned = line_size % element_size == 0 and base_address % line_size == 0
         self._line_elements = line_size // element_size if caches and aligned else 0
-        levels = [level for level in caches or () if level is not None]
-        # A thrashing write pass (:func:`_write_pass`) lies whole ways apart
-        # at every level and overflows its sets at both.
-        self._way_bytes = max((level.num_sets * level.line_size for level in levels), default=0)
-        self._thrash_lines = sum(level.associativity for level in levels) + (len(levels) == 1)
-        # Translated units (:meth:`_units`) need the same alignment at every level.
-        lines = [level.line_size for level in levels] or [line_size]
-        if not self._line_elements or base_address % max(lines) or min(lines) % element_size:
-            levels = []
-        self._fill_bytes = max((level.size_bytes for level in levels), default=0)
-        self._fill_ways = max((level.associativity for level in levels), default=0)
-        self._fill_line_elements = max(lines) // element_size
         self._memo: LRUCache[tuple[Plan, int, int], LineChunk] = LRUCache(
             TEMPLATE_MEMO_LINES, weigh=_line_count
         )
@@ -1055,9 +997,6 @@ class TraceBuilder:
             remaining //= child_size
             child_stride = inner * stride
             block = child_size * child_stride  # one row of the stride loop
-            rows = self._units(base, stride, remaining, block, block)
-            lone = remaining == 1 or not isinstance(child, Small)  # a leaf's calls fold in one row
-            calls = self._units(base, stride, inner, stride, child_size * stride) if lone else 0
             if isinstance(child, Small):
                 nest = LeafNest(
                     k=child.n,
@@ -1068,46 +1007,19 @@ class TraceBuilder:
                     inner_stride=stride,
                     elem_stride=child_stride,
                 )
-                # Translated units 0 and 1 of the row loop, or of a lone
-                # row's call loop, then the last for the rest.
-                outer, count, unit = rows > 0, remaining if rows else inner, rows or calls
-                if unit:
-                    yield from self._leaf(_slice(nest, outer, 0, 2 * unit), weight)
-                    last = _slice(nest, outer, count - unit, unit)
-                    yield from self._leaf(last, weight * (count // unit - 2))
-                else:
-                    yield from self._leaf(nest, weight)
+                yield from self._leaf(nest, weight)
             else:
-                j, j_weights = _kept(remaining, rows)
+                k, weights = np.arange(inner), np.full(inner, weight, dtype=np.int64)
                 group = _fold_group(base, stride, child_stride, self._line_elements)
-                k, k_weights = _kept(inner, calls, group)
-                weights = (weight * j_weights[:, None] * k_weights).reshape(-1)
-                bases = (base + j[:, None] * block + k * stride).reshape(-1)
-                yield from self._invoke(child, bases, child_stride, weights)
+                if group:
+                    # Invocations 0, 1 and the last of each group over one
+                    # line sequence, the last standing for the rest.
+                    k, group_weights = _keep_ends(inner // group, group)
+                    weights = weight * group_weights
+                j = np.arange(remaining) * block
+                bases = (base + j[:, None] + k * stride).reshape(-1)
+                yield from self._invoke(child, bases, child_stride, np.tile(weights, remaining))
             inner *= child_size
-
-    def _units(self, base: int, stride: int, count: int, step: int, copy: int) -> int:
-        """Copies per translated unit of a loop of ``count`` copies ``step``
-        elements apart, each over ``copy / stride`` node elements ``stride``
-        apart (a row: ``step = copy = block``; a row's calls: ``step =
-        stride``, ``copy = child_size * stride``), or 0 when the loop does
-        not hold four units (DESIGN.md §10).
-
-        A unit is the fewest copies, a power of two, that shift by whole
-        ``num_sets * line_size`` bytes and put at least the ways of distinct
-        lines into every set they touch at each level: a span of the whole
-        cache, and of ``ways * stride`` elements.  Units share no line when
-        each starts within the first ``stride`` elements of its line, which
-        a walk from base 0 guarantees.
-        """
-        element_size = self.element_size
-        if not self._fill_bytes or count * copy * element_size < 4 * self._fill_bytes:
-            return 0
-        if base % self._fill_line_elements >= stride:
-            return 0
-        fill = max(self._fill_bytes, self._fill_ways * stride * element_size)
-        unit = max(fill // (copy * element_size), self._way_bytes // (step * element_size), 1)
-        return unit if count >= 4 * unit else 0
 
     def _leaf(self, nest: LeafNest, weight: int) -> Iterator[_Copies]:
         """The nest's stream, split along its loop axes into pieces whose
@@ -1127,9 +1039,9 @@ class TraceBuilder:
         yield _one_copy(self._nest_stream(nest), weight)
 
     def _nest_stream(self, nest: LeafNest) -> _Stream:
-        """One nest's lines, its write passes elided or counted and its
-        repeated calls folded where ``caches`` allow (consecutive repeats are
-        collapsed by the writer)."""
+        """One nest's lines, its write passes elided and its repeated calls
+        folded where ``caches`` allow (consecutive repeats are collapsed by
+        the writer)."""
         line_size, element_size = self.line_size, self.element_size
         raw = 2 * nest.total_elements
         lines_per_call = _analytic_lines_per_call(
@@ -1146,20 +1058,16 @@ class TraceBuilder:
                 if lines_per_call <= l1.num_lines:
                     passes = 1
             else:
-                write = _write_pass(nest, element_size, l1, self._way_bytes, self._thrash_lines)
+                elidable = _write_pass_elidable(nest, element_size, l1)
+                if elidable:
+                    passes = 1
                 # Analytic nests never fold: a fold needs several elements
                 # per line, and a call's elements whole lines apart.
                 fold = _fold_repeated_calls(
-                    nest, element_size, self.base_address, l1, l2, write == "elide"
+                    nest, element_size, self.base_address, l1, l2, elidable
                 )
                 if fold is not None:
                     nest, folded_l1, folded_l2 = fold
-                if write != "keep":
-                    passes = 1
-                if write == "thrash":
-                    # Every kept call's write pass misses both levels in full.
-                    folded_l1 += nest.total_elements
-                    folded_l2 += nest.total_elements if l2 is not None else 0
         if lines_per_call:
             lines = _analytic_lines(
                 nest, lines_per_call, passes, line_size, element_size, self.base_address
@@ -1185,6 +1093,36 @@ def stream_line_chunks(
     return TraceBuilder(
         line_size, element_size, base_address, chunk_accesses, caches
     ).stream(source)
+
+
+def squeeze_plan(plan: Plan, low: int, high: int) -> Plan:
+    """The plan whose trace is ``plan``'s *set class 0* with element-index
+    bits ``low:high`` deleted.
+
+    Class 0 is the accesses, of ``plan`` run from element 0, whose element
+    indices have bits ``low:high`` all zero.  Along a path of the plan tree
+    each node owns a contiguous range of index bits (a split's rightmost
+    child the lowest), and the loop counters of the triple loop own the
+    ranges of the other children; so deleting the bits each node owns
+    inside ``low:high`` from its exponent leaves a plan whose triple loop
+    runs exactly class 0's accesses, in order, with those bits deleted.  A
+    leaf may reach exponent 0, a one-element codelet that reads and writes
+    its element (DESIGN.md §10, "Set classes").
+    """
+
+    def squeezed(node: Plan, bit: int) -> Plan:
+        lost = max(0, min(high, bit + node.n) - max(low, bit))
+        if not lost:
+            return node
+        if isinstance(node, Small):
+            return _small_unchecked(node.n - lost)
+        children = []
+        for child in reversed(node.children):
+            children.append(squeezed(child, bit))
+            bit += child.n
+        return _split_unchecked(tuple(reversed(children)), node.n - lost)
+
+    return squeezed(plan, 0)
 
 
 def collapse_consecutive(line_addresses: np.ndarray) -> tuple[np.ndarray, int]:

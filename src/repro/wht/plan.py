@@ -261,6 +261,15 @@ def _split_unchecked(children: tuple[Plan, ...], n: int) -> Split:
     return node
 
 
+def _small_unchecked(n: int) -> Small:
+    """Internal trusted :class:`Small` constructor (no validation), which
+    admits the one-element ``n == 0`` of a squeezed plan
+    (:func:`repro.machine.trace.squeeze_plan`)."""
+    node = Small.__new__(Small)
+    object.__setattr__(node, "n", n)
+    return node
+
+
 def plan_from_compositions(
     n: int,
     chooser: Callable[[int], Sequence[int] | None],

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.configs import default_machine_config, opteron_like, tiny_machine
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
-from repro.machine.machine import PreparedPlanCache, SimulatedMachine
+from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.machine.trace import (
     LineChunk,
     SplicedLineChunk,
     collapse_consecutive,
     splice_line_chunks,
+    squeeze_plan,
     stream_line_chunks,
     trace_from_nests,
 )
@@ -35,22 +36,32 @@ from repro.wht.interpreter import LeafNest, PlanInterpreter
 from repro.wht.random_plans import random_plan, random_plans
 
 
-def oracle_stats(l1, l2, plan, element_size=8):
-    """Hierarchy statistics of ``plan``'s eager trace on the reference
-    caches: L1 sees each collapsed line and L2 the first byte of each
-    missing L1 line, so no code is shared with the hierarchy under test."""
-    stats, nests = PlanInterpreter().profile(plan, record_trace=True)
-    trace = trace_from_nests(nests, element_size=element_size)
+def eager_addresses(plan, element_size=8):
+    """Byte addresses of the plan's eager trace, in access order."""
+    _, nests = PlanInterpreter().profile(plan, record_trace=True)
+    return trace_from_nests(nests, element_size=element_size).addresses
+
+
+def oracle_counts(l1, l2, addresses):
+    """Hierarchy statistics of byte ``addresses`` on the reference caches:
+    L1 sees each collapsed line and L2 the first byte of each missing L1
+    line, so no code is shared with the hierarchy under test."""
     # Consecutive repeats of a line are hits that change no LRU state.
-    lines, _ = collapse_consecutive(l1.line_of(trace.addresses))
+    lines, _ = collapse_consecutive(l1.line_of(addresses))
     l1_misses = lines[SetAssociativeLRUCache(l1).simulate(lines)]
     if l2 is None:
-        return stats, HierarchyStatistics(trace.accesses, l1_misses.shape[0], 0, 0)
+        return HierarchyStatistics(addresses.shape[0], l1_misses.shape[0], 0, 0)
     probes = l2.line_of(l1_misses * l1.line_size)
     l2_misses = int(SetAssociativeLRUCache(l2).simulate(probes).sum())
-    return stats, HierarchyStatistics(
-        trace.accesses, l1_misses.shape[0], probes.shape[0], l2_misses
+    return HierarchyStatistics(
+        addresses.shape[0], l1_misses.shape[0], probes.shape[0], l2_misses
     )
+
+
+def oracle_stats(l1, l2, plan, element_size=8):
+    """The plan's event counts and its eager trace's :func:`oracle_counts`."""
+    stats, _ = PlanInterpreter().profile(plan)
+    return stats, oracle_counts(l1, l2, eager_addresses(plan, element_size))
 
 
 def reference_prepare(config, plan):
@@ -99,10 +110,14 @@ class TestPrepareBatchParity:
         machine = SimulatedMachine(config)
         assert machine.hierarchy.analytic_l2_misses(2**14 * config.element_size) is None
         oracle = SimulatedMachine(dataclasses.replace(config, vectorized_caches=False))
-        for fast, slow in zip(machine.prepare_batch(plans), oracle.prepare_batch(plans)):
+        for plan, fast, slow in zip(
+            plans, machine.prepare_batch(plans), oracle.prepare_batch(plans)
+        ):
             stats = fast.hierarchy_stats
             assert 0 < stats.l2_misses < stats.l2_accesses
             assert stats == slow.hierarchy_stats
+            # Both machines simulate one set class; the eager oracle all.
+            assert stats == reference_prepare(config, plan)[1]
 
     def test_opteron_rsu_batch(self):
         machine = opteron_like(noise_sigma=0.0)
@@ -680,10 +695,7 @@ class TestRepeatedCallFolding:
         exact, _ = _hierarchy_stats(plan, l1, l2, None)
         folded, chunks = _hierarchy_stats(plan, l1, l2, (l1, l2))
         assert folded == exact
-        # The call fold's dropped calls, plus the thrashing write passes of
-        # the root's kept small[2] calls: 32 calls of 4 elements 2 KB apart,
-        # one set per level, as many as the two levels' ways.
-        assert _folded(chunks) == (1792 + 128, 1792 + 128)
+        assert _folded(chunks) == (1792, 1792)
         machine = SimulatedMachine(
             dataclasses.replace(default_machine_config(noise_sigma=0.0), l1=l1, l2=l2)
         )
@@ -832,3 +844,156 @@ class TestRepeatedSubPlanFolding:
         exact = list(stream_line_chunks(plan, 64, base_address=8))
         hierarchy = MemoryHierarchy(l1, l2)
         assert hierarchy.process_line_chunks(folded) == hierarchy.process_line_chunks(exact)
+
+
+def shared_set_bits(config):
+    """Byte-address bits ``low:high`` that index a set at every level,
+    read off the cache configurations."""
+    levels = [level for level in (config.l1, config.l2) if level is not None]
+    low = max(level.line_size for level in levels).bit_length() - 1
+    high = min(level.line_size * level.num_sets for level in levels).bit_length() - 1
+    return low, max(low, high)
+
+
+def per_class_counts(config, plan):
+    """The oracle counts of the plan's whole eager trace, and of each set
+    class of it (its accesses that agree on the shared set bits)."""
+    low, high = shared_set_bits(config)
+    addresses = eager_addresses(plan, config.element_size)
+    classes = (addresses >> low) & ((1 << (high - low)) - 1)
+    counts = [
+        oracle_counts(config.l1, config.l2, addresses[classes == index])
+        for index in range(1 << (high - low))
+    ]
+    return oracle_counts(config.l1, config.l2, addresses), counts
+
+
+CLASS_GEOMETRIES = st.tuples(
+    st.sampled_from([16, 32, 64]),  # L1 line
+    st.sampled_from([1, 2, 4, 8, 16]),  # L1 sets
+    st.sampled_from([1, 2, 4]),  # L1 ways
+    st.sampled_from([None, 0.5, 1, 2, 4]),  # L2 line over the L1 line, or no L2
+    st.sampled_from([1, 2, 4, 8, 16]),  # L2 ways
+    st.sampled_from([1, 2, 4, 8]),  # L2 size over the L1 size
+)
+
+
+def class_config(geometry):
+    l1_line, l1_sets, l1_ways, l2_line, l2_ways, l2_scale = geometry
+    l1 = CacheConfig(l1_line * l1_sets * l1_ways, l1_line, l1_ways, name="L1")
+    l2 = None
+    if l2_line is not None:
+        line = int(l1_line * l2_line)
+        l2 = CacheConfig(max(l2_scale * l1.size_bytes, line * l2_ways), line, l2_ways, name="L2")
+    return MachineConfig("classes", l1, l2)
+
+
+class TestSetClasses:
+    """A plan misses alike in every set class of the address bits its
+    cache levels share, its squeezed plan streams class 0, and the machine
+    simulates class 0 on the class geometry for the whole trace."""
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            (default_machine_config(noise_sigma=0.0), (9, 12, 13)),
+            (opteron_like(noise_sigma=0.0).config, (15,)),
+            (tiny_machine().config, (5, 7, 9)),
+        ],
+    )
+    def test_every_class_misses_alike(self, config, sizes):
+        for n in sizes:
+            plan = random_plan(n, rng=n)
+            whole, counts = per_class_counts(config, plan)
+            assert len(counts) > 1
+            assert counts == [counts[0]] * len(counts), plan
+            assert dataclasses.astuple(whole) == tuple(
+                len(counts) * count for count in dataclasses.astuple(counts[0])
+            )
+
+    @given(geometry=CLASS_GEOMETRIES, extra=st.integers(0, 2), seed=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_property_every_class_misses_alike(self, geometry, extra, seed):
+        config = class_config(geometry)
+        # The plan spans every shared set bit.
+        n = max(shared_set_bits(config)[1] - 3, 1) + extra
+        whole, counts = per_class_counts(config, random_plan(n, rng=seed))
+        assert counts == [counts[0]] * len(counts)
+        assert dataclasses.astuple(whole) == tuple(
+            len(counts) * count for count in dataclasses.astuple(counts[0])
+        )
+
+    @given(
+        n=st.integers(1, 10),
+        seed=st.integers(0, 10**6),
+        low=st.integers(0, 8),
+        width=st.integers(0, 5),
+        line_bits=st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_squeezed_plan_streams_class_zero(self, n, seed, low, width, line_bits):
+        line_bits = min(line_bits, low)
+        plan = random_plan(n, rng=seed)
+        squeezed = squeeze_plan(plan, low, low + width)
+        assert squeezed.n == n - max(min(n, low + width) - low, 0)
+        # Class 0's element indices, the squeezed bits deleted.
+        elements = eager_addresses(plan, element_size=1)
+        zero = elements[(elements >> low) & ((1 << width) - 1) == 0]
+        deleted = (zero & ((1 << low) - 1)) | (zero >> (low + width) << low)
+        lines, _ = collapse_consecutive(deleted >> line_bits)
+        chunks = list(stream_line_chunks(squeezed, line_size=8 << line_bits))
+        assert np.array_equal(np.concatenate([c.lines for c in chunks]), lines)
+        assert sum(c.accesses for c in chunks) == zero.shape[0]
+
+    def test_unsqueezed_nodes_are_kept(self):
+        plan = random_plan(9, rng=0)
+        assert squeeze_plan(plan, 9, 12) is plan
+        assert squeeze_plan(plan, 3, 3) is plan
+
+    @pytest.mark.parametrize(
+        "machine, n, classes",
+        [
+            (default_machine_config(noise_sigma=0.0), 14, 64),
+            (opteron_like(noise_sigma=0.0).config, 15, 512),
+            (tiny_machine().config, 9, 4),
+        ],
+    )
+    def test_presets_simulate_one_class(self, machine, n, classes):
+        machine = SimulatedMachine(machine)
+        plans = [random_plan(n, rng=seed) for seed in range(2)]
+        assert_batch_matches_reference(machine, plans, reference=reference_prepare)
+        assert list(machine._classes) == [classes]
+
+    @given(
+        geometry=CLASS_GEOMETRIES,
+        sizes=st.lists(st.integers(1, 10), min_size=1, max_size=4),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_batches_match_the_eager_oracle(self, geometry, sizes, seed):
+        config = class_config(geometry)
+        machine = SimulatedMachine(config)
+        plans = [random_plan(n, rng=seed + index) for index, n in enumerate(sizes)]
+        assert_batch_matches_reference(machine, plans, reference=reference_prepare)
+        # Every streamed plan overflows L1, so it spans every shared bit.
+        low, high = shared_set_bits(config)
+        if machine._classes:
+            assert list(machine._classes) == [1 << (high - low)]
+
+    def test_one_set_l1_has_one_class(self):
+        config = dataclasses.replace(
+            tiny_machine().config, l1=CacheConfig(256, 32, 8, name="L1")
+        )
+        machine = SimulatedMachine(config)
+        plans = [random_plan(n, rng=n) for n in (6, 8)]
+        assert_batch_matches_reference(machine, plans, reference=reference_prepare)
+        assert list(machine._classes) == [1]
+
+    def test_smallest_streamed_plan_sets_the_class_count(self, monkeypatch):
+        # With the analytic shortcut off, plans under 2^high bytes stream,
+        # and the batch simulates the fewest classes any of them spans.
+        monkeypatch.setattr(MemoryHierarchy, "covers_analytically", lambda *_: False)
+        machine = tiny_machine()
+        plans = [random_plan(n, rng=n) for n in (9, 3, 7)]
+        assert_batch_matches_reference(machine, plans, reference=reference_prepare)
+        assert list(machine._classes) == [2]  # small[3] spans bit 5 of bits 5-6

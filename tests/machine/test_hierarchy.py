@@ -42,6 +42,38 @@ class TestHierarchyStatistics:
         assert {"l1_accesses", "l1_misses", "l2_accesses", "l2_misses"} <= keys
 
 
+class TestSetClassGeometry:
+    @pytest.mark.parametrize(
+        "preset, element_size, bits",
+        [
+            ("default", 8, (3, 9)),  # byte bits 6-11
+            ("opteron", 8, (3, 12)),  # byte bits 6-14
+            ("tiny", 8, (2, 4)),  # byte bits 5-6
+            ("tiny", 1, (5, 7)),
+            ("tiny", 3, (0, 0)),  # not a power of two
+            ("tiny", 64, (0, 0)),  # wider than a line
+        ],
+    )
+    def test_shared_set_bits(self, preset, element_size, bits):
+        from repro.machine.configs import MACHINE_PRESETS
+
+        config = MACHINE_PRESETS[preset]()
+        hierarchy = MemoryHierarchy(config.l1, config.l2)
+        assert hierarchy.shared_set_bits(element_size) == bits
+
+    def test_one_set_level_shares_no_bits(self):
+        hierarchy = MemoryHierarchy(CacheConfig(256, 32, 8), L2)
+        assert hierarchy.shared_set_bits() == (5, 5)
+
+    def test_class_geometry_divides_the_sets(self):
+        classes = MemoryHierarchy(L1, L2, vectorized=False).class_geometry(4)
+        for level, full in ((classes.l1_config, L1), (classes.l2_config, L2)):
+            assert level.num_sets * 4 == full.num_sets
+            assert (level.line_size, level.associativity) == (full.line_size, full.associativity)
+        assert not classes.vectorized
+        assert MemoryHierarchy(L1, None).class_geometry(2).l2_config is None
+
+
 class TestMemoryHierarchy:
     def test_l2_smaller_than_l1_rejected(self):
         with pytest.raises(ValueError):

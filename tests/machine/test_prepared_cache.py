@@ -59,8 +59,8 @@ class TestPreparedPlanCache:
 
 
 class TestTemplateMemo:
-    """The machine keeps one trace builder, whose template memo stays warm
-    across preparations."""
+    """The machine keeps one trace builder per set-class count, whose
+    template memo stays warm across preparations."""
 
     def test_warm_machine_prepares_like_fresh_machines(self):
         config = tiny_machine_config(noise_sigma=0.0)
@@ -84,6 +84,7 @@ class TestTemplateMemo:
         machine = SimulatedMachine(tiny_machine_config(noise_sigma=0.0))
         for seed in range(20):
             machine.prepare(random_plan(12, rng=seed))
-        memo = machine._trace._memo
+        # The builder the machine streams with: its set-class geometry's.
+        (memo,) = [builder._memo for _, builder in machine._classes.values()]
         assert 0 < memo.weight <= TEMPLATE_MEMO_LINES
         assert memo.weight == sum(memo.get(key).lines.shape[0] for key in list(memo))

@@ -8,8 +8,6 @@ fresh one emits.
 """
 
 import collections
-import contextlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,19 +16,18 @@ from hypothesis import strategies as st
 from test_batch_prepare import oracle_stats
 
 from repro.machine import trace
-from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
+from repro.machine.cache import CacheConfig
 from repro.machine.hierarchy import MemoryHierarchy
 from repro.machine.trace import (
     DEFAULT_CHUNK_ACCESSES,
     TEMPLATE_MEMO_LINES,
     TraceBuilder,
     collapse_consecutive,
-    nest_addresses,
     stream_line_chunks,
     trace_from_nests,
 )
 from repro.wht.canonical import right_recursive_plan
-from repro.wht.interpreter import LeafNest, PlanInterpreter
+from repro.wht.interpreter import PlanInterpreter
 from repro.wht.plan import Small, Split
 from repro.wht.random_plans import random_plan
 
@@ -247,284 +244,3 @@ class TestSubPlanFolding:
         assert MemoryHierarchy(l1, l2).process_line_chunks(chunks) == oracle_stats(
             l1, l2, plan
         )[1]
-
-
-def unit_spy(builder):
-    """Record every :meth:`TraceBuilder._units` answer of ``builder``."""
-    answers = []
-    units = builder._units
-
-    def spy(*arguments):
-        answers.append(units(*arguments))
-        return answers[-1]
-
-    builder._units = spy
-    return answers
-
-
-UNIT_GEOMETRIES = st.tuples(
-    st.sampled_from([1, 2, 4]),  # L1 associativity
-    st.sampled_from([1, 2, 4]),  # L1 sets
-    st.sampled_from([16, 32]),  # L1 line size
-    st.sampled_from([None, 1, 2, 8]),  # L2 associativity, or no L2
-    st.sampled_from([1, 2]),  # L2 line size over the L1 line size
-    st.sampled_from([2, 4]),  # L2 size over the L1 size
-)
-
-
-def unit_caches(geometry):
-    l1_assoc, l1_sets, line, l2_assoc, l2_line, l2_scale = geometry
-    l1 = CacheConfig(l1_assoc * l1_sets * line, line, l1_assoc, name="L1")
-    if l2_assoc is None:
-        return l1, None
-    l2_bytes = max(l2_scale * l1.size_bytes, l2_assoc * l2_line * line)
-    return l1, CacheConfig(l2_bytes, l2_line * line, l2_assoc, name="L2")
-
-
-class TestTranslatedUnits:
-    """With caches, whole elements per line and a line-aligned base, a
-    stride loop over disjoint, cache-filling blocks keeps units 0, 1 and
-    the last, the last weighted for the rest."""
-
-    @given(geometry=UNIT_GEOMETRIES, extra=st.integers(0, 1), seed=st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_property_unit_folded_streams_match_the_oracle(self, geometry, extra, seed):
-        l1, l2 = unit_caches(geometry)
-        largest = max(level.size_bytes for level in (l1, l2) if level is not None)
-        # The root spans at least four times the larger cache.
-        n = (4 * largest // 8).bit_length() - 1 + extra
-        plan = Split((random_plan(n - 1, rng=seed), Small(1)))
-        builder = TraceBuilder(l1.line_size, caches=(l1, l2))
-        answers = unit_spy(builder)
-        chunks = list(builder.stream(plan))
-        assert any(answers)
-        assert sum(chunk.accesses for chunk in chunks) == 2 * plan.size * plan.num_leaves()
-        assert MemoryHierarchy(l1, l2).process_line_chunks(chunks) == oracle_stats(l1, l2, plan)[1]
-
-    @pytest.mark.parametrize(
-        "l1, l2",
-        [
-            (CacheConfig(256, 32, 2), CacheConfig(1024, 64, 4)),
-            (CacheConfig(128, 32, 1), CacheConfig(512, 32, 2)),
-            (CacheConfig(256, 32, 4), None),
-        ],
-    )
-    def test_units_from_two_on_miss_alike_at_every_level(self, l1, l2):
-        # A leaf child's stride loop under the root: rows of four calls at
-        # unit stride, each over four elements four apart, rows 16 apart.
-        nest = LeafNest(
-            k=2, base=0, outer_count=64, outer_stride=16, inner_count=4, inner_stride=1,
-            elem_stride=4,
-        )
-        rows = TraceBuilder(l1.line_size, caches=(l1, l2))._units(0, 1, 64, 16, 16)
-        assert 0 < 4 * rows <= nest.outer_count
-        # The incoming state holds some of unit 0's lines.
-        prefix = np.random.default_rng(7).integers(0, 64, size=300) * 8
-        lines = l1.line_of(np.concatenate([prefix, nest_addresses(nest)]))
-        l1_miss = SetAssociativeLRUCache(l1).simulate(lines)
-        units = nest.outer_count // rows
-        unit = np.repeat(np.arange(units + 1), [300] + [2 * rows * 4 * 4] * units)
-        l1_counts = np.bincount(unit[l1_miss], minlength=units + 1)[1:].tolist()
-        assert l1_counts[0] < l1_counts[1] and len(set(l1_counts[1:])) == 1
-        if l2 is not None:
-            probes = l2.line_of(lines[l1_miss] * l1.line_size)
-            l2_miss = SetAssociativeLRUCache(l2).simulate(probes)
-            l2_counts = np.bincount(unit[l1_miss][l2_miss], minlength=units + 1)[1:].tolist()
-            assert l2_counts[0] < l2_counts[2] and len(set(l2_counts[2:])) == 1
-
-    def test_misaligned_base_address_never_unit_folds(self):
-        plan = random_plan(12, rng=5)
-        l1, l2 = CacheConfig(512, 64, 2), CacheConfig(2048, 64, 4)
-        aligned = TraceBuilder(64, caches=(l1, l2))
-        fired = unit_spy(aligned)
-        list(aligned.stream(plan))
-        assert any(fired)
-        shifted = TraceBuilder(64, base_address=8, caches=(l1, l2))
-        answers = unit_spy(shifted)
-        chunks = list(shifted.stream(plan))
-        assert answers and not any(answers)
-        assert all(chunk.weighted_ranges.shape[0] == 0 for chunk in chunks)
-        exact = list(stream_line_chunks(plan, 64, base_address=8))
-        hierarchy = MemoryHierarchy(l1, l2)
-        assert hierarchy.process_line_chunks(chunks) == hierarchy.process_line_chunks(exact)
-
-    def test_weighted_copies_flatten_nested_weights(self):
-        # A stream of six lines whose lines 2:4 stand for three copies,
-        # copied once plain and once with weight 5.
-        stream = trace._Stream(
-            np.arange(6, dtype=np.int32), 6, weighted_ranges=np.array([[2, 4, 3]])
-        )
-        copies = trace._Copies(
-            [stream], np.zeros(2, dtype=np.intp), np.array([0, 10]), np.array([1, 5])
-        )
-        writer = trace._ChunkWriter()
-        writer.append(copies)
-        chunk = writer.flush()
-        assert chunk.weighted_ranges.tolist() == [
-            [2, 4, 3], [6, 8, 5], [8, 10, 15], [10, 12, 5]
-        ]
-        assert chunk.accesses == 36
-
-
-class TestCallLoopUnits:
-    """The call or invocation loop of a child's row folds into translated
-    units as the row loop does: units 0, 1 and the last, the last weighted
-    for the rest."""
-
-    @given(
-        geometry=UNIT_GEOMETRIES,
-        left=st.sampled_from([Small(1), Small(2), Split((Small(1), Small(1)))]),
-        extra=st.integers(0, 1),
-        seed=st.integers(0, 10**6),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_property_call_loop_units_match_the_oracle(self, geometry, left, extra, seed):
-        l1, l2 = unit_caches(geometry)
-        largest = max(level.size_bytes for level in (l1, l2) if level is not None)
-        # The leftmost child runs one row of ``calls`` invocations, which
-        # together span at least four times the larger cache.
-        n = (4 * largest * left.size // 8).bit_length() - 1 + extra
-        left_n = left.size.bit_length() - 1
-        plan = Split((left, random_plan(n - left_n, rng=seed)))
-        calls = plan.size // left.size
-        builder = TraceBuilder(l1.line_size, caches=(l1, l2))
-        answers = []
-        units = builder._units
-
-        def spy(*arguments):
-            answers.append((arguments, units(*arguments)))
-            return answers[-1][1]
-
-        builder._units = spy
-        chunks = list(builder.stream(plan))
-        fired = dict(answers)[0, 1, calls, 1, left.size]
-        assert 0 < 4 * fired <= calls
-        assert sum(chunk.accesses for chunk in chunks) == 2 * plan.size * plan.num_leaves()
-        assert MemoryHierarchy(l1, l2).process_line_chunks(chunks) == oracle_stats(l1, l2, plan)[1]
-
-    @pytest.mark.parametrize(
-        "l1, l2",
-        [
-            (CacheConfig(256, 32, 2), CacheConfig(1024, 64, 4)),
-            (CacheConfig(128, 32, 1), CacheConfig(512, 32, 2)),
-            (CacheConfig(256, 32, 4), None),
-        ],
-    )
-    def test_call_units_from_two_on_miss_alike_at_every_level(self, l1, l2):
-        # One row of 256 calls at unit stride, each over four elements 256
-        # apart: the leftmost small[2] of a 2^10 root.
-        calls = 256
-        nest = LeafNest(
-            k=2, base=0, outer_count=1, outer_stride=0, inner_count=calls, inner_stride=1,
-            elem_stride=calls,
-        )
-        unit = TraceBuilder(l1.line_size, caches=(l1, l2))._units(0, 1, calls, 1, 4)
-        assert 0 < 4 * unit <= calls
-        # The incoming state holds some of unit 0's lines.
-        rng = np.random.default_rng(11)
-        prefix = (rng.integers(0, unit, size=300) + calls * rng.integers(0, 4, size=300)) * 8
-        lines = l1.line_of(np.concatenate([prefix, nest_addresses(nest)]))
-        l1_miss = SetAssociativeLRUCache(l1).simulate(lines)
-        units = calls // unit
-        which = np.repeat(np.arange(units + 1), [300] + [2 * 4 * unit] * units)
-        l1_counts = np.bincount(which[l1_miss], minlength=units + 1)[1:].tolist()
-        assert len(set(l1_counts[1:])) == 1
-        # Unit 0 gains from the incoming state at some level (a direct-mapped
-        # L1 never hits a call whose four lines share one set).
-        gains = l1_counts[0] < l1_counts[1]
-        if l2 is not None:
-            probes = l2.line_of(lines[l1_miss] * l1.line_size)
-            l2_miss = SetAssociativeLRUCache(l2).simulate(probes)
-            l2_counts = np.bincount(which[l1_miss][l2_miss], minlength=units + 1)[1:].tolist()
-            assert len(set(l2_counts[2:])) == 1
-            gains |= l2_counts[0] < l2_counts[2]
-        assert gains
-
-
-@contextlib.contextmanager
-def write_pass_spy():
-    """Record every :func:`trace._write_pass` answer inside the block."""
-    answers = []
-    write_pass = trace._write_pass
-
-    def spy(*arguments):
-        answers.append(write_pass(*arguments))
-        return answers[-1]
-
-    with mock.patch.object(trace, "_write_pass", spy):
-        yield answers
-
-
-def run_call(l1, l2, elements, state):
-    """Per-pass misses of one call over ``elements`` lines on the oracle
-    caches, entered after the line accesses ``state``: ``(read, write)``
-    pairs of (L1 misses, L2 misses) and both caches' sets after each pass."""
-    l1_cache, l2_cache = SetAssociativeLRUCache(l1), SetAssociativeLRUCache(l2)
-    passes = []
-    for lines in (state, elements, elements):
-        l1_miss = l1_cache.simulate(lines)
-        l2_miss = l2_cache.simulate(l2.line_of(lines[l1_miss] * l1.line_size))
-        sets = ([list(w) for w in l1_cache._sets], [list(w) for w in l2_cache._sets])
-        passes.append((int(l1_miss.sum()), int(l2_miss.sum()), sets))
-    return passes[1:]
-
-
-class TestThrashingWritePasses:
-    """A call whose E lines sit in one set per level, with E at least both
-    levels' ways together, has its write pass dropped and counted: E misses
-    at each level."""
-
-    @given(geometry=UNIT_GEOMETRIES, extra=st.integers(0, 1), seed=st.integers(0, 10**6))
-    @settings(max_examples=30, deadline=None)
-    def test_property_thrashing_write_passes_match_the_oracle(self, geometry, extra, seed):
-        l1, l2 = unit_caches(geometry)
-        levels = [level for level in (l1, l2) if level is not None]
-        ways = l1.associativity + (l2.associativity if l2 is not None else 1)
-        way_bytes = max(level.num_sets * level.line_size for level in levels)
-        # The leftmost small[k] runs calls whose 2^k elements lie a whole
-        # number of ways apart at every level.
-        k = (ways - 1).bit_length() + extra
-        rest = max((way_bytes // 8).bit_length() - 1, 1) + extra
-        plan = Split((Small(k), random_plan(rest, rng=seed)))
-        with write_pass_spy() as answers:
-            chunks = list(stream_line_chunks(plan, l1.line_size, caches=(l1, l2)))
-        assert "thrash" in answers
-        assert sum(chunk.folded_l1_misses for chunk in chunks) > 0
-        assert MemoryHierarchy(l1, l2).process_line_chunks(chunks) == oracle_stats(l1, l2, plan)[1]
-
-    @pytest.mark.parametrize("l1_ways, l2_ways", [(1, 1), (1, 4), (2, 2), (2, 8), (4, 4)])
-    def test_write_pass_misses_in_full_and_changes_no_state(self, l1_ways, l2_ways):
-        l1 = CacheConfig(2 * l1_ways * 32, 32, l1_ways)
-        l2 = CacheConfig(4 * l2_ways * 32, 32, l2_ways)
-        elements = l1_ways + l2_ways
-        # Lines one L2 way (four lines) apart: one set at each level.
-        lines = np.arange(elements) * 4
-        rng = np.random.default_rng(l1_ways * 10 + l2_ways)
-        for _ in range(200):
-            # Random incoming states over the call's lines and others.
-            state = rng.integers(0, 4 * elements + 8, size=int(rng.integers(0, 40)))
-            (_, _, read_sets), (l1_misses, l2_misses, write_sets) = run_call(
-                l1, l2, lines, state
-            )
-            assert (l1_misses, l2_misses) == (elements, elements)
-            assert write_sets == read_sets
-
-    def test_one_way_short_never_fires(self):
-        # A1 = 1, A2 = 4, E = 4: after a cold read pass L2's set holds all
-        # four lines, so the write pass misses L1 in full but hits L2 on
-        # every probe, where a dropped pass would count four L2 misses.
-        l1 = CacheConfig(64, 32, 1)
-        l2 = CacheConfig(256, 32, 4)
-        nest = LeafNest(
-            k=2, base=0, outer_count=1, outer_stride=0, inner_count=1, inner_stride=1,
-            elem_stride=8,
-        )
-        with write_pass_spy() as answers:
-            chunks = list(stream_line_chunks([nest], 32, caches=(l1, l2)))
-        assert answers == ["keep"]
-        assert sum(chunk.folded_l1_misses for chunk in chunks) == 0
-        (read, _, sets), (l1_misses, l2_misses, _) = run_call(
-            l1, l2, l1.line_of(nest_addresses(nest)[:4]), np.zeros(0, dtype=np.int64)
-        )
-        assert sets[1][0] == [3, 2, 1, 0]  # L2's one set, most recent first
-        assert (read, l1_misses, l2_misses) == (4, 4, 0)

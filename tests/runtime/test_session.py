@@ -1,5 +1,6 @@
 """Tests for the Session façade: resolution, figures, persistence."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import repro
 from repro.config import ExperimentScale, ci_scale
-from repro.machine.configs import tiny_machine, tiny_machine_config
+from repro.machine.configs import opteron_like_config, tiny_machine, tiny_machine_config
 from repro.machine.machine import PreparedPlanCache, SimulatedMachine
 from repro.runtime.backends import MultiprocessBackend, SerialBackend
 from repro.runtime.store import DiskStore, MemoryStore, NullStore
@@ -122,9 +123,12 @@ class TestSessionCampaigns:
 
     def test_batch_past_the_int32_line_space_fails_clearly(self):
         # 8,192 distinct 2^21-point plans span 2^31 64-byte lines, one past
-        # the int32 line space; the batch is refused before any simulation.
+        # the int32 line space, on a machine with one set class (a one-set
+        # L1); the batch is refused before any simulation.
+        config = opteron_like_config()
+        config = dataclasses.replace(config, l1=dataclasses.replace(config.l1, associativity=1024))
         scale = ExperimentScale(small_size=9, large_size=21, sample_count=8192)
-        sess = repro.session(machine="opteron", scale=scale, backend="batched", store="none")
+        sess = repro.session(machine=config, scale=scale, backend="batched", store="none")
         with pytest.raises(ValueError, match=r"past the int32 line space .* fewer or smaller plans"):
             sess.large_table()
 

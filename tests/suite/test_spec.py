@@ -8,7 +8,7 @@ import json
 import pytest
 
 from _suite_helpers import tiny_spec_dict
-from repro.config import ci_scale, default_scale
+from repro.config import ci_scale, default_scale, paper_scale
 from repro.machine.configs import tiny_machine_config
 from repro.suite import SpecError, SuiteSpec, load_spec
 from repro.suite.spec import spec_from_dict
@@ -202,9 +202,19 @@ def test_spec_from_dict_passes_instances_through(tiny_spec):
 
 
 def test_committed_specs_validate():
-    for name in ("paper.json", "ci.json"):
+    for name in ("paper.json", "ci.json", "paper-geometry.json"):
         spec = load_spec(f"benchmarks/suites/{name}")
         assert spec.experiments
+
+
+def test_paper_geometry_spec_runs_the_paper_experiments_on_the_opteron():
+    with open("benchmarks/suites/paper-geometry.json", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    spec = SuiteSpec.from_dict(payload)
+    paper = load_spec("benchmarks/suites/paper.json")
+    assert [machine.preset for machine in spec.machines] == ["opteron"]
+    assert spec.scale == paper_scale()
+    assert spec.experiments == paper.experiments
 
 
 def test_figure_view_matches_the_runner():

@@ -9,6 +9,7 @@ from repro.wht.plan import (
     Plan,
     Small,
     Split,
+    _small_unchecked,
     _split_unchecked,
     plan_from_compositions,
     validate_plan,
@@ -181,3 +182,11 @@ class TestValidatePlan:
         object.__setattr__(plan, "n", 99)
         with pytest.raises(ValueError):
             validate_plan(plan)
+
+    def test_one_element_leaves_stay_internal(self):
+        # Squeezed plans hold exponent-0 leaves; the public surface still
+        # rejects them.
+        leaf = _small_unchecked(0)
+        assert leaf == _small_unchecked(0) and leaf.size == 1
+        with pytest.raises(ValueError):
+            validate_plan(Split((leaf, Small(2))))
