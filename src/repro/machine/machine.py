@@ -208,8 +208,7 @@ class SimulatedMachine:
         the eager profile → trace → simulate pipeline —
         including the exact shortcuts of the fused pipeline: analytic
         full-coverage statistics for footprints that fit a cache level; one
-        set class simulated for all (DESIGN.md §10); and repeated-pass
-        elision, which drops
+        set class simulated for all; and repeated-pass elision, which drops
         guaranteed-hit write passes, folds runs of calls over one line
         sequence into one simulated call plus an exact miss count, and
         simulates three of each run of sub-plan invocations over one line
