@@ -108,9 +108,9 @@ BASELINE_SECONDS = {
 #: tracemalloc peak of the n=14 prepare, recorded with ``BASELINE_SECONDS``.
 PREPARE_N14_PEAK_BYTES = 8_716_113
 #: Ceiling on the tracemalloc peak of an n=18 RSU prepare on the
-#: Opteron-like machine (``check_memory_n18``): the peak measured before
-#: sub-plan line streams were memoised, so the trace builder's template
-#: memo may not raise it.
+#: Opteron-like machine, and of streaming that plan's full-geometry trace
+#: (``check_memory_n18``): the peak measured before sub-plan line streams
+#: were memoised, so the trace builder's template memo may not raise it.
 PREPARE_N18_PEAK_BYTES = 28_401_987
 #: Ceiling on the milliseconds per plan of a 40-plan RSU n=18 batch on the
 #: Opteron-like machine (``check_rsu_n18_opteron``), the paper's geometry:
@@ -308,8 +308,10 @@ def check_memory_n18() -> None:
     """The n=18 prepare stays within its recorded memory and chunk bounds.
 
     An RSU plan of size 2^18 on the Opteron-like machine streams about 10^6
-    lines: its tracemalloc peak must not pass ``PREPARE_N18_PEAK_BYTES``,
-    and no line chunk may hold more than ``DEFAULT_CHUNK_ACCESSES`` raw
+    lines at full geometry.  The prepare simulates one set class only, so
+    both its tracemalloc peak and that of the full-geometry stream must stay
+    within ``PREPARE_N18_PEAK_BYTES``; no line chunk may hold more than
+    ``DEFAULT_CHUNK_ACCESSES`` raw
     accesses (large leaf nests split along their loop axes, large sub-plans
     stream child by child, weighted template copies stay within the budget).
     Spliced across three such plans, as a batch is, no spliced chunk may
@@ -331,7 +333,11 @@ def check_memory_n18() -> None:
     builder = TraceBuilder(
         config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
     )
+    tracemalloc.start()
     largest = max(chunk.accesses for chunk in builder.stream(plan))
+    _current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    gate("stream_n18_opteron_peak", peak / 1e6, "<=", PREPARE_N18_PEAK_BYTES / 1e6, unit="MB")
     gate("prepare_n18_chunk_accesses", largest, "<=", DEFAULT_CHUNK_ACCESSES, unit="accesses")
     plans = [plan, *(RSUSampler().sample(18, rng=SMOKE_SEED + seed) for seed in (1, 2))]
     offsets = machine.hierarchy.batch_line_offsets(
@@ -488,6 +494,18 @@ def check_exactness() -> None:
             )
 
 
+def per_plan_cycles(config):
+    """The scalar DP reference: one ``measure`` per candidate, no engine.
+
+    ``config`` must be noise-free, so the engine's per-plan noise seeding
+    cannot make the two differ.
+    """
+    from repro.machine.machine import SimulatedMachine
+
+    machine = SimulatedMachine(config)
+    return lambda plan: float(machine.measure(plan).cycles)
+
+
 def check_search_budget() -> None:
     """Batched search must be exact and must respect its measurement budget.
 
@@ -511,24 +529,22 @@ def check_search_budget() -> None:
     from repro.models.instruction_count import InstructionCountModel
     from repro.runtime.cost_engine import CostEngine
     from repro.runtime.store import MemoryStore
-    from repro.search.costs import MeasuredCyclesCost
     from repro.search.dp import dp_search
     from repro.wht.encoding import encode_plans
     from repro.wht.enumeration import enumerate_plans
 
     config = opteron_like(noise_sigma=0.0).config
-    scalar_cost = MeasuredCyclesCost(SimulatedMachine(config))
-    scalar = dp_search(12, scalar_cost)
+    scalar = dp_search(12, per_plan_cycles(config))
 
     store = MemoryStore()
     cold_engine = CostEngine(SimulatedMachine(config), store=store)
     cold = dp_search(12, cold_engine)
     if cold.best_plans != scalar.best_plans or cold.best_costs != scalar.best_costs:
         raise SystemExit("search exactness regression: engine DP differs from scalar DP")
-    if cold_engine.measured != scalar_cost.measured:
+    if cold_engine.measured != scalar.evaluations:
         raise SystemExit(
             f"search budget regression: engine measured {cold_engine.measured} "
-            f"candidates, scalar measured {scalar_cost.measured}"
+            f"candidates, scalar measured {scalar.evaluations}"
         )
 
     warm_engine = CostEngine(SimulatedMachine(config), store=store)
@@ -571,7 +587,7 @@ def check_batch_identity() -> None:
     """
     from repro.machine.configs import opteron_like, tiny_machine
     from repro.machine.machine import SimulatedMachine
-    from repro.search.costs import InstructionModelCost
+    from repro.runtime.cost_engine import CostEngine
     from repro.search.dp import dp_search
     from repro.wht.enumeration import enumerate_plans
     from repro.wht.random_plans import random_plan, random_plans
@@ -594,7 +610,7 @@ def check_batch_identity() -> None:
                 )
 
     config = opteron_like(noise_sigma=0.0).config
-    model_dp = dp_search(16, InstructionModelCost())
+    model_dp = dp_search(16, CostEngine(SimulatedMachine(config)).cost("model_instructions"))
     dp_candidates = list({str(record.plan): record.plan for record in model_dp.candidates}.values())
     samples = dp_candidates[:: max(len(dp_candidates) // 24, 1)] + random_plans(
         14, 12, rng=19
@@ -634,7 +650,6 @@ def check_search_timings() -> None:
     from repro.models.instruction_count import InstructionCountModel
     from repro.runtime.cost_engine import CostEngine
     from repro.runtime.store import CostLogKey, DiskStore, MemoryStore
-    from repro.search.costs import InstructionModelCost, MeasuredCyclesCost
     from repro.search.dp import dp_search
     from repro.search.pruned import ModelPrunedSearch
     from repro.wht.encoding import encode_plans
@@ -644,11 +659,11 @@ def check_search_timings() -> None:
 
     scalar14, _ = timed(
         "dp_n14_scalar",
-        lambda: dp_search(14, MeasuredCyclesCost(SimulatedMachine(config))),
+        lambda: dp_search(14, per_plan_cycles(config)),
     )
     scalar16, scalar_seconds = timed(
         "dp_n16_scalar",
-        lambda: dp_search(16, MeasuredCyclesCost(SimulatedMachine(config))),
+        lambda: dp_search(16, per_plan_cycles(config)),
     )
     store = MemoryStore()
     cold, cold_seconds = timed(
@@ -689,7 +704,7 @@ def check_search_timings() -> None:
     _, seconds = timed(
         "pruned_n14",
         lambda: ModelPrunedSearch(
-            model_cost=InstructionModelCost(),
+            model_cost=engine.cost("model_instructions"),
             measure_cost=engine,
             samples=1000,
             keep_fraction=0.25,
@@ -909,7 +924,7 @@ def check_service() -> None:
             "concurrent sessions"
         )
     serial = session(machine=config)
-    reference = serial.search(12, use_engine=True)
+    reference = serial.search(12)
     for result in results:
         if (
             str(result.best_plan) != str(reference.best_plan)
@@ -1035,7 +1050,7 @@ def check_faults() -> None:
     # Clean-service discipline gate: no failures -> no retry machinery.
     config = tiny_machine_config()
     with CampaignService(workers=2) as service:
-        Session.connect(service, machine=config).search(10, use_engine=True)
+        Session.connect(service, machine=config).search(10)
         stats = service.stats()
         if stats.retries or stats.failures or stats.quarantined:
             raise SystemExit(
@@ -1045,7 +1060,7 @@ def check_faults() -> None:
             )
 
     # Chaos correctness gate: injected faults never change an answer.
-    reference = session(machine=config).search(12, use_engine=True)
+    reference = session(machine=config).search(12)
     fplan = FaultPlan(
         seed=0,
         backend=FaultSpec(error_rate=0.15, crash_rate=0.08),
@@ -1061,7 +1076,7 @@ def check_faults() -> None:
         backoff_cap=0.05,
     ) as chaotic_service:
         chaotic = Session.connect(chaotic_service, machine=config, fallback=True)
-        result = chaotic.search(12, use_engine=True)
+        result = chaotic.search(12)
         if (
             str(result.best_plan) != str(reference.best_plan)
             or result.best_cost != reference.best_cost

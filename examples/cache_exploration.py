@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.machine import CacheConfig, MachineConfig, SimulatedMachine
 from repro.machine.cpu import CycleModel, InstructionCostModel
+from repro.runtime import CostEngine
 from repro.search import dp_best_plan
 from repro.util.tables import format_table
 from repro.wht import canonical_plans
@@ -42,7 +43,7 @@ def main() -> None:
 
     rows = []
     for machine in machines:
-        best = dp_best_plan(machine, n, max_children=2)
+        best = dp_best_plan(CostEngine(machine), n, max_children=2)
         canonicals = {
             name: machine.measure(plan).cycles for name, plan in canonical_plans(n).items()
         }

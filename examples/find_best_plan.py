@@ -17,6 +17,7 @@ from __future__ import annotations
 import sys
 
 from repro.machine import default_machine
+from repro.runtime import CostEngine
 from repro.search import dp_best_plan
 from repro.util.tables import format_table
 from repro.wht import canonical_plans
@@ -26,14 +27,16 @@ def main(max_n: int = 13) -> None:
     machine = default_machine()
     print(f"Machine: {machine.config.describe()}\n")
 
+    # One engine measures every plan, so a canonical plan and a DP candidate
+    # draw their noise the same way (per plan, not in call order).
+    engine = CostEngine(machine)
     rows = []
     best_plans = {}
     for n in range(4, max_n + 1):
-        result = dp_best_plan(machine, n, max_children=2)
+        result = dp_best_plan(engine, n, max_children=2)
         best_plans[n] = result.best_plan
-        canonicals = {
-            name: machine.measure(plan).cycles for name, plan in canonical_plans(n).items()
-        }
+        plans = canonical_plans(n)
+        canonicals = dict(zip(plans, engine.batch(list(plans.values()))))
         rows.append(
             [
                 n,

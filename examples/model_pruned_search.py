@@ -15,6 +15,9 @@ one pool of random candidate algorithms and compares
   (``alpha*I + beta*M``), measures only the most promising quarter, and
 
 reports how much measurement was saved and how much performance was given up.
+Each search measures through its own :class:`~repro.runtime.CostEngine`, so
+its measurement count is its own; both engines draw the same per-plan noise,
+so a plan measures the same in either search.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from __future__ import annotations
 import sys
 
 from repro.machine import default_machine
-from repro.models import CombinedModel
-from repro.search import CombinedModelCost, MeasuredCyclesCost, ModelPrunedSearch, RandomSearch
+from repro.runtime import CostEngine, WeightedObjective
+from repro.search import ModelPrunedSearch, RandomSearch
 
 
 def main(n: int = 12, samples: int = 120) -> None:
@@ -34,18 +37,19 @@ def main(n: int = 12, samples: int = 120) -> None:
     seed = 2007
 
     # Full search: measure everything.
-    full_cost = MeasuredCyclesCost(machine)
-    full = RandomSearch(full_cost, samples=samples).search(n, rng=seed)
+    full_engine = CostEngine(machine)
+    full = RandomSearch(full_engine, samples=samples).search(n, rng=seed)
     print(
         f"full search      : best {full.best_cost:12.0f} cycles after "
-        f"{full_cost.evaluations} measurements"
+        f"{full_engine.measured} measurements"
     )
 
     # Pruned search: same candidate pool, but only the model-selected quarter
-    # is ever measured.  The model cost uses the machine's own L1 geometry.
+    # is ever measured.  The model scores use the machine's own L1 geometry.
+    pruned_engine = CostEngine(machine)
     pruned_search = ModelPrunedSearch(
-        model_cost=CombinedModelCost.for_machine(machine, combined=CombinedModel(1.0, 20.0)),
-        measure_cost=MeasuredCyclesCost(machine),
+        model_cost=pruned_engine.cost(WeightedObjective.model_combined(1.0, 20.0)),
+        measure_cost=pruned_engine,
         samples=samples,
         keep_fraction=0.25,
     )

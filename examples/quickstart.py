@@ -96,7 +96,7 @@ def main() -> None:
     #    counter metric, and all records persist in the session's store);
     #    model metrics and weighted composites — the paper's alpha*I +
     #    beta*M — plug into the same API and reuse every cached record.
-    by_cycles = sess.search(n, use_engine=True, objective="cycles")
+    by_cycles = sess.search(n, objective="cycles")
     by_misses = sess.search(n, objective="l1_misses")
     combined = sess.search(n, objective=repro.WeightedObjective.combined(1.0, 0.05))
     model_only = sess.search(n, objective="model_instructions")  # zero measurements
@@ -174,7 +174,7 @@ def main() -> None:
         backend=chaotic_backend, workers=2, max_attempts=3, backoff_base=0.005
     ) as service:
         survivor = repro.Session.connect(service, fallback=True)
-        best_chaos = survivor.search(n, use_engine=True)
+        best_chaos = survivor.search(n)
         assert str(best_chaos.best_plan) == str(by_cycles.best_plan)
         assert best_chaos.best_cost == by_cycles.best_cost
         stats = service.stats()
@@ -195,10 +195,10 @@ def main() -> None:
     #     the in-process one bit for bit.
     with repro.CampaignService(workers=2) as service:
         local = repro.Session.connect(service)
-        best_local = local.search(n, use_engine=True)
+        best_local = local.search(n)
         with repro.serve_tcp(service, host="127.0.0.1", port=0) as server:
             remote = repro.Session.connect(server.url)
-            best_remote = remote.search(n, use_engine=True)
+            best_remote = remote.search(n)
             assert str(best_remote.best_plan) == str(best_local.best_plan)
             assert best_remote.best_cost == best_local.best_cost
             wire_stats = server.stats()
@@ -274,7 +274,7 @@ def main() -> None:
         victim = 1
         servers[victim].close()  # one member dies out from under the client
         services[victim].shutdown()
-        best_fleet = fleet_sess.search(n, use_engine=True)
+        best_fleet = fleet_sess.search(n)
         assert str(best_fleet.best_plan) == str(by_cycles.best_plan)
         assert best_fleet.best_cost == by_cycles.best_cost
         assert engine.failovers >= 1

@@ -33,17 +33,19 @@ differently — does it per **metric**:
   (``derive_seed(seed, "plan-cost", plan_key)``), so the cost of a plan is
   one well-defined record independent of evaluation order, batch shape or
   backend — which is what makes serial, multiprocess and cached evaluation
-  bit-identical.  (On a noise-free machine the engine matches the plain
-  :class:`~repro.search.costs.MeasuredCyclesCost` exactly as well.)
+  bit-identical.  (On a noise-free machine a record's cycles equal
+  ``machine.measure(plan).cycles`` exactly.)
 
-Search strategies consume the engine through an
-:class:`~repro.runtime.objectives.Objective`: the engine itself is a drop-in
-cost function for its default objective (callable on a single plan, ``batch``
-for the strategies' batched protocol), and :meth:`CostEngine.cost` binds any
-other objective — a different metric, the paper's ``alpha*I + beta*M``
-composite, or a custom reducer — to the same shared record cache.  The
-``evaluations`` / ``measured`` counter pair distinguishes cache hits from
-real simulation work for honest pruning reports.
+This is the one cost API of every search strategy (:mod:`repro.search`): a
+strategy's ``cost`` is either an engine surface, which evaluates its default
+:class:`~repro.runtime.objectives.Objective`, or :meth:`EngineSurface.cost`,
+which binds any other objective — a different metric, the analytic
+``model_instructions`` / ``model_combined`` scores, the paper's
+``alpha*I + beta*M`` composite, ``wall_time`` or a custom reducer — to the
+same shared record cache.  Both are callable on a single plan and expose
+``batch`` for a whole round.  The ``evaluations`` / ``measured`` counter pair
+distinguishes cache hits from real simulation work for honest pruning
+reports.
 
 :class:`EngineSurface` is that consumer-facing surface, defined once:
 ``cost`` / ``batch`` / ``__call__``, the ``evaluations`` / ``measured`` /

@@ -36,13 +36,7 @@ from repro.runtime.cost_engine import CostEngine
 from repro.runtime.objectives import Objective
 from repro.runtime.store import CampaignStore, resolve_store
 from repro.runtime.table import MeasurementTable
-from repro.search import (
-    ExhaustiveSearch,
-    MeasuredCyclesCost,
-    RandomSearch,
-    SearchResult,
-    dp_best_plan,
-)
+from repro.search import ExhaustiveSearch, RandomSearch, SearchResult, dp_best_plan
 from repro.util.rng import derive_seed
 from repro.wht.plan import MAX_UNROLLED, Plan
 
@@ -316,9 +310,8 @@ class Session:
         append-log records keyed by ``(machine content hash, plan key)``, so
         a later session over the same store resumes a search with zero
         re-measurement — for *any* objective over already-known metrics.
-        Note the engine seeds measurement noise per plan (order-independent)
-        rather than from the machine's shared generator; on a noise-free
-        machine both schemes coincide exactly.
+        The engine seeds measurement noise per plan, so a plan's cost does
+        not depend on evaluation order.
 
         A session on the plain serial backend hands the engine the fused
         :class:`~repro.runtime.backends.BatchedBackend` instead (bit-identical
@@ -370,8 +363,7 @@ class Session:
         self,
         n: int,
         strategy: str = "dp",
-        use_engine: bool = False,
-        objective: "str | Objective | None" = None,
+        objective: "str | Objective" = "cycles",
         **kwargs: Any,
     ) -> SearchResult:
         """Search the algorithm space of exponent ``n`` on this machine.
@@ -383,30 +375,16 @@ class Session:
         ``objective`` selects *what* the search optimises: a metric name
         (``"cycles"``, ``"l1_misses"``, ``"model_instructions"``, ...) or an
         :class:`~repro.runtime.objectives.Objective` such as the paper's
-        composite ``WeightedObjective.combined(alpha, beta)``.  Objectives
-        always evaluate through :meth:`cost_engine` — batched through the
-        session's backend, with the persistent per-plan record cache —
-        and every objective bound to this session shares that cache, so
+        composite ``WeightedObjective.combined(alpha, beta)``.  Every strategy
+        evaluates ``cost_engine().cost(objective)`` — batched through the
+        session's backend, with the persistent per-plan record cache and
+        per-(plan, seed) noise — so a search repeats bit for bit, and
         switching objectives re-measures nothing already known.
-
-        ``use_engine=True`` (without an objective) evaluates the default
-        measured-cycles objective through the engine instead of a fresh
-        per-call :class:`~repro.search.costs.MeasuredCyclesCost`;
-        ``session.search(n, use_engine=True, objective="cycles")`` is
-        bit-identical to that path.
         """
-        if objective is not None:
-            if "cost" in kwargs:
-                raise ValueError("pass either cost= or objective=, not both")
-            kwargs["cost"] = self.cost_engine().cost(objective)
-        elif use_engine or self.service is not None:
-            # Connected sessions always evaluate through the service-backed
-            # engine — that is where cross-session dedup lives.
-            kwargs.setdefault("cost", self.cost_engine())
+        cost = self.cost_engine().cost(objective)
         if strategy == "dp":
             kwargs.setdefault("max_children", self.dp_max_children)
-            return dp_best_plan(self.machine, n, **kwargs)
-        cost = kwargs.pop("cost", None) or MeasuredCyclesCost(self.machine)
+            return dp_best_plan(cost, n, **kwargs)
         if strategy == "random":
             rng = kwargs.pop("rng", derive_seed(self.scale.seed, "search", n))
             return RandomSearch(cost=cost, **kwargs).search(n, rng=rng)

@@ -5,8 +5,6 @@ algorithm space for the implementation that is fastest on a given machine.
 The paper's contribution is showing that analytic models can prune that
 search.  This subpackage provides both sides:
 
-* :mod:`repro.search.costs` — cost functions (simulated cycles, analytic
-  instruction count, combined model, wall clock) usable by every strategy;
 * :mod:`repro.search.dp` — the dynamic-programming search (the package's
   default strategy, used to define the "best" baseline of Figures 1–3);
 * :mod:`repro.search.random_search` — plain random sampling;
@@ -14,16 +12,17 @@ search.  This subpackage provides both sides:
 * :mod:`repro.search.pruned` — the paper's model-pruned search: evaluate the
   cheap model on every candidate, keep only the candidates below a threshold
   (or the best fraction), and measure only those.
+
+Every strategy takes one ``cost``: an engine surface
+(:class:`~repro.runtime.cost_engine.CostEngine`, a service or fleet client),
+which evaluates the engine's default objective, or ``engine.cost(objective)``
+for any other metric or composite — simulated cycles, the analytic
+``model_instructions`` / ``model_combined`` scores, ``wall_time``.  Both
+expose ``batch`` and the ``evaluations`` / ``measured`` counters, so every
+round is one batch and pruning reports count real measurements, not cache
+hits.
 """
 
-from repro.search.costs import (
-    CombinedModelCost,
-    InstructionModelCost,
-    MeasuredCyclesCost,
-    WallClockCost,
-    bind_cost,
-    evaluate_cost_batch,
-)
 from repro.search.result import SearchResult
 from repro.search.dp import dp_best_plan, dp_search
 from repro.search.random_search import RandomSearch
@@ -31,12 +30,6 @@ from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.pruned import ModelPrunedSearch, PrunedSearchReport
 
 __all__ = [
-    "MeasuredCyclesCost",
-    "InstructionModelCost",
-    "CombinedModelCost",
-    "WallClockCost",
-    "evaluate_cost_batch",
-    "bind_cost",
     "SearchResult",
     "dp_search",
     "dp_best_plan",

@@ -1,49 +1,41 @@
 """Dynamic-programming search conveniences.
 
 The underlying machinery lives in :mod:`repro.wht.dp_search`; the helpers here
-wire it to a simulated machine (or any other cost) and adapt the outcome to
-the common :class:`repro.search.result.SearchResult` shape.  The DP-best plan
-is the baseline the paper's Figures 1–3 normalise against.
-
-Both helpers speak the metric-first cost API: ``cost`` may be a plain
-callable (the historical ad-hoc cost functions), or an
-:class:`~repro.runtime.objectives.Objective` / metric name bound through a
-:class:`~repro.runtime.cost_engine.CostEngine` — pass the engine via
-``engine=`` (or let :func:`dp_best_plan` build a private one from its
-machine).
+run it with an engine-bound cost and adapt the outcome to the common
+:class:`repro.search.result.SearchResult` shape.  The DP-best plan is the
+baseline the paper's Figures 1–3 normalise against.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from repro.machine.machine import SimulatedMachine
-from repro.search.costs import MeasuredCyclesCost, bind_cost
 from repro.search.result import SearchResult
 from repro.util.validation import check_positive_int
 from repro.wht.dp_search import DPSearch, DPSearchResult
-from repro.wht.plan import MAX_UNROLLED, Plan
+from repro.wht.plan import MAX_UNROLLED
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime layer imports this one
+    from repro.runtime.cost_engine import EngineSurface, ObjectiveCost
 
 __all__ = ["dp_search", "dp_best_plan"]
 
 
 def dp_search(
     n: int,
-    cost: "Callable[[Plan], float] | object",
+    cost: "EngineSurface | ObjectiveCost",
     max_leaf: int = MAX_UNROLLED,
     max_children: int | None = 2,
     include_iterative: bool = True,
     record_candidates: bool = True,
-    engine=None,
 ) -> DPSearchResult:
-    """Run the package's DP search up to exponent ``n`` with an arbitrary cost.
+    """Run the package's DP search up to exponent ``n``.
 
-    ``cost`` may be a callable, or an Objective/metric name together with
-    ``engine=`` (a :class:`~repro.runtime.cost_engine.CostEngine`).
+    ``cost`` is an engine surface or ``engine.cost(objective)``.
     """
     check_positive_int(n, "n")
     searcher = DPSearch(
-        bind_cost(cost, engine),
+        cost,
         max_leaf=max_leaf,
         max_children=max_children,
         include_iterative=include_iterative,
@@ -53,42 +45,20 @@ def dp_search(
 
 
 def dp_best_plan(
-    machine: SimulatedMachine,
+    cost: "EngineSurface | ObjectiveCost",
     n: int,
     max_leaf: int = MAX_UNROLLED,
     max_children: int | None = 2,
     include_iterative: bool = True,
-    cost: "Callable[[Plan], float] | object | None" = None,
     record_candidates: bool = True,
-    objective: "str | object | None" = None,
-    engine=None,
 ) -> SearchResult:
-    """The DP-best plan for ``n`` under simulated cycle counts.
+    """The DP-best plan for ``n`` under ``cost``.
 
     This is the reproduction's analogue of "the best algorithm determined by
-    the dynamic programming search performed by the WHT package".  ``cost``
-    overrides the default per-call :class:`MeasuredCyclesCost` — pass a
-    :class:`~repro.runtime.cost_engine.CostEngine` for batched, cached
-    evaluation, or select *what* to optimise with ``objective=`` (a metric
-    name or :class:`~repro.runtime.objectives.Objective`), which evaluates
-    through ``engine`` (one is built over ``machine`` when omitted).  Any
-    cost exposing the ``evaluations``/``measured`` counters is reported
-    faithfully.
+    the dynamic programming search performed by the WHT package" — with
+    ``cost`` a :class:`~repro.runtime.cost_engine.CostEngine` over the
+    machine, it optimises simulated cycles.
     """
-    check_positive_int(n, "n")
-    if objective is not None:
-        if cost is not None:
-            raise ValueError("pass either cost= or objective=, not both")
-        if engine is None:
-            from repro.runtime.cost_engine import CostEngine
-
-            engine = CostEngine(machine)
-        cost = engine.cost(objective)
-    elif cost is None:
-        cost = MeasuredCyclesCost(machine)
-    else:
-        cost = bind_cost(cost, engine)
-    evaluations_before = int(getattr(cost, "evaluations", 0))
     result = dp_search(
         n,
         cost,
@@ -97,17 +67,13 @@ def dp_best_plan(
         include_iterative=include_iterative,
         record_candidates=record_candidates,
     )
-    evaluated = int(getattr(cost, "evaluations", evaluations_before)) - evaluations_before
-    if evaluated <= 0:
-        evaluated = result.evaluations
-    best = result.best(n)
     history = [(record.plan, record.cost) for record in result.candidates_for(n)]
     return SearchResult(
         n=n,
-        best_plan=best,
+        best_plan=result.best(n),
         best_cost=result.best_costs[n],
-        evaluated=evaluated,
-        considered=evaluated,
+        evaluated=result.evaluations,
+        considered=result.evaluations,
         strategy="dynamic-programming",
         history=history,
     )

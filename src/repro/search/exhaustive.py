@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from repro.search.costs import bind_cost, evaluate_cost_batch
 from repro.search.result import SearchResult
+from repro.util.batching import evaluate_cost_batch
 from repro.util.validation import check_positive_int
 from repro.wht.enumeration import count_plans, enumerate_plans
 from repro.wht.plan import MAX_UNROLLED, Plan
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime layer imports this one
+    from repro.runtime.cost_engine import EngineSurface, ObjectiveCost
 
 __all__ = ["ExhaustiveSearch"]
 
@@ -24,25 +27,21 @@ class ExhaustiveSearch:
     be partial.
 
     Candidates are evaluated in rounds of ``batch_size`` plans straight off
-    the enumeration stream (which is duplicate-free by construction), so
-    batch-capable costs amortise work per round while only one round of plans
-    is in flight beyond the recorded history.
+    the enumeration stream (which is duplicate-free by construction), so the
+    cost amortises work per round while only one round of plans is in flight
+    beyond the recorded history.
 
-    ``cost`` may be a plain callable, or an
-    :class:`~repro.runtime.objectives.Objective` / metric name evaluated
-    through ``engine`` (a :class:`~repro.runtime.cost_engine.CostEngine`).
+    ``cost`` is an engine surface or ``engine.cost(objective)``.
     """
 
-    cost: "Callable[[Plan], float] | object"
+    cost: "EngineSurface | ObjectiveCost"
     max_leaf: int = MAX_UNROLLED
     limit: int = 200_000
     batch_size: int = 2048
-    engine: object | None = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.limit, "limit")
         check_positive_int(self.batch_size, "batch_size")
-        self.cost = bind_cost(self.cost, self.engine)
 
     def space_size(self, n: int) -> int:
         """Number of plans that would be evaluated for exponent ``n``."""

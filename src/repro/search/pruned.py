@@ -22,17 +22,20 @@ Figures 10/11 can be quantified directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.search.costs import bind_cost, evaluate_cost_batch
 from repro.search.result import SearchResult
+from repro.util.batching import evaluate_cost_batch
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_positive_int, check_probability
 from repro.wht.encoding import plan_key
 from repro.wht.plan import MAX_UNROLLED, Plan
 from repro.wht.random_plans import RSUSampler
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime layer imports this one
+    from repro.runtime.cost_engine import EngineSurface, ObjectiveCost
 
 __all__ = ["ModelPrunedSearch", "PrunedSearchReport"]
 
@@ -44,9 +47,9 @@ class PrunedSearchReport:
     result: SearchResult
     #: Number of candidates scored with the cheap model.
     model_evaluations: int
-    #: Number of expensive measurements actually performed.  Equals the
-    #: survivor count for a plain measured cost; smaller when the measured
-    #: cost caches (cache hits cost nothing and are not counted).
+    #: Number of expensive measurements actually performed: the measuring
+    #: cost's ``measured`` delta, so survivors served from the engine's
+    #: record cache cost nothing and are not counted.
     measured_evaluations: int
     #: Model threshold actually applied.
     threshold: float
@@ -69,30 +72,26 @@ class ModelPrunedSearch:
     ``threshold`` is ``None`` the survivors are the best ``keep_fraction`` of
     the candidates by model value.
 
-    Both costs may be plain callables, or
-    :class:`~repro.runtime.objectives.Objective`\\ s / metric names evaluated
-    through ``engine`` (a :class:`~repro.runtime.cost_engine.CostEngine`) —
-    the paper's strategy is ``model_cost="model_instructions"`` (or the
-    composite model objective) with ``measure_cost="cycles"``, sharing one
-    engine so the measuring stage reuses every cached record.
+    Both costs are engine surfaces or ``engine.cost(objective)`` — the
+    paper's strategy is ``engine.cost("model_instructions")`` (or the
+    composite ``WeightedObjective.model_combined``) with ``engine`` itself
+    measuring cycles.  Sharing one engine lets the measuring stage reuse
+    every cached record.
     """
 
-    model_cost: "Callable[[Plan], float] | object"
-    measure_cost: "Callable[[Plan], float] | object"
+    model_cost: "EngineSurface | ObjectiveCost"
+    measure_cost: "EngineSurface | ObjectiveCost"
     samples: int = 200
     keep_fraction: float = 0.25
     threshold: float | None = None
     max_leaf: int = MAX_UNROLLED
     max_children: int | None = None
-    engine: object | None = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.samples, "samples")
         check_probability(self.keep_fraction, "keep_fraction")
         if self.keep_fraction == 0.0 and self.threshold is None:
             raise ValueError("keep_fraction must be positive when no threshold is given")
-        self.model_cost = bind_cost(self.model_cost, self.engine)
-        self.measure_cost = bind_cost(self.measure_cost, self.engine)
 
     # -- candidate generation ---------------------------------------------------
 
@@ -146,7 +145,7 @@ class ModelPrunedSearch:
             survivor_mask = np.zeros(len(plans), dtype=bool)
             survivor_mask[best_index] = True
 
-        measured_before = getattr(self.measure_cost, "measured", None)
+        measured_before = self.measure_cost.measured
         values = evaluate_cost_batch(self.measure_cost, survivors)
         history = list(zip(survivors, values))
         best_plan: Plan | None = None
@@ -157,14 +156,6 @@ class ModelPrunedSearch:
                 best_cost = value
                 best_plan = plan
         assert best_plan is not None
-
-        # With a caching measured cost (e.g. the runtime's CostEngine) some
-        # survivors are served from the cost cache; report the measurements
-        # that actually happened rather than the survivor count.
-        if measured_before is not None:
-            measured = int(self.measure_cost.measured) - int(measured_before)
-        else:
-            measured = len(survivors)
 
         result = SearchResult(
             n=n,
@@ -178,7 +169,7 @@ class ModelPrunedSearch:
         return PrunedSearchReport(
             result=result,
             model_evaluations=len(plans),
-            measured_evaluations=measured,
+            measured_evaluations=self.measure_cost.measured - measured_before,
             threshold=threshold,
             pruned_fraction=float(1.0 - survivor_mask.mean()),
         )

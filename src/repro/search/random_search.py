@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from repro.search.costs import bind_cost, evaluate_cost_batch
 from repro.search.result import SearchResult
+from repro.util.batching import evaluate_cost_batch
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_positive_int
 from repro.wht.encoding import plan_key
 from repro.wht.plan import MAX_UNROLLED, Plan
 from repro.wht.random_plans import RSUSampler
+
+if TYPE_CHECKING:  # pragma: no cover - the runtime layer imports this one
+    from repro.runtime.cost_engine import EngineSurface, ObjectiveCost
 
 __all__ = ["RandomSearch"]
 
@@ -24,31 +27,25 @@ class RandomSearch:
     small sizes) are evaluated only once; the duplicate draws still count
     toward ``considered`` so search budgets are comparable across strategies.
 
-    ``cost`` may be a plain callable, or an
-    :class:`~repro.runtime.objectives.Objective` / metric name evaluated
-    through ``engine`` (a :class:`~repro.runtime.cost_engine.CostEngine`).
+    ``cost`` is an engine surface or ``engine.cost(objective)``.
     """
 
-    cost: "Callable[[Plan], float] | object"
+    cost: "EngineSurface | ObjectiveCost"
     samples: int = 100
     max_leaf: int = MAX_UNROLLED
     max_children: int | None = None
     dedupe: bool = True
-    engine: object | None = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.samples, "samples")
-        self.cost = bind_cost(self.cost, self.engine)
 
     def search(self, n: int, rng: RandomState = None) -> SearchResult:
         """Run the search for exponent ``n``.
 
         Sampling and evaluation are two phases: the full sample is drawn and
         deduplicated by plan key first, then the surviving candidates are
-        evaluated as one batch (vectorised models, backend fan-out, cost
-        caches).  The draw sequence, the evaluation order and — for costs
-        without a batch method — every individual cost call are identical to
-        the historical interleaved loop.
+        evaluated as one batch (vectorised models, backend fan-out, the
+        engine's record cache).
         """
         check_positive_int(n, "n")
         generator = as_generator(rng)

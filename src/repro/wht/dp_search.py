@@ -117,10 +117,11 @@ class DPSearch:
     Parameters
     ----------
     cost:
-        Function mapping a plan to a scalar cost (lower is better).  Typical
-        choices: simulated cycle counts from
-        :class:`repro.machine.SimulatedMachine`, the analytic instruction
-        count, or a combined model.
+        Maps a plan to a scalar cost (lower is better); each round's
+        candidates go to ``cost.batch`` in one call when it has one.  In the
+        package this is an engine surface or ``engine.cost(objective)``
+        (:mod:`repro.runtime.cost_engine`): simulated cycles, an analytic
+        model or any other objective.
     max_leaf:
         Largest exponent considered as an unrolled leaf candidate.
     max_children:
@@ -137,12 +138,6 @@ class DPSearch:
         Retain per-candidate records on the result (default).  ``False``
         keeps only best plans/costs and the evaluation counter, bounding the
         result's memory independently of the search size.
-    engine:
-        Optional cost engine used to *bind* a non-callable ``cost``: when
-        ``cost`` is an objective or metric name rather than a callable, it is
-        resolved via ``engine.cost(cost)``.  (Duck-typed so this module stays
-        importable without the runtime layer; the runtime's
-        :class:`~repro.runtime.cost_engine.CostEngine` provides ``cost``.)
     """
 
     def __init__(
@@ -152,16 +147,9 @@ class DPSearch:
         max_children: int | None = 2,
         include_iterative: bool = True,
         record_candidates: bool = True,
-        engine=None,
     ):
         if not callable(cost):
-            bind = getattr(engine, "cost", None)
-            if bind is None:
-                raise TypeError(
-                    "cost must be callable (or pass engine= to bind an "
-                    "Objective or metric name)"
-                )
-            cost = bind(cost)
+            raise TypeError(f"cost must be callable, not {cost!r}")
         check_positive_int(max_leaf, "max_leaf")
         if max_leaf > MAX_UNROLLED:
             raise ValueError(f"max_leaf must be at most {MAX_UNROLLED}")

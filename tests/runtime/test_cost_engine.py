@@ -8,17 +8,21 @@ from repro.runtime.backends import MultiprocessBackend, SerialBackend
 from repro.runtime.cost_engine import CostEngine
 from repro.runtime.objectives import WeightedObjective
 from repro.runtime.store import CostLogKey, DiskStore, MemoryStore, NullStore
-from repro.search.costs import MeasuredCyclesCost
 from repro.search.dp import dp_search
 from repro.wht.canonical import iterative_plan, right_recursive_plan
 from repro.wht.encoding import plan_key
 from repro.wht.random_plans import random_plan
 
 
+def per_plan_cycles(machine):
+    """The scalar reference the engine must equal: one ``measure`` per plan."""
+    return lambda plan: float(machine.measure(plan).cycles)
+
+
 class TestCostEngine:
     def test_matches_measured_cost_on_noise_free_machine(self):
         engine = CostEngine(tiny_machine(noise_sigma=0.0))
-        cost = MeasuredCyclesCost(tiny_machine(noise_sigma=0.0))
+        cost = per_plan_cycles(tiny_machine(noise_sigma=0.0))
         for seed in range(4):
             plan = random_plan(7, rng=seed)
             assert engine(plan) == cost(plan)
@@ -52,7 +56,7 @@ class TestCostEngine:
 
     def test_dp_search_parity_scalar_vs_engine_vs_multiprocess(self):
         config = tiny_machine_config(noise_sigma=0.0)
-        scalar = dp_search(8, MeasuredCyclesCost(SimulatedMachine(config)))
+        scalar = dp_search(8, per_plan_cycles(SimulatedMachine(config)))
         serial = dp_search(8, CostEngine(SimulatedMachine(config)))
         multi = dp_search(
             8,
@@ -206,42 +210,23 @@ class TestSessionEngine:
             store=store if store is not None else MemoryStore(),
         )
 
-    def test_session_search_use_engine_matches_plain(self, scale):
+    def test_repeated_search_is_served_from_the_record_cache(self, scale):
         session = self._session(scale)
-        plain = session.search(7)
-        engine_result = session.search(7, use_engine=True)
-        assert engine_result.best_plan == plain.best_plan
-        assert engine_result.best_cost == plain.best_cost
-        # The session memoises its engine, so a repeated engine search is
-        # served from the cost cache.
-        again = session.search(7, use_engine=True)
-        assert again.best_cost == engine_result.best_cost
-        assert session.cost_engine().measured < session.cost_engine().evaluations
+        first = session.search(7)
+        measured = session.cost_engine().measured
+        # The session memoises its engine, so a repeated search measures
+        # nothing new and returns the same result.
+        again = session.search(7)
+        assert session.cost_engine().measured == measured
+        assert (again.best_plan, again.best_cost) == (first.best_plan, first.best_cost)
+        assert again.history == first.history
 
-    def test_objective_cycles_bit_identical_to_engine_path(self, scale):
-        """Acceptance: session.search(use_engine=True, objective="cycles")
-        must be bit-identical to the plain engine path."""
-        store = MemoryStore()
-        engine_path = self._session(scale, store=MemoryStore()).search(7, use_engine=True)
-        objective_path = self._session(scale, store=store).search(
-            7, use_engine=True, objective="cycles"
-        )
-        assert objective_path.best_plan == engine_path.best_plan
-        assert objective_path.best_cost == engine_path.best_cost
-        assert objective_path.evaluated == engine_path.evaluated
-        assert [h for h in objective_path.history] == [h for h in engine_path.history]
-
-    def test_objective_search_without_use_engine_flag(self, scale):
+    def test_objective_search_minimises_its_metric(self, scale):
         session = self._session(scale)
         result = session.search(6, objective="l1_misses")
         # The best plan under the miss objective minimises measured misses.
         costs = dict(result.history)
         assert result.best_cost == min(costs.values())
-
-    def test_objective_conflicting_with_explicit_cost_raises(self, scale):
-        session = self._session(scale)
-        with pytest.raises(ValueError, match="not both"):
-            session.search(6, objective="l1_misses", cost=lambda plan: 0.0)
 
     def test_composite_model_objective_encodes_each_batch_once(self, scale, monkeypatch):
         import repro.runtime.cost_engine as cost_engine_module
@@ -263,13 +248,13 @@ class TestSessionEngine:
 
     def test_objectives_share_the_session_record_cache(self, scale):
         session = self._session(scale)
-        session.search(6, use_engine=True, objective="cycles")
+        session.search(6, objective="cycles")
         measured = session.cost_engine().measured
         # The combined objective over counter metrics re-measures nothing.
-        session.search(6, use_engine=True, objective=WeightedObjective.combined())
+        session.search(6, objective=WeightedObjective.combined())
         assert session.cost_engine().measured == measured
         # A model-metric objective stays measurement-free as well.
-        session.search(6, use_engine=True, objective="model_instructions")
+        session.search(6, objective="model_instructions")
         assert session.cost_engine().measured == measured
 
     def test_random_and_exhaustive_accept_objectives(self, scale):

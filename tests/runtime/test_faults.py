@@ -627,7 +627,7 @@ class TestChaosInvariant:
         self, config, tmp_path
     ):
         reference = session(machine=config, scale="ci", store=MemoryStore())
-        expected = reference.search(self.N, use_engine=True)
+        expected = reference.search(self.N)
         poison_key = plan_key(expected.best_plan)
 
         fplan = FaultPlan(
@@ -649,7 +649,7 @@ class TestChaosInvariant:
         )
         try:
             sess = Session.connect(service, machine=config, scale="ci", fallback=True)
-            result = sess.search(self.N, use_engine=True)
+            result = sess.search(self.N)
 
             # 1. The search completed and is bit-identical to fault-free.
             assert plan_key(result.best_plan) == poison_key

@@ -369,13 +369,11 @@ class TestFleetClientEngineSurface:
             Session.connect([42], machine=config)
 
     def test_fleet_dp_search_is_bit_identical(self, config, tmp_path):
-        expected = session(machine=config, scale="ci", store=MemoryStore()).search(
-            10, use_engine=True
-        )
+        expected = session(machine=config, scale="ci", store=MemoryStore()).search(10)
         with Fleet(tmp_path) as fleet:
             sess = Session.connect(fleet.urls, machine=config, scale="ci")
             try:
-                result = sess.search(10, use_engine=True)
+                result = sess.search(10)
                 assert plan_key(result.best_plan) == plan_key(expected.best_plan)
                 assert result.best_cost == expected.best_cost
                 assert _duplicates(*fleet.countings) == []
@@ -436,9 +434,7 @@ class TestFailover:
     def test_drain_mid_search_hands_off_bit_identically(self, config, tmp_path):
         """Satellite: a member drains mid-DP-search; keys hand off and the
         final result is bit-identical to a single-server run."""
-        expected = session(machine=config, scale="ci", store=MemoryStore()).search(
-            10, use_engine=True
-        )
+        expected = session(machine=config, scale="ci", store=MemoryStore()).search(10)
         with Fleet(tmp_path) as fleet:
             victim = CHAOS_SEED % len(fleet.servers)
             sess = Session.connect(
@@ -453,7 +449,7 @@ class TestFailover:
             )
             drainer.start()
             try:
-                result = sess.search(10, use_engine=True)
+                result = sess.search(10)
                 drainer.join()
                 assert plan_key(result.best_plan) == plan_key(expected.best_plan)
                 assert result.best_cost == expected.best_cost
@@ -976,9 +972,7 @@ class TestFleetChaosInvariant:
     N = 14
 
     def _reference(self, config):
-        return session(machine=config, scale="ci", store=MemoryStore()).search(
-            self.N, use_engine=True
-        )
+        return session(machine=config, scale="ci", store=MemoryStore()).search(self.N)
 
     def test_sigkilled_member_mid_search_is_bit_identical(self, config, tmp_path):
         expected = self._reference(config)
@@ -1046,7 +1040,7 @@ class TestFleetChaosInvariant:
                 partition_duration=0.1,
             )
             try:
-                result = sess.search(self.N, use_engine=True)
+                result = sess.search(self.N)
                 killer.join(timeout=60.0)
 
                 # 1. The member really died mid-run...
@@ -1083,7 +1077,7 @@ class TestFleetChaosInvariant:
                 heartbeat_interval=0.5,
             )
             try:
-                result = sess.search(self.N, use_engine=True)
+                result = sess.search(self.N)
 
                 assert plan_key(result.best_plan) == plan_key(expected.best_plan)
                 assert result.best_cost == expected.best_cost

@@ -240,7 +240,7 @@ class TestConcurrencyStress:
 
             # Bit-identical to one serial engine-backed session.
             serial = session(machine=config)
-            reference = serial.search(14, use_engine=True)
+            reference = serial.search(14)
             for result in results:
                 assert str(result.best_plan) == str(reference.best_plan)
                 assert result.best_cost == reference.best_cost

@@ -769,10 +769,10 @@ class TestRetryObservability:
 class TestRemoteSession:
     def test_remote_dp_search_is_bit_identical(self, config):
         reference = session(machine=config, scale="ci", store=MemoryStore())
-        expected = reference.search(10, use_engine=True)
+        expected = reference.search(10)
         with CampaignService() as service, serve_tcp(service) as server:
             sess = Session.connect(server.url, machine=config, scale="ci")
-            result = sess.search(10, use_engine=True)
+            result = sess.search(10)
             assert plan_key(result.best_plan) == plan_key(expected.best_plan)
             assert result.best_cost == expected.best_cost
             sess.close()
@@ -905,7 +905,7 @@ class TestNetworkChaosInvariant:
         self, config, tmp_path
     ):
         reference = session(machine=config, scale="ci", store=MemoryStore())
-        expected = reference.search(self.N, use_engine=True)
+        expected = reference.search(self.N)
 
         fplan = FaultPlan(
             seed=CHAOS_SEED,
@@ -945,7 +945,7 @@ class TestNetworkChaosInvariant:
                 backoff_cap=0.05,
                 heartbeat_interval=0.5,
             )
-            result = sess.search(self.N, use_engine=True)
+            result = sess.search(self.N)
 
             # 1. The search completed, bit-identical to the fault-free run.
             assert plan_key(result.best_plan) == plan_key(expected.best_plan)

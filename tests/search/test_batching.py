@@ -1,18 +1,21 @@
 """Tests for batched candidate evaluation across the search strategies."""
 
+import pytest
+
 from repro.models.instruction_count import InstructionCountModel
-from repro.search.costs import (
-    CombinedModelCost,
-    InstructionModelCost,
-    MeasuredCyclesCost,
-    evaluate_cost_batch,
-)
+from repro.runtime.cost_engine import CostEngine
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.pruned import ModelPrunedSearch
 from repro.search.random_search import RandomSearch
-from repro.wht.canonical import iterative_plan, right_recursive_plan
+from repro.util.batching import evaluate_cost_batch
 from repro.wht.dp_search import DPSearch
 from repro.wht.random_plans import random_plans
+
+
+@pytest.fixture
+def model_cost(machine):
+    """The analytic instruction count, bound to a fresh engine."""
+    return CostEngine(machine).cost("model_instructions")
 
 
 class TestEvaluateCostBatch:
@@ -29,54 +32,38 @@ class TestEvaluateCostBatch:
         assert seen == plans
         assert values == [float(model.count(p)) for p in plans]
 
-    def test_batch_method_is_used(self):
-        cost = InstructionModelCost()
+    def test_batch_method_is_used(self, model_cost):
         plans = random_plans(6, 5, rng=0)
-        values = evaluate_cost_batch(cost, plans)
-        assert values == [float(cost.model.count(p)) for p in plans]
-
-    def test_batch_and_loop_agree_for_model_costs(self, machine):
-        plans = random_plans(8, 10, rng=1)
-        for cost in (InstructionModelCost(), CombinedModelCost.for_machine(machine)):
-            batched = evaluate_cost_batch(cost, plans)
-            loop = [float(cost(p)) for p in plans]
-            assert batched == loop
+        values = evaluate_cost_batch(model_cost, plans)
+        assert values == [float(InstructionCountModel().count(p)) for p in plans]
+        assert model_cost.engine.scored == len(plans)
 
 
 class TestOversizedPlans:
-    """Model costs must fall back to the scalar models beyond the encoder range."""
+    """Model scores fall back to the scalar models beyond the encoder range."""
 
-    def test_model_cost_batch_beyond_encoder_range(self):
+    def test_model_cost_batch_beyond_encoder_range(self, model_cost):
         from repro.wht.plan import Small, Split
 
         plan = Split((Small(8),) * 5)  # n = 40 > MAX_ENCODABLE_EXPONENT
-        cost = InstructionModelCost()
-        values = evaluate_cost_batch(cost, [plan])
-        assert values == [float(cost.model.count(plan))]
-        assert cost.evaluations == 1
+        values = evaluate_cost_batch(model_cost, [plan])
+        assert values == [float(InstructionCountModel().count(plan))]
+        assert model_cost.evaluations == 1
 
-    def test_random_search_beyond_encoder_range(self):
-        result = RandomSearch(InstructionModelCost(), samples=3).search(33, rng=0)
+    def test_random_search_beyond_encoder_range(self, model_cost):
+        result = RandomSearch(model_cost, samples=3).search(33, rng=0)
         assert result.best_plan.n == 33
 
 
 class TestCounterSplit:
-    def test_plain_costs_measure_everything(self, machine):
-        cost = MeasuredCyclesCost(machine)
-        cost(iterative_plan(5))
-        cost.batch([iterative_plan(5), right_recursive_plan(5)])
-        assert cost.evaluations == 3
-        assert cost.measured == 3
-
-    def test_model_costs_count_batches(self):
-        cost = InstructionModelCost()
-        cost.batch(random_plans(6, 4, rng=2))
-        assert cost.evaluations == 4
-        assert cost.measured == 4
+    def test_model_costs_count_requests_not_measurements(self, model_cost):
+        model_cost.batch(random_plans(6, 4, rng=2))
+        assert model_cost.evaluations == 4
+        assert model_cost.measured == 0  # analytic: the machine never ran
 
 
 class TestDPSearchBatching:
-    def test_batched_cost_receives_each_round_once(self):
+    def test_batched_cost_receives_each_round_once(self, model_cost):
         model = InstructionCountModel()
         rounds = []
 
@@ -93,20 +80,20 @@ class TestDPSearchBatching:
 
         result = DPSearch(RecordingCost(), max_children=2).search(6)
         assert len(rounds) == 6  # one batch per exponent
-        scalar = DPSearch(InstructionModelCost(), max_children=2).search(6)
-        assert result.best_plans == scalar.best_plans
-        assert result.best_costs == scalar.best_costs
+        reference = DPSearch(model_cost, max_children=2).search(6)
+        assert result.best_plans == reference.best_plans
+        assert result.best_costs == reference.best_costs
 
-    def test_record_candidates_false_stays_bounded(self):
-        searcher = DPSearch(InstructionModelCost(), record_candidates=False)
+    def test_record_candidates_false_stays_bounded(self, model_cost):
+        searcher = DPSearch(model_cost, record_candidates=False)
         result = searcher.search(8)
         assert result.candidates == ()
         assert result.candidates_for(8) == []
         assert result.evaluations > 0
         assert 8 in result.best_plans
 
-    def test_candidates_indexed_by_exponent(self):
-        result = DPSearch(InstructionModelCost()).search(5)
+    def test_candidates_indexed_by_exponent(self, model_cost):
+        result = DPSearch(model_cost).search(5)
         assert set(result.candidates_by_exponent) == set(range(1, 6))
         flat = result.candidates
         assert isinstance(flat, tuple)
@@ -115,50 +102,18 @@ class TestDPSearchBatching:
         assert [c.exponent for c in flat] == sorted(c.exponent for c in flat)
 
 
-class TestStrategiesBatchVsLoop:
-    """Batch-capable costs and plain callables must give identical searches."""
-
-    def test_random_search_identical(self):
-        batched = RandomSearch(InstructionModelCost(), samples=40).search(7, rng=5)
-        model = InstructionCountModel()
-        loop = RandomSearch(lambda plan: float(model.count(plan)), samples=40).search(
-            7, rng=5
-        )
-        assert batched.best_plan == loop.best_plan
-        assert batched.history == loop.history
-
-    def test_exhaustive_identical_across_batch_sizes(self):
-        big = ExhaustiveSearch(InstructionModelCost()).search(5)
-        small = ExhaustiveSearch(InstructionModelCost(), batch_size=7).search(5)
-        model = InstructionCountModel()
-        loop = ExhaustiveSearch(lambda plan: float(model.count(plan))).search(5)
-        assert big.history == small.history == loop.history
-
-    def test_pruned_search_identical(self, machine):
-        report_batched = ModelPrunedSearch(
-            model_cost=InstructionModelCost(),
-            measure_cost=MeasuredCyclesCost(machine),
-            samples=50,
-            keep_fraction=0.3,
-        ).search(7, rng=9)
-        model = InstructionCountModel()
-        report_loop = ModelPrunedSearch(
-            model_cost=lambda plan: float(model.count(plan)),
-            measure_cost=MeasuredCyclesCost(machine),
-            samples=50,
-            keep_fraction=0.3,
-        ).search(7, rng=9)
-        assert report_batched.result.best_plan == report_loop.result.best_plan
-        assert report_batched.result.history == report_loop.result.history
-        assert report_batched.threshold == report_loop.threshold
+class TestStrategyRounds:
+    def test_exhaustive_identical_across_batch_sizes(self, model_cost):
+        big = ExhaustiveSearch(model_cost).search(5)
+        small = ExhaustiveSearch(model_cost, batch_size=7).search(5)
+        assert big.history == small.history
 
     def test_pruned_search_reports_actual_measurements_with_engine(self, tiny_config):
         from repro.machine.machine import SimulatedMachine
-        from repro.runtime.cost_engine import CostEngine
 
         engine = CostEngine(SimulatedMachine(tiny_config))
         search = ModelPrunedSearch(
-            model_cost=InstructionModelCost(),
+            model_cost=engine.cost("model_instructions"),
             measure_cost=engine,
             samples=50,
             keep_fraction=0.3,
@@ -171,25 +126,23 @@ class TestStrategiesBatchVsLoop:
 
 
 def test_dp_search_raises_when_every_cost_is_nan():
-    import pytest
-
     with pytest.raises(RuntimeError):
         DPSearch(lambda plan: float("nan")).search(3)
 
 
-def test_dp_search_result_evaluations_counts_without_records():
-    searcher = DPSearch(InstructionModelCost())
-    with_records = searcher.search(6)
-    without = DPSearch(InstructionModelCost(), record_candidates=False).search(6)
+def test_dp_search_result_evaluations_counts_without_records(model_cost):
+    with_records = DPSearch(model_cost).search(6)
+    without = DPSearch(model_cost, record_candidates=False).search(6)
     assert without.evaluations == with_records.evaluations
 
 
 def test_dp_best_plan_record_candidates_passthrough(machine):
     from repro.search.dp import dp_best_plan
 
-    unrecorded = dp_best_plan(machine, 6, record_candidates=False)
+    unrecorded = dp_best_plan(CostEngine(machine), 6, record_candidates=False)
     assert unrecorded.history == []
     assert unrecorded.evaluated > 0
-    recorded = dp_best_plan(machine, 6)
+    recorded = dp_best_plan(CostEngine(machine), 6)
     assert recorded.history  # the default path still records per-candidate history
     assert recorded.best_plan == unrecorded.best_plan
+    assert recorded.evaluated == unrecorded.evaluated

@@ -13,7 +13,7 @@ from repro.analysis.pearson import pearson_correlation
 from repro.models.cache_misses import CacheMissModel
 from repro.models.instruction_count import InstructionCountModel
 from repro.runtime.campaigns import run_campaign
-from repro.search.costs import InstructionModelCost, MeasuredCyclesCost
+from repro.runtime.cost_engine import CostEngine
 from repro.search.pruned import ModelPrunedSearch
 from repro.wht.canonical import canonical_plans
 from repro.wht.transform import apply_plan, random_input, wht_reference
@@ -94,23 +94,16 @@ class TestPaperStoryAtMiniatureScale:
         assert pearson_correlation(modelled_misses, large_table.l1_misses) > 0.6
 
     def test_pruned_search_saves_measurements_without_losing_much(self, machine):
-        report = ModelPrunedSearch(
-            model_cost=InstructionModelCost(),
-            measure_cost=MeasuredCyclesCost(machine),
+        engine = CostEngine(machine)
+        search = ModelPrunedSearch(
+            model_cost=engine.cost("model_instructions"),
+            measure_cost=engine,
             samples=60,
             keep_fraction=0.3,
-        ).search(7, rng=5)
+        )
+        report = search.search(7, rng=5)
         assert report.measurement_savings > 0.4
-        full = [
-            machine.measure(plan).cycles
-            for plan in ModelPrunedSearch(
-                model_cost=InstructionModelCost(),
-                measure_cost=MeasuredCyclesCost(machine),
-                samples=60,
-                keep_fraction=1.0,
-            )
-            .generate_candidates(7, rng=5)
-        ]
+        full = [machine.measure(plan).cycles for plan in search.generate_candidates(7, rng=5)]
         assert report.result.best_cost <= min(full) * 1.1
 
     def test_canonical_story(self, machine):

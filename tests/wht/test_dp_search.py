@@ -90,10 +90,9 @@ class TestSearch:
         )
 
     def test_search_with_measured_cost(self, machine):
-        from repro.search.costs import MeasuredCyclesCost
+        from repro.runtime.cost_engine import CostEngine
 
-        cost = MeasuredCyclesCost(machine)
-        result = DPSearch(cost, max_children=2).search(6)
+        result = DPSearch(CostEngine(machine), max_children=2).search(6)
         best = result.best(6)
         validate_plan(best)
         # The DP best is at least as good as the canonical plans it evaluated.
@@ -109,12 +108,12 @@ class TestSearch:
         # canonical algorithms: a radix-2-only search at n = 12 costs > 5 %.
         from repro.config import default_scale
         from repro.machine.configs import default_machine
-        from repro.search.costs import MeasuredCyclesCost
+        from repro.runtime.cost_engine import CostEngine
 
-        machine = default_machine(rng=default_scale().seed)
+        engine = CostEngine(default_machine(), seed=default_scale().seed)
         n = 12
-        radix2 = DPSearch(MeasuredCyclesCost(machine), max_leaf=1, max_children=2).search(n)
-        unrolled = DPSearch(MeasuredCyclesCost(machine), max_leaf=8, max_children=2).search(n)
+        radix2 = DPSearch(engine, max_leaf=1, max_children=2).search(n)
+        unrolled = DPSearch(engine, max_leaf=8, max_children=2).search(n)
         assert unrolled.best_costs[n] <= radix2.best_costs[n]
         assert unrolled.best_costs[n] < 0.95 * radix2.best_costs[n]
         assert max(unrolled.best(n).leaf_exponents()) >= 4
