@@ -221,6 +221,17 @@ class TestSessionEngine:
         assert (again.best_plan, again.best_cost) == (first.best_plan, first.best_cost)
         assert again.history == first.history
 
+    def test_objective_cycles_bit_identical_to_engine_path(self, scale):
+        """The default search is the engine's cycles objective, bit for bit."""
+        engine_path = self._session(scale, store=MemoryStore()).search(7)
+        objective_path = self._session(scale, store=MemoryStore()).search(
+            7, objective="cycles"
+        )
+        assert objective_path.best_plan == engine_path.best_plan
+        assert objective_path.best_cost == engine_path.best_cost
+        assert objective_path.evaluated == engine_path.evaluated
+        assert objective_path.history == engine_path.history
+
     def test_objective_search_minimises_its_metric(self, scale):
         session = self._session(scale)
         result = session.search(6, objective="l1_misses")

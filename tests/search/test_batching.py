@@ -4,10 +4,12 @@ import pytest
 
 from repro.models.instruction_count import InstructionCountModel
 from repro.runtime.cost_engine import CostEngine
+from repro.runtime.objectives import WeightedObjective
 from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.pruned import ModelPrunedSearch
 from repro.search.random_search import RandomSearch
 from repro.util.batching import evaluate_cost_batch
+from repro.wht.canonical import iterative_plan, right_recursive_plan
 from repro.wht.dp_search import DPSearch
 from repro.wht.random_plans import random_plans
 
@@ -38,6 +40,14 @@ class TestEvaluateCostBatch:
         assert values == [float(InstructionCountModel().count(p)) for p in plans]
         assert model_cost.engine.scored == len(plans)
 
+    def test_batch_and_loop_agree_for_model_costs(self, machine):
+        plans = random_plans(8, 10, rng=1)
+        for objective in ("model_instructions", WeightedObjective.model_combined()):
+            batched = evaluate_cost_batch(CostEngine(machine).cost(objective), plans)
+            scalar = CostEngine(machine).cost(objective)
+            loop = [float(scalar(p)) for p in plans]
+            assert batched == loop
+
 
 class TestOversizedPlans:
     """Model scores fall back to the scalar models beyond the encoder range."""
@@ -56,6 +66,13 @@ class TestOversizedPlans:
 
 
 class TestCounterSplit:
+    def test_cycles_cost_measures_each_distinct_plan_once(self, machine):
+        cost = CostEngine(machine).cost("cycles")
+        cost(iterative_plan(5))
+        cost.batch([iterative_plan(5), right_recursive_plan(5)])
+        assert cost.evaluations == 3
+        assert cost.measured == 2  # the repeated plan is served from the record cache
+
     def test_model_costs_count_requests_not_measurements(self, model_cost):
         model_cost.batch(random_plans(6, 4, rng=2))
         assert model_cost.evaluations == 4
@@ -102,11 +119,42 @@ class TestDPSearchBatching:
         assert [c.exponent for c in flat] == sorted(c.exponent for c in flat)
 
 
-class TestStrategyRounds:
+class TestStrategiesBatchVsLoop:
+    """Batch-capable costs and plain callables must give identical searches."""
+
+    def test_random_search_identical(self, model_cost):
+        batched = RandomSearch(model_cost, samples=40).search(7, rng=5)
+        model = InstructionCountModel()
+        loop = RandomSearch(lambda plan: float(model.count(plan)), samples=40).search(
+            7, rng=5
+        )
+        assert batched.best_plan == loop.best_plan
+        assert batched.history == loop.history
+
     def test_exhaustive_identical_across_batch_sizes(self, model_cost):
         big = ExhaustiveSearch(model_cost).search(5)
         small = ExhaustiveSearch(model_cost, batch_size=7).search(5)
-        assert big.history == small.history
+        model = InstructionCountModel()
+        loop = ExhaustiveSearch(lambda plan: float(model.count(plan))).search(5)
+        assert big.history == small.history == loop.history
+
+    def test_pruned_search_identical(self, machine, model_cost):
+        report_batched = ModelPrunedSearch(
+            model_cost=model_cost,
+            measure_cost=CostEngine(machine),
+            samples=50,
+            keep_fraction=0.3,
+        ).search(7, rng=9)
+        model = InstructionCountModel()
+        report_loop = ModelPrunedSearch(
+            model_cost=lambda plan: float(model.count(plan)),
+            measure_cost=CostEngine(machine),
+            samples=50,
+            keep_fraction=0.3,
+        ).search(7, rng=9)
+        assert report_batched.result.best_plan == report_loop.result.best_plan
+        assert report_batched.result.history == report_loop.result.history
+        assert report_batched.threshold == report_loop.threshold
 
     def test_pruned_search_reports_actual_measurements_with_engine(self, tiny_config):
         from repro.machine.machine import SimulatedMachine
