@@ -22,7 +22,7 @@ from repro.machine.machine import SimulatedMachine
 from repro.runtime.backends import BatchedBackend, ExecutionBackend, WorkUnit
 from repro.runtime.store import CampaignKey, CampaignStore, NullStore, machine_config_hash
 from repro.runtime.table import MeasurementTable
-from repro.util.rng import as_generator, derive_seed
+from repro.util.rng import derive_seed
 from repro.util.validation import check_positive_int
 from repro.wht.encoding import plan_key
 from repro.wht.plan import MAX_UNROLLED, Plan
@@ -95,14 +95,11 @@ def sample_units(
     """Draw ``count`` RSU plans of size ``2^n`` with per-sample noise seeds."""
     check_positive_int(n, "n")
     check_positive_int(count, "count")
-    plan_rng = as_generator(derive_seed(seed, "plans", n, count))
     sampler = RSUSampler(max_leaf=max_leaf, max_children=max_children)
+    plans = sampler.sample_many(n, count, derive_seed(seed, "plans", n, count))
     return [
-        WorkUnit(
-            plan=sampler.sample(n, plan_rng),
-            noise_seed=derive_seed(seed, "noise", n, index),
-        )
-        for index in range(count)
+        WorkUnit(plan=plan, noise_seed=derive_seed(seed, "noise", n, index))
+        for index, plan in enumerate(plans)
     ]
 
 

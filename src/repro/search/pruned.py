@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.search.result import SearchResult
 from repro.util.batching import evaluate_cost_batch
-from repro.util.rng import RandomState, as_generator
+from repro.util.rng import RandomState
 from repro.util.validation import check_positive_int, check_probability
 from repro.wht.encoding import plan_key
 from repro.wht.plan import MAX_UNROLLED, Plan
@@ -96,13 +96,16 @@ class ModelPrunedSearch:
     # -- candidate generation ---------------------------------------------------
 
     def generate_candidates(self, n: int, rng: RandomState = None) -> list[Plan]:
-        """Draw the default candidate set (deduplicated by plan key)."""
-        generator = as_generator(rng)
+        """Draw the default candidate set, deduplicated by plan key in draw order.
+
+        A ``Generator`` passed as ``rng`` ends at an unspecified position
+        (the sample is drawn through
+        :meth:`~repro.wht.random_plans.RSUSampler.sample_many`).
+        """
         sampler = RSUSampler(max_leaf=self.max_leaf, max_children=self.max_children)
         seen: set[str] = set()
         candidates: list[Plan] = []
-        for _ in range(self.samples):
-            plan = sampler.sample(n, generator)
+        for plan in sampler.sample_many(n, self.samples, rng):
             key = plan_key(plan)
             if key not in seen:
                 seen.add(key)

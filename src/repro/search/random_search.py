@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 from repro.search.result import SearchResult
 from repro.util.batching import evaluate_cost_batch
-from repro.util.rng import RandomState, as_generator
+from repro.util.rng import RandomState
 from repro.util.validation import check_positive_int
 from repro.wht.encoding import plan_key
 from repro.wht.plan import MAX_UNROLLED, Plan
@@ -45,15 +45,15 @@ class RandomSearch:
         Sampling and evaluation are two phases: the full sample is drawn and
         deduplicated by plan key first, then the surviving candidates are
         evaluated as one batch (vectorised models, backend fan-out, the
-        engine's record cache).
+        engine's record cache).  A ``Generator`` passed as ``rng`` ends at an
+        unspecified position (the sample is drawn through
+        :meth:`~repro.wht.random_plans.RSUSampler.sample_many`).
         """
         check_positive_int(n, "n")
-        generator = as_generator(rng)
         sampler = RSUSampler(max_leaf=self.max_leaf, max_children=self.max_children)
         seen: set[str] = set()
         plans: list[Plan] = []
-        for _ in range(self.samples):
-            plan = sampler.sample(n, generator)
+        for plan in sampler.sample_many(n, self.samples, rng):
             if self.dedupe:
                 key = plan_key(plan)
                 if key in seen:

@@ -23,7 +23,7 @@ between the objectives' value vectors over the shared population).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 

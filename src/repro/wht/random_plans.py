@@ -16,7 +16,6 @@ Two refinements used by the WHT package are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -26,97 +25,6 @@ from repro.util.validation import check_positive_int
 from repro.wht.plan import MAX_UNROLLED, Plan, Small, Split
 
 __all__ = ["RSUSampler", "random_plan", "random_plans"]
-
-#: Upper bound on the masked 32-bit value, used by the bounded-draw replay.
-_MASK32 = (1 << 32) - 1
-
-#: Whether this NumPy's ``Generator.integers`` draws can be replayed from a
-#: buffered word stream (probed lazily, see :func:`_integer_replay_supported`).
-_REPLAY_SUPPORTED: bool | None = None
-
-
-class _BoundedWordStream:
-    """Replay of ``Generator.integers(0, k)`` draws over buffered raw words.
-
-    NumPy's bounded integer generation for ranges fitting 32 bits is
-    Lemire's algorithm over the generator's ``next_uint32`` stream; drawing
-    full-range ``uint32`` words in bulk exposes exactly that stream, so the
-    per-node draws of the restricted RSU distribution can be reproduced
-    *bit-identically* without one ``Generator.integers`` call per node.
-    Only the generator's final position may differ (the buffer over-draws),
-    matching the contract of the unrestricted gap-bit fast path.  The replay
-    is validated against NumPy once per process
-    (:func:`_integer_replay_supported`); an unexpected implementation would
-    simply fall back to the scalar path.
-    """
-
-    def __init__(self, generator: np.random.Generator, chunk: int):
-        self._generator = generator
-        # Bounded buffer: it refills on demand, so a cap costs nothing in
-        # amortisation but keeps the transient int list (and the final
-        # over-draw past the last needed word) bounded for huge batches.
-        self._chunk = max(min(int(chunk), 1 << 16), 256)
-        self._words: list[int] = []
-        self._pos = 0
-
-    def _word(self) -> int:
-        if self._pos >= len(self._words):
-            self._words = self._generator.integers(
-                0, 1 << 32, size=self._chunk, dtype=np.uint32
-            ).tolist()
-            self._pos = 0
-        word = self._words[self._pos]
-        self._pos += 1
-        return word
-
-    def bounded(self, k: int) -> int:
-        """The next ``int(generator.integers(0, k))`` value (``k < 2**31``)."""
-        rng = k - 1
-        if rng == 0:
-            return 0  # numpy consumes nothing for a single-value range
-        rng_excl = rng + 1
-        m = self._word() * rng_excl
-        leftover = m & _MASK32
-        if leftover < rng_excl:
-            threshold = (_MASK32 - rng) % rng_excl
-            while leftover < threshold:
-                m = self._word() * rng_excl
-                leftover = m & _MASK32
-        return m >> 32
-
-
-def _integer_replay_supported() -> bool:
-    """Probe whether :class:`_BoundedWordStream` reproduces NumPy's draws.
-
-    Compares a few hundred adaptive-range scalar ``Generator.integers``
-    draws (including single-value ranges and rejection-heavy ranges near
-    ``2**31``) against the replay over an identically seeded generator.
-    Cached per process; a NumPy whose bounded generation differs simply
-    keeps the scalar restricted path.
-    """
-    global _REPLAY_SUPPORTED
-    if _REPLAY_SUPPORTED is None:
-        scalar = np.random.default_rng(0x5EED)
-        replay = _BoundedWordStream(np.random.default_rng(0x5EED), chunk=256)
-        supported = True
-        k = 7
-        for step in range(400):
-            value = replay.bounded(k)
-            if int(scalar.integers(0, k)) != value:
-                supported = False
-                break
-            # Adapt the next range to the drawn value (like the sampler) and
-            # cycle through edge ranges: k=1, tiny, and rejection-heavy.
-            k = [
-                (value * 131 + step) % 57 + 1,
-                1,
-                2,
-                3,
-                (1 << 31) - 1,
-                (1 << 20) + 7,
-            ][step % 6]
-        _REPLAY_SUPPORTED = supported
-    return _REPLAY_SUPPORTED
 
 
 @dataclass
@@ -196,67 +104,25 @@ class RSUSampler:
     def sample_many(self, n: int, count: int, rng: RandomState = None) -> list[Plan]:
         """Draw ``count`` independent plans of size ``2^n``.
 
-        Both distributions take a batched fast path.  The unrestricted one
-        (``max_children=None``) pulls the gap bits of *every* draw from the
-        generator in large chunks and runs the recursive parse over the
-        buffered bit stream, which removes the per-node ``Generator.random``
-        call that dominates one-at-a-time sampling (10,000 samples at
-        ``n=18`` drop from ~0.6 s to well under 0.1 s).  The restricted one
-        (``max_children=...``) replays its per-node ``Generator.integers``
-        draws from a buffered raw-word stream
-        (:class:`_BoundedWordStream`).  Either way the stream is consumed in
-        exactly the scalar order, so the returned plans are **bit-identical**
-        to ``[self.sample(n, rng) for _ in range(count)]`` for the same seed;
+        Only the unrestricted distribution (``max_children=None``) is
+        buffered: it pulls the gap bits of *every* draw from the generator in
+        large chunks and runs the recursive parse over the buffered bit
+        stream, which removes the per-node ``Generator.random`` call that
+        dominates one-at-a-time sampling (10,000 samples at ``n=18`` drop from
+        ~0.6 s to well under 0.1 s).  The stream is consumed in exactly the
+        scalar order, so the returned plans are **bit-identical** to
+        ``[self.sample(n, rng) for _ in range(count)]`` for the same seed;
         only the generator's final position may differ (the buffer may
         over-draw), so interleave ``sample_many`` with other uses of a shared
-        generator only if you do not rely on that position.
+        generator only if you do not rely on that position.  A restricted
+        draw (``max_children=...``) runs that scalar loop.
         """
         check_positive_int(count, "count")
         check_positive_int(n, "n")
         generator = as_generator(rng)
         if self.max_children is not None:
-            return self._sample_many_restricted(n, count, generator)
-        return self._sample_many_buffered(n, count, generator)
-
-    def _sample_many_restricted(
-        self, n: int, count: int, generator: np.random.Generator
-    ) -> list[Plan]:
-        """Batched restricted sampling replaying the per-node integer draws.
-
-        Mirrors :meth:`_sample_exponent`/:meth:`_draw_composition` exactly —
-        one bounded draw per node over the enumerated choice list, children
-        recursed left to right — but the draws come from a buffered replay
-        of the generator's word stream instead of one ``Generator.integers``
-        call each.  Falls back to the scalar loop when the replay is not
-        supported by the running NumPy, or when a choice list is too large
-        for the 32-bit bounded path (which would take NumPy's 64-bit path).
-        """
-        if not _integer_replay_supported():
             return [self._sample_exponent(n, generator) for _ in range(count)]
-        for m in range(1, n + 1):
-            if len(self.choices(m)) >= (1 << 31):  # pragma: no cover - huge n
-                return [self._sample_exponent(n, generator) for _ in range(count)]
-        from repro.wht.plan import _split_unchecked
-
-        choices = self.choices
-        stream = _BoundedWordStream(generator, chunk=max(4096, count * max(n // 2, 1)))
-        bounded = stream.bounded
-        smalls = {m: Small(m) for m in range(1, min(n, self.max_leaf) + 1)}
-
-        def parse(m: int) -> Plan:
-            options = choices(m)
-            chosen = options[bounded(len(options))]
-            if len(chosen) == 1:
-                return smalls[m]
-            return _split_unchecked(tuple(parse(part) for part in chosen), m)
-
-        return [parse(n) for _ in range(count)]
-
-    def iter_samples(self, n: int, rng: RandomState = None) -> Iterator[Plan]:
-        """An endless stream of independent RSU samples of size ``2^n``."""
-        generator = as_generator(rng)
-        while True:
-            yield self._sample_exponent(n, generator)
+        return self._sample_many_buffered(n, count, generator)
 
     def _sample_many_buffered(
         self, n: int, count: int, generator: np.random.Generator

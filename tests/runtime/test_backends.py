@@ -13,7 +13,9 @@ from repro.runtime.backends import (
     resolve_backend,
 )
 from repro.runtime.campaigns import run_campaign, sample_units
+from repro.util.rng import as_generator, derive_seed
 from repro.wht.canonical import iterative_plan
+from repro.wht.random_plans import RSUSampler
 
 
 def _campaign(backend, noise_sigma=0.03):
@@ -51,6 +53,20 @@ class TestWorkUnits:
         b = sample_units(5, 10, seed=3)
         assert [u.plan for u in a] == [u.plan for u in b]
         assert [u.noise_seed for u in a] == [u.noise_seed for u in b]
+
+    @pytest.mark.parametrize("max_children", [None, 2])
+    @pytest.mark.parametrize("n, count", [(5, 10), (9, 300)])
+    def test_sample_units_match_the_scalar_draw(self, n, count, max_children):
+        # The plans of the historical one-at-a-time loop, in the same order,
+        # each with its per-index noise seed.
+        sampler = RSUSampler(max_children=max_children)
+        generator = as_generator(derive_seed(3, "plans", n, count))
+        scalar = [sampler.sample(n, generator) for _ in range(count)]
+        units = sample_units(n, count, seed=3, max_children=max_children)
+        assert [u.plan for u in units] == scalar
+        assert [u.noise_seed for u in units] == [
+            derive_seed(3, "noise", n, index) for index in range(count)
+        ]
 
     def test_noise_seeds_are_per_index(self):
         units = sample_units(5, 10, seed=3)

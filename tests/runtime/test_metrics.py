@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine.configs import tiny_machine, tiny_machine_config
-from repro.machine.machine import SimulatedMachine
+from repro.machine.configs import tiny_machine
 from repro.models.cache_misses import CacheMissModel
 from repro.models.combined import CombinedModel
 from repro.models.instruction_count import InstructionCountModel

@@ -31,7 +31,7 @@ import repro.wht.encoding as encoding_module
 from repro.machine.configs import default_machine_config, tiny_machine_config
 from repro.runtime.backends import BatchedBackend
 from repro.runtime.faults import FaultPlan, FaultSpec, FaultyBackend
-from repro.runtime.service import CampaignJob, CampaignService, ServiceError
+from repro.runtime.service import CampaignJob, CampaignService
 from repro.runtime.session import Session, session
 from repro.runtime.sharded_store import ShardedRecordStore
 from repro.runtime.store import MemoryStore, machine_config_hash

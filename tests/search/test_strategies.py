@@ -8,8 +8,11 @@ from repro.search.exhaustive import ExhaustiveSearch
 from repro.search.pruned import ModelPrunedSearch
 from repro.search.random_search import RandomSearch
 from repro.search.result import SearchResult
+from repro.util.rng import as_generator
+from repro.wht.encoding import plan_key
 from repro.wht.enumeration import count_plans
 from repro.wht.plan import validate_plan
+from repro.wht.random_plans import RSUSampler
 
 
 @pytest.fixture
@@ -24,6 +27,17 @@ def pruned(machine, **options):
     return ModelPrunedSearch(
         model_cost=engine.cost("model_instructions"), measure_cost=engine, **options
     )
+
+
+def scalar_draw(n, count, seed, max_children=None):
+    """The historical one-plan-at-a-time RSU draw, deduplicated in draw order."""
+    sampler = RSUSampler(max_children=max_children)
+    generator = as_generator(seed)
+    plans = {}
+    for _ in range(count):
+        plan = sampler.sample(n, generator)
+        plans.setdefault(plan_key(plan), plan)
+    return list(plans.values())
 
 
 class TestSearchResult:
@@ -62,6 +76,16 @@ class TestRandomSearch:
         # Only 6 distinct plans exist at size 2^3.
         assert result.evaluated <= 6
         assert result.considered == 200
+
+    @pytest.mark.parametrize("max_children", [None, 2])
+    @pytest.mark.parametrize("n, samples, seed", [(3, 200, 0), (8, 100, 7)])
+    def test_history_is_the_scalar_draw(self, model_cost, n, samples, seed, max_children):
+        result = RandomSearch(model_cost, samples=samples, max_children=max_children).search(
+            n, rng=seed
+        )
+        assert [plan for plan, _ in result.history] == scalar_draw(
+            n, samples, seed, max_children
+        )
 
     def test_more_samples_never_worse(self, model_cost):
         small = RandomSearch(model_cost, samples=5).search(8, rng=7)
@@ -121,6 +145,11 @@ class TestModelPrunedSearch:
         assert report.measured_evaluations <= report.model_evaluations
         assert 0.0 <= report.pruned_fraction <= 1.0
         assert report.result.strategy == "model-pruned"
+
+    @pytest.mark.parametrize("max_children", [None, 2])
+    def test_candidates_are_the_scalar_draw(self, machine, max_children):
+        search = pruned(machine, samples=60, max_children=max_children)
+        assert search.generate_candidates(7, rng=3) == scalar_draw(7, 60, 3, max_children)
 
     def test_pruning_saves_measurements(self, machine):
         report = pruned(machine, samples=80, keep_fraction=0.2).search(7, rng=1)

@@ -77,11 +77,6 @@ class TestSampling:
             for node in plan.splits():
                 assert len(node.children) == 2
 
-    def test_iter_samples_is_endless(self, rng):
-        stream = RSUSampler().iter_samples(5, rng)
-        plans = [next(stream) for _ in range(10)]
-        assert len(plans) == 10
-
     def test_exponent_one_always_leaf(self, rng):
         assert RSUSampler().sample(1, rng) == Small(1)
 
@@ -188,8 +183,8 @@ class TestBufferedSampleMany:
             RSUSampler().sample_many(0, 5)
 
 
-class TestRestrictedBufferedSampling:
-    """The restricted distribution's batched path replays the scalar draws."""
+class TestRestrictedSampleMany:
+    """The restricted distribution's ``sample_many`` is the scalar loop."""
 
     @pytest.mark.parametrize("max_children", [2, 3, 5])
     def test_bit_identical_to_scalar(self, max_children):
@@ -231,18 +226,3 @@ class TestRestrictedBufferedSampling:
                 node = stack.pop()
                 assert len(node.children) <= 2
                 stack.extend(node.children)
-
-    def test_scalar_fallback_when_replay_unsupported(self, monkeypatch):
-        import sys
-
-        module = sys.modules["repro.wht.random_plans"]
-        monkeypatch.setattr(module, "_REPLAY_SUPPORTED", False)
-        sampler = RSUSampler(max_children=2)
-        generator = np.random.default_rng(3)
-        scalar = [sampler.sample(8, generator) for _ in range(50)]
-        assert sampler.sample_many(8, 50, rng=3) == scalar
-
-    def test_replay_probe_accepts_this_numpy(self):
-        from repro.wht.random_plans import _integer_replay_supported
-
-        assert _integer_replay_supported()
