@@ -386,7 +386,10 @@ def check_exactness() -> None:
     Every preset must simulate one set class for all: 64 on the default
     machine, 512 on ``opteron`` and 4 on the tiny machine, with the
     statistics of the full geometry's own stream (a :class:`TraceBuilder`
-    and :class:`MemoryHierarchy` on the preset's caches).
+    and :class:`MemoryHierarchy` on the preset's caches).  Those three
+    squeezed plans stream whole; one more, the default machine at n=16
+    (squeezed to 2^10 elements), streams through the class geometry's
+    trace builder.
     """
     from collections import Counter, defaultdict
     from contextlib import ExitStack
@@ -402,7 +405,7 @@ def check_exactness() -> None:
         tiny_machine_config,
     )
     from repro.machine.hierarchy import MemoryHierarchy
-    from repro.machine.machine import SimulatedMachine
+    from repro.machine.machine import EAGER_EXPONENT, SimulatedMachine
     from repro.machine.trace import TraceBuilder
     from repro.wht.random_plans import random_plan
 
@@ -475,11 +478,19 @@ def check_exactness() -> None:
                 f"exactness regression: streamed {streamed} != eager {eager} "
                 f"({config.name}, n={size}, seed={seed})"
             )
-    for machine, size, classes in (
-        (default_machine(noise_sigma=0.0), 14, 64),
-        (opteron_like(noise_sigma=0.0), 15, 512),
-        (tiny_machine(), 9, 4),
+    # (machine, n, classes, whether the squeezed plan passes EAGER_EXPONENT
+    # and so streams through the class geometry's trace builder)
+    for machine, size, classes, built in (
+        (default_machine(noise_sigma=0.0), 14, 64, False),
+        (opteron_like(noise_sigma=0.0), 15, 512, False),
+        (tiny_machine(), 9, 4, False),
+        (default_machine(noise_sigma=0.0), 16, 64, True),
     ):
+        if (size - classes.bit_length() + 1 > EAGER_EXPONENT) != built:
+            raise SystemExit(
+                f"set-class coverage lost: n={size} over {classes} classes no longer "
+                f"streams {'through the builder' if built else 'whole'}"
+            )
         config = machine.config
         plan = random_plan(size, rng=0)
         reduced = machine.prepare(plan).hierarchy_stats
@@ -678,9 +689,11 @@ def check_search_timings() -> None:
         return dp_search(16, CostEngine(SimulatedMachine(config), store=stores[-1]))
 
     cold, cold_seconds = timed("dp_n16_engine_cold", cold_search, runs=3)
+    # The engine loads the store's records once; every run resumes from
+    # them, so the best of three is the same work as one run.
     resume_engine = CostEngine(SimulatedMachine(config), store=stores[-1])
     resumed, resume_seconds = timed(
-        "dp_n16_engine_resume", lambda: dp_search(16, resume_engine)
+        "dp_n16_engine_resume", lambda: dp_search(16, resume_engine), runs=3
     )
     for result, label in ((cold, "engine-cold"), (resumed, "resumed")):
         if result.best_plans != scalar16.best_plans or result.best_costs != scalar16.best_costs:

@@ -12,7 +12,7 @@ PAPI-instrumented run of the compiled WHT package in the paper.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,9 @@ from repro.machine.cache import CacheConfig
 from repro.machine.cpu import CycleModel, InstructionCostModel
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.measurement import Measurement
-from repro.machine.trace import DEFAULT_ELEMENT_SIZE, TraceBuilder, splice_line_chunks, squeeze_plan
+from repro.machine.trace import (
+    DEFAULT_ELEMENT_SIZE, TraceBuilder, plan_lines, splice_line_chunks, squeeze_plan
+)
 from repro.util.lru import LRUCache
 from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_positive_int
@@ -30,6 +32,11 @@ from repro.wht.interpreter import ExecutionStats, PlanInterpreter, analytic_stat
 from repro.wht.plan import Plan
 
 __all__ = ["MachineConfig", "PreparedPlan", "PreparedPlanCache", "SimulatedMachine"]
+
+#: Squeezed plans of at most ``2^EAGER_EXPONENT`` elements stream whole, as
+#: their bookkeeping in the trace builder costs more than the lines its
+#: folds save (DESIGN.md §10, "Small plans whole").
+EAGER_EXPONENT = 9
 
 
 @dataclass(frozen=True)
@@ -203,9 +210,10 @@ class SimulatedMachine:
         The whole measurement substrate streams: the trace builder replays
         memoised sub-plan templates into bounded line chunks, which feed
         warm-started hierarchy simulators, and the event counts come from
-        the plan structure alone.  Neither the nest list nor the address
-        trace is ever materialised, and the statistics are bit-identical to
-        the eager profile → trace → simulate pipeline —
+        the plan structure alone.  The nest list is never materialised, nor
+        is the address trace, except the whole class trace of a squeezed
+        plan of at most ``2^EAGER_EXPONENT`` elements.  The statistics are
+        bit-identical to the eager profile → trace → simulate pipeline —
         including the exact shortcuts of the fused pipeline: analytic
         full-coverage statistics for footprints that fit a cache level; one
         set class simulated for all; and repeated-pass elision, which drops
@@ -273,10 +281,11 @@ class SimulatedMachine:
         Plans whose full vector provably fits L1 get exact analytic
         hierarchy statistics (no trace is ever expanded); the rest are
         squeezed to set class 0, built into per-plan chunk streams on the
-        class geometry, spliced into one super-stream at disjoint line
-        offsets and simulated batch-wise, with the L2 level resolved
-        analytically for every plan whose footprint fits it, and scaled by
-        the class count: the fewest any of them spans.
+        class geometry (whole, without elision or folds, when squeezed to
+        at most ``2^EAGER_EXPONENT`` elements), spliced into one
+        super-stream at disjoint line offsets and simulated batch-wise, with
+        the L2 level resolved analytically for every plan whose footprint
+        fits it, and scaled by the class count: the fewest any of them spans.
         """
         config = self.config
         hierarchy = self.hierarchy
@@ -292,9 +301,7 @@ class SimulatedMachine:
         # element address, both guaranteed exactly when the element size
         # divides the line size (always true for the 8-byte doubles on
         # power-of-two lines; anything else falls back to simulation).
-        dense = (
-            element_size <= line_size and line_size % element_size == 0
-        )
+        dense = line_size % element_size == 0
         for index, plan in enumerate(plans):
             if dense and hierarchy.covers_analytically(footprints[index]):
                 # The cache statistics are exact without expanding a single
@@ -314,14 +321,20 @@ class SimulatedMachine:
             offsets = class_hierarchy.batch_line_offsets(
                 [-(-size // line_size) for size in sizes]
             )
+            streams = [
+                builder.stream(plan) if plan.n > EAGER_EXPONENT
+                # A lazy one-chunk stream of the whole line trace.
+                else (plan_lines(whole, line_size, element_size) for whole in [plan])
+                for plan in squeezed
+            ]
             batch_stats = class_hierarchy.process_line_chunks_batch(
-                splice_line_chunks([builder.stream(plan) for plan in squeezed], offsets),
+                splice_line_chunks(streams, offsets),
                 len(streamed),
                 footprint_bytes=sizes if dense else None,
             )
             for index, stats in zip(streamed, batch_stats):
                 hierarchy_stats[index] = HierarchyStatistics(
-                    *(classes * count for count in astuple(stats))
+                    *(classes * count for count in vars(stats).values())
                 )
         return [
             PreparedPlan(plan=plan, stats=stats, hierarchy_stats=hier_stats)

@@ -5,7 +5,7 @@ elements and then stores the ``2^k`` results back to the same locations; the
 trace therefore contains, for every call, one read pass followed by one write
 pass over the call's strided element block.
 
-Two views of that trace are provided (see DESIGN.md §3):
+Three views of that trace are provided (see DESIGN.md §3):
 
 * :class:`TraceBuilder` (and the one-off :func:`stream_line_chunks`) — the
   measurement pipeline.  It recurses over the plan tree and emits the
@@ -25,6 +25,9 @@ Two views of that trace are provided (see DESIGN.md §3):
   smaller plan whose trace is one *set class* of the original's, which
   the simulated machine streams on a geometry with as many times fewer
   sets (DESIGN.md §10, "Set classes").
+* :func:`plan_lines` — a small plan's whole collapsed line stream in one
+  chunk, one numpy broadcast per plan node, without elision or folds
+  (how the machine streams small squeezed plans: DESIGN.md §10).
 * :func:`trace_from_nests` / :class:`MemoryTrace` — the eager byte-address
   view over :meth:`repro.wht.interpreter.PlanInterpreter.profile`'s leaf
   nests, retained for tests, ablations and any consumer that wants the
@@ -55,6 +58,7 @@ __all__ = [
     "collapse_consecutive",
     "TraceBuilder",
     "stream_line_chunks",
+    "plan_lines",
     "splice_line_chunks",
     "squeeze_plan",
 ]
@@ -1123,6 +1127,35 @@ def squeeze_plan(plan: Plan, low: int, high: int) -> Plan:
         return _split_unchecked(tuple(reversed(children)), node.n - lost)
 
     return squeezed(plan, 0)
+
+
+def _elements(node: Plan, stride: int) -> np.ndarray:
+    """Int32 element indices of every access of ``node`` run from element 0
+    at stride ``stride``, in execution order (children right to left, as
+    :meth:`TraceBuilder._expand` walks them)."""
+    if isinstance(node, Small):
+        block = np.arange(0, node.size * stride, stride, dtype=np.int32)
+        return np.concatenate([block, block])  # read pass, then write pass
+    pieces, remaining, inner = [], node.size, 1
+    for child in reversed(node.children):
+        remaining //= child.size
+        child_stride = inner * stride
+        block = child.size * child_stride  # one row of the stride loop
+        j = np.arange(0, remaining * block, block, dtype=np.int32)
+        k = np.arange(0, child_stride, stride, dtype=np.int32)
+        bases = (j[:, None] + k).reshape(-1, 1)
+        pieces.append((bases + _elements(child, child_stride)).reshape(-1))
+        inner *= child.size
+    return np.concatenate(pieces)
+
+
+def plan_lines(plan: Plan, line_size: int, element_size: int = DEFAULT_ELEMENT_SIZE) -> LineChunk:
+    """``TraceBuilder(line_size, element_size).stream(plan)``'s concatenated
+    chunks as one chunk, built with the whole trace in memory (small plans)."""
+    if plan.size * element_size > LINE_LIMIT:
+        raise ValueError(f"{plan} reaches byte address 2^31 or beyond")
+    lines = _lines_of_elements(_elements(plan, 1), 0, element_size, line_size)
+    return LineChunk(collapse_consecutive(lines)[0], 2 * plan.size * plan.num_leaves())
 
 
 def collapse_consecutive(line_addresses: np.ndarray) -> tuple[np.ndarray, int]:

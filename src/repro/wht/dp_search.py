@@ -16,6 +16,7 @@ combination; this is what the model-pruned search experiments build on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.util.batching import evaluate_cost_batch
@@ -29,11 +30,13 @@ __all__ = ["DPSearch", "DPSearchResult", "CandidateRecord"]
 CostFunction = Callable[[Plan], float]
 
 
-def _bounded_compositions(m: int, max_parts: int):
+@lru_cache(maxsize=256)
+def _bounded_compositions(m: int, max_parts: int) -> tuple[tuple[int, ...], ...]:
     """Compositions of ``m`` with between 2 and ``max_parts`` parts.
 
     Generated directly (rather than filtering the full ``2^(m-1)`` composition
-    set) so the DP stays polynomial in ``m`` for a fixed children bound.
+    set) so the DP stays polynomial in ``m`` for a fixed children bound, and
+    memoised: every DP round over ``m`` asks for the same ones.
     """
 
     def helper(remaining: int, parts_left: int, prefix: tuple[int, ...]):
@@ -47,7 +50,7 @@ def _bounded_compositions(m: int, max_parts: int):
         for part in range(1, remaining + 1):
             yield from helper(remaining - part, parts_left - 1, prefix + (part,))
 
-    yield from helper(m, max_parts, ())
+    return tuple(helper(m, max_parts, ()))
 
 
 @dataclass(frozen=True)

@@ -158,11 +158,6 @@ class ExecutionStats:
         """Total element loads plus stores."""
         return self.loads + self.stores
 
-    @property
-    def total_codelet_calls(self) -> int:
-        """Number of base-case codelet calls."""
-        return sum(self.codelet_calls.values())
-
     def scaled(self, factor: int) -> "ExecutionStats":
         """A new stats object with every count multiplied by ``factor``.
 

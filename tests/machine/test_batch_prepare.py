@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.machine import machine as machine_module
 from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.configs import default_machine_config, opteron_like, tiny_machine
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
@@ -988,6 +989,30 @@ class TestSetClasses:
         plans = [random_plan(n, rng=n) for n in (6, 8)]
         assert_batch_matches_reference(machine, plans, reference=reference_prepare)
         assert list(machine._classes) == [1]
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            (default_machine_config(noise_sigma=0.0), (12, 14, 16)),
+            (opteron_like(noise_sigma=0.0).config, (14, 17, 19)),
+            (tiny_machine().config, (7, 11, 12)),
+        ],
+    )
+    def test_whole_and_built_streams_agree(self, monkeypatch, config, sizes):
+        # The batch straddles EAGER_EXPONENT: some squeezed plans stream
+        # whole, others through the builder.  Every bound gives the same
+        # statistics, from builder only (0) to everything whole (64).
+        low, high = shared_set_bits(config)
+        squeezed = [n - (high - low) for n in sizes]
+        assert min(squeezed) <= machine_module.EAGER_EXPONENT < max(squeezed)
+        plans = [random_plan(n, rng=seed) for seed, n in enumerate(sizes)]
+        results = []
+        for bound in (0, machine_module.EAGER_EXPONENT, 64):
+            monkeypatch.setattr(machine_module, "EAGER_EXPONENT", bound)
+            machine = SimulatedMachine(config)
+            results.append([p.hierarchy_stats for p in machine.prepare_batch(plans)])
+            assert list(machine._classes) == [1 << (high - low)]
+        assert results[0] == results[1] == results[2]
 
     def test_smallest_streamed_plan_sets_the_class_count(self, monkeypatch):
         # With the analytic shortcut off, plans under 2^high bytes stream,

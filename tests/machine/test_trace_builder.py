@@ -23,6 +23,8 @@ from repro.machine.trace import (
     TEMPLATE_MEMO_LINES,
     TraceBuilder,
     collapse_consecutive,
+    plan_lines,
+    squeeze_plan,
     stream_line_chunks,
     trace_from_nests,
 )
@@ -114,6 +116,38 @@ class TestBuilderAgainstEagerOracle:
                 TraceBuilder(**arguments)
         with pytest.raises(ValueError, match="base_address"):
             TraceBuilder(64, base_address=-8)
+
+
+class TestPlanLines:
+    """A whole plan expanded at once is the builder's stream without caches."""
+
+    @given(
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10**6),
+        line_size=st.sampled_from([32, 64, 128]),
+        element_size=st.sampled_from([8, 24]),
+        squeezed=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_equals_the_builder_stream(
+        self, n, seed, line_size, element_size, squeezed
+    ):
+        plan = random_plan(n, rng=seed)
+        if squeezed:
+            # A squeezed plan may hold one-element (exponent-0) leaves.
+            plan = squeeze_plan(random_plan(14, rng=seed), 3, 9)
+        chunk = plan_lines(plan, line_size, element_size)
+        streamed = list(TraceBuilder(line_size, element_size).stream(plan))
+        assert chunk.lines.dtype == np.int32
+        assert np.array_equal(chunk.lines, concatenated(streamed))
+        accesses = sum(c.accesses for c in streamed)
+        assert chunk.accesses == accesses == 2 * plan.size * plan.num_leaves()
+        assert chunk.folded_l1_misses == chunk.folded_l2_misses == 0
+        assert chunk.weighted_ranges.shape[0] == 0
+
+    def test_rejects_plans_past_the_line_range(self):
+        with pytest.raises(ValueError, match="2\\^31"):
+            plan_lines(right_recursive_plan(29), 64)
 
 
 class TestTemplateMemo:
