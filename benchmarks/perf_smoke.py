@@ -110,7 +110,7 @@ PREPARE_N14_PEAK_BYTES = 8_716_113
 #: Ceiling on the tracemalloc peak of an n=18 RSU prepare on the
 #: Opteron-like machine, and of streaming that plan's full-geometry trace
 #: (``check_memory_n18``): the peak measured before sub-plan line streams
-#: were memoised, so the trace builder's template memo may not raise it.
+#: were memoised, which the chunked broadcast stream may not raise either.
 PREPARE_N18_PEAK_BYTES = 28_401_987
 #: Ceiling on the milliseconds per plan of a 40-plan RSU n=18 batch on the
 #: Opteron-like machine (``check_rsu_n18_opteron``), the paper's geometry:
@@ -234,10 +234,10 @@ def eager_stats(config, plan):
 
 
 def streamed_stats(config, plan):
-    """Hierarchy statistics of ``plan`` from its own unfolded line stream.
+    """Hierarchy statistics of ``plan`` from its own unelided line stream.
 
-    The per-plan streamed pipeline: no repeated-pass elision, no call
-    folding, no analytic shortcuts, and a one-plan splice.  Unlike
+    The per-plan streamed pipeline: no repeated-pass elision, no set
+    classes, no analytic shortcuts, and a one-plan splice.  Unlike
     :func:`eager_stats` it never materialises the trace, so it stays cheap
     at n=16.
     """
@@ -279,8 +279,8 @@ def run_smoke():
     One untimed warmup absorbs first-touch effects (imports, allocator,
     NumPy lazy setup) and the reported time is the best of three runs, so a
     momentarily loaded CI runner does not fail the gate spuriously.  Each
-    run prepares on a fresh machine: a machine keeps its trace builder's
-    sub-plan template memo, which would make a repeated run warm.
+    run prepares on a fresh machine, so no run reuses another's cached
+    class geometry.
     """
     from repro.machine.configs import opteron_like
     from repro.wht.random_plans import RSUSampler
@@ -309,17 +309,21 @@ def check_memory_n18() -> None:
 
     An RSU plan of size 2^18 on the Opteron-like machine streams about 10^6
     lines at full geometry.  The prepare simulates one set class only, so
-    both its tracemalloc peak and that of the full-geometry stream must stay
-    within ``PREPARE_N18_PEAK_BYTES``; no line chunk may hold more than
-    ``DEFAULT_CHUNK_ACCESSES`` raw
-    accesses (large leaf nests split along their loop axes, large sub-plans
-    stream child by child, weighted template copies stay within the budget).
+    both its tracemalloc peak and that of the full-geometry stream (with
+    write-pass elision, as the machine streams) must stay within
+    ``PREPARE_N18_PEAK_BYTES``; no line chunk may hold more than
+    ``DEFAULT_CHUNK_ACCESSES`` raw accesses (a plan past the budget
+    streams its root's children in blocks of invocations that fit it).
     Spliced across three such plans, as a batch is, no spliced chunk may
     hold more than ``DEFAULT_CHUNK_ACCESSES`` lines (a chunk flushes before
     a segment would pass the budget).
     """
     from repro.machine.configs import opteron_like
-    from repro.machine.trace import DEFAULT_CHUNK_ACCESSES, TraceBuilder, splice_line_chunks
+    from repro.machine.trace import (
+        DEFAULT_CHUNK_ACCESSES,
+        splice_line_chunks,
+        stream_line_chunks,
+    )
     from repro.wht.random_plans import RSUSampler
 
     plan = RSUSampler().sample(18, rng=SMOKE_SEED)
@@ -330,11 +334,14 @@ def check_memory_n18() -> None:
     tracemalloc.stop()
     gate("prepare_n18_opteron_peak", peak / 1e6, "<=", PREPARE_N18_PEAK_BYTES / 1e6, unit="MB")
     config = machine.config
-    builder = TraceBuilder(
-        config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
-    )
+
+    def stream(plan):
+        return stream_line_chunks(
+            plan, config.l1.line_size, config.element_size, l1=config.l1
+        )
+
     tracemalloc.start()
-    largest = max(chunk.accesses for chunk in builder.stream(plan))
+    largest = max(chunk.accesses for chunk in stream(plan))
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     gate("stream_n18_opteron_peak", peak / 1e6, "<=", PREPARE_N18_PEAK_BYTES / 1e6, unit="MB")
@@ -343,7 +350,7 @@ def check_memory_n18() -> None:
     offsets = machine.hierarchy.batch_line_offsets(
         [plan.size * config.element_size // config.l1.line_size for plan in plans]
     )
-    streams = [builder.stream(plan) for plan in plans]
+    streams = [stream(plan) for plan in plans]
     spliced = max(chunk.lines.shape[0] for chunk in splice_line_chunks(streams, offsets))
     gate("prepare_n18_spliced_lines", spliced, "<=", DEFAULT_CHUNK_ACCESSES, unit="lines")
 
@@ -366,37 +373,27 @@ def check_exactness() -> None:
     """Streaming pipeline must be bit-identical to the eager reference.
 
     The default machine's n=14 plan overflows its 16-way, 64-set L2, so a
-    real strided WHT L2 stream goes through the N-way classifier.  Two more
-    plans exercise repeated-call folding: on the default machine
-    ``random_plan(14, rng=2)`` folds runs that thrash L1 (but fit L2), and
-    on the tiny machine ``random_plan(11, rng=1)`` folds runs that thrash
-    both levels.  Two exercise repeated sub-plan folding (weighted line
-    ranges): ``random_plan(14, rng=1)`` on the default machine, and
-    ``random_plan(11, rng=0)`` on the tiny machine without its L2.
-    Coverage counts each fold where it fires, not its weighted ranges or
-    folded misses, so no fold passes on another's rows or counts.  Each
-    must actually fold, so the check cannot pass vacuously.  One more must
-    replay a sub-plan template at two or more base residues (a child stride
-    that is not a whole number of lines under a parent stride below the
-    line's element count): ``random_plan(12, rng=1)`` on the default
-    machine.  The last runs the tiny machine with 64-byte L2 lines, twice
+    real strided WHT L2 stream goes through the N-way classifier.  The
+    other cases keep the plans and geometries that once exercised the
+    trace builder's folds and template residues: runs of codelet calls
+    that thrash L1 but fit L2 (default machine, ``random_plan(14,
+    rng=2)``) or thrash both levels (tiny machine, ``random_plan(11,
+    rng=1)``), repeated sub-plan invocations (``random_plan(14, rng=1)``
+    on the default machine, ``random_plan(11, rng=0)`` on the tiny machine
+    without its L2), and child strides below a line (``random_plan(12,
+    rng=1)``).  The last runs the tiny machine with 64-byte L2 lines, twice
     its L1 lines: every preset has equal line sizes, so only that case
     converts L1 lines to L2 lines.
 
     Every preset must simulate one set class for all: 64 on the default
     machine, 512 on ``opteron`` and 4 on the tiny machine, with the
-    statistics of the full geometry's own stream (a :class:`TraceBuilder`
-    and :class:`MemoryHierarchy` on the preset's caches).  Those three
-    squeezed plans stream whole; one more, the default machine at n=16
-    (squeezed to 2^10 elements), streams through the class geometry's
-    trace builder.
+    statistics of the full geometry's own stream (:func:`stream_line_chunks`
+    with write-pass elision, in chunks, on a :class:`MemoryHierarchy` of
+    the preset's caches).  The default machine at n=16 squeezes to 2^10
+    elements, the largest class stream of the four.
     """
-    from collections import Counter, defaultdict
-    from contextlib import ExitStack
     from dataclasses import replace
-    from unittest import mock
 
-    from repro.machine import trace
     from repro.machine.cache import CacheConfig
     from repro.machine.configs import (
         default_machine,
@@ -405,72 +402,28 @@ def check_exactness() -> None:
         tiny_machine_config,
     )
     from repro.machine.hierarchy import MemoryHierarchy
-    from repro.machine.machine import EAGER_EXPONENT, SimulatedMachine
-    from repro.machine.trace import TraceBuilder
+    from repro.machine.machine import SimulatedMachine
+    from repro.machine.trace import stream_line_chunks
     from repro.wht.random_plans import random_plan
-
-    def residues(builder):
-        """Sub-plans replayed at two or more base residues."""
-        found = defaultdict(set)
-        for node, stride, residue in builder._memo:
-            found[node, stride].add(residue)
-        return sum(len(kept) > 1 for kept in found.values())
-
-    def spied(function, fired, kinds):
-        """``function``, adding ``kinds(arguments, answer)`` to ``fired``."""
-
-        def spy(*arguments):
-            answer = function(*arguments)
-            fired.update(kinds(arguments, answer))
-            return answer
-
-        return spy
-
-    # Where each fold fires; the call fold returns its folded L1 and L2
-    # misses.
-    fold_kinds = {
-        "_fold_group": lambda _arguments, answer: {"sub-plan": bool(answer)},
-        "_fold_repeated_calls": lambda _arguments, answer: (
-            {"l1": answer[1], "l2": answer[2]} if answer else {}
-        ),
-    }
 
     l1_only = SimulatedMachine(replace(tiny_machine_config(), l2=None))
     coarse_l2 = SimulatedMachine(
         replace(tiny_machine_config(), l2=CacheConfig(2048, 64, 4, name="L2"))
     )
-    # (machine, n, seed, what the stream must do: fold repeated calls' l1
-    # or l2 misses, fold repeated sub-plan invocations, or replay a template
-    # at several residues)
     cases = [
-        *((tiny_machine(), 8, seed, None) for seed in range(3)),
-        *((opteron_like(noise_sigma=0.0), 9, seed, None) for seed in range(3)),
-        (default_machine(noise_sigma=0.0), 14, 0, None),
-        (default_machine(noise_sigma=0.0), 14, 2, "l1"),
-        (tiny_machine(), 11, 1, "l2"),
-        (default_machine(noise_sigma=0.0), 14, 1, "sub-plan"),
-        (l1_only, 11, 0, "sub-plan"),
-        (default_machine(noise_sigma=0.0), 12, 1, "residues"),
-        (coarse_l2, 11, 3, None),
+        *((tiny_machine(), 8, seed) for seed in range(3)),
+        *((opteron_like(noise_sigma=0.0), 9, seed) for seed in range(3)),
+        (default_machine(noise_sigma=0.0), 14, 0),
+        (default_machine(noise_sigma=0.0), 14, 2),
+        (tiny_machine(), 11, 1),
+        (default_machine(noise_sigma=0.0), 14, 1),
+        (l1_only, 11, 0),
+        (default_machine(noise_sigma=0.0), 12, 1),
+        (coarse_l2, 11, 3),
     ]
-    for machine, size, seed, folds in cases:
+    for machine, size, seed in cases:
         config = machine.config
         plan = random_plan(size, rng=seed)
-        if folds is not None:
-            builder = TraceBuilder(
-                config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
-            )
-            fired = Counter()
-            with ExitStack() as patches:
-                for name, kinds in fold_kinds.items():
-                    spy = spied(getattr(trace, name), fired, kinds)
-                    patches.enter_context(mock.patch.object(trace, name, spy))
-                list(builder.stream(plan))
-            if (residues(builder) if folds == "residues" else fired[folds]) == 0:
-                raise SystemExit(
-                    f"fold coverage lost: no {folds} fold fired "
-                    f"({config.name}, n={size}, seed={seed})"
-                )
         streamed = machine.prepare(plan).hierarchy_stats
         eager = eager_stats(config, plan)
         if streamed != eager:
@@ -478,26 +431,19 @@ def check_exactness() -> None:
                 f"exactness regression: streamed {streamed} != eager {eager} "
                 f"({config.name}, n={size}, seed={seed})"
             )
-    # (machine, n, classes, whether the squeezed plan passes EAGER_EXPONENT
-    # and so streams through the class geometry's trace builder)
-    for machine, size, classes, built in (
-        (default_machine(noise_sigma=0.0), 14, 64, False),
-        (opteron_like(noise_sigma=0.0), 15, 512, False),
-        (tiny_machine(), 9, 4, False),
-        (default_machine(noise_sigma=0.0), 16, 64, True),
+    for machine, size, classes in (
+        (default_machine(noise_sigma=0.0), 14, 64),
+        (opteron_like(noise_sigma=0.0), 15, 512),
+        (tiny_machine(), 9, 4),
+        (default_machine(noise_sigma=0.0), 16, 64),
     ):
-        if (size - classes.bit_length() + 1 > EAGER_EXPONENT) != built:
-            raise SystemExit(
-                f"set-class coverage lost: n={size} over {classes} classes no longer "
-                f"streams {'through the builder' if built else 'whole'}"
-            )
         config = machine.config
         plan = random_plan(size, rng=0)
         reduced = machine.prepare(plan).hierarchy_stats
-        builder = TraceBuilder(
-            config.l1.line_size, config.element_size, caches=(config.l1, config.l2)
+        chunks = stream_line_chunks(
+            plan, config.l1.line_size, config.element_size, l1=config.l1
         )
-        full = MemoryHierarchy(config.l1, config.l2).process_line_chunks(builder.stream(plan))
+        full = MemoryHierarchy(config.l1, config.l2).process_line_chunks(chunks)
         if list(machine._classes) != [classes] or reduced != full:
             raise SystemExit(
                 f"set-class regression: {list(machine._classes)} classes, {reduced} "
@@ -593,7 +539,7 @@ def check_batch_identity() -> None:
 
     On the two gated campaign shapes — a sample of the n=16 DP candidates
     (compositions of a DP's best sub-plans) and pruned-style n=14 RSU
-    survivors — it must reproduce each plan's own unfolded line stream on
+    survivors — it must reproduce each plan's own unelided line stream on
     the Opteron-like geometry.
     """
     from repro.machine.configs import opteron_like, tiny_machine

@@ -9,8 +9,10 @@ Three configurations are provided:
   pure-Python trace simulation can sweep in seconds: the L1 holds ``2^11``
   doubles (so the default "small" size 2^9 occupies a quarter of L1, just as
   the paper's 2^9 sits comfortably inside the Opteron's L1) and the L2 holds
-  ``2^13`` doubles (so the default "large" size 2^13 fills L2 but overflows
-  L1, mirroring the paper's 2^18 relative to the real 64 KB / 1 MB hierarchy).
+  ``2^13`` doubles (so the default "large" size 2^13 overflows L1 and exactly
+  fills L2).  That is not the paper's regime: its 2^18 doubles are twice the
+  Opteron's 1 MB L2, where L2 misses vary across plans; on this machine 2^14
+  has that ratio (ROADMAP item 1, DESIGN §2).
 * :func:`opteron_like_config` — the full Opteron 244 geometry (64 KB 2-way L1,
   1 MB 16-way L2).  Usable for smaller sweeps or when longer runtimes are
   acceptable.

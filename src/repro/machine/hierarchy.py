@@ -8,7 +8,7 @@ or the N-way reuse-gap classifier, which also covers direct-mapped levels).
 
 :meth:`MemoryHierarchy.process_line_chunks_batch` is the one simulation
 loop: it consumes many plans' streamed, duplicate-collapsed line chunks
-(:meth:`repro.machine.trace.TraceBuilder.stream`) spliced into one
+(:func:`repro.machine.trace.stream_line_chunks`) spliced into one
 cross-plan super-stream and recovers per-plan statistics by segment sums.
 :class:`repro.machine.machine.SimulatedMachine` simulates through it, and
 :meth:`MemoryHierarchy.process_line_chunks` is a one-plan batch.  Simulator
@@ -47,14 +47,6 @@ __all__ = ["HierarchyStatistics", "MemoryHierarchy"]
 
 def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
-
-
-def _extra_misses(
-    miss_at: np.ndarray, starts: np.ndarray, stops: np.ndarray, extra: np.ndarray
-) -> np.ndarray:
-    """Per range ``[start, stop)``, ``extra`` times the misses in it, given
-    the sorted miss positions ``miss_at``."""
-    return extra * (np.searchsorted(miss_at, stops) - np.searchsorted(miss_at, starts))
 
 
 @dataclass(frozen=True)
@@ -160,7 +152,7 @@ class MemoryHierarchy:
 
     def process_line_chunks(self, chunks: Iterable[LineChunk]) -> HierarchyStatistics:
         """Statistics of one plan's collapsed line chunks
-        (:meth:`repro.machine.trace.TraceBuilder.stream`): a one-plan
+        (:func:`repro.machine.trace.stream_line_chunks`): a one-plan
         :meth:`process_line_chunks_batch`, so bit-identical to simulating
         the whole trace in one shot, regardless of how it was chunked."""
         return self.process_line_chunks_batch(splice_line_chunks([chunks], [0]), 1)[0]
@@ -320,13 +312,8 @@ class MemoryHierarchy:
         reset, enforced by the address space instead of by the simulators.
 
         Each segment's raw ``accesses`` are what L1 reports (consecutive
-        duplicate lines, collapsed away upstream, are hits at every level
-        that change no LRU state).  Its folded miss counts (calls the stream
-        generator counted instead of emitting) are added to its plan's
-        simulated counts, every folded L1 miss being an L2 access.  A
-        weighted range (``LineChunk.weighted_ranges``) adds ``weight - 1``
-        times its simulated misses at L1 and, through the L1 misses that
-        locate it in the L2 stream, at L2.
+        duplicate lines, collapsed away upstream, and elided write passes
+        are hits at every level that change no LRU state).
 
         ``footprint_bytes`` optionally carries each plan's contiguous
         full-coverage footprint; plans whose footprint provably fits L2
@@ -364,24 +351,12 @@ class MemoryHierarchy:
                     f"but the batch has {num_plans} plans"
                 )
             np.add.at(l1_accesses, seg_plan, chunk.seg_accesses)
-            if chunk.seg_folded_l1.any():
-                np.add.at(l1_misses, seg_plan, chunk.seg_folded_l1)
-                if l2 is not None:
-                    np.add.at(l2_accesses, seg_plan, chunk.seg_folded_l1)
-                    np.add.at(l2_misses, seg_plan, chunk.seg_folded_l2)
             lines = chunk.lines
             if lines.shape[0] == 0:
                 continue
             miss_at = np.flatnonzero(l1.simulate(lines, check=False))
-            bounds = chunk.seg_bounds
-            seg_misses = np.diff(np.searchsorted(miss_at, bounds))
+            seg_misses = np.diff(np.searchsorted(miss_at, chunk.seg_bounds))
             np.add.at(l1_misses, seg_plan, seg_misses)
-            ranges = chunk.weighted_ranges
-            if ranges.shape[0]:
-                starts, stops, extra = ranges[:, 0], ranges[:, 1], ranges[:, 2] - 1
-                range_plan = seg_plan[np.searchsorted(bounds, starts, side="right") - 1]
-                extra_l1 = _extra_misses(miss_at, starts, stops, extra)
-                np.add.at(l1_misses, range_plan, extra_l1)
             if l2 is None:
                 continue
             simulate_seg = analytic_l2[seg_plan] < 0
@@ -397,19 +372,6 @@ class MemoryHierarchy:
             bounds2 = np.concatenate(([0], np.cumsum(seg_misses)))
             np.add.at(l2_accesses, seg_plan, seg_misses)
             np.add.at(l2_misses, seg_plan, np.diff(np.searchsorted(l2_miss_at, bounds2)))
-            if ranges.shape[0]:
-                # Weighted ranges of simulated plans: every extra L1 miss is
-                # an extra L2 access, and the selected L1 misses before a
-                # position locate it in the L2 stream.
-                simulated = analytic_l2[range_plan] < 0
-                extra_l2 = _extra_misses(
-                    l2_miss_at,
-                    np.searchsorted(miss_at, starts),
-                    np.searchsorted(miss_at, stops),
-                    extra,
-                )
-                np.add.at(l2_accesses, range_plan[simulated], extra_l1[simulated])
-                np.add.at(l2_misses, range_plan[simulated], extra_l2[simulated])
 
         analytic = analytic_l2 >= 0
         if analytic.any():

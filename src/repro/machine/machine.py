@@ -2,8 +2,8 @@
 
 :class:`SimulatedMachine` glues the substrate together: the analytic event
 counts (:func:`repro.wht.interpreter.analytic_stats`) give the plan's
-structural events, the trace builder (:class:`repro.machine.trace.TraceBuilder`)
-streams its cache-line trace in bounded chunks, the memory hierarchy counts
+structural events, :func:`repro.machine.trace.stream_line_chunks` streams
+its cache-line trace in bounded chunks, the memory hierarchy counts
 misses, and the CPU models convert everything into instruction and cycle
 counts.  One call to :meth:`SimulatedMachine.measure` corresponds to one
 PAPI-instrumented run of the compiled WHT package in the paper.
@@ -22,7 +22,7 @@ from repro.machine.cpu import CycleModel, InstructionCostModel
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.measurement import Measurement
 from repro.machine.trace import (
-    DEFAULT_ELEMENT_SIZE, TraceBuilder, plan_lines, splice_line_chunks, squeeze_plan
+    DEFAULT_ELEMENT_SIZE, splice_line_chunks, squeeze_plan, stream_line_chunks
 )
 from repro.util.lru import LRUCache
 from repro.util.rng import RandomState, as_generator
@@ -32,11 +32,6 @@ from repro.wht.interpreter import ExecutionStats, PlanInterpreter, analytic_stat
 from repro.wht.plan import Plan
 
 __all__ = ["MachineConfig", "PreparedPlan", "PreparedPlanCache", "SimulatedMachine"]
-
-#: Squeezed plans of at most ``2^EAGER_EXPONENT`` elements stream whole, as
-#: their bookkeeping in the trace builder costs more than the lines its
-#: folds save (DESIGN.md §10, "Small plans whole").
-EAGER_EXPONENT = 9
 
 
 @dataclass(frozen=True)
@@ -196,9 +191,8 @@ class SimulatedMachine:
             config.l1, config.l2, vectorized=config.vectorized_caches
         )
         self._class_bits = self.hierarchy.shared_set_bits(config.element_size)
-        # Per class count, its geometry and a trace builder kept across
-        # plans, whose template memo replays the sub-plans they share.
-        self._classes: dict[int, tuple[MemoryHierarchy, TraceBuilder]] = {}
+        # Per class count, the class geometry.
+        self._classes: dict[int, MemoryHierarchy] = {}
         self._rng = as_generator(rng)
         self.prepared_cache = prepared_cache
 
@@ -207,20 +201,16 @@ class SimulatedMachine:
     def prepare(self, plan: Plan) -> PreparedPlan:
         """Profile ``plan`` and simulate the caches (the deterministic part).
 
-        The whole measurement substrate streams: the trace builder replays
-        memoised sub-plan templates into bounded line chunks, which feed
-        warm-started hierarchy simulators, and the event counts come from
-        the plan structure alone.  The nest list is never materialised, nor
-        is the address trace, except the whole class trace of a squeezed
-        plan of at most ``2^EAGER_EXPONENT`` elements.  The statistics are
+        The whole measurement substrate streams: the plan's line trace is
+        broadcast into bounded line chunks, which feed warm-started
+        hierarchy simulators, and the event counts come from the plan
+        structure alone.  The nest list is never materialised, nor is the
+        address trace of a plan past the chunk budget.  The statistics are
         bit-identical to the eager profile → trace → simulate pipeline —
         including the exact shortcuts of the fused pipeline: analytic
         full-coverage statistics for footprints that fit a cache level; one
         set class simulated for all; and repeated-pass elision, which drops
-        guaranteed-hit write passes, folds runs of calls over one line
-        sequence into one simulated call plus an exact miss count, and
-        simulates three of each run of sub-plan invocations over one line
-        sequence, the last weighted for the rest (see DESIGN.md §10).
+        guaranteed-hit write passes (see DESIGN.md §10).
 
         With a :class:`PreparedPlanCache` attached, repeated preparations of
         structurally equal plans return the cached (identical) result.
@@ -280,12 +270,12 @@ class SimulatedMachine:
 
         Plans whose full vector provably fits L1 get exact analytic
         hierarchy statistics (no trace is ever expanded); the rest are
-        squeezed to set class 0, built into per-plan chunk streams on the
-        class geometry (whole, without elision or folds, when squeezed to
-        at most ``2^EAGER_EXPONENT`` elements), spliced into one
-        super-stream at disjoint line offsets and simulated batch-wise, with
-        the L2 level resolved analytically for every plan whose footprint
-        fits it, and scaled by the class count: the fewest any of them spans.
+        squeezed to set class 0, streamed with write-pass elision on the
+        class geometry (one chunk each while it fits the chunk budget),
+        spliced into one super-stream at disjoint line offsets and
+        simulated batch-wise, with the L2 level resolved analytically for
+        every plan whose footprint fits it, and scaled by the class count:
+        the fewest any of them spans.
         """
         config = self.config
         hierarchy = self.hierarchy
@@ -316,16 +306,14 @@ class SimulatedMachine:
             bits = min(max(min(plans[index].n, high) - low, 0) for index in streamed)
             classes = 1 << bits
             squeezed = [squeeze_plan(plans[index], low, low + bits) for index in streamed]
-            class_hierarchy, builder = self._class_pipeline(classes)
+            class_hierarchy = self._class_hierarchy(classes)
             sizes = [plan.size * element_size for plan in squeezed]
             offsets = class_hierarchy.batch_line_offsets(
                 [-(-size // line_size) for size in sizes]
             )
+            l1 = class_hierarchy.l1_config
             streams = [
-                builder.stream(plan) if plan.n > EAGER_EXPONENT
-                # A lazy one-chunk stream of the whole line trace.
-                else (plan_lines(whole, line_size, element_size) for whole in [plan])
-                for plan in squeezed
+                stream_line_chunks(plan, line_size, element_size, l1=l1) for plan in squeezed
             ]
             batch_stats = class_hierarchy.process_line_chunks_batch(
                 splice_line_chunks(streams, offsets),
@@ -341,15 +329,12 @@ class SimulatedMachine:
             for plan, stats, hier_stats in zip(plans, stats_list, hierarchy_stats)
         ]
 
-    def _class_pipeline(self, classes: int) -> tuple[MemoryHierarchy, TraceBuilder]:
-        """The class geometry of ``classes`` set classes and its trace builder."""
-        pipeline = self._classes.get(classes)
-        if pipeline is None:
-            hierarchy = self.hierarchy.class_geometry(classes)
-            l1, l2 = hierarchy.l1_config, hierarchy.l2_config
-            builder = TraceBuilder(l1.line_size, self.config.element_size, caches=(l1, l2))
-            pipeline = self._classes[classes] = (hierarchy, builder)
-        return pipeline
+    def _class_hierarchy(self, classes: int) -> MemoryHierarchy:
+        """The class geometry of ``classes`` set classes (cached)."""
+        hierarchy = self._classes.get(classes)
+        if hierarchy is None:
+            hierarchy = self._classes[classes] = self.hierarchy.class_geometry(classes)
+        return hierarchy
 
     def measure_prepared(self, prepared: PreparedPlan, rng: RandomState = None) -> Measurement:
         """Turn a :class:`PreparedPlan` into a measurement (noise draw included).

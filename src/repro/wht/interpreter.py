@@ -37,8 +37,8 @@ Three entry points are provided:
   alone, memoised per sub-plan.  This is what the simulated machine reports;
   it is the Python analogue of attaching PAPI counters to the compiled WHT
   package.  The machine's memory trace comes from
-  :class:`repro.machine.trace.TraceBuilder`, which follows the same loop
-  schedule over the plan tree.
+  :func:`repro.machine.trace.stream_line_chunks`, which broadcasts the same
+  loop schedule over the plan tree.
 
 The test suite asserts that ``analytic_stats`` and the counts of ``execute``
 and ``profile`` always agree.

@@ -163,9 +163,10 @@ class Plan:
     # -- display -------------------------------------------------------------
 
     def __str__(self) -> str:  # pragma: no cover - delegated
-        from repro.wht.grammar import plan_to_string
+        # The grammar string, rendered once per plan and cached on it.
+        from repro.wht.encoding import plan_key
 
-        return plan_to_string(self)
+        return plan_key(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self!s})"

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.machine import machine as machine_module
 from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.configs import default_machine_config, opteron_like, tiny_machine
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
@@ -32,8 +31,7 @@ from repro.machine.trace import (
 )
 from repro.wht.canonical import balanced_plan, left_recursive_plan
 from repro.wht.enumeration import enumerate_plans
-from repro.wht.grammar import parse_plan
-from repro.wht.interpreter import LeafNest, PlanInterpreter
+from repro.wht.interpreter import PlanInterpreter
 from repro.wht.random_plans import random_plan, random_plans
 
 
@@ -332,7 +330,7 @@ class TestSpliceLineChunks:
         hierarchy = MemoryHierarchy(l1, l2)
         plans = [random_plan(n, rng=seed) for seed in range(3) for n in (6, 8, 9)]
         streams = [
-            list(stream_line_chunks(plan, 32, chunk_accesses=256, caches=(l1, l2)))
+            list(stream_line_chunks(plan, 32, chunk_accesses=256, l1=l1))
             for plan in plans
         ]
         expected = [hierarchy.process_line_chunks(iter(chunks)) for chunks in streams]
@@ -344,25 +342,12 @@ class TestSpliceLineChunks:
         assert any(chunk.segments > 1 for chunk in spliced)
         assert hierarchy.process_line_chunks_batch(iter(spliced), len(plans)) == expected
 
-    def test_weighted_ranges_shift_with_their_segment(self):
-        ranges = np.array([[1, 2, 6]])
-        streams = [
-            [LineChunk(lines=np.array([1, 2, 3]), accesses=6)],
-            [LineChunk(lines=np.array([0, 1]), accesses=14, weighted_ranges=ranges)],
-        ]
-        (chunk,) = splice_line_chunks(streams, [0, 100], chunk_lines=1 << 20)
-        assert chunk.weighted_ranges.tolist() == [[4, 5, 6]]
-
-
 def _spliced(**overrides):
     fields = dict(
         lines=np.arange(6),
         seg_bounds=np.array([0, 3, 6]),
         seg_plan=np.array([0, 1]),
         seg_accesses=np.array([6, 6]),
-        seg_folded_l1=np.zeros(2, dtype=np.int64),
-        seg_folded_l2=np.zeros(2, dtype=np.int64),
-        weighted_ranges=np.array([[0, 2, 3], [3, 6, 2]]),
     )
     fields.update(overrides)
     return SplicedLineChunk(**fields)
@@ -390,41 +375,10 @@ class TestSplicedLineChunkValidation:
         with pytest.raises(ValueError, match="seg_bounds"):
             _spliced(seg_bounds=np.zeros(0, dtype=np.int64))
 
-    @pytest.mark.parametrize(
-        "name", ["seg_plan", "seg_accesses", "seg_folded_l1", "seg_folded_l2"]
-    )
+    @pytest.mark.parametrize("name", ["seg_plan", "seg_accesses"])
     def test_per_segment_arrays_need_one_entry_per_segment(self, name):
         with pytest.raises(ValueError, match=name):
             _spliced(**{name: np.zeros(3, dtype=np.int64)})
-
-    def test_range_must_lie_inside_one_segment(self):
-        with pytest.raises(ValueError, match="one segment"):
-            _spliced(weighted_ranges=np.array([[2, 4, 3]]))
-
-    def test_range_weight_must_be_at_least_one(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            _spliced(weighted_ranges=np.array([[0, 2, 0]]))
-
-    @pytest.mark.parametrize(
-        "ranges",
-        [
-            [[2, 2, 3]],  # empty
-            [[0, 3, 2], [2, 4, 2]],  # overlapping
-            [[3, 4, 2], [0, 2, 2]],  # out of order
-            [[4, 7, 2]],  # past the lines
-        ],
-    )
-    def test_ranges_must_be_ordered_disjoint_and_in_bounds(self, ranges):
-        with pytest.raises(ValueError, match="weighted ranges"):
-            _spliced(weighted_ranges=np.array(ranges))
-
-    def test_ranges_must_have_three_columns(self):
-        with pytest.raises(ValueError, match=r"\(m, 3\)"):
-            _spliced(weighted_ranges=np.array([[0, 2]]))
-
-    def test_line_chunk_validates_its_ranges(self):
-        with pytest.raises(ValueError, match="weighted ranges"):
-            LineChunk(lines=np.arange(3), accesses=3, weighted_ranges=np.array([[0, 4, 2]]))
 
     def test_lines_must_fit_int32(self):
         with pytest.raises(ValueError, match="line numbers"):
@@ -494,6 +448,33 @@ class TestAnalyticCoverage:
         assert not hierarchy.covers_analytically(4096)
 
 
+ELISION_GEOMETRIES = st.tuples(
+    st.sampled_from([256, 512, 1024, 2048]),  # l1 size
+    st.sampled_from([32, 64]),  # l1 line
+    st.sampled_from([1, 2, 4]),  # l1 assoc
+    st.sampled_from([1, 2, 4]),  # l2 size / l1 size
+    st.sampled_from([1, 2]),  # l2 line / l1 line
+    st.sampled_from([1, 2, 4, 8, 16]),  # l2 assoc
+    st.booleans(),  # has l2
+)
+
+
+def elision_caches(geometry):
+    l1_size, l1_line, l1_assoc, l2_scale, l2_line_scale, l2_assoc, has_l2 = geometry
+    l1 = CacheConfig(l1_size, l1_line, l1_assoc, name="L1")
+    l2_size, l2_line = l1_size * l2_scale, l1_line * l2_line_scale
+    if not has_l2 or l2_assoc > l2_size // l2_line:
+        return l1, None
+    return l1, CacheConfig(l2_size, l2_line, l2_assoc, name="L2")
+
+
+def _elided_stream(plan, l1, chunk_accesses=1 << 18):
+    """The machine's stream: write-pass elision on ``l1``."""
+    return list(
+        stream_line_chunks(plan, l1.line_size, chunk_accesses=chunk_accesses, l1=l1)
+    )
+
+
 class TestWritePassElision:
     """Elided streams produce bit-identical statistics (never bit-identical
     line sequences — that is the point)."""
@@ -523,7 +504,7 @@ class TestWritePassElision:
                         plan,
                         line_size=l1.line_size,
                         element_size=8,
-                        caches=(l1, l2),
+                        l1=l1,
                     )
                 )
                 assert elided == plain, (plan, l1, l2)
@@ -542,7 +523,7 @@ class TestWritePassElision:
                 plan,
                 line_size=64,
                 element_size=8,
-                caches=(CacheConfig(64 * 1024, 64, 2), None),
+                l1=CacheConfig(64 * 1024, 64, 2),
             )
         )
         assert elided < plain
@@ -561,214 +542,30 @@ class TestWritePassElision:
                 plan,
                 line_size=32,
                 element_size=8,
-                caches=(CacheConfig(512, 32, 2), None),
+                l1=CacheConfig(512, 32, 2),
             )
         )
         assert elided == plain
 
-
-def _hierarchy_stats(nests, l1, l2, caches, chunk_accesses=1 << 18):
-    chunks = list(
-        stream_line_chunks(
-            nests,
-            line_size=l1.line_size,
-            element_size=8,
-            chunk_accesses=chunk_accesses,
-            caches=caches,
-        )
-    )
-    return MemoryHierarchy(l1, l2).process_line_chunks(chunks), chunks
-
-
-def _folded(chunks):
-    return (
-        sum(c.folded_l1_misses for c in chunks),
-        sum(c.folded_l2_misses for c in chunks),
-    )
-
-
-FOLD_GEOMETRIES = st.tuples(
-    st.sampled_from([256, 512, 1024, 2048]),  # l1 size
-    st.sampled_from([32, 64]),  # l1 line
-    st.sampled_from([1, 2, 4]),  # l1 assoc
-    st.sampled_from([1, 2, 4]),  # l2 size / l1 size
-    st.sampled_from([1, 2]),  # l2 line / l1 line
-    st.sampled_from([1, 2, 4, 8, 16]),  # l2 assoc
-    st.booleans(),  # has l2
-)
-
-
-@st.composite
-def leaf_nests(draw, epl):
-    """A hand-built nest stream exercising every fold precondition."""
-    nests = []
-    for _ in range(draw(st.integers(1, 4))):
-        inner_stride = draw(st.sampled_from([1, 2, 4]))
-        # Half the rows start inside their line's first inner stride (the
-        # fold precondition); the rest at any residue.
-        residue = draw(st.integers(0, (epl if draw(st.booleans()) else inner_stride) - 1))
-        line_multiple = draw(st.booleans())
-        nests.append(
-            LeafNest(
-                k=draw(st.integers(0, 4)),
-                base=epl * draw(st.integers(0, 64)) + residue,
-                outer_count=draw(st.integers(1, 4)),
-                outer_stride=(
-                    epl * draw(st.integers(1, 64))
-                    if line_multiple
-                    else draw(st.integers(1, 3 * epl))
-                ),
-                inner_count=draw(st.integers(1, 3 * epl)),
-                inner_stride=inner_stride,
-                elem_stride=(
-                    epl * draw(st.sampled_from([1, 2, 3, 4, 8, 16, 32]))
-                    if draw(st.integers(0, 3))
-                    else draw(st.integers(1, 2 * epl))
-                ),
-            )
-        )
-    return nests
-
-
-class TestRepeatedCallFolding:
-    """Folded streams (``caches=``) give the statistics of the exact stream
-    (``caches=None``), and the fold fires in each of its regimes."""
-
-    @staticmethod
-    def _caches(geometry):
-        l1_size, l1_line, l1_assoc, l2_scale, l2_line_scale, l2_assoc, has_l2 = geometry
-        l1 = CacheConfig(l1_size, l1_line, l1_assoc, name="L1")
-        l2_size, l2_line = l1_size * l2_scale, l1_line * l2_line_scale
-        if not has_l2 or l2_assoc > l2_size // l2_line:
-            return l1, None
-        return l1, CacheConfig(l2_size, l2_line, l2_assoc, name="L2")
-
-    @given(geometry=FOLD_GEOMETRIES, n=st.integers(1, 12), seed=st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_property_random_plans(self, geometry, n, seed):
-        l1, l2 = self._caches(geometry)
-        plan = random_plan(n, rng=seed)
-        exact, _ = _hierarchy_stats(plan, l1, l2, None)
-        folded, _ = _hierarchy_stats(plan, l1, l2, (l1, l2))
-        assert folded == exact, (plan, l1, l2)
-
-    @given(geometry=FOLD_GEOMETRIES, data=st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_property_hand_built_nests(self, geometry, data):
-        l1, l2 = self._caches(geometry)
-        nests = data.draw(leaf_nests(l1.line_size // 8))
-        chunk_accesses = data.draw(st.sampled_from([64, 1 << 18]))
-        exact, _ = _hierarchy_stats(nests, l1, l2, None, chunk_accesses)
-        folded, _ = _hierarchy_stats(nests, l1, l2, (l1, l2), chunk_accesses)
-        assert folded == exact, (nests, l1, l2)
-
-    def test_fits_l1_keeps_one_call_per_run(self):
-        # Eight unit-inner-stride calls over four lines one line apart: one
-        # run per row, all-hit re-applications, nothing to count.
-        config = default_machine_config(noise_sigma=0.0)
-        nest = LeafNest(
-            k=2, base=0, outer_count=1, outer_stride=0,
-            inner_count=8, inner_stride=1, elem_stride=8,
-        )
-        exact, _ = _hierarchy_stats([nest], config.l1, config.l2, None)
-        folded, chunks = _hierarchy_stats(
-            [nest], config.l1, config.l2, (config.l1, config.l2)
-        )
-        assert folded == exact
-        assert sum(c.lines.shape[0] for c in chunks) == 4
-        assert _folded(chunks) == (0, 0)
-
-    def test_thrashes_l1_fits_l2(self):
-        config = default_machine_config(noise_sigma=0.0)
-        plan = parse_plan("split[small[4],small[8]]")
-        exact, _ = _hierarchy_stats(
-            plan, config.l1, config.l2, None
-        )
-        folded, chunks = _hierarchy_stats(
-            plan, config.l1, config.l2, (config.l1, config.l2)
-        )
-        assert folded == exact
-        assert _folded(chunks) == (7168, 0)
-
-    def test_thrashes_both_levels(self):
-        l1, l2 = CacheConfig(2048, 64, 2, name="L1"), CacheConfig(4096, 64, 2, name="L2")
-        plan = random_plan(10, rng=0)
-        exact, _ = _hierarchy_stats(plan, l1, l2, None)
-        folded, chunks = _hierarchy_stats(plan, l1, l2, (l1, l2))
-        assert folded == exact
-        assert _folded(chunks) == (1792, 1792)
-        machine = SimulatedMachine(
-            dataclasses.replace(default_machine_config(noise_sigma=0.0), l1=l1, l2=l2)
-        )
-        assert machine.prepare(plan).hierarchy_stats == reference_prepare(
-            machine.config, plan
-        )[1]
-
-    def test_unaligned_l2_line_is_not_folded(self):
-        # Elements one L1 line apart share 128-byte L2 lines: the L2 argument
-        # needs distinct L2 lines, so the L1-thrashing run stays unfolded.
-        l1, l2 = CacheConfig(256, 32, 1, name="L1"), CacheConfig(1024, 64, 2, name="L2")
-        nest = LeafNest(
-            k=4, base=0, outer_count=2, outer_stride=64,
-            inner_count=4, inner_stride=1, elem_stride=4,
-        )
-        exact, _ = _hierarchy_stats([nest], l1, l2, None)
-        folded, chunks = _hierarchy_stats([nest], l1, l2, (l1, l2))
-        assert folded == exact
-        assert _folded(chunks) == (0, 0)
-        _, no_l2 = _hierarchy_stats([nest], l1, None, (l1, None))
-        assert _folded(no_l2)[0] > 0
-
-    def test_caches_must_match_the_line_size(self):
-        with pytest.raises(ValueError, match="L1 line size"):
-            list(
-                stream_line_chunks(
-                    [], line_size=32, caches=(CacheConfig(256, 64, 2), None)
-                )
-            )
-
-
-def _folded_stream(plan, l1, l2, chunk_accesses=1 << 18):
-    """The machine's stream: sub-plan folding plus repeated-pass elision."""
-    return list(
-        stream_line_chunks(
-            plan,
-            line_size=l1.line_size,
-            element_size=8,
-            chunk_accesses=chunk_accesses,
-            caches=(l1, l2),
-        )
-    )
-
-
-def _lru_sets(cache):
-    return [list(ways) for ways in cache._sets]
-
-
-class TestRepeatedSubPlanFolding:
-    """Streams walked with ``line_elements`` simulate three invocations of
-    each folded run and weight the third, with the exact stream's statistics."""
-
     @given(
-        geometry=FOLD_GEOMETRIES,
+        geometry=ELISION_GEOMETRIES,
         n=st.integers(1, 12),
         seed=st.integers(0, 10**6),
         chunk_accesses=st.sampled_from([64, 1 << 18]),
     )
     @settings(max_examples=60, deadline=None)
     def test_property_random_plans(self, geometry, n, seed, chunk_accesses):
-        # 64-access chunks make weighted ranges straddle chunk boundaries.
-        l1, l2 = TestRepeatedCallFolding._caches(geometry)
+        l1, l2 = elision_caches(geometry)
         plan = random_plan(n, rng=seed)
         hierarchy = MemoryHierarchy(l1, l2)
-        exact, _ = _hierarchy_stats(plan, l1, l2, None)
-        folded = _folded_stream(plan, l1, l2, chunk_accesses)
-        assert hierarchy.process_line_chunks(folded) == exact, (plan, l1, l2)
+        exact = hierarchy.process_line_chunks(stream_line_chunks(plan, l1.line_size))
+        elided = _elided_stream(plan, l1, chunk_accesses)
+        assert hierarchy.process_line_chunks(elided) == exact, (plan, l1, l2)
         # The batch path, spliced with a second plan in small chunks, with
         # the analytic L2 shortcut wherever the footprint fits.
         other = random_plan(max(n - 2, 1), rng=seed + 1)
-        other_exact, _ = _hierarchy_stats(other, l1, l2, None)
-        streams = [folded, _folded_stream(other, l1, l2, chunk_accesses)]
+        other_exact = hierarchy.process_line_chunks(stream_line_chunks(other, l1.line_size))
+        streams = [elided, _elided_stream(other, l1, chunk_accesses)]
         offsets = hierarchy.batch_line_offsets(
             [plan.size * 8 // l1.line_size + 1, other.size * 8 // l1.line_size + 1]
         )
@@ -791,60 +588,32 @@ class TestRepeatedSubPlanFolding:
         # S·N·N = S·N per set, for any warm state S.
         cache = SetAssociativeLRUCache(CacheConfig(64 * associativity * 4, 64, associativity))
         cache.simulate(np.array(prefix + sequence, dtype=np.int64))
-        once = _lru_sets(cache)
+        once = [list(ways) for ways in cache._sets]
         cache.simulate(np.array(sequence, dtype=np.int64))
-        assert _lru_sets(cache) == once
+        assert [list(ways) for ways in cache._sets] == once
 
-    @given(
-        l1_assoc=st.sampled_from([1, 2, 4]),
-        l2_assoc=st.sampled_from([1, 2, 4, 8, 16]),
-        prefix=st.lists(st.integers(0, 511), max_size=200),
-        sequence=st.lists(st.integers(0, 511), min_size=1, max_size=120),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_two_levels_repeat_from_the_third_copy(
-        self, l1_assoc, l2_assoc, prefix, sequence
-    ):
-        l1 = SetAssociativeLRUCache(CacheConfig(512, 64, l1_assoc))
-        l2 = SetAssociativeLRUCache(CacheConfig(2048, 64, l2_assoc))
-
-        def feed(lines):
-            lines = np.array(lines, dtype=np.int64)
-            misses = lines[l1.simulate(lines)]
-            return int(misses.shape[0]), int(l2.simulate(misses).sum())
-
-        feed(prefix)
-        copies = [feed(sequence) for _ in range(6)]
-        assert copies[2:] == [copies[2]] * 4
-        assert {copy[0] for copy in copies[1:]} == {copies[1][0]}
-
-    def test_default_machine_fold_fires(self):
-        config = default_machine_config(noise_sigma=0.0)
-        l1, l2 = config.l1, config.l2
-        # The left child runs at stride 64 under the root's unit stride:
-        # eight invocations per line, three of them simulated.
-        plan = parse_plan("split[split[small[4],small[4]],split[small[3],small[3]]]")
-        exact = list(stream_line_chunks(plan, line_size=64))
-        folded = _folded_stream(plan, l1, l2)
-        assert sum(c.lines.shape[0] for c in folded) < sum(c.lines.shape[0] for c in exact)
-        assert sum(c.weighted_ranges.shape[0] for c in folded) > 0
-        assert sum(c.accesses for c in folded) == sum(c.accesses for c in exact)
-        hierarchy = MemoryHierarchy(l1, l2)
-        assert hierarchy.process_line_chunks(folded) == reference_prepare(config, plan)[1]
-        assert SimulatedMachine(config).prepare(plan).hierarchy_stats == (
-            reference_prepare(config, plan)[1]
+    def test_thrashing_geometry_prepares_like_the_oracle(self):
+        l1, l2 = CacheConfig(2048, 64, 2, name="L1"), CacheConfig(4096, 64, 2, name="L2")
+        plan = random_plan(10, rng=0)
+        machine = SimulatedMachine(
+            dataclasses.replace(default_machine_config(noise_sigma=0.0), l1=l1, l2=l2)
         )
+        assert machine.prepare(plan).hierarchy_stats == reference_prepare(
+            machine.config, plan
+        )[1]
 
-    def test_misaligned_base_address_keeps_every_invocation(self):
-        # Folding needs the invocations of a run to share their lines, which
-        # a base address inside a line would break: nothing is weighted.
-        plan = parse_plan("split[split[small[4],small[4]],split[small[3],small[3]]]")
+    def test_misaligned_base_address(self):
+        # Elision depends on a call's element stride, not on its base.
+        plan = random_plan(10, rng=2)
         l1, l2 = CacheConfig(2048, 64, 2), CacheConfig(8192, 64, 4)
-        folded = list(stream_line_chunks(plan, 64, base_address=8, caches=(l1, l2)))
-        assert all(c.weighted_ranges.shape[0] == 0 for c in folded)
+        elided = list(stream_line_chunks(plan, 64, base_address=8, l1=l1))
         exact = list(stream_line_chunks(plan, 64, base_address=8))
         hierarchy = MemoryHierarchy(l1, l2)
-        assert hierarchy.process_line_chunks(folded) == hierarchy.process_line_chunks(exact)
+        assert hierarchy.process_line_chunks(elided) == hierarchy.process_line_chunks(exact)
+
+    def test_l1_must_match_the_line_size(self):
+        with pytest.raises(ValueError, match="L1 line size"):
+            stream_line_chunks(random_plan(3, rng=0), 32, l1=CacheConfig(256, 64, 2))
 
 
 def shared_set_bits(config):
@@ -993,26 +762,41 @@ class TestSetClasses:
     @pytest.mark.parametrize(
         "config, sizes",
         [
-            (default_machine_config(noise_sigma=0.0), (12, 14, 16)),
-            (opteron_like(noise_sigma=0.0).config, (14, 17, 19)),
-            (tiny_machine().config, (7, 11, 12)),
+            (default_machine_config(noise_sigma=0.0), (9, 12, 13)),
+            (opteron_like(noise_sigma=0.0).config, (14,)),
+            (tiny_machine().config, (6, 9, 11)),
         ],
     )
-    def test_whole_and_built_streams_agree(self, monkeypatch, config, sizes):
-        # The batch straddles EAGER_EXPONENT: some squeezed plans stream
-        # whole, others through the builder.  Every bound gives the same
-        # statistics, from builder only (0) to everything whole (64).
-        low, high = shared_set_bits(config)
-        squeezed = [n - (high - low) for n in sizes]
-        assert min(squeezed) <= machine_module.EAGER_EXPONENT < max(squeezed)
+    def test_elided_presets_match_the_eager_oracle(self, config, sizes):
+        # The machine's class streams drop write passes on every preset.
+        machine = SimulatedMachine(config)
         plans = [random_plan(n, rng=seed) for seed, n in enumerate(sizes)]
-        results = []
-        for bound in (0, machine_module.EAGER_EXPONENT, 64):
-            monkeypatch.setattr(machine_module, "EAGER_EXPONENT", bound)
-            machine = SimulatedMachine(config)
-            results.append([p.hierarchy_stats for p in machine.prepare_batch(plans)])
-            assert list(machine._classes) == [1 << (high - low)]
-        assert results[0] == results[1] == results[2]
+        assert_batch_matches_reference(machine, plans, reference=reference_prepare)
+        (class_hierarchy,) = machine._classes.values()
+        low, high = machine._class_bits
+        squeezed = squeeze_plan(plans[-1], low, high)
+        line_size = config.l1.line_size
+        lines = [
+            sum(c.lines.shape[0] for c in stream_line_chunks(squeezed, line_size, l1=l1))
+            for l1 in (None, class_hierarchy.l1_config)
+        ]
+        assert lines[1] < lines[0]
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            (default_machine_config(noise_sigma=0.0), (12, 14, 16)),
+            (opteron_like(noise_sigma=0.0).config, (14, 17, 19)),
+            (tiny_machine().config, (7, 11, 16)),
+        ],
+    )
+    def test_batches_match_the_full_geometry_stream(self, config, sizes):
+        # Class streams past the chunk budget (the tiny machine's n = 16)
+        # stream in pieces; every batch matches the full geometry's own
+        # unelided stream.
+        machine = SimulatedMachine(config)
+        plans = [random_plan(n, rng=seed) for seed, n in enumerate(sizes)]
+        assert_batch_matches_reference(machine, plans)
 
     def test_smallest_streamed_plan_sets_the_class_count(self, monkeypatch):
         # With the analytic shortcut off, plans under 2^high bytes stream,

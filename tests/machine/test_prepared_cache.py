@@ -1,8 +1,7 @@
-"""Tests for the prepared-plan cache and the machine's template memo."""
+"""Tests for the prepared-plan cache and of a machine kept across preparations."""
 
 from repro.machine.configs import tiny_machine, tiny_machine_config
 from repro.machine.machine import PreparedPlanCache, SimulatedMachine
-from repro.machine.trace import TEMPLATE_MEMO_LINES
 from repro.wht.canonical import iterative_plan, right_recursive_plan
 from repro.wht.random_plans import random_plan
 
@@ -58,9 +57,9 @@ class TestPreparedPlanCache:
         )
 
 
-class TestTemplateMemo:
-    """The machine keeps one trace builder per set-class count, whose
-    template memo stays warm across preparations."""
+class TestWarmMachine:
+    """A machine kept across preparations, its set-class geometries
+    cached, prepares exactly like fresh machines."""
 
     def test_warm_machine_prepares_like_fresh_machines(self):
         config = tiny_machine_config(noise_sigma=0.0)
@@ -72,7 +71,7 @@ class TestTemplateMemo:
             assert a.hierarchy_stats == b.hierarchy_stats
             assert a.stats == b.stats
 
-    def test_stats_identical_on_memo_replay(self):
+    def test_stats_identical_on_repeat(self):
         machine = SimulatedMachine(tiny_machine_config(noise_sigma=0.0))
         plan = right_recursive_plan(9)
         first = machine.prepare(plan)
@@ -80,11 +79,9 @@ class TestTemplateMemo:
         assert first.hierarchy_stats == second.hierarchy_stats
         assert first.stats == second.stats
 
-    def test_memo_is_bounded(self):
+    def test_class_geometry_is_built_once(self):
         machine = SimulatedMachine(tiny_machine_config(noise_sigma=0.0))
-        for seed in range(20):
-            machine.prepare(random_plan(12, rng=seed))
-        # The builder the machine streams with: its set-class geometry's.
-        (memo,) = [builder._memo for _, builder in machine._classes.values()]
-        assert 0 < memo.weight <= TEMPLATE_MEMO_LINES
-        assert memo.weight == sum(memo.get(key).lines.shape[0] for key in list(memo))
+        machine.prepare(random_plan(9, rng=0))
+        (geometry,) = machine._classes.values()
+        machine.prepare_batch([random_plan(10, rng=seed) for seed in range(3)])
+        assert machine._classes == {4: geometry}  # dict equality: the same object

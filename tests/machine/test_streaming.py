@@ -1,6 +1,6 @@
 """Cross-chunk exactness tests for the streaming trace pipeline.
 
-The streamed pipeline (plan-tree trace builder → bounded line chunks →
+The streamed pipeline (broadcast line stream → bounded line chunks →
 warm-started hierarchy simulators) must be *bit-identical* to the eager seed pipeline
 (profile → full trace → global collapse → one-shot simulation), for any
 chunking.  These tests pin that contract for random traces and random plans.
@@ -24,7 +24,7 @@ from repro.wht.canonical import (
     left_recursive_plan,
     right_recursive_plan,
 )
-from repro.wht.interpreter import ExecutionStats, LeafNest, PlanInterpreter, analytic_stats
+from repro.wht.interpreter import ExecutionStats, PlanInterpreter, analytic_stats
 from repro.wht.random_plans import random_plan
 
 L1 = CacheConfig(256, 32, 2, name="L1")
@@ -49,7 +49,7 @@ def sample_plans():
 
 
 class TestRecursiveParity:
-    """The analytic counts and the builder reproduce the recursive
+    """The analytic counts and the line stream reproduce the recursive
     interpreter exactly."""
 
     def test_profile_matches_recursive_order(self):
@@ -73,7 +73,7 @@ class TestRecursiveParity:
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
-    def test_property_builder_matches_recursive(self, seed):
+    def test_property_stream_matches_recursive(self, seed):
         plan = random_plan(7, rng=seed)
         _, nests = reference_nests(plan)
         expected, _ = collapse_consecutive(trace_from_nests(nests).addresses // 32)
@@ -102,14 +102,6 @@ class TestStreamedChunks:
             assert np.array_equal(streamed, expected)
             assert sum(chunk.accesses for chunk in chunks) == trace.accesses
 
-    def test_accepts_plain_nest_iterables(self):
-        plan = random_plan(8, rng=3)
-        _, nests = INTERPRETER.profile(plan, record_trace=True)
-        trace = trace_from_nests(nests)
-        expected, _ = collapse_consecutive(trace.addresses // 32)
-        chunks = list(stream_line_chunks(nests, line_size=32, chunk_accesses=128))
-        assert np.array_equal(np.concatenate([c.lines for c in chunks]), expected)
-
     def test_chunks_respect_budget(self):
         plan = iterative_plan(10)
         chunks = list(
@@ -118,8 +110,8 @@ class TestStreamedChunks:
             )
         )
         assert len(chunks) > 1
-        # Oversized instances are split along their loop axes, so no chunk
-        # overshoots the budget by more than one codelet call's accesses.
+        # Children past the budget stream in blocks of invocations, so no
+        # chunk overshoots the budget by more than one codelet call's accesses.
         for chunk in chunks[:-1]:
             assert chunk.accesses <= 1024 + 2 * (1 << 10)
 
@@ -134,15 +126,8 @@ class TestStreamedChunks:
         assert np.array_equal(plain[0].lines + 4096 // 32, shifted[0].lines)
 
     def test_negative_addresses_rejected_at_boundary(self):
-        nest = LeafNest(
-            k=2, base=-100, outer_count=1, outer_stride=0,
-            inner_count=1, inner_stride=0, elem_stride=1,
-        )
         with pytest.raises(ValueError):
-            list(stream_line_chunks([nest], line_size=32))
-
-    def test_empty_stream(self):
-        assert list(stream_line_chunks([], line_size=32)) == []
+            stream_line_chunks(iterative_plan(5), line_size=32, base_address=-100)
 
     @given(seed=st.integers(0, 10**6), chunk_accesses=st.integers(16, 4096))
     @settings(max_examples=30, deadline=None)

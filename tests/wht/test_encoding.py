@@ -59,6 +59,22 @@ class TestPlanKey:
         assert calls == []
 
 
+    @given(n=st.integers(1, 18), seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_property_str_is_the_key(self, n, seed):
+        plan = random_plan(n, rng=seed)
+        assert str(plan) == plan_to_string(plan) == plan_key(plan)
+
+    def test_str_renders_once(self, monkeypatch):
+        plan = Split((Small(2), Split((Small(1), Small(3)))))
+        calls = []
+        monkeypatch.setattr(
+            encoding, "plan_to_string", lambda plan: calls.append(plan) or plan_to_string(plan)
+        )
+        assert str(plan) == str(plan) == repr(plan)[len("Split(") : -1]
+        assert calls == [plan]
+
+
 class TestEncodePlans:
     def test_empty_batch(self):
         enc = encode_plans([])
