@@ -10,17 +10,20 @@ batches and Hypothesis-driven geometries.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.machine import machine as machine_module
 from repro.machine.cache import CacheConfig, SetAssociativeLRUCache
 from repro.machine.configs import default_machine_config, opteron_like, tiny_machine
 from repro.machine.hierarchy import HierarchyStatistics, MemoryHierarchy
 from repro.machine.machine import MachineConfig, PreparedPlanCache, SimulatedMachine
 from repro.machine.trace import (
+    DEFAULT_CHUNK_ACCESSES,
     LineChunk,
     SplicedLineChunk,
     collapse_consecutive,
@@ -31,6 +34,7 @@ from repro.machine.trace import (
 )
 from repro.wht.canonical import balanced_plan, left_recursive_plan
 from repro.wht.enumeration import enumerate_plans
+from repro.wht.grammar import parse_plan
 from repro.wht.interpreter import PlanInterpreter
 from repro.wht.random_plans import random_plan, random_plans
 
@@ -317,6 +321,11 @@ class TestSpliceLineChunks:
         assert len(chunks) == 2
         assert all(chunk.segments == 1 for chunk in chunks)
 
+    def test_rejects_negative_offsets(self):
+        stream = [LineChunk(lines=np.array([1]), accesses=1)]
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(splice_line_chunks([stream], [-1]))
+
     def test_rejects_mismatched_offsets(self):
         with pytest.raises(ValueError):
             list(splice_line_chunks([[]], [0, 1]))
@@ -379,6 +388,16 @@ class TestSplicedLineChunkValidation:
     def test_per_segment_arrays_need_one_entry_per_segment(self, name):
         with pytest.raises(ValueError, match=name):
             _spliced(**{name: np.zeros(3, dtype=np.int64)})
+
+    def test_line_chunk_needs_an_access_per_line(self):
+        with pytest.raises(ValueError, match="fewer than"):
+            LineChunk(lines=np.arange(3), accesses=2)
+
+    def test_lines_must_form_a_1d_array(self):
+        with pytest.raises(ValueError, match="1-D"):
+            LineChunk(lines=np.zeros((2, 2), dtype=np.int64), accesses=4)
+        with pytest.raises(ValueError, match="1-D"):
+            _spliced(lines=np.zeros((2, 3), dtype=np.int64))
 
     def test_lines_must_fit_int32(self):
         with pytest.raises(ValueError, match="line numbers"):
@@ -602,6 +621,54 @@ class TestWritePassElision:
             machine.config, plan
         )[1]
 
+    def test_fitting_plan_streams_its_compulsory_misses(self):
+        # A plan whose vector fits L1 misses once per line at each level,
+        # elided or not: the analytic coverage statistics.
+        config = default_machine_config(noise_sigma=0.0)
+        hierarchy = MemoryHierarchy(config.l1, config.l2)
+        plan = random_plan(10, rng=5)
+        expected = hierarchy.analytic_coverage_stats(
+            plan.size * 8, 2 * plan.size * plan.num_leaves()
+        )
+        assert expected is not None
+        for l1 in (None, config.l1):
+            chunks = stream_line_chunks(plan, config.l1.line_size, l1=l1)
+            assert hierarchy.process_line_chunks(chunks) == expected
+
+    def test_thrashes_l1_fits_l2(self):
+        # small[4] at stride 2^8 elements (2 KB) maps its 16 lines onto two
+        # of the default L1's 128 sets, which hold two lines each.
+        config = default_machine_config(noise_sigma=0.0)
+        plan = parse_plan("split[small[4],small[8]]")
+        hierarchy = MemoryHierarchy(config.l1, config.l2)
+        elided = hierarchy.process_line_chunks(stream_line_chunks(plan, 64, l1=config.l1))
+        reference = reference_prepare(config, plan)[1]
+        assert elided == reference
+        assert reference.l1_misses > reference.l2_misses == plan.size * 8 // 64
+        assert SimulatedMachine(config).prepare(plan).hierarchy_stats == reference
+
+    def test_default_machine_elision_fires(self):
+        config = default_machine_config(noise_sigma=0.0)
+        plan = parse_plan("split[split[small[4],small[4]],split[small[3],small[3]]]")
+        exact = list(stream_line_chunks(plan, line_size=64))
+        elided = _elided_stream(plan, config.l1)
+        assert sum(c.lines.shape[0] for c in elided) < sum(c.lines.shape[0] for c in exact)
+        assert sum(c.accesses for c in elided) == sum(c.accesses for c in exact)
+        hierarchy = MemoryHierarchy(config.l1, config.l2)
+        reference = reference_prepare(config, plan)[1]
+        assert hierarchy.process_line_chunks(elided) == reference
+        assert SimulatedMachine(config).prepare(plan).hierarchy_stats == reference
+
+    def test_wider_l2_lines_keep_statistics_exact(self):
+        # Pairs of L1 lines share one L2 line; elision decides on the L1
+        # alone and leaves the L2 probes as the exact stream makes them.
+        l1, l2 = CacheConfig(256, 32, 1, name="L1"), CacheConfig(1024, 64, 2, name="L2")
+        hierarchy = MemoryHierarchy(l1, l2)
+        for seed in range(4):
+            plan = random_plan(9, rng=seed)
+            elided = hierarchy.process_line_chunks(_elided_stream(plan, l1))
+            assert elided == oracle_stats(l1, l2, plan)[1], plan
+
     def test_misaligned_base_address(self):
         # Elision depends on a call's element stride, not on its base.
         plan = random_plan(10, rng=2)
@@ -797,6 +864,31 @@ class TestSetClasses:
         machine = SimulatedMachine(config)
         plans = [random_plan(n, rng=seed) for seed, n in enumerate(sizes)]
         assert_batch_matches_reference(machine, plans)
+
+    @pytest.mark.parametrize(
+        "config, sizes",
+        [
+            (default_machine_config(noise_sigma=0.0), (12, 14, 16)),
+            (opteron_like(noise_sigma=0.0).config, (14, 17, 19)),
+            (tiny_machine().config, (7, 11, 16)),
+        ],
+    )
+    def test_every_chunk_budget_gives_the_same_statistics(self, monkeypatch, config, sizes):
+        # From pieces far below each codelet call to every class stream
+        # whole, the chunk budget never changes a statistic.
+        low, high = shared_set_bits(config)
+        plans = [random_plan(n, rng=seed) for seed, n in enumerate(sizes)]
+        results = []
+        for budget in (1 << 10, DEFAULT_CHUNK_ACCESSES, 1 << 30):
+            monkeypatch.setattr(
+                machine_module,
+                "stream_line_chunks",
+                functools.partial(stream_line_chunks, chunk_accesses=budget),
+            )
+            machine = SimulatedMachine(config)
+            results.append([p.hierarchy_stats for p in machine.prepare_batch(plans)])
+            assert list(machine._classes) == [1 << (high - low)]
+        assert results[0] == results[1] == results[2]
 
     def test_smallest_streamed_plan_sets_the_class_count(self, monkeypatch):
         # With the analytic shortcut off, plans under 2^high bytes stream,

@@ -23,6 +23,7 @@ from repro.machine.trace import (
     trace_from_nests,
 )
 from repro.wht.canonical import right_recursive_plan
+from repro.wht.grammar import parse_plan
 from repro.wht.interpreter import PlanInterpreter
 from repro.wht.random_plans import random_plan
 
@@ -130,6 +131,16 @@ class TestStreamAgainstEagerOracle:
         assert max(chunk.accesses for chunk in chunks) <= 64
         assert np.array_equal(concatenated(chunks), eager_lines(plan, 32))
 
+    def test_a_call_past_the_budget_is_one_chunk(self):
+        # small[6] reads and writes its 64 elements (128 accesses) at stride
+        # 4, one line each: its four calls are one chunk apiece, past the
+        # budget, while small[2]'s calls stream in blocks within it.
+        plan = parse_plan("split[small[6],small[2]]")
+        chunks = list(stream_line_chunks(plan, 32, chunk_accesses=16))
+        assert [chunk.accesses for chunk in chunks if chunk.accesses > 16] == [128] * 4
+        assert [chunk.lines.shape[0] for chunk in chunks if chunk.accesses > 16] == [128] * 4
+        assert np.array_equal(concatenated(chunks), eager_lines(plan, 32))
+
     def test_base_address_offsets_every_line(self):
         plan = random_plan(9, rng=3)
         for base_address in (8, 40, 4096):
@@ -211,6 +222,18 @@ class TestElidedStream:
         whole = stream_line_chunks(plan, l1.line_size, chunk_accesses=1 << 30, l1=l1)
         chunked = stream_line_chunks(plan, l1.line_size, chunk_accesses=chunk_accesses, l1=l1)
         assert np.array_equal(concatenated(list(chunked)), concatenated(list(whole)))
+
+    @pytest.mark.parametrize("chunk_accesses", [16, 100, DEFAULT_CHUNK_ACCESSES])
+    def test_junctions_repeat_no_line(self, chunk_accesses):
+        # Runs of one line collapse across chunk junctions on the elided
+        # stream too, whose lines have no eager oracle.
+        l1 = CacheConfig(1024, 64, 2)
+        for seed in range(4):
+            plan = random_plan(9, rng=seed)
+            chunks = list(stream_line_chunks(plan, 64, chunk_accesses=chunk_accesses, l1=l1))
+            lines = concatenated(chunks)
+            assert np.all(lines[1:] != lines[:-1]), plan
+            assert sum(chunk.accesses for chunk in chunks) == 2 * plan.size * plan.num_leaves()
 
     def test_check_is_memoised_per_geometry(self):
         l1 = CacheConfig(512, 64, 2, name="memo-test")
