@@ -45,7 +45,7 @@ share one persistent cache — switching objectives re-measures nothing.
 
 Many sessions can share one measurement pipeline through the campaign
 service — a job queue plus worker fleet that dedupes overlapping work
-fleet-wide and persists records in per-machine shards:
+fleet-wide and persists records in one append log per machine and seed:
 
 >>> service = repro.serve(store="./campaigns", workers=4)
 >>> a = repro.Session.connect(service)

@@ -70,19 +70,54 @@ def spearman_correlation(
     return pearson_correlation(rank_values(xa), rank_values(ya))
 
 
+def _tied_pairs(starts_run: np.ndarray) -> int:
+    """Pairs inside runs of equal sorted values, given each run's first flag."""
+    starts = np.flatnonzero(starts_run)
+    sizes = np.diff(np.append(starts, starts_run.shape[0]))
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs ``i < j`` with ``ranks[i] > ranks[j]``: a bottom-up merge sort.
+
+    Each level splits the (padded) array into rows of ``2 * width`` whose
+    halves are already sorted, counts for every right-half value the
+    left-half values above it with one ``searchsorted`` (each row offset
+    past the last, so the left halves concatenate sorted), then sorts the
+    rows.  The padding is larger than every rank and sits at the end, so it
+    never forms an inversion.
+    """
+    top = int(ranks.max()) + 1
+    size = 1 << (ranks.shape[0] - 1).bit_length()
+    merged = np.full(size, top, dtype=np.int64)
+    merged[: ranks.shape[0]] = ranks
+    inversions = 0
+    width = 1
+    while width < size:
+        rows = merged.reshape(-1, 2 * width)
+        offsets = np.arange(rows.shape[0], dtype=np.int64)[:, None] * (top + 1)
+        left = (rows[:, :width] + offsets).ravel()
+        right = (rows[:, width:] + offsets).ravel()
+        row_ends = np.repeat(np.arange(1, rows.shape[0] + 1, dtype=np.int64) * width, width)
+        inversions += int((row_ends - np.searchsorted(left, right, side="right")).sum())
+        merged = np.sort(rows, axis=1).ravel()
+        width *= 2
+    return inversions
+
+
 def kendall_tau(
     x: "Sequence[float] | np.ndarray",
     y: "Sequence[float] | np.ndarray",
-    chunk: int = 256,
 ) -> float:
     """Kendall's tau-b of two samples (exact, tie-corrected).
 
     ``tau_b = (C - D) / sqrt((T - Tx) * (T - Ty))`` where ``C``/``D`` count
     concordant/discordant pairs, ``T = n(n-1)/2`` is the pair count and
-    ``Tx``/``Ty`` count pairs tied in ``x``/``y`` alone.  Computed with
-    vectorised pairwise sign comparisons in row chunks of ``chunk`` — exact
-    for any input, O(n^2) work but bounded memory, which is plenty for plan
-    populations (thousands, not millions).
+    ``Tx``/``Ty`` count pairs tied in ``x``/``y`` alone.  Computed by
+    Knight's O(n log n) method: sort by ``(x, y)``; ``D`` is then the number
+    of inversions of ``y``, and every tie term comes from the run lengths of
+    equal values, so ``C = T - Tx - Ty + Txy - D`` with ``Txy`` the pairs
+    tied in both.  All counts are exact integers.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -91,22 +126,17 @@ def kendall_tau(
     n = xa.shape[0]
     if n < 2:
         raise ValueError("kendall_tau requires at least two observations")
-    concordant = 0
-    discordant = 0
-    ties_x = 0
-    ties_y = 0
-    for start in range(0, n, max(1, int(chunk))):
-        stop = min(n, start + max(1, int(chunk)))
-        # Strict upper triangle only: pair (i, j) with i < j counted once.
-        dx = np.sign(xa[start:stop, None] - xa[None, :])
-        dy = np.sign(ya[start:stop, None] - ya[None, :])
-        mask = np.arange(n)[None, :] > np.arange(start, stop)[:, None]
-        product = dx * dy
-        concordant += int(((product > 0) & mask).sum())
-        discordant += int(((product < 0) & mask).sum())
-        ties_x += int(((dx == 0) & mask).sum())
-        ties_y += int(((dy == 0) & mask).sum())
+    order = np.lexsort((ya, xa))
+    xs = xa[order]
+    ys = ya[order]
+    new_x = np.concatenate(([True], xs[1:] != xs[:-1]))
+    new_y = np.concatenate(([True], ys[1:] != ys[:-1]))
+    ties_x = _tied_pairs(new_x)
+    ties_xy = _tied_pairs(new_x | new_y)
+    ties_y = _tied_pairs(np.concatenate(([True], np.diff(np.sort(ya)) != 0)))
     total = n * (n - 1) // 2
+    discordant = _inversions(np.unique(ya, return_inverse=True)[1][order])
+    concordant = total - ties_x - ties_y + ties_xy - discordant
     denom_x = total - ties_x
     denom_y = total - ties_y
     if denom_x <= 0 or denom_y <= 0:

@@ -34,8 +34,10 @@ live*:
 * :mod:`repro.runtime.session` — :class:`Session` / :func:`session`, the
   fluent top-level entry point owning machine, scale, backend and store;
 * :mod:`repro.runtime.sharded_store` — :class:`ShardedRecordStore`, the
-  record log sharded per ``(machine_hash, seed)`` with one locked writer per
-  shard, lock-free readers and background compaction;
+  service's record store: a :class:`DiskStore` (one flat directory, one
+  locked append log per ``(machine_hash, seed)``, lock-free readers) that
+  compacts inline by default; logs in an older ``<root>/shards/`` tree are
+  not read;
 * :mod:`repro.runtime.service` — :class:`CampaignService` / :func:`serve`,
   the multi-tenant measurement service: a job queue deduping work by
   ``(machine_hash, plan_key, seed, channel)``, a worker fleet draining it
@@ -124,7 +126,7 @@ from repro.runtime.service import (
     serve,
 )
 from repro.runtime.session import SCALE_PRESETS, Session, session
-from repro.runtime.sharded_store import ShardedRecordStore, ShardStats
+from repro.runtime.sharded_store import ShardedRecordStore
 from repro.runtime.store import (
     CampaignKey,
     CampaignStore,
@@ -132,6 +134,7 @@ from repro.runtime.store import (
     DiskStore,
     MemoryStore,
     NullStore,
+    ShardStats,
     default_memory_store,
     machine_config_hash,
     resolve_store,

@@ -335,15 +335,6 @@ class FaultyBackend:
         return f"FaultyBackend({self.inner!r}, {self.plan!r})"
 
 
-def _log_path_for(store: object, key: CostLogKey):
-    """The on-disk append-log path behind ``store`` for ``key``, if any."""
-    for attr in ("shard_log_path", "log_path"):
-        resolve = getattr(store, attr, None)
-        if callable(resolve):
-            return resolve(key)
-    return None
-
-
 class FaultyStore:
     """A :class:`~repro.runtime.store.CampaignStore` whose record appends
     fail on the :class:`FaultPlan`'s schedule.
@@ -358,10 +349,9 @@ class FaultyStore:
       line a reader must skip.  A retried append rewrites the same values,
       so recovery is an idempotent merge, never a duplicate record.
 
-    Disk-backed stores (:class:`~repro.runtime.store.DiskStore`,
-    :class:`~repro.runtime.sharded_store.ShardedRecordStore`) expose their
-    log path for the tear; for in-memory stores a scheduled tear degrades to
-    a plain post-append error.
+    Disk-backed stores (:class:`~repro.runtime.store.DiskStore` and its
+    subclasses) expose their log path for the tear; for in-memory stores a
+    scheduled tear degrades to a plain post-append error.
     """
 
     def __init__(self, inner: CampaignStore, plan: FaultPlan, site: str = "store"):
@@ -387,7 +377,8 @@ class FaultyStore:
             )
 
     def _tear_tail(self, key: CostLogKey) -> None:
-        path = _log_path_for(self.inner, key)
+        log_path = getattr(self.inner, "log_path", None)
+        path = log_path(key) if callable(log_path) else None
         if path is None or not os.path.exists(path):
             return
         size = os.path.getsize(path)
@@ -430,7 +421,7 @@ class FaultyStore:
             close()
 
     def __getattr__(self, name: str):
-        # Optional-protocol passthrough (shard_stats, drain_compactions, ...):
+        # Optional-protocol passthrough (shard_stats, cost_logs, ...):
         # the wrapper is as capable as whatever it wraps.
         return getattr(self.inner, name)
 

@@ -10,7 +10,8 @@ submit across the member servers by
 derivation, so each key has one well-defined owner at any membership,
 which the client caches per live ring: a warm round hashes nothing —
 while all members persist into one shared record space (a
-:class:`~repro.runtime.sharded_store.ShardedRecordStore` directory, whose
+:class:`~repro.runtime.sharded_store.ShardedRecordStore` directory — one
+flat directory, one append log per ``(machine_hash, seed)`` key — whose
 flock-guarded whole-batch appends make concurrent writers safe).
 
 Robustness discipline

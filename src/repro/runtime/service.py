@@ -56,11 +56,13 @@ Architecture
   and an opt-in :class:`ServiceClient` fallback degrades to a private
   serial engine (bit-identical results) when the service cannot answer.
   Chaos-test all of it with :mod:`repro.runtime.faults` (DESIGN.md §12).
-* **Sharded record log.**  Results persist in the service's store —
+* **Per-key record logs.**  Results persist in the service's store —
   :class:`~repro.runtime.sharded_store.ShardedRecordStore` for a directory
-  spec: one append-log writer per ``(machine_hash, seed)`` shard, lock-free
-  readers, background compaction.  Records are appended *before* waiters are
-  released, so no value a client observed can be lost by a crash.
+  spec: a flat :class:`~repro.runtime.store.DiskStore` directory with one
+  append-log writer per ``(machine_hash, seed)`` key, lock-free readers and
+  inline compaction, which a session opening the same directory reads too.
+  Records are appended *before* waiters are released, so no value a client
+  observed can be lost by a crash.
 * **Clients.**  :meth:`CampaignService.client` returns a
   :class:`ServiceClient` — the shared engine surface
   (:class:`~repro.runtime.cost_engine.EngineSurface`: ``records`` /
@@ -98,11 +100,12 @@ from repro.runtime.metrics import (
     metric_spec,
 )
 from repro.runtime.objectives import Objective
-from repro.runtime.sharded_store import ShardedRecordStore, ShardStats
+from repro.runtime.sharded_store import ShardedRecordStore
 from repro.runtime.store import (
     CampaignStore,
     CostLogKey,
     MemoryStore,
+    ShardStats,
     machine_config_hash,
     resolve_store,
 )
@@ -356,7 +359,8 @@ class ServiceStats:
     #: (see :meth:`~repro.runtime.transport.ServiceServer.join_fleet`);
     #: 0 standalone.
     members: int = 0
-    #: Per-shard occupancy, when the store exposes it (sharded stores do).
+    #: Per-key record log occupancy, when the store exposes it (disk
+    #: stores do).
     shards: "tuple[ShardStats, ...]" = ()
 
     def describe(self) -> str:
@@ -424,12 +428,13 @@ class QuarantineEntry:
 
 
 def _resolve_service_store(spec: "str | os.PathLike[str] | CampaignStore | None") -> CampaignStore:
-    """Service store resolution: directory specs become *sharded* stores.
+    """Service store resolution: directory specs become compacting stores.
 
     ``None`` gives the service a private in-memory store (the read-through
     cache still works; nothing survives the process).  A path spec becomes a
-    :class:`ShardedRecordStore` — the service is long-lived and multi-tenant,
-    exactly what sharding is for — while explicit store instances and the
+    :class:`ShardedRecordStore` — a :class:`~repro.runtime.store.DiskStore`
+    that compacts by default, because the service is long-lived and its logs
+    keep growing — while explicit store instances and the
     ``"memory"``/``"none"`` presets resolve exactly as
     :func:`~repro.runtime.store.resolve_store` resolves them (including the
     bare-string rejection: a typo cannot silently change semantics).

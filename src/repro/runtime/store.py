@@ -28,9 +28,10 @@ made long campaigns quadratic in store writes.  Records for the same plan
 merge metric-wise on read, so the set of known metrics per plan grows
 monotonically.  :meth:`DiskStore.compact_cost_records` rewrites a log to one
 merged line per plan; reading a compacted log is equivalent to reading the
-original.  The append log is the only record format: a directory holding
-files of any other shape (such as pre-append-log per-metric ``costs-*.json``
-tables) is simply not read.
+original.  The append log is the only record format, and one flat directory
+is its only layout: a directory holding files of any other shape (such as
+pre-append-log per-metric ``costs-*.json`` tables, or logs under an older
+``<root>/shards/<hash12>-s<seed>/`` tree) is simply not read.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +62,7 @@ __all__ = [
     "CampaignStore",
     "MemoryStore",
     "DiskStore",
+    "ShardStats",
     "NullStore",
     "default_memory_store",
     "resolve_store",
@@ -247,6 +250,23 @@ class NullStore:
         return "NullStore()"
 
 
+@dataclass(frozen=True)
+class ShardStats:
+    """Size and occupancy of one on-disk record log (one ``CostLogKey``)."""
+
+    #: The log's key, recovered from the log header.
+    machine_hash: str
+    seed: int
+    #: Log file name, relative to the store root.
+    path: str
+    #: Bytes currently occupied by the log file.
+    size_bytes: int
+    #: Record lines in the log (>= distinct plans until compaction).
+    record_lines: int
+    #: Distinct plans with at least one record in the log.
+    distinct_plans: int
+
+
 class DiskStore:
     """One JSON file per campaign under ``path``; durable across processes.
 
@@ -259,20 +279,21 @@ class DiskStore:
     partial line — which the reader detects and skips.  Writers (appends and
     compactions) of one log serialise on an advisory ``flock`` held via a
     sidecar ``.lock`` file, so two processes sharing a store directory can
-    never interleave a shard's log or lose appends to a concurrent
-    compaction; readers stay lock-free.  There is deliberately no in-memory
-    memoisation of record *values*: every read re-reads the file, which is
-    what makes a second process's cache hit equivalent to a same-process
-    one.
+    never interleave a log or lose appends to a concurrent compaction, and
+    writers of different keys never contend; readers stay lock-free.  There
+    is deliberately no in-memory memoisation of record *values*: every read
+    re-reads the file, which is what makes a second process's cache hit
+    equivalent to a same-process one.
 
     ``auto_compact`` (off by default) bounds reopen cost for long-lived
     campaigns: after each append, when a log holds more than ``auto_compact``
     times as many record lines as distinct plans (duplicate lines accumulate
     when later batches extend earlier plans' metrics), the log is compacted
-    to one merged line per plan.  The trigger state is tracked per process
-    (seeded by one read of the existing log on the first append) and
-    compaction is read-equivalent, so concurrent writers at worst compact a
-    little early or late — never incorrectly.
+    inline, under its writer lock, to one merged line per plan.  The trigger
+    state is tracked per store object under a thread lock (one object may
+    serve many service workers), seeded by one read of the existing log on
+    the first append; compaction is read-equivalent, so concurrent writers
+    at worst compact a little early or late — never incorrectly.
     """
 
     def __init__(
@@ -290,6 +311,7 @@ class DiskStore:
         self.auto_compact = auto_compact
         #: Per-log trigger state: (record line count, distinct plan keys).
         self._log_state: dict[CostLogKey, tuple[int, set[str]]] = {}
+        self._log_state_lock = threading.Lock()
 
     def _file_for(self, key: CampaignKey) -> Path:
         return self.path / f"{key.token()}.json"
@@ -376,17 +398,13 @@ class DiskStore:
     def append_cost_records(self, key: CostLogKey, records: Mapping[str, Mapping[str, float]]) -> None:
         if not records:
             return
-        if self.auto_compact is not None and key not in self._log_state:
-            # Seed the trigger counters from the log as it exists before this
-            # process's first append (one read; O(batch) updates afterwards).
-            seeded = 0
-            plans: set[str] = set()
-            for entry in self._read_log(self._log_for(key)):
-                plan = entry.get("p")
-                if isinstance(plan, str):
-                    seeded += 1
-                    plans.add(plan)
-            self._log_state[key] = (seeded, plans)
+        if self.auto_compact is not None:
+            with self._log_state_lock:
+                if key not in self._log_state:
+                    # Seed the trigger counters from the log as it exists
+                    # before this store's first append to it (one read;
+                    # O(batch) updates afterwards).
+                    self._log_state[key] = self._count_log(self._log_for(key))
         lines = []
         for plan_key, values in records.items():
             payload = {
@@ -425,11 +443,13 @@ class DiskStore:
             self._maybe_auto_compact(key, records)
 
     def _maybe_auto_compact(self, key: CostLogKey, appended: Mapping[str, Mapping[str, float]]) -> None:
-        lines, plans = self._log_state[key]
-        lines += len(appended)
-        plans.update(appended)
-        self._log_state[key] = (lines, plans)
-        if lines > self.auto_compact * max(len(plans), 1):
+        with self._log_state_lock:
+            lines, plans = self._log_state[key]
+            lines += len(appended)
+            plans.update(appended)
+            self._log_state[key] = (lines, plans)
+            due = lines > self.auto_compact * max(len(plans), 1)
+        if due:
             # compact_cost_records refreshes the trigger state from the full
             # merged log, which also folds in any concurrent writer's plans.
             self.compact_cost_records(key)
@@ -464,9 +484,10 @@ class DiskStore:
                 except OSError:
                     pass
                 raise
-        if key in self._log_state:
-            # The log now holds exactly one line per plan.
-            self._log_state[key] = (len(records), set(records))
+        with self._log_state_lock:
+            if key in self._log_state:
+                # The log now holds exactly one line per plan.
+                self._log_state[key] = (len(records), set(records))
 
     def _read_log(self, file: Path) -> Iterator[dict]:
         """Parse a record log, tolerating truncated or corrupt lines.
@@ -498,6 +519,17 @@ class DiskStore:
                 continue
             yield entry
 
+    def _count_log(self, file: Path) -> tuple[int, set[str]]:
+        """``(record lines, distinct plan keys)`` of one record log."""
+        lines = 0
+        plans: set[str] = set()
+        for entry in self._read_log(file):
+            plan = entry.get("p")
+            if isinstance(plan, str):
+                lines += 1
+                plans.add(plan)
+        return lines, plans
+
     def _write_atomic(self, file: Path, payload: dict) -> None:
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{file.stem}.", suffix=".tmp", dir=self.path
@@ -514,7 +546,8 @@ class DiskStore:
             raise
 
     def clear(self) -> None:
-        self._log_state.clear()
+        with self._log_state_lock:
+            self._log_state.clear()
         patterns = ("*.json", "*.jsonl", "*.lock")
         for file in [f for pattern in patterns for f in self.path.glob(pattern)]:
             try:
@@ -530,8 +563,41 @@ class DiskStore:
         """Paths of every cost record log (for inspection and tests)."""
         return iter(sorted(self.path.glob("*.jsonl")))
 
+    def shard_stats(self) -> list[ShardStats]:
+        """Per-key log occupancy, read straight off the on-disk logs."""
+        stats = []
+        for log in self.cost_logs():
+            try:
+                size = log.stat().st_size
+                with open(log, "r", encoding="utf-8") as handle:
+                    header = json.loads(handle.readline())
+            except (OSError, json.JSONDecodeError):
+                continue  # removed mid-scan, or no complete header yet
+            header_key = header.get("key", {}) if isinstance(header, dict) else {}
+            lines, plans = self._count_log(log)
+            stats.append(
+                ShardStats(
+                    machine_hash=str(header_key.get("machine_hash", "")),
+                    seed=int(header_key.get("seed", 0)),
+                    path=log.name,
+                    size_bytes=size,
+                    record_lines=lines,
+                    distinct_plans=len(plans),
+                )
+            )
+        return stats
+
+    def close(self) -> None:
+        """Nothing to release (every write is durable on return); idempotent."""
+
+    def __enter__(self) -> "DiskStore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def __repr__(self) -> str:
-        return f"DiskStore({str(self.path)!r})"
+        return f"{type(self).__name__}({str(self.path)!r})"
 
 
 #: The process-wide default store, shared by every session that asks for

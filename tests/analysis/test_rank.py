@@ -90,11 +90,12 @@ def test_kendall_matches_brute_force(seed, tied):
     assert kendall_tau(x, y) == pytest.approx(brute_tau_b(x, y), abs=1e-12)
 
 
-def test_kendall_chunking_is_exact():
+def test_kendall_heavy_ties_odd_length_match_brute_force():
+    # 97 is not a power of two: the merge-sort inversion count pads its input.
     rng = np.random.default_rng(7)
     x = rng.integers(0, 10, size=97).astype(float)
     y = rng.integers(0, 10, size=97).astype(float)
-    assert kendall_tau(x, y, chunk=5) == pytest.approx(kendall_tau(x, y, chunk=1000))
+    assert kendall_tau(x, y) == pytest.approx(brute_tau_b(x, y), abs=1e-12)
 
 
 def test_perfect_agreement_and_reversal():

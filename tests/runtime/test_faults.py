@@ -306,7 +306,7 @@ class TestFaultyStore:
             assert len(recovered) >= len(batch) - 1
             for key, values in recovered.items():
                 assert values == batch[key]
-            [log] = reopened.shard_paths()
+            [log] = reopened.cost_logs()
             lines = Path(log).read_text(encoding="utf-8").split("\n")
             torn = [line for line in lines if line.strip() and not _parses(line)]
             assert len(torn) <= 1
@@ -691,7 +691,7 @@ class TestChaosInvariant:
             persisted = reopened.get_cost_records(log_key)
             assert persisted  # the search did persist records
             by_key = {}
-            for log in reopened.shard_paths():
+            for log in reopened.cost_logs():
                 for line in Path(log).read_text(encoding="utf-8").splitlines():
                     if not line.strip() or not _parses(line):
                         continue
@@ -819,7 +819,7 @@ class TestSigkillRecovery:
             assert len(records) <= confirmed + 2
             # Readers never see a partial line: at most one unparseable
             # line exists, and only as the log's final line.
-            [log] = store.shard_paths()
+            [log] = store.cost_logs()
             lines = [
                 line
                 for line in Path(log).read_text(encoding="utf-8").split("\n")
@@ -858,7 +858,7 @@ class TestSigkillRecovery:
                 assert records[f"q{c}"] == {"cycles": float(c)}
             # At most the one unconfirmed in-flight append on top.
             assert len(records) <= 6 + (cycles + 1) + 1
-            [log] = store.shard_paths()
+            [log] = store.cost_logs()
             lines = [
                 line
                 for line in Path(log).read_text(encoding="utf-8").split("\n")

@@ -944,7 +944,7 @@ def _assert_one_record_space(store_dir):
     lines_per_key = {}
     values_per_key = {}
     with ShardedRecordStore(store_dir, auto_compact=None) as reopened:
-        for log in reopened.shard_paths():
+        for log in reopened.cost_logs():
             for line in Path(log).read_text(encoding="utf-8").splitlines():
                 line = line.strip()
                 if not line:
@@ -1009,17 +1009,13 @@ class TestFleetChaosInvariant:
 
             def kill_once_progressed():
                 deadline = time.monotonic() + 60.0
-                shards = store_dir / "shards"
                 while time.monotonic() < deadline:
                     lines = 0
-                    if shards.is_dir():
-                        for log in shards.glob("*/costlog-*.jsonl"):
-                            try:
-                                lines += sum(
-                                    1 for _ in log.open("r", encoding="utf-8")
-                                )
-                            except OSError:
-                                pass
+                    for log in store_dir.glob("costlog-*.jsonl"):
+                        try:
+                            lines += sum(1 for _ in log.open("r", encoding="utf-8"))
+                        except OSError:
+                            pass
                     if lines >= 5:
                         os.kill(procs[victim].pid, signal.SIGKILL)
                         killed.set()

@@ -570,7 +570,7 @@ class TestSessionIntegration:
         service = CampaignService(store=str(tmp_path / "campaigns"))
         expected = service.client(config).records(plans)
         service.shutdown()
-        (log,) = service.store.shard_paths()
+        (log,) = service.store.cost_logs()
         before = log.read_bytes()
         degraded = service.client(config, fallback=True)
         assert degraded.records(plans) == expected

@@ -1,4 +1,5 @@
-"""Sharded record store: shard layout, crash tolerance, compaction."""
+"""Service record store: per-key logs in one flat directory, crash tolerance,
+inline compaction."""
 
 import json
 import threading
@@ -24,9 +25,9 @@ class TestShardLayout:
             store.append_cost_records(KEY_A, records("a", 3))
             store.append_cost_records(KEY_B, records("b", 2))
             store.append_cost_records(KEY_A1, records("c", 1))
-            paths = list(store.shard_paths())
+            paths = list(store.cost_logs())
             assert len(paths) == 3
-            assert len({path.parent for path in paths}) == 3
+            assert {path.parent for path in paths} == {tmp_path}
             assert store.get_cost_records(KEY_A) == records("a", 3)
             assert store.get_cost_records(KEY_B) == records("b", 2)
             assert store.get_cost_records(KEY_A1) == records("c", 1)
@@ -49,7 +50,7 @@ class TestShardLayout:
     def test_empty_append_is_a_no_op(self, tmp_path):
         with ShardedRecordStore(tmp_path) as store:
             store.append_cost_records(KEY_A, {})
-            assert list(store.shard_paths()) == []
+            assert list(store.cost_logs()) == []
 
     def test_campaign_tables_stay_at_root(self, tmp_path):
         from repro.machine.configs import tiny_machine
@@ -64,23 +65,42 @@ class TestShardLayout:
 
 
 class TestRootLayout:
-    def test_flat_root_logs_are_not_read(self, tmp_path):
-        # A root directory is either a flat DiskStore or a sharded store: the
-        # sharded store neither reads nor retires record logs at its root.
+    def test_disk_and_sharded_stores_share_records(self, tmp_path):
+        # One flat layout: a session's DiskStore and a service's
+        # ShardedRecordStore on one directory read each other's records.
         flat = DiskStore(tmp_path)
         flat.append_cost_records(KEY_A, records("a", 5))
         with ShardedRecordStore(tmp_path) as store:
-            assert store.get_cost_records(KEY_A) == {}
+            assert store.get_cost_records(KEY_A) == records("a", 5)
             store.append_cost_records(KEY_A, records("s", 2))
-            assert store.get_cost_records(KEY_A) == records("s", 2)
-        assert flat.get_cost_records(KEY_A) == records("a", 5)
+            assert store.get_cost_records(KEY_A) == {
+                **records("a", 5),
+                **records("s", 2),
+            }
+        assert flat.get_cost_records(KEY_A) == {**records("a", 5), **records("s", 2)}
+
+    def test_session_reads_what_a_service_persisted(self, tmp_path):
+        from repro.machine.configs import tiny_machine_config
+        from repro.runtime.service import CampaignService
+        from repro.runtime.session import Session, session
+
+        config = tiny_machine_config()
+        with CampaignService(store=str(tmp_path)) as service:
+            served = Session.connect(service, machine=config, scale="ci").search(6)
+        private = session(machine=config, scale="ci", store=str(tmp_path))
+        found = private.search(6)
+        assert (str(found.best_plan), found.best_cost) == (
+            str(served.best_plan),
+            served.best_cost,
+        )
+        assert private.cost_engine().measured == 0  # every plan read from disk
 
 
 class TestCrashTolerance:
     def test_truncated_tail_is_ignored_on_reopen(self, tmp_path):
         with ShardedRecordStore(tmp_path) as store:
             store.append_cost_records(KEY_A, records("a", 3))
-            [log] = store.shard_paths()
+            [log] = store.cost_logs()
         # Simulate a crash mid-append: a half-written last line.
         with open(log, "a", encoding="utf-8") as handle:
             handle.write('{"p": "torn", "v": {"cyc')
@@ -98,7 +118,7 @@ class TestCrashTolerance:
                 store.append_cost_records(KEY_A, {"p": {"cycles": float(index)}})
                 store.append_cost_records(KEY_A, records("x", 3))
             before = store.get_cost_records(KEY_A)
-            [log] = store.shard_paths()
+            [log] = store.cost_logs()
             lines_before = sum(1 for _ in open(log, encoding="utf-8"))
             store.compact_cost_records(KEY_A)
             after = store.get_cost_records(KEY_A)
@@ -106,30 +126,20 @@ class TestCrashTolerance:
             assert after == before
             assert lines_after < lines_before
 
-    def test_background_compaction_triggers_on_ratio(self, tmp_path):
-        with ShardedRecordStore(tmp_path, auto_compact=2.0) as store:
-            for _ in range(8):
-                store.append_cost_records(KEY_A, {"p": {"cycles": 1.0}})
-            store.drain_compactions()
-            [log] = store.shard_paths()
+    def test_inline_compaction_triggers_on_ratio(self, tmp_path):
+        with ShardedRecordStore(tmp_path, auto_compact=1.5) as store:
+            for _ in range(6):
+                store.append_cost_records(KEY_A, {"p": {"cycles": 2.0}})
+            # Compaction ran on the appending thread: done on return.
             stats = store.shard_stats()[0]
-            assert stats.record_lines <= 4  # compacted towards one line/plan
-            assert store.get_cost_records(KEY_A) == {"p": {"cycles": 1.0}}
-
-    def test_inline_compaction_mode(self, tmp_path):
-        store = ShardedRecordStore(
-            tmp_path, auto_compact=1.5, background_compaction=False
-        )
-        for _ in range(6):
-            store.append_cost_records(KEY_A, {"p": {"cycles": 2.0}})
-        stats = store.shard_stats()[0]
-        assert stats.record_lines <= 3
-        assert store.get_cost_records(KEY_A) == {"p": {"cycles": 2.0}}
+            assert stats.record_lines <= 3
+            assert store.get_cost_records(KEY_A) == {"p": {"cycles": 2.0}}
 
 
+@pytest.mark.parametrize("store_cls", [ShardedRecordStore, DiskStore])
 class TestConcurrency:
-    def test_concurrent_writers_lose_nothing(self, tmp_path):
-        with ShardedRecordStore(tmp_path, auto_compact=3.0) as store:
+    def test_concurrent_writers_lose_nothing(self, tmp_path, store_cls):
+        with store_cls(tmp_path, auto_compact=3.0) as store:
             workers = 6
             per_worker = 20
 
@@ -148,12 +158,11 @@ class TestConcurrency:
                 thread.start()
             for thread in threads:
                 thread.join()
-            store.drain_compactions()
             recovered = store.get_cost_records(KEY_A)
             assert len(recovered) == workers * per_worker
 
-    def test_readers_race_compaction_safely(self, tmp_path):
-        with ShardedRecordStore(tmp_path, auto_compact=None) as store:
+    def test_readers_race_compaction_safely(self, tmp_path, store_cls):
+        with store_cls(tmp_path, auto_compact=None) as store:
             for index in range(50):
                 store.append_cost_records(KEY_A, {f"p{index}": {"cycles": 1.0}})
             stop = threading.Event()
@@ -180,7 +189,7 @@ class TestMaintenance:
         store.append_cost_records(KEY_A, records("a", 3))
         store.append_cost_records(KEY_B, records("b", 3))
         store.clear()
-        assert list(store.shard_paths()) == []
+        assert list(store.cost_logs()) == []
         assert store.get_cost_records(KEY_A) == {}
         store.append_cost_records(KEY_A, {"p": {"cycles": 1.0}})
         assert store.get_cost_records(KEY_A) == {"p": {"cycles": 1.0}}
@@ -205,7 +214,7 @@ class TestMaintenance:
         store.append_cost_records(KEY_A, {"p": {"cycles": 1.0}})
         store.close()
         store.close()
-        # Still readable and writable after close; only auto-compaction stops.
+        # Closing releases nothing: the store stays readable and writable.
         assert store.get_cost_records(KEY_A) == {"p": {"cycles": 1.0}}
         store.append_cost_records(KEY_A, {"q": {"cycles": 2.0}})
 
@@ -216,7 +225,7 @@ class TestMaintenance:
     def test_shard_log_is_valid_jsonl_with_header(self, tmp_path):
         with ShardedRecordStore(tmp_path) as store:
             store.append_cost_records(KEY_A, records("a", 2))
-            [log] = store.shard_paths()
+            [log] = store.cost_logs()
             lines = [
                 json.loads(line)
                 for line in open(log, encoding="utf-8")

@@ -971,7 +971,7 @@ class TestNetworkChaosInvariant:
         #    every shard agrees with every other line for its key.
         with ShardedRecordStore(tmp_path / "campaigns") as reopened:
             by_key = {}
-            for log in reopened.shard_paths():
+            for log in reopened.cost_logs():
                 for line in Path(log).read_text(encoding="utf-8").splitlines():
                     line = line.strip()
                     if not line:
