@@ -150,8 +150,11 @@ WARM_SPEEDUP_FLOOR = 5.0
 #: O(batch) sharded appends; a whole-log-rewrite regression lands far
 #: beyond this.
 SHARDED_APPEND_BUDGET = 2.0
+#: 10,000 repeated-plan appends that fire the 8x compaction trigger twelve
+#: times (each a read-merge-rewrite of a 900-line log under its lock).
+SHARDED_COMPACT_BUDGET = 5.0
 
-_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq}
 
 
 def gate(name: str, value: float, op: str, bound: float, unit: str = "s") -> None:
@@ -271,6 +274,23 @@ def append_10k_records(store, keys):
     records = [store.get_cost_records(key) for key in keys]
     assert sum(len(logged) for logged in records) == 10_000
     return records
+
+
+def append_10k_repeats(store, keys):
+    """Append 10,000 cost records in 100 batches, round-robin over ``keys``,
+    each batch re-recording the same 100 plans with a new ``cycles`` value.
+
+    Each key's log gains 25 lines per plan, so a store with
+    ``auto_compact=8`` compacts it after its 9th, 17th and 25th batch.
+    """
+    for batch_index in range(100):
+        store.append_cost_records(
+            keys[batch_index % len(keys)],
+            {
+                f"plan-{i}": {"cycles": float(batch_index), "instructions": float(i * 3)}
+                for i in range(100)
+            },
+        )
 
 
 def run_smoke():
@@ -848,9 +868,14 @@ def check_service() -> None:
     * a cold service-mediated DP n=10 stays within 20% of the direct engine
       (best of three, plus a small absolute grace for thread-scheduling
       jitter): the queue/dispatch layer must be thin;
-    * 10,000 records appended across four keys of a
-      :class:`ShardedRecordStore`, read back and compacted, take under
-      ``SHARDED_APPEND_BUDGET`` seconds.
+    * 10,000 records of distinct plans appended across four keys of a
+      :class:`ShardedRecordStore` and read back take under
+      ``SHARDED_APPEND_BUDGET`` seconds (one line per plan: no log reaches
+      the 8x compaction trigger);
+    * 10,000 records that repeat 100 plans per key, appended the same way,
+      fire the trigger: afterwards every log holds one line per plan, reads
+      back what a :class:`MemoryStore` fed the same batches holds, and the
+      run takes under ``SHARDED_COMPACT_BUDGET`` seconds.
     """
     from repro.machine.configs import opteron_like
     from repro.machine.machine import SimulatedMachine
@@ -986,6 +1011,29 @@ def check_service() -> None:
     _, seconds = timed("sharded_append_10k", sharded_append)
     gate("sharded_append_10k", seconds, "<", SHARDED_APPEND_BUDGET)
 
+    keys = [CostLogKey(machine_hash=f"bench-{shard}", seed=shard) for shard in range(4)]
+    reference = MemoryStore()
+    append_10k_repeats(reference, keys)
+    with tempfile.TemporaryDirectory() as tmp, ShardedRecordStore(tmp) as sharded:
+        gc.collect()
+        start = time.perf_counter()
+        append_10k_repeats(sharded, keys)
+        seconds = time.perf_counter() - start
+        if [sharded.get_cost_records(key) for key in keys] != [
+            reference.get_cost_records(key) for key in keys
+        ]:
+            raise SystemExit("compaction regression: compacted logs read back other records")
+        stats = sharded.shard_stats()
+    gate("sharded_compact_10k_logs", len(stats), "==", len(keys), unit="logs")
+    gate(
+        "sharded_compact_10k_lines",
+        sum(stat.record_lines for stat in stats),
+        "==",
+        sum(stat.distinct_plans for stat in stats),
+        unit="lines",
+    )
+    gate("sharded_compact_10k", seconds, "<", SHARDED_COMPACT_BUDGET)
+
 
 def check_faults() -> None:
     """Fault injection must be free when idle and harmless when active.
@@ -1086,6 +1134,69 @@ def check_faults() -> None:
         )
 
 
+def warm_round_frames(client, n: int = 12) -> "dict[str, int]":
+    """What one warm DP search through ``client`` puts on the wire.
+
+    Counts the ``records`` calls (rounds), the member groups their keys
+    stripe into, the ``submit`` frames sent and ``result`` frames read on
+    the client's live connections, the connections redialled and the
+    threads started.  Counts, unlike times, do not depend on host load.
+    """
+    from repro.runtime.fleet import ring_assign
+    from repro.search.dp import dp_search
+    from repro.wht.encoding import plan_key
+
+    counts = dict.fromkeys(("rounds", "groups", "submits", "results", "threads"), 0)
+    transports = list(client.transports.values())
+    reconnects = sum(transport.reconnects for transport in transports)
+    wrapped = [t._conn.transport for t in transports if t._conn is not None]
+    for frames in wrapped:
+
+        def send(payload, _send=frames.send):
+            counts["submits"] += payload.get("type") == "submit"
+            _send(payload)
+
+        def recv(_recv=frames.recv):
+            frame = _recv()
+            counts["results"] += frame is not None and frame.get("type") == "result"
+            return frame
+
+        frames.send, frames.recv = send, recv
+
+    def records(plans, *args, _records=client.records, **kwargs):
+        keys = list(dict.fromkeys(plan_key(plan) for plan in plans))
+        counts["rounds"] += 1
+        counts["groups"] += len(ring_assign(client.registry.alive(), client.machine_hash, keys))
+        return _records(plans, *args, **kwargs)
+
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        counts["threads"] += 1
+        return start(thread)
+
+    client.records, threading.Thread.start = records, counted_start
+    try:
+        dp_search(n, client)
+    finally:
+        threading.Thread.start = start
+        del client.records
+        for frames in wrapped:
+            del frames.send, frames.recv
+    counts["redials"] = sum(transport.reconnects for transport in transports) - reconnects
+    return counts
+
+
+def gate_warm_frames(name: str, counts: "dict[str, int]") -> None:
+    """A warm round is one submit and one result per member group, and
+    starts no thread and no connection."""
+    print(f"{name}: {counts}")
+    gate(f"{name}_submits", counts["submits"], "==", counts["groups"], unit="frames")
+    gate(f"{name}_results", counts["results"], "==", counts["groups"], unit="frames")
+    gate(f"{name}_threads", counts["threads"], "==", 0, unit="starts")
+    gate(f"{name}_redials", counts["redials"], "==", 0, unit="dials")
+
+
 def check_transport() -> None:
     """The socket transport must be exact, dedup-clean and thin.
 
@@ -1097,6 +1208,8 @@ def check_transport() -> None:
     * the remote run executes **zero** duplicate or additional units
       (counter-verified at the backend): request-id idempotency and the
       service's key-level dedup hold across the wire;
+    * a warm remote DP round sends exactly one ``submit`` frame and reads
+      one ``result`` frame, and starts no thread (counted, not timed);
     * a cold loopback-TCP DP stays within 30% of the in-process service
       client (plus a small absolute grace): frames, not friction.
     """
@@ -1115,6 +1228,7 @@ def check_transport() -> None:
         with serve_tcp(service) as server:
             client = FleetClient(server.url, config)
             remote = dp_search(12, client)
+            counts = warm_round_frames(client)
             client.close()
 
     if (
@@ -1134,6 +1248,9 @@ def check_transport() -> None:
             f"transport dedup regression: the remote search re-executed "
             f"{len(counting.executed) - baseline_units} already-measured units"
         )
+    gate_warm_frames("transport_warm_rounds", counts)
+    if counts["groups"] != counts["rounds"]:
+        raise SystemExit("transport regression: a one-member fleet split a round's keys")
 
     # Overhead gate: best-of-three cold runs on each path.
     def time_inprocess():
@@ -1216,6 +1333,9 @@ def check_fleet() -> None:
       member's backend (rendezvous striping plus shared-store dedup);
     * a cold 3-member fleet DP stays within 35% of the single-server
       remote DP (plus a small absolute grace): striping, not friction;
+    * a warm fleet DP round sends exactly one ``submit`` frame and reads
+      one ``result`` frame per member group, and starts no thread
+      (counted, not timed);
     * after the cold fills, the p50 of 100 warm DP rounds through the
       fleet stays within ``FLEET_WARM_ROUND_RATIO`` times the p50 of 100
       through the single server (best of three blocks).
@@ -1264,6 +1384,7 @@ def check_fleet() -> None:
             try:
                 client = FleetClient(fleet.urls, config)
                 striped = dp_search(12, client)
+                counts = warm_round_frames(client)
                 # Best of three blocks, like the cold-overhead gates: load
                 # from outside stretches the fleet's three hand-offs more
                 # than the single server's one.
@@ -1292,6 +1413,9 @@ def check_fleet() -> None:
                 "fleet striping regression: the search did not stripe over "
                 "at least two members"
             )
+        gate_warm_frames("fleet_warm_rounds", counts)
+        if counts["groups"] <= counts["rounds"]:
+            raise SystemExit("fleet striping regression: warm rounds were not striped")
         print(
             f"warm_round_p50: 3-member fleet {fleet_p50:.3f} ms, "
             f"single server {single_p50:.3f} ms"

@@ -285,9 +285,9 @@ class FleetClient(EngineSurface):
         self.timeout = timeout
         self.fault_plan = fault_plan
         self.partition_duration = float(partition_duration)
-        self._machine_payload = machine_config_to_wire(self.config)
         self.machine_hash = machine_config_hash(self.config)
         self._transport_options = {
+            "machine": machine_config_to_wire(self.config),
             "connect_timeout": connect_timeout,
             "heartbeat_interval": heartbeat_interval,
             "max_attempts": max_attempts,
@@ -423,7 +423,6 @@ class FleetClient(EngineSurface):
         frame = {
             "type": "submit",
             "id": rid,
-            "machine": self._machine_payload,
             "plans": list(keys),
             "metrics": list(names),
             "seed": self.seed,
@@ -452,9 +451,10 @@ class FleetClient(EngineSurface):
         self._failures[url] = 0
         kind = reply.get("type")
         if kind == "result":
+            names = frame["metrics"]
             values = {
-                record["p"]: {name: float(value) for name, value in record["v"].items()}
-                for record in reply["records"]
+                key: {name: float(value) for name, value in zip(names, row)}
+                for key, row in zip(frame["plans"], reply["values"])
             }
             return values, int(reply.get("owned", 0))
         if kind == "draining":

@@ -10,19 +10,23 @@ re-execution, chaos injection) extends across it unchanged:
 * :func:`serve_tcp` / :func:`serve_unix` start a :class:`ServiceServer` —
   a threaded accept loop fronting an existing service.  Each connection
   speaks **length-prefixed JSON frames** (4-byte big-endian length, then a
-  UTF-8 JSON object).  A submit is answered on the connection thread when
+  UTF-8 JSON object).  A connection's ``hello`` declares its machine
+  once (protocol version 2); a ``submit`` carries plan keys and metric
+  names only, and its ``result`` is one row of values per key, in the
+  submit's order.  A submit is answered on the connection thread when
   the record cache holds every key; otherwise a handler thread waits for
   its ticket, so a slow batch never blocks the connection's heartbeats.
-  A connection re-parses its machine payload only when it changes and the
-  server parses each plan key once, so a warm submit recomputes nothing.
+  The server parses each plan key once, so a warm submit recomputes
+  nothing.
 * :class:`RemoteTransport` is the supervised client end of one
-  connection.  The engine surface over it is
-  :class:`~repro.runtime.fleet.FleetClient` — a single server URL is a
-  one-member fleet — so ``Session.connect("tcp://host:port")`` and
-  ``dp_search`` run unchanged against a remote server, bit-identically to
-  a private serial engine, because plans travel as canonical plan keys
-  and noise seeds derive from ``(seed, "plan-cost", plan_key)`` on
-  whichever side measures.
+  connection.  No thread reads its socket: a caller waiting for a reply
+  reads frames itself and hands each to its waiter by request id.  The
+  engine surface over it is :class:`~repro.runtime.fleet.FleetClient` —
+  a single server URL is a one-member fleet — so
+  ``Session.connect("tcp://host:port")`` and ``dp_search`` run unchanged
+  against a remote server, bit-identically to a private serial engine,
+  because plans travel as canonical plan keys and noise seeds derive
+  from ``(seed, "plan-cost", plan_key)`` on whichever side measures.
 
 Robustness discipline
 ---------------------
@@ -65,6 +69,7 @@ import dataclasses
 import itertools
 import json
 import os
+import select
 import socket
 import struct
 import threading
@@ -99,13 +104,22 @@ __all__ = [
 ]
 
 #: Protocol revision spoken by both ends; a mismatch fails the handshake.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's body.  Generous for record batches, small
 #: enough that a corrupted length prefix cannot trigger a giant allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+
+#: What parsing a hostile frame field raises (``Infinity`` overflows ``int``).
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+#: The service counters a ``stats`` frame carries.
+_WIRE_STATS = (
+    "jobs", "measured", "store_hits", "dedup_savings", "retries", "retrying",
+    "next_retry_eta", "resubmits", "failures", "quarantined", "members",
+)
 
 
 class TransportError(ServiceError):
@@ -336,8 +350,8 @@ class _ServerConnection:
         self.inflight = 0
         self.last_activity = time.monotonic()
         self.closed = False
-        #: The last submit's ``(machine payload, config)``, parsed once per payload.
-        self._machine: "tuple[object, MachineConfig] | None" = None
+        #: The machine the last accepted ``hello`` declared.
+        self._machine: "MachineConfig | None" = None
         self.thread = threading.Thread(
             target=self._run, name=f"{server.name}-conn-{peer}", daemon=True
         )
@@ -348,6 +362,9 @@ class _ServerConnection:
                 self.frames.send(payload)
         except TransportError:
             self.close()  # the client is gone; its resubmit will be deduped
+
+    def _error(self, rid: object, message: str) -> None:
+        self._reply({"type": "error", "id": rid, "message": message})
 
     def close(self) -> None:
         with self._lock:
@@ -372,70 +389,40 @@ class _ServerConnection:
             self.server._forget(self)
 
     def _dispatch(self, frame: Mapping) -> None:
-        kind = frame.get("type")
-        rid = frame.get("id")
+        kind, rid, server = frame.get("type"), frame.get("id"), self.server
         if kind == "ping":
-            self._reply({"type": "pong", "id": rid, "draining": self.server.draining})
+            self._reply({"type": "pong", "id": rid, "draining": server.draining})
         elif kind == "hello":
-            if frame.get("version") != PROTOCOL_VERSION:
-                self._reply(
-                    {
-                        "type": "error",
-                        "id": rid,
-                        "message": f"protocol version mismatch: server speaks "
-                        f"{PROTOCOL_VERSION}, client sent {frame.get('version')!r}",
-                    }
-                )
+            version = frame.get("version")
+            if version != PROTOCOL_VERSION:
+                self._error(rid, f"protocol version mismatch: server speaks "
+                            f"{PROTOCOL_VERSION}, client sent {version!r}")
                 self.close()
                 return
-            self._reply(
-                {
-                    "type": "hello",
-                    "id": rid,
-                    "version": PROTOCOL_VERSION,
-                    "server": self.server.service.name,
-                    "draining": self.server.draining,
-                }
-            )
+            try:
+                if "machine" in frame:  # kept until a later hello declares another
+                    self._machine = machine_config_from_wire(frame["machine"])
+            except _MALFORMED as exc:
+                self._error(rid, f"malformed hello: {exc}")
+                return
+            name, draining = server.service.name, server.draining
+            self._reply({"type": "hello", "id": rid, "version": PROTOCOL_VERSION,
+                         "server": name, "draining": draining})
         elif kind == "submit":
             self._accept_submit(frame, rid)
         elif kind == "stats":
-            stats = self.server.service.stats()
-            self._reply(
-                {
-                    "type": "stats",
-                    "id": rid,
-                    "stats": {
-                        "jobs": stats.jobs,
-                        "measured": stats.measured,
-                        "store_hits": stats.store_hits,
-                        "dedup_savings": stats.dedup_savings,
-                        "retries": stats.retries,
-                        "retrying": stats.retrying,
-                        "next_retry_eta": stats.next_retry_eta,
-                        "resubmits": stats.resubmits,
-                        "failures": stats.failures,
-                        "quarantined": stats.quarantined,
-                        "members": stats.members,
-                    },
-                }
-            )
+            stats = server.service.stats()
+            wire = {name: getattr(stats, name) for name in _WIRE_STATS}
+            self._reply({"type": "stats", "id": rid, "stats": wire})
         elif kind == "health":
-            health = self.server.service.health()
-            self._reply(
-                {
-                    "type": "health",
-                    "id": rid,
-                    "state": "draining" if self.server.draining else health.state,
-                    "detail": health.describe(),
-                }
-            )
+            health = server.service.health()
+            state = "draining" if server.draining else health.state
+            self._reply({"type": "health", "id": rid, "state": state,
+                         "detail": health.describe()})
         elif kind == "bye":
             self.close()
         else:
-            self._reply(
-                {"type": "error", "id": rid, "message": f"unknown frame type {kind!r}"}
-            )
+            self._error(rid, f"unknown frame type {kind!r}")
 
     def _accept_submit(self, frame: Mapping, rid: object) -> None:
         """Submit on this thread (a shard's first submit seeds its record cache
@@ -446,18 +433,18 @@ class _ServerConnection:
             self._reply({"type": "draining", "id": rid})
             return
         try:
-            payload, deadline = frame["machine"], frame.get("deadline")
-            if self._machine is None or self._machine[0] != payload:
-                self._machine = (payload, machine_config_from_wire(payload))
+            if self._machine is None:
+                raise ValueError("no machine declared in hello")
+            deadline = frame.get("deadline")
             job = CampaignJob(
-                machine_config=self._machine[1],
+                machine_config=self._machine,
                 plan_batch=tuple(self.server._plan_from(str(key)) for key in frame["plans"]),
                 metrics=tuple(metric_spec(name).name for name in frame["metrics"]),
                 seed=int(frame.get("seed", 0)),
                 deadline=float(deadline) if deadline is not None else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            self._reply({"type": "error", "id": rid, "message": f"malformed submit: {exc}"})
+        except _MALFORMED as exc:
+            self._error(rid, f"malformed submit: {exc}")
             return
         with self._lock:
             if self.inflight >= self.server.max_inflight:
@@ -473,7 +460,7 @@ class _ServerConnection:
             self._end_submit()
             if not isinstance(exc, ServiceError):
                 raise
-            self._reply({"type": "error", "id": rid, "message": str(exc)})
+            self._error(rid, str(exc))
             return
         if ticket.done():
             self._answer(ticket, rid)
@@ -486,11 +473,12 @@ class _ServerConnection:
             ).start()
 
     def _answer(self, ticket: JobTicket, rid: object) -> None:
-        """Wait for ``ticket``'s records and send the result (or error) frame."""
+        """Wait for ``ticket``'s records and send the result (or error) frame:
+        one row of values per plan, in the submit's plan and metric order."""
         reply = {"type": "result", "id": rid, "owned": ticket.owned_units}
         try:
             try:
-                reply["records"] = [{"p": r.plan_key, "v": r.values} for r in ticket.result()]
+                reply["values"] = [list(r.values.values()) for r in ticket.result()]
             except ServiceError as exc:
                 reply = {"type": "error", "id": rid, "message": str(exc)}
             self._reply(reply)
@@ -774,72 +762,83 @@ def serve_unix(service: CampaignService, path: "str | os.PathLike[str]", **kwarg
 class _ReplySlot:
     """One sent request's pending reply: what the send half hands the wait half."""
 
-    __slots__ = ("rid", "conn", "sent_at", "event", "reply", "error")
+    __slots__ = ("rid", "conn", "sent_at", "reply", "error")
 
     def __init__(self, rid: str, conn: "_ClientConnection | None", error=None) -> None:
         self.rid, self.conn, self.sent_at = rid, conn, time.monotonic()
-        self.event = threading.Event()
         self.reply: "dict | None" = None
         self.error: "ServiceError | None" = error
-        if error is not None:
-            self.event.set()
 
     def wait(self, timeout: "float | None") -> dict:
-        if not self.event.wait(timeout):
-            with self.conn._lock:
-                self.conn._pending.pop(self.rid, None)
-            raise TransportError(f"request {self.rid} timed out after {timeout} s")
+        if self.conn is not None:
+            self.conn.wait_for(self, timeout)
         if self.error is not None:
             raise self.error
         return self.reply
 
 
 class _ClientConnection:
-    """One live connection: demuxed replies keyed by request id."""
+    """One live connection, read by its callers rather than by a thread.
 
-    def __init__(self, transport: "FrameTransport | FaultyTransport"):
-        self.transport = transport
+    A waiting caller takes the read turn and hands each frame it reads to
+    its slot by request id, until its own reply has come; other waiters
+    sleep on the turn meanwhile and wake as each frame is handed over.
+    """
+
+    def __init__(self, transport: "FrameTransport | FaultyTransport", sock: socket.socket):
+        self.transport, self.sock = transport, sock
         self._send_lock = threading.Lock()
-        self._lock = threading.Lock()
+        #: Guards ``_pending``, ``alive`` and ``_reading``; waiters sleep on it.
+        self._turn = threading.Condition(threading.Lock())
         self._pending: "dict[str, _ReplySlot]" = {}
+        self._reading = False
         self.alive = True
-        self._reader = threading.Thread(
-            target=self._read_loop, name="remote-client-reader", daemon=True
-        )
-        self._reader.start()
 
-    def _read_loop(self) -> None:
-        try:
-            while True:
-                frame = self.transport.recv()
-                if frame is None:
-                    raise TransportError("server closed the connection")
-                slot = None
-                rid = frame.get("id")
-                with self._lock:
-                    if rid is not None:
-                        slot = self._pending.pop(rid, None)
-                if slot is not None:
-                    slot.reply = frame
-                    slot.event.set()
-        except (TransportError, OSError) as exc:
-            error = exc if isinstance(exc, TransportError) else TransportError(str(exc))
-            self.fail(error)
+    def wait_for(self, slot: _ReplySlot, timeout: "float | None") -> None:
+        """Return once ``slot`` holds its reply or error; raise
+        :class:`TransportError` when ``timeout`` expires first.  A timed wait
+        reads only once the socket is readable, so it never tears a frame."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._turn:
+            while slot.reply is None and slot.error is None:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    self._pending.pop(slot.rid, None)
+                    raise TransportError(f"request {slot.rid} timed out after {timeout} s")
+                if self._reading:
+                    self._turn.wait(remaining)
+                    continue
+                self._reading, frame = True, None
+                self._turn.release()
+                try:
+                    if remaining is None or select.select([self.sock], [], [], remaining)[0]:
+                        frame = self.transport.recv()
+                        if frame is None:
+                            raise TransportError("server closed the connection")
+                except (TransportError, OSError, ValueError) as exc:
+                    self.fail(exc if isinstance(exc, TransportError) else TransportError(str(exc)))
+                finally:
+                    self._turn.acquire()
+                    self._reading = False
+                    self._turn.notify_all()
+                rid = frame.get("id") if frame is not None else None
+                waiter = self._pending.pop(rid, None) if isinstance(rid, str) else None
+                if waiter is not None:
+                    waiter.reply = frame
 
     def fail(self, error: TransportError) -> None:
-        with self._lock:
+        with self._turn:
             if not self.alive:
                 return
             self.alive = False
-            pending = list(self._pending.values())
+            for slot in self._pending.values():
+                slot.error = error
             self._pending.clear()
-        for slot in pending:
-            slot.error = error
-            slot.event.set()
+            self._turn.notify_all()
         self.transport.close()
 
     def send(self, payload: Mapping) -> _ReplySlot:
-        with self._lock:
+        with self._turn:
             if not self.alive:
                 return _ReplySlot(payload["id"], None, TransportError("connection is dead"))
             slot = self._pending[payload["id"]] = _ReplySlot(payload["id"], self)
@@ -853,17 +852,14 @@ class _ClientConnection:
     def close(self) -> None:
         self.fail(TransportError("connection closed by client"))
 
-    def join(self, timeout: "float | None" = None) -> None:
-        """Join the reader thread (bounded; a no-op from the reader itself)."""
-        if self._reader is not threading.current_thread():
-            self._reader.join(timeout)
-
 
 class RemoteTransport:
-    """A supervised client endpoint for one server URL.
+    """A supervised client endpoint for one server URL and one machine.
 
     Owns the dial/handshake/reconnect discipline: connections are built
-    lazily, verified with a ``hello`` handshake, kept warm by a heartbeat
+    lazily, verified with a ``hello`` handshake that declares ``machine``
+    (a :func:`machine_config_to_wire` payload; without one the server
+    refuses submits) once per connection, kept warm by a heartbeat
     thread, and replaced on any failure after an exponential backoff with
     deterministic jitter — the service retry heap's schedule, derived from
     ``(retry_seed, "reconnect-jitter", client_id, attempt)``.  ``call``
@@ -875,6 +871,7 @@ class RemoteTransport:
     def __init__(
         self,
         url: str,
+        machine: "Mapping | None" = None,
         *,
         connect_timeout: float = 5.0,
         heartbeat_interval: "float | None" = 2.0,
@@ -887,6 +884,7 @@ class RemoteTransport:
     ):
         self.url = url
         self.family, self.address = self._parse(url)
+        self.machine = machine
         self.connect_timeout = float(connect_timeout)
         self.heartbeat_interval = heartbeat_interval
         self.max_attempts = int(max_attempts)
@@ -971,10 +969,11 @@ class RemoteTransport:
         transport: "FrameTransport | FaultyTransport" = FrameTransport(sock)
         if self.fault_plan is not None:
             transport = FaultyTransport(transport, self.fault_plan)
-        connection = _ClientConnection(transport)
-        hello = connection.send(
-            {"type": "hello", "id": self.next_request_id(), "version": PROTOCOL_VERSION}
-        ).wait(self.connect_timeout)
+        connection = _ClientConnection(transport, sock)
+        hello = {"type": "hello", "id": self.next_request_id(), "version": PROTOCOL_VERSION}
+        if self.machine is not None:
+            hello["machine"] = self.machine
+        hello = connection.send(hello).wait(self.connect_timeout)
         if hello.get("type") == "error":
             connection.close()
             raise RemoteServiceError(hello.get("message", "handshake rejected"))
@@ -1078,9 +1077,9 @@ class RemoteTransport:
     def close(self) -> None:
         """Stop the heartbeat, say goodbye, drop the connection (idempotent).
 
-        Both owned threads — the heartbeat and the connection's reader —
-        are joined with a bounded timeout, so 100 connect/close cycles
-        leave zero lingering threads (the regression the leak test pins).
+        The heartbeat, the only thread a transport owns, is joined with a
+        bounded timeout, so 100 connect/close cycles leave zero lingering
+        threads (the regression the leak test pins).
         """
         with self._lock:
             if self.closed:
@@ -1098,7 +1097,6 @@ class RemoteTransport:
                 except TransportError:
                     pass
                 conn.close()
-            conn.join(timeout=2.0)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

