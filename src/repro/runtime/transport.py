@@ -115,12 +115,6 @@ _LENGTH = struct.Struct(">I")
 #: What parsing a hostile frame field raises (``Infinity`` overflows ``int``).
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
-#: The service counters a ``stats`` frame carries.
-_WIRE_STATS = (
-    "jobs", "measured", "store_hits", "dedup_savings", "retries", "retrying",
-    "next_retry_eta", "resubmits", "failures", "quarantined", "members",
-)
-
 
 class TransportError(ServiceError):
     """A connection-level failure (dial, send, receive, timeout, garbage).
@@ -363,9 +357,6 @@ class _ServerConnection:
         except TransportError:
             self.close()  # the client is gone; its resubmit will be deduped
 
-    def _error(self, rid: object, message: str) -> None:
-        self._reply({"type": "error", "id": rid, "message": message})
-
     def close(self) -> None:
         with self._lock:
             if self.closed:
@@ -389,40 +380,75 @@ class _ServerConnection:
             self.server._forget(self)
 
     def _dispatch(self, frame: Mapping) -> None:
-        kind, rid, server = frame.get("type"), frame.get("id"), self.server
+        kind = frame.get("type")
+        rid = frame.get("id")
         if kind == "ping":
-            self._reply({"type": "pong", "id": rid, "draining": server.draining})
+            self._reply({"type": "pong", "id": rid, "draining": self.server.draining})
         elif kind == "hello":
-            version = frame.get("version")
-            if version != PROTOCOL_VERSION:
-                self._error(rid, f"protocol version mismatch: server speaks "
-                            f"{PROTOCOL_VERSION}, client sent {version!r}")
+            if frame.get("version") != PROTOCOL_VERSION:
+                self._reply(
+                    {
+                        "type": "error",
+                        "id": rid,
+                        "message": f"protocol version mismatch: server speaks "
+                        f"{PROTOCOL_VERSION}, client sent {frame.get('version')!r}",
+                    }
+                )
                 self.close()
                 return
             try:
-                if "machine" in frame:  # kept until a later hello declares another
-                    self._machine = machine_config_from_wire(frame["machine"])
-            except _MALFORMED as exc:
-                self._error(rid, f"malformed hello: {exc}")
+                self._machine = machine_config_from_wire(frame["machine"])
+            except _MALFORMED as exc:  # the last declared machine stays
+                self._reply({"type": "error", "id": rid, "message": f"malformed hello: {exc}"})
                 return
-            name, draining = server.service.name, server.draining
-            self._reply({"type": "hello", "id": rid, "version": PROTOCOL_VERSION,
-                         "server": name, "draining": draining})
+            self._reply(
+                {
+                    "type": "hello",
+                    "id": rid,
+                    "version": PROTOCOL_VERSION,
+                    "server": self.server.service.name,
+                    "draining": self.server.draining,
+                }
+            )
         elif kind == "submit":
             self._accept_submit(frame, rid)
         elif kind == "stats":
-            stats = server.service.stats()
-            wire = {name: getattr(stats, name) for name in _WIRE_STATS}
-            self._reply({"type": "stats", "id": rid, "stats": wire})
+            stats = self.server.service.stats()
+            self._reply(
+                {
+                    "type": "stats",
+                    "id": rid,
+                    "stats": {
+                        "jobs": stats.jobs,
+                        "measured": stats.measured,
+                        "store_hits": stats.store_hits,
+                        "dedup_savings": stats.dedup_savings,
+                        "retries": stats.retries,
+                        "retrying": stats.retrying,
+                        "next_retry_eta": stats.next_retry_eta,
+                        "resubmits": stats.resubmits,
+                        "failures": stats.failures,
+                        "quarantined": stats.quarantined,
+                        "members": stats.members,
+                    },
+                }
+            )
         elif kind == "health":
-            health = server.service.health()
-            state = "draining" if server.draining else health.state
-            self._reply({"type": "health", "id": rid, "state": state,
-                         "detail": health.describe()})
+            health = self.server.service.health()
+            self._reply(
+                {
+                    "type": "health",
+                    "id": rid,
+                    "state": "draining" if self.server.draining else health.state,
+                    "detail": health.describe(),
+                }
+            )
         elif kind == "bye":
             self.close()
         else:
-            self._error(rid, f"unknown frame type {kind!r}")
+            self._reply(
+                {"type": "error", "id": rid, "message": f"unknown frame type {kind!r}"}
+            )
 
     def _accept_submit(self, frame: Mapping, rid: object) -> None:
         """Submit on this thread (a shard's first submit seeds its record cache
@@ -444,7 +470,7 @@ class _ServerConnection:
                 deadline=float(deadline) if deadline is not None else None,
             )
         except _MALFORMED as exc:
-            self._error(rid, f"malformed submit: {exc}")
+            self._reply({"type": "error", "id": rid, "message": f"malformed submit: {exc}"})
             return
         with self._lock:
             if self.inflight >= self.server.max_inflight:
@@ -460,7 +486,7 @@ class _ServerConnection:
             self._end_submit()
             if not isinstance(exc, ServiceError):
                 raise
-            self._error(rid, str(exc))
+            self._reply({"type": "error", "id": rid, "message": str(exc)})
             return
         if ticket.done():
             self._answer(ticket, rid)
@@ -478,7 +504,8 @@ class _ServerConnection:
         reply = {"type": "result", "id": rid, "owned": ticket.owned_units}
         try:
             try:
-                reply["values"] = [list(r.values.values()) for r in ticket.result()]
+                names = ticket.job.metrics
+                reply["values"] = [[r.values[n] for n in names] for r in ticket.result()]
             except ServiceError as exc:
                 reply = {"type": "error", "id": rid, "message": str(exc)}
             self._reply(reply)
@@ -858,10 +885,10 @@ class RemoteTransport:
 
     Owns the dial/handshake/reconnect discipline: connections are built
     lazily, verified with a ``hello`` handshake that declares ``machine``
-    (a :func:`machine_config_to_wire` payload; without one the server
-    refuses submits) once per connection, kept warm by a heartbeat
-    thread, and replaced on any failure after an exponential backoff with
-    deterministic jitter — the service retry heap's schedule, derived from
+    (a :func:`machine_config_to_wire` payload) once per connection, kept
+    warm by a heartbeat thread, and replaced on any failure after an
+    exponential backoff with deterministic jitter — the service retry
+    heap's schedule, derived from
     ``(retry_seed, "reconnect-jitter", client_id, attempt)``.  ``call``
     retries :class:`TransportError`\\ s and ``busy`` (backpressure) frames
     with the *same request id*; answers of any other type are returned for
@@ -871,7 +898,7 @@ class RemoteTransport:
     def __init__(
         self,
         url: str,
-        machine: "Mapping | None" = None,
+        machine: Mapping,
         *,
         connect_timeout: float = 5.0,
         heartbeat_interval: "float | None" = 2.0,
@@ -970,10 +997,14 @@ class RemoteTransport:
         if self.fault_plan is not None:
             transport = FaultyTransport(transport, self.fault_plan)
         connection = _ClientConnection(transport, sock)
-        hello = {"type": "hello", "id": self.next_request_id(), "version": PROTOCOL_VERSION}
-        if self.machine is not None:
-            hello["machine"] = self.machine
-        hello = connection.send(hello).wait(self.connect_timeout)
+        hello = connection.send(
+            {
+                "type": "hello",
+                "id": self.next_request_id(),
+                "version": PROTOCOL_VERSION,
+                "machine": self.machine,
+            }
+        ).wait(self.connect_timeout)
         if hello.get("type") == "error":
             connection.close()
             raise RemoteServiceError(hello.get("message", "handshake rejected"))

@@ -350,18 +350,15 @@ def _connect(url):
     return FrameTransport(socket.create_connection((host, int(port)), timeout=5.0))
 
 
-def _hello(frames, machine=None, rid="raw:0"):
-    """Send a current-version hello (declaring ``machine`` if given); its reply."""
-    hello = {"type": "hello", "id": rid, "version": PROTOCOL_VERSION}
-    if machine is not None:
-        hello["machine"] = machine
-    frames.send(hello)
+def _hello(frames, machine, rid="raw:0"):
+    """Send a current-version hello declaring ``machine``; its reply."""
+    frames.send({"type": "hello", "id": rid, "version": PROTOCOL_VERSION, "machine": machine})
     return frames.recv()
 
 
-def _handshake(url, config=None):
+def _handshake(url, config):
     frames = _connect(url)
-    reply = _hello(frames, None if config is None else machine_config_to_wire(config))
+    reply = _hello(frames, machine_config_to_wire(config))
     assert reply["type"] == "hello"
     return frames
 
@@ -470,9 +467,9 @@ class TestConnectionSupervision:
             assert client_threads() == set()
 
     def test_reconnect_backoff_is_deterministic(self):
-        a = RemoteTransport("tcp://127.0.0.1:9", heartbeat_interval=None,
+        a = RemoteTransport("tcp://127.0.0.1:9", {}, heartbeat_interval=None,
                             retry_seed=3, client_id="peer")
-        b = RemoteTransport("tcp://127.0.0.1:9", heartbeat_interval=None,
+        b = RemoteTransport("tcp://127.0.0.1:9", {}, heartbeat_interval=None,
                             retry_seed=3, client_id="peer")
         delays_a = [a._backoff_delay(k) for k in range(1, 8)]
         delays_b = [b._backoff_delay(k) for k in range(1, 8)]
@@ -517,7 +514,7 @@ class TestConnectionSupervision:
 
     def test_unknown_frame_type_gets_an_error_reply(self, config):
         with CampaignService() as service, serve_tcp(service) as server:
-            frames = _handshake(server.url)
+            frames = _handshake(server.url, config)
             frames.send({"type": "frobnicate", "id": "raw:1"})
             reply = frames.recv()
             assert reply["type"] == "error"
@@ -526,7 +523,7 @@ class TestConnectionSupervision:
 
     def test_garbage_frame_drops_the_connection_not_the_server(self, config, plans):
         with CampaignService() as service, serve_tcp(service) as server:
-            frames = _handshake(server.url)
+            frames = _handshake(server.url, config)
             frames.send_bytes(b"\x00\x00\x00\x04haha")
             assert frames.recv() is None  # server hung up on the vandal...
             frames.close()
@@ -546,6 +543,16 @@ class TestConnectionSupervision:
                 reference = _private_engine(config).records(plans, ["cycles"])
                 assert client.records(plans, metrics=["cycles"]) == reference
                 assert client.transports[server.url].reconnects == 0
+
+    def test_a_repeated_metric_name_keeps_every_value_in_place(self, config, plans):
+        # Result rows follow the submit's metric list, repeats included, so
+        # the client's zip of names and values stays aligned.
+        names = ["cycles", "cycles", "instructions"]
+        with CampaignService() as service, serve_tcp(service) as server:
+            with RemoteServiceClient(server.url, config, timeout=10.0) as client:
+                remote = client.records(plans, metrics=names)
+        assert remote == _private_engine(config).records(plans, names)
+        assert all(set(record.values) == {"cycles", "instructions"} for record in remote)
 
     def test_a_ping_is_answered_while_a_cold_submit_measures(self, config, plans):
         # The connection thread only submits; a ticket with work in flight
@@ -572,9 +579,9 @@ class TestConnectionSupervision:
 
     def test_bad_urls_are_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unsupported service URL"):
-            RemoteTransport("http://example.com")
+            RemoteTransport("http://example.com", {})
         with pytest.raises(ValueError, match="malformed tcp URL"):
-            RemoteTransport("tcp://no-port")
+            RemoteTransport("tcp://no-port", {})
 
 
 def _raw_submit(frames, rid, plans):
@@ -827,9 +834,13 @@ class TestHostileHandshake:
         self._submit_is_refused(frames, plans)
         frames.close()
 
-    def test_a_hello_without_a_machine_refuses_submits(self, served, plans):
-        frames = _handshake(served.url)  # hello, ping, stats and health still work
-        frames.send({"type": "ping", "id": "raw:ping"})
+    def test_a_hello_without_a_machine_is_refused(self, served, plans):
+        frames = _connect(served.url)
+        frames.send({"type": "hello", "id": "raw:0", "version": PROTOCOL_VERSION})
+        reply = frames.recv()
+        assert (reply["type"], reply["id"]) == ("error", "raw:0")
+        assert reply["message"].startswith("malformed hello")
+        frames.send({"type": "ping", "id": "raw:ping"})  # the connection stays up
         assert frames.recv()["type"] == "pong"
         self._submit_is_refused(frames, plans)
         frames.close()
