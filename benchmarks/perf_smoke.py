@@ -1140,13 +1140,20 @@ def warm_round_frames(client, n: int = 12) -> "dict[str, int]":
     Counts the ``records`` calls (rounds), the member groups their keys
     stripe into, the ``submit`` frames sent and ``result`` frames read on
     the client's live connections, the connections redialled and the
-    threads started.  Counts, unlike times, do not depend on host load.
+    threads started, and the plans parsed and ``CostRecord``\\ s built on
+    any thread but the caller's (the in-process servers' work).  Counts,
+    unlike times, do not depend on host load.
     """
     from repro.runtime.fleet import ring_assign
+    from repro.runtime.metrics import CostRecord
     from repro.search.dp import dp_search
     from repro.wht.encoding import plan_key
+    from repro.wht.grammar import _Parser
 
-    counts = dict.fromkeys(("rounds", "groups", "submits", "results", "threads"), 0)
+    counts = dict.fromkeys(
+        ("rounds", "groups", "submits", "results", "threads", "server_parses", "server_records"),
+        0,
+    )
     transports = list(client.transports.values())
     reconnects = sum(transport.reconnects for transport in transports)
     wrapped = [t._conn.transport for t in transports if t._conn is not None]
@@ -1175,11 +1182,23 @@ def warm_round_frames(client, n: int = 12) -> "dict[str, int]":
         counts["threads"] += 1
         return start(thread)
 
+    caller = threading.current_thread()
+    server_side = {(_Parser, "parse"): "server_parses", (CostRecord, "__init__"): "server_records"}
+    originals = {site: site[0].__dict__[site[1]] for site in server_side}
+    for (owner, attr), name in server_side.items():
+
+        def counted(*args, _original=originals[owner, attr], _name=name, **kwargs):
+            counts[_name] += threading.current_thread() is not caller
+            return _original(*args, **kwargs)
+
+        setattr(owner, attr, counted)
     client.records, threading.Thread.start = records, counted_start
     try:
         dp_search(n, client)
     finally:
         threading.Thread.start = start
+        for (owner, attr), original in originals.items():
+            setattr(owner, attr, original)
         del client.records
         for frames in wrapped:
             del frames.send, frames.recv
@@ -1188,13 +1207,16 @@ def warm_round_frames(client, n: int = 12) -> "dict[str, int]":
 
 
 def gate_warm_frames(name: str, counts: "dict[str, int]") -> None:
-    """A warm round is one submit and one result per member group, and
-    starts no thread and no connection."""
+    """A warm round is one submit and one result per member group, starts
+    no thread and no connection, and the server answers it from cached
+    keys: no plan parsed, no ``CostRecord`` built."""
     print(f"{name}: {counts}")
     gate(f"{name}_submits", counts["submits"], "==", counts["groups"], unit="frames")
     gate(f"{name}_results", counts["results"], "==", counts["groups"], unit="frames")
     gate(f"{name}_threads", counts["threads"], "==", 0, unit="starts")
     gate(f"{name}_redials", counts["redials"], "==", 0, unit="dials")
+    gate(f"{name}_server_parses", counts["server_parses"], "==", 0, unit="parses")
+    gate(f"{name}_server_records", counts["server_records"], "==", 0, unit="records")
 
 
 def check_transport() -> None:
@@ -1209,7 +1231,8 @@ def check_transport() -> None:
       (counter-verified at the backend): request-id idempotency and the
       service's key-level dedup hold across the wire;
     * a warm remote DP round sends exactly one ``submit`` frame and reads
-      one ``result`` frame, and starts no thread (counted, not timed);
+      one ``result`` frame, starts no thread, and makes the server parse
+      no plan and build no ``CostRecord`` (counted, not timed);
     * a cold loopback-TCP DP stays within 30% of the in-process service
       client (plus a small absolute grace): frames, not friction.
     """
@@ -1334,8 +1357,9 @@ def check_fleet() -> None:
     * a cold 3-member fleet DP stays within 35% of the single-server
       remote DP (plus a small absolute grace): striping, not friction;
     * a warm fleet DP round sends exactly one ``submit`` frame and reads
-      one ``result`` frame per member group, and starts no thread
-      (counted, not timed);
+      one ``result`` frame per member group, starts no thread, and makes
+      no member parse a plan or build a ``CostRecord`` (counted, not
+      timed);
     * after the cold fills, the p50 of 100 warm DP rounds through the
       fleet stays within ``FLEET_WARM_ROUND_RATIO`` times the p50 of 100
       through the single server (best of three blocks).

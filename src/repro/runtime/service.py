@@ -17,7 +17,8 @@ Architecture
   partitions a job by acquisition channel, serves whatever the shared record
   cache already knows, attaches to any identical work already in flight, and
   enqueues only the remainder.  The returned :class:`JobTicket` blocks until
-  every record the job needs exists.
+  every record the job needs exists.  A job of plan keys (the wire's) is
+  answered in rows, the cached keys in the partition pass itself.
 * **Dedup.**  Work is identified by ``(machine_hash, plan_key, seed,
   channel)``.  However many sessions ask for a plan's cost concurrently,
   exactly one real measurement happens: the first submitter enqueues it,
@@ -113,6 +114,7 @@ from repro.util.lru import LRUCache
 from repro.util.rng import backoff_delay
 from repro.util.validation import check_positive_int
 from repro.wht.encoding import plan_key
+from repro.wht.grammar import parse_plan
 from repro.wht.plan import Plan
 
 __all__ = [
@@ -133,6 +135,9 @@ __all__ = [
 #: completed* submissions a resubmitted ``request_id`` is deduped against.
 REQUEST_MEMO = 4096
 
+#: The request-id table's entry for a job the record cache answered whole.
+_ANSWERED = object()
+
 
 class ServiceError(RuntimeError):
     """A campaign service request failed (worker failure after retries,
@@ -143,6 +148,7 @@ class ServiceError(RuntimeError):
 class CampaignJob:
     """One unit of service work: a plan batch to evaluate on one machine.
 
+    ``plan_batch`` holds plans, or plan keys as the wire spells them.
     ``metrics`` name what must be known for every plan of ``plan_batch``;
     ``seed`` is the noise-derivation seed (the same meaning as
     :class:`~repro.runtime.cost_engine.CostEngine`'s ``seed`` — it selects
@@ -153,7 +159,7 @@ class CampaignJob:
     """
 
     machine_config: MachineConfig
-    plan_batch: "tuple[Plan, ...]"
+    plan_batch: "tuple[Plan | str, ...]"
     metrics: "tuple[str, ...]" = ("cycles",)
     seed: int = 0
     deadline: float | None = None
@@ -220,7 +226,8 @@ class JobTicket:
     """Handle on one submitted :class:`CampaignJob`.
 
     ``result()`` blocks until every record the job needs exists and returns
-    one :class:`~repro.runtime.metrics.CostRecord` per plan, in job order.
+    one :class:`~repro.runtime.metrics.CostRecord` per plan, in job order;
+    for a job of plan keys, one row of values in the job's metric order.
     ``owned_units`` counts the acquisitions *this* submission enqueued (as
     opposed to records served from the store or attached to another
     submitter's in-flight work) — the client-side measurement counter.
@@ -236,18 +243,18 @@ class JobTicket:
         self,
         service: "CampaignService",
         job: CampaignJob,
-        log_key: CostLogKey,
-        plan_keys: "list[str]",
-        metric_names: "tuple[str, ...]",
+        engine: CostEngine,
+        answers: list,
+        pending: "list[tuple[int, str]]",
         waits: "list[_Inflight]",
         owned_units: int,
         deadline: float | None = None,
     ):
         self._service = service
         self.job = job
-        self._log_key = log_key
-        self._plan_keys = plan_keys
-        self._metric_names = metric_names
+        self._engine = engine
+        self._answers = answers
+        self._pending = pending  # (position, plan key) read once waits resolve
         self._waits = waits
         self.owned_units = owned_units
         #: Absolute (monotonic) expiry from the job's ``deadline``, if any.
@@ -280,8 +287,8 @@ class JobTicket:
         self._detached = True
         self._service._detach_waits(self._waits)
 
-    def result(self, timeout: float | None = None) -> "list[CostRecord]":
-        """Block until the job's records exist, then return them in order.
+    def result(self, timeout: float | None = None) -> list:
+        """Block until the job's records exist, then return its answers in order.
 
         Raises :class:`ServiceError` (after detaching) when ``timeout`` or
         the job's ``deadline`` expires first, or when the work failed.
@@ -306,11 +313,21 @@ class JobTicket:
                 raise ServiceError(
                     "campaign work failed after retries"
                 ) from entry.error
-        return self._service._assemble(self._log_key, self._plan_keys, self._metric_names)
+        rows = isinstance(self.job.plan_batch[0], str)
+        for index, key in self._pending:
+            self._answers[index] = _answer(key, self._engine.cached(key), self.job.metrics, rows)
+        return list(self._answers)
 
     def __repr__(self) -> str:
         state = "done" if self.done() else f"waiting on {len(self._waits)}"
-        return f"JobTicket({len(self._plan_keys)} plans, {state})"
+        return f"JobTicket({len(self._answers)} plans, {state})"
+
+
+def _answer(key: str, values, names: "tuple[str, ...]", rows: bool):
+    """A row of ``values`` in ``names`` order, or a record (``KeyError`` if one is missing)."""
+    if rows:
+        return [values[name] for name in names]
+    return CostRecord(plan_key=key, values={name: values[name] for name in names})
 
 
 @dataclass(frozen=True)
@@ -547,7 +564,6 @@ class CampaignService:
         self._inflight: "dict[tuple, _Inflight]" = {}
         self._machines: "dict[str, SimulatedMachine]" = {}
         self._machine_locks: "dict[str, threading.Lock]" = {}
-        self._hashes: "dict[MachineConfig, str]" = {}
         self._counters = {
             "jobs": 0,
             "store_hits": 0,
@@ -564,8 +580,8 @@ class CampaignService:
         #: resubmits a request id it never saw an answer for is handed the
         #: *same* ticket — the work is never enqueued twice, whether it is
         #: still in flight or already finished (the LRU keeps completed
-        #: tickets around for late resubmits).
-        self._request_tickets: "LRUCache[str, JobTicket]" = LRUCache(REQUEST_MEMO)
+        #: tickets around for late resubmits, or ``_ANSWERED``).
+        self._request_tickets: "LRUCache[str, JobTicket | object]" = LRUCache(REQUEST_MEMO)
         self._closed = False
         #: Tasks accepted but not yet terminal (queued, executing, or
         #: waiting out a retry backoff).  ``drain`` waits on this — the
@@ -600,15 +616,8 @@ class CampaignService:
 
     # -- resolution helpers ------------------------------------------------------
 
-    def _hash_for(self, config: MachineConfig) -> str:
-        digest = self._hashes.get(config)
-        if digest is None:
-            digest = machine_config_hash(config)
-            self._hashes[config] = digest
-        return digest
-
     def _machine_for(self, config: MachineConfig) -> SimulatedMachine:
-        digest = self._hash_for(config)
+        digest = machine_config_hash(config)
         with self._lock:
             machine = self._machines.get(digest)
             if machine is None:
@@ -647,58 +656,74 @@ class CampaignService:
         attachment to in-flight work, or new work this submission owns —
         which is what makes "exactly one real measurement per distinct
         ``(machine_hash, plan_key, seed, channel)``" hold under any number
-        of concurrent submitters.
+        of concurrent submitters.  Cached plans are answered in that pass; a
+        key is parsed only if not, and before any work is registered.
 
         ``request_id`` arms **idempotent resubmission** (the transport
         layer's reconnect discipline): a second ``submit`` carrying an id
         the service has seen returns the *original* ticket — whether its
         work is still in flight or long finished — so a client that lost
-        the response frame can ask again without enqueuing anything.  A
+        the response frame can ask again without enqueuing anything (a job
+        the cache answered whole keeps no ticket: it is answered again).  A
         cached ticket that failed or detached is discarded and the job is
         accepted fresh (a resubmit must be able to heal, not replay an
         error forever).
         """
-        if request_id is not None:
-            with self._lock:
-                cached = self._request_tickets.get(request_id)
-                if cached is not None and not cached.detached and not cached.failed():
-                    self._counters["resubmits"] += 1
-                    return cached
-        specs = [metric_spec(name) for name in job.metrics]
-        plans = list(job.plan_batch)
-        keys = [plan_key(plan) for plan in plans]
-        digest = self._hash_for(job.machine_config)
+        names = job.metrics
+        rows = isinstance(job.plan_batch[0], str)
+        digest = machine_config_hash(job.machine_config)
         log_key = CostLogKey(machine_hash=digest, seed=int(job.seed))
-
+        answers: list = []
+        pending: "list[tuple[int, str]]" = []
+        # In-flight key -> plan of each acquisition this job waits for.
+        wanted: "dict[tuple, Plan]" = {}
         waits: "list[_Inflight]" = []
-        seen_inflight: "set[tuple]" = set()
         # (channel, metric) -> plans this submission owns, one task each.
         missing: "dict[tuple[str, str | None], dict[str, Plan]]" = {}
 
         with self._lock:
+            memo = None if request_id is None else self._request_tickets.get(request_id)
+            if memo not in (None, _ANSWERED) and not memo.detached and not memo.failed():
+                self._counters["resubmits"] += 1
+                return memo
             if self._closed:
                 raise ServiceError(f"{self.name} is shut down")
-            self._counters["jobs"] += 1
             engine = self._engine_for(log_key, job.machine_config)
-            for key, plan in zip(keys, plans):
-                record = engine.cached(key)
-                for spec in specs:
-                    if spec.name in record:
-                        self._counters["store_hits"] += 1
-                        continue
-                    metric = None if spec.channel == COUNTER_CHANNEL else spec.name
-                    inflight_key = (digest, key, log_key.seed, spec.channel, metric)
-                    if inflight_key in seen_inflight:
-                        continue
-                    seen_inflight.add(inflight_key)
-                    entry = self._inflight.get(inflight_key)
-                    if entry is not None:
-                        self._counters["dedup_savings"] += 1
-                    else:
-                        entry = self._inflight[inflight_key] = _Inflight(inflight_key)
-                        missing.setdefault((spec.channel, metric), {})[key] = plan
-                    entry.waiters += 1
-                    waits.append(entry)
+            hits = 0
+            for item in job.plan_batch:
+                key = item if rows else plan_key(item)
+                try:
+                    answers.append(_answer(key, engine.cached(key), names, rows))
+                    hits += len(names)
+                except KeyError:
+                    plan = parse_plan(item) if rows else item
+                    key = plan_key(plan)
+                    record = engine.cached(key)
+                    pending.append((len(answers), key))
+                    answers.append(None)
+                    for spec in map(metric_spec, names):
+                        if spec.name in record:
+                            hits += 1
+                            continue
+                        metric = None if spec.channel == COUNTER_CHANNEL else spec.name
+                        wanted.setdefault((digest, key, log_key.seed, spec.channel, metric), plan)
+            # Every key parsed and every name known: register the work.
+            for inflight_key, plan in wanted.items():
+                entry = self._inflight.get(inflight_key)
+                if entry is not None:
+                    self._counters["dedup_savings"] += 1
+                else:
+                    entry = self._inflight[inflight_key] = _Inflight(inflight_key)
+                    missing.setdefault(inflight_key[3:], {})[inflight_key[1]] = plan
+                entry.waiters += 1
+                waits.append(entry)
+            if memo is _ANSWERED:
+                self._counters["resubmits"] += 1
+            else:
+                self._counters["jobs"] += 1
+                self._counters["store_hits"] += hits
+            if request_id is not None and not waits:
+                self._request_tickets.put(request_id, _ANSWERED)
 
         for (channel, metric), plan_by_key in missing.items():
             self._enqueue(
@@ -706,8 +731,8 @@ class CampaignService:
             )
         owned = sum(len(plan_by_key) for plan_by_key in missing.values())
         deadline = None if job.deadline is None else time.monotonic() + job.deadline
-        ticket = JobTicket(self, job, log_key, keys, job.metrics, waits, owned, deadline)
-        if request_id is not None:
+        ticket = JobTicket(self, job, engine, answers, pending, waits, owned, deadline)
+        if request_id is not None and waits:
             with self._lock:
                 self._request_tickets.put(request_id, ticket)
         return ticket
@@ -726,22 +751,6 @@ class CampaignService:
         )
         return ticket.result(timeout=timeout)
 
-    def _assemble(
-        self,
-        log_key: CostLogKey,
-        plan_keys: "list[str]",
-        metric_names: "tuple[str, ...]",
-    ) -> "list[CostRecord]":
-        with self._lock:
-            engine = self._engines[log_key]
-        records = []
-        for key in plan_keys:
-            values = engine.cached(key)
-            records.append(
-                CostRecord(plan_key=key, values={name: values[name] for name in metric_names})
-            )
-        return records
-
     # -- raw measurement batches (campaign tables) -------------------------------
 
     def measure_units(
@@ -759,7 +768,7 @@ class CampaignService:
         starts from fresh simulator state) and raises to the caller.
         ``drain`` and ``shutdown`` wait for batches in progress.
         """
-        digest = self._hash_for(machine_config)
+        digest = machine_config_hash(machine_config)
         with self._lock:
             if self._closed:
                 raise ServiceError(f"{self.name} is shut down")
@@ -1251,7 +1260,7 @@ class ServiceClient(EngineSurface):
         self.timeout = timeout
         #: This client's record shard in the service's store.
         self.key = CostLogKey(
-            machine_hash=service._hash_for(self.config), seed=self.seed
+            machine_hash=machine_config_hash(self.config), seed=self.seed
         )
 
     def _fallback_store(self) -> CampaignStore:

@@ -84,11 +84,16 @@ def machine_config_hash(config: MachineConfig) -> str:
     and cycle model weights, element size, simulator flags — contributes to
     the digest, so two configurations compare equal iff they would produce
     identical measurements.  The hash is stable across processes and Python
-    versions (canonical JSON, no ``hash()`` involvement).
+    versions (canonical JSON, no ``hash()`` involvement).  Cached on the
+    configuration object, as ``plan_key`` caches a plan's key.
     """
-    payload = dataclasses.asdict(config)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = config.__dict__.get("_digest")
+    if digest is None:
+        payload = dataclasses.asdict(config)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        object.__setattr__(config, "_digest", digest)
+    return digest
 
 
 def _token_digest(payload: dict) -> str:

@@ -16,8 +16,9 @@ re-execution, chaos injection) extends across it unchanged:
   submit's order.  A submit is answered on the connection thread when
   the record cache holds every key; otherwise a handler thread waits for
   its ticket, so a slow batch never blocks the connection's heartbeats.
-  The server parses each plan key once, so a warm submit recomputes
-  nothing.
+  The keys go to :meth:`CampaignService.submit` as they came, which
+  answers the cached ones in rows and parses only keys it must queue, so
+  a warm submit recomputes nothing.
 * :class:`RemoteTransport` is the supervised client end of one
   connection.  No thread reads its socket: a caller waiting for a reply
   reads frames itself and hands each to its waiter by request id.  The
@@ -81,12 +82,8 @@ from repro.machine.cache import CacheConfig
 from repro.machine.cpu import CycleModel, InstructionCostModel
 from repro.machine.machine import MachineConfig
 from repro.runtime.faults import FaultPlan
-from repro.runtime.metrics import metric_spec
 from repro.runtime.service import CampaignJob, CampaignService, JobTicket, ServiceError
-from repro.util.lru import LRUCache
 from repro.util.rng import backoff_delay
-from repro.wht.plan import Plan
-from repro.wht.grammar import parse_plan
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -112,8 +109,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
-#: What parsing a hostile frame field raises (``Infinity`` overflows ``int``).
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+#: What parsing a hostile frame field raises (``Infinity`` overflows ``int``,
+#: a plan key nested past the recursion limit is refused as malformed too).
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
 
 
 class TransportError(ServiceError):
@@ -193,7 +191,7 @@ class FrameTransport:
         body = self._read_exact(length, at_boundary=False)
         try:
             frame = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise TransportError(f"garbage frame: {exc}") from exc
         if not isinstance(frame, dict):
             raise TransportError(f"frame body must be an object, got {type(frame).__name__}")
@@ -458,20 +456,6 @@ class _ServerConnection:
             self.server._count("drained")
             self._reply({"type": "draining", "id": rid})
             return
-        try:
-            if self._machine is None:
-                raise ValueError("no machine declared in hello")
-            deadline = frame.get("deadline")
-            job = CampaignJob(
-                machine_config=self._machine,
-                plan_batch=tuple(self.server._plan_from(str(key)) for key in frame["plans"]),
-                metrics=tuple(metric_spec(name).name for name in frame["metrics"]),
-                seed=int(frame.get("seed", 0)),
-                deadline=float(deadline) if deadline is not None else None,
-            )
-        except _MALFORMED as exc:
-            self._reply({"type": "error", "id": rid, "message": f"malformed submit: {exc}"})
-            return
         with self._lock:
             if self.inflight >= self.server.max_inflight:
                 self.server._count("backpressure")
@@ -481,12 +465,25 @@ class _ServerConnection:
             self.inflight += 1
         self.server._begin_request()
         try:
+            if self._machine is None:
+                raise ValueError("no machine declared in hello")
+            deadline = frame.get("deadline")
+            job = CampaignJob(
+                machine_config=self._machine,
+                plan_batch=tuple(map(str, frame["plans"])),
+                metrics=tuple(frame["metrics"]),
+                seed=int(frame.get("seed", 0)),
+                deadline=float(deadline) if deadline is not None else None,
+            )
             ticket = self.server.service.submit(job, request_id=None if rid is None else str(rid))
         except BaseException as exc:
             self._end_submit()
-            if not isinstance(exc, ServiceError):
+            if isinstance(exc, _MALFORMED):  # the service parses keys and names
+                self._reply({"type": "error", "id": rid, "message": f"malformed submit: {exc}"})
+            elif isinstance(exc, ServiceError):
+                self._reply({"type": "error", "id": rid, "message": str(exc)})
+            else:
                 raise
-            self._reply({"type": "error", "id": rid, "message": str(exc)})
             return
         if ticket.done():
             self._answer(ticket, rid)
@@ -499,13 +496,12 @@ class _ServerConnection:
             ).start()
 
     def _answer(self, ticket: JobTicket, rid: object) -> None:
-        """Wait for ``ticket``'s records and send the result (or error) frame:
-        one row of values per plan, in the submit's plan and metric order."""
+        """Wait for ``ticket``'s rows and send the result (or error) frame:
+        one row of values per key, in the submit's key and metric order."""
         reply = {"type": "result", "id": rid, "owned": ticket.owned_units}
         try:
             try:
-                names = ticket.job.metrics
-                reply["values"] = [[r.values[n] for n in names] for r in ticket.result()]
+                reply["values"] = ticket.result()
             except ServiceError as exc:
                 reply = {"type": "error", "id": rid, "message": str(exc)}
             self._reply(reply)
@@ -577,7 +573,6 @@ class ServiceServer:
         }
         self.draining = False
         self.closed = False
-        self._plans: "LRUCache[str, Plan]" = LRUCache(4096)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name=f"{self.name}-accept", daemon=True
         )
@@ -588,17 +583,6 @@ class ServiceServer:
                 target=self._sweep_idle, name=f"{self.name}-sweeper", daemon=True
             )
             self._sweeper.start()
-
-    # -- request-side caches -----------------------------------------------------
-
-    def _plan_from(self, key: str) -> Plan:
-        with self._lock:
-            plan = self._plans.get(key)
-        if plan is None:
-            plan = parse_plan(key)
-            with self._lock:
-                self._plans.put(key, plan)
-        return plan
 
     # -- bookkeeping -------------------------------------------------------------
 

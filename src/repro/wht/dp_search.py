@@ -23,7 +23,7 @@ from repro.util.batching import evaluate_cost_batch
 from repro.util.compositions import compositions
 from repro.util.validation import check_positive_int
 from repro.wht.encoding import plan_key
-from repro.wht.plan import MAX_UNROLLED, Plan, Small, Split
+from repro.wht.plan import MAX_UNROLLED, Plan, Small, _split_unchecked
 
 __all__ = ["DPSearch", "DPSearchResult", "CandidateRecord"]
 
@@ -232,7 +232,8 @@ class DPSearch:
                 children.append(child)
             if not feasible:  # pragma: no cover - parts are always smaller than m
                 continue
-            add(Split(tuple(children)))
+            # Best plans of parts that sum to ``m``: nothing left to check.
+            add(_split_unchecked(tuple(children), m))
         if not plans:
             raise RuntimeError(
                 f"no candidate plan found for exponent {m} "

@@ -30,10 +30,11 @@ from hypothesis import strategies as st
 import repro
 import repro.runtime.transport as transport_module
 import repro.wht.encoding as encoding_module
+import repro.wht.grammar as grammar_module
 from repro.machine.configs import default_machine_config, tiny_machine_config
 from repro.runtime.backends import BatchedBackend
 from repro.runtime.faults import FaultPlan, FaultSpec, FaultyBackend
-from repro.runtime.service import CampaignJob, CampaignService
+from repro.runtime.service import CampaignJob, CampaignService, JobTicket
 from repro.runtime.session import Session, session
 from repro.runtime.sharded_store import ShardedRecordStore
 from repro.runtime.store import MemoryStore, machine_config_hash
@@ -52,6 +53,7 @@ from repro.runtime.transport import (
 from repro.machine.machine import SimulatedMachine
 from repro.runtime.cost_engine import CostEngine
 from repro.runtime.fleet import RemoteServiceClient
+from repro.search.dp import dp_search
 from repro.wht.canonical import iterative_plan, right_recursive_plan
 from repro.wht.encoding import plan_key
 from repro.wht.grammar import parse_plan
@@ -178,9 +180,11 @@ class TestFrameCodec:
             rx.recv()
         rx.close()
 
-    def test_garbage_body_raises(self):
+    @pytest.mark.parametrize(
+        "body", [b"\x00\xffnot json at all", b"[" * 5000 + b"]" * 5000], ids=["bytes", "deep"]
+    )
+    def test_garbage_body_raises(self, body):
         tx, rx = _frame_pair()
-        body = b"\x00\xffnot json at all"
         tx.send_bytes(len(body).to_bytes(4, "big") + body)
         with pytest.raises(TransportError, match="garbage"):
             rx.recv()
@@ -585,14 +589,9 @@ class TestConnectionSupervision:
 
 
 def _raw_submit(frames, rid, plans):
-    frames.send(
-        {
-            "type": "submit",
-            "id": rid,
-            "plans": [plan_key(plan) for plan in plans],
-            "metrics": ["cycles"],
-        }
-    )
+    """Submit ``plans`` (or raw key strings, sent as they are) for cycles."""
+    keys = [plan if isinstance(plan, str) else plan_key(plan) for plan in plans]
+    frames.send({"type": "submit", "id": rid, "plans": keys, "metrics": ["cycles"]})
     reply = frames.recv()
     assert reply["id"] == rid
     return reply
@@ -671,6 +670,128 @@ class TestWarmSubmitCaches:
         leaf = parse_plan("small[3]")
         assert plan_key(leaf) == "small[3]"
         assert plan_key(dataclasses.replace(leaf, n=2)) == "small[2]"
+
+
+# -- keys in, rows out ------------------------------------------------------------
+
+
+def _count_parses(monkeypatch):
+    """Count every plan parse, on whichever thread it runs."""
+    parsed = []
+    original = grammar_module._Parser.parse
+
+    def counting(parser):
+        parsed.append(parser.text)
+        return original(parser)
+
+    monkeypatch.setattr(grammar_module._Parser, "parse", counting)
+    return parsed
+
+
+class TestKeysOnTheWire:
+    """The server answers cached keys from its record cache without parsing
+    them, and parses a key only when its work must be queued."""
+
+    def test_a_warm_submit_parses_no_plan(self, config, plans, monkeypatch):
+        # The record cache is filled in process, so the server has never
+        # seen these keys on the wire: nothing to have parsed them before.
+        parsed = _count_parses(monkeypatch)
+        with CampaignService() as service, serve_tcp(service) as server:
+            cached = service.lookup(config, plans)
+            frames = _handshake(server.url, config)
+            warm = [_raw_submit(frames, f"raw:{i}", plans) for i in range(3)]
+            frames.close()
+        assert parsed == []
+        expected = [[record.values["cycles"]] for record in cached]
+        assert [(reply["values"], reply["owned"]) for reply in warm] == [(expected, 0)] * 3
+
+    def test_a_mixed_submit_parses_only_the_missing_keys(self, config, plans, monkeypatch):
+        parsed = _count_parses(monkeypatch)
+        fresh = [right_recursive_plan(3), iterative_plan(5)]
+        mixed = [plans[0], fresh[0], plans[1], fresh[1]]
+        counting = CountingBackend()
+        with CampaignService(backend=counting) as service, serve_tcp(service) as server:
+            service.lookup(config, plans)
+            frames = _handshake(server.url, config)
+            reply = _raw_submit(frames, "raw:1", mixed)
+            frames.close()
+        assert sorted(parsed) == sorted(plan_key(plan) for plan in fresh)
+        assert reply["owned"] == len(fresh)
+        reference = _private_engine(config).records(mixed, ["cycles"])
+        assert reply["values"] == [[record.values["cycles"]] for record in reference]
+        assert counting.duplicate_executions() == []
+
+    def test_a_non_canonical_spelling_gets_the_cached_values_in_place(self, config, plans):
+        keys = [plan_key(plan) for plan in plans]
+        spelled = [key.replace(",", ", ") for key in keys]
+        assert spelled != keys and [plan_key(parse_plan(k)) for k in spelled] == keys
+        counting = CountingBackend()
+        with CampaignService(backend=counting) as service, serve_tcp(service) as server:
+            frames = _handshake(server.url, config)
+            cached = _raw_submit(frames, "raw:1", keys)
+            executed = len(counting.executed)
+            reply = _raw_submit(frames, "raw:2", [spelled[1], keys[0], spelled[0]])
+            frames.close()
+        assert reply["values"] == [cached["values"][1], cached["values"][0], cached["values"][0]]
+        assert reply["owned"] == 0
+        assert len(counting.executed) == executed
+
+    @pytest.mark.parametrize(
+        "bad", ["split[small[1]", "small[99]", "split[" * 2000], ids=["torn", "leaf", "deep"]
+    )
+    @pytest.mark.parametrize("after_cold_key", [False, True], ids=["alone", "after-cold-key"])
+    def test_a_malformed_key_is_refused_and_registers_nothing(
+        self, config, plans, bad, after_cold_key
+    ):
+        # The keys are parsed before any in-flight entry is registered: a
+        # cold valid key ahead of the bad one must not be left waiting on
+        # an entry nothing resolves, which would wedge its next submit.
+        cold = plan_key(plans[0])
+        counting = CountingBackend()
+        with CampaignService(backend=counting) as service, serve_tcp(service) as server:
+            frames = _handshake(server.url, config)
+            reply = _raw_submit(frames, "raw:1", [cold, bad] if after_cold_key else [bad])
+            assert reply["type"] == "error"
+            assert reply["message"].startswith("malformed submit")
+            frames.send({"type": "ping", "id": "raw:ping"})
+            assert frames.recv()["type"] == "pong"
+            assert service.health().state == "ok"
+            assert (service.stats().in_flight, service.stats().jobs) == (0, 0)
+            again = _raw_submit(frames, "raw:2", [cold])
+            frames.close()
+        assert (again["type"], again["owned"]) == ("result", 1)
+        assert len(counting.executed) == 1
+
+
+class TestWireCounters:
+    """The service's counters and resubmit semantics over the wire."""
+
+    def test_a_warm_resubmit_gets_the_same_answer_and_keeps_no_ticket(self, config, plans):
+        with CampaignService() as service, serve_tcp(service) as server:
+            frames = _handshake(server.url, config)
+            _raw_submit(frames, "raw:cold", plans)
+            first = _raw_submit(frames, "raw:warm", plans)
+            resubmits = service.stats().resubmits
+            again = _raw_submit(frames, "raw:warm", plans)
+            assert service.stats().resubmits == resubmits + 1
+            assert not isinstance(service._request_tickets.get("raw:warm"), JobTicket)
+            frames.close()
+        assert (again["values"], again["owned"]) == (first["values"], first["owned"])
+
+    def test_a_warm_dp_search_over_tcp_keeps_the_counters(self, config):
+        # Literals read from the two-pass submit (partition, then assemble):
+        # answering cached keys in the partition pass moves no counter.
+        with CampaignService() as service, serve_tcp(service) as server:
+            with RemoteServiceClient(server.url, config, timeout=30.0) as client:
+                cold = dp_search(12, client)
+                stats = service.stats()
+                assert (stats.jobs, stats.store_hits, stats.measured) == (12, 0, 84)
+                assert stats.dedup_savings == 0
+                warm = dp_search(12, client)
+        stats = service.stats()
+        assert (stats.jobs, stats.store_hits, stats.measured) == (24, 84, 84)
+        assert (stats.dedup_savings, stats.resubmits) == (0, 0)
+        assert warm.best_costs == cold.best_costs
 
 
 # -- the caller reads its own reply ---------------------------------------------
